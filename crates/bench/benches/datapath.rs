@@ -1,19 +1,17 @@
-//! E20 corroboration — wall-clock microbenchmark of the three replay
-//! engines on goto chains of 2, 3 and 4 tables.
+//! E20 corroboration — wall-clock microbenchmark of the engine, bare and
+//! behind the megaflow cache, on goto chains of 2, 3 and 4 tables.
 //!
 //! The modeled Mpps numbers in `BENCH_mpps.json` come from the cost
-//! model; this bench times the real data structures: the interpreter's
-//! boxed per-table classifiers, the compiled tier's monomorphic
-//! dispatch, and the megaflow cache's single masked-tuple probe. The
-//! expected ordering — and the crossover recorded in EXPERIMENTS.md —
-//! is interp < compiled < cached(warm), with the compiled tier's edge
-//! growing with pipeline depth (it amortizes per-table dispatch) and
-//! the cache's edge independent of depth (one probe regardless).
+//! model; this bench times the real data structures: the engine's
+//! monomorphic per-table dispatch and the megaflow cache's single
+//! masked-tuple probe. The expected ordering is compiled < cached(warm),
+//! with the walk's cost growing with pipeline depth and the cache's
+//! independent of it (one probe regardless).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_core::{ActionSem, Catalog, Packet, Pipeline, Table, Value};
 use mapro_packet::{generate, FlowSpec, Popularity, TraceSpec};
-use mapro_switch::{CachedEngine, CompiledEngine, EswitchSim, Switch};
+use mapro_switch::{CachedEngine, Switch, SwitchModel};
 
 const ROWS: u64 = 64;
 
@@ -74,17 +72,8 @@ fn bench_datapath(c: &mut Criterion) {
         let p = chain(n);
         let pkts = traffic(&p, n);
 
-        group.bench_function(format!("interp/{n}tables"), |b| {
-            let mut sim = EswitchSim::compile(&p).expect("compiles");
-            let mut i = 0usize;
-            b.iter(|| {
-                let pkt = &pkts[i % pkts.len()];
-                i += 1;
-                std::hint::black_box(sim.process(pkt));
-            });
-        });
         group.bench_function(format!("compiled/{n}tables"), |b| {
-            let mut sim = CompiledEngine::eswitch(&p).expect("compiles");
+            let mut sim = SwitchModel::eswitch(&p).expect("compiles");
             let mut i = 0usize;
             b.iter(|| {
                 let pkt = &pkts[i % pkts.len()];

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mapro_bench::BenchConfig;
 use mapro_normalize::JoinKind;
 use mapro_packet::generate;
-use mapro_switch::{EswitchSim, LagopusSim, NoviflowSim, OvsSim, Switch};
+use mapro_switch::{ModelSpec, OvsSim, Switch, SwitchModel};
 use mapro_workloads::Gwlb;
 
 fn bench_table1(c: &mut Criterion) {
@@ -25,35 +25,23 @@ fn bench_table1(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("table1");
     for (repr_name, repr) in [("universal", &g.universal), ("goto", &goto)] {
-        group.bench_function(format!("eswitch/{repr_name}"), |b| {
-            let mut sim = EswitchSim::compile(repr).expect("compiles");
-            let mut i = 0usize;
-            b.iter(|| {
-                let (_, pkt) = &trace.packets[i % trace.len()];
-                i += 1;
-                std::hint::black_box(sim.process(pkt));
+        for spec in [
+            ModelSpec::eswitch(),
+            ModelSpec::lagopus(),
+            ModelSpec::noviflow(),
+        ] {
+            group.bench_function(format!("{}/{repr_name}", spec.name), |b| {
+                let mut sim = SwitchModel::new(repr, spec.clone()).expect("compiles");
+                let mut i = 0usize;
+                b.iter(|| {
+                    let (_, pkt) = &trace.packets[i % trace.len()];
+                    i += 1;
+                    std::hint::black_box(sim.process(pkt));
+                });
             });
-        });
-        group.bench_function(format!("lagopus/{repr_name}"), |b| {
-            let mut sim = LagopusSim::compile(repr).expect("compiles");
-            let mut i = 0usize;
-            b.iter(|| {
-                let (_, pkt) = &trace.packets[i % trace.len()];
-                i += 1;
-                std::hint::black_box(sim.process(pkt));
-            });
-        });
-        group.bench_function(format!("noviflow/{repr_name}"), |b| {
-            let mut sim = NoviflowSim::compile(repr).expect("compiles");
-            let mut i = 0usize;
-            b.iter(|| {
-                let (_, pkt) = &trace.packets[i % trace.len()];
-                i += 1;
-                std::hint::black_box(sim.process(pkt));
-            });
-        });
+        }
         group.bench_function(format!("ovs_warm/{repr_name}"), |b| {
-            let mut sim = OvsSim::compile(repr);
+            let mut sim = OvsSim::compile(repr).expect("compiles");
             for (_, pkt) in &trace.packets {
                 sim.process(pkt); // warm the megaflow cache
             }
@@ -68,7 +56,7 @@ fn bench_table1(c: &mut Criterion) {
     // The slow path, for contrast: a cold OVS cache per iteration batch.
     group.bench_function("ovs_cold/universal", |b| {
         b.iter_batched(
-            || OvsSim::compile(&g.universal),
+            || OvsSim::compile(&g.universal).expect("compiles"),
             |mut sim| {
                 for (_, pkt) in trace.packets.iter().take(64) {
                     std::hint::black_box(sim.process(pkt));

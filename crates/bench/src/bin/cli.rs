@@ -14,8 +14,7 @@
 //! mapro flatten <prog.json>                       # denormalize to one table
 //! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend cube|dd|auto]
 //! mapro replay <prog.json> [--packets N --flows F --seed S --shards N]
-//!              [--switch ovs|eswitch|lagopus|noviflow]
-//!              [--engine interp|compiled|cached]
+//!              [--switch ovs|eswitch|lagopus|noviflow|cached]
 //! mapro export <prog.json> --format openflow|p4   # data-plane program text
 //! ```
 //!
@@ -72,6 +71,27 @@ fn parse_backend(flag: &Option<String>) -> mapro_sym::CoverBackend {
             .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (cube|dd|auto)"))),
     }
 }
+
+/// Builds one `replay --switch` model over a program.
+type SwitchCtor =
+    fn(&Pipeline) -> Result<Box<dyn mapro_switch::Switch + Send>, mapro_switch::CompileError>;
+
+/// `replay --switch` values and what each builds.
+const SWITCH_MODELS: &[(&str, SwitchCtor)] = &[
+    ("ovs", |p| Ok(Box::new(mapro_switch::OvsSim::compile(p)?))),
+    ("eswitch", |p| {
+        Ok(Box::new(mapro_switch::SwitchModel::eswitch(p)?))
+    }),
+    ("lagopus", |p| {
+        Ok(Box::new(mapro_switch::SwitchModel::lagopus(p)?))
+    }),
+    ("noviflow", |p| {
+        Ok(Box::new(mapro_switch::SwitchModel::noviflow(p)?))
+    }),
+    ("cached", |p| {
+        Ok(Box::new(mapro_switch::CachedEngine::eswitch(p)?))
+    }),
+];
 
 fn load(path: &str) -> Pipeline {
     let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -435,91 +455,30 @@ fn main() {
                 .collect();
             let spec = mapro_packet::TraceSpec::uniform(flow_specs);
             let trace = mapro_packet::generate(&p.catalog, &spec, packets, seed);
-            // Execution tier: `interp` walks the `--switch` model's boxed
-            // classifiers per packet; `compiled` runs the specialized
-            // engine (ESwitch policy — same verdicts and modeled costs,
-            // Mpps-scale wall clock); `cached` fronts it with the
-            // cube-keyed megaflow cache. The tiers fix the ESwitch cost
-            // model, so `--switch` only combines with `--engine interp`.
-            let engine = flag("--engine").unwrap_or_else(|| "interp".to_owned());
-            if engine != "interp" && has("--switch") {
-                usage_error(format_args!(
-                    "--engine {engine} fixes the eswitch model; drop --switch or use --engine interp"
-                ));
+            // `--switch` is the one selector: every model runs the same
+            // compiled engine; `cached` fronts the eswitch model with the
+            // cube-keyed megaflow cache.
+            if has("--engine") {
+                usage_error(
+                    "--engine was removed; use --switch ovs|eswitch|lagopus|noviflow|cached",
+                );
             }
-            let kind = match engine.as_str() {
-                "interp" => flag("--switch").unwrap_or_else(|| "ovs".to_owned()),
-                "compiled" | "cached" => engine.clone(),
-                other => usage_error(format_args!(
-                    "unknown engine {other:?} (interp|compiled|cached)"
-                )),
+            let kind = flag("--switch").unwrap_or_else(|| "ovs".to_owned());
+            let Some(&(_, build)) = SWITCH_MODELS.iter().find(|(n, _)| *n == kind) else {
+                usage_error(format_args!(
+                    "unknown switch {kind:?} (ovs|eswitch|lagopus|noviflow|cached)"
+                ))
             };
             // Compile once up front so a model rejection is a clean error,
             // then recompile per shard inside the factory (each modeled
-            // datapath thread owns its classifiers).
-            let factory: Box<dyn Fn() -> Box<dyn mapro_switch::Switch + Send> + Sync> = match kind
-                .as_str()
-            {
-                "ovs" => {
-                    let p = p.clone();
-                    Box::new(move || Box::new(mapro_switch::OvsSim::compile(&p)))
-                }
-                "eswitch" => {
-                    if let Err(e) = mapro_switch::EswitchSim::compile(&p) {
-                        eprintln!("eswitch cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::EswitchSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "lagopus" => {
-                    if let Err(e) = mapro_switch::LagopusSim::compile(&p) {
-                        eprintln!("lagopus cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::LagopusSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "noviflow" => {
-                    if let Err(e) = mapro_switch::NoviflowSim::compile(&p) {
-                        eprintln!("noviflow cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::NoviflowSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "compiled" => {
-                    if let Err(e) = mapro_switch::CompiledEngine::eswitch(&p) {
-                        eprintln!("compiled tier cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::CompiledEngine::eswitch(&p).expect("checked above"))
-                    })
-                }
-                "cached" => {
-                    if let Err(e) = mapro_switch::CachedEngine::eswitch(&p) {
-                        eprintln!("cached tier cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::CachedEngine::eswitch(&p).expect("checked above"))
-                    })
-                }
-                other => usage_error(format_args!(
-                    "unknown switch {other:?} (ovs|eswitch|lagopus|noviflow)"
-                )),
-            };
-            let rep = mapro_switch::run_modeled_parallel(&*factory, &trace, shards);
-            let digest = mapro_switch::replay_digest(&*factory, &trace, shards);
+            // datapath thread owns its engine).
+            if let Err(e) = build(&p) {
+                eprintln!("{kind} cannot model {path}: {e}");
+                exit(1)
+            }
+            let factory = move || build(&p).expect("checked above");
+            let rep = mapro_switch::run_modeled_parallel(&factory, &trace, shards);
+            let digest = mapro_switch::replay_digest(&factory, &trace, shards);
             println!(
                 "replayed {} packets ({} flows, {} shards, {kind} model)",
                 rep.packets,

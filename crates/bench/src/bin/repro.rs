@@ -700,7 +700,7 @@ fn main() {
     }
     if want("mpps") {
         println!(
-            "\n############ E20 — Mpps-scale replay: interp vs compiled vs cached (extension) ############"
+            "\n############ E20 — Mpps-scale replay: compiled vs cached (extension) ############"
         );
         let rep = mpps(&args.cfg, &[1_024, 65_536, 1_048_576]);
         if args.json {

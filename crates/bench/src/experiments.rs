@@ -9,14 +9,14 @@
 //! E15 = thread scaling, E16 = static analysis, E17 = symbolic vs
 //! enumerative equivalence, E18 = phase attribution from span traces,
 //! E19 = controller crash-recovery chaos sweep, E20 = Mpps-scale replay
-//! engine comparison (interpreter vs compiled tier vs megaflow cache).
+//! (the compiled engine, bare and behind the megaflow cache).
 
 use mapro_core::{display, Pipeline};
 use mapro_normalize::JoinKind;
 use mapro_packet::generate;
 use mapro_switch::{
-    churn_sweep, run_modeled, ChurnPoint, ControlStall, EswitchSim, HwLatency, LagopusSim,
-    NoviflowSim, OvsSim, Switch,
+    churn_sweep, run_modeled, ChurnPoint, ControlStall, HwLatency, ModelSpec, OvsSim, Switch,
+    SwitchModel, TemplatePolicy,
 };
 use mapro_workloads::{Gwlb, Sdx, Vlan, L3};
 use serde::Serialize;
@@ -109,7 +109,7 @@ pub fn table1(cfg: &BenchConfig) -> Vec<Table1Row> {
     for (repr_name, repr) in [("universal", &g.universal), ("goto", &goto)] {
         // OVS (with a warm-up pass so steady-state cache behaviour shows).
         {
-            let mut sim = OvsSim::compile(repr);
+            let mut sim = OvsSim::compile(repr).expect("compiles");
             let _ = run_modeled(&mut sim, &trace); // warm the megaflow cache
             let rep = run_modeled(&mut sim, &trace);
             rows.push(Table1Row {
@@ -120,45 +120,30 @@ pub fn table1(cfg: &BenchConfig) -> Vec<Table1Row> {
                 templates: vec![format!("megaflow×{}", sim.cache_tuples())],
             });
         }
-        // ESwitch.
-        {
-            let mut sim = EswitchSim::compile(repr).expect("compiles");
-            let templates = sim
-                .templates()
-                .into_iter()
-                .map(|(n, k)| format!("{n}:{k}"))
-                .collect();
+        // The three stateless models: one engine, three specs.
+        for (label, spec) in [
+            ("ESwitch", ModelSpec::eswitch()),
+            ("Lagopus", ModelSpec::lagopus()),
+            ("NoviFlow", ModelSpec::noviflow()),
+        ] {
+            let policy = spec.policy;
+            let mut sim = SwitchModel::new(repr, spec).expect("compiles");
+            let templates = match policy {
+                TemplatePolicy::Specialize { .. } => sim
+                    .templates()
+                    .into_iter()
+                    .map(|(n, k)| format!("{n}:{k}"))
+                    .collect(),
+                TemplatePolicy::Uniform(kind) => vec![kind.to_string()],
+                TemplatePolicy::Tcam => vec!["tcam".into()],
+            };
             let rep = run_modeled(&mut sim, &trace);
             rows.push(Table1Row {
-                switch: "ESwitch".into(),
+                switch: label.into(),
                 repr: repr_name.into(),
                 rate_mpps: rep.mpps,
                 q3_latency_us: rep.q3_latency_us(),
                 templates,
-            });
-        }
-        // Lagopus.
-        {
-            let mut sim = LagopusSim::compile(repr).expect("compiles");
-            let rep = run_modeled(&mut sim, &trace);
-            rows.push(Table1Row {
-                switch: "Lagopus".into(),
-                repr: repr_name.into(),
-                rate_mpps: rep.mpps,
-                q3_latency_us: rep.q3_latency_us(),
-                templates: vec!["tss".into()],
-            });
-        }
-        // NoviFlow.
-        {
-            let mut sim = NoviflowSim::compile(repr).expect("compiles");
-            let rep = run_modeled(&mut sim, &trace);
-            rows.push(Table1Row {
-                switch: "NoviFlow".into(),
-                repr: repr_name.into(),
-                rate_mpps: rep.mpps,
-                q3_latency_us: rep.q3_latency_us(),
-                templates: vec!["tcam".into()],
             });
         }
     }
@@ -188,7 +173,7 @@ pub fn table1_joins(cfg: &BenchConfig) -> Vec<JoinRow> {
     let trace = generate(&g.universal.catalog, &g.trace_spec(), cfg.packets, cfg.seed);
     let mut rows = Vec::new();
     let mut add = |name: &str, p: &Pipeline| {
-        let mut sim = EswitchSim::compile(p).expect("compiles");
+        let mut sim = SwitchModel::eswitch(p).expect("compiles");
         let templates = sim
             .templates()
             .into_iter()
@@ -238,7 +223,7 @@ pub struct Fig4Point {
 pub fn fig4(cfg: &BenchConfig, rates: &[f64]) -> Vec<Fig4Point> {
     let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
     let goto = g.normalized(JoinKind::Goto).expect("decomposes");
-    let uni_sim = NoviflowSim::compile(&g.universal).expect("compiles");
+    let uni_sim = SwitchModel::noviflow(&g.universal).expect("compiles");
     let line = uni_sim.line_rate_mpps();
     // Flow-mods per intent, per representation, from the compiler:
     let uni_plan = g.move_service_port(&g.universal, 0, 9999);
@@ -629,7 +614,7 @@ pub fn eswitch_templates(cfg: &BenchConfig) -> Vec<TemplateRow> {
     let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
     let mut rows = Vec::new();
     let mut add = |name: &str, p: &Pipeline| {
-        let sim = EswitchSim::compile(p).expect("compiles");
+        let sim = SwitchModel::eswitch(p).expect("compiles");
         rows.push(TemplateRow {
             repr: name.into(),
             templates: sim
@@ -686,8 +671,8 @@ pub fn ovs_cache_sensitivity(cfg: &BenchConfig) -> Vec<CacheRow> {
                 cfg.packets.min(20_000),
                 cfg.seed,
             );
-            let mut sim = OvsSim::compile(&g.universal);
-            sim.cache_capacity = capacity;
+            let mut sim = OvsSim::compile(&g.universal).expect("compiles");
+            sim.set_cache_capacity(capacity);
             let rep = run_modeled(&mut sim, &trace);
             out.push(CacheRow {
                 capacity,
@@ -726,8 +711,8 @@ pub fn scaling(backends: usize, ns: &[usize], packets: usize, seed: u64) -> Vec<
         let g = Gwlb::random(n, backends, seed);
         let goto = g.normalized(JoinKind::Goto).expect("decomposes");
         let trace = generate(&g.universal.catalog, &g.trace_spec(), packets, seed);
-        let mut uni = EswitchSim::compile(&g.universal).expect("compiles");
-        let mut dec = EswitchSim::compile(&goto).expect("compiles");
+        let mut uni = SwitchModel::eswitch(&g.universal).expect("compiles");
+        let mut dec = SwitchModel::eswitch(&goto).expect("compiles");
         let u = run_modeled(&mut uni, &trace).mpps;
         let d = run_modeled(&mut dec, &trace).mpps;
         out.push(ScalingRow {
@@ -1157,7 +1142,7 @@ pub fn parscale(cfg: &BenchConfig, threads: &[usize]) -> ParScaleReport {
             let (p, t) = (&g.universal, &trace);
             Box::new(move || {
                 let rep = mapro_switch::run_modeled_parallel(
-                    &|| Box::new(OvsSim::compile(p)) as Box<dyn Switch + Send>,
+                    &|| Box::new(OvsSim::compile(p).expect("compiles")) as Box<dyn Switch + Send>,
                     t,
                     8,
                 );
@@ -1232,7 +1217,7 @@ pub struct MppsRow {
     pub repr: String,
     /// Requested flow-population size.
     pub flows: usize,
-    /// Execution tier (`interp` / `compiled` / `cached`).
+    /// Execution mode (`compiled` engine / `cached` behind the megaflow cache).
     pub engine: String,
     /// Flows that actually appear in the Zipf trace.
     pub distinct_flows: usize,
@@ -1265,9 +1250,8 @@ pub struct MppsReport {
     pub rows: Vec<MppsRow>,
 }
 
-/// Extension experiment E20: the compiled datapath tier and the
-/// cube-keyed megaflow cache against the interpreter, at flow populations
-/// up to the millions.
+/// Extension experiment E20: the compiled engine, bare and behind the
+/// cube-keyed megaflow cache, at flow populations up to the millions.
 ///
 /// The flow population cycles the (service, backend) pairs of the §5 GWLB
 /// workload and varies the low `ip_src` bits inside each backend prefix —
@@ -1275,10 +1259,9 @@ pub struct MppsReport {
 /// (the forwarding equivalence classes `mapro_sym` partitions the space
 /// into) stays fixed at a few hundred. That separation is the megaflow
 /// story: the cache's hit rate tracks cubes, not flows, so `cached`
-/// stays in the fast path at any flow count, while both per-packet
-/// engines pay the classifier walk. Verdict digests are asserted
-/// identical across all three engines per configuration — the sweep
-/// doubles as an engine-differential check.
+/// stays in the fast path at any flow count, while `compiled` pays the
+/// table walk per packet. Verdict digests are asserted identical across
+/// both per configuration — the sweep doubles as a differential check.
 ///
 /// # Panics
 /// Panics if any engine's verdict digest or drop count diverges — that is
@@ -1335,15 +1318,8 @@ pub fn mpps(cfg: &BenchConfig, flow_counts: &[usize]) -> MppsReport {
             };
             let trace = generate(&repr.catalog, &spec, packets, cfg.seed);
             let engines: Vec<(&str, EngineFactory<'_>)> = vec![
-                ("interp", {
-                    Box::new(move || Box::new(EswitchSim::compile(repr).expect("gwlb compiles")))
-                }),
                 ("compiled", {
-                    Box::new(move || {
-                        Box::new(
-                            mapro_switch::CompiledEngine::eswitch(repr).expect("gwlb compiles"),
-                        )
-                    })
+                    Box::new(move || Box::new(SwitchModel::eswitch(repr).expect("gwlb compiles")))
                 }),
                 ("cached", {
                     Box::new(move || {
@@ -1875,7 +1851,9 @@ pub fn phases(cfg: &BenchConfig) -> PhasesReport {
     });
     run("replay-gwlb", &mut || {
         let _ = mapro_switch::run_modeled_parallel(
-            &|| Box::new(OvsSim::compile(&g.universal)) as Box<dyn Switch + Send>,
+            &|| {
+                Box::new(OvsSim::compile(&g.universal).expect("compiles")) as Box<dyn Switch + Send>
+            },
             &replay_trace,
             4,
         );

@@ -131,7 +131,7 @@ fn replay_cached_pre_registers_megaflow_and_compile_metrics() {
         .args([
             "replay",
             prog.to_str().unwrap(),
-            "--engine",
+            "--switch",
             "cached",
             "--packets",
             "2000",
@@ -184,7 +184,7 @@ fn replay_cached_pre_registers_megaflow_and_compile_metrics() {
         );
         let _ = count("switch.megaflow.evictions");
         let _ = count("switch.megaflow.invalidations");
-        // The compiled tier's compile time is a histogram keyed by phase.
+        // The engine's compile time is a histogram keyed by phase.
         assert!(
             metrics.iter().any(|(k, _)| k == "switch.compile.ns"),
             "expected compile-time histogram, got: {:?}",

@@ -81,7 +81,10 @@ fn replay_structure_is_thread_invariant() {
     let run = |threads| {
         structure_at(threads, || {
             let rep = mapro_switch::run_modeled_parallel(
-                &|| Box::new(OvsSim::compile(&g.universal)) as Box<dyn Switch + Send>,
+                &|| {
+                    Box::new(OvsSim::compile(&g.universal).expect("compiles"))
+                        as Box<dyn Switch + Send>
+                },
                 &tr,
                 4,
             );

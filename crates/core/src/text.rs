@@ -24,7 +24,9 @@
 //! Cell syntax: `*` (any), decimal / `0x…` integers, dotted quads,
 //! `addr/len` prefixes, `10*` binary prefixes (left-aligned at the field's
 //! width), and bare words for symbolic action parameters. `-` in an action
-//! column means "no-op in this entry". Declarations:
+//! column means "no-op in this entry". An action cell is read by its
+//! column's kind: `output`/`goto` parameters are always symbols (port `1`
+//! is the symbol `1`, not an integer). Declarations:
 //! `field NAME WIDTH`, `meta NAME WIDTH`,
 //! `action NAME output|goto|opaque|set TARGET`,
 //! `table NAME [matches | actions] [miss=drop|controller|fall:TBL] [next=TBL]`,
@@ -237,7 +239,16 @@ pub fn parse_program(src: &str) -> Result<Pipeline, ParseError> {
                 let actions = acells
                     .iter()
                     .zip(&t.action_attrs)
-                    .map(|(c, _)| parse_cell(c, 64, false, ln))
+                    .map(|(c, &a)| match catalog.attr(a).kind {
+                        // Ports and table names are symbols even when
+                        // they look like numbers.
+                        AttrKind::Action(ActionSem::Output | ActionSem::Goto)
+                            if !matches!(*c, "-" | "*") =>
+                        {
+                            Ok(Value::sym(*c))
+                        }
+                        _ => parse_cell(c, 64, false, ln),
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 t.push(crate::table::Entry::new(matches, actions));
             }
@@ -473,6 +484,35 @@ start t0
         let q = parse_program(&text).unwrap();
         assert_equivalent(&p, &q);
         assert_eq!(p.catalog, q.catalog);
+    }
+
+    /// Output ports and goto targets that look like numbers (Fig. 3's
+    /// ports `1`, `2`, `3`) are printed bare and must come back as the
+    /// symbols they were: `parse ∘ format` is the identity, and the
+    /// re-read program still evaluates.
+    #[test]
+    fn numeric_looking_symbols_roundtrip() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let jump = c.action("jump", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut t0 = Table::new("0", vec![f], vec![jump, out]);
+        for port in 1..=3u64 {
+            t0.row(
+                vec![Value::Int(port)],
+                vec![Value::Any, Value::sym(port.to_string())],
+            );
+        }
+        t0.row(vec![Value::Int(9)], vec![Value::sym("7"), Value::Any]);
+        let mut t7 = Table::new("7", vec![f], vec![out]);
+        t7.row(vec![Value::Any], vec![Value::sym("0x2a")]);
+        let p = Pipeline::new(c, vec![t0, t7], "0");
+        let q = parse_program(&format_program(&p)).unwrap();
+        assert_eq!(p, q);
+        for (fv, port) in [(2u64, "2"), (9, "0x2a")] {
+            let pkt = Packet::from_fields(&q.catalog, &[("f", fv)]);
+            assert_eq!(q.run(&pkt).unwrap().output.as_deref(), Some(port));
+        }
     }
 
     #[test]

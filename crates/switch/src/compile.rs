@@ -1,13 +1,10 @@
-//! The compiled execution tier: a pipeline specialized into monomorphic
-//! classifier programs driven by a tight dispatch loop.
+//! The execution engine: a pipeline compiled into monomorphic classifier
+//! programs driven by one tight dispatch loop.
 //!
-//! [`crate::Datapath`] interprets: every table visit clones cost math,
-//! rebuilds a scratch key, and calls a boxed classifier through a vtable
-//! that additionally ticks per-lookup observability counters. That is
-//! the right shape for *modeling* (the counters and templates are the
-//! experiment), but it makes the wall-clock replay numbers measure the
-//! interpreter, not the representation. [`CompiledEngine`] compiles the
-//! same pipeline down to data:
+//! Every switch model in this crate runs packets through
+//! [`CompiledEngine`]; what differs between models is the
+//! [`ModelSpec`](crate::ModelSpec) it is compiled under, never the
+//! match-action semantics. A pipeline compiles down to data:
 //!
 //! * one shared register file holding every attribute any table matches
 //!   (loaded once per packet; `SetField` writes that can never be
@@ -18,31 +15,102 @@
 //! * per entry a pre-resolved program: the winning `Output`, the register
 //!   stores, and the successor table index (`goto.or(next)` folded in).
 //!
-//! Verdicts, lookup counts and modeled costs are byte-identical to the
-//! interpreter under the same template policy and cost parameters (the
-//! per-visit cost is the same `CostParams::lookup_ns` of the same
-//! template stats, pre-evaluated at compile time; the classifier
-//! decisions agree because every template agrees with first-match
-//! semantics). Only wall-clock speed differs. Batched processing
-//! ([`Switch::process_batch`]) amortizes the remaining per-packet dyn
-//! dispatch over [`BATCH`]-packet chunks.
+//! The *modeled* cost of a table visit is independent of that layout: it
+//! is `CostParams::lookup_ns` of the stats of the classifier template the
+//! [`TemplatePolicy`] really selects for the table (`mapro-classifier`
+//! builds it once at compile time, for its stats alone). The classifier
+//! decisions agree with any template because every template implements
+//! first-match semantics; [`mapro_core::Pipeline::run`] is the oracle the
+//! test suites compare against.
+//!
+//! Control-plane edits are table-granular: [`CompiledEngine::apply_update`]
+//! recompiles the one table a flow-mod touches and reuses the rest.
 
-use crate::cost::CostParams;
-use crate::datapath::{CompileError, ProcessOut, TemplatePolicy};
-use crate::Switch;
+use crate::cost::{CostParams, TemplatePolicy};
 use mapro_classifier::{
-    build_generic, build_specialized, table_shape, Classifier, TableShape, TableView,
+    build_generic, build_specialized, table_shape, Classifier, TableShape, TableView, TemplateKind,
 };
-use mapro_core::AttrId;
-use mapro_core::{ActionSem, AttrKind, MissPolicy, Packet, Pipeline, Value};
+use mapro_control::RuleUpdate;
+use mapro_core::{ActionSem, AttrId, AttrKind, MissPolicy, Packet, Pipeline, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Batch size of the compiled tier's dispatch loop (also used by the
-/// harness when chunking traces). 128 keeps a chunk of keys and results
-/// comfortably inside L1/L2 while amortizing per-batch overheads.
+/// Chunk size the harness replays traces in (one virtual call per chunk).
+/// 128 keeps a chunk of keys and results comfortably inside L1/L2 while
+/// amortizing per-batch overheads.
 pub const BATCH: usize = 128;
+
+/// Why a pipeline could not be compiled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileError {
+    /// A goto/next/fall target does not exist.
+    UnknownTable(String),
+    /// A goto parameter was not symbolic, or a set-field parameter was not
+    /// an integer.
+    BadActionParam {
+        /// Offending table.
+        table: String,
+    },
+    /// A match cell was symbolic.
+    BadMatchCell {
+        /// Offending table.
+        table: String,
+    },
+}
+
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
+            CompileError::BadActionParam { table } => {
+                write!(f, "table {table:?}: bad action parameter")
+            }
+            CompileError::BadMatchCell { table } => {
+                write!(f, "table {table:?}: symbolic match cell")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+/// Why a flow-mod could not be applied to a running engine.
+#[derive(Debug, Clone, PartialEq)]
+pub enum UpdateError {
+    /// The flow-mod did not apply (unknown table/entry).
+    Apply(mapro_control::ApplyError),
+    /// The updated table no longer compiles (e.g. dangling goto).
+    Compile(CompileError),
+}
+
+impl fmt::Display for UpdateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpdateError::Apply(e) => write!(f, "update failed: {e}"),
+            UpdateError::Compile(e) => write!(f, "recompile failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for UpdateError {}
+
+/// Result of processing one packet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProcessOut {
+    /// Output port, if forwarded.
+    pub output: Option<Arc<str>>,
+    /// True if the packet was dropped (miss with drop policy).
+    pub dropped: bool,
+    /// Table lookups performed.
+    pub lookups: usize,
+    /// Modeled service time (occupancy) in ns.
+    pub service_ns: f64,
+    /// Modeled one-way latency in ns (before the reporting queue factor).
+    pub latency_ns: f64,
+    /// True if the packet took a slow path (a megaflow-cache miss).
+    pub slow_path: bool,
+}
 
 /// A table's monomorphic classifier over the engine's register file.
 enum Cls {
@@ -114,25 +182,14 @@ enum MissProg {
 }
 
 struct CTable {
+    name: String,
     cls: Cls,
-    /// `CostParams::lookup_ns` of the policy's template stats,
-    /// pre-evaluated (the interpreter computes the same value per visit).
+    /// The template the policy selected (what `cost_ns` prices).
+    template: TemplateKind,
+    /// `CostParams::lookup_ns` of the policy's template stats.
     cost_ns: f64,
     entries: Vec<EntryProg>,
     miss: MissProg,
-}
-
-/// A pipeline compiled for Mpps-scale replay. Same observable results as
-/// [`crate::Datapath`] under the same policy and cost model.
-pub struct CompiledEngine {
-    tables: Vec<CTable>,
-    start: usize,
-    /// Attribute per register, load order.
-    reg_attrs: Vec<AttrId>,
-    params: CostParams,
-    stages: usize,
-    regs: Vec<u64>,
-    key: Vec<u64>,
 }
 
 /// Position of `name` in the pipeline's table list.
@@ -144,9 +201,166 @@ fn table_index(p: &Pipeline, name: &str) -> Result<u32, CompileError> {
         .ok_or_else(|| CompileError::UnknownTable(name.to_owned()))
 }
 
+/// Compile one table against the engine's register file. Goto and fall
+/// targets resolve to positions in `p.tables`, so the result is only valid
+/// while the pipeline keeps its table order.
+fn compile_table(
+    p: &Pipeline,
+    t: &Table,
+    reg_attrs: &[AttrId],
+    policy: TemplatePolicy,
+    params: &CostParams,
+) -> Result<CTable, CompileError> {
+    let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
+    let view = TableView::of(t, &p.catalog);
+    for row in &view.rows {
+        if row.iter().any(|v| matches!(v, Value::Sym(_))) {
+            return Err(CompileError::BadMatchCell {
+                table: t.name.clone(),
+            });
+        }
+    }
+    // The policy's real classifier is built once, solely for its template
+    // stats: the modeled per-visit cost is a property of the data
+    // structure the modeled switch would use, not of `Cls`.
+    let stats = match policy {
+        TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
+        TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
+        TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
+            .expect("unbounded capacity")
+            .stats(),
+    };
+
+    // The monomorphic classifier depends only on the table shape: every
+    // template agrees with first-match semantics, so a hash probe
+    // (all-exact) or flat ternary scan (everything else) reproduces any
+    // policy's decisions.
+    let cls = match table_shape(&view) {
+        TableShape::AllExact { cols } if cols.len() == 1 => {
+            let col = cols[0];
+            let reg = reg_of(t.match_attrs[col]).expect("matched attr has a register");
+            let mut map = HashMap::with_capacity(view.len());
+            for (i, row) in view.rows.iter().enumerate() {
+                let Value::Int(v) = row[col] else {
+                    unreachable!("all-exact shape guarantees Int cells")
+                };
+                // Duplicate keys: first (highest-priority) row wins.
+                map.entry(v).or_insert(i as u32);
+            }
+            Cls::Exact1 { reg, map }
+        }
+        TableShape::AllExact { cols } => {
+            let regs: Vec<usize> = cols
+                .iter()
+                .map(|&c| reg_of(t.match_attrs[c]).expect("matched attr has a register"))
+                .collect();
+            let mut map = HashMap::with_capacity(view.len());
+            if cols.is_empty() {
+                // Active-column-free rows match every packet.
+                if !view.is_empty() {
+                    map.insert(Vec::new(), 0u32);
+                }
+            } else {
+                for (i, row) in view.rows.iter().enumerate() {
+                    let key: Vec<u64> = cols
+                        .iter()
+                        .map(|&c| match row[c] {
+                            Value::Int(v) => v,
+                            _ => unreachable!("all-exact shape guarantees Int cells"),
+                        })
+                        .collect();
+                    map.entry(key).or_insert(i as u32);
+                }
+            }
+            Cls::Exact { regs, map }
+        }
+        TableShape::SinglePrefix { .. } | TableShape::General => {
+            let regs: Vec<usize> = t
+                .match_attrs
+                .iter()
+                .map(|&a| reg_of(a).expect("matched attr has a register"))
+                .collect();
+            let cells = view
+                .ternary_rows()
+                .expect("symbolic match cells rejected above");
+            Cls::Scan {
+                regs,
+                cells,
+                ncols: view.cols(),
+            }
+        }
+    };
+
+    let table_next = match &t.next {
+        Some(n) => Some(table_index(p, n)?),
+        None => None,
+    };
+    let mut entries = Vec::with_capacity(t.len());
+    for e in &t.entries {
+        let mut prog = EntryProg {
+            sets: Vec::new(),
+            output: None,
+            next: table_next,
+        };
+        for (col, &attr) in t.action_attrs.iter().enumerate() {
+            let param = &e.actions[col];
+            if matches!(param, Value::Any) {
+                continue;
+            }
+            let sem = match &p.catalog.attr(attr).kind {
+                AttrKind::Action(s) => s,
+                _ => unreachable!("action column"),
+            };
+            match (sem, param) {
+                (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
+                (ActionSem::Goto, Value::Sym(s)) => {
+                    prog.next = Some(table_index(p, s)?);
+                }
+                (ActionSem::SetField(target), Value::Int(v)) => {
+                    if let Some(r) = reg_of(*target) {
+                        prog.sets.push((r, *v));
+                    }
+                }
+                (ActionSem::Opaque, _) => {}
+                _ => {
+                    return Err(CompileError::BadActionParam {
+                        table: t.name.clone(),
+                    })
+                }
+            }
+        }
+        entries.push(prog);
+    }
+    let miss = match &t.miss {
+        MissPolicy::Drop => MissProg::Drop,
+        MissPolicy::Controller => MissProg::Controller,
+        MissPolicy::Fall(n) => MissProg::Fall(table_index(p, n)?),
+    };
+    Ok(CTable {
+        name: t.name.clone(),
+        cls,
+        template: stats.kind,
+        cost_ns: params.lookup_ns(&stats),
+        entries,
+        miss,
+    })
+}
+
+/// A pipeline compiled for execution under one template policy and cost
+/// model. Same verdicts and lookup counts as [`Pipeline::run`].
+pub struct CompiledEngine {
+    tables: Vec<CTable>,
+    start: usize,
+    /// Attribute per register, load order.
+    reg_attrs: Vec<AttrId>,
+    policy: TemplatePolicy,
+    params: CostParams,
+    regs: Vec<u64>,
+    key: Vec<u64>,
+}
+
 impl CompiledEngine {
-    /// Compile `p` under a template policy (for cost fidelity with the
-    /// interpreter running the same policy) and cost model. Compilation
+    /// Compile `p` under a template policy and cost model. Compilation
     /// time lands in the `switch.compile.ns` timer.
     pub fn compile(
         p: &Pipeline,
@@ -158,7 +372,7 @@ impl CompiledEngine {
 
         // Register file: every attribute any table matches on, in first
         // appearance order. SetField targets outside this set can never
-        // influence a later lookup and are dropped below.
+        // influence a later lookup and are dropped by `compile_table`.
         let mut reg_attrs: Vec<AttrId> = Vec::new();
         for t in &p.tables {
             for &a in &t.match_attrs {
@@ -167,167 +381,70 @@ impl CompiledEngine {
                 }
             }
         }
-        let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
-
-        let mut tables = Vec::with_capacity(p.tables.len());
-        for t in &p.tables {
-            let view = TableView::of(t, &p.catalog);
-            for row in &view.rows {
-                if row.iter().any(|v| matches!(v, Value::Sym(_))) {
-                    return Err(CompileError::BadMatchCell {
-                        table: t.name.clone(),
-                    });
-                }
-            }
-            // The policy's real classifier is built once, solely for its
-            // template stats: the modeled per-visit cost must be the very
-            // f64 the interpreter would add.
-            let stats = match policy {
-                TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
-                TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
-                TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
-                    .expect("unbounded capacity")
-                    .stats(),
-            };
-            let cost_ns = params.lookup_ns(&stats);
-
-            // The monomorphic classifier depends only on the table shape:
-            // every template agrees with first-match semantics, so a hash
-            // probe (all-exact) or flat ternary scan (everything else)
-            // reproduces any policy's decisions.
-            let cls = match table_shape(&view) {
-                TableShape::AllExact { cols } if cols.len() == 1 => {
-                    let col = cols[0];
-                    let reg = reg_of(t.match_attrs[col]).expect("matched attr has a register");
-                    let mut map = HashMap::with_capacity(view.len());
-                    for (i, row) in view.rows.iter().enumerate() {
-                        let Value::Int(v) = row[col] else {
-                            unreachable!("all-exact shape guarantees Int cells")
-                        };
-                        // Duplicate keys: first (highest-priority) row wins.
-                        map.entry(v).or_insert(i as u32);
-                    }
-                    Cls::Exact1 { reg, map }
-                }
-                TableShape::AllExact { cols } => {
-                    let regs: Vec<usize> = cols
-                        .iter()
-                        .map(|&c| reg_of(t.match_attrs[c]).expect("matched attr has a register"))
-                        .collect();
-                    let mut map = HashMap::with_capacity(view.len());
-                    if cols.is_empty() {
-                        // Active-column-free rows match every packet.
-                        if !view.is_empty() {
-                            map.insert(Vec::new(), 0u32);
-                        }
-                    } else {
-                        for (i, row) in view.rows.iter().enumerate() {
-                            let key: Vec<u64> = cols
-                                .iter()
-                                .map(|&c| match row[c] {
-                                    Value::Int(v) => v,
-                                    _ => unreachable!("all-exact shape guarantees Int cells"),
-                                })
-                                .collect();
-                            map.entry(key).or_insert(i as u32);
-                        }
-                    }
-                    Cls::Exact { regs, map }
-                }
-                TableShape::SinglePrefix { .. } | TableShape::General => {
-                    let regs: Vec<usize> = t
-                        .match_attrs
-                        .iter()
-                        .map(|&a| reg_of(a).expect("matched attr has a register"))
-                        .collect();
-                    let cells = view
-                        .ternary_rows()
-                        .expect("symbolic match cells rejected above");
-                    Cls::Scan {
-                        regs,
-                        cells,
-                        ncols: view.cols(),
-                    }
-                }
-            };
-
-            let table_next = match &t.next {
-                Some(n) => Some(table_index(p, n)?),
-                None => None,
-            };
-            let mut entries = Vec::with_capacity(t.len());
-            for e in &t.entries {
-                let mut prog = EntryProg {
-                    sets: Vec::new(),
-                    output: None,
-                    next: table_next,
-                };
-                for (col, &attr) in t.action_attrs.iter().enumerate() {
-                    let param = &e.actions[col];
-                    if matches!(param, Value::Any) {
-                        continue;
-                    }
-                    let sem = match &p.catalog.attr(attr).kind {
-                        AttrKind::Action(s) => s,
-                        _ => unreachable!("action column"),
-                    };
-                    match (sem, param) {
-                        (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
-                        (ActionSem::Goto, Value::Sym(s)) => {
-                            prog.next = Some(table_index(p, s)?);
-                        }
-                        (ActionSem::SetField(target), Value::Int(v)) => {
-                            if let Some(r) = reg_of(*target) {
-                                prog.sets.push((r, *v));
-                            }
-                        }
-                        (ActionSem::Opaque, _) => {}
-                        _ => {
-                            return Err(CompileError::BadActionParam {
-                                table: t.name.clone(),
-                            })
-                        }
-                    }
-                }
-                entries.push(prog);
-            }
-            let miss = match &t.miss {
-                MissPolicy::Drop => MissProg::Drop,
-                MissPolicy::Controller => MissProg::Controller,
-                MissPolicy::Fall(n) => MissProg::Fall(table_index(p, n)?),
-            };
-            tables.push(CTable {
-                cls,
-                cost_ns,
-                entries,
-                miss,
-            });
-        }
+        let tables = p
+            .tables
+            .iter()
+            .map(|t| compile_table(p, t, &reg_attrs, policy, &params))
+            .collect::<Result<Vec<_>, _>>()?;
         let start = table_index(p, &p.start)? as usize;
         let nregs = reg_attrs.len();
-        let mut engine = CompiledEngine {
+        Ok(CompiledEngine {
             tables,
             start,
             reg_attrs,
+            policy,
             params,
-            stages: 0,
             regs: vec![0; nregs],
             key: Vec::new(),
-        };
-        engine.stages = engine.max_stages();
-        Ok(engine)
+        })
     }
 
-    /// Compile with the ESwitch policy and cost model — the compiled twin
-    /// of [`crate::EswitchSim`], byte-identical in every `ProcessOut`.
-    pub fn eswitch(p: &Pipeline) -> Result<CompiledEngine, CompileError> {
-        CompiledEngine::compile(
+    /// Recompile a single table in place after its entries changed,
+    /// reusing every other table's program. `p` must be the pipeline this
+    /// engine was compiled from, modulo entry edits — table order, match
+    /// columns and cross-table wiring may not change (positions and
+    /// registers are baked into the compiled tables). On error the engine
+    /// is untouched.
+    pub fn recompile_table(&mut self, p: &Pipeline, name: &str) -> Result<(), CompileError> {
+        mapro_obs::counter!("switch.compiled.table_recompiles").inc();
+        let pos = table_index(p, name)? as usize;
+        debug_assert_eq!(self.tables[pos].name, name, "table order changed");
+        self.tables[pos] = compile_table(
             p,
-            TemplatePolicy::Specialize {
-                generic: mapro_classifier::TemplateKind::Linear,
-            },
-            CostParams::eswitch(),
-        )
+            &p.tables[pos],
+            &self.reg_attrs,
+            self.policy,
+            &self.params,
+        )?;
+        Ok(())
+    }
+
+    /// The one flow-mod path every switch in this crate uses: apply
+    /// `update` to `p` (the pipeline this engine serves) and recompile the
+    /// touched table. All-or-nothing — if the edited table no longer
+    /// compiles, its entries are put back and the engine is untouched.
+    pub fn apply_update(
+        &mut self,
+        p: &mut Pipeline,
+        update: &RuleUpdate,
+    ) -> Result<(), UpdateError> {
+        let table = update.table();
+        let before = p.table(table).map(|t| t.entries.clone());
+        mapro_control::apply_update(p, update).map_err(UpdateError::Apply)?;
+        self.recompile_table(p, table).map_err(|e| {
+            if let (Some(entries), Some(t)) = (before, p.table_mut(table)) {
+                t.entries = entries;
+            }
+            UpdateError::Compile(e)
+        })
+    }
+
+    /// The template each table is charged as, for reports.
+    pub fn templates(&self) -> Vec<(String, TemplateKind)> {
+        self.tables
+            .iter()
+            .map(|t| (t.name.clone(), t.template))
+            .collect()
     }
 
     /// Cost parameters in use.
@@ -335,8 +452,9 @@ impl CompiledEngine {
         &self.params
     }
 
-    /// Longest start-to-end chain (same walk as `Datapath::max_stages`).
-    fn max_stages(&self) -> usize {
+    /// Longest start-to-end chain over next/goto/fall edges (for hardware
+    /// latency accounting).
+    pub fn stages(&self) -> usize {
         fn depth(tables: &[CTable], i: usize, seen: &mut Vec<bool>) -> usize {
             if seen[i] {
                 return 0;
@@ -361,10 +479,17 @@ impl CompiledEngine {
         depth(&self.tables, self.start, &mut seen)
     }
 
-    /// The dispatch loop: a faithful transcription of
-    /// `Datapath::process`, over registers instead of a cloned packet.
+    /// Process one packet.
     #[inline]
-    fn run_one(&mut self, pkt: &Packet) -> ProcessOut {
+    pub fn process(&mut self, pkt: &Packet) -> ProcessOut {
+        self.walk(pkt, |_| {})
+    }
+
+    /// The per-packet table walk — the only one in this crate. `visit`
+    /// sees the index of every table looked up, in order (OVS unions the
+    /// visited tables' masks into its megaflow).
+    #[inline]
+    pub(crate) fn walk(&mut self, pkt: &Packet, mut visit: impl FnMut(usize)) -> ProcessOut {
         for (i, &a) in self.reg_attrs.iter().enumerate() {
             self.regs[i] = pkt.get(a);
         }
@@ -382,8 +507,9 @@ impl CompiledEngine {
         while let Some(ti) = cur {
             steps += 1;
             if steps > limit {
-                break; // cycle guard, mirroring the interpreter
+                break; // cycle guard; well-formed pipelines are acyclic
             }
+            visit(ti);
             let t = &self.tables[ti];
             out.lookups += 1;
             out.service_ns += t.cost_ns;
@@ -413,37 +539,10 @@ impl CompiledEngine {
     }
 }
 
-impl Switch for CompiledEngine {
-    fn name(&self) -> &'static str {
-        "compiled"
-    }
-
-    fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.run_one(pkt)
-    }
-
-    fn process_batch(&mut self, pkts: &[&Packet], out: &mut Vec<ProcessOut>) {
-        out.clear();
-        out.reserve(pkts.len());
-        for pkt in pkts {
-            let r = self.run_one(pkt);
-            out.push(r);
-        }
-    }
-
-    fn queue_factor(&self) -> f64 {
-        self.params.queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.stages
-    }
-}
-
 impl fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledEngine")
-            .field("tables", &self.tables.len())
+            .field("tables", &self.templates())
             .field("regs", &self.reg_attrs.len())
             .field("start", &self.start)
             .finish()
@@ -451,11 +550,30 @@ impl fmt::Debug for CompiledEngine {
 }
 
 #[cfg(test)]
+impl CompiledEngine {
+    /// Heap address of each table's entry programs, in table order: stable
+    /// while a table is reused, fresh when it is recompiled.
+    pub(crate) fn table_addrs(&self) -> Vec<usize> {
+        self.tables
+            .iter()
+            .map(|t| t.entries.as_ptr() as usize)
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datapath::Datapath;
-    use mapro_classifier::TemplateKind;
-    use mapro_core::{ActionSem, Catalog, Table};
+    use mapro_core::Catalog;
+
+    const POLICIES: [TemplatePolicy; 4] = [
+        TemplatePolicy::Specialize {
+            generic: TemplateKind::Linear,
+        },
+        TemplatePolicy::Uniform(TemplateKind::Tss),
+        TemplatePolicy::Uniform(TemplateKind::Linear),
+        TemplatePolicy::Tcam,
+    ];
 
     fn two_stage() -> Pipeline {
         let mut c = Catalog::new();
@@ -481,32 +599,8 @@ mod tests {
         Pipeline::new(c, vec![t0, t1], "t0")
     }
 
-    /// Every field of ProcessOut must match the interpreter under the
-    /// same policy — including the accumulated f64 costs, bit for bit.
-    #[test]
-    fn byte_identical_to_interpreter() {
-        let p = two_stage();
-        for policy in [
-            TemplatePolicy::Specialize {
-                generic: TemplateKind::Linear,
-            },
-            TemplatePolicy::Uniform(TemplateKind::Tss),
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            TemplatePolicy::Tcam,
-        ] {
-            let mut dp = Datapath::compile(&p, policy, CostParams::eswitch()).unwrap();
-            let mut ce = CompiledEngine::compile(&p, policy, CostParams::eswitch()).unwrap();
-            for (dst, src) in [(1u64, 0u64), (1, u32::MAX as u64), (2, 5), (3, 5)] {
-                let pkt = Packet::from_fields(&p.catalog, &[("dst", dst), ("src", src)]);
-                let want = dp.process(&pkt);
-                let got = ce.process(&pkt);
-                assert_eq!(got, want, "{policy:?} dst={dst} src={src}");
-            }
-        }
-    }
-
-    #[test]
-    fn fall_and_controller_miss_policies_agree() {
+    /// t0 falls through to t1 on a miss; t1 punts to the controller.
+    fn miss_chain() -> Pipeline {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let out = c.action("out", ActionSem::Output);
@@ -516,65 +610,143 @@ mod tests {
         let mut t1 = Table::new("t1", vec![f], vec![out]);
         t1.row(vec![Value::Int(2)], vec![Value::sym("slow")]);
         t1.miss = MissPolicy::Controller;
-        let p = Pipeline::new(c, vec![t0, t1], "t0");
-        let mut dp = Datapath::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        let mut ce = CompiledEngine::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        for f in 0..4u64 {
-            let pkt = Packet::from_fields(&p.catalog, &[("f", f)]);
-            assert_eq!(ce.process(&pkt), dp.process(&pkt), "f={f}");
+        Pipeline::new(c, vec![t0, t1], "t0")
+    }
+
+    /// What the policy's real classifier template charges per table,
+    /// computed without the engine.
+    fn table_costs(p: &Pipeline, policy: TemplatePolicy, params: &CostParams) -> Vec<f64> {
+        p.tables
+            .iter()
+            .map(|t| {
+                let view = TableView::of(t, &p.catalog);
+                let stats = match policy {
+                    TemplatePolicy::Specialize { generic } => {
+                        build_specialized(&view, generic).stats()
+                    }
+                    TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
+                    TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
+                        .unwrap()
+                        .stats(),
+                };
+                params.lookup_ns(&stats)
+            })
+            .collect()
+    }
+
+    /// Verdict and lookup count equal the oracle's; both costs equal the
+    /// per-packet constant plus the visited tables' template costs, summed
+    /// in visit order (bit-exact).
+    fn assert_matches_oracle(p: &Pipeline, policy: TemplatePolicy, pkts: &[Packet]) {
+        let params = CostParams::eswitch();
+        let costs = table_costs(p, policy, &params);
+        let mut ce = CompiledEngine::compile(p, policy, params.clone()).unwrap();
+        for pkt in pkts {
+            let want = p.run(pkt).unwrap();
+            let got = ce.process(pkt);
+            assert_eq!(got.output, want.output, "{policy:?} {pkt:?}");
+            assert_eq!(got.dropped, want.dropped, "{policy:?} {pkt:?}");
+            assert_eq!(got.lookups, want.lookups, "{policy:?} {pkt:?}");
+            let mut cost = params.per_packet_ns;
+            for name in &want.path {
+                cost += costs[p.tables.iter().position(|t| &t.name == name).unwrap()];
+            }
+            assert_eq!(got.service_ns, cost, "{policy:?} {pkt:?}");
+            assert_eq!(got.latency_ns, cost, "{policy:?} {pkt:?}");
+            assert!(!got.slow_path);
         }
     }
 
     #[test]
-    fn batch_matches_singles() {
+    fn agrees_with_oracle_under_every_policy() {
         let p = two_stage();
-        let mut ce = CompiledEngine::eswitch(&p).unwrap();
-        let pkts: Vec<Packet> = (0..10u64)
-            .map(|i| Packet::from_fields(&p.catalog, &[("dst", i % 3), ("src", i * 977)]))
+        let pkts: Vec<Packet> = [(1u64, 0u64), (1, u32::MAX as u64), (2, 5), (3, 5)]
+            .iter()
+            .map(|&(dst, src)| Packet::from_fields(&p.catalog, &[("dst", dst), ("src", src)]))
             .collect();
-        let singles: Vec<ProcessOut> = pkts.iter().map(|pk| ce.process(pk)).collect();
-        let refs: Vec<&Packet> = pkts.iter().collect();
-        let mut batched = Vec::new();
-        ce.process_batch(&refs, &mut batched);
-        assert_eq!(batched, singles);
+        for policy in POLICIES {
+            assert_matches_oracle(&p, policy, &pkts);
+        }
     }
 
     #[test]
-    fn cycle_guard_matches_interpreter() {
+    fn fall_and_controller_miss_policies_agree_with_oracle() {
+        let p = miss_chain();
+        let pkts: Vec<Packet> = (0..4u64)
+            .map(|f| Packet::from_fields(&p.catalog, &[("f", f)]))
+            .collect();
+        for policy in POLICIES {
+            assert_matches_oracle(&p, policy, &pkts);
+        }
+        let mut ce = CompiledEngine::compile(&p, POLICIES[2], CostParams::eswitch()).unwrap();
+        let hit = ce.process(&pkts[1]);
+        assert_eq!((hit.output.as_deref(), hit.lookups), (Some("fast"), 1));
+        let fell = ce.process(&pkts[2]);
+        assert_eq!((fell.output.as_deref(), fell.lookups), (Some("slow"), 2));
+        let punted = ce.process(&pkts[3]);
+        assert_eq!(
+            (punted.output, punted.dropped, punted.lookups),
+            (None, false, 2)
+        );
+    }
+
+    #[test]
+    fn specialization_templates_visible() {
+        let ce = CompiledEngine::compile(&two_stage(), POLICIES[0], CostParams::eswitch()).unwrap();
+        let t: Vec<_> = ce.templates().into_iter().map(|(_, k)| k).collect();
+        // t0: single exact column → Exact; t1: meta exact + prefix → General.
+        assert_eq!(t, vec![TemplateKind::Exact, TemplateKind::Linear]);
+    }
+
+    #[test]
+    fn costs_accumulate_per_stage() {
+        let p = two_stage();
+        let params = CostParams::eswitch();
+        let mut ce = CompiledEngine::compile(&p, POLICIES[2], params.clone()).unwrap();
+        let r = ce.process(&Packet::from_fields(&p.catalog, &[("dst", 1), ("src", 0)]));
+        assert_eq!(r.lookups, 2);
+        // Linear everywhere: base + per-entry for 2 rows, then for 3 rows.
+        let want = params.per_packet_ns
+            + (params.linear_base_ns + params.linear_entry_ns * 2.0)
+            + (params.linear_base_ns + params.linear_entry_ns * 3.0);
+        assert_eq!(r.service_ns, want);
+        // A first-stage miss pays for one table only.
+        let r = ce.process(&Packet::from_fields(&p.catalog, &[("dst", 3), ("src", 0)]));
+        assert_eq!(
+            r.service_ns,
+            params.per_packet_ns + (params.linear_base_ns + params.linear_entry_ns * 2.0)
+        );
+    }
+
+    #[test]
+    fn max_stages_counts_chain() {
+        let ce =
+            CompiledEngine::compile(&two_stage(), TemplatePolicy::Tcam, CostParams::noviflow());
+        assert_eq!(ce.unwrap().stages(), 2);
+        let ce =
+            CompiledEngine::compile(&miss_chain(), TemplatePolicy::Tcam, CostParams::noviflow());
+        assert_eq!(ce.unwrap().stages(), 2, "fall edges count");
+    }
+
+    /// The oracle reports a goto cycle as an error; the engine must still
+    /// terminate, after `2·tables + 8` charged lookups.
+    #[test]
+    fn cycle_guard_terminates() {
         let mut c = Catalog::new();
         let f = c.field("f", 4);
         let goto = c.action("goto", ActionSem::Goto);
         let mut t0 = Table::new("t0", vec![f], vec![goto]);
         t0.row(vec![Value::Any], vec![Value::sym("t0")]);
         let p = Pipeline::single(c, t0);
-        let mut dp = Datapath::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        let mut ce = CompiledEngine::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
-        assert_eq!(ce.process(&pkt), dp.process(&pkt));
+        assert!(p.run(&pkt).is_err());
+        let mut ce = CompiledEngine::compile(&p, POLICIES[2], CostParams::eswitch()).unwrap();
+        let r = ce.process(&pkt);
+        assert_eq!((r.output, r.dropped, r.lookups), (None, false, 10));
     }
 
     #[test]
-    fn bad_programs_rejected_like_interpreter() {
+    fn bad_goto_target_detected() {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let g = c.action("g", ActionSem::Goto);
@@ -582,18 +754,58 @@ mod tests {
         t.row(vec![Value::Int(1)], vec![Value::sym("zzz")]);
         let p = Pipeline::new(c, vec![t], "t");
         assert!(matches!(
-            CompiledEngine::eswitch(&p),
+            CompiledEngine::compile(&p, TemplatePolicy::Tcam, CostParams::noviflow()),
             Err(CompileError::UnknownTable(_))
         ));
+    }
 
+    #[test]
+    fn symbolic_match_cell_rejected() {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let mut t = Table::new("t", vec![f], vec![]);
         t.row(vec![Value::sym("oops")], vec![]);
         let p = Pipeline::single(c, t);
         assert!(matches!(
-            CompiledEngine::eswitch(&p),
+            CompiledEngine::compile(&p, TemplatePolicy::Tcam, CostParams::noviflow()),
             Err(CompileError::BadMatchCell { .. })
         ));
+    }
+
+    #[test]
+    fn failed_update_leaves_pipeline_and_engine_untouched() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let g = c.action("g", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut t0 = Table::new("t0", vec![f], vec![g]);
+        t0.row(vec![Value::Int(1)], vec![Value::sym("t1")]);
+        let mut t1 = Table::new("t1", vec![f], vec![out]);
+        t1.row(vec![Value::Any], vec![Value::sym("a")]);
+        let mut p = Pipeline::new(c, vec![t0, t1], "t0");
+        let orig = p.clone();
+        let mut ce = CompiledEngine::compile(&p, POLICIES[0], CostParams::eswitch()).unwrap();
+        let addrs = ce.table_addrs();
+        let dangling = RuleUpdate::Modify {
+            table: "t0".into(),
+            matches: vec![Value::Int(1)],
+            set: vec![(g, Value::sym("nowhere"))],
+        };
+        assert!(matches!(
+            ce.apply_update(&mut p, &dangling),
+            Err(UpdateError::Compile(CompileError::UnknownTable(_)))
+        ));
+        let absent = RuleUpdate::Delete {
+            table: "t0".into(),
+            matches: vec![Value::Int(9)],
+        };
+        assert!(matches!(
+            ce.apply_update(&mut p, &absent),
+            Err(UpdateError::Apply(_))
+        ));
+        assert_eq!(p, orig);
+        assert_eq!(ce.table_addrs(), addrs);
+        let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
+        assert_eq!(ce.process(&pkt).output.as_deref(), Some("a"));
     }
 }

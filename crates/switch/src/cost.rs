@@ -20,6 +20,21 @@
 
 use mapro_classifier::{LookupStats, TemplateKind};
 
+/// How an engine chooses the classifier template whose cost a table
+/// visit is charged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TemplatePolicy {
+    /// Pick the cheapest template the table's shape admits (ESwitch).
+    Specialize {
+        /// Fallback for general-shaped tables.
+        generic: TemplateKind,
+    },
+    /// Use one generic template for every table (Lagopus: TSS).
+    Uniform(TemplateKind),
+    /// Hardware TCAM everywhere.
+    Tcam,
+}
+
 /// Per-switch cost parameters (all times in nanoseconds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
@@ -159,7 +174,7 @@ impl Default for HwLatency {
 /// at 100 updates/s × 8 touched entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlStall {
-    /// Datapath stall per individual flow-mod (ns).
+    /// Forwarding stall per individual flow-mod (ns).
     pub per_flowmod_ns: f64,
     /// Extra stall per atomic bundle spanning more than one entry (ns).
     pub bundle_ns: f64,
@@ -170,6 +185,87 @@ impl Default for ControlStall {
         ControlStall {
             per_flowmod_ns: 50_000.0, // 50 µs
             bundle_ns: 9_100_000.0,   // 9.1 ms
+        }
+    }
+}
+
+impl ControlStall {
+    /// Software datapaths: a flow-mod costs microseconds of classifier
+    /// rebuild and there is no TCAM bundle penalty.
+    pub fn software() -> ControlStall {
+        ControlStall {
+            per_flowmod_ns: 5_000.0,
+            bundle_ns: 0.0,
+        }
+    }
+}
+
+/// Everything §5 credits for the difference between two switches: which
+/// template a table is charged as, what a lookup costs, whether latency
+/// follows a hardware pipeline, and what a flow-mod stalls. The
+/// match-action semantics is not on this list — every model runs the one
+/// [`crate::CompiledEngine`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelSpec {
+    /// Short identifier (`eswitch`, `ovs`, …).
+    pub name: &'static str,
+    /// Template selection.
+    pub policy: TemplatePolicy,
+    /// Lookup cost constants.
+    pub params: CostParams,
+    /// Hardware pipelines forward at the line-rate slot whatever the depth
+    /// and report `base + per_stage · lookups` as latency.
+    pub hw_latency: Option<HwLatency>,
+    /// What a flow-mod costs the datapath.
+    pub stall: ControlStall,
+}
+
+impl ModelSpec {
+    /// ESwitch: per-table template specialization.
+    pub fn eswitch() -> ModelSpec {
+        ModelSpec {
+            name: "eswitch",
+            policy: TemplatePolicy::Specialize {
+                generic: TemplateKind::Linear,
+            },
+            params: CostParams::eswitch(),
+            hw_latency: None,
+            stall: ControlStall::software(),
+        }
+    }
+
+    /// OVS: the policy only prices the slow-path walk behind the
+    /// megaflow cache ([`crate::OvsSim`] charges hits itself).
+    pub fn ovs() -> ModelSpec {
+        ModelSpec {
+            name: "ovs",
+            policy: TemplatePolicy::Uniform(TemplateKind::Linear),
+            params: CostParams::ovs(),
+            hw_latency: None,
+            stall: ControlStall::software(),
+        }
+    }
+
+    /// Lagopus: uniform tuple-space tables under a heavy fixed I/O cost.
+    pub fn lagopus() -> ModelSpec {
+        ModelSpec {
+            name: "lagopus",
+            policy: TemplatePolicy::Uniform(TemplateKind::Tss),
+            params: CostParams::lagopus(),
+            hw_latency: None,
+            stall: ControlStall::software(),
+        }
+    }
+
+    /// NoviFlow: TCAM stages at line rate, per-stage latency, and
+    /// millisecond control-channel stalls (Fig. 4).
+    pub fn noviflow() -> ModelSpec {
+        ModelSpec {
+            name: "noviflow",
+            policy: TemplatePolicy::Tcam,
+            params: CostParams::noviflow(),
+            hw_latency: Some(HwLatency::default()),
+            stall: ControlStall::default(),
         }
     }
 }

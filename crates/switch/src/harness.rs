@@ -33,6 +33,17 @@ fn replay_batched<'a>(
     }
 }
 
+/// Shard a trace by flow id across `workers` modeled datapath threads
+/// (RSS-style flow affinity), preserving arrival order within a shard.
+fn shard_by_flow(trace: &Trace, workers: usize) -> Vec<Vec<&mapro_core::Packet>> {
+    assert!(workers >= 1 && !trace.is_empty());
+    let mut shards = vec![Vec::new(); workers];
+    for (flow, pkt) in &trace.packets {
+        shards[flow % workers].push(pkt);
+    }
+    shards
+}
+
 /// Sort latencies in place and return the [Q1, median, Q3] quartiles
 /// (nearest-rank). Shared by every report builder so the quantile
 /// convention lives in one place.
@@ -71,39 +82,8 @@ impl RunReport {
     }
 }
 
-/// Replay `trace` through `switch`, computing modeled throughput/latency.
-pub fn run_modeled(switch: &mut dyn Switch, trace: &Trace) -> RunReport {
-    assert!(!trace.is_empty(), "empty trace");
-    let _sp = mapro_obs::trace::span_kv("replay", vec![("packets", trace.len().into())]);
-    let qf = switch.queue_factor();
-    let mut total_service = 0.0f64;
-    let mut lat: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut dropped = 0usize;
-    let mut lookups = 0usize;
-    let mut slow = 0usize;
-    replay_batched(switch, trace.packets.iter().map(|(_, p)| p), |r| {
-        total_service += r.service_ns;
-        lat.push(r.latency_ns * qf / 1000.0);
-        if r.dropped {
-            dropped += 1;
-        }
-        lookups += r.lookups;
-        if r.slow_path {
-            slow += 1;
-        }
-    });
-    let latency_us = quartiles(&mut lat);
-    RunReport {
-        packets: trace.len(),
-        dropped,
-        mpps: trace.len() as f64 * 1000.0 / total_service,
-        latency_us,
-        avg_lookups: lookups as f64 / trace.len() as f64,
-        slow_path: slow,
-    }
-}
-
 /// Per-shard replay statistics, merged deterministically in shard order.
+#[derive(Default)]
 struct ShardStats {
     packets: usize,
     service_ns: f64,
@@ -113,22 +93,85 @@ struct ShardStats {
     slow_path: usize,
 }
 
+impl ShardStats {
+    /// Replay one shard's packets (in arrival order) through `switch`.
+    fn replay<'a>(
+        switch: &mut dyn Switch,
+        pkts: impl ExactSizeIterator<Item = &'a mapro_core::Packet>,
+    ) -> ShardStats {
+        let mut stats = ShardStats {
+            packets: pkts.len(),
+            latencies_us: Vec::with_capacity(pkts.len()),
+            ..ShardStats::default()
+        };
+        let qf = switch.queue_factor();
+        replay_batched(switch, pkts, |r| {
+            stats.service_ns += r.service_ns;
+            stats.latencies_us.push(r.latency_ns * qf / 1000.0);
+            stats.dropped += r.dropped as usize;
+            stats.lookups += r.lookups;
+            stats.slow_path += r.slow_path as usize;
+        });
+        stats
+    }
+
+    /// Merge shards into the report. Aggregate throughput is the sum of
+    /// per-shard rates (modeled workers run concurrently); latency
+    /// quartiles are computed over all packets, concatenated in shard
+    /// order.
+    fn finish(shards: Vec<ShardStats>) -> RunReport {
+        let packets: usize = shards.iter().map(|s| s.packets).sum();
+        let mut all_lat: Vec<f64> = Vec::with_capacity(packets);
+        let mut mpps = 0.0f64;
+        let mut dropped = 0usize;
+        let mut lookups = 0usize;
+        let mut slow = 0usize;
+        for s in shards {
+            if s.packets > 0 {
+                mpps += s.packets as f64 * 1000.0 / s.service_ns;
+            }
+            all_lat.extend(s.latencies_us);
+            dropped += s.dropped;
+            lookups += s.lookups;
+            slow += s.slow_path;
+        }
+        RunReport {
+            packets,
+            dropped,
+            mpps,
+            latency_us: quartiles(&mut all_lat),
+            avg_lookups: lookups as f64 / packets as f64,
+            slow_path: slow,
+        }
+    }
+}
+
+/// Replay `trace` through `switch`, computing modeled throughput/latency:
+/// the one-shard case of [`run_modeled_parallel`], on a switch the caller
+/// keeps (so caches stay warm across calls).
+pub fn run_modeled(switch: &mut dyn Switch, trace: &Trace) -> RunReport {
+    assert!(!trace.is_empty(), "empty trace");
+    let _sp = mapro_obs::trace::span_kv("replay", vec![("packets", trace.len().into())]);
+    ShardStats::finish(vec![ShardStats::replay(
+        switch,
+        trace.packets.iter().map(|(_, p)| p),
+    )])
+}
+
 /// Multi-worker modeled replay: shard the trace by flow across `workers`
 /// independent switch instances (per-core datapath threads with RSS-style
 /// flow affinity, as OVS/ESwitch deploy on multi-queue NICs) and aggregate.
 ///
 /// Shards execute on the global [`mapro_par::Pool`] (sized by `--threads`
-/// / `MAPRO_THREADS`): each pool task compiles the shard's switch — and
-/// thus its classifiers — **once** and reuses it for every packet of the
-/// shard. Results come back through the pool's ordered reduction, so the
-/// latency population is assembled in shard order and the report is
-/// bit-identical at any thread count. Note the *model* keeps `workers`
-/// shards regardless of how many OS threads replay them: `workers` is a
-/// property of the simulated deployment (per-queue datapath threads),
-/// thread count merely changes how fast we compute it.
+/// / `MAPRO_THREADS`): each pool task compiles the shard's switch **once**
+/// and reuses it for every packet of the shard. Results come back through
+/// the pool's ordered reduction, so the latency population is assembled in
+/// shard order and the report is bit-identical at any thread count. Note
+/// the *model* keeps `workers` shards regardless of how many OS threads
+/// replay them: `workers` is a property of the simulated deployment
+/// (per-queue datapath threads), thread count merely changes how fast we
+/// compute it.
 ///
-/// Aggregate throughput is the sum of per-shard rates (modeled workers
-/// run concurrently); latency quartiles are computed over all packets.
 /// Flow sharding preserves per-flow cache locality, so the OVS model's
 /// megaflow caches behave as per-core caches do in the real datapath.
 pub fn run_modeled_parallel(
@@ -136,80 +179,30 @@ pub fn run_modeled_parallel(
     trace: &Trace,
     workers: usize,
 ) -> RunReport {
-    assert!(workers >= 1 && !trace.is_empty());
-    // Shard by flow id.
-    let mut shards: Vec<Vec<&mapro_core::Packet>> = vec![Vec::new(); workers];
-    for (flow, pkt) in &trace.packets {
-        shards[flow % workers].push(pkt);
-    }
+    let shards = shard_by_flow(trace, workers);
     let _sp = mapro_obs::trace::span_kv(
         "replay",
         vec![("packets", trace.len().into()), ("shards", workers.into())],
     );
     let pool = mapro_par::Pool::current();
-    let results: Vec<ShardStats> = pool.map_ordered(&shards, |si, shard| {
+    // Deterministic merge: results arrive in shard order (ordered
+    // reduction), so the concatenated latency population — and with it
+    // every quartile — is independent of the executing thread count.
+    ShardStats::finish(pool.map_ordered(&shards, |si, shard| {
         let _t = mapro_obs::time!("switch.replay.shard_ns");
         let _shard_span = mapro_obs::trace::span_kv(
             "shard",
             vec![("shard", si.into()), ("packets", shard.len().into())],
         );
-        let mut stats = ShardStats {
-            packets: shard.len(),
-            service_ns: 0.0,
-            latencies_us: Vec::with_capacity(shard.len()),
-            dropped: 0,
-            lookups: 0,
-            slow_path: 0,
-        };
         if shard.is_empty() {
-            return stats;
+            return ShardStats::default();
         }
-        // Per-shard classifier reuse: one compiled switch per shard.
         let mut sw = {
             let _c = mapro_obs::trace::span("compile_switch");
             factory()
         };
-        let qf = sw.queue_factor();
-        replay_batched(sw.as_mut(), shard.iter().copied(), |r| {
-            stats.service_ns += r.service_ns;
-            stats.latencies_us.push(r.latency_ns * qf / 1000.0);
-            if r.dropped {
-                stats.dropped += 1;
-            }
-            stats.lookups += r.lookups;
-            if r.slow_path {
-                stats.slow_path += 1;
-            }
-        });
-        stats
-    });
-
-    // Deterministic merge: results arrive in shard order (ordered
-    // reduction), so the concatenated latency population — and with it
-    // every quartile — is independent of the executing thread count.
-    let mut all_lat: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut mpps = 0.0f64;
-    let mut dropped = 0usize;
-    let mut lookups = 0usize;
-    let mut slow = 0usize;
-    for s in results {
-        if s.packets > 0 {
-            mpps += s.packets as f64 * 1000.0 / s.service_ns; // shards run concurrently
-        }
-        all_lat.extend(s.latencies_us);
-        dropped += s.dropped;
-        lookups += s.lookups;
-        slow += s.slow_path;
-    }
-    let latency_us = quartiles(&mut all_lat);
-    RunReport {
-        packets: trace.len(),
-        dropped,
-        mpps,
-        latency_us,
-        avg_lookups: lookups as f64 / trace.len() as f64,
-        slow_path: slow,
-    }
+        ShardStats::replay(sw.as_mut(), shard.iter().copied())
+    }))
 }
 
 /// Closed-loop replay: interleave a packet trace with timed control-plane
@@ -225,7 +218,7 @@ pub fn run_with_updates(
     trace: &Trace,
     pps: f64,
     plans: &[(f64, mapro_control::UpdatePlan)],
-) -> Result<ClosedLoopReport, crate::LiveError> {
+) -> Result<ClosedLoopReport, crate::UpdateError> {
     assert!(!trace.is_empty() && pps > 0.0);
     assert!(
         plans.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -302,18 +295,13 @@ pub fn run_wallclock(switch: &mut dyn Switch, trace: &Trace, repeats: usize) -> 
 /// (per-shard digests over the shard's packets in arrival order, combined
 /// in shard order). Independent of the executing thread count by the same
 /// ordered-reduction argument; `workers = 1` digests the plain arrival
-/// order. Engine equivalence checks compare this across
-/// interp/compiled/cached.
+/// order. Equivalence checks compare this across switch models.
 pub fn replay_digest(
     factory: &(dyn Fn() -> Box<dyn Switch + Send> + Sync),
     trace: &Trace,
     workers: usize,
 ) -> u64 {
-    assert!(workers >= 1 && !trace.is_empty());
-    let mut shards: Vec<Vec<&mapro_core::Packet>> = vec![Vec::new(); workers];
-    for (flow, pkt) in &trace.packets {
-        shards[flow % workers].push(pkt);
-    }
+    let shards = shard_by_flow(trace, workers);
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
     let pool = mapro_par::Pool::current();
@@ -346,7 +334,7 @@ pub fn replay_digest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sims::EswitchSim;
+    use crate::sims::SwitchModel;
     use mapro_core::{ActionSem, Catalog, Pipeline, Table, Value};
     use mapro_packet::{generate, FlowSpec, TraceSpec};
 
@@ -372,7 +360,7 @@ mod tests {
     #[test]
     fn modeled_run_reports_consistent_numbers() {
         let (p, trace) = setup();
-        let mut sim = EswitchSim::compile(&p).unwrap();
+        let mut sim = SwitchModel::eswitch(&p).unwrap();
         let r = run_modeled(&mut sim, &trace);
         assert_eq!(r.packets, 2000);
         assert!(r.dropped > 0 && r.dropped < 2000);
@@ -385,18 +373,30 @@ mod tests {
     #[test]
     fn modeled_run_deterministic() {
         let (p, trace) = setup();
-        let mut a = EswitchSim::compile(&p).unwrap();
-        let mut b = EswitchSim::compile(&p).unwrap();
+        let mut a = SwitchModel::eswitch(&p).unwrap();
+        let mut b = SwitchModel::eswitch(&p).unwrap();
         assert_eq!(run_modeled(&mut a, &trace), run_modeled(&mut b, &trace));
+    }
+
+    #[test]
+    fn serial_replay_is_the_one_shard_case() {
+        let (p, trace) = setup();
+        let factory =
+            || -> Box<dyn crate::Switch + Send> { Box::new(SwitchModel::eswitch(&p).unwrap()) };
+        let mut sim = SwitchModel::eswitch(&p).unwrap();
+        assert_eq!(
+            run_modeled(&mut sim, &trace),
+            run_modeled_parallel(&factory, &trace, 1)
+        );
     }
 
     #[test]
     fn parallel_replay_scales_and_agrees() {
         let (p, trace) = setup();
         let factory =
-            || -> Box<dyn crate::Switch + Send> { Box::new(EswitchSim::compile(&p).unwrap()) };
+            || -> Box<dyn crate::Switch + Send> { Box::new(SwitchModel::eswitch(&p).unwrap()) };
         let serial = {
-            let mut sim = EswitchSim::compile(&p).unwrap();
+            let mut sim = SwitchModel::eswitch(&p).unwrap();
             run_modeled(&mut sim, &trace)
         };
         let par = run_modeled_parallel(&factory, &trace, 4);
@@ -413,9 +413,10 @@ mod tests {
     fn parallel_ovs_keeps_per_core_caches_correct() {
         use crate::ovs::OvsSim;
         let (p, trace) = setup();
-        let factory = || -> Box<dyn crate::Switch + Send> { Box::new(OvsSim::compile(&p)) };
+        let factory =
+            || -> Box<dyn crate::Switch + Send> { Box::new(OvsSim::compile(&p).unwrap()) };
         let par = run_modeled_parallel(&factory, &trace, 3);
-        let mut serial_sim = OvsSim::compile(&p);
+        let mut serial_sim = OvsSim::compile(&p).unwrap();
         let serial = run_modeled(&mut serial_sim, &trace);
         // Same verdicts (drop counts) regardless of sharding; more slow-path
         // hits are possible (each core warms its own cache) but never fewer.
@@ -462,7 +463,7 @@ mod tests {
     #[test]
     fn wallclock_positive() {
         let (p, trace) = setup();
-        let mut sim = EswitchSim::compile(&p).unwrap();
+        let mut sim = SwitchModel::eswitch(&p).unwrap();
         let mpps = run_wallclock(&mut sim, &trace, 2);
         assert!(mpps > 0.0);
     }

@@ -4,18 +4,25 @@
 //! a NoviFlow 2128. This crate is the substitute testbed (see DESIGN.md
 //! §2 for the substitution argument):
 //!
-//! * [`datapath`] — the generic compiled-pipeline executor over real
-//!   classifier data structures with per-lookup cost accounting.
-//! * [`sims`] — [`EswitchSim`] (template specialization), [`LagopusSim`]
-//!   (uniform TSS), [`NoviflowSim`] (TCAM line rate + per-stage latency).
-//! * [`ovs`] — [`OvsSim`]: slow path + megaflow cache (OVS's explicit
-//!   denormalization).
+//! * [`compile`] — [`CompiledEngine`], the one per-packet executor:
+//!   every model below runs it; they differ in the [`ModelSpec`] it is
+//!   compiled under (template policy, cost constants, latency rule,
+//!   flow-mod stall), never in match-action semantics.
+//! * [`sims`] — [`SwitchModel`]: the engine as ESwitch (template
+//!   specialization), Lagopus (uniform TSS) or NoviFlow (TCAM line rate +
+//!   per-stage latency).
+//! * [`megaflow`] — the tuple-space megaflow store and [`CachedEngine`],
+//!   the engine behind a cube-keyed cache with precise invalidation.
+//! * [`ovs`] — [`OvsSim`]: slow-path walk + the same megaflow store under
+//!   conservative masks (OVS's explicit denormalization).
 //! * [`harness`] — trace replay producing Table-1-style Mpps / latency
 //!   quartiles, modeled (deterministic) and wall-clock modes.
 //! * [`churn`] — the Fig. 4 control-plane stall model (analytic and
 //!   discrete-event timeline).
-//! * [`live`] — a datapath accepting control-plane flow-mods at runtime.
-//! * [`cost`] — the calibrated cost constants, documented in one place.
+//! * [`live`] — [`LiveSwitch`]: the engine accepting control-plane
+//!   flow-mods at runtime, one table recompiled per flow-mod.
+//! * [`cost`] — the calibrated cost constants and the per-model
+//!   [`ModelSpec`]s, documented in one place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +30,6 @@
 pub mod churn;
 pub mod compile;
 pub mod cost;
-pub mod datapath;
 pub mod harness;
 pub mod live;
 pub mod megaflow;
@@ -34,17 +40,16 @@ pub use churn::{
     churn_point, churn_sweep, queue_timeline, simulate_churn_timeline, ChurnPoint, ChurnSpec,
     QueueConfig, QueueReport,
 };
-pub use compile::CompiledEngine;
-pub use cost::{ControlStall, CostParams, HwLatency};
-pub use datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
+pub use compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
+pub use cost::{ControlStall, CostParams, HwLatency, ModelSpec, TemplatePolicy};
 pub use harness::{
     replay_digest, run_modeled, run_modeled_parallel, run_wallclock, run_with_updates,
     ClosedLoopReport, RunReport,
 };
-pub use live::{LiveError, LiveSwitch, UpdateReceipt};
-pub use megaflow::{CacheUpdateError, CachedEngine, MegaflowStats};
+pub use live::LiveSwitch;
+pub use megaflow::{CachedEngine, MegaflowStats};
 pub use ovs::OvsSim;
-pub use sims::{EswitchSim, LagopusSim, NoviflowSim};
+pub use sims::SwitchModel;
 
 use mapro_core::Packet;
 
@@ -57,8 +62,8 @@ pub trait Switch {
     /// Process a batch of packets into `out` (cleared first). The default
     /// forwards to [`Switch::process`]; the harness replays traces in
     /// [`compile::BATCH`]-packet chunks through this entry point, so one
-    /// virtual call is paid per chunk instead of per packet and compiled
-    /// engines keep their dispatch loop hot.
+    /// virtual call is paid per chunk instead of per packet and the
+    /// engine's dispatch loop stays hot.
     fn process_batch(&mut self, pkts: &[&Packet], out: &mut Vec<ProcessOut>) {
         out.clear();
         out.reserve(pkts.len());

@@ -1,41 +1,27 @@
-//! A live switch: a datapath plus its installed pipeline state, accepting
+//! A live switch: an engine plus its installed pipeline state, accepting
 //! control-plane flow-mods at runtime.
 //!
 //! The reactiveness story (Fig. 4) has two halves: *how many* flow-mods an
 //! intent costs (modeled in [`crate::churn`]) and *what the datapath does*
 //! while applying them. [`LiveSwitch`] closes the loop functionally: it
 //! owns the authoritative [`Pipeline`], applies `RuleUpdate`s to it, and
-//! recompiles exactly the touched tables' classifiers — so routing changes
+//! recompiles exactly the touched tables — so routing changes
 //! take effect mid-trace, and per-update datapath work is observable
 //! (entries recompiled, stall estimate).
 
-use crate::cost::{ControlStall, CostParams};
-use crate::datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
+use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
+use crate::cost::ModelSpec;
 use crate::Switch;
 use mapro_control::{Ack, AckError, AckOk, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, TxnId};
 use mapro_core::{Packet, Pipeline};
 use std::collections::HashMap;
 
-/// One update's accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UpdateReceipt {
-    /// Tables whose classifier was rebuilt.
-    pub recompiled_tables: Vec<String>,
-    /// Entries re-installed across those tables.
-    pub entries_touched: usize,
-    /// Modeled datapath stall for this flow-mod (ns).
-    pub stall_ns: f64,
-}
-
 /// A switch whose rules can change while traffic flows.
 pub struct LiveSwitch {
     /// Authoritative control-plane state.
     pipeline: Pipeline,
-    policy: TemplatePolicy,
-    params: CostParams,
-    stall: ControlStall,
-    dp: Datapath,
-    name: &'static str,
+    spec: ModelSpec,
+    engine: CompiledEngine,
     /// Last durably committed state: what the datapath reverts to on a
     /// restart. Advances at install time and on every bundle commit;
     /// single flow-mods are volatile (the asymmetry the fault experiment
@@ -61,26 +47,19 @@ pub struct LiveSwitch {
 }
 
 impl LiveSwitch {
-    /// Install a pipeline under the given template policy / cost model.
-    pub fn install(
-        name: &'static str,
-        pipeline: Pipeline,
-        policy: TemplatePolicy,
-        params: CostParams,
-        stall: ControlStall,
-    ) -> Result<LiveSwitch, CompileError> {
-        let dp = Datapath::compile(&pipeline, policy, params.clone())?;
+    /// Install a pipeline on a switch of the given model. (Verdict costs
+    /// are the engine's accumulated lookup costs for every model; the
+    /// hardware latency rule belongs to [`crate::SwitchModel`] reports.)
+    pub fn install(pipeline: Pipeline, spec: ModelSpec) -> Result<LiveSwitch, CompileError> {
+        let engine = CompiledEngine::compile(&pipeline, spec.policy, spec.params.clone())?;
         // Declare up front so `--metrics` shows the fence counter even
         // for a run that never sees a stale epoch.
         mapro_obs::counter!("control.epoch.rejections");
         Ok(LiveSwitch {
             committed: pipeline.clone(),
             pipeline,
-            policy,
-            params,
-            stall,
-            dp,
-            name,
+            spec,
+            engine,
             staged: HashMap::new(),
             acked: HashMap::new(),
             current_epoch: 0,
@@ -97,31 +76,14 @@ impl LiveSwitch {
     /// A NoviFlow-flavoured live switch (TCAM templates, hardware stall
     /// constants).
     pub fn noviflow(pipeline: Pipeline) -> Result<LiveSwitch, CompileError> {
-        LiveSwitch::install(
-            "noviflow-live",
-            pipeline,
-            TemplatePolicy::Tcam,
-            CostParams::noviflow(),
-            ControlStall::default(),
-        )
+        LiveSwitch::install(pipeline, ModelSpec::noviflow())
     }
 
     /// An ESwitch-flavoured live switch: template specialization with
     /// software-switch stall constants (flow-mods on a software datapath
     /// cost microseconds of classifier rebuild, no TCAM bundle penalty).
     pub fn eswitch(pipeline: Pipeline) -> Result<LiveSwitch, CompileError> {
-        LiveSwitch::install(
-            "eswitch-live",
-            pipeline,
-            TemplatePolicy::Specialize {
-                generic: mapro_classifier::TemplateKind::Linear,
-            },
-            CostParams::eswitch(),
-            ControlStall {
-                per_flowmod_ns: 5_000.0,
-                bundle_ns: 0.0,
-            },
-        )
+        LiveSwitch::install(pipeline, ModelSpec::eswitch())
     }
 
     /// The authoritative pipeline (what a controller would read back).
@@ -130,45 +92,20 @@ impl LiveSwitch {
     }
 
     /// Apply one flow-mod: update control state, recompile *only the
-    /// touched table's* classifier (every other table's classifier is
-    /// reused), account the stall.
-    pub fn apply_update(
-        &mut self,
-        update: &mapro_control::RuleUpdate,
-    ) -> Result<UpdateReceipt, LiveError> {
-        let before = self
-            .pipeline
-            .table(update.table())
-            .map(|t| t.entries.clone());
-        mapro_control::apply_update(&mut self.pipeline, update).map_err(LiveError::Apply)?;
-        let recompiled = {
+    /// touched table* (every other table's program is reused), and return
+    /// the modeled datapath stall (ns).
+    pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<f64, UpdateError> {
+        {
             let _t = mapro_obs::time!("switch.live.recompile_ns");
             let _sp = mapro_obs::trace::span_kv(
                 "recompile",
                 vec![("table", update.table().to_owned().into())],
             );
-            self.dp.recompile_table(&self.pipeline, update.table())
-        };
-        if let Err(e) = recompiled {
-            // Datapath untouched (the table swap only happens on success);
-            // put the control state back too.
-            if let (Some(entries), Some(t)) = (before, self.pipeline.table_mut(update.table())) {
-                t.entries = entries;
-            }
-            return Err(LiveError::Compile(e));
+            self.engine.apply_update(&mut self.pipeline, update)?;
         }
-        let entries = self
-            .pipeline
-            .table(update.table())
-            .map(|t| t.len())
-            .unwrap_or(0);
-        let stall = self.stall.per_flowmod_ns;
+        let stall = self.spec.stall.per_flowmod_ns;
         self.total_stall_ns += stall;
-        Ok(UpdateReceipt {
-            recompiled_tables: vec![update.table().to_owned()],
-            entries_touched: entries,
-            stall_ns: stall,
-        })
+        Ok(stall)
     }
 
     /// Apply a whole plan atomically: either every update lands, or the
@@ -176,12 +113,12 @@ impl LiveSwitch {
     /// the first error is returned. An atomic multi-entry plan
     /// additionally pays the bundle-commit stall (§5 / Fig. 4) and
     /// advances the committed (restart-durable) state.
-    pub fn apply_plan(&mut self, plan: &mapro_control::UpdatePlan) -> Result<f64, LiveError> {
+    pub fn apply_plan(&mut self, plan: &mapro_control::UpdatePlan) -> Result<f64, UpdateError> {
         let snapshot = self.pipeline.clone();
         let mut stall = 0.0;
         for u in &plan.updates {
             match self.apply_update(u) {
-                Ok(receipt) => stall += receipt.stall_ns,
+                Ok(ns) => stall += ns,
                 Err(e) => {
                     self.rollback_to(snapshot, plan);
                     return Err(e);
@@ -189,14 +126,14 @@ impl LiveSwitch {
             }
         }
         if plan.needs_bundle() {
-            stall += self.stall.bundle_ns;
-            self.total_stall_ns += self.stall.bundle_ns;
+            stall += self.spec.stall.bundle_ns;
+            self.total_stall_ns += self.spec.stall.bundle_ns;
             self.committed = self.pipeline.clone();
         }
         Ok(stall)
     }
 
-    /// Restore `snapshot` and re-derive the datapath tables the aborted
+    /// Restore `snapshot` and re-derive the engine tables the aborted
     /// plan may have touched. The modeled stall already accrued stays: the
     /// switch really did the work before aborting.
     fn rollback_to(&mut self, snapshot: Pipeline, plan: &mapro_control::UpdatePlan) {
@@ -208,7 +145,7 @@ impl LiveSwitch {
                 continue;
             }
             done.push(name);
-            self.dp
+            self.engine
                 .recompile_table(&self.pipeline, name)
                 .expect("rollback recompiles previously-compiled state");
         }
@@ -259,7 +196,7 @@ impl Endpoint for LiveSwitch {
             // control CPU pays per carried flow-mod. This is the term
             // that scales retry cost with update-plan size.
             mapro_obs::counter!("switch.live.dedup_hits").inc();
-            self.total_stall_ns += msg.op.mods_carried() as f64 * self.stall.per_flowmod_ns;
+            self.total_stall_ns += msg.op.mods_carried() as f64 * self.spec.stall.per_flowmod_ns;
             return prev.clone();
         }
         let result = match &msg.op {
@@ -317,52 +254,34 @@ impl Endpoint for LiveSwitch {
         self.staged.clear();
         self.acked.clear();
         // `current_epoch` deliberately survives: the fence is durable.
-        self.dp = Datapath::compile(&self.pipeline, self.policy, self.params.clone())
-            .expect("committed state compiled when it was committed");
+        self.engine =
+            CompiledEngine::compile(&self.pipeline, self.spec.policy, self.spec.params.clone())
+                .expect("committed state compiled when it was committed");
     }
 }
-
-/// Errors from live updates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LiveError {
-    /// The flow-mod did not apply (unknown table/entry).
-    Apply(mapro_control::ApplyError),
-    /// The updated pipeline no longer compiles (e.g. dangling goto).
-    Compile(CompileError),
-}
-
-impl std::fmt::Display for LiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiveError::Apply(e) => write!(f, "update failed: {e}"),
-            LiveError::Compile(e) => write!(f, "recompile failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LiveError {}
 
 impl Switch for LiveSwitch {
     fn name(&self) -> &'static str {
-        self.name
+        self.spec.name
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.dp.process(pkt)
+        self.engine.process(pkt)
     }
 
     fn queue_factor(&self) -> f64 {
-        self.params.queue_factor
+        self.spec.params.queue_factor
     }
 
     fn stages(&self) -> usize {
-        self.dp.max_stages()
+        self.engine.stages()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::ControlStall;
     use mapro_control::{RuleUpdate, UpdatePlan};
     use mapro_core::{ActionSem, AttrId, Catalog, Table, Value};
 
@@ -382,15 +301,14 @@ mod tests {
         let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
         assert_eq!(sw.process(&pkt).output.as_deref(), Some("a"));
-        let receipt = sw
+        let stall = sw
             .apply_update(&RuleUpdate::Modify {
                 table: "t".into(),
                 matches: vec![Value::Int(1)],
                 set: vec![(out, Value::sym("z"))],
             })
             .unwrap();
-        assert_eq!(receipt.recompiled_tables, vec!["t".to_owned()]);
-        assert!(receipt.stall_ns > 0.0);
+        assert_eq!(stall, ControlStall::default().per_flowmod_ns);
         assert_eq!(sw.process(&pkt).output.as_deref(), Some("z"));
     }
 
@@ -433,7 +351,7 @@ mod tests {
             matches: vec![Value::Int(99)],
             set: vec![(f, Value::Int(1))],
         });
-        assert!(matches!(err, Err(LiveError::Apply(_))));
+        assert!(matches!(err, Err(UpdateError::Apply(_))));
         assert_eq!(*sw.pipeline(), p);
         assert_eq!(sw.total_stall_ns, 0.0);
     }
@@ -453,20 +371,20 @@ mod tests {
     }
 
     #[test]
-    fn incremental_recompile_reuses_untouched_classifiers() {
+    fn incremental_recompile_reuses_untouched_tables() {
         let (p, _, out) = two_tables();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
-        let before = sw.dp.classifier_addrs();
+        let before = sw.engine.table_addrs();
         sw.apply_update(&RuleUpdate::Modify {
             table: "t1".into(),
             matches: vec![Value::Int(5)],
             set: vec![(out, Value::sym("z"))],
         })
         .unwrap();
-        let after = sw.dp.classifier_addrs();
+        let after = sw.engine.table_addrs();
         assert_eq!(
             before[0], after[0],
-            "t0 was untouched; its classifier must be reused"
+            "t0 was untouched; its compiled table must be reused"
         );
         assert_ne!(before[1], after[1], "t1 changed; it must be recompiled");
         // The rebuilt table routes the new action.
@@ -493,7 +411,7 @@ mod tests {
                 },
             ],
         };
-        assert!(matches!(sw.apply_plan(&plan), Err(LiveError::Apply(_))));
+        assert!(matches!(sw.apply_plan(&plan), Err(UpdateError::Apply(_))));
         // Control state is byte-identical to the pre-plan state...
         assert_eq!(*sw.pipeline(), p);
         // ...and the datapath agrees (the first update's recompile was

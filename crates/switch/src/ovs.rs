@@ -1,4 +1,4 @@
-//! The Open vSwitch model: slow-path interpretation plus a megaflow cache.
+//! The Open vSwitch model: a slow-path pipeline walk plus a megaflow cache.
 //!
 //! §5: "the \[OVS\] datapath collapses OpenFlow tables into a single flow
 //! cache; in other words, OVS explicitly denormalizes the pipeline prior
@@ -10,158 +10,107 @@
 //! packets covered by the megaflow hit the cache in one lookup, at a cost
 //! independent of how many tables the pipeline has.
 
-use crate::cost::CostParams;
-use crate::datapath::ProcessOut;
+use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
+use crate::cost::ModelSpec;
+use crate::megaflow::{MegaflowStats, MegaflowStore};
 use crate::Switch;
 use mapro_core::value::prefix_mask;
-use mapro_core::{AttrId, AttrKind, Packet, Pipeline, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-#[derive(Debug, Clone, PartialEq)]
-struct CachedVerdict {
-    output: Option<Arc<str>>,
-    dropped: bool,
-    pipeline_lookups: usize,
-}
+use mapro_core::{AttrId, AttrKind, Packet, Pipeline, Table, Value};
 
 /// The OVS simulator.
 pub struct OvsSim {
     pipeline: Pipeline,
+    /// The slow path.
+    engine: CompiledEngine,
     fields: Vec<AttrId>,
-    /// Per-table, per-field conservative mask (precomputed).
-    table_masks: HashMap<String, Vec<u64>>,
-    /// The megaflow cache: (mask tuple, masked-key map).
-    #[allow(clippy::type_complexity)]
-    cache: Vec<(Vec<u64>, HashMap<Vec<u64>, CachedVerdict>)>,
-    params: CostParams,
+    /// Per-table (in table order), per-field conservative mask.
+    table_masks: Vec<Vec<u64>>,
+    store: MegaflowStore,
     /// Modeled slow-path cost (upcall + pipeline interpretation), ns.
     pub slow_path_ns: f64,
-    /// Maximum megaflow entries before eviction (OVS's `flow-limit`;
-    /// defaults to the real datapath's 200 000).
-    pub cache_capacity: usize,
-    /// FIFO of installed (tuple index is rediscovered by mask) masked keys,
-    /// for eviction order.
-    fifo: std::collections::VecDeque<(Vec<u64>, Vec<u64>)>,
-    name_index_cache: Vec<(String, usize)>,
+    key: Vec<u64>,
+}
+
+/// Conservative unwildcarding: every bit of `fields` any entry of `t`
+/// examines. Metadata columns are internal, resolved by the walk.
+fn table_mask(p: &Pipeline, t: &Table, fields: &[AttrId]) -> Vec<u64> {
+    let mut mask = vec![0u64; fields.len()];
+    for (col, &attr) in t.match_attrs.iter().enumerate() {
+        let Some(fi) = fields.iter().position(|&f| f == attr) else {
+            continue;
+        };
+        let w = p.catalog.attr(attr).width;
+        for e in &t.entries {
+            mask[fi] |= cell_mask(&e.matches[col], w);
+        }
+    }
+    mask
 }
 
 impl OvsSim {
-    /// Build the simulator around a pipeline (kept for slow-path walks).
-    pub fn compile(p: &Pipeline) -> OvsSim {
+    /// Build the simulator around a pipeline.
+    pub fn compile(p: &Pipeline) -> Result<OvsSim, CompileError> {
+        let spec = ModelSpec::ovs();
+        let engine = CompiledEngine::compile(p, spec.policy, spec.params)?;
         let fields: Vec<AttrId> = p
             .catalog
             .iter()
             .filter(|(_, a)| matches!(a.kind, AttrKind::Field))
             .map(|(id, _)| id)
             .collect();
-        // Conservative per-table unwildcarding: every field bit any entry
-        // of the table examines.
-        let mut table_masks = HashMap::new();
-        for t in &p.tables {
-            let mut mask = vec![0u64; fields.len()];
-            for (col, &attr) in t.match_attrs.iter().enumerate() {
-                let Some(fi) = fields.iter().position(|&f| f == attr) else {
-                    continue; // metadata: internal, resolved by the walk
-                };
-                let w = p.catalog.attr(attr).width;
-                for e in &t.entries {
-                    mask[fi] |= cell_mask(&e.matches[col], w);
-                }
-            }
-            table_masks.insert(t.name.clone(), mask);
-        }
-        let name_index_cache = p
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.clone(), i))
-            .collect();
-        OvsSim {
+        let table_masks = p.tables.iter().map(|t| table_mask(p, t, &fields)).collect();
+        Ok(OvsSim {
             pipeline: p.clone(),
+            engine,
+            store: MegaflowStore::new(fields.len()),
+            key: vec![0; fields.len()],
             fields,
             table_masks,
-            cache: Vec::new(),
-            params: CostParams::ovs(),
             slow_path_ns: 50_000.0,
-            cache_capacity: 200_000,
-            fifo: std::collections::VecDeque::new(),
-            name_index_cache,
-        }
+        })
     }
 
-    /// Apply a control-plane flow-mod: update the slow-path pipeline and
-    /// flush the megaflow cache (OVS's revalidators invalidate affected
-    /// megaflows on any OpenFlow table change; we model the conservative
-    /// full flush a table-version bump causes).
-    pub fn apply_update(
-        &mut self,
-        update: &mapro_control::RuleUpdate,
-    ) -> Result<(), mapro_control::ApplyError> {
-        mapro_control::apply_update(&mut self.pipeline, update)?;
-        // Masks may have changed shape; recompute them.
-        *self = OvsSim {
-            cache_capacity: self.cache_capacity,
-            slow_path_ns: self.slow_path_ns,
-            ..OvsSim::compile(&self.pipeline)
-        };
+    /// Apply a control-plane flow-mod: recompile the touched slow-path
+    /// table and its mask, and flush the megaflow cache (OVS's
+    /// revalidators invalidate affected megaflows on any OpenFlow table
+    /// change; we model the conservative full flush a table-version bump
+    /// causes).
+    pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
+        self.engine.apply_update(&mut self.pipeline, update)?;
+        let p = &self.pipeline;
+        for (mask, t) in self.table_masks.iter_mut().zip(&p.tables) {
+            if t.name == update.table() {
+                *mask = table_mask(p, t, &self.fields);
+            }
+        }
+        self.invalidate_cache();
         Ok(())
     }
 
     /// Drop every megaflow (revalidation flush).
     pub fn invalidate_cache(&mut self) {
-        self.cache.clear();
-        self.fifo.clear();
+        self.store.retain(|_, _| false);
+    }
+
+    /// Bound the cache to `capacity` megaflows (OVS's `flow-limit`;
+    /// defaults to the real datapath's 200 000).
+    pub fn set_cache_capacity(&mut self, capacity: usize) {
+        self.store.capacity = capacity;
     }
 
     /// Number of megaflow entries installed.
     pub fn cache_entries(&self) -> usize {
-        self.cache.iter().map(|(_, m)| m.len()).sum()
+        self.store.len()
     }
 
     /// Number of distinct megaflow mask tuples.
     pub fn cache_tuples(&self) -> usize {
-        self.cache.len()
+        self.store.tuples()
     }
 
-    fn cache_lookup(&self, key: &[u64]) -> Option<&CachedVerdict> {
-        let mut probe = vec![0u64; key.len()];
-        for (mask, map) in &self.cache {
-            for (i, m) in mask.iter().enumerate() {
-                probe[i] = key[i] & m;
-            }
-            if let Some(v) = map.get(probe.as_slice()) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn install(&mut self, mask: Vec<u64>, key: &[u64], v: CachedVerdict) {
-        // Enforce the flow limit: evict the oldest megaflow (OVS's
-        // revalidators use fancier heuristics; FIFO preserves the property
-        // under test — bounded cache, churn under overload).
-        while self.cache_entries() >= self.cache_capacity {
-            let Some((emask, ekey)) = self.fifo.pop_front() else {
-                break;
-            };
-            if let Some((_, map)) = self.cache.iter_mut().find(|(m, _)| *m == emask) {
-                map.remove(&ekey);
-            }
-            self.cache.retain(|(_, map)| !map.is_empty());
-        }
-        let masked: Vec<u64> = key.iter().zip(&mask).map(|(k, m)| k & m).collect();
-        self.fifo.push_back((mask.clone(), masked.clone()));
-        match self.cache.iter_mut().find(|(m, _)| *m == mask) {
-            Some((_, map)) => {
-                map.insert(masked, v);
-            }
-            None => {
-                let mut map = HashMap::new();
-                map.insert(masked, v);
-                self.cache.push((mask, map));
-            }
-        }
+    /// Cache-behavior counters so far.
+    pub fn stats(&self) -> MegaflowStats {
+        self.store.stats
     }
 }
 
@@ -181,63 +130,39 @@ impl Switch for OvsSim {
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        let key: Vec<u64> = self.fields.iter().map(|&a| pkt.get(a)).collect();
+        self.key.clear();
+        self.key.extend(self.fields.iter().map(|&a| pkt.get(a)));
         // Fast path: megaflow cache.
-        let tuples = self.cache.len().max(1);
-        if let Some(hit) = self.cache_lookup(&key) {
-            let cost = self.params.per_packet_ns + self.params.tss_tuple_ns * tuples as f64;
-            return ProcessOut {
-                output: hit.output.clone(),
-                dropped: hit.dropped,
-                lookups: 1,
-                service_ns: cost,
-                latency_ns: cost,
-                slow_path: false,
-            };
+        if let Some(hit) = self.store.lookup(&self.key, self.engine.params()) {
+            return hit;
         }
-        // Slow path: interpret the pipeline, collect the megaflow.
-        let index: HashMap<&str, usize> = self
-            .name_index_cache
-            .iter()
-            .map(|(n, i)| (n.as_str(), *i))
-            .collect();
-        let verdict = self
-            .pipeline
-            .run_indexed(pkt, &index)
-            .expect("pipeline evaluates (acyclic, resolved)");
+        // Slow path: walk the pipeline, collect the megaflow.
         let mut mask = vec![0u64; self.fields.len()];
-        for tname in &verdict.path {
-            if let Some(tm) = self.table_masks.get(tname) {
-                for (i, m) in tm.iter().enumerate() {
-                    mask[i] |= m;
-                }
+        let table_masks = &self.table_masks;
+        let walk = self.engine.walk(pkt, |ti| {
+            for (m, tm) in mask.iter_mut().zip(&table_masks[ti]) {
+                *m |= tm;
             }
-        }
-        let cached = CachedVerdict {
-            output: verdict.output.clone(),
-            dropped: verdict.dropped,
-            pipeline_lookups: verdict.lookups,
-        };
-        self.install(mask, &key, cached);
-        let cost = self.slow_path_ns
-            + self.params.per_packet_ns
-            + self.params.linear_base_ns * verdict.lookups as f64;
+        });
+        let masked = self.key.iter().zip(&mask).map(|(k, m)| k & m).collect();
+        self.store.install(mask, masked, &walk);
+        let params = self.engine.params();
+        let cost =
+            self.slow_path_ns + params.per_packet_ns + params.linear_base_ns * walk.lookups as f64;
         ProcessOut {
-            output: verdict.output,
-            dropped: verdict.dropped,
-            lookups: verdict.lookups,
             service_ns: cost,
             latency_ns: cost,
             slow_path: true,
+            ..walk
         }
     }
 
     fn queue_factor(&self) -> f64 {
-        self.params.queue_factor
+        self.engine.params().queue_factor
     }
 
     fn stages(&self) -> usize {
-        self.pipeline.tables.len()
+        self.engine.stages()
     }
 }
 
@@ -296,7 +221,7 @@ mod tests {
     #[test]
     fn first_packet_slow_then_fast() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         let first = sim.process(&pkt);
         assert!(first.slow_path);
@@ -311,7 +236,7 @@ mod tests {
     #[test]
     fn megaflow_covers_the_flow_not_the_packet() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let a = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         sim.process(&a);
         // Different ip_src in the same /1 + same dst → same megaflow.
@@ -329,7 +254,7 @@ mod tests {
     #[test]
     fn cache_collapses_multi_table_pipeline() {
         let p = decomposed();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         let first = sim.process(&pkt);
         assert!(first.slow_path);
@@ -345,8 +270,8 @@ mod tests {
         // within a whisker (same mask tuples → same probe count).
         let pu = universal();
         let pd = decomposed();
-        let mut su = OvsSim::compile(&pu);
-        let mut sd = OvsSim::compile(&pd);
+        let mut su = OvsSim::compile(&pu).unwrap();
+        let mut sd = OvsSim::compile(&pd).unwrap();
         for sim in [&mut su, &mut sd] {
             for tenant in 0..3u64 {
                 for srcbit in [0u64, 1] {
@@ -372,7 +297,7 @@ mod tests {
         use mapro_control::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         assert_eq!(sim.process(&pkt).output.as_deref(), Some("vm2"));
         assert!(!sim.process(&pkt).slow_path); // warm
@@ -392,7 +317,7 @@ mod tests {
     #[test]
     fn manual_invalidation_flushes() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         sim.process(&pkt);
         assert_eq!(sim.cache_entries(), 1);
@@ -402,31 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn flow_limit_evicts_oldest_megaflow() {
-        let p = universal();
-        let mut sim = OvsSim::compile(&p);
-        sim.cache_capacity = 2;
-        let pkts: Vec<_> = (0..3u64)
-            .map(|t| Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", t)]))
-            .collect();
-        for pkt in &pkts {
-            assert!(sim.process(pkt).slow_path);
-        }
-        assert_eq!(sim.cache_entries(), 2);
-        // The first flow was evicted: slow path again; the last still hits.
-        assert!(sim.process(&pkts[0]).slow_path);
-        assert!(!sim.process(&pkts[2]).slow_path);
-    }
-
-    #[test]
     fn skewed_traffic_keeps_hit_rate_high_under_small_cache() {
         use mapro_packet::{generate, Popularity};
         let g = mapro_workloads::Gwlb::random(32, 4, 3);
         let mut spec = g.trace_spec();
         spec.popularity = Popularity::Zipf(1.6);
         let trace = generate(&g.universal.catalog, &spec, 6_000, 5);
-        let mut small = OvsSim::compile(&g.universal);
-        small.cache_capacity = 16; // 128 flows total
+        let mut small = OvsSim::compile(&g.universal).unwrap();
+        small.set_cache_capacity(16); // 128 flows total
         let mut upcalls = 0usize;
         for (_, pkt) in &trace.packets {
             if small.process(pkt).slow_path {
@@ -439,8 +347,8 @@ mod tests {
         assert!(hit_rate > 0.7, "hit rate {hit_rate}");
         // Uniform traffic with the same tiny cache thrashes much more.
         let uniform = generate(&g.universal.catalog, &g.trace_spec(), 6_000, 5);
-        let mut sim2 = OvsSim::compile(&g.universal);
-        sim2.cache_capacity = 16;
+        let mut sim2 = OvsSim::compile(&g.universal).unwrap();
+        sim2.set_cache_capacity(16);
         let mut upcalls2 = 0usize;
         for (_, pkt) in &uniform.packets {
             if sim2.process(pkt).slow_path {
@@ -453,7 +361,7 @@ mod tests {
     #[test]
     fn dropped_flows_cached_too() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 99)]);
         let first = sim.process(&pkt);
         assert!(first.dropped && first.slow_path);

@@ -1,7 +1,7 @@
-//! The ESwitch, Lagopus and NoviFlow simulators.
+//! The ESwitch, Lagopus and NoviFlow models.
 //!
-//! Each is the generic [`Datapath`] executor under the template policy and
-//! cost model that captures what §5 credits for that switch's behaviour:
+//! Each is the [`CompiledEngine`] under the [`ModelSpec`] that captures
+//! what §5 credits for that switch's behaviour:
 //!
 //! * **ESwitch** — per-table template specialization. The universal GWLB
 //!   table (prefix + exact columns together) only fits the slow linear
@@ -15,133 +15,77 @@
 //!   Table 1); control-plane updates stall the datapath (Fig. 4, modeled
 //!   in [`crate::churn`]).
 
-use crate::cost::{CostParams, HwLatency};
-use crate::datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
+use crate::compile::{CompileError, CompiledEngine, ProcessOut};
+use crate::cost::{HwLatency, ModelSpec};
 use crate::Switch;
 use mapro_classifier::TemplateKind;
 use mapro_core::{Packet, Pipeline};
 
-/// ESwitch-like specializing software switch.
-pub struct EswitchSim {
-    dp: Datapath,
+/// A stateless switch model: the engine plus the model's reporting rule.
+pub struct SwitchModel {
+    name: &'static str,
+    engine: CompiledEngine,
+    hw_latency: Option<HwLatency>,
 }
 
-impl EswitchSim {
-    /// Compile a pipeline with per-table template specialization.
-    pub fn compile(p: &Pipeline) -> Result<EswitchSim, CompileError> {
-        Ok(EswitchSim {
-            dp: Datapath::compile(
-                p,
-                TemplatePolicy::Specialize {
-                    generic: TemplateKind::Linear,
-                },
-                CostParams::eswitch(),
-            )?,
+impl SwitchModel {
+    /// Compile a pipeline under `spec`.
+    pub fn new(p: &Pipeline, spec: ModelSpec) -> Result<SwitchModel, CompileError> {
+        Ok(SwitchModel {
+            name: spec.name,
+            engine: CompiledEngine::compile(p, spec.policy, spec.params)?,
+            hw_latency: spec.hw_latency,
         })
+    }
+
+    /// ESwitch-like specializing software switch.
+    pub fn eswitch(p: &Pipeline) -> Result<SwitchModel, CompileError> {
+        SwitchModel::new(p, ModelSpec::eswitch())
+    }
+
+    /// Lagopus-like uniform-TSS software switch.
+    pub fn lagopus(p: &Pipeline) -> Result<SwitchModel, CompileError> {
+        SwitchModel::new(p, ModelSpec::lagopus())
+    }
+
+    /// NoviFlow-like hardware TCAM pipeline.
+    pub fn noviflow(p: &Pipeline) -> Result<SwitchModel, CompileError> {
+        SwitchModel::new(p, ModelSpec::noviflow())
     }
 
     /// The template chosen for each table.
     pub fn templates(&self) -> Vec<(String, TemplateKind)> {
-        self.dp.templates()
-    }
-}
-
-impl Switch for EswitchSim {
-    fn name(&self) -> &'static str {
-        "eswitch"
-    }
-
-    fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.dp.process(pkt)
-    }
-
-    fn queue_factor(&self) -> f64 {
-        self.dp.params().queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
-    }
-}
-
-/// Lagopus-like uniform-TSS software switch.
-pub struct LagopusSim {
-    dp: Datapath,
-}
-
-impl LagopusSim {
-    /// Compile a pipeline onto uniform tuple-space tables.
-    pub fn compile(p: &Pipeline) -> Result<LagopusSim, CompileError> {
-        Ok(LagopusSim {
-            dp: Datapath::compile(
-                p,
-                TemplatePolicy::Uniform(TemplateKind::Tss),
-                CostParams::lagopus(),
-            )?,
-        })
-    }
-}
-
-impl Switch for LagopusSim {
-    fn name(&self) -> &'static str {
-        "lagopus"
-    }
-
-    fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.dp.process(pkt)
-    }
-
-    fn queue_factor(&self) -> f64 {
-        self.dp.params().queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
-    }
-}
-
-/// NoviFlow-like hardware TCAM pipeline.
-pub struct NoviflowSim {
-    dp: Datapath,
-    latency: HwLatency,
-}
-
-impl NoviflowSim {
-    /// Compile a pipeline onto TCAM stages.
-    pub fn compile(p: &Pipeline) -> Result<NoviflowSim, CompileError> {
-        Ok(NoviflowSim {
-            dp: Datapath::compile(p, TemplatePolicy::Tcam, CostParams::noviflow())?,
-            latency: HwLatency::default(),
-        })
+        self.engine.templates()
     }
 
     /// Line rate in Mpps (the per-packet slot of the cost model).
     pub fn line_rate_mpps(&self) -> f64 {
-        1000.0 / self.dp.params().per_packet_ns
+        1000.0 / self.engine.params().per_packet_ns
     }
 }
 
-impl Switch for NoviflowSim {
+impl Switch for SwitchModel {
     fn name(&self) -> &'static str {
-        "noviflow"
+        self.name
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        let mut out = self.dp.process(pkt);
-        // Hardware pipeline: throughput is the line-rate slot regardless of
-        // depth; latency is base + per-stage.
-        out.service_ns = self.dp.params().per_packet_ns;
-        out.latency_ns =
-            (self.latency.base_us + self.latency.per_stage_us * out.lookups as f64) * 1000.0;
+        let mut out = self.engine.process(pkt);
+        if let Some(lat) = self.hw_latency {
+            // Hardware pipeline: throughput is the line-rate slot
+            // regardless of depth; latency is base + per-stage.
+            out.service_ns = self.engine.params().per_packet_ns;
+            out.latency_ns = (lat.base_us + lat.per_stage_us * out.lookups as f64) * 1000.0;
+        }
         out
     }
 
     fn queue_factor(&self) -> f64 {
-        1.0
+        self.engine.params().queue_factor
     }
 
     fn stages(&self) -> usize {
-        self.dp.max_stages()
+        self.engine.stages()
     }
 }
 
@@ -189,20 +133,20 @@ mod tests {
 
     #[test]
     fn eswitch_specializes_decomposed_pipeline() {
-        let sim = EswitchSim::compile(&goto_form()).unwrap();
+        let sim = SwitchModel::eswitch(&goto_form()).unwrap();
         let kinds: Vec<_> = sim.templates().into_iter().map(|(_, k)| k).collect();
         assert_eq!(kinds[0], TemplateKind::Exact); // (ip_dst, tcp_dst) stage
         for k in &kinds[1..] {
             assert_eq!(*k, TemplateKind::Lpm); // per-tenant prefix stages
         }
-        let uni = EswitchSim::compile(&universal()).unwrap();
+        let uni = SwitchModel::eswitch(&universal()).unwrap();
         assert_eq!(uni.templates()[0].1, TemplateKind::Linear);
     }
 
     #[test]
     fn eswitch_goto_form_is_faster() {
-        let mut uni = EswitchSim::compile(&universal()).unwrap();
-        let mut dec = EswitchSim::compile(&goto_form()).unwrap();
+        let mut uni = SwitchModel::eswitch(&universal()).unwrap();
+        let mut dec = SwitchModel::eswitch(&goto_form()).unwrap();
         let p = universal();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 5), ("ip_dst", 1), ("tcp_dst", 80)]);
         let a = uni.process(&pkt);
@@ -218,8 +162,8 @@ mod tests {
 
     #[test]
     fn noviflow_line_rate_constant_latency_grows() {
-        let mut uni = NoviflowSim::compile(&universal()).unwrap();
-        let mut dec = NoviflowSim::compile(&goto_form()).unwrap();
+        let mut uni = SwitchModel::noviflow(&universal()).unwrap();
+        let mut dec = SwitchModel::noviflow(&goto_form()).unwrap();
         let p = universal();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 5), ("ip_dst", 1), ("tcp_dst", 80)]);
         let a = uni.process(&pkt);
@@ -232,8 +176,8 @@ mod tests {
 
     #[test]
     fn lagopus_agnostic_to_representation() {
-        let mut uni = LagopusSim::compile(&universal()).unwrap();
-        let mut dec = LagopusSim::compile(&goto_form()).unwrap();
+        let mut uni = SwitchModel::lagopus(&universal()).unwrap();
+        let mut dec = SwitchModel::lagopus(&goto_form()).unwrap();
         let p = universal();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 5), ("ip_dst", 1), ("tcp_dst", 80)]);
         let a = uni.process(&pkt);
@@ -245,14 +189,33 @@ mod tests {
     }
 
     #[test]
+    fn batch_matches_singles() {
+        let p = goto_form();
+        let mut sim = SwitchModel::noviflow(&p).unwrap();
+        let pkts: Vec<Packet> = (0..10u64)
+            .map(|i| {
+                Packet::from_fields(
+                    &p.catalog,
+                    &[("ip_src", i * 977), ("ip_dst", i % 4), ("tcp_dst", 80)],
+                )
+            })
+            .collect();
+        let singles: Vec<ProcessOut> = pkts.iter().map(|pk| sim.process(pk)).collect();
+        let refs: Vec<&Packet> = pkts.iter().collect();
+        let mut batched = Vec::new();
+        sim.process_batch(&refs, &mut batched);
+        assert_eq!(batched, singles);
+    }
+
+    #[test]
     fn sims_agree_on_verdicts() {
         let pu = universal();
         let pg = goto_form();
         let mut sims: Vec<Box<dyn Switch>> = vec![
-            Box::new(EswitchSim::compile(&pu).unwrap()),
-            Box::new(LagopusSim::compile(&pu).unwrap()),
-            Box::new(NoviflowSim::compile(&pu).unwrap()),
-            Box::new(EswitchSim::compile(&pg).unwrap()),
+            Box::new(SwitchModel::eswitch(&pu).unwrap()),
+            Box::new(SwitchModel::lagopus(&pu).unwrap()),
+            Box::new(SwitchModel::noviflow(&pu).unwrap()),
+            Box::new(SwitchModel::eswitch(&pg).unwrap()),
         ];
         for (s, d, pt) in [
             (5u64, 1u64, 80u64),

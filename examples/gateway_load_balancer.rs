@@ -25,10 +25,10 @@ fn main() {
         "switch", "repr", "rate [Mpps]", "Q3 delay [µs]"
     );
     for (name, repr) in [("universal", &gwlb.universal), ("goto", &goto)] {
-        let mut eswitch = EswitchSim::compile(repr).unwrap();
-        let mut lagopus = LagopusSim::compile(repr).unwrap();
-        let mut noviflow = NoviflowSim::compile(repr).unwrap();
-        let mut ovs = OvsSim::compile(repr);
+        let mut eswitch = SwitchModel::eswitch(repr).unwrap();
+        let mut lagopus = SwitchModel::lagopus(repr).unwrap();
+        let mut noviflow = SwitchModel::noviflow(repr).unwrap();
+        let mut ovs = OvsSim::compile(repr).expect("compiles");
         let _ = run_modeled(&mut ovs, &trace); // warm the megaflow cache
         let sims: Vec<(&str, &mut dyn Switch)> = vec![
             ("OVS", &mut ovs),

@@ -41,7 +41,7 @@ fn main() {
     );
 
     // Fig. 4: throughput vs update rate on the hardware model.
-    let sim = NoviflowSim::compile(&gwlb.universal).unwrap();
+    let sim = SwitchModel::noviflow(&gwlb.universal).unwrap();
     let line = sim.line_rate_mpps();
     let rates: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
     let uni = churn_sweep(

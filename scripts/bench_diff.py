@@ -282,9 +282,10 @@ def main():
     # E20: Mpps-scale replay. Verdict digests, drop counts, distinct-flow
     # counts and megaflow hit rates are seed-determined and machine
     # independent => exact. Wall-clock Mpps is a rate, gated by the same
-    # multiplicative envelope as the other timing columns. A digest
-    # mismatch here means an engine tier changed observable behavior —
-    # the one thing the compiled/cached tiers must never do.
+    # multiplicative envelope as the other timing columns. Rows are the
+    # compiled engine bare (`compiled`) and behind the megaflow cache
+    # (`cached`); a digest mismatch means the cache changed observable
+    # behavior — the one thing it must never do.
     fresh = load(os.path.join(args.fresh_dir, "mpps.json"))
     committed = load(os.path.join(repo, "BENCH_mpps.json"))
     check_meta("mpps", meta_of(fresh, "mpps.json"), meta_of(committed, "BENCH_mpps.json"))
@@ -304,8 +305,8 @@ def main():
         tol=tol,
     )
     # The fresh run must also uphold the headline claim: on the skewed
-    # (Zipf) traces the cached tier serves almost everything from
-    # installed cubes, and every engine agrees on the digest per cell.
+    # (Zipf) traces the cache serves almost everything from installed
+    # cubes, and both rows agree on the digest per cell.
     by_cell = {}
     for r in fresh["rows"]:
         by_cell.setdefault((r["repr"], r["flows"]), {})[r["engine"]] = r

@@ -57,11 +57,12 @@ echo "== decision-diagram backend (E21) =="
 cargo run --release -p mapro-bench --bin repro -- --experiment ddscale --json \
     | sed '1,/############/d' > "$OUT/ddscale.json"
 
-echo "== Mpps-scale replay engines (E20) =="
-# Interpreter vs compiled tier vs megaflow cache over Zipf traces with up
-# to a million-flow population. Wall-clock Mpps is machine-dependent; the
-# digest, drop and hit-rate columns are seed-determined — the sweep
-# asserts all three engines agree per cell before reporting.
+echo "== Mpps-scale replay (E20) =="
+# The compiled engine, bare and behind the megaflow cache, over Zipf
+# traces with up to a million-flow population. Wall-clock Mpps is
+# machine-dependent; the digest, drop and hit-rate columns are
+# seed-determined — the sweep asserts both agree per cell before
+# reporting.
 cargo run --release -p mapro-bench --bin repro -- --experiment mpps --json \
     | sed '1,/############/d' > "$OUT/mpps.json"
 

@@ -54,7 +54,7 @@ pub mod prelude {
         decompose, factor_constants, flatten, normalize, pipeline_level, DecomposeOpts,
         FactorPlacement, JoinKind, NormalizeOpts,
     };
-    pub use mapro_switch::{run_modeled, EswitchSim, LagopusSim, NoviflowSim, OvsSim, Switch};
+    pub use mapro_switch::{run_modeled, OvsSim, Switch, SwitchModel};
     pub use mapro_sym::{assert_equivalent, check_equivalent};
     pub use mapro_workloads::{Gwlb, Sdx, Vlan, L3};
 }

@@ -270,27 +270,29 @@ fn cli_replay_seed_reproducible_and_engine_contract() {
     assert_eq!(a, b, "same seed must replay identically");
     assert_ne!(a, c, "different seeds must draw different traffic");
 
-    // All three execution tiers agree on the replay digest (the interp
-    // baseline uses the eswitch model the tiers specialize).
-    let interp = digest_of(&["--seed", "7", "--switch", "eswitch"]);
-    let compiled = digest_of(&["--seed", "7", "--engine", "compiled"]);
-    let cached = digest_of(&["--seed", "7", "--engine", "cached"]);
-    assert_eq!(interp, compiled, "compiled tier diverged from interpreter");
-    assert_eq!(interp, cached, "cached tier diverged from interpreter");
+    // Every `--switch` model runs the same engine: one digest (the
+    // default model above is ovs).
+    for model in ["eswitch", "lagopus", "noviflow", "cached"] {
+        let d = digest_of(&["--seed", "7", "--switch", model]);
+        assert_eq!(a, d, "{model} diverged from ovs");
+    }
 
-    // The cached tier reports its megaflow hit rate.
+    // The cached engine reports its megaflow hit rate.
     let (out, _, code) = run_code(
         &bin(),
-        &["replay", path, "--engine", "cached", "--packets", "2000"],
+        &["replay", path, "--switch", "cached", "--packets", "2000"],
     );
     assert_eq!(code, Some(0));
     assert!(out.contains("megaflow:"), "{out}");
     assert!(out.contains("hit rate"), "{out}");
 
-    // Usage errors: exit 2, one line on stderr.
+    // Usage errors: exit 2, one line on stderr. `--engine` is gone, and
+    // a leftover one must not be silently ignored.
     let cases: &[&[&str]] = &[
         &["replay", path, "--seed", "NaN"],
-        &["replay", path, "--engine", "bogus"],
+        &["replay", path, "--switch", "bogus"],
+        &["replay", path, "--switch", "compiled"],
+        &["replay", path, "--engine", "cached"],
         &["replay", path, "--engine", "compiled", "--switch", "ovs"],
     ];
     for args in cases {

@@ -30,10 +30,10 @@ proptest! {
         let trace = mapro::packet::generate(&g.universal.catalog, &g.trace_spec(), 200, seed);
         for repr in [&g.universal, &goto] {
             let idx = repr.name_index();
-            let mut eswitch = EswitchSim::compile(repr).unwrap();
-            let mut lagopus = LagopusSim::compile(repr).unwrap();
-            let mut noviflow = NoviflowSim::compile(repr).unwrap();
-            let mut ovs = OvsSim::compile(repr);
+            let mut eswitch = SwitchModel::eswitch(repr).unwrap();
+            let mut lagopus = SwitchModel::lagopus(repr).unwrap();
+            let mut noviflow = SwitchModel::noviflow(repr).unwrap();
+            let mut ovs = OvsSim::compile(repr).expect("compiles");
             for (_, pkt) in &trace.packets {
                 let want = repr.run_indexed(pkt, &idx).unwrap();
                 let check = |got: ProcessOut, name: &str| {
@@ -85,7 +85,7 @@ proptest! {
     fn ovs_cache_never_changes_verdicts(g in arb_gwlb(), seed in 0u64..50) {
         // Replay the trace twice: cold then warm. Verdicts must match.
         let trace = mapro::packet::generate(&g.universal.catalog, &g.trace_spec(), 150, seed);
-        let mut sim = OvsSim::compile(&g.universal);
+        let mut sim = OvsSim::compile(&g.universal).expect("compiles");
         let cold: Vec<_> = trace.packets.iter()
             .map(|(_, p)| sim.process(p).output).collect();
         let warm: Vec<_> = trace.packets.iter()

@@ -21,6 +21,25 @@ fn every_workload_roundtrips() {
     roundtrip(&Sdx::fig5().universal);
 }
 
+/// The `.mat` text format: `parse ∘ format` is the identity on every
+/// workload — including Fig. 3, whose output ports `1`, `2`, `3` are
+/// numeric-looking symbols.
+#[test]
+fn every_workload_roundtrips_via_text() {
+    for p in [
+        Gwlb::fig1().universal,
+        Gwlb::fig1().normalized(JoinKind::Goto).unwrap(),
+        L3::fig2().universal,
+        Vlan::fig3().universal,
+        Sdx::fig5().universal,
+    ] {
+        let text = mapro::core::format_program(&p);
+        let back = mapro::core::parse_program(&text).expect("re-parses");
+        assert_eq!(p, back, "{text}");
+        assert_equivalent(&p, &back);
+    }
+}
+
 #[test]
 fn transformed_pipelines_roundtrip() {
     let g = Gwlb::fig1();

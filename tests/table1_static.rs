@@ -98,10 +98,10 @@ fn all_switches_forward_correctly() {
     let goto = g.normalized(JoinKind::Goto).unwrap();
     let trace = mapro::packet::generate(&g.universal.catalog, &g.trace_spec(), 2_000, 5);
     for repr in [&g.universal, &goto] {
-        let mut s1 = EswitchSim::compile(repr).unwrap();
-        let mut s2 = LagopusSim::compile(repr).unwrap();
-        let mut s3 = NoviflowSim::compile(repr).unwrap();
-        let mut s4 = OvsSim::compile(repr);
+        let mut s1 = SwitchModel::eswitch(repr).unwrap();
+        let mut s2 = SwitchModel::lagopus(repr).unwrap();
+        let mut s3 = SwitchModel::noviflow(repr).unwrap();
+        let mut s4 = OvsSim::compile(repr).expect("compiles");
         for sim in [&mut s1 as &mut dyn Switch, &mut s2, &mut s3, &mut s4] {
             let r = run_modeled(sim, &trace);
             assert_eq!(r.dropped, 0, "{}", sim.name());

@@ -38,7 +38,7 @@ fn frames_route_identically_to_abstract_packets() {
         assert_eq!(v.output.as_deref(), want, "{dst}:{port}");
 
         // And through a compiled switch on the normalized form.
-        let mut sim = EswitchSim::compile(&goto).unwrap();
+        let mut sim = SwitchModel::eswitch(&goto).unwrap();
         let out = sim.process(&pkt);
         assert_eq!(out.output.as_deref(), want, "eswitch {dst}:{port}");
     }
