@@ -457,7 +457,7 @@ fn main() {
             let trace = mapro_packet::generate(&p.catalog, &spec, packets, seed);
             // `--switch` is the one selector: every model runs the same
             // compiled engine; `cached` fronts the eswitch model with the
-            // cube-keyed megaflow cache.
+            // megaflow cache.
             if has("--engine") {
                 usage_error(
                     "--engine was removed; use --switch ovs|eswitch|lagopus|noviflow|cached",

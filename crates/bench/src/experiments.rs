@@ -1251,16 +1251,16 @@ pub struct MppsReport {
 }
 
 /// Extension experiment E20: the compiled engine, bare and behind the
-/// cube-keyed megaflow cache, at flow populations up to the millions.
+/// megaflow cache, at flow populations up to the millions.
 ///
 /// The flow population cycles the (service, backend) pairs of the §5 GWLB
 /// workload and varies the low `ip_src` bits inside each backend prefix —
-/// so the population grows into the millions while the *cube* population
-/// (the forwarding equivalence classes `mapro_sym` partitions the space
-/// into) stays fixed at a few hundred. That separation is the megaflow
-/// story: the cache's hit rate tracks cubes, not flows, so `cached`
-/// stays in the fast path at any flow count, while `compiled` pays the
-/// table walk per packet. Verdict digests are asserted identical across
+/// so the population grows into the millions while the population of
+/// forwarding equivalence classes stays fixed at a few hundred. That
+/// separation is the megaflow story: a megaflow pins only the bits its
+/// installing walk depended on, so the cache's hit rate tracks classes,
+/// not flows, and `cached` stays in the fast path at any flow count,
+/// while `compiled` pays the table walk per packet. Verdict digests are asserted identical across
 /// both per configuration — the sweep doubles as a differential check.
 ///
 /// # Panics

@@ -238,6 +238,59 @@ impl Pipeline {
         self.tables.iter().map(Table::field_count).sum()
     }
 
+    /// Every attribute some action column of some table may write: the
+    /// `SetField` targets of the tables' schemas, reachable or not, sorted.
+    /// The value a table compares for such an attribute may differ from the
+    /// value the packet arrived with.
+    pub fn written_attrs(&self) -> Vec<AttrId> {
+        let mut out: Vec<AttrId> = Vec::new();
+        for t in &self.tables {
+            for &a in &t.action_attrs {
+                if let AttrKind::Action(ActionSem::SetField(target)) = self.catalog.attr(a).kind {
+                    if !out.contains(&target) {
+                        out.push(target);
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// What a flow-mod against the row `matches` of `table` says about the
+    /// *input* packets it can affect: one `(attribute, bits, mask)` ternary
+    /// cell per match column that constrains them. The one definition of
+    /// "what changed" that megaflow eviction and incremental
+    /// re-verification both map onto their own coordinates.
+    ///
+    /// A column constrains the input only when no table schema can
+    /// `SetField` its attribute ([`Pipeline::written_attrs`]): then the
+    /// value the table compares *is* the input value, so every packet whose
+    /// walk can reach the row lies inside the cell. Written columns are
+    /// left out (wildcard) — the rewritten value is not a function of the
+    /// input coordinate, so no input constraint is sound.
+    ///
+    /// `None` when the flow-mod cannot change any packet's behavior: the
+    /// row is unsatisfiable (a symbolic match cell) or `table` does not
+    /// exist.
+    pub fn flowmod_footprint(
+        &self,
+        table: &str,
+        matches: &[Value],
+    ) -> Option<Vec<(AttrId, u64, u64)>> {
+        let t = self.table(table)?;
+        debug_assert_eq!(matches.len(), t.match_attrs.len());
+        let written = self.written_attrs();
+        let mut cells = Vec::with_capacity(matches.len());
+        for (cell, &attr) in matches.iter().zip(&t.match_attrs) {
+            let (bits, mask) = cell.as_ternary(self.catalog.attr(attr).width)?;
+            if !written.contains(&attr) {
+                cells.push((attr, bits, mask));
+            }
+        }
+        Some(cells)
+    }
+
     /// Run a packet through the pipeline.
     ///
     /// The input packet is not mutated; modifications happen on a copy whose
@@ -436,6 +489,22 @@ mod tests {
         assert!(!v.dropped);
         // Metadata writes are not externally visible.
         assert!(v.header_mods.is_empty());
+    }
+
+    #[test]
+    fn flowmod_footprint_constrains_only_unwritten_columns() {
+        let p = two_stage();
+        let (f, m) = (AttrId(0), AttrId(1));
+        assert_eq!(p.written_attrs(), vec![m]);
+        assert_eq!(
+            p.flowmod_footprint("t0", &[Value::prefix(0x80, 1, 8)]),
+            Some(vec![(f, 0x80, 0x80)])
+        );
+        // `m` is a SetField target: the row says nothing about the input.
+        assert_eq!(p.flowmod_footprint("t1", &[Value::Int(10)]), Some(vec![]));
+        // Unsatisfiable row, unknown table: behavior-invisible.
+        assert_eq!(p.flowmod_footprint("t0", &[Value::sym("x")]), None);
+        assert_eq!(p.flowmod_footprint("nope", &[Value::Int(1)]), None);
     }
 
     #[test]

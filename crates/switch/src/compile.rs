@@ -162,6 +162,91 @@ impl Cls {
     }
 }
 
+/// What one table lookup of a walk depended on — what the walk's visitor
+/// sees, once per table visited, before the winner's stores are applied.
+pub(crate) struct Lookup<'a> {
+    /// Index of the table looked up.
+    pub(crate) table: usize,
+    cls: &'a Cls,
+    /// The register file as the lookup saw it.
+    regs: &'a [u64],
+    /// The winning row; `None` on a table miss.
+    row: Option<u32>,
+    /// The winner's register stores (empty on a miss).
+    sets: &'a [(usize, u64)],
+}
+
+impl Lookup<'_> {
+    /// Widen `mask` (one word per register, over the packet's *initial*
+    /// register file) by the input bits that pin this lookup's outcome,
+    /// then record the winner's stores in `written`.
+    ///
+    /// A hash probe compares whole registers, so it pins every bit of its
+    /// columns, hit or miss. A scan pins the winner's care bits plus, for
+    /// every higher-priority row that lost (every row, on a miss), a cell
+    /// in which that row disagrees with the key: nothing new when the
+    /// disagreeing bit is already pinned, else the cell's care bits. One
+    /// disagreeing bit would be enough for soundness and give wider
+    /// megaflows; whole cells keep the masks of a table down to unions of
+    /// its rows' own masks, and the distinct masks are the tuples a hit
+    /// probes in turn (GWLB universal under churn: 3 tuples and 1.47
+    /// probes per hit, against 11 and 2.02 with the most significant
+    /// disagreeing bit alone). A register in `written` pins nothing: an
+    /// earlier entry of this walk overwrote it, so its value follows from
+    /// choices already pinned, not from the input.
+    pub(crate) fn pin(&self, mask: &mut [u64], written: &mut [bool]) {
+        let mut whole = |cols: &[usize]| {
+            for &r in cols {
+                if !written[r] {
+                    mask[r] = u64::MAX;
+                }
+            }
+        };
+        match self.cls {
+            Cls::Exact1 { reg, .. } => whole(std::slice::from_ref(reg)),
+            Cls::Exact { regs, .. } => whole(regs),
+            Cls::Scan {
+                regs: cols,
+                cells,
+                ncols,
+            } => {
+                // Winner first, so that losers can reuse its bits.
+                let rows = cells.chunks_exact(*ncols);
+                let losers = match self.row {
+                    Some(w) => {
+                        let winner = rows.clone().nth(w as usize).expect("winner is a row");
+                        for (&r, &(_, care)) in cols.iter().zip(winner) {
+                            if !written[r] {
+                                mask[r] |= care;
+                            }
+                        }
+                        w as usize
+                    }
+                    None => rows.len(),
+                };
+                'row: for row in rows.take(losers) {
+                    let mut unpinned = None;
+                    for (&r, &(bits, care)) in cols.iter().zip(row) {
+                        let diff = (self.regs[r] ^ bits) & care;
+                        if diff == 0 {
+                            continue;
+                        }
+                        if written[r] || diff & mask[r] != 0 {
+                            continue 'row; // already told apart
+                        }
+                        unpinned.get_or_insert((r, care));
+                    }
+                    let (r, care) = unpinned.expect("a losing row disagrees with the key");
+                    mask[r] |= care;
+                }
+            }
+        }
+        for &(r, _) in self.sets {
+            written[r] = true;
+        }
+    }
+}
+
 /// One entry's pre-resolved action program.
 struct EntryProg {
     /// Register stores in action order (`SetField` targets that some
@@ -479,20 +564,38 @@ impl CompiledEngine {
         depth(&self.tables, self.start, &mut seen)
     }
 
+    /// Attribute per register, in load order.
+    pub(crate) fn reg_attrs(&self) -> &[AttrId] {
+        &self.reg_attrs
+    }
+
+    /// Load `pkt` into the register file: the state every walk starts
+    /// from, and therefore the megaflow caches' key.
+    #[inline]
+    pub(crate) fn load(&mut self, pkt: &Packet) {
+        for (r, &a) in self.regs.iter_mut().zip(&self.reg_attrs) {
+            *r = pkt.get(a);
+        }
+    }
+
+    /// The register file: as loaded, until a walk stores to it.
+    #[inline]
+    pub(crate) fn regs(&self) -> &[u64] {
+        &self.regs
+    }
+
     /// Process one packet.
     #[inline]
     pub fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.walk(pkt, |_| {})
+        self.load(pkt);
+        self.walk(|_| {})
     }
 
-    /// The per-packet table walk — the only one in this crate. `visit`
-    /// sees the index of every table looked up, in order (OVS unions the
-    /// visited tables' masks into its megaflow).
+    /// The per-packet table walk over the [loaded](Self::load) register
+    /// file — the only one in this crate. `visit` sees every lookup, in
+    /// order: the megaflow caches build their masks from it.
     #[inline]
-    pub(crate) fn walk(&mut self, pkt: &Packet, mut visit: impl FnMut(usize)) -> ProcessOut {
-        for (i, &a) in self.reg_attrs.iter().enumerate() {
-            self.regs[i] = pkt.get(a);
-        }
+    pub(crate) fn walk(&mut self, mut visit: impl FnMut(&Lookup<'_>)) -> ProcessOut {
         let mut cur = Some(self.start);
         let mut out = ProcessOut {
             output: None,
@@ -509,12 +612,20 @@ impl CompiledEngine {
             if steps > limit {
                 break; // cycle guard; well-formed pipelines are acyclic
             }
-            visit(ti);
             let t = &self.tables[ti];
             out.lookups += 1;
             out.service_ns += t.cost_ns;
             out.latency_ns += t.cost_ns;
-            match t.cls.lookup(&self.regs, &mut self.key) {
+            let row = t.cls.lookup(&self.regs, &mut self.key);
+            let entry = row.map(|r| &t.entries[r as usize]);
+            visit(&Lookup {
+                table: ti,
+                cls: &t.cls,
+                regs: &self.regs,
+                row,
+                sets: entry.map_or(&[], |e| &e.sets),
+            });
+            match entry {
                 None => match t.miss {
                     MissProg::Drop => {
                         out.dropped = true;
@@ -523,8 +634,7 @@ impl CompiledEngine {
                     MissProg::Controller => cur = None,
                     MissProg::Fall(n) => cur = Some(n as usize),
                 },
-                Some(row) => {
-                    let e = &t.entries[row as usize];
+                Some(e) => {
                     for &(r, v) in &e.sets {
                         self.regs[r] = v;
                     }

@@ -12,9 +12,10 @@
 //!   specialization), Lagopus (uniform TSS) or NoviFlow (TCAM line rate +
 //!   per-stage latency).
 //! * [`megaflow`] — the tuple-space megaflow store and [`CachedEngine`],
-//!   the engine behind a cube-keyed cache with precise invalidation.
-//! * [`ovs`] — [`OvsSim`]: slow-path walk + the same megaflow store under
-//!   conservative masks (OVS's explicit denormalization).
+//!   the engine behind a cache whose masks are read off the walk on a miss,
+//!   with precise invalidation.
+//! * [`ovs`] — [`OvsSim`]: the same walk and megaflow store under
+//!   conservative per-table masks (OVS's explicit denormalization).
 //! * [`harness`] — trace replay producing Table-1-style Mpps / latency
 //!   quartiles, modeled (deterministic) and wall-clock modes.
 //! * [`churn`] — the Fig. 4 control-plane stall model (analytic and

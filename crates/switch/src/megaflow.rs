@@ -1,47 +1,48 @@
 //! Megaflow caching: the tuple-space store shared by both cached switch
-//! models, and the cube-keyed cache in front of the engine.
+//! models, and [`CachedEngine`], the engine behind a cache whose masks are
+//! read off the walk.
 //!
-//! A megaflow is a `(mask, masked key)` pair standing for every packet
-//! whose key agrees with it under the mask. [`MegaflowStore`] keeps them
-//! the way OVS does — one hash map per distinct mask tuple, probed in
-//! turn — under a FIFO capacity bound, and is the only implementation of
-//! install / probe / evict / invalidate in the crate. Its two users differ
-//! in who supplies the mask:
+//! A megaflow is a `(mask, masked key)` pair over the engine's register
+//! file, standing for every packet whose initial registers agree with it
+//! under the mask. [`MegaflowStore`] keeps them the way OVS does — one hash
+//! map per distinct mask tuple, probed in turn — under a FIFO capacity
+//! bound, and is the only implementation of install / probe / evict /
+//! invalidate in the crate. Both users build the mask on the miss path,
+//! from what the engine's one walk reports about each lookup
+//! ([`Lookup`](crate::compile::Lookup)); they differ in how much of it they
+//! keep:
 //!
-//! * [`crate::OvsSim`] models OVS bottom-up: the slow-path walk unions the
-//!   conservative per-table masks of every table it visited;
-//! * [`CachedEngine`] derives megaflows top-down from the symbolic
-//!   structure we already compute: `mapro_sym::compile` partitions the
-//!   input space into disjoint behavior atoms, and the cube of the atom a
-//!   packet lands in *is* its megaflow — maximal by construction (the atom
-//!   is the whole forwarding equivalence class) and exact (every packet in
-//!   the cube provably gets the cached verdict, by the cover's partition
-//!   invariant — no conservative unwildcarding needed).
+//! * [`crate::OvsSim`] models OVS's conservative unwildcarding: the union
+//!   of every bit any entry of a visited table examines;
+//! * [`CachedEngine`] keeps only what pinned the outcome
+//!   ([`Lookup::pin`](crate::compile::Lookup::pin)).
 //!
-//! `CachedEngine` invalidation is precise rather than flush-the-world: a
-//! flow-mod's [`mapro_sym::dirty_region`] describes the input region whose
-//! behavior the update can touch (its match row restricted to *stable*
-//! coordinates — match fields never targeted by a `SetField`), and only
-//! cached entries whose cubes intersect it are dropped. Entries for
-//! disjoint regions keep serving packets across the update, which is
-//! what keeps churn workloads off the slow path.
+//! Why a `CachedEngine` hit is the verdict a walk would produce — by
+//! induction over the lookups of the walk that installed the megaflow: a
+//! packet agreeing with the key on the mask starts every lookup with the
+//! same registers as the key wherever the lookup looked (unwritten
+//! registers agree on the pinned bits, written ones hold constants stored
+//! by entries that, by hypothesis, won for both); so the same row wins (the
+//! winner's care bits are pinned, and every higher-priority row still
+//! fails on its pinned bit), the same stores run, the same table follows.
+//! Megaflows may overlap; every one that covers a packet holds its verdict.
 //!
-//! When the symbolic compiler cannot express the pipeline (goto cycle,
-//! blown budget — see [`mapro_sym::Unsupported`]), the cache is disabled
-//! and every packet takes the inner engine: slower, never wrong.
+//! Invalidation is precise rather than flush-the-world: a flow-mod's
+//! footprint ([`Pipeline::flowmod_footprint`] — its match rows restricted
+//! to attributes no table can `SetField`) says which input packets can
+//! reach the edited row, and only megaflows sharing a packet with it are
+//! dropped. The incremental verifier rechecks by the same footprint.
 
 use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 use crate::cost::{CostParams, ModelSpec};
 use crate::Switch;
-use mapro_core::{Packet, Pipeline};
-use mapro_sym::{BehaviorCover, Cube, FieldSpace, SymConfig};
+use mapro_core::{AttrId, Packet, Pipeline};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Default megaflow capacity (OVS's `flow-limit` default). With
-/// cube-exact megaflows the working set is the atom count, typically far
-/// below this.
+/// Default megaflow capacity (OVS's `flow-limit` default).
 pub const DEFAULT_CACHE_CAPACITY: usize = 200_000;
 
 /// Cache-behavior counters, kept locally so reports work with the `obs`
@@ -64,20 +65,63 @@ struct Megaflow {
     dropped: bool,
 }
 
+/// Hasher of the per-tuple maps: one rotate-xor-multiply per key word. A
+/// hit re-hashes the masked key once per tuple it probes, and walk-derived
+/// masks make more tuples than one mask per pipeline, so the probe has to
+/// be cheap: under SipHash a `churn_universal` burst cost 1.1–1.2× what it
+/// did when one tuple held every megaflow, under this 0.93×.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the bits that pick a bucket.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Masked-key → verdict under one mask.
+type Tuple = (
+    Vec<u64>,
+    HashMap<Vec<u64>, Megaflow, BuildHasherDefault<KeyHasher>>,
+);
+
 /// The tuple-space megaflow store.
 pub(crate) struct MegaflowStore {
-    /// Per mask tuple, masked-key → verdict, in first-install order.
-    #[allow(clippy::type_complexity)]
-    tuples: Vec<(Vec<u64>, HashMap<Vec<u64>, Megaflow>)>,
+    /// Per mask tuple, in first-install order.
+    tuples: Vec<Tuple>,
     /// Installed (mask, masked key) pairs in insertion order, for FIFO
     /// eviction.
     fifo: VecDeque<(Vec<u64>, Vec<u64>)>,
     /// Entries across all tuples.
     len: usize,
-    /// Maximum entries before eviction.
+    /// Maximum entries before eviction; 0 installs nothing.
     pub(crate) capacity: usize,
     pub(crate) stats: MegaflowStats,
     probe: Vec<u64>,
+}
+
+/// The first tuple (in install order) with an entry covering `key`.
+fn find<'a>(
+    tuples: &'a [Tuple],
+    key: &[u64],
+    probe: &mut [u64],
+) -> Option<(&'a [u64], &'a Megaflow)> {
+    tuples.iter().find_map(|(mask, map)| {
+        for ((p, k), m) in probe.iter_mut().zip(key).zip(mask) {
+            *p = k & m;
+        }
+        map.get(&*probe).map(|hit| (mask.as_slice(), hit))
+    })
 }
 
 impl MegaflowStore {
@@ -108,34 +152,37 @@ impl MegaflowStore {
     /// whatever the pipeline behind the cache looks like.
     #[inline]
     pub(crate) fn lookup(&mut self, key: &[u64], params: &CostParams) -> Option<ProcessOut> {
-        for (mask, map) in &self.tuples {
-            for (i, m) in mask.iter().enumerate() {
-                self.probe[i] = key[i] & m;
-            }
-            if let Some(hit) = map.get(self.probe.as_slice()) {
-                self.stats.hits += 1;
-                let ntuples = self.tuples.len().max(1);
-                let cost = params.per_packet_ns + params.tss_tuple_ns * ntuples as f64;
-                return Some(ProcessOut {
-                    output: hit.output.clone(),
-                    dropped: hit.dropped,
-                    lookups: 1,
-                    service_ns: cost,
-                    latency_ns: cost,
-                    slow_path: false,
-                });
-            }
-        }
-        self.stats.misses += 1;
-        None
+        let Some((_, hit)) = find(&self.tuples, key, &mut self.probe) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let cost = params.per_packet_ns + params.tss_tuple_ns * self.tuples.len() as f64;
+        Some(ProcessOut {
+            output: hit.output.clone(),
+            dropped: hit.dropped,
+            lookups: 1,
+            service_ns: cost,
+            latency_ns: cost,
+            slow_path: false,
+        })
     }
 
-    /// Install `walk`'s verdict as a megaflow, evicting the oldest entries
-    /// first while the store is at capacity (OVS's revalidators use
-    /// fancier heuristics; FIFO preserves the property under test —
-    /// bounded cache, churn under overload). `masked` must already be
-    /// `key & mask`. Returns the number of entries evicted.
-    pub(crate) fn install(&mut self, mask: Vec<u64>, masked: Vec<u64>, walk: &ProcessOut) -> u64 {
+    /// The mask of the megaflow that would serve `key`, without counting a
+    /// probe.
+    pub(crate) fn mask_of(&self, key: &[u64]) -> Option<&[u64]> {
+        find(&self.tuples, key, &mut vec![0; key.len()]).map(|(mask, _)| mask)
+    }
+
+    /// Install `walk`'s verdict as the megaflow `(mask, key & mask)`,
+    /// evicting the oldest entries first while the store is at capacity
+    /// (OVS's revalidators use fancier heuristics; FIFO preserves the
+    /// property under test — bounded cache, churn under overload). Returns
+    /// the number of entries evicted.
+    pub(crate) fn install(&mut self, mask: Vec<u64>, key: &[u64], walk: &ProcessOut) -> u64 {
+        if self.capacity == 0 {
+            return 0;
+        }
         let mut evicted = 0;
         while self.len >= self.capacity {
             let Some((emask, ekey)) = self.fifo.pop_front() else {
@@ -153,11 +200,12 @@ impl MegaflowStore {
             }
         }
         self.stats.evictions += evicted;
+        let masked: Vec<u64> = key.iter().zip(&mask).map(|(k, m)| k & m).collect();
         self.fifo.push_back((mask.clone(), masked.clone()));
         let map = match self.tuples.iter().position(|(m, _)| *m == mask) {
             Some(i) => &mut self.tuples[i].1,
             None => {
-                self.tuples.push((mask, HashMap::new()));
+                self.tuples.push((mask, HashMap::default()));
                 &mut self.tuples.last_mut().expect("just pushed").1
             }
         };
@@ -190,74 +238,39 @@ impl MegaflowStore {
     }
 }
 
-/// Budgets for the cache's behavior-cover compilation: tighter than the
-/// equivalence checker's defaults, because a cover too large to build
-/// quickly would also be too large to probe profitably — past this size
-/// the engine degrades to the (still correct) uncached engine.
-fn cache_sym_config() -> SymConfig {
-    SymConfig {
-        max_atoms: 1 << 16,
-        partition_budget: 1 << 16,
-        ..SymConfig::default()
-    }
-}
-
-/// Does the megaflow `(mask, bits)` — a cube in the same column order —
-/// share a packet with `cube`? ([`Cube::intersects`] without rebuilding
-/// the stored side.)
-fn cube_intersects(cube: &Cube, mask: &[u64], bits: &[u64]) -> bool {
-    cube.0
-        .iter()
-        .zip(mask.iter().zip(bits))
-        .all(|(t, (m, b))| (t.bits ^ b) & t.mask & m == 0)
-}
-
-/// The engine fronted by a cube-keyed megaflow cache.
+/// The engine fronted by a megaflow cache keyed on its own register file.
 pub struct CachedEngine {
     inner: CompiledEngine,
     pipeline: Pipeline,
-    space: FieldSpace,
-    /// `None` ⇒ the symbolic compiler declined the pipeline; the cache is
-    /// disabled and every packet takes the inner engine.
-    cover: Option<BehaviorCover>,
-    /// Atom disjointness guarantees at most one tuple can hit a given key.
     store: MegaflowStore,
-    /// Modeled extra cost of a miss (atom search + install), ns. In-process
-    /// specialization, not an OVS upcall — orders of magnitude below
-    /// `OvsSim::slow_path_ns`.
+    /// Modeled extra cost of a miss (mask derivation + install), ns.
+    /// In-process specialization, not an OVS upcall — orders of magnitude
+    /// below `OvsSim::slow_path_ns`.
     pub install_ns: f64,
+    /// Miss-path scratch: the packet's initial registers (the walk
+    /// overwrites the engine's), and which of them the walk has stored to.
     key: Vec<u64>,
+    written: Vec<bool>,
 }
 
 impl CachedEngine {
-    /// Build the cached engine: compile the inner engine, then the behavior
-    /// cover the cache is keyed on. All four `switch.megaflow.*` counters
-    /// are registered here so they appear in metrics dumps even when the
-    /// run never exercises them.
+    /// Build the cached engine. All four `switch.megaflow.*` counters are
+    /// registered here so they appear in metrics dumps even when the run
+    /// never exercises them.
     pub fn new(p: &Pipeline, spec: ModelSpec) -> Result<CachedEngine, CompileError> {
         mapro_obs::counter!("switch.megaflow.hits");
         mapro_obs::counter!("switch.megaflow.misses");
         mapro_obs::counter!("switch.megaflow.evictions");
         mapro_obs::counter!("switch.megaflow.invalidations");
         let inner = CompiledEngine::compile(p, spec.policy, spec.params)?;
-        let space = FieldSpace::from_pipelines(&[p]);
-        let cover = match mapro_sym::compile(p, &space, &cache_sym_config()) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                mapro_obs::counter!("switch.megaflow.disabled").inc();
-                let _ = e.label(); // cause is visible via sym.fallback.* too
-                None
-            }
-        };
-        let ncols = space.coords.len();
+        let nregs = inner.reg_attrs().len();
         Ok(CachedEngine {
             inner,
             pipeline: p.clone(),
-            space,
-            cover,
-            store: MegaflowStore::new(ncols),
+            store: MegaflowStore::new(nregs),
             install_ns: 500.0,
-            key: vec![0; ncols],
+            key: Vec::with_capacity(nregs),
+            written: vec![false; nregs],
         })
     }
 
@@ -276,98 +289,58 @@ impl CachedEngine {
         self.store.len()
     }
 
-    /// Bound the cache to `capacity` megaflows (FIFO eviction beyond it).
+    /// Bound the cache to `capacity` megaflows (FIFO eviction beyond it;
+    /// 0 caches nothing).
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.store.capacity = capacity;
     }
 
-    /// Whether the cube cache is active (the symbolic compiler accepted
-    /// the pipeline).
+    /// Whether the cache is active. Always: masks come from the walk, and
+    /// every pipeline the engine compiles can be walked.
     pub fn cache_enabled(&self) -> bool {
-        self.cover.is_some()
+        true
     }
 
-    /// Apply a control-plane flow-mod: recompile the touched table,
-    /// incrementally refresh the cover, and invalidate precisely the
-    /// cached megaflows whose cubes intersect the update's dirty region.
-    ///
-    /// The dirty region is *one* cube computation
-    /// ([`mapro_control::delta_rows`] → [`mapro_sym::dirty_region`],
-    /// against the pre-update pipeline — for Modify, old and new match
-    /// rows both contribute when `set` rewrites match cells), shared by
-    /// cache invalidation and the incremental cover refresh — the same
-    /// cubes the inline verifier rechecks, so churn costs one region
-    /// analysis, not three.
+    /// The mask of the resident megaflow that would serve `pkt`, per
+    /// matched attribute (exact-hash columns pin whole registers, hence
+    /// `u64::MAX`), or `None` if `pkt` would miss. Counts no probe.
+    pub fn megaflow_mask(&self, pkt: &Packet) -> Option<Vec<(AttrId, u64)>> {
+        let attrs = self.inner.reg_attrs();
+        let key: Vec<u64> = attrs.iter().map(|&a| pkt.get(a)).collect();
+        let mask = self.store.mask_of(&key)?;
+        Some(attrs.iter().copied().zip(mask.iter().copied()).collect())
+    }
+
+    /// Apply a control-plane flow-mod: recompile the touched table and
+    /// drop exactly the megaflows that share a packet with the flow-mod's
+    /// footprint ([`mapro_control::delta_rows`] →
+    /// [`Pipeline::flowmod_footprint`]; for a Modify that rewrites match
+    /// cells, old and new row both count). A refused flow-mod changes
+    /// neither the engine nor the cache.
     pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
-        let rows = mapro_control::delta_rows(&self.pipeline, update);
-        let dirty = self
-            .cover
-            .is_some()
-            .then(|| mapro_sym::dirty_region(&self.pipeline, &self.space, &rows))
-            .flatten();
-
         self.inner.apply_update(&mut self.pipeline, update)?;
-        // The space is stable under entry edits (match columns are fixed
-        // per table), so cached cubes and new-cover cubes stay comparable.
-        // Touched atoms are re-tiled in place where possible; a refresh
-        // failure (budget, unsupported construct) falls back to a full
-        // recompile, and an unexpressible dirty region flushes the cache.
-        self.cover = match (&self.cover, &dirty) {
-            (Some(cover), Some(d)) => {
-                match mapro_sym::refresh_cover(cover, &self.pipeline, d, &cache_sym_config()) {
-                    Ok((next, _fresh)) => Some(next),
-                    Err(_) => {
-                        mapro_sym::compile(&self.pipeline, &self.space, &cache_sym_config()).ok()
-                    }
-                }
-            }
-            _ => mapro_sym::compile(&self.pipeline, &self.space, &cache_sym_config()).ok(),
-        };
-
-        let removed = match (&self.cover, &dirty) {
-            (Some(_), Some(dirty)) => self
-                .store
-                .retain(|mask, bits| !dirty.iter().any(|d| cube_intersects(d, mask, bits))),
-            // Cache disabled or dirty region unknown: nothing cached can
-            // be trusted to survive the update.
-            _ => self.store.retain(|_, _| false),
-        };
+        let attrs = self.inner.reg_attrs();
+        let dirty: Vec<Vec<(usize, u64, u64)>> = mapro_control::delta_rows(&self.pipeline, update)
+            .iter()
+            .filter_map(|(table, row)| self.pipeline.flowmod_footprint(table, row))
+            .map(|cells| {
+                cells
+                    .into_iter()
+                    .map(|(attr, bits, care)| {
+                        let reg = attrs.iter().position(|&a| a == attr);
+                        (reg.expect("matched attr has a register"), bits, care)
+                    })
+                    .collect()
+            })
+            .collect();
+        let removed = self.store.retain(|mask, key| {
+            !dirty.iter().any(|row| {
+                row.iter()
+                    .all(|&(r, bits, care)| (bits ^ key[r]) & care & mask[r] == 0)
+            })
+        });
         mapro_obs::counter!("switch.megaflow.invalidations").add(removed);
         Ok(())
-    }
-
-    #[inline]
-    fn run_one(&mut self, pkt: &Packet) -> ProcessOut {
-        let Some(cover) = &self.cover else {
-            return self.inner.process(pkt);
-        };
-        self.space.key_into(pkt, &mut self.key);
-        // Fast path: tuple-space probe over the installed mask tuples.
-        if let Some(hit) = self.store.lookup(&self.key, self.inner.params()) {
-            mapro_obs::counter!("switch.megaflow.hits").inc();
-            return hit;
-        }
-        // Miss: run the engine, install the atom's cube-exact megaflow
-        // with the verdict the engine just produced (the cover's partition
-        // invariant extends it to the whole cube).
-        mapro_obs::counter!("switch.megaflow.misses").inc();
-        let mut r = self.inner.process(pkt);
-        if let Some(ai) = cover.atom_of(&self.key) {
-            // `bits ⊆ mask` per column (the `Tern` invariant), so the
-            // cube's bits vector is exactly the masked key of every
-            // member packet.
-            let cube = &cover.atoms[ai].cube;
-            let evicted = self.store.install(
-                cube.0.iter().map(|t| t.mask).collect(),
-                cube.0.iter().map(|t| t.bits).collect(),
-                &r,
-            );
-            mapro_obs::counter!("switch.megaflow.evictions").add(evicted);
-        }
-        r.service_ns += self.install_ns;
-        r.latency_ns += self.install_ns;
-        r.slow_path = true;
-        r
     }
 }
 
@@ -376,8 +349,28 @@ impl Switch for CachedEngine {
         "cached"
     }
 
+    #[inline]
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.run_one(pkt)
+        // Fast path: tuple-space probe on the freshly loaded registers.
+        self.inner.load(pkt);
+        let regs = self.inner.regs();
+        if let Some(hit) = self.store.lookup(regs, self.inner.params()) {
+            mapro_obs::counter!("switch.megaflow.hits").inc();
+            return hit;
+        }
+        // Miss: walk, reading the megaflow's mask off the lookups.
+        mapro_obs::counter!("switch.megaflow.misses").inc();
+        self.key.clear();
+        self.key.extend_from_slice(regs);
+        self.written.fill(false);
+        let mut mask = vec![0; self.key.len()];
+        let mut r = self.inner.walk(|l| l.pin(&mut mask, &mut self.written));
+        let evicted = self.store.install(mask, &self.key, &r);
+        mapro_obs::counter!("switch.megaflow.evictions").add(evicted);
+        r.service_ns += self.install_ns;
+        r.latency_ns += self.install_ns;
+        r.slow_path = true;
+        r
     }
 
     fn queue_factor(&self) -> f64 {
@@ -392,7 +385,6 @@ impl Switch for CachedEngine {
 impl fmt::Debug for CachedEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CachedEngine")
-            .field("cache_enabled", &self.cache_enabled())
             .field("cache_entries", &self.cache_entries())
             .field("stats", &self.stats())
             .finish()
@@ -424,22 +416,28 @@ mod tests {
     }
 
     #[test]
-    fn first_packet_misses_then_cube_hits() {
+    fn first_packet_misses_then_megaflow_hits() {
         let p = universal();
         let mut sim = CachedEngine::eswitch(&p).unwrap();
-        assert!(sim.cache_enabled());
         let a = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         let first = sim.process(&a);
         assert!(first.slow_path);
         assert_eq!(first.output.as_deref(), Some("vm2"));
-        // The cube covers the whole /1 × tenant region, not just the packet.
+        // The winner's care bits already tell every other row apart, so
+        // the megaflow is the whole /1 × tenant region, not just the packet.
+        let src = p.catalog.lookup("ip_src").unwrap();
+        let dst = p.catalog.lookup("ip_dst").unwrap();
+        assert_eq!(
+            sim.megaflow_mask(&a),
+            Some(vec![(src, 1 << 31), (dst, 0xffff_ffff)])
+        );
         let b = Packet::from_fields(&p.catalog, &[("ip_src", 123_456), ("ip_dst", 1)]);
         let r = sim.process(&b);
-        assert!(!r.slow_path, "cube megaflow must cover the atom");
+        assert!(!r.slow_path, "megaflow must cover the whole region");
         assert_eq!(r.output.as_deref(), Some("vm2"));
         assert_eq!(sim.stats().hits, 1);
         assert_eq!(sim.stats().misses, 1);
-        // Other half of the /1 split is a different atom.
+        // The other half of the /1 split is another megaflow.
         let c = Packet::from_fields(&p.catalog, &[("ip_src", 1u64 << 31), ("ip_dst", 1)]);
         let r = sim.process(&c);
         assert!(r.slow_path);
@@ -466,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn dropped_atoms_cached_too() {
+    fn dropped_flows_cached_too() {
         let p = universal();
         let mut sim = CachedEngine::eswitch(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 99)]);
@@ -477,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn flowmod_invalidates_intersecting_cubes_only() {
+    fn flowmod_invalidates_intersecting_megaflows_only() {
         use mapro_control::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
@@ -505,14 +503,14 @@ mod tests {
     }
 
     /// Evictions and invalidations must count exactly the entries that
-    /// left the store, for the cube-keyed cache and for OVS alike.
+    /// left the store, for the walk-masked cache and for OVS alike.
     #[test]
     fn bookkeeping_counts_entries_actually_removed() {
         use mapro_control::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
         // Six flows, one per (tenant, /1 half): six megaflows in either
-        // cache (one atom each; one conservative megaflow each).
+        // cache.
         let flows: Vec<Packet> = (0..6u64)
             .map(|i| {
                 Packet::from_fields(&p.catalog, &[("ip_src", (i % 2) << 31), ("ip_dst", i / 2)])
@@ -531,7 +529,7 @@ mod tests {
             assert_eq!(cached.cache_entries(), (i + 1).min(4));
         }
         // Flows 0 and 1 were evicted, 2..6 are resident; the flow-mod's
-        // dirty cube intersects flow 2's megaflow only.
+        // footprint intersects flow 2's megaflow only.
         assert_eq!(cached.stats().evictions, 2);
         cached.apply_update(&rewire).unwrap();
         assert_eq!(cached.stats().invalidations, 1);
@@ -573,12 +571,25 @@ mod tests {
             s.misses - s.evictions - s.invalidations,
             ovs.cache_entries() as u64
         );
+
+        // Capacity 0 means "install nothing", not "keep one".
+        let mut cached = CachedEngine::eswitch(&p).unwrap();
+        let mut ovs = OvsSim::compile(&p).unwrap();
+        cached.set_cache_capacity(0);
+        ovs.set_cache_capacity(0);
+        for _ in 0..2 {
+            assert!(cached.process(&flows[4]).slow_path);
+            assert!(ovs.process(&flows[4]).slow_path);
+        }
+        assert_eq!((cached.cache_entries(), ovs.cache_entries()), (0, 0));
+        assert_eq!((cached.stats().evictions, ovs.stats().evictions), (0, 0));
     }
 
     #[test]
-    fn unsupported_pipeline_disables_cache_but_stays_correct() {
-        // A goto cycle: sym declines, the engine's cycle guard kicks
-        // in, and cached must agree with compiled.
+    fn goto_cycle_is_cached_and_agrees_with_the_engine() {
+        // A goto cycle: the engine's cycle guard ends the walk, and the
+        // walk is all the cache needs — it stays on and must agree with
+        // the uncached model, cold and warm.
         let mut c = Catalog::new();
         let f = c.field("f", 4);
         let goto = c.action("goto", ActionSem::Goto);
@@ -586,11 +597,20 @@ mod tests {
         t0.row(vec![Value::Any], vec![Value::sym("t0")]);
         let p = Pipeline::single(c, t0);
         let mut cached = CachedEngine::eswitch(&p).unwrap();
-        assert!(!cached.cache_enabled());
+        assert!(cached.cache_enabled());
         let mut plain = SwitchModel::eswitch(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
-        assert_eq!(cached.process(&pkt), plain.process(&pkt));
-        assert_eq!(cached.cache_entries(), 0);
+        let want = plain.process(&pkt);
+        let cold = cached.process(&pkt);
+        assert!(cold.slow_path);
+        assert_eq!(
+            (&cold.output, cold.dropped, cold.lookups),
+            (&want.output, want.dropped, want.lookups)
+        );
+        let warm = cached.process(&pkt);
+        assert!(!warm.slow_path);
+        assert_eq!((&warm.output, warm.dropped), (&want.output, want.dropped));
+        assert_eq!(cached.cache_entries(), 1);
     }
 
     #[test]

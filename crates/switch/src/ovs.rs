@@ -22,26 +22,30 @@ pub struct OvsSim {
     pipeline: Pipeline,
     /// The slow path.
     engine: CompiledEngine,
-    fields: Vec<AttrId>,
-    /// Per-table (in table order), per-field conservative mask.
+    /// Per table (in table order), per engine register, the conservative
+    /// mask.
     table_masks: Vec<Vec<u64>>,
     store: MegaflowStore,
     /// Modeled slow-path cost (upcall + pipeline interpretation), ns.
     pub slow_path_ns: f64,
+    /// Miss-path scratch: the packet's registers before the walk.
     key: Vec<u64>,
 }
 
-/// Conservative unwildcarding: every bit of `fields` any entry of `t`
-/// examines. Metadata columns are internal, resolved by the walk.
-fn table_mask(p: &Pipeline, t: &Table, fields: &[AttrId]) -> Vec<u64> {
-    let mut mask = vec![0u64; fields.len()];
+/// Conservative unwildcarding over the registers `regs`: every bit of a
+/// header field any entry of `t` examines. Metadata columns are internal,
+/// resolved by the walk.
+fn table_mask(p: &Pipeline, t: &Table, regs: &[AttrId]) -> Vec<u64> {
+    let mut mask = vec![0u64; regs.len()];
     for (col, &attr) in t.match_attrs.iter().enumerate() {
-        let Some(fi) = fields.iter().position(|&f| f == attr) else {
+        let a = p.catalog.attr(attr);
+        if !matches!(a.kind, AttrKind::Field) {
             continue;
-        };
-        let w = p.catalog.attr(attr).width;
+        }
+        let r = regs.iter().position(|&x| x == attr);
+        let r = r.expect("matched attr has a register");
         for e in &t.entries {
-            mask[fi] |= cell_mask(&e.matches[col], w);
+            mask[r] |= cell_mask(&e.matches[col], a.width);
         }
     }
     mask
@@ -52,19 +56,13 @@ impl OvsSim {
     pub fn compile(p: &Pipeline) -> Result<OvsSim, CompileError> {
         let spec = ModelSpec::ovs();
         let engine = CompiledEngine::compile(p, spec.policy, spec.params)?;
-        let fields: Vec<AttrId> = p
-            .catalog
-            .iter()
-            .filter(|(_, a)| matches!(a.kind, AttrKind::Field))
-            .map(|(id, _)| id)
-            .collect();
-        let table_masks = p.tables.iter().map(|t| table_mask(p, t, &fields)).collect();
+        let regs = engine.reg_attrs();
+        let table_masks = p.tables.iter().map(|t| table_mask(p, t, regs)).collect();
         Ok(OvsSim {
             pipeline: p.clone(),
+            store: MegaflowStore::new(regs.len()),
+            key: Vec::with_capacity(regs.len()),
             engine,
-            store: MegaflowStore::new(fields.len()),
-            key: vec![0; fields.len()],
-            fields,
             table_masks,
             slow_path_ns: 50_000.0,
         })
@@ -80,7 +78,7 @@ impl OvsSim {
         let p = &self.pipeline;
         for (mask, t) in self.table_masks.iter_mut().zip(&p.tables) {
             if t.name == update.table() {
-                *mask = table_mask(p, t, &self.fields);
+                *mask = table_mask(p, t, self.engine.reg_attrs());
             }
         }
         self.invalidate_cache();
@@ -130,22 +128,23 @@ impl Switch for OvsSim {
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.key.clear();
-        self.key.extend(self.fields.iter().map(|&a| pkt.get(a)));
         // Fast path: megaflow cache.
-        if let Some(hit) = self.store.lookup(&self.key, self.engine.params()) {
+        self.engine.load(pkt);
+        let regs = self.engine.regs();
+        if let Some(hit) = self.store.lookup(regs, self.engine.params()) {
             return hit;
         }
         // Slow path: walk the pipeline, collect the megaflow.
-        let mut mask = vec![0u64; self.fields.len()];
+        self.key.clear();
+        self.key.extend_from_slice(regs);
+        let mut mask = vec![0u64; self.key.len()];
         let table_masks = &self.table_masks;
-        let walk = self.engine.walk(pkt, |ti| {
-            for (m, tm) in mask.iter_mut().zip(&table_masks[ti]) {
+        let walk = self.engine.walk(|l| {
+            for (m, tm) in mask.iter_mut().zip(&table_masks[l.table]) {
                 *m |= tm;
             }
         });
-        let masked = self.key.iter().zip(&mask).map(|(k, m)| k & m).collect();
-        self.store.install(mask, masked, &walk);
+        self.store.install(mask, &self.key, &walk);
         let params = self.engine.params();
         let cost =
             self.slow_path_ns + params.per_packet_ns + params.linear_base_ns * walk.lookups as f64;

@@ -30,7 +30,7 @@
 
 use crate::cube::{Cube, Tern};
 use crate::trie::CubeTrie;
-use mapro_core::{ActionSem, AttrId, AttrKind, MissPolicy, Packet, Pipeline, Value};
+use mapro_core::{ActionSem, AttrId, AttrKind, MissPolicy, Pipeline, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -73,23 +73,6 @@ impl FieldSpace {
     /// The all-wildcard cube over this space.
     pub fn universe(&self) -> Cube {
         Cube::any(self.coords.len())
-    }
-
-    /// The concrete coordinate point of a packet: its value in every
-    /// space column, in column order. This is the megaflow-cache key —
-    /// [`Cube::contains`] on an atom cube tests exactly "would this
-    /// packet land in that atom".
-    pub fn key_of(&self, pkt: &Packet) -> Vec<u64> {
-        self.coords.iter().map(|&(a, _)| pkt.get(a)).collect()
-    }
-
-    /// Like [`FieldSpace::key_of`] but reusing `buf` (cleared first) so
-    /// per-packet key extraction on the datapath fast path allocates
-    /// nothing.
-    #[inline]
-    pub fn key_into(&self, pkt: &Packet, buf: &mut Vec<u64>) {
-        buf.clear();
-        buf.extend(self.coords.iter().map(|&(a, _)| pkt.get(a)));
     }
 }
 
@@ -137,51 +120,10 @@ pub struct BehaviorCover {
     pub atoms: Vec<Atom>,
 }
 
-impl BehaviorCover {
-    /// Index of the (unique, by the partition invariant) atom containing
-    /// the coordinate point `key`. `None` only if `key` has the wrong
-    /// arity for the space — a well-formed key always lands in exactly
-    /// one atom because the atoms tile the universe.
-    pub fn atom_of(&self, key: &[u64]) -> Option<usize> {
-        if key.len() != self.space.coords.len() {
-            return None;
-        }
-        self.atoms.iter().position(|a| a.cube.contains(key))
-    }
-}
-
-/// Every attribute some reachable-or-not action column of `p` may write:
-/// the `SetField` targets of action attributes used by any table. These
-/// are the *unstable* coordinates for flow-mod invalidation — a cached
-/// verdict keyed on the input packet cannot be constrained on them,
-/// because the value a table sees may differ from the input value.
-pub fn written_attrs(p: &Pipeline) -> Vec<AttrId> {
-    let mut out: Vec<AttrId> = Vec::new();
-    for t in &p.tables {
-        for &a in &t.action_attrs {
-            if let AttrKind::Action(ActionSem::SetField(target)) = p.catalog.attr(a).kind {
-                if !out.contains(&target) {
-                    out.push(target);
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// The input-space region a flow-mod against `(table, matches)` can
-/// affect, as a cube over `space` — the megaflow invalidation key.
-///
-/// A cached verdict must be dropped iff its atom cube intersects this
-/// cube. The cube constrains only the *stable* columns of the entry's
-/// match row: match attributes that are space coordinates and are never
-/// a `SetField` target anywhere in the pipeline ([`written_attrs`]). For
-/// those, the value the table compares is the input value, so any packet
-/// whose path can reach the entry carries an input key inside the cube.
-/// Unstable or non-space match columns are left wildcard (conservative:
-/// the rewritten value a table sees is not a function of the input
-/// coordinate, so no input constraint is sound).
+/// affect, as a cube over `space`: [`Pipeline::flowmod_footprint`] mapped
+/// onto the space's coordinates (footprint cells on attributes outside the
+/// space — metadata — stay wildcard, which is conservative).
 ///
 /// Returns `None` when the flow-mod cannot change any packet's behavior:
 /// the entry's match row is unsatisfiable (a symbolic match cell) or the
@@ -192,22 +134,11 @@ pub fn invalidation_cube(
     table: &str,
     matches: &[Value],
 ) -> Option<Cube> {
-    let t = p.tables.iter().find(|t| t.name == table)?;
-    debug_assert_eq!(matches.len(), t.match_attrs.len());
-    let written = written_attrs(p);
     let mut cube = space.universe();
-    for (cell, &attr) in matches.iter().zip(&t.match_attrs) {
-        let w = p.catalog.attr(attr).width;
-        // An unsatisfiable cell means the entry matches no packet at all:
-        // inserting/deleting it is behavior-invisible.
-        let (bits, mask) = cell.as_ternary(w)?;
-        if written.contains(&attr) {
-            continue;
+    for (attr, bits, mask) in p.flowmod_footprint(table, matches)? {
+        if let Some(k) = space.coord_of(attr) {
+            cube.0[k] = cube.0[k].intersect(Tern { bits, mask })?;
         }
-        let Some(k) = space.coord_of(attr) else {
-            continue;
-        };
-        cube.0[k] = cube.0[k].intersect(Tern { bits, mask })?;
     }
     Some(cube)
 }
@@ -423,19 +354,24 @@ struct CacheSlot {
     referenced: bool,
 }
 
-/// A bounded partition cache with second-chance (CLOCK) eviction. A full
-/// cache evicts the first entry the hand finds whose reference bit is
-/// clear — entries re-touched since the hand last passed survive — so a
-/// long churn run keeps the partitions of its unchanged tables warm
-/// instead of periodically re-paying every subtraction fan-out (the old
-/// policy cleared the whole map on overflow, flushing the hot working set
-/// along with the cold tail).
+/// A partition cache bounded by the total `pieces` it holds, with
+/// second-chance (CLOCK) eviction. Entries differ in size by orders of
+/// magnitude (a 4-row exact table is 5 pieces, a 160-row universal GWLB
+/// table tens of thousands), so an entry-count bound bounds nothing: churn
+/// that mints a new large table version per flow-mod grew the process by
+/// gigabytes under one. An insert evicts, from the front of the hand, the
+/// entries whose reference bit is clear until the newcomer fits — entries
+/// re-touched since the hand last passed survive — so a long churn run
+/// keeps the partitions of its unchanged tables warm.
 struct PartCache {
     map: HashMap<Vec<u8>, CacheSlot>,
     /// The CLOCK hand order: keys in insertion order, front inspected
     /// first on eviction.
     clock: VecDeque<Vec<u8>>,
-    cap: usize,
+    /// Upper bound on `held`.
+    max_pieces: usize,
+    /// Total weight of the partitions in `map`.
+    held: usize,
     /// Hits/lookups since construction, for hit-rate assertions in tests
     /// (the process-wide `sym.cache.{hits,misses}` counters aggregate
     /// across concurrently running tests and cannot be asserted on).
@@ -444,14 +380,21 @@ struct PartCache {
 }
 
 impl PartCache {
-    fn new(cap: usize) -> PartCache {
+    fn new(max_pieces: usize) -> PartCache {
         PartCache {
             map: HashMap::new(),
             clock: VecDeque::new(),
-            cap: cap.max(1),
+            max_pieces,
+            held: 0,
             hits: 0,
             lookups: 0,
         }
+    }
+
+    /// What one partition counts against the bound: its pieces, and at
+    /// least one so that empty partitions are bounded in number too.
+    fn weight(part: &TablePartition) -> usize {
+        part.pieces.max(1)
     }
 
     fn get(&mut self, key: &[u8]) -> Option<Arc<TablePartition>> {
@@ -464,12 +407,17 @@ impl PartCache {
 
     fn insert(&mut self, key: Vec<u8>, part: Arc<TablePartition>) {
         if let Some(slot) = self.map.get_mut(&key) {
-            // Two threads compiled the same content concurrently; keep the
+            // Two threads compiled the same content concurrently (equal
+            // keys mean equal partitions, hence equal weight); keep the
             // newer Arc, no second clock entry.
             slot.part = part;
             return;
         }
-        while self.map.len() >= self.cap {
+        let weight = Self::weight(&part);
+        if weight > self.max_pieces {
+            return; // can never fit: the caller keeps its own Arc
+        }
+        while self.held + weight > self.max_pieces {
             let Some(k) = self.clock.pop_front() else {
                 break;
             };
@@ -479,11 +427,13 @@ impl PartCache {
                     self.clock.push_back(k);
                 }
                 Some(_) => {
-                    self.map.remove(&k);
+                    let gone = self.map.remove(&k).expect("slot just seen");
+                    self.held -= Self::weight(&gone.part);
                 }
                 None => {} // stale hand entry from a raced insert
             }
         }
+        self.held += weight;
         self.clock.push_back(key.clone());
         self.map.insert(
             key,
@@ -504,10 +454,16 @@ impl PartCache {
     }
 }
 
-/// Process-wide partition cache. Bounded by second-chance eviction
-/// ([`PartCache`]); correctness never depends on a hit.
+/// Process-wide partition cache ([`PartCache`]); correctness never depends
+/// on a hit.
 static PART_CACHE: OnceLock<Mutex<PartCache>> = OnceLock::new();
-const PART_CACHE_CAP: usize = 512;
+/// The largest partition any committed experiment or e2e workload builds is
+/// E21's deep-overlap plant (`repro -e ddscale`, 121 rows × 3 columns) at
+/// 327 165 pieces; E17/E22's 960-row GWLB is 40 640 and e2e's largest
+/// (`toolchain`, `gwlb-s16-b8`) 5 696. The bound is the next power of two: every
+/// one of them still fits, and at ~100 B per 3-column piece the cache tops
+/// out near 50 MiB of cubes.
+const PART_CACHE_MAX_PIECES: usize = 1 << 19;
 
 /// Structural digest key of a table's match side: column widths plus each
 /// row's canonical ternary form. Actions are excluded on purpose — they
@@ -545,7 +501,7 @@ fn table_partition(
     // thread count and prior runs); the outcome is a field instead.
     let mut span = mapro_obs::trace::span_kv("partition", vec![("rows", rows.len().into())]);
     let key = partition_key(widths, &rows);
-    let cache = PART_CACHE.get_or_init(|| Mutex::new(PartCache::new(PART_CACHE_CAP)));
+    let cache = PART_CACHE.get_or_init(|| Mutex::new(PartCache::new(PART_CACHE_MAX_PIECES)));
     if let Some(hit) = cache.lock().expect("partition cache lock").get(&key) {
         mapro_obs::counter!("sym.cache.hits").inc();
         span.set("cache_hit", true);
@@ -950,7 +906,7 @@ impl<'a> Compiler<'a> {
     /// instead of a full scan — the trie's filter is exactly the per-piece
     /// compatibility test `refine` applies, and candidates are visited in
     /// flat construction order, so the successor list is byte-identical
-    /// either way. Restricted compiles ([`compile_within`]) live on this
+    /// either way. Restricted compiles ([`compile_within_parts`]) live on this
     /// path; a full compile's universe probe takes the linear one.
     fn step(&self, state: &SymState, ti: usize) -> Result<Vec<(SymState, Next)>, Unsupported> {
         let part = &self.parts[ti];
@@ -1076,27 +1032,16 @@ pub fn compile(
     })
 }
 
-/// Compile `p` restricted to the input region `within`: the returned atoms
-/// tile exactly `within` (by the partition invariant every refinement of
-/// the initial cube stays inside it) rather than the whole universe.
+/// Compile `p` restricted to the input region `within`, around prebuilt
+/// table partitions ([`pipeline_parts`]): the returned atoms tile exactly
+/// `within` (by the partition invariant every refinement of the initial
+/// cube stays inside it) rather than the whole universe.
 ///
 /// This is the delta-recompile primitive behind [`crate::incremental`]:
-/// after a flow-mod dirties a region, only that region needs fresh atoms —
-/// untouched tables still hit the partition digest cache, so the cost
-/// scales with the dirty region, not the pipeline. Runs single-threaded so
-/// atom order is thread-count independent.
-pub(crate) fn compile_within(
-    p: &Pipeline,
-    space: &FieldSpace,
-    cfg: &SymConfig,
-    within: Cube,
-) -> Result<Vec<Atom>, Unsupported> {
-    compile_within_parts(p, space, cfg, within, pipeline_parts(p, cfg)?)
-}
-
-/// [`compile_within`] around prebuilt table partitions — the incremental
-/// session keeps each side's partitions alive across updates, so a delta
-/// recompile skips even the digest-cache probe.
+/// after a flow-mod dirties a region, only that region needs fresh atoms,
+/// and the session keeps each side's partitions alive across updates, so
+/// the cost scales with the dirty region, not the pipeline. Runs
+/// single-threaded so atom order is thread-count independent.
 pub(crate) fn compile_within_parts(
     p: &Pipeline,
     space: &FieldSpace,
@@ -1352,5 +1297,40 @@ mod tests {
             wipe_policy_bound
         );
         assert_eq!(cache.hits, cache.lookups, "hot key should never miss");
+    }
+
+    #[test]
+    fn part_cache_is_bounded_by_pieces_held_not_entries() {
+        let part = |pieces| {
+            Arc::new(TablePartition {
+                regions: vec![],
+                miss: vec![],
+                pieces,
+                index: OnceLock::new(),
+            })
+        };
+        let max = 1000;
+        let small = b"small".to_vec();
+        let mut cache = PartCache::new(max);
+        cache.insert(small.clone(), part(10));
+        // A churn of table versions that each fill most of the cache, and
+        // now and then one that could never fit: the weight held stays
+        // under the bound throughout (an entry-count bound would hold all
+        // 64), and the small entry, re-touched between inserts the way an
+        // unchanged table is, is never the one that goes.
+        for i in 0..64usize {
+            let pieces = if i % 8 == 7 { max + 1 } else { 600 + i };
+            cache.insert(format!("big-{i}").into_bytes(), part(pieces));
+            assert!(cache.held <= max, "held {} after insert {i}", cache.held);
+            let weights: usize = cache.map.values().map(|s| s.part.pieces).sum();
+            assert_eq!(cache.held, weights, "held is the weight in the map");
+            assert!(cache.get(&small).is_some(), "small entry evicted at {i}");
+        }
+        assert_eq!(cache.map.len(), 2, "one big version fits beside the small");
+        assert!(
+            cache.get(b"big-63").is_none(),
+            "an oversized entry is not held"
+        );
+        assert!(cache.get(b"big-62").is_some());
     }
 }

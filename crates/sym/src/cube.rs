@@ -177,8 +177,7 @@ impl Cube {
     }
 
     /// Does the concrete point `key` (one value per column) lie in this
-    /// cube? This is the megaflow-cache membership test: a packet's field
-    /// key is checked against the atom cubes of a behavior cover.
+    /// cube?
     #[inline]
     pub fn contains(&self, key: &[u64]) -> bool {
         debug_assert_eq!(self.0.len(), key.len());

@@ -533,7 +533,11 @@ mod tests {
                 key[col] >> b & 1 == 1
             });
             assert_ne!(id, 0, "placeholder terminal must not survive");
-            let ai = cover.atom_of(&key).expect("cover tiles the space");
+            let ai = cover
+                .atoms
+                .iter()
+                .position(|a| a.cube.contains(&key))
+                .expect("cover tiles the space");
             assert_eq!(
                 eng.behavior(id),
                 &cover.atoms[ai].behavior,

@@ -7,7 +7,8 @@
 //! pipelines are compiled once, the behavior covers (cube atoms or DD
 //! roots) are retained, and each update only re-derives the part of the
 //! proof inside the update's *invalidation region* — the cube
-//! [`invalidation_cube`] computes, exactly the megaflow-cache key.
+//! [`invalidation_cube`] computes from the same flow-mod footprint
+//! (`Pipeline::flowmod_footprint`) the megaflow cache evicts by.
 //!
 //! ## The cube session invariant
 //!
@@ -17,12 +18,11 @@
 //! atoms, so these meets are pairwise disjoint; the pair is equivalent iff
 //! the set is empty. On an update with (disjointified) dirty region `D`:
 //!
-//! * the updated side's cover is refreshed by [`refresh_cover`]: atoms not
-//!   touching `D` survive, touched atoms keep their old behavior on the
+//! * the updated side's cover is refreshed in place (`refresh_slab`): atoms
+//!   not touching `D` survive, touched atoms keep their old behavior on the
 //!   residue `atom ∖ D` (sound — by the invalidation contract behavior is
 //!   unchanged outside `D`), and `D` itself is re-tiled by a restricted
-//!   compile (`compile_within`) that still hits the partition digest cache
-//!   for every untouched table;
+//!   compile (`compile_within_parts`) over the side's retained partitions;
 //! * disagreements outside `D` survive verbatim (`old ∖ D` — neither
 //!   side's behavior changed there), and inside `D` they are re-derived by
 //!   scanning only the fresh atoms against the atoms they can meet.
@@ -57,8 +57,8 @@
 
 use crate::check::{catalog_guard, concretize, AUTO_DD_BITS};
 use crate::compile::{
-    compile, compile_within, compile_within_parts, invalidation_cube, pipeline_parts, Atom,
-    BehaviorCover, CoverBackend, FieldSpace, SymConfig, TablePartition, Unsupported,
+    compile, compile_within_parts, invalidation_cube, pipeline_parts, Atom, BehaviorCover,
+    CoverBackend, FieldSpace, SymConfig, TablePartition, Unsupported,
 };
 use crate::cube::Cube;
 use crate::ddcover::DdEngine;
@@ -347,82 +347,6 @@ fn subtract_all(c: &Cube, dirty: &[Cube], out: &mut Vec<Cube>) {
     out.append(&mut frontier);
 }
 
-/// The input-space region a batch of flow-mod rows can affect, as
-/// pairwise-disjoint cubes over `space` — the one computation megaflow
-/// invalidation and incremental re-verification share.
-///
-/// `None` when some row names a table `p` does not have (or with the
-/// wrong match arity): the footprint is unbounded and the caller must
-/// fall back to a full recheck / cache flush. `Some(vec![])` means the
-/// batch is provably behavior-invisible.
-pub fn dirty_region(
-    p: &Pipeline,
-    space: &FieldSpace,
-    rows: &[(String, Vec<Value>)],
-) -> Option<Vec<Cube>> {
-    Some(disjointify(dirty_cubes(p, space, rows)?))
-}
-
-/// Refresh `cover` after its pipeline changed to `p_new` inside the
-/// pairwise-disjoint region `dirty`: atoms not touching the region
-/// survive, touched atoms keep their behavior on the residue outside it,
-/// and the region itself is re-tiled by a restricted compile of `p_new`
-/// (still served by the partition digest cache for untouched tables).
-/// The fresh atoms are appended *after* every residue, so the returned
-/// count identifies them as the trailing slice of the new cover.
-///
-/// # Errors
-/// The restricted compile's [`Unsupported`] causes, plus
-/// [`Unsupported::AtomBudget`] when residues + fresh atoms exceed
-/// `cfg.max_atoms`.
-pub fn refresh_cover(
-    cover: &BehaviorCover,
-    p_new: &Pipeline,
-    dirty: &[Cube],
-    cfg: &SymConfig,
-) -> Result<(BehaviorCover, usize), Unsupported> {
-    let mut atoms: Vec<Atom> = Vec::with_capacity(cover.atoms.len());
-    let mut residues: Vec<Cube> = Vec::new();
-    for a in &cover.atoms {
-        if !dirty.iter().any(|d| d.intersects(&a.cube)) {
-            atoms.push(a.clone());
-            continue;
-        }
-        residues.clear();
-        subtract_all(&a.cube, dirty, &mut residues);
-        for cube in residues.drain(..) {
-            atoms.push(Atom {
-                cube,
-                behavior: a.behavior.clone(),
-            });
-        }
-        if atoms.len() > cfg.max_atoms {
-            return Err(Unsupported::AtomBudget);
-        }
-    }
-    let mut span = mapro_obs::trace::span_kv(
-        "sym.incr.delta_compile",
-        vec![("pieces", dirty.len().into())],
-    );
-    let mut fresh = 0usize;
-    for d in dirty {
-        let part = compile_within(p_new, &cover.space, cfg, d.clone())?;
-        fresh += part.len();
-        atoms.extend(part);
-        if atoms.len() > cfg.max_atoms {
-            return Err(Unsupported::AtomBudget);
-        }
-    }
-    span.set("fresh", fresh);
-    Ok((
-        BehaviorCover {
-            space: cover.space.clone(),
-            atoms,
-        },
-        fresh,
-    ))
-}
-
 /// All disagreement meets between two slices of atoms (used over covers or
 /// their fresh trailing slices — both inputs pairwise disjoint, so the
 /// output is too).
@@ -561,7 +485,7 @@ pub struct IncrementalChecker {
     /// Updates processed (including fallbacks); part of every digest.
     checks: u64,
     /// The dirty region of the last delta-processed update (empty after a
-    /// fallback) — shared with megaflow invalidation.
+    /// fallback).
     last_dirty: Vec<Cube>,
     /// Set while the retained covers do not reflect `left`/`right` (a
     /// rebuild failed); the next update re-attempts a full rebuild.
@@ -1166,13 +1090,13 @@ mod tests {
             ("fwd".to_string(), vec![Value::Int(1)]),
             ("fwd".to_string(), vec![Value::Int(2)]),
         ];
-        let d = dirty_region(&p, &space, &rows).expect("tables known");
+        let d = disjointify(dirty_cubes(&p, &space, &rows).expect("tables known"));
         assert!(!d.is_empty());
         for (i, a) in d.iter().enumerate() {
             for b in &d[i + 1..] {
                 assert!(!a.intersects(b), "dirty pieces must be disjoint");
             }
         }
-        assert!(dirty_region(&p, &space, &[("nope".to_string(), vec![Value::Int(0)])]).is_none());
+        assert!(dirty_cubes(&p, &space, &[("nope".to_string(), vec![Value::Int(0)])]).is_none());
     }
 }

@@ -40,9 +40,9 @@ pub use check::{
     check_symbolic, FallbackInfo,
 };
 pub use compile::{
-    compile, invalidation_cube, written_attrs, Atom, Behavior, BehaviorCover, CoverBackend,
-    FieldSpace, SymConfig, Unsupported,
+    compile, invalidation_cube, Atom, Behavior, BehaviorCover, CoverBackend, FieldSpace, SymConfig,
+    Unsupported,
 };
 pub use cube::{Cube, Tern};
 pub use ddcover::{BitLayout, DdEngine, TableLiveness};
-pub use incremental::{dirty_region, refresh_cover, IncrementalChecker, ProofToken, Side, Verdict};
+pub use incremental::{IncrementalChecker, ProofToken, Side, Verdict};

@@ -146,7 +146,7 @@ fn domain_flows(p: &Pipeline, n: usize, seed: u64) -> Vec<FlowSpec> {
 
 /// Trace over a random table's field space: values land in
 /// `0..domain + 2`, so a slice of packets miss every row and exercise the
-/// drop path (and the cache's dropped-atom cubes) alongside the hits.
+/// drop path (and the cache's drop megaflows) alongside the hits.
 fn random_trace(
     rt: &mapro_workloads::RandomTable,
     spec: &RandomSpec,
@@ -168,6 +168,169 @@ fn random_trace(
         .collect();
     let tspec = TraceSpec { flows, popularity };
     generate(&rt.pipeline.catalog, &tspec, packets, seed)
+}
+
+/// A random four-table pipeline with everything a walk-derived megaflow
+/// mask has to account for: overlapping-priority ternary rows (`t0`, `t1`),
+/// `Fall`/`Controller`/`Drop` miss chains, a `SetField` of a header field
+/// (`g`) that later tables re-match, metadata (`m`) that `t1` reads whether
+/// or not a `t0` entry wrote it first, gotos that skip stages, a multi-column
+/// exact table over a possibly rewritten register (`t2`) and a prefix table
+/// (`t3`). All attributes are 8 bits wide so random packets hit every case.
+fn mask_zoo(rng: &mut SmallRng) -> Pipeline {
+    let mut c = Catalog::new();
+    let [f, g, h] = ["f", "g", "h"].map(|n| c.field(n, 8));
+    let m = c.meta("m", 8);
+    let set_g = c.action("set_g", ActionSem::SetField(g));
+    let set_m = c.action("set_m", ActionSem::SetField(m));
+    let goto = c.action("goto", ActionSem::Goto);
+    let out = c.action("out", ActionSem::Output);
+
+    fn tern(rng: &mut SmallRng) -> Value {
+        match rng.gen_range(0..4u32) {
+            0 => Value::Any,
+            1 => Value::Int(rng.gen_range(0..256)),
+            2 => Value::prefix(rng.gen_range(0..256), rng.gen_range(1..8), 8),
+            _ => Value::Ternary {
+                bits: rng.gen_range(0..256),
+                mask: rng.gen_range(1..256),
+            },
+        }
+    }
+    fn maybe(v: Value, rng: &mut SmallRng) -> Value {
+        if rng.gen::<bool>() {
+            v
+        } else {
+            Value::Any
+        }
+    }
+    fn miss(rng: &mut SmallRng, fall: &str) -> MissPolicy {
+        match rng.gen_range(0..3u32) {
+            0 => MissPolicy::Drop,
+            1 => MissPolicy::Controller,
+            _ => MissPolicy::Fall(fall.into()),
+        }
+    }
+    fn port(rng: &mut SmallRng) -> Value {
+        Value::sym(format!("p{}", rng.gen_range(0..6u32)))
+    }
+
+    let mut t0 = Table::new("t0", vec![f, g], vec![set_g, set_m, goto, out]);
+    for _ in 0..rng.gen_range(3..9usize) {
+        let later = ["t2", "t3"][rng.gen_range(0..2usize)];
+        t0.row(
+            vec![tern(rng), tern(rng)],
+            vec![
+                maybe(Value::Int(rng.gen_range(0..256)), rng),
+                maybe(Value::Int(rng.gen_range(0..4)), rng),
+                maybe(Value::sym(later), rng),
+                maybe(port(rng), rng),
+            ],
+        );
+    }
+    t0.next = Some("t1".into());
+    t0.miss = MissPolicy::Fall("t1".into());
+
+    let mut t1 = Table::new("t1", vec![m, g], vec![goto, out]);
+    for _ in 0..rng.gen_range(3..9usize) {
+        let m_cell = maybe(Value::Int(rng.gen_range(0..4)), rng);
+        t1.row(
+            vec![m_cell, tern(rng)],
+            vec![maybe(Value::sym("t3"), rng), maybe(port(rng), rng)],
+        );
+    }
+    t1.next = Some("t2".into());
+    t1.miss = miss(rng, "t2");
+
+    let mut t2 = Table::new("t2", vec![g, h], vec![out]);
+    for _ in 0..rng.gen_range(2..6usize) {
+        let key = vec![
+            Value::Int(rng.gen_range(0..256)),
+            Value::Int(rng.gen_range(0..4)),
+        ];
+        t2.row(key, vec![port(rng)]);
+    }
+    t2.next = Some("t3".into());
+    t2.miss = miss(rng, "t3");
+
+    let mut t3 = Table::new("t3", vec![f], vec![out]);
+    for _ in 0..rng.gen_range(1..5usize) {
+        let len = rng.gen_range(1..8);
+        t3.row(
+            vec![Value::prefix(rng.gen_range(0..256), len, 8)],
+            vec![port(rng)],
+        );
+    }
+    t3.miss = miss(rng, "t3");
+    if matches!(t3.miss, MissPolicy::Fall(_)) {
+        t3.miss = MissPolicy::Drop; // keep the chain acyclic
+    }
+    Pipeline::new(c, vec![t0, t1, t2, t3], "t0")
+}
+
+/// Packets biased towards `p`'s own rows: each takes a random row's
+/// ternary bits per matched attribute (free bits random), the rest noise.
+fn row_biased_packets(p: &Pipeline, n: usize, rng: &mut SmallRng) -> Vec<Packet> {
+    (0..n)
+        .map(|_| {
+            let mut pkt = Packet::zero(&p.catalog);
+            for t in &p.tables {
+                let e = &t.entries[rng.gen_range(0..t.len())];
+                for (cell, &a) in e.matches.iter().zip(&t.match_attrs) {
+                    let w = p.catalog.attr(a).width;
+                    let (bits, care) = cell.as_ternary(w).expect("numeric match cell");
+                    let noise = rng.gen::<u64>() & mapro_core::value::low_mask(w);
+                    if rng.gen_range(0..4u32) > 0 {
+                        pkt.set(a, bits | (noise & !care));
+                    } else if pkt.get(a) == 0 {
+                        pkt.set(a, noise);
+                    }
+                }
+            }
+            pkt
+        })
+        .collect()
+}
+
+/// The megaflow a cold packet installs is sound and no wider than stated:
+/// any packet that differs from it only *outside* the installed mask hits
+/// and gets the verdict [`Pipeline::run`] gives the changed packet; one
+/// that differs in a single bit *inside* the mask is not covered by it.
+fn assert_masks_sound(p: &Pipeline, packets: &[Packet], rng: &mut SmallRng, ctx: &str) {
+    for (i, pkt) in packets.iter().enumerate() {
+        let mut cached = CachedEngine::eswitch(p).expect("compiles");
+        assert!(cached.process(pkt).slow_path, "{ctx}: packet {i} is cold");
+        let mask = cached.megaflow_mask(pkt).expect("the walk was installed");
+        let in_width = |a: AttrId| mapro_core::value::low_mask(p.catalog.attr(a).width);
+        for _ in 0..8 {
+            let mut flipped = pkt.clone();
+            for &(a, m) in &mask {
+                flipped.set(a, pkt.get(a) ^ (rng.gen::<u64>() & !m & in_width(a)));
+            }
+            let want = p.run(&flipped).expect("well-formed pipeline evaluates");
+            let warm = cached.process(&flipped);
+            assert!(!warm.slow_path, "{ctx}: packet {i} left its own megaflow");
+            assert_eq!(
+                (&warm.output, warm.dropped),
+                (&want.output, want.dropped),
+                "{ctx}: packet {i}: bits outside {mask:?} changed the verdict: {pkt:?} → {flipped:?}"
+            );
+        }
+        for &(a, m) in &mask {
+            let pinned = m & in_width(a);
+            if pinned != 0 {
+                let nth = rng.gen_range(0..pinned.count_ones());
+                let bit = (0..64).filter(|b| pinned >> b & 1 == 1).nth(nth as usize);
+                let mut flipped = pkt.clone();
+                flipped.set(a, pkt.get(a) ^ (1 << bit.expect("nth set bit")));
+                assert_eq!(
+                    cached.megaflow_mask(&flipped),
+                    None,
+                    "{ctx}: packet {i}: a pinned bit of {a:?} does not constrain the megaflow"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -315,5 +478,27 @@ proptest! {
         let rt = random_table(&spec, seed);
         let trace = random_trace(&rt, &spec, Popularity::Zipf(1.2), nflows, 2_000, seed);
         models_match_oracle(&rt.pipeline, &trace, "random zipf");
+    }
+
+    /// Walk-derived megaflow masks against the oracle, on the random zoo
+    /// and on Enterprise (NAT rewrites `ip_dst`/`tcp_dst`, L3 re-matches).
+    #[test]
+    fn megaflow_masks_are_sound(seed in 0u64..100_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for k in 0..4 {
+            let p = mask_zoo(&mut rng);
+            let packets = row_biased_packets(&p, 48, &mut rng);
+            assert_masks_sound(&p, &packets, &mut rng, &format!("zoo seed {seed}/{k}"));
+        }
+        let e = Enterprise::random(12, 4, seed);
+        let mut packets = row_biased_packets(&e.pipeline, 32, &mut rng);
+        packets.extend(e.services.iter().map(|&(pub_ip, pub_port, _, _)| {
+            let mut pkt = Packet::zero(&e.pipeline.catalog);
+            pkt.set(e.ip_src, rng.gen::<u32>() as u64);
+            pkt.set(e.ip_dst, pub_ip as u64);
+            pkt.set(e.tcp_dst, pub_port as u64);
+            pkt
+        }));
+        assert_masks_sound(&e.pipeline, &packets, &mut rng, &format!("enterprise seed {seed}"));
     }
 }

@@ -10,11 +10,20 @@
 //! roll back to the pre-plan state. The "untouched tables are not rebuilt"
 //! half of the contract needs engine internals and is asserted by
 //! `live::tests::incremental_recompile_reuses_untouched_tables`.
+//!
+//! The same streams are the test of megaflow invalidation, which has no
+//! behaviour cover to lean on: after every flow-mod a cache hit must be a
+//! verdict the fresh compile would give. They run on GWLB (both forms), on
+//! Enterprise (NAT rewrites what L3 matches, so most footprints constrain
+//! nothing and must evict conservatively) and on a random table of
+//! overlapping ternary rows.
 
 use mapro::control::{RuleUpdate, UpdatePlan};
+use mapro::core::value::low_mask;
 use mapro::core::{AttrKind, Domain, Entry};
 use mapro::prelude::*;
 use mapro::switch::{CachedEngine, LiveSwitch, ProcessOut};
+use mapro::workloads::Enterprise;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,10 +34,23 @@ fn random_update(p: &Pipeline, rng: &mut SmallRng, fresh: u64) -> RuleUpdate {
     let t = &p.tables[rng.gen_range(0..p.tables.len())];
     let e = &t.entries[rng.gen_range(0..t.len())];
     let col = rng.gen_range(0..t.match_attrs.len());
-    let out_col = t
-        .action_attrs
-        .iter()
-        .position(|&a| matches!(p.catalog.attr(a).kind, AttrKind::Action(ActionSem::Output)));
+    // A new parameter for one action column: a fresh port for an output,
+    // another row's value for a set-field (later tables still match it).
+    let new_param = (!t.action_attrs.is_empty())
+        .then(|| rng.gen_range(0..t.action_attrs.len()))
+        .and_then(|acol| {
+            let attr = t.action_attrs[acol];
+            match p.catalog.attr(attr).kind {
+                AttrKind::Action(ActionSem::Output) => {
+                    Some((attr, Value::sym(format!("port{fresh}"))))
+                }
+                AttrKind::Action(ActionSem::SetField(_)) => {
+                    let donor = &t.entries[rng.gen_range(0..t.len())];
+                    Some((attr, donor.actions[acol].clone()))
+                }
+                _ => None,
+            }
+        });
     match rng.gen_range(0..4u32) {
         0 if t.len() > 1 => RuleUpdate::Delete {
             table: t.name.clone(),
@@ -42,13 +64,10 @@ fn random_update(p: &Pipeline, rng: &mut SmallRng, fresh: u64) -> RuleUpdate {
                 entry: Entry::new(matches, e.actions.clone()),
             }
         }
-        2 if out_col.is_some() => RuleUpdate::Modify {
+        2 if new_param.is_some() => RuleUpdate::Modify {
             table: t.name.clone(),
             matches: e.matches.clone(),
-            set: vec![(
-                t.action_attrs[out_col.unwrap()],
-                Value::sym(format!("port{fresh}")),
-            )],
+            set: vec![new_param.unwrap()],
         },
         _ => RuleUpdate::Modify {
             table: t.name.clone(),
@@ -76,12 +95,36 @@ fn failing_update(p: &Pipeline, rng: &mut SmallRng) -> RuleUpdate {
     }
 }
 
-/// Probe packets over the current pipeline's match boundaries: hits and
-/// misses of every table, tracking rewritten match cells.
+/// Probe packets for the current pipeline: samples of its match boundaries
+/// (uniform noise where a ternary cell has none), then as many again with
+/// one random row's match cells laid over them, so that rows deep in a
+/// chain and rows just rewritten are actually reached.
 fn probes(p: &Pipeline, seed: u64) -> Vec<Packet> {
-    Domain::from_pipelines(&[p])
-        .expect("interval predicates")
-        .sample(&Packet::zero(&p.catalog), 64, seed)
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut out = match Domain::from_pipelines(&[p]) {
+        Ok(domain) => domain.sample(&Packet::zero(&p.catalog), 64, seed),
+        Err(_) => (0..64)
+            .map(|_| {
+                let mut pkt = Packet::zero(&p.catalog);
+                for &a in p.tables.iter().flat_map(|t| &t.match_attrs) {
+                    pkt.set(a, rng.gen::<u64>() & low_mask(p.catalog.attr(a).width));
+                }
+                pkt
+            })
+            .collect(),
+    };
+    for i in 0..out.len() {
+        let mut pkt = out[i].clone();
+        let t = &p.tables[rng.gen_range(0..p.tables.len())];
+        let e = &t.entries[rng.gen_range(0..t.len())];
+        for (cell, &a) in e.matches.iter().zip(&t.match_attrs) {
+            let w = p.catalog.attr(a).width;
+            let (bits, care) = cell.as_ternary(w).expect("numeric match cell");
+            pkt.set(a, bits | (pkt.get(a) & !care & low_mask(w)));
+        }
+        out.push(pkt);
+    }
+    out
 }
 
 /// The incrementally edited switches against fresh compiles of `want`.
@@ -122,59 +165,154 @@ fn assert_equals_fresh_compile(
     }
 }
 
+/// Drive `start` through ten random flow-mods (every third followed by a
+/// plan that fails midway), comparing against a fresh compile throughout.
+fn churn_equals_fresh_compiles(start: Pipeline, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut want = start.clone();
+    let mut live = LiveSwitch::eswitch(start.clone()).expect("compiles");
+    // Default capacity (hits survive disjoint updates) and capacity 1
+    // (nearly every probe walks the recompiled inner engine).
+    let mut cached = [
+        CachedEngine::eswitch(&start).expect("compiles"),
+        CachedEngine::eswitch(&start).expect("compiles"),
+    ];
+    cached[1].set_cache_capacity(1);
+    assert_equals_fresh_compile(&mut live, &mut cached, &want, seed, "install");
+
+    for step in 0..10u64 {
+        let u = random_update(&want, &mut rng, 50_000 + step);
+        let ctx = format!("seed {seed} step {step} {u:?}");
+        mapro::control::apply_update(&mut want, &u).expect("generated against `want`");
+        live.apply_update(&u).expect("valid update");
+        for ce in cached.iter_mut() {
+            ce.apply_update(&u).expect("valid update");
+        }
+        assert_equals_fresh_compile(&mut live, &mut cached, &want, seed ^ step, &ctx);
+
+        // Every third step: a plan whose second flow-mod fails. The
+        // first one landed and was recompiled; rollback must undo both
+        // halves. The cached engines refuse the bad flow-mod outright.
+        if step % 3 == 2 {
+            let ok = random_update(&want, &mut rng, 60_000 + step);
+            let bad = failing_update(&want, &mut rng);
+            let ctx = format!("seed {seed} step {step} rollback of [{ok:?}, {bad:?}]");
+            let plan = UpdatePlan {
+                intent: "fails midway".into(),
+                updates: vec![ok, bad.clone()],
+            };
+            assert!(live.apply_plan(&plan).is_err(), "{ctx}");
+            for ce in cached.iter_mut() {
+                assert!(ce.apply_update(&bad).is_err(), "{ctx}");
+            }
+            assert_equals_fresh_compile(&mut live, &mut cached, &want, seed, &ctx);
+        }
+    }
+    // Both halves of the cached comparison were exercised.
+    let s = cached[0].stats();
+    assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{s:?}");
+}
+
+/// One table of overlapping ternary rows over two 16-bit fields (wide
+/// enough for `random_update`'s fresh values), earlier rows shadowing later.
+fn ternary_table(rng: &mut SmallRng) -> Pipeline {
+    let mut c = Catalog::new();
+    let fields = [c.field("f", 16), c.field("g", 16)];
+    let out = c.action("out", ActionSem::Output);
+    let mut t = Table::new("t", fields.to_vec(), vec![out]);
+    for i in 0..rng.gen_range(6..14u32) {
+        let mut cell = || match rng.gen_range(0..3u32) {
+            0 => Value::Any,
+            1 => Value::prefix(rng.gen_range(0..1 << 16), rng.gen_range(1..6), 16),
+            // Few care bits, so that rows overlap and probes land in them.
+            _ => Value::Ternary {
+                bits: rng.gen_range(0..1 << 16),
+                mask: 1 << rng.gen_range(0..16u32) | 1 << rng.gen_range(0..16u32),
+            },
+        };
+        t.row(vec![cell(), cell()], vec![Value::sym(format!("p{i}"))]);
+    }
+    Pipeline::new(c, vec![t], "t")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn recompiled_engines_equal_fresh_compiles(seed in 0u64..10_000, goto in any::<bool>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
         let g = Gwlb::random(4, 4, seed);
         let start = if goto {
             g.normalized(JoinKind::Goto).expect("decomposes")
         } else {
             g.universal.clone()
         };
-        let mut want = start.clone();
-        let mut live = LiveSwitch::eswitch(start.clone()).expect("compiles");
-        // Default capacity (hits survive disjoint updates) and capacity 1
-        // (nearly every probe walks the recompiled inner engine).
-        let mut cached = [
-            CachedEngine::eswitch(&start).expect("compiles"),
-            CachedEngine::eswitch(&start).expect("compiles"),
-        ];
-        cached[1].set_cache_capacity(1);
-        assert_equals_fresh_compile(&mut live, &mut cached, &want, seed, "install");
-
-        for step in 0..10u64 {
-            let u = random_update(&want, &mut rng, 50_000 + step);
-            let ctx = format!("seed {seed} step {step} {u:?}");
-            mapro::control::apply_update(&mut want, &u).expect("generated against `want`");
-            live.apply_update(&u).expect("valid update");
-            for ce in cached.iter_mut() {
-                ce.apply_update(&u).expect("valid update");
-            }
-            assert_equals_fresh_compile(&mut live, &mut cached, &want, seed ^ step, &ctx);
-
-            // Every third step: a plan whose second flow-mod fails. The
-            // first one landed and was recompiled; rollback must undo both
-            // halves. The cached engines refuse the bad flow-mod outright.
-            if step % 3 == 2 {
-                let ok = random_update(&want, &mut rng, 60_000 + step);
-                let bad = failing_update(&want, &mut rng);
-                let ctx = format!("seed {seed} step {step} rollback of [{ok:?}, {bad:?}]");
-                let plan = UpdatePlan {
-                    intent: "fails midway".into(),
-                    updates: vec![ok, bad.clone()],
-                };
-                prop_assert!(live.apply_plan(&plan).is_err(), "{}", ctx);
-                for ce in cached.iter_mut() {
-                    prop_assert!(ce.apply_update(&bad).is_err(), "{}", ctx);
-                }
-                assert_equals_fresh_compile(&mut live, &mut cached, &want, seed, &ctx);
-            }
-        }
-        // Both halves of the cached comparison were exercised.
-        let s = cached[0].stats();
-        prop_assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{:?}", s);
+        churn_equals_fresh_compiles(start, seed);
     }
+
+    #[test]
+    fn rewritten_fields_are_invalidated_conservatively(seed in 0u64..10_000) {
+        churn_equals_fresh_compiles(Enterprise::random(8, 3, seed).pipeline, seed);
+    }
+
+    #[test]
+    fn overlapping_ternary_rows_are_invalidated_by_their_own_cubes(seed in 0u64..10_000) {
+        let start = ternary_table(&mut SmallRng::seed_from_u64(seed));
+        churn_equals_fresh_compiles(start, seed);
+    }
+}
+
+/// A flow-mod against a table the megaflow reached only through a rewritten
+/// register: the L3 row matches the *private* address NAT stored, which the
+/// megaflow — keyed on the packet as it arrived — never mentions. Nothing in
+/// the row constrains the input, so the megaflow must go; an ACL row for the
+/// other half of `ip_src` does constrain it, and must leave it alone.
+#[test]
+fn flowmod_behind_a_rewrite_evicts_the_megaflow_that_reached_it() {
+    let e = Enterprise::random(6, 2, 5);
+    let p = &e.pipeline;
+    let (pub_ip, pub_port, priv_ip, _) = e.services[0];
+    let mut pkt = Packet::zero(&p.catalog);
+    pkt.set(e.ip_src, 7);
+    pkt.set(e.ip_dst, pub_ip as u64);
+    pkt.set(e.tcp_dst, pub_port as u64);
+    let mut cached = CachedEngine::eswitch(p).expect("compiles");
+    let before = cached.process(&pkt);
+    assert!(before.slow_path && before.output.is_some());
+    assert!(!cached.process(&pkt).slow_path, "second packet hits");
+    // Its megaflow never pinned the private address.
+    let mask = cached.megaflow_mask(&pkt).expect("resident");
+    assert!(mask.contains(&(e.ip_src, 1 << 31)), "{mask:?}");
+
+    let acl = p.table("acl").unwrap();
+    let other_half = acl
+        .entries
+        .iter()
+        .find(|r| r.matches[0] == Value::prefix(1 << 31, 1, 32))
+        .expect("every service admits both halves");
+    cached
+        .apply_update(&RuleUpdate::Delete {
+            table: "acl".into(),
+            matches: other_half.matches.clone(),
+        })
+        .unwrap();
+    assert_eq!(cached.stats().invalidations, 0, "disjoint on ip_src");
+    assert!(!cached.process(&pkt).slow_path);
+
+    let l3 = p.table("l3").unwrap();
+    let route = l3
+        .entries
+        .iter()
+        .find(|r| r.matches[0].matches(priv_ip as u64, 32))
+        .expect("every backend has a route");
+    cached
+        .apply_update(&RuleUpdate::Modify {
+            table: "l3".into(),
+            matches: route.matches.clone(),
+            set: vec![(e.out, Value::sym("elsewhere"))],
+        })
+        .unwrap();
+    assert_eq!(cached.stats().invalidations, 1);
+    let after = cached.process(&pkt);
+    assert!(after.slow_path, "the stale megaflow is gone");
+    assert_eq!(after.output.as_deref(), Some("elsewhere"));
 }
