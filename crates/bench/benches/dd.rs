@@ -3,10 +3,11 @@
 //! The same wide-table shape at 2/4/8/16 fields, checked by both symbolic
 //! backends: the cube engine's cost follows the atom count and then the
 //! *quadratic* cross-intersection, the DD engine's cost follows the node
-//! count of the hash-consed diagram. Small tables favor the cube list's
-//! constant factors; the crossover arrives as width (and with it residue
-//! fragmentation) grows — by 16 fields the diagram wins by two orders of
-//! magnitude. A third group pins the `Cube::subtract` scratch-buffer
+//! count of the hash-consed diagram. There is no crossover: the diagram
+//! is ahead 6× already at 2 fields, and the gap grows with width (and with
+//! it residue fragmentation) to two orders of magnitude at 16 — which is
+//! why it is the default and cubes the comparison engine. A third group
+//! pins the `Cube::subtract` scratch-buffer
 //! rework: `subtract_into` reuses one pre-sized output vector across the
 //! partition loop instead of allocating a fresh `Vec` per split.
 

@@ -8,11 +8,11 @@
 //! mapro convert <prog.json|prog.mat> [--mat]     # JSON ↔ text format
 //! mapro show <prog.json>                          # paper-figure rendering
 //! mapro analyze <prog.json>                       # per-table NF report
-//! mapro lint <prog.json> [--format text|json] [--backend cube|dd|auto]
+//! mapro lint <prog.json> [--format text|json] [--backend dd|cube]
 //!            [--deny warn] [-A|-W|-D <lint-id>]...
 //! mapro normalize <prog.json> [--join goto|metadata|rematch] [--target 2nf|3nf|bcnf] [--verify]
 //! mapro flatten <prog.json>                       # denormalize to one table
-//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend cube|dd|auto]
+//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend dd|cube]
 //! mapro replay <prog.json> [--packets N --flows F --seed S --shards N]
 //!              [--switch ovs|eswitch|lagopus|noviflow|cached]
 //! mapro export <prog.json> --format openflow|p4   # data-plane program text
@@ -68,7 +68,7 @@ fn parse_backend(flag: &Option<String>) -> mapro_sym::CoverBackend {
     match flag.as_deref() {
         None => mapro_sym::CoverBackend::default(),
         Some(s) => mapro_sym::CoverBackend::parse(s)
-            .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (cube|dd|auto)"))),
+            .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (dd|cube)"))),
     }
 }
 
@@ -360,10 +360,10 @@ fn main() {
         "check" => {
             let a = load(args.get(1).unwrap_or_else(|| usage()));
             let b = load(args.get(2).unwrap_or_else(|| usage()));
-            // Engine selection: the default Auto prefers the symbolic
-            // cover engine and falls back to enumeration outside its
-            // fragment; the method is always printed so a sampled verdict
-            // is never mistaken for a proof.
+            // Engine selection: the default Auto runs the symbolic engine
+            // (decision diagrams unless `--backend cube`) and falls back to
+            // enumeration outside its fragment; the method is always
+            // printed so a sampled verdict is never mistaken for a proof.
             let mode = match flag("--mode").as_deref() {
                 None | Some("auto") => mapro_core::EquivMode::Auto,
                 Some("symbolic") => mapro_core::EquivMode::Symbolic,

@@ -2304,7 +2304,8 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
 pub struct ChurnVerifyRow {
     /// Workload label (`gwlb-s{services}-b{backends}`).
     pub workload: String,
-    /// Cover backend the session ran on (`cube` | `dd`).
+    /// Cover representation of session and baseline: always `dd` (sessions
+    /// have no other; the column keeps the committed rows' key).
     pub backend: String,
     /// Poisson intent rate of the churn stream \[1/s\].
     pub rate_per_sec: f64,
@@ -2319,10 +2320,11 @@ pub struct ChurnVerifyRow {
     pub incr_mean_us: f64,
     /// Worst per-mod incremental re-check latency \[µs\].
     pub incr_max_us: f64,
-    /// `full_ms / incr_mean` — the headline ratio (≥ 100 asserted on the
-    /// largest cube configuration).
+    /// `full_ms / incr_mean` — the headline ratio (≥ 10 asserted on the
+    /// largest configuration, against the best full check there is).
     pub speedup: f64,
-    /// Atoms re-checked across the stream (summed `ProofToken` field).
+    /// Leaf regions re-derived across the stream (summed `ProofToken`
+    /// field).
     pub atoms_rechecked: u64,
     /// Mods that stayed on the delta path (non-empty dirty region); the
     /// remainder fell back to a full recheck inside the session.
@@ -2345,14 +2347,14 @@ pub struct ChurnVerifyReport {
     pub host_cores: usize,
     /// Workload seed.
     pub seed: u64,
-    /// One row per (size × rate × backend) configuration.
+    /// One row per (size × rate) configuration.
     pub rows: Vec<ChurnVerifyRow>,
 }
 
 /// Extension experiment E22: incremental equivalence re-verification
 /// under control-plane churn ([`mapro_sym::IncrementalChecker`]).
 ///
-/// For each GWLB size × Poisson rate × backend configuration, the sweep
+/// For each GWLB size × Poisson rate configuration, the sweep
 /// opens one session over the `(universal, universal)` pair, replays a
 /// seeded stream of single-entry action `Modify`s onto *both* sides (the
 /// steady-state shape of verified churn: every committed flow-mod must
@@ -2367,9 +2369,10 @@ pub struct ChurnVerifyReport {
 ///   applying the same edit to the right side must restore
 ///   `Equivalent` — the incremental verdict tracks ground truth through
 ///   divergence and convergence;
-/// * on the largest cube configuration the mean incremental latency must
-///   beat the full check by ≥ 100× (and stay µs-scale on optimized
-///   builds) — the tentpole claim of the incremental checker.
+/// * every mod must stay on the delta path (no fallback), and on the
+///   largest configuration the mean incremental latency must beat the
+///   decision-diagram full check — the best baseline, 15–36 ms there — by
+///   ≥ 10× and stay sub-millisecond on optimized builds.
 ///
 /// Timing is best-of-`REPS` for the baseline and per-mod for the session
 /// (a session re-check runs once per flow-mod in production; "best of"
@@ -2378,7 +2381,7 @@ pub struct ChurnVerifyReport {
 pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
     use mapro_control::{RuleUpdate, UpdatePlan};
     use mapro_core::Value;
-    use mapro_sym::{CoverBackend, IncrementalChecker, Side, SymConfig};
+    use mapro_sym::{IncrementalChecker, Side, SymConfig};
     use std::time::Instant;
 
     const REPS: usize = 3;
@@ -2389,8 +2392,8 @@ pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
         (cfg.services * 3, cfg.backends * 2),
     ];
     let rates = [200.0, 2000.0];
-    let backends = [(CoverBackend::Cube, "cube"), (CoverBackend::Dd, "dd")];
     let largest = cfg.services * 3;
+    let scfg = SymConfig::default();
 
     let mut rows = Vec::new();
     for &(services, nbackends) in &sizes {
@@ -2402,130 +2405,127 @@ pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
         let entries: usize = base.tables.iter().map(|t| t.entries.len()).sum();
         let workload = format!("gwlb-s{services}-b{nbackends}");
 
-        for &(backend, bname) in &backends {
-            let scfg = SymConfig {
-                backend,
-                ..SymConfig::default()
+        // Baseline: what re-verifying a commit costs from scratch.
+        let _ = mapro_sym::check_symbolic(&base, &base, &scfg); // warmup
+        let mut full_ms = f64::INFINITY;
+        for _ in 0..REPS {
+            let t0 = Instant::now();
+            let o = mapro_sym::check_symbolic(&base, &base, &scfg)
+                .expect("GWLB is inside the symbolic fragment");
+            assert!(o.is_equivalent());
+            full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+
+        for &rate in &rates {
+            let mut left = base.clone();
+            let mut right = base.clone();
+            let mut session = IncrementalChecker::new(&left, &right, &scfg)
+                .expect("session opens on a GWLB pair");
+            let mod_plan = |k: usize| UpdatePlan {
+                intent: format!("churn {k}"),
+                updates: vec![RuleUpdate::Modify {
+                    table: table_name.clone(),
+                    matches: base.tables[0].entries[k % nrows].matches.clone(),
+                    set: vec![(action_attr, Value::sym(format!("vm-churn-{k}")))],
+                }],
             };
+            let events = mapro_control::poisson_stream(rate, DURATION_SEC, cfg.seed, mod_plan);
 
-            // Baseline: what re-verifying a commit costs from scratch.
-            let _ = mapro_sym::check_symbolic(&base, &base, &scfg); // warmup
-            let mut full_ms = f64::INFINITY;
-            for _ in 0..REPS {
+            let mut sum_us = 0.0f64;
+            let mut max_us = 0.0f64;
+            let mut atoms_rechecked = 0u64;
+            let mut delta_mods = 0usize;
+            for (i, ev) in events.iter().enumerate() {
+                let drows = mapro_control::plan_delta_rows(&left, &ev.plan);
+                mapro_control::apply_plan_silent(&mut left, &ev.plan).expect("plan applies");
+                mapro_control::apply_plan_silent(&mut right, &ev.plan).expect("plan applies");
                 let t0 = Instant::now();
-                let o = mapro_sym::check_symbolic(&base, &base, &scfg)
-                    .expect("GWLB is inside the symbolic fragment");
-                assert!(o.is_equivalent());
-                full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-
-            for &rate in &rates {
-                let mut left = base.clone();
-                let mut right = base.clone();
-                let mut session = IncrementalChecker::new(&left, &right, &scfg)
-                    .expect("session opens on a GWLB pair");
-                let mod_plan = |k: usize| UpdatePlan {
-                    intent: format!("churn {k}"),
-                    updates: vec![RuleUpdate::Modify {
-                        table: table_name.clone(),
-                        matches: base.tables[0].entries[k % nrows].matches.clone(),
-                        set: vec![(action_attr, Value::sym(format!("vm-churn-{k}")))],
-                    }],
-                };
-                let events = mapro_control::poisson_stream(rate, DURATION_SEC, cfg.seed, mod_plan);
-
-                let mut sum_us = 0.0f64;
-                let mut max_us = 0.0f64;
-                let mut atoms_rechecked = 0u64;
-                let mut delta_mods = 0usize;
-                for (i, ev) in events.iter().enumerate() {
-                    let drows = mapro_control::plan_delta_rows(&left, &ev.plan);
-                    mapro_control::apply_plan_silent(&mut left, &ev.plan).expect("plan applies");
-                    mapro_control::apply_plan_silent(&mut right, &ev.plan).expect("plan applies");
-                    let t0 = Instant::now();
-                    let token = session
-                        .update_both(&left, &right, &drows, 1, i as u64)
-                        .expect("incremental re-check runs");
-                    let us = t0.elapsed().as_secs_f64() * 1e6;
-                    sum_us += us;
-                    max_us = max_us.max(us);
-                    atoms_rechecked += token.atoms_rechecked as u64;
-                    if !session.last_dirty().is_empty() {
-                        delta_mods += 1;
-                    }
-                    assert!(
-                        token.verdict.is_equivalent(),
-                        "identical churn on both sides must stay equivalent (mod {i})"
-                    );
+                let token = session
+                    .update_both(&left, &right, &drows, 1, i as u64)
+                    .expect("incremental re-check runs");
+                let us = t0.elapsed().as_secs_f64() * 1e6;
+                sum_us += us;
+                max_us = max_us.max(us);
+                atoms_rechecked += token.atoms_rechecked as u64;
+                if !session.last_dirty().is_empty() {
+                    delta_mods += 1;
                 }
-                let mods = events.len();
-
-                // Divergence tracking: session and from-scratch check must
-                // agree through a left-only edit and back.
-                let div = mod_plan(usize::MAX - 1);
-                let drows = mapro_control::plan_delta_rows(&left, &div);
-                let mut l2 = left.clone();
-                mapro_control::apply_plan_silent(&mut l2, &div).expect("plan applies");
-                let token = session
-                    .update(Side::Left, &l2, &drows, 1, mods as u64)
-                    .expect("diverging update runs");
-                assert!(
-                    !token.verdict.is_equivalent(),
-                    "a one-sided edit must flip the session verdict"
-                );
-                assert!(
-                    !mapro_sym::check_symbolic(&l2, &right, &scfg)
-                        .expect("fresh check runs")
-                        .is_equivalent(),
-                    "from-scratch check must agree with the session on divergence"
-                );
-                let mut r2 = right.clone();
-                mapro_control::apply_plan_silent(&mut r2, &div).expect("plan applies");
-                let token = session
-                    .update(Side::Right, &r2, &drows, 1, mods as u64 + 1)
-                    .expect("converging update runs");
                 assert!(
                     token.verdict.is_equivalent(),
-                    "mirroring the edit must restore equivalence"
+                    "identical churn on both sides must stay equivalent (mod {i})"
                 );
-
-                let incr_mean_us = sum_us / mods.max(1) as f64;
-                let speedup = full_ms * 1e3 / incr_mean_us.max(f64::MIN_POSITIVE);
-                if services == largest && bname == "cube" {
-                    assert!(
-                        speedup >= 100.0,
-                        "E22 {workload}/{bname}@{rate}: incremental re-check only {speedup:.1}x \
-                         over full check ({incr_mean_us:.1} us vs {full_ms:.3} ms)"
-                    );
-                    // µs-scale latency is an optimized-build claim; the
-                    // ratio above is what debug builds can honestly hold.
-                    if !cfg!(debug_assertions) {
-                        assert!(
-                            incr_mean_us < 1000.0,
-                            "E22 {workload}/{bname}@{rate}: mean per-mod re-check \
-                             {incr_mean_us:.1} us is not µs-scale"
-                        );
-                    }
-                }
-
-                rows.push(ChurnVerifyRow {
-                    workload: workload.clone(),
-                    backend: bname.to_owned(),
-                    rate_per_sec: rate,
-                    entries,
-                    mods,
-                    full_ms,
-                    incr_mean_us,
-                    incr_max_us: max_us,
-                    speedup,
-                    atoms_rechecked,
-                    delta_mods,
-                    verdict: "equivalent".to_owned(),
-                    digest: format!(
-                        "churnverify:{bname}:{entries}:{mods}:{atoms_rechecked}:{delta_mods}:eq"
-                    ),
-                });
             }
+            let mods = events.len();
+
+            // Divergence tracking: session and from-scratch check must
+            // agree through a left-only edit and back.
+            let div = mod_plan(usize::MAX - 1);
+            let drows = mapro_control::plan_delta_rows(&left, &div);
+            let mut l2 = left.clone();
+            mapro_control::apply_plan_silent(&mut l2, &div).expect("plan applies");
+            let token = session
+                .update(Side::Left, &l2, &drows, 1, mods as u64)
+                .expect("diverging update runs");
+            assert!(
+                !token.verdict.is_equivalent(),
+                "a one-sided edit must flip the session verdict"
+            );
+            assert!(
+                !mapro_sym::check_symbolic(&l2, &right, &scfg)
+                    .expect("fresh check runs")
+                    .is_equivalent(),
+                "from-scratch check must agree with the session on divergence"
+            );
+            let mut r2 = right.clone();
+            mapro_control::apply_plan_silent(&mut r2, &div).expect("plan applies");
+            let token = session
+                .update(Side::Right, &r2, &drows, 1, mods as u64 + 1)
+                .expect("converging update runs");
+            assert!(
+                token.verdict.is_equivalent(),
+                "mirroring the edit must restore equivalence"
+            );
+
+            let incr_mean_us = sum_us / mods.max(1) as f64;
+            let speedup = full_ms * 1e3 / incr_mean_us.max(f64::MIN_POSITIVE);
+            assert_eq!(
+                delta_mods, mods,
+                "E22 {workload}@{rate}: a mod fell back to a full rebuild"
+            );
+            if services == largest {
+                assert!(
+                    speedup >= 10.0,
+                    "E22 {workload}@{rate}: incremental re-check only {speedup:.1}x \
+                     over full check ({incr_mean_us:.1} us vs {full_ms:.3} ms)"
+                );
+                // Sub-millisecond latency is an optimized-build claim; the
+                // ratio above is what debug builds can honestly hold.
+                if !cfg!(debug_assertions) {
+                    assert!(
+                        incr_mean_us < 1000.0,
+                        "E22 {workload}@{rate}: mean per-mod re-check \
+                         {incr_mean_us:.1} us is not sub-millisecond"
+                    );
+                }
+            }
+
+            rows.push(ChurnVerifyRow {
+                workload: workload.clone(),
+                backend: "dd".to_owned(),
+                rate_per_sec: rate,
+                entries,
+                mods,
+                full_ms,
+                incr_mean_us,
+                incr_max_us: max_us,
+                speedup,
+                atoms_rechecked,
+                delta_mods,
+                verdict: "equivalent".to_owned(),
+                digest: format!(
+                    "churnverify:dd:{entries}:{mods}:{atoms_rechecked}:{delta_mods}:eq"
+                ),
+            });
         }
     }
 

@@ -197,17 +197,13 @@ fn replay_cached_pre_registers_megaflow_and_compile_metrics() {
 
 #[test]
 fn incremental_session_pre_registers_sym_incr_metrics() {
-    use mapro_sym::{CoverBackend, IncrementalChecker, SymConfig};
+    use mapro_sym::{IncrementalChecker, SymConfig};
 
     // Opening a session must register the sym.incr.* family — a scrape
     // between construction and the first update already sees all four at
     // zero, so dashboards never miss the series.
     let p = mapro_workloads::Gwlb::fig1().universal;
-    let cfg = SymConfig {
-        backend: CoverBackend::Cube,
-        ..SymConfig::default()
-    };
-    let _s = IncrementalChecker::new(&p, &p, &cfg).expect("session opens");
+    let _s = IncrementalChecker::new(&p, &p, &SymConfig::default()).expect("session opens");
 
     if cfg!(feature = "obs") {
         let snap = mapro_obs::registry().snapshot();

@@ -52,25 +52,35 @@ fn symbolic_check_structure_is_thread_invariant() {
         mode: EquivMode::Symbolic,
         ..EquivConfig::default()
     };
-    let run = |threads| {
-        structure_at(threads, || {
-            let out = mapro_sym::check_equivalent_with(
-                &g.universal,
-                &goto,
-                &cfg,
-                &mapro_sym::SymConfig::default(),
-            )
-            .expect("comparable");
-            assert!(matches!(out, EquivOutcome::Equivalent { .. }));
-        })
+    // The default path (one diagram manager, no fan-out) and the cube
+    // engine, whose compile branches and cross scan do fan out over the
+    // pool: each must leave the same spans at 1 and 4 threads.
+    let cube = mapro_sym::SymConfig {
+        backend: mapro_sym::CoverBackend::Cube,
+        ..mapro_sym::SymConfig::default()
     };
-    let s1 = run(1);
-    let s4 = run(4);
-    assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
-    assert!(
-        s1.iter().any(|(p, _)| p == "check.symbolic.cross.chunk"),
-        "cross-intersection chunks missing from {s1:?}"
-    );
+    for (sym, expect) in [
+        (
+            mapro_sym::SymConfig::default(),
+            "check.symbolic.symbolic_dd.dd.compile",
+        ),
+        (cube, "check.symbolic.cross.chunk"),
+    ] {
+        let run = |threads| {
+            structure_at(threads, || {
+                let out = mapro_sym::check_equivalent_with(&g.universal, &goto, &cfg, &sym)
+                    .expect("comparable");
+                assert!(matches!(out, EquivOutcome::Equivalent { .. }));
+            })
+        };
+        let s1 = run(1);
+        let s4 = run(4);
+        assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
+        assert!(
+            s1.iter().any(|(p, _)| p == expect),
+            "{expect} missing from {s1:?}"
+        );
+    }
 }
 
 #[test]

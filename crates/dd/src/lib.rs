@@ -35,6 +35,52 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Word-at-a-time multiply-rotate hasher for the unique table and the memo
+/// maps, whose keys are three machine words minted by this program (node
+/// ids, variables, an op tag), never outside input: SipHash's collision
+/// resistance buys nothing there and costs a third of a full compile. The
+/// derived `Hash` of the three key types only calls `write_u32` and (for
+/// the `repr(u8)` op tag) `write_u8`; `write` is the trait's catch-all. This is a sibling of `mapro-switch`'s `KeyHasher`, kept
+/// private here rather than shared: this crate depends on nothing but
+/// `mapro-obs`, and the two crates have no common dependency a 15-line
+/// hasher would justify adding.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the bits that pick a bucket.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Terminal tag bit: refs with it set are terminals, payload in the low
 /// 31 bits.
@@ -132,9 +178,9 @@ enum Op {
 /// and the symbolic compiler parallelizes *across* checks, not within one.
 pub struct Mgr {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, NodeRef, NodeRef), u32>,
-    memo_bin: HashMap<(Op, NodeRef, NodeRef), NodeRef>,
-    memo_ite: HashMap<(NodeRef, NodeRef, NodeRef), NodeRef>,
+    unique: WordMap<(u32, NodeRef, NodeRef), u32>,
+    memo_bin: WordMap<(Op, NodeRef, NodeRef), NodeRef>,
+    memo_ite: WordMap<(NodeRef, NodeRef, NodeRef), NodeRef>,
     max_nodes: usize,
 }
 
@@ -159,9 +205,9 @@ impl Mgr {
     pub fn with_limit(max_nodes: usize) -> Mgr {
         Mgr {
             nodes: Vec::new(),
-            unique: HashMap::new(),
-            memo_bin: HashMap::new(),
-            memo_ite: HashMap::new(),
+            unique: WordMap::default(),
+            memo_bin: WordMap::default(),
+            memo_ite: WordMap::default(),
             max_nodes: max_nodes.min(TERM_BIT as usize - 1),
         }
     }

@@ -87,8 +87,8 @@ pub const CATALOGUE: &[LintInfo] = &[
     LintInfo {
         id: "undecided-liveness",
         default_severity: Severity::Info,
-        summary: "union-cover liveness left undecided: the cube backend's split budget ran \
-                  out (re-run with --backend dd for an exact verdict)",
+        summary: "union-cover liveness left undecided: only under --backend cube, whose split \
+                  budget ran out (the default --backend dd is exact)",
     },
     LintInfo {
         id: "unknown-goto-target",
@@ -325,7 +325,7 @@ pub struct LintReport {
     /// All findings, in pass order (deterministic for a given program).
     pub diagnostics: Vec<Diagnostic>,
     /// How many liveness questions the run left undecided (cube backend
-    /// budget exhaustion). Always zero under the DD backend, whose
+    /// budget exhaustion). Always zero under the default DD backend, whose
     /// verdicts are exact; each undecided question also appears as an
     /// `undecided-liveness` diagnostic.
     pub unknown_findings: usize,

@@ -6,11 +6,10 @@
 //! text alone, in time polynomial in the table size, independent of field
 //! widths. The union-cover question ("do the higher-priority entries
 //! together leave this one nothing to match?") is decided by the engine
-//! [`LintConfig::backend`] selects: the budgeted recursive cube split
-//! ([`crate::cover::covered_by`]) or exact decision-diagram subtraction
-//! ([`mapro_sym::TableLiveness`]); `Auto` runs the cube check and
-//! escalates to the DD engine only for questions the budget left open, so
-//! every verdict is decided unless the cube backend is forced explicitly.
+//! [`LintConfig::backend`] selects: exact decision-diagram subtraction
+//! ([`mapro_sym::TableLiveness`], the default — every verdict is decided)
+//! or, when asked for explicitly, the budgeted recursive cube split
+//! ([`crate::cover::covered_by`]), which may leave one undecided.
 
 use crate::cover::{covered_by, Cube};
 use crate::diag::{Diagnostic, LintReport};
@@ -70,27 +69,15 @@ pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
             if earlier.len() < 2 {
                 continue;
             }
-            let dd_verdict = |dd: &mut Option<Option<TableLiveness>>| -> Option<bool> {
-                let lv =
-                    dd.get_or_insert_with(|| TableLiveness::build(&widths, &cubes, max_nodes).ok());
-                lv.as_ref().and_then(|lv| lv.covered[j])
-            };
             let verdict = match cfg.backend {
                 CoverBackend::Cube => {
                     let mut budget = cfg.cover_budget;
                     covered_by(cj, &earlier, &mut budget)
                 }
-                CoverBackend::Dd => dd_verdict(&mut dd),
-                CoverBackend::Auto => {
-                    let mut budget = cfg.cover_budget;
-                    match covered_by(cj, &earlier, &mut budget) {
-                        Some(v) => Some(v),
-                        None => {
-                            mapro_obs::counter!("lint.dd_resolved").inc();
-                            dd_verdict(&mut dd)
-                        }
-                    }
-                }
+                CoverBackend::Dd => dd
+                    .get_or_insert_with(|| TableLiveness::build(&widths, &cubes, max_nodes).ok())
+                    .as_ref()
+                    .and_then(|lv| lv.covered[j]),
             };
             match verdict {
                 Some(true) => {
@@ -225,15 +212,13 @@ mod tests {
         assert_eq!(r.with_lint("undecided-liveness").count(), 1);
         assert_eq!(r.with_lint("dead-entry").count(), 0);
         assert!(r.to_text().contains("1 unknown"), "{}", r.to_text());
-        // DD backend (and Auto's escalation): exact, no budget, no unknown.
-        for backend in [crate::CoverBackend::Dd, crate::CoverBackend::Auto] {
-            let mut r = LintReport::default();
-            check_entries(&p, &tiny(backend), &mut r);
-            assert_eq!(r.unknown_findings, 0, "{backend:?}");
-            let d: Vec<_> = r.with_lint("dead-entry").collect();
-            assert_eq!(d.len(), 1, "{backend:?}");
-            assert_eq!(d[0].entry, Some(2));
-        }
+        // The default (DD): exact, no budget, no unknown.
+        let mut r = LintReport::default();
+        check_entries(&p, &tiny(crate::CoverBackend::default()), &mut r);
+        assert_eq!(r.unknown_findings, 0);
+        let d: Vec<_> = r.with_lint("dead-entry").collect();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].entry, Some(2));
     }
 
     #[test]

@@ -55,10 +55,9 @@ pub struct LintConfig {
     /// only); exhaustion counts as an unknown finding (sound: never a
     /// false positive).
     pub cover_budget: usize,
-    /// Which engine decides union-cover liveness: `Cube` is the budgeted
-    /// recursive split, `Dd` is exact decision-diagram subtraction with no
-    /// budget, `Auto` (the default) runs the cube check and escalates to
-    /// the DD engine only for the questions the budget left open.
+    /// Which engine decides union-cover liveness: `Dd` (the default) is
+    /// exact decision-diagram subtraction with no budget, `Cube` the
+    /// budgeted recursive split, kept as the independent second engine.
     pub backend: CoverBackend,
     /// Model-level dependencies the author declares to hold, unioned with
     /// the mined ones before normal-form analysis.

@@ -1,18 +1,25 @@
-//! Cover cross-intersection and the mode-dispatching equivalence front door.
+//! The two symbolic full checks and the mode-dispatching equivalence front
+//! door.
 //!
-//! Two pipelines are equivalent iff on every non-empty intersection of a
-//! left atom with a right atom the two behaviors agree: the atoms of each
-//! cover tile the input space, so the pairwise intersections tile it too,
-//! and behavior is constant on each piece. The check is therefore a
-//! cross-product scan — quadratic in atom counts, independent of field
-//! widths — instead of a sweep over the (possibly astronomically large)
-//! Cartesian packet domain.
+//! The default engine compiles both pipelines into one decision-diagram
+//! manager and compares the two roots ([`CoverBackend::Dd`]). The second,
+//! independent engine ([`CoverBackend::Cube`], run only when asked for)
+//! cross-intersects two cube covers: two pipelines are equivalent iff on
+//! every non-empty intersection of a left atom with a right atom the two
+//! behaviors agree — the atoms of each cover tile the input space, so the
+//! pairwise intersections tile it too, and behavior is constant on each
+//! piece. Either way the cost is independent of field widths, instead of a
+//! sweep over the (possibly astronomically large) Cartesian packet domain.
 //!
-//! A disagreeing atom is reported as a concrete [`Counterexample`]: a
-//! representative packet is extracted from the intersection cube and both
-//! pipelines are re-run on it with the ordinary evaluator, so the reported
-//! packet, field listing and verdicts are byte-compatible with the
-//! enumerative engine's output (and independently re-checkable).
+//! A disagreeing region is reported as a concrete [`Counterexample`]: a
+//! representative packet is extracted from it (the diagram's 0-preferring
+//! `first_diff` path, or the intersection cube with free bits zero) and
+//! both pipelines are re-run on it with the ordinary evaluator, so the
+//! reported packet, field listing and verdicts are byte-compatible with
+//! the enumerative engine's output (and independently re-checkable).
+//!
+//! The degrade ladder has one rung: the selected engine, then — under
+//! [`EquivMode::Auto`] only — enumeration when it reports [`Unsupported`].
 
 use crate::compile::{compile, CoverBackend, FieldSpace, SymConfig, Unsupported};
 use crate::ddcover::DdEngine;
@@ -24,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why the symbolic path could not produce a verdict.
 enum SymFail {
-    /// The program is outside the cube compiler's fragment (or blew a
+    /// The program is outside the cover compilers' fragment (or blew a
     /// budget) — `Auto` mode falls back to the enumerative engine.
     Unsupported(Unsupported),
     /// A hard comparability/evaluation error the fallback engine would
@@ -49,7 +56,7 @@ enum ChunkEvent {
 ///
 /// # Errors
 /// [`EquivError::SymbolicUnsupported`] when the program falls outside the
-/// cube compiler's fragment (under [`EquivMode::Auto`] the front door
+/// cover compilers' fragment (under [`EquivMode::Auto`] the front door
 /// falls back to enumeration instead), plus the same hard errors the
 /// enumerative engine reports ([`EquivError::IncompatibleCatalogs`],
 /// [`EquivError::Eval`]).
@@ -63,15 +70,6 @@ pub fn check_symbolic(
         SymFail::Hard(e) => e,
     })
 }
-
-/// Joint match-bit threshold above which `Auto` goes straight to the DD
-/// backend: beyond this width a cube list can in principle hold more
-/// residues than any budget admits, while a hash-consed diagram stays
-/// proportional to the *structure* of the tables, not the width. 192 bits
-/// keeps the paper workloads (≤128 joint bits) on the cube engine whose
-/// committed benchmark digests they pin, and routes wide16-class spaces
-/// (256 bits) to DDs up front.
-pub(crate) const AUTO_DD_BITS: u32 = 192;
 
 /// The representative packets symbolic checks construct assign values by
 /// attribute id; both programs must agree on what each participating id
@@ -110,26 +108,6 @@ fn symbolic(left: &Pipeline, right: &Pipeline, sym: &SymConfig) -> Result<EquivO
     match sym.backend {
         CoverBackend::Cube => symbolic_cube(left, right, &space, sym),
         CoverBackend::Dd => symbolic_dd(left, right, &space, sym),
-        CoverBackend::Auto => {
-            let bits: u32 = space.coords.iter().map(|&(_, w)| w).sum();
-            if bits > AUTO_DD_BITS {
-                mapro_obs::counter!("sym.auto.dd_wide").inc();
-                return symbolic_dd(left, right, &space, sym);
-            }
-            match symbolic_cube(left, right, &space, sym) {
-                Err(SymFail::Unsupported(
-                    Unsupported::AtomBudget | Unsupported::PartitionBudget,
-                )) => {
-                    // A blown cube budget is exactly the fragmentation the
-                    // DD representation does not suffer from; retry before
-                    // surfacing Unsupported (which would otherwise demote
-                    // the verdict to enumeration or an error).
-                    mapro_obs::counter!("sym.auto.dd_retry").inc();
-                    symbolic_dd(left, right, &space, sym)
-                }
-                other => other,
-            }
-        }
     }
 }
 
@@ -279,9 +257,10 @@ fn symbolic_cube(
 /// mode-dispatching front door (re-exported by the `mapro` prelude).
 ///
 /// Dispatch on [`EquivConfig::mode`]:
-/// * [`EquivMode::Auto`] — run the symbolic engine; if the program is
-///   outside the cube compiler's fragment, fall back to the enumerative
-///   engine (counted in `sym.fallbacks`). Hard errors never fall back.
+/// * [`EquivMode::Auto`] — run the symbolic engine (decision diagrams
+///   unless `sym` says otherwise); if the program is outside its fragment,
+///   fall back to the enumerative engine (counted in `sym.fallbacks`).
+///   Hard errors never fall back.
 /// * [`EquivMode::Symbolic`] — symbolic only; unsupported constructs are
 ///   [`EquivError::SymbolicUnsupported`].
 /// * [`EquivMode::Enumerate`] — the enumerative cross-check oracle in
@@ -453,7 +432,7 @@ mod tests {
     #[test]
     fn general_ternary_outside_enumerative_fragment_is_checked() {
         // Non-contiguous ternary masks are outside the enumerative
-        // domain's decidable fragment; the cube engine handles them
+        // domain's decidable fragment; bit-level predicates handle them
         // natively.
         let mk = |port: &str| {
             let mut c = Catalog::new();
@@ -514,8 +493,10 @@ mod tests {
 
     #[test]
     fn dd_backend_agrees_with_cube_on_verdict_and_witness() {
-        let dd = SymConfig {
-            backend: CoverBackend::Dd,
+        let dd = SymConfig::default();
+        assert_eq!(dd.backend, CoverBackend::Dd, "diagrams are the default");
+        let cube = SymConfig {
+            backend: CoverBackend::Cube,
             ..SymConfig::default()
         };
         let a = out_table(8, &[(1, "x"), (2, "y")]);
@@ -532,7 +513,7 @@ mod tests {
         // A planted difference must come back as the same concrete
         // counterexample shape the cube backend reports.
         let c = out_table(8, &[(1, "x"), (2, "z")]);
-        let cube_cx = match check_symbolic(&a, &c, &SymConfig::default()).unwrap() {
+        let cube_cx = match check_symbolic(&a, &c, &cube).unwrap() {
             EquivOutcome::Counterexample(cx) => cx,
             _ => panic!("expected counterexample"),
         };
@@ -546,10 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_space_routes_auto_to_dd_and_proves_equivalence() {
+    fn wide_space_is_decided_exactly() {
         // Four 64-bit fields: 256 joint bits, 2^256 packets — enumeration
-        // is absurd and a cube cover would still work here, but Auto must
-        // route wide spaces straight to the DD engine and stay exact.
+        // is absurd; the diagram is as small as the one row.
         let mk = |port: &str| {
             let mut c = Catalog::new();
             let fs: Vec<_> = (0..4).map(|i| c.field(format!("f{i}"), 64)).collect();

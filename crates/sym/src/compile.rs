@@ -145,50 +145,50 @@ pub fn invalidation_cube(
 
 /// Which representation carries a behavior cover.
 ///
+/// * `Dd` (the default) — hash-consed decision diagrams (`mapro-dd`): one
+///   canonical MTBDD per pipeline, equivalence is root-pointer equality,
+///   negation and subtraction never fragment. Complete — no budget-shaped
+///   "unknown" answers. Every committed measurement that has both engines
+///   (E21, E22) has this one ahead, by 7× to three orders of magnitude.
 /// * `Cube` — flat disjoint ternary cube lists (the original engine):
-///   cheap at small widths, but subtraction splits cubes recursively and
-///   cross-intersection is quadratic in atoms.
-/// * `Dd` — hash-consed decision diagrams (`mapro-dd`): one canonical
-///   MTBDD per pipeline, equivalence is root-pointer equality, negation
-///   and subtraction never fragment. Complete — no budget-shaped
-///   "unknown" answers.
-/// * `Auto` — cube first (it wins at small widths), retrying with the DD
-///   backend when a cube budget blows, and going straight to DDs when the
-///   joint match space is wide enough that cube lists predictably explode
-///   (see `check::AUTO_DD_BITS`).
+///   subtraction splits cubes recursively and cross-intersection is
+///   quadratic in atoms. Nothing selects it on its own; it is the
+///   independent second engine `check`/`lint` run when asked to, which is
+///   what E17, E21 and the `sym_`/`dd_differential` suites compare
+///   against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoverBackend {
     /// Flat ternary-cube atom lists.
     Cube,
     /// Hash-consed BDD/MTBDD covers.
-    Dd,
-    /// Cube first, DD when cubes blow up or the space is wide.
     #[default]
-    Auto,
+    Dd,
 }
 
 impl CoverBackend {
-    /// Parse a CLI argument (`cube`, `dd`, `auto`).
+    /// Parse a CLI argument (`cube`, `dd`).
     pub fn parse(s: &str) -> Option<CoverBackend> {
         match s {
             "cube" => Some(CoverBackend::Cube),
             "dd" => Some(CoverBackend::Dd),
-            "auto" => Some(CoverBackend::Auto),
             _ => None,
         }
     }
 }
 
 /// Budgets for the symbolic compiler. Exhaustion is reported as
-/// [`Unsupported`], which `Auto` mode turns into an enumerative fallback —
-/// never a wrong answer.
+/// [`Unsupported`], which `EquivMode::Auto` turns into an enumerative
+/// fallback — never a wrong answer.
 #[derive(Debug, Clone)]
 pub struct SymConfig {
-    /// Maximum number of atoms one compilation may produce.
+    /// Maximum number of atoms (cube backend) or leaf regions (DD backend)
+    /// one compilation may produce.
     pub max_atoms: usize,
-    /// Maximum number of live cubes while partitioning one table.
+    /// Maximum number of live cubes while partitioning one table (cube
+    /// backend only).
     pub partition_budget: usize,
-    /// Which cover representation to use (default [`CoverBackend::Auto`]).
+    /// Which cover representation a full check uses (default
+    /// [`CoverBackend::Dd`]); incremental sessions are always DD.
     pub backend: CoverBackend,
     /// Maximum interior nodes in one DD manager (DD backend only).
     pub max_nodes: usize,
@@ -205,7 +205,7 @@ impl Default for SymConfig {
     }
 }
 
-/// A construct the cube compiler cannot express (or a blown budget).
+/// A construct the cover compilers cannot express (or a blown budget).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Unsupported {
     /// A symbolic path revisited tables beyond the evaluator's own visit
@@ -287,8 +287,8 @@ pub(crate) struct TablePartition {
     /// Total piece count (regions + miss) — the indexing heuristic's
     /// input, precomputed so `step` never rescans the region lists.
     pieces: usize,
-    /// Lazily-built piece trie for restricted compiles (see
-    /// [`Compiler::step`]); full compiles never touch it.
+    /// Lazily-built piece trie for constrained visits (see
+    /// [`Compiler::step`]).
     index: OnceLock<PieceIndex>,
 }
 
@@ -312,16 +312,6 @@ struct PieceIndex {
 }
 
 impl TablePartition {
-    /// Build the piece index now if `step` would ever want it (no-op for
-    /// small partitions) — lets a session pay the one-off trie
-    /// construction at build time instead of inside its first µs-budget
-    /// proof.
-    pub(crate) fn warm_index(&self, widths: &[u32]) {
-        if self.pieces >= PIECE_INDEX_MIN {
-            let _ = self.piece_index(widths);
-        }
-    }
-
     fn piece_index(&self, widths: &[u32]) -> &PieceIndex {
         self.index.get_or_init(|| {
             let mut trie = CubeTrie::new(widths);
@@ -684,30 +674,22 @@ enum Next {
     Done(Behavior),
 }
 
-/// Build (or fetch from the digest cache) every table's partition, in
-/// table order. The part of compiler construction worth caching across
-/// calls: an incremental session reuses the returned `Arc`s for every
-/// update that leaves the match side of its tables untouched, skipping
-/// the per-call row canonicalization and digest probe entirely.
-pub(crate) fn pipeline_parts(
-    p: &Pipeline,
-    cfg: &SymConfig,
-) -> Result<Vec<Arc<TablePartition>>, Unsupported> {
-    let mut parts = Vec::with_capacity(p.tables.len());
-    for t in &p.tables {
-        let widths: Vec<u32> = t
-            .match_attrs
-            .iter()
-            .map(|&a| p.catalog.attr(a).width)
-            .collect();
-        let rows: Vec<Option<Cube>> = t
-            .entries
-            .iter()
-            .map(|e| Cube::of(&e.matches, &widths))
-            .collect();
-        parts.push(table_partition(&widths, rows, cfg)?);
-    }
-    Ok(parts)
+/// Table `ti`'s column widths and its match rows in canonical ternary form
+/// over those columns (`None` = an unsatisfiable symbolic cell) — what both
+/// cover compilers execute instead of raw `Value`s.
+pub(crate) fn table_rows(p: &Pipeline, ti: usize) -> (Vec<u32>, Vec<Option<Cube>>) {
+    let t = &p.tables[ti];
+    let widths: Vec<u32> = t
+        .match_attrs
+        .iter()
+        .map(|&a| p.catalog.attr(a).width)
+        .collect();
+    let rows = t
+        .entries
+        .iter()
+        .map(|e| Cube::of(&e.matches, &widths))
+        .collect();
+    (widths, rows)
 }
 
 /// Piece count below which `step` always scans linearly — walking a trie
@@ -728,33 +710,21 @@ struct Compiler<'a> {
 }
 
 impl<'a> Compiler<'a> {
+    /// Build (or fetch from the digest cache) every table's partition, in
+    /// table order; everything else is cheap schema work.
     fn new(
         p: &'a Pipeline,
         space: &'a FieldSpace,
         cfg: &'a SymConfig,
     ) -> Result<Compiler<'a>, Unsupported> {
-        Ok(Self::with_parts(p, space, cfg, pipeline_parts(p, cfg)?))
-    }
-
-    /// Construct around prebuilt partitions (see [`pipeline_parts`]) —
-    /// everything left is cheap schema work.
-    fn with_parts(
-        p: &'a Pipeline,
-        space: &'a FieldSpace,
-        cfg: &'a SymConfig,
-        parts: Vec<Arc<TablePartition>>,
-    ) -> Compiler<'a> {
-        let widths = p
-            .tables
-            .iter()
-            .map(|t| {
-                t.match_attrs
-                    .iter()
-                    .map(|&a| p.catalog.attr(a).width)
-                    .collect()
-            })
-            .collect();
-        Compiler {
+        let mut parts = Vec::with_capacity(p.tables.len());
+        let mut widths = Vec::with_capacity(p.tables.len());
+        for ti in 0..p.tables.len() {
+            let (w, rows) = table_rows(p, ti);
+            parts.push(table_partition(&w, rows, cfg)?);
+            widths.push(w);
+        }
+        Ok(Compiler {
             p,
             space,
             index: p.name_index(),
@@ -762,7 +732,7 @@ impl<'a> Compiler<'a> {
             widths,
             limit: visit_limit(p),
             cfg,
-        }
+        })
     }
 
     fn resolve(&self, name: &str) -> Result<usize, Unsupported> {
@@ -906,8 +876,8 @@ impl<'a> Compiler<'a> {
     /// instead of a full scan — the trie's filter is exactly the per-piece
     /// compatibility test `refine` applies, and candidates are visited in
     /// flat construction order, so the successor list is byte-identical
-    /// either way. Restricted compiles ([`compile_within_parts`]) live on this
-    /// path; a full compile's universe probe takes the linear one.
+    /// either way. The start table's universe probe takes the linear path;
+    /// every later visit of a large table, constrained by then, the trie.
     fn step(&self, state: &SymState, ti: usize) -> Result<Vec<(SymState, Next)>, Unsupported> {
         let part = &self.parts[ti];
         let mut out = Vec::new();
@@ -1030,34 +1000,6 @@ pub fn compile(
         space: space.clone(),
         atoms,
     })
-}
-
-/// Compile `p` restricted to the input region `within`, around prebuilt
-/// table partitions ([`pipeline_parts`]): the returned atoms tile exactly
-/// `within` (by the partition invariant every refinement of the initial
-/// cube stays inside it) rather than the whole universe.
-///
-/// This is the delta-recompile primitive behind [`crate::incremental`]:
-/// after a flow-mod dirties a region, only that region needs fresh atoms,
-/// and the session keeps each side's partitions alive across updates, so
-/// the cost scales with the dirty region, not the pipeline. Runs
-/// single-threaded so atom order is thread-count independent.
-pub(crate) fn compile_within_parts(
-    p: &Pipeline,
-    space: &FieldSpace,
-    cfg: &SymConfig,
-    within: Cube,
-    parts: Vec<Arc<TablePartition>>,
-) -> Result<Vec<Atom>, Unsupported> {
-    let c = Compiler::with_parts(p, space, cfg, parts);
-    let start = c.resolve(&p.start)?;
-    let state = SymState {
-        cube: within,
-        core: SymCore::initial(p),
-    };
-    let mut atoms = Vec::new();
-    c.expand(state, start, &mut atoms)?;
-    Ok(atoms)
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //! to the root, which keeps router-like tables shallow.
 
 use crate::compile::{
-    apply_actions, delivered, visit_limit, Behavior, FieldSpace, SymConfig, SymCore, Unsupported,
+    apply_actions, delivered, table_rows, visit_limit, Behavior, FieldSpace, SymConfig, SymCore,
+    Unsupported,
 };
 use crate::cube::Cube;
 use mapro_core::{AttrId, MissPolicy, Pipeline};
@@ -96,6 +97,14 @@ impl BitLayout {
         }
     }
 
+    /// Append the bit literals of a whole cube over this layout's columns,
+    /// in ascending variable order — ready for `Mgr::cube`.
+    pub fn cube_lits(&self, c: &Cube, out: &mut Vec<(u32, bool)>) {
+        for (col, t) in c.0.iter().enumerate() {
+            self.tern_lits(col, t.bits, t.mask, out);
+        }
+    }
+
     /// Map a (partial) variable assignment back to one concrete value per
     /// column; unassigned bits are zero, so representatives are the same
     /// byte-stable "free bits pinned to 0" form the cube engine reports.
@@ -138,6 +147,14 @@ impl BehaviorInterner {
     }
 }
 
+/// Every table's match rows in canonical ternary form over the table's own
+/// columns (`None` = an unsatisfiable symbolic cell): what the DD compiler
+/// executes. [`DdEngine::compile`] derives them per call; a session derives
+/// them once and patches the entries a flow-mod touches.
+pub fn match_rows(p: &Pipeline) -> Vec<Vec<Option<Cube>>> {
+    (0..p.tables.len()).map(|ti| table_rows(p, ti).1).collect()
+}
+
 /// One DD comparison domain: the manager whose pointer equality decides
 /// equivalence, the shared behavior interner (same behavior → same
 /// terminal in every pipeline compiled here), and the bit layout.
@@ -176,7 +193,8 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
     ) -> Result<NodeRef, Unsupported> {
-        let (root, _leaves) = self.compile_from(p, space, cfg, NodeRef::TRUE)?;
+        let rows = match_rows(p);
+        let (root, _leaves) = self.compile_from(p, space, cfg, NodeRef::TRUE, None, &rows)?;
         debug_assert!(
             self.layout.total == 0 || root != NodeRef::term(0) || p.tables.is_empty(),
             "leaf regions must tile the universe"
@@ -184,16 +202,40 @@ impl DdEngine {
         Ok(root)
     }
 
-    /// Compile `p` restricted to the input region `state0` (a BDD over this
-    /// engine's layout): the returned root maps every packet in `state0` to
-    /// its interned behavior terminal and everything outside it to the
-    /// placeholder terminal 0. Also returns the number of leaf regions
-    /// emitted — the honest work measure for the delta.
+    /// The union of `cubes` (over the space's coordinates) as a BDD.
     ///
-    /// This is the DD half of the [`crate::incremental`] delta recompile:
-    /// after a flow-mod dirties a region `D`, `ite(D, compile_within(new,
-    /// D), old_root)` is the new cover, because the two agree everywhere
-    /// outside `D` by the invalidation-cube contract.
+    /// # Errors
+    /// [`Overflow`] when the arena limit is hit.
+    pub fn region(&mut self, cubes: &[Cube]) -> Result<NodeRef, Overflow> {
+        let mut lits: Vec<(u32, bool)> = Vec::new();
+        let mut d = NodeRef::FALSE;
+        for c in cubes {
+            lits.clear();
+            self.layout.cube_lits(c, &mut lits);
+            let piece = self.mgr.cube(&lits)?;
+            d = self.mgr.or(d, piece)?;
+        }
+        Ok(d)
+    }
+
+    /// Compile `p` restricted to the input region `within ⊆ ⋃ dirty` (a
+    /// BDD over this engine's layout and the cubes it was built from, see
+    /// [`DdEngine::region`]): the returned root maps every packet in
+    /// `within` to its interned behavior terminal and everything outside it
+    /// to the placeholder terminal 0 — the same node as `ite(within,
+    /// compile(p), term(0))`. `rows` is [`match_rows`] of `p`. Also returns
+    /// the number of leaf regions emitted — the honest work measure for
+    /// the delta.
+    ///
+    /// This is the [`crate::incremental`] delta recompile: after a flow-mod
+    /// dirties a region `D`, `ite(D, compile_within(new, D), old_root)` is
+    /// the new cover, because the two agree everywhere outside `D` by the
+    /// invalidation-cube contract. The cubes are what makes it local: every
+    /// state the executor reaches is a subset of `D`, so a row whose ternary
+    /// form is disjoint from every dirty cube meets no state, wins no region
+    /// and takes nothing from the miss set — it is skipped before its
+    /// predicate is built, and the cost follows the rows the dirty region
+    /// touches, not the table.
     ///
     /// # Errors
     /// Same causes as [`DdEngine::compile`].
@@ -203,8 +245,10 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
         within: NodeRef,
+        dirty: &[Cube],
+        rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
-        self.compile_from(p, space, cfg, within)
+        self.compile_from(p, space, cfg, within, Some(dirty), rows)
     }
 
     fn compile_from(
@@ -213,29 +257,18 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
         state0: NodeRef,
+        dirty: Option<&[Cube]>,
+        rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
         let _t = mapro_obs::time!("dd.compile_ns");
         let mut span =
             mapro_obs::trace::span_kv("dd.compile", vec![("tables", p.tables.len().into())]);
-        let mut rows = Vec::with_capacity(p.tables.len());
-        for t in &p.tables {
-            let widths: Vec<u32> = t
-                .match_attrs
-                .iter()
-                .map(|&a| p.catalog.attr(a).width)
-                .collect();
-            rows.push(
-                t.entries
-                    .iter()
-                    .map(|e| Cube::of(&e.matches, &widths))
-                    .collect::<Vec<_>>(),
-            );
-        }
         let mut c = DdCompiler {
             p,
             space,
             index: p.name_index(),
             rows,
+            dirty,
             limit: visit_limit(p),
             max_atoms: cfg.max_atoms,
             leaves: 0,
@@ -278,9 +311,11 @@ struct DdCompiler<'a> {
     p: &'a Pipeline,
     space: &'a FieldSpace,
     index: HashMap<&'a str, usize>,
-    /// Per table, per entry: the row's ternary form over the table's own
-    /// match columns (`None` = unsatisfiable symbolic cell).
-    rows: Vec<Vec<Option<Cube>>>,
+    /// [`match_rows`] of `p`.
+    rows: &'a [Vec<Option<Cube>>],
+    /// The cubes whose union contains every state of a restricted compile;
+    /// `None` for a full compile.
+    dirty: Option<&'a [Cube]>,
     limit: usize,
     max_atoms: usize,
     leaves: usize,
@@ -294,6 +329,26 @@ impl<'a> DdCompiler<'a> {
             .get(name)
             .copied()
             .ok_or_else(|| Unsupported::UnknownTable(name.to_owned()))
+    }
+
+    /// Is row `ec` disjoint from every dirty cube on the columns that are
+    /// still symbolic under `core`? Then `state ∧ ec = ∅` for every state
+    /// of this restricted compile. A concretely-valued column never
+    /// excludes a row: the dirty cube speaks about the input packet, not
+    /// about a register the walk has since rewritten.
+    fn outside_dirty(&self, core: &SymCore, attrs: &[AttrId], ec: &Cube) -> bool {
+        let Some(dirty) = self.dirty else {
+            return false;
+        };
+        !dirty.iter().any(|d| {
+            attrs
+                .iter()
+                .zip(&ec.0)
+                .all(|(&attr, &t)| match self.space.coord_of(attr) {
+                    Some(k) if core.vals[attr.index()].is_none() => t.intersect(d.0[k]).is_some(),
+                    _ => true,
+                })
+        })
     }
 
     /// The predicate "entry row `ec` matches" under the concrete values of
@@ -322,9 +377,7 @@ impl<'a> DdCompiler<'a> {
                         .space
                         .coord_of(attr)
                         .expect("unwritten match attr is a space coordinate");
-                    let mut col_lits = Vec::new();
-                    layout.tern_lits(k, t.bits, t.mask, &mut col_lits);
-                    self.lits.extend(col_lits);
+                    layout.tern_lits(k, t.bits, t.mask, &mut self.lits);
                 }
             }
         }
@@ -360,19 +413,27 @@ impl<'a> DdCompiler<'a> {
         root: &mut NodeRef,
     ) -> Result<(), Unsupported> {
         let t = &self.p.tables[ti];
-        // Priority resolution: entry `ei` wins on `state ∧ eᵢ ∖ (⋃ e₀..ᵢ₋₁)`.
+        // Priority resolution: entry `ei` wins on `state ∧ eᵢ ∖ (⋃ e₀..ᵢ₋₁)`;
+        // `acc` is that union restricted to `state`, so rows that miss the
+        // state leave it (and the arena) alone.
         let mut acc = NodeRef::FALSE;
-        let nrows = self.rows[ti].len();
-        for ei in 0..nrows {
-            let Some(ec) = self.rows[ti][ei].clone() else {
+        let rows: &'a [Option<Cube>] = &self.rows[ti];
+        for (ei, ec) in rows.iter().enumerate() {
+            let Some(ec) = ec else {
                 continue; // unsatisfiable symbolic cell: matches nothing
             };
-            let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, &ec)? else {
+            if self.outside_dirty(&core, &t.match_attrs, ec) {
+                continue;
+            }
+            let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, ec)? else {
                 continue; // concrete column mismatch: matches nothing here
             };
             let hit = mgr.and(state, e)?;
+            if hit == NodeRef::FALSE {
+                continue;
+            }
             let region = mgr.diff(hit, acc)?;
-            acc = mgr.or(acc, e)?;
+            acc = mgr.or(acc, hit)?;
             if region == NodeRef::FALSE {
                 continue;
             }
@@ -480,9 +541,7 @@ impl TableLiveness {
                 continue;
             };
             lits.clear();
-            for (col, t) in c.0.iter().enumerate() {
-                layout.tern_lits(col, t.bits, t.mask, &mut lits);
-            }
+            layout.cube_lits(c, &mut lits);
             let e = mgr.cube(&lits)?;
             let alive = mgr.diff(e, prefix)?;
             covered.push(Some(alive == NodeRef::FALSE));
@@ -495,15 +554,12 @@ impl TableLiveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, CoverBackend};
+    use crate::compile::compile;
     use crate::cube::Tern;
     use mapro_core::{ActionSem, Catalog, Packet, Table, Value};
 
     fn cfg() -> SymConfig {
-        SymConfig {
-            backend: CoverBackend::Dd,
-            ..SymConfig::default()
-        }
+        SymConfig::default()
     }
 
     /// Enumerate the whole (small) space: the MTBDD must agree with the
@@ -676,12 +732,121 @@ mod tests {
         let p = Pipeline::single(c, t);
         let space = FieldSpace::from_pipelines(&[&p]);
         let cfg = SymConfig {
-            backend: CoverBackend::Dd,
             max_nodes: 8,
             ..SymConfig::default()
         };
         let mut eng = DdEngine::new(&space, &cfg);
         assert_eq!(eng.compile(&p, &space, &cfg), Err(Unsupported::NodeBudget));
+    }
+
+    /// A random four-table program with everything the local delta has to
+    /// get right: overlapping-priority ternary rows, per-row gotos, a
+    /// `next` edge, `Fall`/`Controller`/`Drop` misses, metadata written
+    /// then matched, and a `SetField` of header `g` that `t1` and `t2`
+    /// re-match (so a dirty cube on `g` must not exclude their rows once
+    /// `g` is concrete).
+    fn random_zoo(rng: &mut rand::rngs::SmallRng) -> Pipeline {
+        use rand::Rng;
+        let mut c = Catalog::new();
+        let f = c.field("f", 6);
+        let g = c.field("g", 6);
+        let h = c.field("h", 4);
+        let m = c.meta("m", 4);
+        let set_m = c.action("set_m", ActionSem::SetField(m));
+        let set_g = c.action("set_g", ActionSem::SetField(g));
+        let goto = c.action("goto", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut tern = |w: u32| {
+            let full = (1u64 << w) - 1;
+            let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
+            Value::Ternary {
+                bits: rng.gen_range(0..=full) & mask,
+                mask,
+            }
+        };
+        let mut t0 = Table::new("t0", vec![f, g], vec![set_m, set_g, goto]);
+        let mut t1 = Table::new("t1", vec![m, g], vec![out]);
+        let mut t2 = Table::new("t2", vec![g, h], vec![out]);
+        let mut t3 = Table::new("t3", vec![f, h], vec![out]);
+        for i in 0..6u64 {
+            let rewrite = if i % 2 == 0 {
+                Value::Int(i * 9 % 64)
+            } else {
+                Value::Any
+            };
+            let target = match i % 3 {
+                0 => Value::sym("t2"),
+                1 => Value::sym("t3"),
+                _ => Value::Any, // falls to `next`
+            };
+            t0.row(
+                vec![tern(6), tern(6)],
+                vec![Value::Int(i % 4), rewrite, target],
+            );
+            t1.row(
+                vec![Value::Int(i % 4), tern(6)],
+                vec![Value::sym(format!("a{i}"))],
+            );
+            t2.row(vec![tern(6), tern(4)], vec![Value::sym(format!("b{i}"))]);
+            t3.row(vec![tern(6), tern(4)], vec![Value::sym(format!("c{i}"))]);
+        }
+        t0.next = Some("t1".into());
+        t0.miss = MissPolicy::Fall("t3".into());
+        t1.miss = MissPolicy::Controller;
+        t2.miss = MissPolicy::Fall("t3".into());
+        Pipeline::new(c, vec![t0, t1, t2, t3], "t0")
+    }
+
+    #[test]
+    fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(2019);
+        let cfg = cfg();
+        let mut skipped_somewhere = false;
+        for case in 0..200 {
+            let p = random_zoo(&mut rng);
+            let space = FieldSpace::from_pipelines(&[&p]);
+            let rows = match_rows(&p);
+            let mut eng = DdEngine::new(&space, &cfg);
+            let full = eng.compile(&p, &space, &cfg).unwrap();
+            for _ in 0..4 {
+                let dirty: Vec<Cube> = (0..rng.gen_range(1..4))
+                    .map(|_| {
+                        Cube(
+                            space
+                                .coords
+                                .iter()
+                                .map(|&(_, w)| {
+                                    let full = (1u64 << w) - 1;
+                                    let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
+                                    Tern {
+                                        bits: rng.gen_range(0..=full) & mask,
+                                        mask,
+                                    }
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                let d = eng.region(&dirty).unwrap();
+                let want = eng.mgr.ite(d, full, NodeRef::term(0)).unwrap();
+                let (got, local_leaves) = eng
+                    .compile_within(&p, &space, &cfg, d, &dirty, &rows)
+                    .unwrap();
+                assert_eq!(got, want, "case {case}, dirty {dirty:?}");
+                // The same region without the cubes to skip by: same node.
+                let (blind, leaves) = eng
+                    .compile_within(&p, &space, &cfg, d, &[space.universe()], &rows)
+                    .unwrap();
+                assert_eq!(blind, want, "case {case}");
+                assert_eq!(local_leaves, leaves, "skipped rows emit no leaf");
+                skipped_somewhere |= rows[0]
+                    .iter()
+                    .flatten()
+                    .any(|r| !dirty.iter().any(|c| Cube(c.0[..2].to_vec()).intersects(r)));
+            }
+        }
+        assert!(skipped_somewhere, "no case exercised the skip");
     }
 
     #[test]

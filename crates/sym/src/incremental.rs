@@ -1,71 +1,53 @@
 //! Incremental equivalence re-verification under control-plane churn.
 //!
-//! A full symbolic check recompiles both covers and cross-intersects every
-//! atom pair on every flow-mod — quadratic work for an update whose
-//! observable footprint is one table row. This module keeps an
+//! A full symbolic check recompiles both pipelines on every flow-mod for an
+//! update whose observable footprint is one table row. This module keeps an
 //! [`IncrementalChecker`] *session* alive across updates instead: both
-//! pipelines are compiled once, the behavior covers (cube atoms or DD
-//! roots) are retained, and each update only re-derives the part of the
-//! proof inside the update's *invalidation region* — the cube
+//! pipelines are compiled once into one decision-diagram manager, the two
+//! roots are retained, and each update only re-derives the part of the
+//! proof inside the update's *invalidation region* — the cubes
 //! [`invalidation_cube`] computes from the same flow-mod footprint
 //! (`Pipeline::flowmod_footprint`) the megaflow cache evicts by.
 //!
-//! ## The cube session invariant
-//!
-//! Alongside the two covers the session maintains the **complete set of
-//! disagreement regions**: the meets `lᵢ ∩ rⱼ` of every atom pair whose
-//! behaviors differ. Left atoms are pairwise disjoint and so are right
-//! atoms, so these meets are pairwise disjoint; the pair is equivalent iff
-//! the set is empty. On an update with (disjointified) dirty region `D`:
-//!
-//! * the updated side's cover is refreshed in place (`refresh_slab`): atoms
-//!   not touching `D` survive, touched atoms keep their old behavior on the
-//!   residue `atom ∖ D` (sound — by the invalidation contract behavior is
-//!   unchanged outside `D`), and `D` itself is re-tiled by a restricted
-//!   compile (`compile_within_parts`) over the side's retained partitions;
-//! * disagreements outside `D` survive verbatim (`old ∖ D` — neither
-//!   side's behavior changed there), and inside `D` they are re-derived by
-//!   scanning only the fresh atoms against the atoms they can meet.
-//!
-//! Because the disagreement set is total, the verdict after every update
-//! is *exact* — inequivalence never forces a full recheck, which is what
-//! keeps the steady lossless-update state (intent briefly ahead of the
-//! switch, then converged again) µs-scale in both directions.
-//!
-//! ## The DD session invariant
+//! ## The session invariant
 //!
 //! One persistent [`DdEngine`] holds both roots; the shared behavior
 //! interner maps equal behaviors to equal terminals across every compile,
-//! so root equality stays the exact verdict for the life of the session.
-//! An update builds `D` as a BDD, compiles the new pipeline restricted to
-//! `D`, and splices with `root ← ite(D, delta, root)` — the two diagrams
-//! agree outside `D` by the same invalidation contract. Counterexamples
-//! come from `first_diff`, whose 0-preferring path order is a function of
-//! the diagrams alone, so a session witness is byte-identical to a fresh
-//! check's.
+//! so root equality stays the exact verdict for the life of the session —
+//! in both directions: inequivalence never forces a full recheck, which is
+//! what keeps the steady lossless-update state (intent briefly ahead of the
+//! switch, then converged again) µs-scale. An update builds its dirty
+//! region `D` as a BDD, compiles the new pipeline restricted to `D`
+//! ([`DdEngine::compile_within`]), and splices with `root ← ite(D, delta,
+//! root)` — the two diagrams agree outside `D` by the invalidation
+//! contract. The restricted compile is local: every state it reaches is a
+//! subset of `D`, so a table row disjoint from every dirty cube can neither
+//! win a region nor shrink the miss set and is skipped before its predicate
+//! is built; the per-table ternary rows it tests are kept here and patched
+//! entry-wise with the pipelines. Counterexamples come from `first_diff`,
+//! whose 0-preferring path order is a function of the diagrams alone, so a
+//! session witness is byte-identical to a fresh check's.
+//!
+//! Every delta leaves its intermediate nodes and memo entries in the
+//! arena; the session collects them (`Mgr::gc` over the two roots) whenever
+//! the arena has grown past `GC_GROWTH` (4) times what the last collection
+//! left, so memory follows the live diagrams, not the run length.
 //!
 //! ## Fallbacks
 //!
-//! Some updates are not worth (or not sound to) delta-process: rows
-//! naming a table the pipeline doesn't have, a dirty region touching more
-//! atoms than [`IncrementalChecker::DELTA_BUDGET`], a restricted compile
-//! reporting [`Unsupported`], a DD arena overflow (the rebuild doubles as
-//! garbage collection), or a catalog/space drift between the sessions'
-//! pipelines. All of these fall back to a from-scratch rebuild of the
-//! session state — counted in `sym.incr.fallbacks` and costed honestly in
-//! the returned token's `atoms_rechecked`.
+//! Some updates cannot be delta-processed: rows naming a table the
+//! pipeline doesn't have, a restricted compile reporting [`Unsupported`]
+//! (a DD arena overflow included), or a catalog/space drift between the
+//! session's pipelines. All of these fall back to a from-scratch rebuild of
+//! the session state — counted in `sym.incr.fallbacks` and costed honestly
+//! in the returned token's `atoms_rechecked`.
 
-use crate::check::{catalog_guard, concretize, AUTO_DD_BITS};
-use crate::compile::{
-    compile, compile_within_parts, invalidation_cube, pipeline_parts, Atom, BehaviorCover,
-    CoverBackend, FieldSpace, SymConfig, TablePartition, Unsupported,
-};
+use crate::check::{catalog_guard, concretize};
+use crate::compile::{invalidation_cube, FieldSpace, SymConfig, Unsupported};
 use crate::cube::Cube;
-use crate::ddcover::DdEngine;
-use crate::trie::CubeTrie;
+use crate::ddcover::{match_rows, DdEngine};
 use mapro_core::{Counterexample, EquivError, Pipeline, Value};
 use mapro_dd::NodeRef;
-use std::sync::Arc;
 
 /// Which pipeline of the session an update applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,177 +98,97 @@ pub struct ProofToken {
     pub txn: u64,
     /// Deterministic digest: `incr:<epoch>:<txn>:<checks>:<atoms>:<verdict>`.
     pub digest: String,
-    /// Atoms (cube) or leaf regions (DD) re-derived for this proof; the
-    /// full cover size when the update fell back to a from-scratch check.
+    /// Leaf regions re-derived for this proof; the shared node count of
+    /// both diagrams when the update fell back to a from-scratch check.
     pub atoms_rechecked: usize,
     /// The session verdict after applying the update.
     pub verdict: Verdict,
 }
 
-/// A behavior cover held as a slot slab plus a cube trie over the live
-/// atoms. A per-update cover rebuild is `O(atoms)` twice over (vector
-/// rebuild + touched scan), which is the entire per-mod cost at tens of
-/// thousands of atoms; the slab instead answers "which atoms does this
-/// dirty region touch" through the trie and performs slot surgery on
-/// exactly those — remove touched, re-insert residues and fresh atoms —
-/// so the update cost scales with the footprint, not the cover.
-struct SlabCover {
-    slots: Vec<Option<Atom>>,
-    /// Recycled slot ids (their `slots` entries are `None`).
-    free: Vec<u32>,
-    /// Live atom count (`slots` minus `free`).
-    live: usize,
-    trie: CubeTrie,
+/// One pipeline of the pair with what the session derives from it.
+struct SideState {
+    p: Pipeline,
+    /// [`match_rows`] of `p`, patched entry-wise by [`SideState::sync`].
+    rows: Vec<Vec<Option<Cube>>>,
+    /// The behavior MTBDD of `p` in the session's engine.
+    root: NodeRef,
 }
 
-impl SlabCover {
-    /// Consume a compiled cover into a slab (slot `i` = atom `i`).
-    fn build(cover: BehaviorCover) -> SlabCover {
-        let widths: Vec<u32> = cover.space.coords.iter().map(|&(_, w)| w).collect();
-        let mut s = SlabCover {
-            slots: Vec::with_capacity(cover.atoms.len()),
-            free: Vec::new(),
-            live: 0,
-            trie: CubeTrie::new(&widths),
-        };
-        for a in cover.atoms {
-            s.insert(a);
+impl SideState {
+    fn new(p: &Pipeline) -> SideState {
+        SideState {
+            p: p.clone(),
+            rows: match_rows(p),
+            root: NodeRef::term(0),
         }
-        s
     }
 
-    fn insert(&mut self, a: Atom) -> u32 {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.trie.insert(&a.cube, slot);
-        self.slots[slot as usize] = Some(a);
-        self.live += 1;
-        slot
-    }
-
-    fn remove(&mut self, slot: u32) -> Atom {
-        let a = self.slots[slot as usize]
-            .take()
-            .expect("removing a dead slot");
-        self.trie.remove(&a.cube, slot);
-        self.free.push(slot);
-        self.live -= 1;
-        a
-    }
-
-    fn atom(&self, slot: u32) -> &Atom {
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("reading a dead slot")
-    }
-
-    /// Sorted, deduplicated live slots whose atoms intersect any piece of
-    /// `dirty`.
-    fn touched_into(&self, dirty: &[Cube], out: &mut Vec<u32>) {
-        for d in dirty {
-            self.trie.query_into(d, out);
+    /// Patch the stored pipeline (and its ternary rows) in place to equal
+    /// `new`, copying only the cells that differ; returns whether anything
+    /// did. At churn rates a full per-update `Pipeline::clone` and row
+    /// re-derivation cost more than the delta proof itself; a single-row
+    /// flow-mod copies one entry here instead.
+    fn sync(&mut self, new: &Pipeline) -> bool {
+        let stored = &mut self.p;
+        let structural = stored.catalog != new.catalog
+            || stored.start != new.start
+            || stored.tables.len() != new.tables.len()
+            || stored.tables.iter().zip(&new.tables).any(|(s, n)| {
+                s.name != n.name
+                    || s.match_attrs != n.match_attrs
+                    || s.action_attrs != n.action_attrs
+                    || s.miss != n.miss
+                    || s.next != n.next
+                    || s.entries.len() != n.entries.len()
+            });
+        if structural {
+            *stored = new.clone();
+            self.rows = match_rows(new);
+            return true;
         }
-        out.sort_unstable();
-        out.dedup();
-    }
-}
-
-/// How far [`sync_pipeline`] had to go to make the stored side equal the
-/// caller's pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SideSync {
-    /// Byte-identical — the side's cover and partitions are still valid.
-    Unchanged,
-    /// Only action cells changed: the match partitions stay valid.
-    ActionsOnly,
-    /// Some match cell changed: the partitions must be re-derived.
-    MatchChanged,
-    /// Schema-level drift (catalog, wiring, table set, row count): the
-    /// stored side was replaced by a full clone.
-    Structural,
-}
-
-/// Patch `stored` in place to equal `new`, copying only the cells that
-/// differ. At churn rates the full per-update `Pipeline::clone` costs as
-/// much as the delta proof itself; a single-row flow-mod copies one entry
-/// here instead. Returns how much changed, which is also what decides
-/// whether the side's cached table partitions survive the update.
-fn sync_pipeline(stored: &mut Pipeline, new: &Pipeline) -> SideSync {
-    let structural = stored.catalog != new.catalog
-        || stored.start != new.start
-        || stored.tables.len() != new.tables.len()
-        || stored.tables.iter().zip(&new.tables).any(|(s, n)| {
-            s.name != n.name
-                || s.match_attrs != n.match_attrs
-                || s.action_attrs != n.action_attrs
-                || s.miss != n.miss
-                || s.next != n.next
-                || s.entries.len() != n.entries.len()
-        });
-    if structural {
-        *stored = new.clone();
-        return SideSync::Structural;
-    }
-    let mut sync = SideSync::Unchanged;
-    for (st, nt) in stored.tables.iter_mut().zip(&new.tables) {
-        for (se, ne) in st.entries.iter_mut().zip(&nt.entries) {
-            if se.matches != ne.matches {
-                se.matches = ne.matches.clone();
-                sync = SideSync::MatchChanged;
-            }
-            if se.actions != ne.actions {
-                se.actions = ne.actions.clone();
-                if sync == SideSync::Unchanged {
-                    sync = SideSync::ActionsOnly;
+        let mut changed = false;
+        for ((st, nt), rows) in stored
+            .tables
+            .iter_mut()
+            .zip(&new.tables)
+            .zip(&mut self.rows)
+        {
+            for ((se, ne), row) in st.entries.iter_mut().zip(&nt.entries).zip(rows) {
+                if se.matches != ne.matches {
+                    let widths: Vec<u32> = nt
+                        .match_attrs
+                        .iter()
+                        .map(|&a| new.catalog.attr(a).width)
+                        .collect();
+                    *row = Cube::of(&ne.matches, &widths);
+                    se.matches = ne.matches.clone();
+                    changed = true;
+                }
+                if se.actions != ne.actions {
+                    se.actions = ne.actions.clone();
+                    changed = true;
                 }
             }
         }
+        changed
     }
-    sync
-}
-
-/// The retained proof state, per backend.
-enum Covers {
-    /// Cube backend: both covers as slabs, each side's table partitions
-    /// (kept alive so action-only updates recompile without re-deriving
-    /// or even digest-probing them), plus the complete, pairwise-disjoint
-    /// set of disagreement meets (empty ⟺ equivalent).
-    Cube {
-        left: SlabCover,
-        right: SlabCover,
-        parts_left: Vec<Arc<TablePartition>>,
-        parts_right: Vec<Arc<TablePartition>>,
-        disagreements: Vec<Cube>,
-    },
-    /// DD backend: one persistent engine (shared interner) and the two
-    /// roots (equal ⟺ equivalent).
-    Dd {
-        eng: DdEngine,
-        left: NodeRef,
-        right: NodeRef,
-    },
 }
 
 fn unsup(u: Unsupported) -> EquivError {
     EquivError::SymbolicUnsupported(u.to_string())
 }
 
-/// The invalidation cubes of a batch of flow-mod rows (deduplicated by
-/// subsumption), or `None` when some row names a table `p` does not have —
-/// the caller cannot bound that update's footprint and must recheck fully.
-/// Rows whose match cells are unsatisfiable are behavior-invisible and
-/// contribute nothing.
+/// Add the invalidation cubes of a batch of flow-mod rows against `p` to
+/// `cubes` (kept free of subsumed members), or return `None` when some row
+/// names a table `p` does not have — the caller cannot bound that update's
+/// footprint and must recheck fully. Rows whose match cells are
+/// unsatisfiable are behavior-invisible and contribute nothing.
 fn dirty_cubes(
     p: &Pipeline,
     space: &FieldSpace,
     rows: &[(String, Vec<Value>)],
-) -> Option<Vec<Cube>> {
-    let mut cubes: Vec<Cube> = Vec::new();
+    cubes: &mut Vec<Cube>,
+) -> Option<()> {
     for (table, matches) in rows {
         let t = p.tables.iter().find(|t| t.name == *table)?;
         if t.match_attrs.len() != matches.len() {
@@ -301,166 +203,15 @@ fn dirty_cubes(
         cubes.retain(|k| !c.subsumes(k));
         cubes.push(c);
     }
-    Some(cubes)
+    Some(())
 }
 
-/// Split possibly-overlapping cubes into pairwise-disjoint pieces with the
-/// same union, so downstream subtractions and restricted compiles never
-/// double-process a region.
-fn disjointify(cubes: Vec<Cube>) -> Vec<Cube> {
-    let mut pieces: Vec<Cube> = Vec::new();
-    let mut frontier: Vec<Cube> = Vec::new();
-    let mut next: Vec<Cube> = Vec::new();
-    for c in cubes {
-        frontier.clear();
-        frontier.push(c);
-        for k in pieces.clone() {
-            next.clear();
-            for f in &frontier {
-                f.subtract_into(&k, &mut next);
-            }
-            std::mem::swap(&mut frontier, &mut next);
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        pieces.append(&mut frontier);
-    }
-    pieces
-}
-
-/// Subtract every piece of `dirty` from `c`, appending the residues to
-/// `out` (double-buffered through `frontier`/`next`).
-fn subtract_all(c: &Cube, dirty: &[Cube], out: &mut Vec<Cube>) {
-    let mut frontier = vec![c.clone()];
-    let mut next: Vec<Cube> = Vec::new();
-    for d in dirty {
-        next.clear();
-        for f in &frontier {
-            f.subtract_into(d, &mut next);
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    out.append(&mut frontier);
-}
-
-/// All disagreement meets between two slices of atoms (used over covers or
-/// their fresh trailing slices — both inputs pairwise disjoint, so the
-/// output is too).
-fn disagreement_meets(la: &[Atom], ra: &[Atom], out: &mut Vec<Cube>) {
-    for a in la {
-        for b in ra {
-            if let Some(m) = a.cube.intersect(&b.cube) {
-                if a.behavior != b.behavior {
-                    out.push(m);
-                }
-            }
-        }
-    }
-}
-
-/// Chunk size for the parallel cover join (matches the checker's
-/// cross-intersection fan-out granularity).
-const JOIN_CHUNK: usize = 32;
-
-/// The complete disagreement-meet set of two freshly compiled covers:
-/// fixed-size chunks of left atoms each scan the whole right cover, and
-/// the per-chunk outputs are concatenated in chunk order — byte-identical
-/// to the single-threaded nested scan at any thread count.
-fn parallel_disagreements(lc: &BehaviorCover, rc: &BehaviorCover) -> Vec<Cube> {
-    let chunks = mapro_par::chunk_ranges(lc.atoms.len(), JOIN_CHUNK);
-    let pool = mapro_par::Pool::current();
-    let parts = pool.map_ordered(&chunks, |_ci, r| {
-        let mut out = Vec::new();
-        disagreement_meets(&lc.atoms[r.clone()], &rc.atoms, &mut out);
-        out
-    });
-    parts.into_iter().flatten().collect()
-}
-
-/// Disagreement meets of `fresh` atoms of `side` against the atoms of
-/// `other` they intersect — found through `other`'s trie, so a one-sided
-/// update never scans the unchanged cover. Ascending slot order on both
-/// ends keeps the output deterministic.
-fn slab_meets(side: &SlabCover, fresh: &[u32], other: &SlabCover, out: &mut Vec<Cube>) {
-    let mut cand: Vec<u32> = Vec::new();
-    for &fs in fresh {
-        let fa = side.atom(fs);
-        cand.clear();
-        other.trie.query_into(&fa.cube, &mut cand);
-        for &os in &cand {
-            let oa = other.atom(os);
-            if fa.behavior != oa.behavior {
-                let m = fa
-                    .cube
-                    .intersect(&oa.cube)
-                    .expect("trie candidates intersect by construction");
-                out.push(m);
-            }
-        }
-    }
-}
-
-/// Pre-build every partition's piece trie (see
-/// [`TablePartition::warm_index`]) so the session's first delta compile
-/// doesn't pay the one-off index construction inside a timed proof.
-fn warm_parts(p: &Pipeline, parts: &[Arc<TablePartition>]) {
-    for (t, part) in p.tables.iter().zip(parts) {
-        let widths: Vec<u32> = t
-            .match_attrs
-            .iter()
-            .map(|&a| p.catalog.attr(a).width)
-            .collect();
-        part.warm_index(&widths);
-    }
-}
-
-/// In-place slab surgery for one updated side: remove the touched atoms,
-/// re-insert their residues outside `dirty` (behavior unchanged there by
-/// the invalidation contract), re-tile `dirty` itself by restricted
-/// compiles over the side's cached partitions, and return the fresh
-/// atoms' slots. Errors mean "fall back"; the caller rebuilds from
-/// scratch, so a partially mutated slab is safe.
-fn refresh_slab(
-    slab: &mut SlabCover,
-    p_new: &Pipeline,
-    space: &FieldSpace,
-    cfg: &SymConfig,
-    parts: &[Arc<TablePartition>],
-    dirty: &[Cube],
-    touched: &[u32],
-) -> Result<Vec<u32>, Unsupported> {
-    let mut span = mapro_obs::trace::span_kv(
-        "sym.incr.delta_compile",
-        vec![("pieces", dirty.len().into())],
-    );
-    let mut residues: Vec<Cube> = Vec::new();
-    for &slot in touched {
-        let a = slab.remove(slot);
-        residues.clear();
-        subtract_all(&a.cube, dirty, &mut residues);
-        for cube in residues.drain(..) {
-            slab.insert(Atom {
-                cube,
-                behavior: a.behavior.clone(),
-            });
-        }
-    }
-    let mut fresh = Vec::new();
-    for d in dirty {
-        for a in compile_within_parts(p_new, space, cfg, d.clone(), parts.to_vec())? {
-            fresh.push(slab.insert(a));
-        }
-    }
-    if slab.live > cfg.max_atoms {
-        return Err(Unsupported::AtomBudget);
-    }
-    span.set("fresh", fresh.len());
-    Ok(fresh)
-}
+/// The session collects garbage when the arena holds more than this many
+/// times the nodes the last collection (or build) left in it…
+const GC_GROWTH: usize = 4;
+/// …and never below this many nodes, where a collection would cost more in
+/// dropped memo entries than the few KiB it frees.
+const GC_FLOOR: usize = 1 << 12;
 
 /// A long-lived equivalence session over a pipeline pair.
 ///
@@ -471,77 +222,48 @@ fn refresh_slab(
 /// from-scratch [`crate::check_symbolic`] would produce on the same pair
 /// (the differential suite asserts this after every mod).
 pub struct IncrementalChecker {
-    left: Pipeline,
-    right: Pipeline,
+    left: SideState,
+    right: SideState,
     space: FieldSpace,
     cfg: SymConfig,
-    /// The resolved backend (never `Auto`; `Auto` resolves at build time
-    /// and may flip Cube → Dd when a cube budget blows).
-    backend: CoverBackend,
-    /// Whether budget blowups may flip the backend (i.e. the caller asked
-    /// for `Auto`).
-    auto: bool,
-    covers: Covers,
+    /// The one manager both roots live in (equal roots ⟺ equivalent).
+    eng: DdEngine,
+    /// Arena size that triggers the next collection.
+    gc_at: usize,
     /// Updates processed (including fallbacks); part of every digest.
     checks: u64,
-    /// The dirty region of the last delta-processed update (empty after a
+    /// The dirty cubes of the last delta-processed update (empty after a
     /// fallback).
     last_dirty: Vec<Cube>,
-    /// Set while the retained covers do not reflect `left`/`right` (a
+    /// Set while the retained roots do not reflect `left`/`right` (a
     /// rebuild failed); the next update re-attempts a full rebuild.
     stale: bool,
 }
 
 impl IncrementalChecker {
-    /// Fallback threshold: an update whose dirty region intersects more
-    /// retained atoms (both sides) than this — or arrives as more
-    /// disjoint pieces — is cheaper to re-prove from scratch than to
-    /// subtract piecewise.
-    pub const DELTA_BUDGET: usize = 4096;
-
-    /// Compile both pipelines and build the initial proof state.
+    /// Compile both pipelines and build the initial proof state. Sessions
+    /// always run on decision diagrams; `cfg.backend` is not consulted.
     ///
     /// Pre-registers the `sym.incr.*` metrics so a scrape between
     /// construction and the first update already sees them at zero.
     ///
     /// # Errors
     /// [`EquivError::IncompatibleCatalogs`] when the pipelines disagree on
-    /// an attribute, [`EquivError::SymbolicUnsupported`] when the resolved
-    /// backend cannot express them.
+    /// an attribute, [`EquivError::SymbolicUnsupported`] when the compiler
+    /// cannot express them.
     pub fn new(left: &Pipeline, right: &Pipeline, cfg: &SymConfig) -> Result<Self, EquivError> {
         mapro_obs::counter!("sym.incr.checks");
         mapro_obs::counter!("sym.incr.atoms_rechecked");
         mapro_obs::counter!("sym.incr.fallbacks");
         mapro_obs::histogram!("sym.incr.proof_ns");
         let space = FieldSpace::from_pipelines(&[left, right]);
-        catalog_guard(left, right, &space)?;
-        let bits: u32 = space.coords.iter().map(|&(_, w)| w).sum();
-        let (backend, auto) = match cfg.backend {
-            CoverBackend::Cube => (CoverBackend::Cube, false),
-            CoverBackend::Dd => (CoverBackend::Dd, false),
-            CoverBackend::Auto if bits > AUTO_DD_BITS => (CoverBackend::Dd, false),
-            CoverBackend::Auto => (CoverBackend::Cube, true),
-        };
         let mut s = IncrementalChecker {
-            left: left.clone(),
-            right: right.clone(),
-            space: space.clone(),
+            left: SideState::new(left),
+            right: SideState::new(right),
+            eng: DdEngine::new(&space, cfg),
+            space,
             cfg: cfg.clone(),
-            backend,
-            auto,
-            covers: Covers::Cube {
-                left: SlabCover::build(BehaviorCover {
-                    space: space.clone(),
-                    atoms: Vec::new(),
-                }),
-                right: SlabCover::build(BehaviorCover {
-                    space,
-                    atoms: Vec::new(),
-                }),
-                parts_left: Vec::new(),
-                parts_right: Vec::new(),
-                disagreements: Vec::new(),
-            },
+            gc_at: 0,
             checks: 0,
             last_dirty: Vec::new(),
             stale: true,
@@ -552,62 +274,44 @@ impl IncrementalChecker {
 
     /// The session's left pipeline as last updated.
     pub fn left(&self) -> &Pipeline {
-        &self.left
+        &self.left.p
     }
 
     /// The session's right pipeline as last updated.
     pub fn right(&self) -> &Pipeline {
-        &self.right
+        &self.right.p
     }
 
-    /// The (disjoint) dirty region of the last delta-processed update;
-    /// empty after a fallback or behavior-invisible update.
+    /// The dirty cubes of the last delta-processed update (they may
+    /// overlap; none subsumes another); empty after a fallback or
+    /// behavior-invisible update.
     pub fn last_dirty(&self) -> &[Cube] {
         &self.last_dirty
     }
 
-    /// The current session verdict (exact — see the module invariants).
+    /// The current session verdict (exact — see the module invariant).
     pub fn verdict(&self) -> Verdict {
-        match &self.covers {
-            Covers::Cube { disagreements, .. } if disagreements.is_empty() => Verdict::Equivalent,
-            Covers::Cube { .. } => Verdict::NotEquivalent,
-            Covers::Dd { left, right, .. } if left == right => Verdict::Equivalent,
-            Covers::Dd { .. } => Verdict::NotEquivalent,
+        if self.left.root == self.right.root {
+            Verdict::Equivalent
+        } else {
+            Verdict::NotEquivalent
         }
     }
 
     /// Concretize a witness for the current [`Verdict::NotEquivalent`]
     /// state (or `None` when equivalent). Kept off the update path so
-    /// steady-state proofs never pay evaluator runs.
-    ///
-    /// DD witnesses are byte-identical to a fresh check's (`first_diff`
-    /// path order is a function of the diagrams alone). Cube witnesses
-    /// are confirmed-real representatives of a disagreement region, but a
-    /// fresh compile may decompose atoms differently and report a
-    /// different (equally valid) packet.
+    /// steady-state proofs never pay evaluator runs. Byte-identical to a
+    /// fresh check's witness (`first_diff` path order is a function of the
+    /// diagrams alone).
     ///
     /// # Errors
     /// [`EquivError::Eval`] when the witness packet fails to evaluate.
     pub fn counterexample(&self) -> Result<Option<Counterexample>, EquivError> {
-        match &self.covers {
-            Covers::Cube { disagreements, .. } => {
-                let Some(c) = disagreements.first() else {
-                    return Ok(None);
-                };
-                concretize(&self.left, &self.right, &self.space, &c.representative()).map(Some)
-            }
-            Covers::Dd { eng, left, right } => {
-                if left == right {
-                    return Ok(None);
-                }
-                let path = eng
-                    .mgr
-                    .first_diff(*left, *right)
-                    .expect("distinct hash-consed roots must differ somewhere");
-                let rep = eng.layout.key_of_path(&path);
-                concretize(&self.left, &self.right, &self.space, &rep).map(Some)
-            }
-        }
+        let Some(path) = self.eng.mgr.first_diff(self.left.root, self.right.root) else {
+            return Ok(None);
+        };
+        let rep = self.eng.layout.key_of_path(&path);
+        concretize(&self.left.p, &self.right.p, &self.space, &rep).map(Some)
     }
 
     /// Re-verify after one side changed: `rows` are the `(table, match
@@ -633,8 +337,8 @@ impl IncrementalChecker {
     }
 
     /// Re-verify after the same update bundle was applied to both sides
-    /// (the common committed-bundle case: the dirty regions coincide and
-    /// the delta scan is fresh × fresh).
+    /// (the common committed-bundle case: the second side's restricted
+    /// compile is answered from the first one's memo entries).
     ///
     /// # Errors
     /// As [`IncrementalChecker::update`].
@@ -664,58 +368,27 @@ impl IncrementalChecker {
         // The dirty region is computed against the *pre-update* pipelines:
         // entry edits never change a table's match schema, so the region
         // bounds both the old and the new rows' footprints.
-        let dirty = if self.stale {
-            None
+        self.last_dirty.clear();
+        let mut bounded = !self.stale;
+        for (new, side) in [(new_left, &self.left), (new_right, &self.right)] {
+            if bounded && new.is_some() {
+                bounded = dirty_cubes(&side.p, &self.space, rows, &mut self.last_dirty).is_some();
+            }
+        }
+
+        let upd_left = new_left.is_some_and(|p| self.left.sync(p));
+        let upd_right = new_right.is_some_and(|p| self.right.sync(p));
+
+        let delta = if bounded
+            && FieldSpace::from_pipelines(&[&self.left.p, &self.right.p]) == self.space
+        {
+            self.delta(upd_left, upd_right).ok()
         } else {
-            let mut raw: Vec<Cube> = Vec::new();
-            let mut ok = true;
-            for (changed, p) in [
-                (new_left.is_some(), &self.left),
-                (new_right.is_some(), &self.right),
-            ] {
-                if !changed {
-                    continue;
-                }
-                match dirty_cubes(p, &self.space, rows) {
-                    Some(cs) => {
-                        for c in cs {
-                            if raw.iter().any(|k| k.subsumes(&c)) {
-                                continue;
-                            }
-                            raw.retain(|k| !c.subsumes(k));
-                            raw.push(c);
-                        }
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            ok.then(|| disjointify(raw))
+            None
         };
-
-        // Entry-wise sync instead of a full clone: a single-row mod copies
-        // one entry; the returned precision also decides whether the
-        // side's cached partitions survive.
-        let sync_l = match new_left {
-            Some(p) => sync_pipeline(&mut self.left, p),
-            None => SideSync::Unchanged,
-        };
-        let sync_r = match new_right {
-            Some(p) => sync_pipeline(&mut self.right, p),
-            None => SideSync::Unchanged,
-        };
-
-        let atoms_rechecked = match dirty {
-            Some(dirty) if FieldSpace::from_pipelines(&[&self.left, &self.right]) == self.space => {
-                self.last_dirty = dirty.clone();
-                match self.delta(sync_l, sync_r, &dirty) {
-                    Ok(n) => n,
-                    Err(_) => self.fallback_recheck()?,
-                }
-            }
-            _ => self.fallback_recheck()?,
+        let atoms_rechecked = match delta {
+            Some(n) => n,
+            None => self.fallback_recheck()?,
         };
 
         let verdict = self.verdict();
@@ -734,135 +407,43 @@ impl IncrementalChecker {
         })
     }
 
-    /// Delta-process one update. Any error means "fall back" — the caller
-    /// rebuilds from scratch, so partial cover mutations here are safe.
-    fn delta(
-        &mut self,
-        sync_l: SideSync,
-        sync_r: SideSync,
-        dirty: &[Cube],
-    ) -> Result<usize, Unsupported> {
-        let upd_left = sync_l != SideSync::Unchanged;
-        let upd_right = sync_r != SideSync::Unchanged;
+    /// Delta-process one update over `last_dirty`. Any error means "fall
+    /// back" — the caller rebuilds from scratch, so a half-spliced pair of
+    /// roots is safe.
+    fn delta(&mut self, upd_left: bool, upd_right: bool) -> Result<usize, Unsupported> {
         // Nothing observable changed on either side: the retained proof
-        // (including any disagreements inside `dirty`) is still exact.
-        if dirty.is_empty() || (!upd_left && !upd_right) {
+        // (including any disagreement inside the dirty region) is still
+        // exact.
+        if self.last_dirty.is_empty() || (!upd_left && !upd_right) {
             return Ok(0);
         }
-        if dirty.len() > Self::DELTA_BUDGET {
-            return Err(Unsupported::AtomBudget);
-        }
+        let _sp = mapro_obs::trace::span("sym.incr.recheck");
         let IncrementalChecker {
             left,
             right,
             space,
             cfg,
-            covers,
+            eng,
+            last_dirty,
             ..
         } = self;
-        match covers {
-            Covers::Cube {
-                left: lc,
-                right: rc,
-                parts_left,
-                parts_right,
-                disagreements,
-            } => {
-                let mut touched_l: Vec<u32> = Vec::new();
-                let mut touched_r: Vec<u32> = Vec::new();
-                lc.touched_into(dirty, &mut touched_l);
-                rc.touched_into(dirty, &mut touched_r);
-                if touched_l.len() + touched_r.len() > Self::DELTA_BUDGET {
-                    return Err(Unsupported::AtomBudget);
-                }
-                // Action-only updates keep the match partitions; a match
-                // edit re-derives them (digest-cached for untouched
-                // tables).
-                if matches!(sync_l, SideSync::MatchChanged | SideSync::Structural) {
-                    *parts_left = pipeline_parts(left, cfg)?;
-                }
-                if matches!(sync_r, SideSync::MatchChanged | SideSync::Structural) {
-                    *parts_right = pipeline_parts(right, cfg)?;
-                }
-                let fresh_l = if upd_left {
-                    refresh_slab(lc, left, space, cfg, parts_left, dirty, &touched_l)?
-                } else {
-                    Vec::new()
-                };
-                let fresh_r = if upd_right {
-                    refresh_slab(rc, right, space, cfg, parts_right, dirty, &touched_r)?
-                } else {
-                    Vec::new()
-                };
-
-                let mut span = mapro_obs::trace::span_kv(
-                    "sym.incr.recheck",
-                    vec![("fresh", (fresh_l.len() + fresh_r.len()).into())],
-                );
-                // Disagreements outside the dirty region survive; inside
-                // it they are re-derived from the fresh tiling.
-                let mut kept: Vec<Cube> = Vec::new();
-                for c in disagreements.drain(..) {
-                    subtract_all(&c, dirty, &mut kept);
-                }
-                match (upd_left, upd_right) {
-                    // Both sides re-tiled the dirty region: its atom pairs
-                    // are exactly fresh × fresh.
-                    (true, true) => {
-                        for &ls in &fresh_l {
-                            let la = lc.atom(ls);
-                            for &rs in &fresh_r {
-                                let ra = rc.atom(rs);
-                                if let Some(m) = la.cube.intersect(&ra.cube) {
-                                    if la.behavior != ra.behavior {
-                                        kept.push(m);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // One side re-tiled it; every meet with a fresh atom
-                    // lies inside the region, and the unchanged side's
-                    // partners come from its trie, not a cover scan.
-                    (true, false) => slab_meets(lc, &fresh_l, rc, &mut kept),
-                    (false, true) => slab_meets(rc, &fresh_r, lc, &mut kept),
-                    (false, false) => unreachable!("early-returned above"),
-                }
-                span.set("disagreements", kept.len());
-                *disagreements = kept;
-                Ok(fresh_l.len() + fresh_r.len())
-            }
-            Covers::Dd {
-                eng,
-                left: lroot,
-                right: rroot,
-            } => {
-                // The dirty region as a BDD: one cube per disjoint piece.
-                let mut lits: Vec<(u32, bool)> = Vec::new();
-                let mut d = NodeRef::FALSE;
-                for c in dirty {
-                    lits.clear();
-                    for (col, t) in c.0.iter().enumerate() {
-                        eng.layout.tern_lits(col, t.bits, t.mask, &mut lits);
-                    }
-                    let piece = eng.mgr.cube(&lits)?;
-                    d = eng.mgr.or(d, piece)?;
-                }
-                let _sp = mapro_obs::trace::span("sym.incr.recheck");
-                let mut work = 0usize;
-                if upd_left {
-                    let (delta, leaves) = eng.compile_within(left, space, cfg, d)?;
-                    *lroot = eng.mgr.ite(d, delta, *lroot)?;
-                    work += leaves;
-                }
-                if upd_right {
-                    let (delta, leaves) = eng.compile_within(right, space, cfg, d)?;
-                    *rroot = eng.mgr.ite(d, delta, *rroot)?;
-                    work += leaves;
-                }
-                Ok(work)
+        let d = eng.region(last_dirty)?;
+        let mut work = 0usize;
+        for (upd, side) in [(upd_left, &mut *left), (upd_right, &mut *right)] {
+            if upd {
+                let (delta, leaves) =
+                    eng.compile_within(&side.p, space, cfg, d, last_dirty, &side.rows)?;
+                side.root = eng.mgr.ite(d, delta, side.root)?;
+                work += leaves;
             }
         }
+        if eng.mgr.len() > self.gc_at {
+            let mut roots = [left.root, right.root];
+            eng.mgr.gc(&mut roots);
+            [left.root, right.root] = roots;
+            self.gc_at = GC_GROWTH * eng.mgr.len().max(GC_FLOOR);
+        }
+        Ok(work)
     }
 
     /// A counted fallback: rebuild the whole session state from the
@@ -874,84 +455,25 @@ impl IncrementalChecker {
     }
 
     /// From-scratch construction of the proof state (initial build and
-    /// every fallback). Recomputes the joint space, so sessions survive
-    /// catalog-compatible pipeline replacements. Returns the full-cover
-    /// work size. On error the session stays `stale` and the next update
-    /// retries the rebuild.
+    /// every fallback) in a fresh engine. Recomputes the joint space, so
+    /// sessions survive catalog-compatible pipeline replacements. Returns
+    /// the shared node count of the two diagrams. On error the session
+    /// stays `stale` and the next update retries the rebuild.
     fn rebuild(&mut self) -> Result<usize, EquivError> {
         self.stale = true;
-        self.space = FieldSpace::from_pipelines(&[&self.left, &self.right]);
-        catalog_guard(&self.left, &self.right, &self.space)?;
+        self.space = FieldSpace::from_pipelines(&[&self.left.p, &self.right.p]);
+        catalog_guard(&self.left.p, &self.right.p, &self.space)?;
         let _sp = mapro_obs::trace::span("sym.incr.recheck");
-        let work = loop {
-            match self.backend {
-                CoverBackend::Dd => {
-                    let mut eng = DdEngine::new(&self.space, &self.cfg);
-                    let l = eng
-                        .compile(&self.left, &self.space, &self.cfg)
-                        .map_err(unsup)?;
-                    let r = eng
-                        .compile(&self.right, &self.space, &self.cfg)
-                        .map_err(unsup)?;
-                    let work = eng.mgr.node_count(&[l, r]);
-                    self.covers = Covers::Dd {
-                        eng,
-                        left: l,
-                        right: r,
-                    };
-                    break work;
-                }
-                _ => {
-                    // Identical pipelines compile (deterministically) to
-                    // identical covers, whose cross meets are exactly the
-                    // self-meets — equal behaviors, so the disagreement
-                    // set is empty by construction. One compile and no
-                    // join instead of the quadratic scan; this is the
-                    // common session-start state (intent == committed).
-                    let both = if self.left == self.right {
-                        compile(&self.left, &self.space, &self.cfg).map(|lc| {
-                            let rc = lc.clone();
-                            (lc, rc, Vec::new())
-                        })
-                    } else {
-                        compile(&self.left, &self.space, &self.cfg).and_then(|lc| {
-                            compile(&self.right, &self.space, &self.cfg).map(|rc| {
-                                let d = parallel_disagreements(&lc, &rc);
-                                (lc, rc, d)
-                            })
-                        })
-                    };
-                    match both {
-                        Ok((lc, rc, disagreements)) => {
-                            let parts_left =
-                                pipeline_parts(&self.left, &self.cfg).map_err(unsup)?;
-                            let parts_right =
-                                pipeline_parts(&self.right, &self.cfg).map_err(unsup)?;
-                            warm_parts(&self.left, &parts_left);
-                            warm_parts(&self.right, &parts_right);
-                            let work = lc.atoms.len() + rc.atoms.len();
-                            self.covers = Covers::Cube {
-                                left: SlabCover::build(lc),
-                                right: SlabCover::build(rc),
-                                parts_left,
-                                parts_right,
-                                disagreements,
-                            };
-                            break work;
-                        }
-                        Err(u @ (Unsupported::AtomBudget | Unsupported::PartitionBudget))
-                            if self.auto =>
-                        {
-                            let _ = u;
-                            self.backend = CoverBackend::Dd;
-                        }
-                        Err(u) => return Err(unsup(u)),
-                    }
-                }
-            }
-        };
+        self.eng = DdEngine::new(&self.space, &self.cfg);
+        for side in [&mut self.left, &mut self.right] {
+            side.root = self
+                .eng
+                .compile(&side.p, &self.space, &self.cfg)
+                .map_err(unsup)?;
+        }
+        self.gc_at = GC_GROWTH * self.eng.mgr.len().max(GC_FLOOR);
         self.stale = false;
-        Ok(work)
+        Ok(self.eng.mgr.node_count(&[self.left.root, self.right.root]))
     }
 }
 
@@ -960,13 +482,6 @@ mod tests {
     use super::*;
     use crate::check_symbolic;
     use mapro_core::{ActionSem, Catalog, EquivOutcome, MissPolicy, Table};
-
-    fn cfg(backend: CoverBackend) -> SymConfig {
-        SymConfig {
-            backend,
-            ..SymConfig::default()
-        }
-    }
 
     /// Two-table pipeline: `acl` diverts one `src` to a quarantine port,
     /// everything else falls through to `fwd`, which maps `dst` to a
@@ -996,13 +511,16 @@ mod tests {
         ("fwd".to_string(), e.matches.clone())
     }
 
-    fn fresh_verdict(l: &Pipeline, r: &Pipeline, backend: CoverBackend) -> bool {
-        check_symbolic(l, r, &cfg(backend)).unwrap().is_equivalent()
+    fn fresh_verdict(l: &Pipeline, r: &Pipeline) -> bool {
+        check_symbolic(l, r, &SymConfig::default())
+            .unwrap()
+            .is_equivalent()
     }
 
-    fn session_tracks_fresh(backend: CoverBackend) {
+    #[test]
+    fn session_tracks_fresh_checks() {
         let (mut l, mut r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &cfg(backend)).unwrap();
+        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
         assert!(s.verdict().is_equivalent());
         assert!(s.counterexample().unwrap().is_none());
 
@@ -1011,7 +529,7 @@ mod tests {
         let t = s.update(Side::Left, &l, &[row], 7, 1).unwrap();
         assert_eq!(t.verdict, Verdict::NotEquivalent);
         assert_eq!(t.epoch, 7);
-        assert!(!fresh_verdict(&l, &r, backend));
+        assert!(!fresh_verdict(&l, &r));
         let cx = s.counterexample().unwrap().expect("witness");
         assert_ne!(cx.left.observable(), cx.right.observable());
 
@@ -1019,7 +537,7 @@ mod tests {
         let row = mod_port(&mut r, 1, "p1-new");
         let t = s.update(Side::Right, &r, &[row], 7, 2).unwrap();
         assert_eq!(t.verdict, Verdict::Equivalent);
-        assert!(fresh_verdict(&l, &r, backend));
+        assert!(fresh_verdict(&l, &r));
         assert!(s.counterexample().unwrap().is_none());
 
         // Steady state: a bundle applied to both sides at once stays
@@ -1033,24 +551,14 @@ mod tests {
     }
 
     #[test]
-    fn cube_session_tracks_fresh_checks() {
-        session_tracks_fresh(CoverBackend::Cube);
-    }
-
-    #[test]
-    fn dd_session_tracks_fresh_checks() {
-        session_tracks_fresh(CoverBackend::Dd);
-    }
-
-    #[test]
-    fn dd_witness_is_byte_equal_to_fresh_check() {
+    fn witness_is_byte_equal_to_fresh_check() {
         let (mut l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &cfg(CoverBackend::Dd)).unwrap();
+        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
         let row = mod_port(&mut l, 0, "p0-new");
         let t = s.update(Side::Left, &l, &[row], 0, 0).unwrap();
         assert_eq!(t.verdict, Verdict::NotEquivalent);
         let session_cx = s.counterexample().unwrap().expect("witness");
-        match check_symbolic(&l, &r, &cfg(CoverBackend::Dd)).unwrap() {
+        match check_symbolic(&l, &r, &SymConfig::default()).unwrap() {
             EquivOutcome::Counterexample(fresh) => {
                 assert_eq!(session_cx.fields, fresh.fields);
             }
@@ -1061,7 +569,7 @@ mod tests {
     #[test]
     fn unknown_table_rows_fall_back_to_full_recheck() {
         let (l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &cfg(CoverBackend::Cube)).unwrap();
+        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
         let rows = vec![("nope".to_string(), vec![Value::Int(0)])];
         let t = s.update_both(&l, &r, &rows, 0, 1).unwrap();
         assert_eq!(t.verdict, Verdict::Equivalent);
@@ -1069,34 +577,56 @@ mod tests {
             s.last_dirty().is_empty(),
             "fallbacks clear the dirty region"
         );
-        // Fallback work is the full cover size, far above a delta's.
+        // Fallback work is the size of both diagrams, far above a delta's.
         assert!(t.atoms_rechecked >= 5, "fallback reports full-cover work");
     }
 
     #[test]
     fn behavior_invisible_rows_cost_nothing() {
         let (l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &cfg(CoverBackend::Cube)).unwrap();
+        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
         let t = s.update_both(&l, &r, &[], 0, 1).unwrap();
         assert_eq!(t.atoms_rechecked, 0);
         assert_eq!(t.verdict, Verdict::Equivalent);
     }
 
     #[test]
-    fn dirty_region_is_disjoint_and_bounds_the_mod() {
+    fn sessions_run_on_diagrams_whatever_backend_the_config_names() {
+        let (mut l, r) = pair();
+        let cube = SymConfig {
+            backend: crate::CoverBackend::Cube,
+            ..SymConfig::default()
+        };
+        let mut s = IncrementalChecker::new(&l, &r, &cube).unwrap();
+        let row = mod_port(&mut l, 3, "p3-new");
+        s.update(Side::Left, &l, &[row], 0, 1).unwrap();
+        let dd_cx = match check_symbolic(&l, &r, &SymConfig::default()).unwrap() {
+            EquivOutcome::Counterexample(cx) => cx,
+            other => panic!("fresh check disagrees: {other:?}"),
+        };
+        assert_eq!(s.counterexample().unwrap().unwrap().fields, dd_cx.fields);
+    }
+
+    #[test]
+    fn dirty_cubes_bound_the_mod_and_drop_subsumed_members() {
         let (p, _) = pair();
         let space = FieldSpace::from_pipelines(&[&p]);
         let rows = vec![
             ("fwd".to_string(), vec![Value::Int(1)]),
             ("fwd".to_string(), vec![Value::Int(2)]),
+            ("fwd".to_string(), vec![Value::Int(1)]),
         ];
-        let d = disjointify(dirty_cubes(&p, &space, &rows).expect("tables known"));
-        assert!(!d.is_empty());
-        for (i, a) in d.iter().enumerate() {
-            for b in &d[i + 1..] {
-                assert!(!a.intersects(b), "dirty pieces must be disjoint");
-            }
+        let mut d = Vec::new();
+        dirty_cubes(&p, &space, &rows, &mut d).expect("tables known");
+        assert_eq!(d.len(), 2, "the repeated row adds nothing: {d:?}");
+        let dst = space.coord_of(p.catalog.lookup("dst").unwrap()).unwrap();
+        for (c, v) in d.iter().zip([1u64, 2]) {
+            assert!(c.0[dst].matches(v) && !c.0[dst].matches(3));
         }
-        assert!(dirty_cubes(&p, &space, &[("nope".to_string(), vec![Value::Int(0)])]).is_none());
+        // A row over the whole table swallows both.
+        dirty_cubes(&p, &space, &[("fwd".to_string(), vec![Value::Any])], &mut d).unwrap();
+        assert_eq!(d.len(), 1);
+        let unknown = [("nope".to_string(), vec![Value::Int(0)])];
+        assert!(dirty_cubes(&p, &space, &unknown, &mut d).is_none());
     }
 }

@@ -1,29 +1,32 @@
-//! # mapro-sym — symbolic atom-based equivalence engine
+//! # mapro-sym — symbolic equivalence engine
 //!
 //! The enumerative checker in `mapro-core` proves equivalence by running
 //! every packet of the derived Cartesian domain through both pipelines —
 //! complete, but exponential in the number of matched fields. This crate
-//! replaces enumeration with *forwarding equivalence classes*: each
-//! pipeline is compiled into a [`BehaviorCover`] — an ordered set of
-//! disjoint ternary cubes over the match fields, each mapped to the one
-//! observable behavior all packets in the cube share ([`compile`]).
-//! Equivalence then reduces to cross-intersecting the two covers and
-//! comparing behaviors on each non-empty *atom* ([`check`]), with one
-//! concrete representative packet extracted per disagreeing atom so
+//! replaces enumeration with *forwarding equivalence classes*: a pipeline
+//! is executed symbolically into a behavior cover that maps every region
+//! of the joint header space to the one observable behavior all its
+//! packets share, and two pipelines are equivalent iff their covers are.
+//!
+//! A cover has two representations. The default ([`ddcover`], on
+//! `mapro-dd`) is one hash-consed MTBDD per pipeline in a shared manager:
+//! equivalence is root equality, a witness is a `first_diff` path, and an
+//! [`incremental`] session keeps the two roots alive across flow-mods,
+//! recompiling only the region (and visiting only the rows) an update can
+//! touch. The other ([`mod@compile`] + [`check`]'s cross-intersection) is an
+//! ordered list of disjoint ternary cubes ([`cube`]); it runs only when
+//! [`CoverBackend::Cube`] is asked for, as the independent second engine
+//! the differential suites and E17/E21 compare against. Either way one
+//! concrete representative packet is extracted per disagreement, so
 //! counterexample reporting stays byte-compatible with the enumerative
 //! API.
 //!
-//! The cube algebra ([`cube`]) is the machinery promoted from
-//! `mapro-lint`'s shadowing analysis (which now re-exports it from here),
-//! generalized with intersection, subtraction and representative
-//! extraction.
-//!
 //! [`check_equivalent`] is the mode-dispatching front door re-exported by
-//! the umbrella `mapro` prelude: `Auto` prefers the symbolic engine and
-//! falls back to enumeration for constructs the cube compiler cannot
-//! express; `Symbolic` and `Enumerate` force one engine. The enumerative
-//! checker is retained as a cross-check oracle — the differential test
-//! suite asserts both engines agree on every workload.
+//! the umbrella `mapro` prelude: `Auto` runs the symbolic engine and falls
+//! back to enumeration for constructs it cannot express; `Symbolic` and
+//! `Enumerate` force one engine. The enumerative checker is retained as a
+//! cross-check oracle — the differential test suite asserts both engines
+//! agree on every workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +47,5 @@ pub use compile::{
     Unsupported,
 };
 pub use cube::{Cube, Tern};
-pub use ddcover::{BitLayout, DdEngine, TableLiveness};
+pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
 pub use incremental::{IncrementalChecker, ProofToken, Side, Verdict};

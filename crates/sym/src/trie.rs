@@ -2,14 +2,10 @@
 //! query cube" in time proportional to the compatible paths rather than
 //! the list length.
 //!
-//! Both hot consumers key the same structure differently:
-//!
-//! * [`crate::compile`] indexes a table partition's pieces so a restricted
-//!   compile visits only the pieces its input region can reach, instead of
-//!   scanning every region + miss fragment (the miss region of a large
-//!   exact-match table fragments into tens of thousands of cubes);
-//! * [`crate::incremental`] indexes a session's live atoms so a flow-mod's
-//!   dirty region finds its touched atoms without an `O(atoms)` sweep.
+//! [`crate::compile`] indexes a table partition's pieces with it, so a
+//! constrained table visit reaches only the pieces its state can meet
+//! instead of scanning every region + miss fragment (the miss region of a
+//! large exact-match table fragments into tens of thousands of cubes).
 //!
 //! ## Shape
 //!
@@ -20,9 +16,6 @@
 //! fans out: a query `0` visits the `0` and `*` children, a query `*`
 //! visits all three. Per-bit compatibility along the whole walk is exactly
 //! [`Cube::intersects`], so the result set is exact, not a superset.
-//!
-//! Removals unlink slots but never prune nodes; sessions rebuild their
-//! tries on fallback, which bounds the bloat of a long-lived slab.
 
 use crate::cube::Cube;
 
@@ -103,24 +96,6 @@ impl CubeTrie {
             n = self.nodes[n].kids[k] as usize;
         }
         self.nodes[n].slots.push(slot);
-    }
-
-    /// Remove the cube previously inserted as `slot` (must pass the same
-    /// cube). Nodes are never pruned — see the module doc.
-    pub(crate) fn remove(&mut self, c: &Cube, slot: u32) {
-        let path = self.trits(c);
-        let mut n = 0usize;
-        for &trit in &path {
-            let next = self.nodes[n].kids[trit as usize];
-            debug_assert_ne!(next, NONE, "removing a cube that was never inserted");
-            n = next as usize;
-        }
-        let slots = &mut self.nodes[n].slots;
-        let i = slots
-            .iter()
-            .position(|&s| s == slot)
-            .expect("removing a slot that was never inserted");
-        slots.swap_remove(i);
     }
 
     /// Append every stored slot whose cube intersects `q` to `out`, then
@@ -204,28 +179,6 @@ mod tests {
                 assert_eq!(got, want, "query {q:?}");
             }
         }
-    }
-
-    #[test]
-    fn remove_unlinks_exactly_one_slot() {
-        let widths = [4u32];
-        let mut rng = SmallRng::seed_from_u64(7);
-        let stored: Vec<Cube> = (0..40).map(|_| rnd_cube(&mut rng, &widths)).collect();
-        let mut trie = CubeTrie::new(&widths);
-        for (i, c) in stored.iter().enumerate() {
-            trie.insert(c, i as u32);
-        }
-        // Remove the even slots; queries must only see the odd ones.
-        for (i, c) in stored.iter().enumerate() {
-            if i % 2 == 0 {
-                trie.remove(c, i as u32);
-            }
-        }
-        let universe = Cube::any(1);
-        let mut got = Vec::new();
-        trie.query_into(&universe, &mut got);
-        let want: Vec<u32> = (0..stored.len() as u32).filter(|i| i % 2 == 1).collect();
-        assert_eq!(got, want);
     }
 
     /// Wildcard-tail truncation keeps the trie small: a cube exact only in

@@ -318,15 +318,18 @@ def main():
         if cached is not None and cached["hit_rate"] < 0.9:
             fail(f"mpps {cell}: megaflow hit rate {cached['hit_rate']:.4f} < 0.9")
 
-    # E22: incremental re-verification under churn. The proof-work
-    # columns (mods, atoms rechecked, delta-processed mods, verdicts and
+    # E22: incremental re-verification under churn, decision diagrams on
+    # both sides of the ratio (sessions have no other representation, and
+    # the DD full check is the best baseline). The proof-work columns
+    # (mods, leaf regions rechecked, delta-processed mods, verdicts and
     # their digest) are seed-determined and machine independent => exact.
     # Latencies are machine-dependent: the full-check baseline and the
     # per-mod incremental mean sit in the timing envelope (the mean is in
     # µs, so the sub-millisecond noise skip never hides it); the per-mod
     # max and the speedup ratio are too noisy to gate here — the headline
-    # speedup is re-asserted below on the fresh run alone, mirroring the
-    # assert inside the experiment.
+    # claims (no fallback anywhere; at the largest size a sub-millisecond
+    # mean that beats the full check by >= 10x) are re-asserted below on the
+    # fresh run alone, mirroring the asserts inside the experiment.
     fresh = load(os.path.join(args.fresh_dir, "churnverify.json"))
     committed = load(os.path.join(repo, "BENCH_churnverify.json"))
     check_meta(
@@ -351,10 +354,15 @@ def main():
                 f"churnverify {cell}: only {r['delta_mods']}/{r['mods']} mods "
                 f"were delta-processed (unexpected fallbacks)"
             )
-        if r["backend"] == "cube" and r["entries"] == largest and r["speedup"] < 100.0:
+        if r["entries"] == largest and r["speedup"] < 10.0:
             fail(
                 f"churnverify {cell}: incremental re-check only "
                 f"{r['speedup']:.1f}x over a full check"
+            )
+        if r["entries"] == largest and r["incr_mean_us"] >= 1000.0:
+            fail(
+                f"churnverify {cell}: mean re-check {r['incr_mean_us']:.0f} us "
+                f"is not sub-millisecond"
             )
 
     if FAILURES:

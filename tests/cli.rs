@@ -207,6 +207,9 @@ fn cli_usage_errors_exit_2_with_one_line() {
         &["lint", path, "-D", "not-a-lint"],
         &["lint", path, "-A"],
         &["lint", path, "--deny", "error"],
+        // The cube-then-DD ladder is gone; `dd` is the default.
+        &["lint", path, "--backend", "auto"],
+        &["check", path, path, "--backend", "auto"],
         &["normalize", path, "--join", "bogus"],
         &["normalize", path, "--target", "4nf"],
         &["export", path, "--format", "xml"],

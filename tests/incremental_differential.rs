@@ -1,33 +1,29 @@
 //! Differential harness for the incremental equivalence session: drive a
-//! random pipeline pair through a random flow-mod stream and require that
-//! after *every* mod the session's verdict equals a from-scratch
-//! `check_symbolic` of the session's own pipelines — for both the cube
-//! and the DD backend. Every `NotEquivalent` verdict must come with a
-//! counterexample the concrete evaluator confirms, and DD witnesses must
-//! be byte-identical to the fresh check's (the module contract).
+//! pipeline pair through a random flow-mod stream and require that after
+//! *every* mod the session's verdict equals a from-scratch
+//! `check_symbolic` of the session's own pipelines. Every `NotEquivalent`
+//! verdict must come with a counterexample the concrete evaluator
+//! confirms, byte-identical to the fresh check's (the module contract).
 //!
-//! The stream exercises every delta class the session distinguishes:
-//! action-only modifies (partitions survive), match-cell modifies
-//! (partitions re-derived), inserts and deletes (structural sync), each
-//! first applied to one side (divergence window) and then mirrored
-//! (convergence). CI runs this file at `MAPRO_THREADS=1` and `=4` and
-//! diffs the outcomes, so everything asserted here must be thread-count
-//! independent.
+//! The streams exercise every delta class the session distinguishes —
+//! action-only modifies, match-cell modifies (old and new row: two dirty
+//! cubes), inserts and deletes (structural sync) — on three kinds of
+//! program: one random exact-match table; Enterprise ACL→NAT→L3, where the
+//! modified L3 and NAT rows sit behind the NAT rewrite (their columns are
+//! concrete by the time the executor reaches them, so no dirty cube may
+//! exclude them); and a ternary table whose low-priority rows are partly
+//! shadowed by higher-priority ones. Each mod is first applied to one side
+//! (divergence window) and then mirrored (convergence). CI runs this file
+//! at `MAPRO_THREADS=1` and `=4`, so everything asserted here must be
+//! thread-count independent.
 
 use mapro_control::{apply_update, delta_rows, RuleUpdate};
-use mapro_core::{Counterexample, Entry, EquivOutcome, Pipeline, Value};
-use mapro_sym::{check_symbolic, CoverBackend, IncrementalChecker, Side, SymConfig};
-use mapro_workloads::{random_table, RandomSpec, RandomTable};
+use mapro_core::{ActionSem, Catalog, Counterexample, Entry, EquivOutcome, Pipeline, Table, Value};
+use mapro_sym::{check_symbolic, IncrementalChecker, Side, SymConfig};
+use mapro_workloads::{random_table, Enterprise, RandomSpec, RandomTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-fn backend_cfg(backend: CoverBackend) -> SymConfig {
-    SymConfig {
-        backend,
-        ..SymConfig::default()
-    }
-}
 
 /// A counterexample is only as good as the packet it names: re-run both
 /// pipelines through the concrete evaluator and require observably
@@ -96,11 +92,104 @@ fn random_mod(p: &Pipeline, rt: &RandomTable, step: usize, rng: &mut SmallRng) -
     }
 }
 
+/// One flow-mod against Enterprise ACL→NAT→L3. `nat` rewrites `ip_dst` and
+/// `tcp_dst`, so an `l3` or `nat` row says nothing about the input packet
+/// (its dirty cube is the universe) and its columns are concrete when the
+/// restricted compile reaches it; `acl` matches the never-written `ip_src`,
+/// so moving one of its rows between disjoint prefixes gives two cubes.
+fn enterprise_mod(p: &Pipeline, e: &Enterprise, step: usize, rng: &mut SmallRng) -> RuleUpdate {
+    let row_of = |table: &str, rng: &mut SmallRng| {
+        let t = p.table(table).expect("stage exists");
+        t.entries[rng.gen_range(0..t.entries.len())].matches.clone()
+    };
+    let rack = rng.gen_range(0..4u64);
+    match rng.gen_range(0..5u8) {
+        // Behind the rewrite, action-only: re-home one rack.
+        0 => RuleUpdate::Modify {
+            table: "l3".into(),
+            matches: row_of("l3", rng),
+            set: vec![(e.out, Value::sym(format!("uplink-{step}")))],
+        },
+        // Behind the rewrite, match-changing: narrow or move a rack route.
+        1 => RuleUpdate::Modify {
+            table: "l3".into(),
+            matches: row_of("l3", rng),
+            set: vec![(
+                e.ip_dst,
+                Value::prefix((10 << 24) | (rack << 16) | (step as u64) << 8, 24, 32),
+            )],
+        },
+        // The rewrite itself: NAT one service onto another rack.
+        2 => RuleUpdate::Modify {
+            table: "nat".into(),
+            matches: row_of("nat", rng),
+            set: vec![(e.set_ip, Value::Int((10 << 24) | (rack << 16) | 77))],
+        },
+        // A matched-then-rewritten column: move a service's public port.
+        3 => RuleUpdate::Modify {
+            table: "nat".into(),
+            matches: row_of("nat", rng),
+            set: vec![(e.tcp_dst, Value::Int(8000 + step as u64))],
+        },
+        // Ahead of the rewrite: admit a different client prefix.
+        _ => RuleUpdate::Modify {
+            table: "acl".into(),
+            matches: row_of("acl", rng),
+            set: vec![(e.ip_src, Value::prefix(rng.gen_range(0..4u64) << 30, 2, 32))],
+        },
+    }
+}
+
+/// One ternary table in which every row but the first is partly shadowed:
+/// `f = 0001****` and `g = 3` sit above the half-space `f = 0*******` and
+/// the catch-all, so the low-priority rows win only what is left over.
+fn shadowed_table() -> (Pipeline, [mapro_core::AttrId; 3]) {
+    let mut c = Catalog::new();
+    let f = c.field("f", 8);
+    let g = c.field("g", 8);
+    let out = c.action("out", ActionSem::Output);
+    let mut t = Table::new("t", vec![f, g], vec![out]);
+    let tern = |bits, mask| Value::Ternary { bits, mask };
+    t.row(vec![tern(0x10, 0xf0), Value::Any], vec![Value::sym("a")]);
+    t.row(vec![Value::Any, Value::Int(3)], vec![Value::sym("b")]);
+    t.row(vec![tern(0x00, 0x80), Value::Any], vec![Value::sym("c")]);
+    t.row(vec![Value::Any, Value::Any], vec![Value::sym("d")]);
+    (Pipeline::single(c, t), [f, g, out])
+}
+
+/// One flow-mod against [`shadowed_table`]: re-point or re-shape any row —
+/// editing a low-priority row changes behavior only where the rows above
+/// let packets through, editing a high-priority one un-shadows the rest.
+fn shadowed_mod(
+    p: &Pipeline,
+    [f, g, out]: [mapro_core::AttrId; 3],
+    step: usize,
+    rng: &mut SmallRng,
+) -> RuleUpdate {
+    let t = &p.tables[0];
+    let matches = t.entries[rng.gen_range(0..t.entries.len())].matches.clone();
+    let mask = rng.gen_range(0..=0xffu64) & rng.gen_range(0..=0xffu64);
+    let cell = Value::Ternary {
+        bits: rng.gen_range(0..=0xffu64) & mask,
+        mask,
+    };
+    let set = match rng.gen_range(0..3u8) {
+        0 => vec![(out, Value::sym(format!("churn-{step}")))],
+        1 => vec![(f, cell)],
+        _ => vec![(g, cell), (out, Value::sym(format!("both-{step}")))],
+    };
+    RuleUpdate::Modify {
+        table: t.name.clone(),
+        matches,
+        set,
+    }
+}
+
 /// Assert the session verdict equals a fresh check of the session's own
-/// pipelines; confirm (and for DD, byte-compare) the witness when they
-/// disagree somewhere.
-fn verdict_matches_fresh(s: &IncrementalChecker, backend: CoverBackend, ctx: &str) {
-    let fresh = check_symbolic(s.left(), s.right(), &backend_cfg(backend))
+/// pipelines; confirm and byte-compare the witness when they disagree
+/// somewhere.
+fn verdict_matches_fresh(s: &IncrementalChecker, ctx: &str) {
+    let fresh = check_symbolic(s.left(), s.right(), &SymConfig::default())
         .unwrap_or_else(|e| panic!("{ctx}: fresh check errored: {e}"));
     assert_eq!(
         s.verdict().is_equivalent(),
@@ -111,12 +200,10 @@ fn verdict_matches_fresh(s: &IncrementalChecker, backend: CoverBackend, ctx: &st
     match (&session_cx, &fresh) {
         (Some(cx), EquivOutcome::Counterexample(fresh_cx)) => {
             confirm_counterexample(s.left(), s.right(), cx, ctx);
-            if backend == CoverBackend::Dd {
-                assert_eq!(
-                    cx.fields, fresh_cx.fields,
-                    "{ctx}: DD session witness differs from the fresh check's"
-                );
-            }
+            assert_eq!(
+                cx.fields, fresh_cx.fields,
+                "{ctx}: session witness differs from the fresh check's"
+            );
         }
         (None, EquivOutcome::Counterexample(_)) | (Some(_), _) => {
             panic!("{ctx}: witness presence disagrees with the verdict")
@@ -125,12 +212,17 @@ fn verdict_matches_fresh(s: &IncrementalChecker, backend: CoverBackend, ctx: &st
     }
 }
 
-/// Drive one seeded stream through a session on `backend`, checking the
-/// verdict against a fresh check after every single mod.
-fn stream_tracks_fresh_checks(rt: &RandomTable, backend: CoverBackend, seed: u64) {
-    let mut left = rt.pipeline.clone();
-    let mut right = rt.pipeline.clone();
-    let mut s = IncrementalChecker::new(&left, &right, &backend_cfg(backend)).unwrap();
+/// Drive one seeded stream of `next_mod`s through a session over two
+/// copies of `base`, checking the verdict against a fresh check after
+/// every single mod.
+fn stream_tracks_fresh_checks(
+    base: &Pipeline,
+    seed: u64,
+    mut next_mod: impl FnMut(&Pipeline, usize, &mut SmallRng) -> RuleUpdate,
+) {
+    let mut left = base.clone();
+    let mut right = base.clone();
+    let mut s = IncrementalChecker::new(&left, &right, &SymConfig::default()).unwrap();
     assert!(
         s.verdict().is_equivalent(),
         "identical pair at session start"
@@ -139,7 +231,7 @@ fn stream_tracks_fresh_checks(rt: &RandomTable, backend: CoverBackend, seed: u64
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x1CE);
     let mut txn = 0u64;
     for step in 0..6usize {
-        let u = random_mod(&left, rt, step, &mut rng);
+        let u = next_mod(&left, step, &mut rng);
 
         // Divergence window: the mod lands on the left only.
         let rows = delta_rows(&left, &u);
@@ -147,7 +239,11 @@ fn stream_tracks_fresh_checks(rt: &RandomTable, backend: CoverBackend, seed: u64
         txn += 1;
         let t = s.update(Side::Left, &left, &rows, 1, txn).unwrap();
         assert_eq!(t.verdict, s.verdict(), "token reports the session verdict");
-        verdict_matches_fresh(&s, backend, &format!("seed {seed} step {step} diverged"));
+        assert!(
+            !s.last_dirty().is_empty(),
+            "seed {seed} step {step}: {u:?} fell back to a full rebuild"
+        );
+        verdict_matches_fresh(&s, &format!("seed {seed} step {step} diverged"));
 
         // Convergence: mirror the same mod to the right.
         let rows = delta_rows(&right, &u);
@@ -158,15 +254,40 @@ fn stream_tracks_fresh_checks(rt: &RandomTable, backend: CoverBackend, seed: u64
             s.verdict().is_equivalent(),
             "seed {seed} step {step}: mirrored mod must reconverge"
         );
-        verdict_matches_fresh(&s, backend, &format!("seed {seed} step {step} converged"));
+        verdict_matches_fresh(&s, &format!("seed {seed} step {step} converged"));
     }
+}
+
+/// A match-changing `Modify` dirties the old row and the new one: the
+/// session must see two cubes (and re-derive both) when they are disjoint.
+#[test]
+fn match_changing_modify_dirties_old_and_new_row() {
+    let (p, [f, _, _]) = shadowed_table();
+    let mut left = p.clone();
+    let mut s = IncrementalChecker::new(&left, &p, &SymConfig::default()).unwrap();
+    let u = RuleUpdate::Modify {
+        table: "t".into(),
+        matches: left.tables[0].entries[2].matches.clone(),
+        set: vec![(
+            f,
+            Value::Ternary {
+                bits: 0xc0,
+                mask: 0xc0,
+            },
+        )],
+    };
+    let rows = delta_rows(&left, &u);
+    apply_update(&mut left, &u).unwrap();
+    s.update(Side::Left, &left, &rows, 1, 1).unwrap();
+    assert_eq!(s.last_dirty().len(), 2, "{:?}", s.last_dirty());
+    verdict_matches_fresh(&s, "moved half-space");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random pipeline + random flow-mod stream: the incremental verdict
-    /// equals a from-scratch check after every mod, on both backends.
+    /// equals a from-scratch check after every mod.
     #[test]
     fn incremental_session_tracks_fresh_checks(
         seed in 0u64..2000,
@@ -175,7 +296,10 @@ proptest! {
     ) {
         let spec = RandomSpec { fields, rows, domain: 6, planted: vec![(0, 1)] };
         let rt = random_table(&spec, seed);
-        stream_tracks_fresh_checks(&rt, CoverBackend::Cube, seed);
-        stream_tracks_fresh_checks(&rt, CoverBackend::Dd, seed);
+        stream_tracks_fresh_checks(&rt.pipeline, seed, |p, step, rng| random_mod(p, &rt, step, rng));
+        let e = Enterprise::random(rows, 3, seed);
+        stream_tracks_fresh_checks(&e.pipeline, seed, |p, step, rng| enterprise_mod(p, &e, step, rng));
+        let (shadowed, attrs) = shadowed_table();
+        stream_tracks_fresh_checks(&shadowed, seed, |p, step, rng| shadowed_mod(p, attrs, step, rng));
     }
 }

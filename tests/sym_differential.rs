@@ -1,20 +1,22 @@
-//! Differential harness: the symbolic atom-based equivalence engine must
-//! return the *same verdict* as the enumerative oracle on every workload —
-//! the paper pipelines, their normalized forms, and random tables — and
-//! every symbolic counterexample must be confirmed by directly evaluating
-//! both pipelines on the reported packet.
+//! Differential harness: both symbolic equivalence engines — decision
+//! diagrams, the default, and the cube comparison engine — must return the
+//! *same verdict* as the enumerative oracle on every workload — the paper
+//! pipelines, their normalized forms, and random tables — and every
+//! symbolic counterexample must be confirmed by directly evaluating both
+//! pipelines on the reported packet.
 //!
 //! CI runs this file at `MAPRO_THREADS=1` and `=4` and diffs the verdict
 //! digests, so everything asserted here must be thread-count independent.
 
 use mapro::prelude::*;
-use mapro_sym::{check_symbolic, SymConfig};
+use mapro_sym::{check_symbolic, CoverBackend, SymConfig};
 use mapro_workloads::{random_table, RandomSpec};
 use proptest::prelude::*;
 
-/// Run both engines on the same pair; assert they agree on equivalence,
-/// that each reports its own method honestly, and that any counterexample
-/// either engine produces is real. Returns the shared verdict.
+/// Run the enumerative oracle and both symbolic engines on the same pair;
+/// assert they agree on equivalence, that each reports its own method
+/// honestly, and that any counterexample an engine produces is real.
+/// Returns the shared verdict.
 fn engines_agree(l: &Pipeline, r: &Pipeline, ctx: &str) -> bool {
     let enum_cfg = EquivConfig {
         mode: EquivMode::Enumerate,
@@ -22,29 +24,37 @@ fn engines_agree(l: &Pipeline, r: &Pipeline, ctx: &str) -> bool {
     };
     let e = mapro::core::check_equivalent(l, r, &enum_cfg)
         .unwrap_or_else(|err| panic!("{ctx}: enumerative engine errored: {err}"));
-    let s = check_symbolic(l, r, &SymConfig::default())
-        .unwrap_or_else(|err| panic!("{ctx}: symbolic engine errored: {err}"));
-    assert_eq!(
-        e.is_equivalent(),
-        s.is_equivalent(),
-        "{ctx}: engines disagree — enumerative says {e:?}, symbolic says {s:?}"
-    );
-    if let EquivOutcome::Equivalent {
-        method, exhaustive, ..
-    } = &s
-    {
-        assert_eq!(*method, CheckMethod::Symbolic, "{ctx}: wrong method tag");
-        assert!(*exhaustive, "{ctx}: symbolic verdicts are always complete");
-    }
     if let EquivOutcome::Equivalent { method, .. } = &e {
         assert_eq!(*method, CheckMethod::Exhaustive, "{ctx}: wrong method tag");
     }
-    for (engine, out) in [("enumerative", &e), ("symbolic", &s)] {
-        if let EquivOutcome::Counterexample(cx) = out {
-            confirm_counterexample(l, r, cx, &format!("{ctx} ({engine})"));
+    if let EquivOutcome::Counterexample(cx) = &e {
+        confirm_counterexample(l, r, cx, &format!("{ctx} (enumerative)"));
+    }
+    for backend in [CoverBackend::Dd, CoverBackend::Cube] {
+        let cfg = SymConfig {
+            backend,
+            ..SymConfig::default()
+        };
+        let s = check_symbolic(l, r, &cfg)
+            .unwrap_or_else(|err| panic!("{ctx}: {backend:?} engine errored: {err}"));
+        assert_eq!(
+            e.is_equivalent(),
+            s.is_equivalent(),
+            "{ctx}: engines disagree — enumerative says {e:?}, {backend:?} says {s:?}"
+        );
+        match &s {
+            EquivOutcome::Equivalent {
+                method, exhaustive, ..
+            } => {
+                assert_eq!(*method, CheckMethod::Symbolic, "{ctx}: wrong method tag");
+                assert!(*exhaustive, "{ctx}: symbolic verdicts are always complete");
+            }
+            EquivOutcome::Counterexample(cx) => {
+                confirm_counterexample(l, r, cx, &format!("{ctx} ({backend:?})"));
+            }
         }
     }
-    s.is_equivalent()
+    e.is_equivalent()
 }
 
 /// A counterexample is only as good as the packet it names: re-run both
