@@ -39,9 +39,20 @@ pub enum FieldLoc {
 }
 
 /// Resolves attribute values from frames.
+///
+/// Guarantee: [`Binding::to_packet`] allocates nothing beyond the packet
+/// itself (which is inline up to `Packet`'s capacity), does no search and,
+/// while the sideband map is empty, no hash probe: the per-attribute
+/// locations are resolved once, in [`Binding::standard`].
 #[derive(Debug, Clone)]
 pub struct Binding {
-    locs: Vec<(AttrId, FieldLoc)>,
+    /// Location by attribute index; attributes the binding does not cover
+    /// (actions, anything past the catalog) are [`FieldLoc::Sideband`].
+    locs: Vec<FieldLoc>,
+    /// The attributes read from the frame, with where.
+    wire: Vec<(AttrId, FieldLoc)>,
+    /// The matchable attributes supplied out-of-band.
+    sideband: Vec<AttrId>,
 }
 
 impl Binding {
@@ -49,16 +60,17 @@ impl Binding {
     /// the conventional names of the paper's figures; unrecognized fields
     /// (and all metadata) become [`FieldLoc::Sideband`].
     pub fn standard(catalog: &Catalog) -> Binding {
-        let mut locs = Vec::new();
+        let mut b = Binding {
+            locs: vec![FieldLoc::Sideband; catalog.len()],
+            wire: Vec::new(),
+            sideband: Vec::new(),
+        };
         for (id, a) in catalog.iter() {
             if !a.kind.is_matchable() {
                 continue;
             }
-            if matches!(a.kind, AttrKind::Meta) {
-                locs.push((id, FieldLoc::Sideband));
-                continue;
-            }
             let loc = match a.name.as_str() {
+                _ if matches!(a.kind, AttrKind::Meta) => FieldLoc::Sideband,
                 "eth_dst" | "dl_dst" => FieldLoc::EthDst,
                 "eth_src" | "dl_src" => FieldLoc::EthSrc,
                 "eth_type" | "dl_type" => FieldLoc::EthType,
@@ -71,31 +83,27 @@ impl Binding {
                 "tcp_dst" | "tp_dst" | "udp_dst" | "dport" => FieldLoc::TpDst,
                 _ => FieldLoc::Sideband,
             };
-            locs.push((id, loc));
+            b.locs[id.index()] = loc;
+            match loc {
+                FieldLoc::Sideband => b.sideband.push(id),
+                _ => b.wire.push((id, loc)),
+            }
         }
-        Binding { locs }
+        b
     }
 
-    /// Read an attribute's value from a frame (+ sideband map).
+    fn loc(&self, attr: AttrId) -> FieldLoc {
+        let loc = self.locs.get(attr.index()).copied();
+        loc.unwrap_or(FieldLoc::Sideband)
+    }
+
+    /// Read an attribute's value from a frame (+ sideband map). One
+    /// attribute at a time: the reference [`Binding::to_packet`] is tested
+    /// against, not the path a frame takes.
     pub fn read(&self, attr: AttrId, frame: &Frame, sideband: &HashMap<AttrId, u64>) -> u64 {
-        let loc = self
-            .locs
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, l)| *l)
-            .unwrap_or(FieldLoc::Sideband);
-        match loc {
-            FieldLoc::EthDst => mac_to_u64(&frame.eth_dst),
-            FieldLoc::EthSrc => mac_to_u64(&frame.eth_src),
-            FieldLoc::EthType => frame.eth_type as u64,
-            FieldLoc::Vlan => frame.vlan.unwrap_or(0) as u64,
-            FieldLoc::IpSrc => frame.ip_src as u64,
-            FieldLoc::IpDst => frame.ip_dst as u64,
-            FieldLoc::Ttl => frame.ttl as u64,
-            FieldLoc::IpProto => frame.proto as u64,
-            FieldLoc::TpSrc => frame.sport as u64,
-            FieldLoc::TpDst => frame.dport as u64,
+        match self.loc(attr) {
             FieldLoc::Sideband => sideband.get(&attr).copied().unwrap_or(0),
+            loc => wire_value(loc, frame),
         }
     }
 
@@ -108,13 +116,7 @@ impl Binding {
         frame: &mut Frame,
         sideband: &mut HashMap<AttrId, u64>,
     ) {
-        let loc = self
-            .locs
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, l)| *l)
-            .unwrap_or(FieldLoc::Sideband);
-        match loc {
+        match self.loc(attr) {
             FieldLoc::EthDst => frame.eth_dst = u64_to_mac(value),
             FieldLoc::EthSrc => frame.eth_src = u64_to_mac(value),
             FieldLoc::EthType => frame.eth_type = value as u16,
@@ -139,10 +141,37 @@ impl Binding {
         sideband: &HashMap<AttrId, u64>,
     ) -> Packet {
         let mut p = Packet::zero(catalog);
-        for (attr, _) in &self.locs {
-            p.set(*attr, self.read(*attr, frame, sideband));
+        for &(attr, loc) in &self.wire {
+            p.set(attr, wire_value(loc, frame));
+        }
+        // An unset sideband value reads 0, which `zero` already wrote.
+        if !sideband.is_empty() {
+            for attr in &self.sideband {
+                if let Some(&v) = sideband.get(attr) {
+                    p.set(*attr, v);
+                }
+            }
         }
         p
+    }
+}
+
+/// The value `frame` carries at a wire location (0 for `Sideband`, which
+/// is not one).
+#[inline]
+fn wire_value(loc: FieldLoc, frame: &Frame) -> u64 {
+    match loc {
+        FieldLoc::EthDst => mac_to_u64(&frame.eth_dst),
+        FieldLoc::EthSrc => mac_to_u64(&frame.eth_src),
+        FieldLoc::EthType => frame.eth_type as u64,
+        FieldLoc::Vlan => frame.vlan.unwrap_or(0) as u64,
+        FieldLoc::IpSrc => frame.ip_src as u64,
+        FieldLoc::IpDst => frame.ip_dst as u64,
+        FieldLoc::Ttl => frame.ttl as u64,
+        FieldLoc::IpProto => frame.proto as u64,
+        FieldLoc::TpSrc => frame.sport as u64,
+        FieldLoc::TpDst => frame.dport as u64,
+        FieldLoc::Sideband => 0,
     }
 }
 

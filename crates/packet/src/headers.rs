@@ -73,7 +73,8 @@ impl Default for Frame {
 pub enum ParseError {
     /// Frame shorter than the headers it claims to carry.
     Truncated,
-    /// EtherType is neither IPv4 nor VLAN-then-IPv4.
+    /// EtherType is neither IPv4 nor VLAN-then-IPv4, or the header under
+    /// it is not version 4.
     NotIpv4,
     /// IPv4 header length field below 5 words.
     BadIhl,
@@ -153,6 +154,11 @@ impl Frame {
         }
         if data.len() < off + 20 {
             return Err(ParseError::Truncated);
+        }
+        // Version and IHL share a byte: anything but version 4 under this
+        // EtherType is not the header the offsets below assume.
+        if data[off] >> 4 != 4 {
+            return Err(ParseError::NotIpv4);
         }
         let ihl = (data[off] & 0x0f) as usize;
         if ihl < 5 {
@@ -271,6 +277,10 @@ mod tests {
         let mut b = Frame::default().emit().to_vec();
         b[12] = 0x86; // 0x86dd = IPv6
         b[13] = 0xdd;
+        assert_eq!(Frame::parse(&b), Err(ParseError::NotIpv4));
+        // EtherType says IPv4, the header's version nibble says 6.
+        let mut b = Frame::default().emit().to_vec();
+        b[14] = 0x65;
         assert_eq!(Frame::parse(&b), Err(ParseError::NotIpv4));
     }
 
