@@ -98,7 +98,7 @@ fn load(path: &str) -> Pipeline {
         eprintln!("cannot read {path}: {e}");
         exit(1)
     });
-    if path.ends_with(".mat") {
+    let p: Pipeline = if path.ends_with(".mat") {
         mapro_core::parse_program(&data).unwrap_or_else(|e| {
             eprintln!("cannot parse {path}: {e}");
             exit(1)
@@ -108,7 +108,12 @@ fn load(path: &str) -> Pipeline {
             eprintln!("cannot parse {path}: {e}");
             exit(1)
         })
+    };
+    // Everything downstream indexes rows and catalogs without checking.
+    if let Err(e) = p.validate() {
+        usage_error(format_args!("{path}: {e}"));
     }
+    p
 }
 
 fn emit(p: &Pipeline) {

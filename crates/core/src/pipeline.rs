@@ -171,6 +171,19 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// Why a program read from outside is not one the tools can run (see
+/// [`Pipeline::validate`]): what is wrong and where, for the user.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidProgram(String);
+
+impl fmt::Display for InvalidProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for InvalidProgram {}
+
 /// The externally visible fate of a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verdict {
@@ -283,6 +296,111 @@ impl Pipeline {
             tables,
             start,
         }
+    }
+
+    /// Check what the constructors guarantee and deserialization does not:
+    /// every attribute id lies in the catalog, match columns are fields or
+    /// metadata and action columns actions, attributes are at most 64 bits
+    /// wide, every row has one cell per column, every numeric cell fits its
+    /// attribute (a `SetField` parameter, the attribute it sets), and
+    /// `start`, `next`, `Fall` and symbolic goto targets name tables of the
+    /// program. The analyses index rows and catalogs freely behind this.
+    ///
+    /// # Errors
+    /// The first violation found, in table and row order.
+    pub fn validate(&self) -> Result<(), InvalidProgram> {
+        let bad = |msg: String| Err(InvalidProgram(msg));
+        let known = |a: AttrId| a.index() < self.catalog.len();
+        for (id, a) in self.catalog.iter() {
+            if a.width > 64 {
+                return bad(format!(
+                    "attribute {:?} is {} bits wide (at most 64)",
+                    a.name, a.width
+                ));
+            }
+            if let AttrKind::Action(ActionSem::SetField(target)) = a.kind {
+                if !known(target) || !self.catalog.attr(target).kind.is_matchable() {
+                    return bad(format!(
+                        "action {:?} ({id}) sets {target}, which is not a field of the catalog",
+                        a.name
+                    ));
+                }
+            }
+        }
+        let exists = |from: &str, target: &str| {
+            if self.table(target).is_some() {
+                Ok(())
+            } else {
+                bad(format!(
+                    "{from} names table {target:?}, which does not exist"
+                ))
+            }
+        };
+        exists("start", &self.start)?;
+        for t in &self.tables {
+            let table = &t.name;
+            for (attrs, matchable) in [(&t.match_attrs, true), (&t.action_attrs, false)] {
+                for &a in attrs {
+                    if !known(a) {
+                        return bad(format!(
+                            "table {table:?}: attribute {a} is not in the catalog ({} attributes)",
+                            self.catalog.len()
+                        ));
+                    }
+                    if self.catalog.attr(a).kind.is_matchable() != matchable {
+                        return bad(format!(
+                            "table {table:?}: {:?} cannot be a{} column",
+                            self.catalog.name(a),
+                            if matchable { " match" } else { "n action" }
+                        ));
+                    }
+                }
+            }
+            if let Some(n) = &t.next {
+                exists(&format!("table {table:?}: next"), n)?;
+            }
+            if let MissPolicy::Fall(n) = &t.miss {
+                exists(&format!("table {table:?}: miss"), n)?;
+            }
+            for (row, e) in t.entries.iter().enumerate() {
+                for (side, cells, attrs) in [
+                    ("match", &e.matches, &t.match_attrs),
+                    ("action", &e.actions, &t.action_attrs),
+                ] {
+                    if cells.len() != attrs.len() {
+                        return bad(format!(
+                            "table {table:?} row {row}: {} {side} cells for {} {side} columns",
+                            cells.len(),
+                            attrs.len()
+                        ));
+                    }
+                }
+                let cells = e.matches.iter().zip(&t.match_attrs);
+                for (cell, &a) in cells.chain(e.actions.iter().zip(&t.action_attrs)) {
+                    let attr = self.catalog.attr(a);
+                    let width = match attr.kind {
+                        AttrKind::Action(ActionSem::SetField(target)) => {
+                            self.catalog.attr(target).width
+                        }
+                        AttrKind::Action(ActionSem::Goto) => {
+                            if let Value::Sym(target) = cell {
+                                exists(&format!("table {table:?} row {row}: goto"), target)?;
+                            }
+                            continue;
+                        }
+                        AttrKind::Action(_) => continue,
+                        AttrKind::Field | AttrKind::Meta => attr.width,
+                    };
+                    if !cell.fits(width) {
+                        return bad(format!(
+                            "table {table:?} row {row}: {cell} does not fit the {width} bits of {:?}",
+                            attr.name
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Find a table by name.
@@ -544,6 +662,61 @@ mod tests {
         t1.row(vec![Value::Int(20)], vec![Value::sym("p2")]);
 
         Pipeline::new(c, vec![t0, t1], "t0")
+    }
+
+    #[test]
+    fn validate_names_what_deserialization_let_through() {
+        let good = two_stage();
+        assert_eq!(good.validate(), Ok(()));
+        type Damage = fn(&mut Pipeline);
+        let cases: [(&str, Damage); 12] = [
+            ("1 match cells for 2", |p| {
+                p.tables[0].match_attrs.push(AttrId(1));
+            }),
+            ("1 action cells for 2", |p| {
+                p.tables[0].entries[1].actions.pop();
+            }),
+            ("@9 is not in the catalog", |p| {
+                p.tables[1].action_attrs[0] = AttrId(9);
+            }),
+            ("\"out\" cannot be a match column", |p| {
+                p.tables[1].match_attrs[0] = AttrId(4);
+            }),
+            ("\"f\" cannot be an action column", |p| {
+                p.tables[1].action_attrs[0] = AttrId(0);
+            }),
+            ("256 does not fit the 8 bits of \"f\"", |p| {
+                p.tables[0].entries[0].matches[0] = Value::Int(256);
+            }),
+            ("does not fit the 8 bits of \"f\"", |p| {
+                p.tables[0].entries[0].matches[0] = Value::Prefix { bits: 0, len: 9 };
+            }),
+            ("does not fit the 8 bits of \"m\"", |p| {
+                p.tables[1].entries[0].matches[0] = Value::Ternary {
+                    bits: 0,
+                    mask: 0x100,
+                };
+            }),
+            ("300 does not fit the 8 bits of \"set_m\"", |p| {
+                p.tables[0].entries[0].actions[0] = Value::Int(300);
+            }),
+            ("start names table \"t9\"", |p| p.start = "t9".into()),
+            ("table \"t1\": miss names table \"t9\"", |p| {
+                p.tables[1].miss = MissPolicy::Fall("t9".into());
+            }),
+            ("table \"t0\" row 1: goto names table \"t9\"", |p| {
+                p.tables[0].entries[1].actions[1] = Value::sym("t9");
+            }),
+        ];
+        for (expect, damage) in cases {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            let err = bad.validate().expect_err(expect).to_string();
+            assert!(err.contains(expect), "{err:?} lacks {expect:?}");
+        }
+        let mut next = good;
+        next.tables[0].next = Some("t9".into());
+        assert!(next.validate().is_err());
     }
 
     #[test]

@@ -94,6 +94,20 @@ impl Value {
         }
     }
 
+    /// Is this cell well formed at `width` (at most 64) bits: an integer or
+    /// a ternary care mask inside the width, a prefix no longer than it with
+    /// nothing set below its length? Wildcards and symbols always are.
+    pub fn fits(&self, width: u32) -> bool {
+        match *self {
+            Value::Int(x) => x & !low_mask(width) == 0,
+            Value::Prefix { bits, len } => {
+                u32::from(len) <= width && bits & !prefix_mask(len, width) == 0
+            }
+            Value::Ternary { mask, .. } => mask & !low_mask(width) == 0,
+            Value::Any | Value::Sym(_) => true,
+        }
+    }
+
     /// Do the packet sets denoted by two predicates intersect?
     ///
     /// Used by the 1NF *order-independence* check (§3): a table is

@@ -22,65 +22,52 @@
 //!
 //! Variables are plain `u32` bit indices; smaller indices sit closer to
 //! the root. Callers fix the order (`mapro-sym` uses field-declaration
-//! order, MSB first within a field). All shaping operations are memoized
-//! in shared-node caches so repeated subproblems cost one hash lookup;
-//! every allocation is bounded by a configurable node limit whose
-//! exhaustion is the recoverable [`Overflow`] error, never an abort.
+//! order, MSB first within a field). Every allocation is bounded by a node
+//! limit whose exhaustion is the recoverable [`Overflow`] error, never an
+//! abort.
 //!
-//! Instrumented via `mapro-obs`: `dd.nodes` (fresh allocations),
-//! `dd.unique.hits`, `dd.memo.hits` / `dd.memo.misses`, and
-//! `dd.gc.collected` (nodes reclaimed by [`Mgr::gc`]).
+//! ## The tables
+//!
+//! The arena is the only place a node's `(var, lo, hi)` is stored. Around
+//! it sit two tables, both flat vectors of a power-of-two length indexed by
+//! a multiplicative hash of three words this program minted (node ids,
+//! variables, an op tag — never outside input, so there is nothing for a
+//! keyed hash to defend):
+//!
+//! * the **unique table** is open-addressed (linear probing) and holds
+//!   arena *indices* only; a probe compares the wanted triple against
+//!   `nodes[i]`. It is exact and complete — every node is in it — and it
+//!   alone carries canonicity. It is kept at most half full: when the arena
+//!   outgrows that, the table doubles and is refilled by re-hashing the
+//!   arena.
+//! * the **computed cache** remembers results of `and`/`or`/`diff`/
+//!   `cofactor`/`ite` calls. It is direct-mapped: one slot per hash value,
+//!   a new result overwrites whatever was there. It may therefore *forget*
+//!   any entry at any time. That is sound because a cached result is only
+//!   ever a shortcut to the `NodeRef` the recursion would build anyway:
+//!   recomputing goes through the unique table again and arrives at the
+//!   same node, so a lost entry costs time, never a different answer. Its
+//!   length follows the unique table's (a quarter as many slots), so it too is
+//!   sized by the live arena; surviving entries are re-hashed on growth.
+//!
+//! [`Mgr::gc`] compacts the arena and sizes both tables afresh from what
+//! survived (the cache starts empty — it may reference collected nodes).
+//! Nothing about either table is configurable.
+//!
+//! ## Counters
+//!
+//! The manager tallies its own work ([`Mgr::stats`]) in plain integers and
+//! adds the difference to the process-wide `mapro-obs` counters `dd.nodes`
+//! (fresh allocations), `dd.unique.hits`, `dd.memo.hits` /
+//! `dd.memo.misses` when [`Mgr::publish`] is called, when [`Mgr::gc`] runs
+//! and when it is dropped — not once per node. `mapro-sym` publishes at
+//! the end of every compile and check, so the counters are exact wherever
+//! they are read. `dd.gc.collected` counts nodes reclaimed by [`Mgr::gc`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Word-at-a-time multiply-rotate hasher for the unique table and the memo
-/// maps, whose keys are three machine words minted by this program (node
-/// ids, variables, an op tag), never outside input: SipHash's collision
-/// resistance buys nothing there and costs a third of a full compile. The
-/// derived `Hash` of the three key types only calls `write_u32` and (for
-/// the `repr(u8)` op tag) `write_u8`; `write` is the trait's catch-all. This is a sibling of `mapro-switch`'s `KeyHasher`, kept
-/// private here rather than shared: this crate depends on nothing but
-/// `mapro-obs`, and the two crates have no common dependency a 15-line
-/// hasher would justify adding.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Fold the well-mixed high half into the bits that pick a bucket.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+use std::collections::HashSet;
 
 /// Terminal tag bit: refs with it set are terminals, payload in the low
 /// 31 bits.
@@ -159,18 +146,75 @@ impl std::fmt::Display for Overflow {
 
 impl std::error::Error for Overflow {}
 
-/// Binary apply operations, used as memo keys.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
+/// Memoized operations other than `ite`. In a computed-cache key the op
+/// rides in the first word with the terminal tag set; `ite` keys start with
+/// their guard, an interior ref (a terminal guard never reaches the cache),
+/// so the two families cannot collide.
+#[derive(Clone, Copy)]
+#[repr(u32)]
 enum Op {
-    And,
+    And = TERM_BIT,
     Or,
     Diff,
     Cofactor0,
     Cofactor1,
 }
 
-/// The decision-diagram manager: node arena, unique table, memo caches.
+/// One computed-cache slot: `key` → `result`.
+#[derive(Clone, Copy)]
+struct Memo {
+    key: [u32; 3],
+    result: NodeRef,
+}
+
+impl Memo {
+    /// No key starts with this word: it is neither an interior ref (those
+    /// stay below [`TERM_BIT`]) nor an [`Op`] tag.
+    const EMPTY: Memo = Memo {
+        key: [u32::MAX; 3],
+        result: NodeRef::FALSE,
+    };
+}
+
+/// An unoccupied unique-table slot (the arena never reaches this index).
+const NO_NODE: u32 = u32::MAX;
+
+/// Slots of the smallest unique table: 32 KiB, and as much again for the
+/// computed cache beside it. A cold check of a few hundred rows ends at a
+/// few thousand nodes; starting here spares it the five re-hashes that
+/// starting small would cost (measured: 5 % of a `toolchain` round).
+const MIN_UNIQUE: usize = 1 << 13;
+
+/// Unique-table slots per computed-cache slot. The unique table holds
+/// between a quarter and a half of its length in nodes, so the cache has
+/// one slot for every one to two nodes. Cold compiles recall little
+/// (about one operation in twenty), and a larger cache costs more to
+/// clear and to miss in than it saves: 1, 2 and 8 all measured slower.
+const CACHE_SHARE: usize = 4;
+
+/// Mix three table-key words into 64 well-spread bits; tables index by the
+/// *top* bits (`>> shift`), where a multiplicative hash is strongest.
+#[inline]
+fn hash3(a: u32, b: u32, c: u32) -> u64 {
+    let x = (u64::from(a) << 32 | u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (x ^ (x >> 32) ^ u64::from(c)).wrapping_mul(0xd6e8_feb8_6659_fd93)
+}
+
+/// What one manager has done so far — the per-manager side of the `dd.*`
+/// counters (see [`Mgr::publish`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stats {
+    /// Interior nodes allocated (`dd.nodes`).
+    pub nodes: u64,
+    /// Constructor calls answered by the unique table (`dd.unique.hits`).
+    pub unique_hits: u64,
+    /// Operations answered by the computed cache (`dd.memo.hits`).
+    pub memo_hits: u64,
+    /// Operations the computed cache did not hold (`dd.memo.misses`).
+    pub memo_misses: u64,
+}
+
+/// The decision-diagram manager: node arena, unique table, computed cache.
 ///
 /// All diagrams of one comparison domain must live in one manager —
 /// canonical equality only holds within it. The manager is deliberately
@@ -178,16 +222,39 @@ enum Op {
 /// and the symbolic compiler parallelizes *across* checks, not within one.
 pub struct Mgr {
     nodes: Vec<Node>,
-    unique: WordMap<(u32, NodeRef, NodeRef), u32>,
-    memo_bin: WordMap<(Op, NodeRef, NodeRef), NodeRef>,
-    memo_ite: WordMap<(NodeRef, NodeRef, NodeRef), NodeRef>,
+    /// Open-addressed arena indices ([`NO_NODE`] = free), at most half
+    /// full, indexed by `hash3(var, lo, hi) >> unique_shift`.
+    unique: Vec<u32>,
+    unique_shift: u32,
+    /// Direct-mapped, indexed by `hash3(key) >> cache_shift`.
+    cache: Vec<Memo>,
+    cache_shift: u32,
     max_nodes: usize,
+    stats: Stats,
+    /// The part of `stats` the process-wide counters already hold.
+    published: Stats,
+    /// Keep the computed cache at its smallest whatever the arena does.
+    #[cfg(test)]
+    thrash: bool,
 }
 
 impl Default for Mgr {
     fn default() -> Self {
         Mgr::new()
     }
+}
+
+impl Drop for Mgr {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+/// `64 - log2(len)`: the shift that turns a hash into an index of a table
+/// of `len` (a power of two) slots.
+fn shift_for(len: usize) -> u32 {
+    debug_assert!(len.is_power_of_two());
+    64 - len.trailing_zeros()
 }
 
 impl Mgr {
@@ -203,13 +270,29 @@ impl Mgr {
     /// A manager that refuses to allocate more than `max_nodes` interior
     /// nodes (clamped to the 2^31 arena address space).
     pub fn with_limit(max_nodes: usize) -> Mgr {
-        Mgr {
+        let mut m = Mgr {
             nodes: Vec::new(),
-            unique: WordMap::default(),
-            memo_bin: WordMap::default(),
-            memo_ite: WordMap::default(),
+            unique: Vec::new(),
+            unique_shift: 0,
+            cache: Vec::new(),
+            cache_shift: 0,
             max_nodes: max_nodes.min(TERM_BIT as usize - 1),
-        }
+            stats: Stats::default(),
+            published: Stats::default(),
+            #[cfg(test)]
+            thrash: false,
+        };
+        m.size_tables();
+        m
+    }
+
+    /// A manager whose computed cache stays at its smallest, so that it
+    /// forgets nearly everything a large computation tells it.
+    #[cfg(test)]
+    fn thrashing() -> Mgr {
+        let mut m = Mgr::new();
+        m.thrash = true;
+        m
     }
 
     /// Number of interior nodes currently in the arena (live + garbage).
@@ -220,6 +303,23 @@ impl Mgr {
     /// True when no interior node has been allocated yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// This manager's own tallies, published or not.
+    pub fn stats(&self) -> Stats {
+        self.stats
+    }
+
+    /// Add what this manager has tallied since the last call to the
+    /// process-wide `dd.*` counters. Runs on [`Mgr::gc`] and on drop as
+    /// well; call it wherever a reader may look at the counters next.
+    pub fn publish(&mut self) {
+        let (now, was) = (self.stats, self.published);
+        mapro_obs::counter!("dd.nodes").add(now.nodes - was.nodes);
+        mapro_obs::counter!("dd.unique.hits").add(now.unique_hits - was.unique_hits);
+        mapro_obs::counter!("dd.memo.hits").add(now.memo_hits - was.memo_hits);
+        mapro_obs::counter!("dd.memo.misses").add(now.memo_misses - was.memo_misses);
+        self.published = now;
     }
 
     #[inline]
@@ -238,6 +338,58 @@ impl Mgr {
         }
     }
 
+    /// Size both tables for the current arena — the unique table to the
+    /// smallest length that leaves it at most half full, refilled by
+    /// re-hashing the arena; the computed cache to its share of that,
+    /// keeping the entries it held (the caller clears them when the arena
+    /// was renumbered).
+    fn size_tables(&mut self) {
+        let len = (2 * self.nodes.len()).next_power_of_two().max(MIN_UNIQUE);
+        self.unique_shift = shift_for(len);
+        self.unique.clear();
+        self.unique.resize(len, NO_NODE);
+        for i in 0..self.nodes.len() {
+            let n = self.nodes[i];
+            let slot = self
+                .find(n.var, n.lo, n.hi)
+                .expect_err("arena nodes are distinct");
+            self.unique[slot] = i as u32;
+        }
+
+        #[cfg(test)]
+        let len = if self.thrash { MIN_UNIQUE } else { len };
+        let len = len / CACHE_SHARE;
+        if len != self.cache.len() {
+            self.cache_shift = shift_for(len);
+            let old = std::mem::replace(&mut self.cache, vec![Memo::EMPTY; len]);
+            for m in old {
+                if m.key[0] != Memo::EMPTY.key[0] {
+                    let slot = self.cache_slot(m.key);
+                    self.cache[slot] = m;
+                }
+            }
+        }
+    }
+
+    /// Probe the unique table for `(var, lo, hi)`: the arena index of the
+    /// node, or else the free slot where it goes.
+    #[inline]
+    fn find(&self, var: u32, lo: NodeRef, hi: NodeRef) -> Result<u32, usize> {
+        let mask = self.unique.len() - 1;
+        let mut slot = (hash3(var, lo.0, hi.0) >> self.unique_shift) as usize;
+        loop {
+            let i = self.unique[slot];
+            if i == NO_NODE {
+                return Err(slot);
+            }
+            let n = self.nodes[i as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Ok(i);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
     /// Hash-consed node constructor: reduces `lo == hi`, dedups through
     /// the unique table, allocates otherwise.
     fn mk(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> Result<NodeRef, Overflow> {
@@ -248,10 +400,13 @@ impl Mgr {
             self.var_of(lo) > var && self.var_of(hi) > var,
             "order violation"
         );
-        if let Some(&i) = self.unique.get(&(var, lo, hi)) {
-            mapro_obs::counter!("dd.unique.hits").inc();
-            return Ok(NodeRef(i));
-        }
+        let slot = match self.find(var, lo, hi) {
+            Ok(i) => {
+                self.stats.unique_hits += 1;
+                return Ok(NodeRef(i));
+            }
+            Err(slot) => slot,
+        };
         if self.nodes.len() >= self.max_nodes {
             return Err(Overflow {
                 limit: self.max_nodes,
@@ -259,9 +414,37 @@ impl Mgr {
         }
         let i = self.nodes.len() as u32;
         self.nodes.push(Node { var, lo, hi });
-        self.unique.insert((var, lo, hi), i);
-        mapro_obs::counter!("dd.nodes").inc();
+        self.unique[slot] = i;
+        self.stats.nodes += 1;
+        if 2 * self.nodes.len() > self.unique.len() {
+            self.size_tables();
+        }
         Ok(NodeRef(i))
+    }
+
+    #[inline]
+    fn cache_slot(&self, key: [u32; 3]) -> usize {
+        (hash3(key[0], key[1], key[2]) >> self.cache_shift) as usize
+    }
+
+    /// The cached result of `key`, if the computed cache still holds it.
+    #[inline]
+    fn recall(&mut self, key: [u32; 3]) -> Option<NodeRef> {
+        let m = self.cache[self.cache_slot(key)];
+        if m.key == key {
+            self.stats.memo_hits += 1;
+            Some(m.result)
+        } else {
+            self.stats.memo_misses += 1;
+            None
+        }
+    }
+
+    /// Remember `key` → `result`, over whatever shared its slot.
+    #[inline]
+    fn remember(&mut self, key: [u32; 3], result: NodeRef) {
+        let slot = self.cache_slot(key);
+        self.cache[slot] = Memo { key, result };
     }
 
     /// The single-bit predicate "variable `v` is 1".
@@ -334,35 +517,37 @@ impl Mgr {
             !(a.is_term() && b.is_term()),
             "boolean apply on non-boolean terminals"
         );
-        // And/or are commutative: canonicalize the memo key so `a op b`
-        // and `b op a` share one cache line.
+        // And/or are commutative: canonicalize the cache key so `a op b`
+        // and `b op a` share one slot.
         let key = match op {
-            Op::And | Op::Or if b < a => (op, b, a),
-            _ => (op, a, b),
+            Op::And | Op::Or if b < a => [op as u32, b.0, a.0],
+            _ => [op as u32, a.0, b.0],
         };
-        if let Some(&r) = self.memo_bin.get(&key) {
-            mapro_obs::counter!("dd.memo.hits").inc();
+        if let Some(r) = self.recall(key) {
             return Ok(r);
         }
-        mapro_obs::counter!("dd.memo.misses").inc();
         let v = self.var_of(a).min(self.var_of(b));
-        let (a0, a1) = if self.var_of(a) == v {
-            let n = self.node(a);
-            (n.lo, n.hi)
-        } else {
-            (a, a)
-        };
-        let (b0, b1) = if self.var_of(b) == v {
-            let n = self.node(b);
-            (n.lo, n.hi)
-        } else {
-            (b, b)
-        };
+        let (a0, a1) = self.split(a, v);
+        let (b0, b1) = self.split(b, v);
         let lo = self.apply(op, a0, b0)?;
         let hi = self.apply(op, a1, b1)?;
         let r = self.mk(v, lo, hi)?;
-        self.memo_bin.insert(key, r);
+        self.remember(key, r);
         Ok(r)
+    }
+
+    /// The cofactors of `x` on variable `v`, which is at or above its root.
+    #[inline]
+    fn split(&self, x: NodeRef, v: u32) -> (NodeRef, NodeRef) {
+        if x.is_term() {
+            return (x, x);
+        }
+        let n = self.nodes[x.index()];
+        if n.var == v {
+            (n.lo, n.hi)
+        } else {
+            (x, x)
+        }
     }
 
     /// Boolean conjunction `a ∧ b`.
@@ -398,28 +583,19 @@ impl Mgr {
         if g == NodeRef::TRUE && h == NodeRef::FALSE {
             return Ok(f);
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.memo_ite.get(&key) {
-            mapro_obs::counter!("dd.memo.hits").inc();
+        assert!(!f.is_term(), "ite guard must be boolean");
+        let key = [f.0, g.0, h.0];
+        if let Some(r) = self.recall(key) {
             return Ok(r);
         }
-        mapro_obs::counter!("dd.memo.misses").inc();
         let v = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
-        let split = |s: &Self, x: NodeRef| {
-            if s.var_of(x) == v {
-                let n = s.node(x);
-                (n.lo, n.hi)
-            } else {
-                (x, x)
-            }
-        };
-        let (f0, f1) = split(self, f);
-        let (g0, g1) = split(self, g);
-        let (h0, h1) = split(self, h);
+        let (f0, f1) = self.split(f, v);
+        let (g0, g1) = self.split(g, v);
+        let (h0, h1) = self.split(h, v);
         let lo = self.ite(f0, g0, h0)?;
         let hi = self.ite(f1, g1, h1)?;
         let r = self.mk(v, lo, hi)?;
-        self.memo_ite.insert(key, r);
+        self.remember(key, r);
         Ok(r)
     }
 
@@ -434,19 +610,16 @@ impl Mgr {
             return Ok(if val { n.hi } else { n.lo });
         }
         let op = if val { Op::Cofactor1 } else { Op::Cofactor0 };
-        // The pinned variable rides in the memo key's second operand slot
-        // as a terminal ref (terminals never appear there otherwise).
-        let key = (op, f, NodeRef::term(var));
-        if let Some(&r) = self.memo_bin.get(&key) {
-            mapro_obs::counter!("dd.memo.hits").inc();
+        // The pinned variable rides in the key's second operand slot.
+        let key = [op as u32, f.0, var];
+        if let Some(r) = self.recall(key) {
             return Ok(r);
         }
-        mapro_obs::counter!("dd.memo.misses").inc();
         let n = self.node(f);
         let lo = self.cofactor(n.lo, var, val)?;
         let hi = self.cofactor(n.hi, var, val)?;
         let r = self.mk(n.var, lo, hi)?;
-        self.memo_bin.insert(key, r);
+        self.remember(key, r);
         Ok(r)
     }
 
@@ -541,88 +714,78 @@ impl Mgr {
         go(self, a, b, &mut path, &mut equal).then_some(path)
     }
 
-    /// Count the distinct interior nodes reachable from `roots` (shared
-    /// nodes counted once — the honest size of the shared structure).
-    pub fn node_count(&self, roots: &[NodeRef]) -> usize {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<NodeRef> = roots.iter().copied().filter(|r| !r.is_term()).collect();
-        while let Some(r) = stack.pop() {
-            if !seen.insert(r) {
-                continue;
-            }
-            let n = self.node(r);
-            for c in [n.lo, n.hi] {
-                if !c.is_term() && !seen.contains(&c) {
-                    stack.push(c);
-                }
-            }
-        }
-        seen.len()
-    }
-
-    /// Mark-sweep garbage collection: keep exactly the nodes reachable
-    /// from `roots`, compacting the arena in stable (allocation) order and
-    /// rewriting `roots` in place. All memo caches are dropped (they may
-    /// reference collected nodes). Returns the number of nodes collected.
-    pub fn gc(&mut self, roots: &mut [NodeRef]) -> usize {
-        let before = self.nodes.len();
-        let mut live = vec![false; before];
+    /// Mark the interior nodes reachable from `roots`: one bit per arena
+    /// index, and how many are set.
+    fn mark(&self, roots: &[NodeRef]) -> (Vec<u64>, usize) {
+        let mut live = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut count = 0;
         let mut stack: Vec<usize> = roots
             .iter()
             .filter(|r| !r.is_term())
             .map(|r| r.index())
             .collect();
         while let Some(i) = stack.pop() {
-            if live[i] {
+            let bit = 1u64 << (i % 64);
+            if live[i / 64] & bit != 0 {
                 continue;
             }
-            live[i] = true;
+            live[i / 64] |= bit;
+            count += 1;
             let n = self.nodes[i];
             for c in [n.lo, n.hi] {
-                if !c.is_term() && !live[c.index()] {
+                if !c.is_term() && live[c.index() / 64] >> (c.index() % 64) & 1 == 0 {
                     stack.push(c.index());
                 }
             }
         }
+        (live, count)
+    }
+
+    /// Count the distinct interior nodes reachable from `roots` (shared
+    /// nodes counted once — the honest size of the shared structure).
+    pub fn node_count(&self, roots: &[NodeRef]) -> usize {
+        self.mark(roots).1
+    }
+
+    /// Mark-sweep garbage collection: keep exactly the nodes reachable
+    /// from `roots`, compacting the arena in stable (allocation) order and
+    /// rewriting `roots` in place. The computed cache is emptied (it may
+    /// reference collected nodes) and both tables are sized afresh from
+    /// the surviving arena. Returns the number of nodes collected.
+    pub fn gc(&mut self, roots: &mut [NodeRef]) -> usize {
+        let before = self.nodes.len();
+        let (live, count) = self.mark(roots);
         // Stable compaction: children always precede parents in the arena
         // (mk allocates bottom-up), so one forward pass remaps everything.
-        let mut remap = vec![u32::MAX; before];
-        let mut kept = Vec::with_capacity(live.iter().filter(|&&l| l).count());
+        let mut remap = vec![NO_NODE; before];
+        let fix = |r: NodeRef, remap: &[u32]| {
+            if r.is_term() {
+                r
+            } else {
+                NodeRef(remap[r.index()])
+            }
+        };
+        let mut kept = Vec::with_capacity(count);
         for (i, n) in self.nodes.iter().enumerate() {
-            if !live[i] {
+            if live[i / 64] >> (i % 64) & 1 == 0 {
                 continue;
             }
-            let fix = |r: NodeRef, remap: &[u32]| {
-                if r.is_term() {
-                    r
-                } else {
-                    NodeRef(remap[r.index()])
-                }
-            };
-            let fixed = Node {
+            remap[i] = kept.len() as u32;
+            kept.push(Node {
                 var: n.var,
                 lo: fix(n.lo, &remap),
                 hi: fix(n.hi, &remap),
-            };
-            remap[i] = kept.len() as u32;
-            kept.push(fixed);
+            });
         }
         self.nodes = kept;
-        self.unique = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| ((n.var, n.lo, n.hi), i as u32))
-            .collect();
-        self.memo_bin.clear();
-        self.memo_ite.clear();
+        self.cache.clear();
+        self.size_tables();
         for r in roots.iter_mut() {
-            if !r.is_term() {
-                *r = NodeRef(remap[r.index()]);
-            }
+            *r = fix(*r, &remap);
         }
         let collected = before - self.nodes.len();
         mapro_obs::counter!("dd.gc.collected").add(collected as u64);
+        self.publish();
         collected
     }
 }
@@ -823,6 +986,149 @@ mod tests {
             acc = x;
         }
         assert!(overflowed, "4-node arena cannot hold 8 variables");
+    }
+
+    /// A deterministic workload far past the smallest tables: unions of
+    /// random cubes over 20 variables, combined by every memoized
+    /// operation. Returns every result in order, or the first overflow.
+    fn exercise(m: &mut Mgr, seed: u64, rounds: usize) -> Result<Vec<NodeRef>, Overflow> {
+        const WIDE: u32 = 20;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        let mut pool: Vec<NodeRef> = Vec::new(); // boolean results only
+        for _ in 0..rounds {
+            let mut f = NodeRef::FALSE;
+            for _ in 0..rng.gen_range(1..6) {
+                let mut lits: Vec<(u32, bool)> = Vec::new();
+                for v in 0..WIDE {
+                    if rng.gen_bool(0.3) {
+                        lits.push((v, rng.gen_bool(0.5)));
+                    }
+                }
+                let c = m.cube(&lits)?;
+                f = m.or(f, c)?;
+            }
+            pool.push(f);
+            out.push(f);
+            let a = pool[rng.gen_range(0..pool.len())];
+            let b = pool[rng.gen_range(0..pool.len())];
+            let r = match rng.gen_range(0..5u8) {
+                0 => m.and(a, b)?,
+                1 => m.or(a, b)?,
+                2 => m.diff(a, b)?,
+                3 => m.cofactor(a, rng.gen_range(0..WIDE), rng.gen_bool(0.5))?,
+                _ => {
+                    let label = NodeRef::term(rng.gen_range(2..9));
+                    let g = m.ite(a, label, NodeRef::term(9))?;
+                    out.push(m.ite(b, NodeRef::term(2), g)?);
+                    m.not(a)?
+                }
+            };
+            pool.push(r);
+            out.push(r);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn canonicity_survives_a_thrashed_cache() {
+        let mut roomy = Mgr::new();
+        let mut tight = Mgr::thrashing();
+        let want = exercise(&mut roomy, 23, 300).unwrap();
+        let got = exercise(&mut tight, 23, 300).unwrap();
+        assert_eq!(got, want, "op for op the same refs");
+        assert_eq!(
+            tight.stats().nodes,
+            roomy.stats().nodes,
+            "and the same arena"
+        );
+        assert_eq!(tight.cache.len(), MIN_UNIQUE / CACHE_SHARE);
+        assert!(
+            roomy.cache.len() >= 8 * tight.cache.len(),
+            "the default grew"
+        );
+        assert!(
+            tight.stats().memo_misses > roomy.stats().memo_misses,
+            "the pinned cache forgot: {:?} vs {:?}",
+            tight.stats(),
+            roomy.stats()
+        );
+    }
+
+    #[test]
+    fn unique_table_survives_growth_gc_and_regrowth() {
+        let mut m = Mgr::new();
+        let first = exercise(&mut m, 29, 300).unwrap();
+        assert!(m.unique.len() >= MIN_UNIQUE << 3, "three growths or more");
+        assert!(2 * m.len() <= m.unique.len(), "at most half full");
+        // Every node is findable: the same work again allocates nothing.
+        let nodes = m.stats().nodes;
+        assert_eq!(exercise(&mut m, 29, 300).unwrap(), first);
+        assert_eq!(m.stats().nodes, nodes);
+
+        // Keep a few results; the tables follow the arena down…
+        let probe = |m: &Mgr, f: NodeRef| -> Vec<u32> {
+            let mut rng = SmallRng::seed_from_u64(31);
+            (0..200)
+                .map(|_| {
+                    let x: u32 = rng.gen();
+                    m.eval(f, |v| x >> v & 1 == 1)
+                })
+                .collect()
+        };
+        let mut roots: Vec<NodeRef> = first.iter().rev().step_by(97).copied().collect();
+        let values: Vec<Vec<u32>> = roots.iter().map(|&r| probe(&m, r)).collect();
+        let grown = m.unique.len();
+        assert!(m.gc(&mut roots) > 0);
+        assert!(m.unique.len() < grown && m.cache.len() < grown / CACHE_SHARE);
+        assert_eq!(m.node_count(&roots), m.len(), "arena is the live set");
+        for (r, v) in roots.iter().zip(&values) {
+            assert_eq!(&probe(&m, *r), v, "roots survive semantically");
+        }
+        // …and back up, still canonical.
+        let shrunk = m.unique.len();
+        let again = exercise(&mut m, 37, 300).unwrap();
+        assert!(m.unique.len() > shrunk, "regrown");
+        let nodes = m.stats().nodes;
+        assert_eq!(exercise(&mut m, 37, 300).unwrap(), again);
+        assert_eq!(m.stats().nodes, nodes);
+    }
+
+    #[test]
+    fn overflow_is_raised_at_exactly_the_limit_and_is_recoverable() {
+        // A limit two table growths in, not on a growth boundary.
+        const LIMIT: usize = 10_000;
+        let mut m = Mgr::with_limit(LIMIT);
+        let x0 = m.var(0).unwrap();
+        let x1 = m.var(1).unwrap();
+        let both = m.and(x0, x1).unwrap();
+        assert_eq!(exercise(&mut m, 41, 300), Err(Overflow { limit: LIMIT }));
+        assert_eq!(m.len(), LIMIT, "not one node early, not one late");
+        // What exists is still found, through the cache or without it…
+        assert_eq!(m.var(0), Ok(x0));
+        assert_eq!(m.and(x0, x1), Ok(both));
+        assert_eq!(m.cube(&[(0, true), (1, true)]), Ok(both));
+        // …what does not still cannot be made, until a collection.
+        assert_eq!(
+            m.var(19).and_then(|v| m.and(v, both)),
+            Err(Overflow { limit: LIMIT })
+        );
+        let mut roots = [both];
+        m.gc(&mut roots);
+        let v = m.var(19).unwrap();
+        assert!(m.and(v, roots[0]).is_ok());
+    }
+
+    #[test]
+    fn tallies_repeat_exactly_run_to_run() {
+        let run = || {
+            let mut m = Mgr::new();
+            exercise(&mut m, 43, 200).unwrap();
+            m.stats()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b);
+        assert!(a.memo_hits > 0 && a.memo_misses > 0 && a.unique_hits > 0);
     }
 
     #[test]

@@ -184,68 +184,83 @@ pub fn normalize(p: &Pipeline, opts: &NormalizeOpts) -> Normalized {
     let mut skipped = Vec::new();
     // (table, lhs-names) pairs already found undecomposable.
     let mut dead: HashSet<(String, Vec<String>)> = HashSet::new();
+    // Each table's analysis, by position. A step replaces one table with
+    // its stages in place and only appends to the catalog, so every other
+    // table's report (a function of the table and of its own attributes)
+    // stays what it was.
+    let mut reports: Vec<Option<NfReport>> = vec![None; cur.tables.len()];
+    let analyzed =
+        |cur: &Pipeline, ti: usize| analyze(&program_view(&cur.tables[ti], cur), &cur.catalog);
 
-    for _ in 0..opts.max_steps {
-        let mut progressed = false;
-        'tables: for ti in 0..cur.tables.len() {
-            let t = &cur.tables[ti];
-            let rep = analyze(&program_view(t, &cur), &cur.catalog);
-            let violations = match opts.target {
-                Target::SecondNf => rep.partial_deps.clone(),
-                Target::ThirdNf => rep.transitive_deps.clone(),
-                Target::Bcnf => rep.bcnf_deps.clone(),
+    // One sweep: a table is left behind only when every violation it has is
+    // dead, which no later step can change — so returning to it (as a
+    // restart from table 0 after every step would) finds nothing new.
+    let mut ti = 0;
+    'tables: while ti < cur.tables.len() && steps.len() < opts.max_steps {
+        let rep = reports[ti].get_or_insert_with(|| analyzed(&cur, ti));
+        let violations = match opts.target {
+            Target::SecondNf => &rep.partial_deps,
+            Target::ThirdNf => &rep.transitive_deps,
+            Target::Bcnf => &rep.bcnf_deps,
+        };
+        let tname = cur.tables[ti].name.clone();
+        for fd in violations {
+            let lhs: Vec<AttrId> = rep.fds.universe.decode(fd.lhs);
+            let lhs_names: Vec<String> = lhs
+                .iter()
+                .map(|&a| cur.catalog.name(a).to_owned())
+                .collect();
+            let key = (tname.clone(), lhs_names.clone());
+            if dead.contains(&key) {
+                continue;
+            }
+            // Decompose along X → (X⁺ ∖ X).
+            let closure = rep.fds.closure(fd.lhs);
+            let rhs: Vec<AttrId> = rep.fds.universe.decode(closure.minus(fd.lhs));
+            let rhs_names: Vec<String> = rhs
+                .iter()
+                .map(|&a| cur.catalog.name(a).to_owned())
+                .collect();
+            let dopts = DecomposeOpts {
+                join: opts.join,
+                verify: opts.verify,
+                allow_non_1nf: false,
             };
-            for fd in violations {
-                let lhs: Vec<AttrId> = rep.fds.universe.decode(fd.lhs);
-                let lhs_names: Vec<String> = lhs
-                    .iter()
-                    .map(|&a| cur.catalog.name(a).to_owned())
-                    .collect();
-                let key = (t.name.clone(), lhs_names.clone());
-                if dead.contains(&key) {
-                    continue;
+            match decompose(&cur, &tname, &lhs, &rhs, &dopts) {
+                Ok(next) => {
+                    // The stages stand where the table stood; analyze them
+                    // (the first keeps the table's name) before moving on.
+                    let stages = 1 + next.tables.len() - cur.tables.len();
+                    reports.splice(ti..=ti, (0..stages).map(|_| None));
+                    cur = next;
+                    steps.push(StepRecord {
+                        table: tname,
+                        lhs: lhs_names,
+                        rhs: rhs_names,
+                    });
+                    continue 'tables;
                 }
-                // Decompose along X → (X⁺ ∖ X).
-                let closure = rep.fds.closure(fd.lhs);
-                let rhs: Vec<AttrId> = rep.fds.universe.decode(closure.minus(fd.lhs));
-                let rhs_names: Vec<String> = rhs
-                    .iter()
-                    .map(|&a| cur.catalog.name(a).to_owned())
-                    .collect();
-                let dopts = DecomposeOpts {
-                    join: opts.join,
-                    verify: opts.verify,
-                    allow_non_1nf: false,
-                };
-                let tname = t.name.clone();
-                match decompose(&cur, &tname, &lhs, &rhs, &dopts) {
-                    Ok(next) => {
-                        cur = next;
-                        steps.push(StepRecord {
-                            table: tname,
-                            lhs: lhs_names,
-                            rhs: rhs_names,
-                        });
-                        progressed = true;
-                        break 'tables;
-                    }
-                    Err(e) => {
-                        dead.insert(key);
-                        skipped.push(SkipRecord {
-                            table: tname,
-                            lhs: lhs_names,
-                            reason: e,
-                        });
-                        // Try the table's next violating dependency.
-                    }
+                Err(e) => {
+                    dead.insert(key);
+                    skipped.push(SkipRecord {
+                        table: tname.clone(),
+                        lhs: lhs_names,
+                        reason: e,
+                    });
+                    // Try the table's next violating dependency.
                 }
             }
         }
-        if !progressed {
-            break;
-        }
+        ti += 1;
     }
-    let reached = pipeline_level(&cur);
+    // Tables the step bound kept the sweep from reaching are analyzed now.
+    let reached = (0..cur.tables.len())
+        .map(|ti| match &reports[ti] {
+            Some(rep) => rep.level,
+            None => analyzed(&cur, ti).level,
+        })
+        .min()
+        .unwrap_or(NfLevel::BoyceCodd);
     Normalized {
         pipeline: cur,
         steps,
@@ -456,6 +471,31 @@ mod tests {
             },
         );
         assert_equivalent(&p, &n.pipeline);
+    }
+
+    /// The sweep keeps the reports of tables a step did not touch; what it
+    /// reads off them must be what a fresh analysis of the output says, on
+    /// multi-step runs and when the step bound stops the sweep early.
+    #[test]
+    fn reached_is_the_level_of_the_output() {
+        for p in [mini_gw(), mini_l3()] {
+            for join in [JoinKind::Metadata, JoinKind::Goto, JoinKind::Rematch] {
+                for target in [Target::SecondNf, Target::ThirdNf, Target::Bcnf] {
+                    let full = NormalizeOpts {
+                        join,
+                        target,
+                        ..Default::default()
+                    };
+                    let n = normalize(&p, &full);
+                    assert_eq!(n.reached, pipeline_level(&n.pipeline));
+                    for max_steps in 0..n.steps.len() {
+                        let cut = normalize(&p, &NormalizeOpts { max_steps, ..full });
+                        assert_eq!(cut.steps.len(), max_steps);
+                        assert_eq!(cut.reached, pipeline_level(&cut.pipeline));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

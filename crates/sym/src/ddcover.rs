@@ -194,7 +194,8 @@ impl DdEngine {
         cfg: &SymConfig,
     ) -> Result<NodeRef, Unsupported> {
         let rows = match_rows(p);
-        let (root, _leaves) = self.compile_from(p, space, cfg, NodeRef::TRUE, None, &rows)?;
+        let (root, _leaves) =
+            self.compile_from(p, space, cfg, NodeRef::TRUE, &[space.universe()], &rows)?;
         debug_assert!(
             self.layout.total == 0 || root != NodeRef::term(0) || p.tables.is_empty(),
             "leaf regions must tile the universe"
@@ -208,14 +209,14 @@ impl DdEngine {
     /// [`Overflow`] when the arena limit is hit.
     pub fn region(&mut self, cubes: &[Cube]) -> Result<NodeRef, Overflow> {
         let mut lits: Vec<(u32, bool)> = Vec::new();
-        let mut d = NodeRef::FALSE;
-        for c in cubes {
+        let d = cubes.iter().try_fold(NodeRef::FALSE, |d, c| {
             lits.clear();
             self.layout.cube_lits(c, &mut lits);
             let piece = self.mgr.cube(&lits)?;
-            d = self.mgr.or(d, piece)?;
-        }
-        Ok(d)
+            self.mgr.or(d, piece)
+        });
+        self.mgr.publish();
+        d
     }
 
     /// Compile `p` restricted to the input region `within ⊆ ⋃ dirty` (a
@@ -230,12 +231,11 @@ impl DdEngine {
     /// This is the [`crate::incremental`] delta recompile: after a flow-mod
     /// dirties a region `D`, `ite(D, compile_within(new, D), old_root)` is
     /// the new cover, because the two agree everywhere outside `D` by the
-    /// invalidation-cube contract. The cubes are what makes it local: every
-    /// state the executor reaches is a subset of `D`, so a row whose ternary
-    /// form is disjoint from every dirty cube meets no state, wins no region
-    /// and takes nothing from the miss set — it is skipped before its
-    /// predicate is built, and the cost follows the rows the dirty region
-    /// touches, not the table.
+    /// invalidation-cube contract. The cubes are what makes it local: they
+    /// are the executor's initial enclosing cubes (a full compile starts
+    /// from the universe), so a row whose ternary form is disjoint from
+    /// every dirty cube is skipped before its predicate is built, and the
+    /// cost follows the rows the dirty region touches, not the table.
     ///
     /// # Errors
     /// Same causes as [`DdEngine::compile`].
@@ -248,7 +248,7 @@ impl DdEngine {
         dirty: &[Cube],
         rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
-        self.compile_from(p, space, cfg, within, Some(dirty), rows)
+        self.compile_from(p, space, cfg, within, dirty, rows)
     }
 
     fn compile_from(
@@ -257,7 +257,7 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
         state0: NodeRef,
-        dirty: Option<&[Cube]>,
+        enclosing: &[Cube],
         rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
         let _t = mapro_obs::time!("dd.compile_ns");
@@ -268,7 +268,6 @@ impl DdEngine {
             space,
             index: p.name_index(),
             rows,
-            dirty,
             limit: visit_limit(p),
             max_atoms: cfg.max_atoms,
             leaves: 0,
@@ -280,15 +279,18 @@ impl DdEngine {
             .copied()
             .ok_or_else(|| Unsupported::UnknownTable(p.start.clone()))?;
         let mut root = NodeRef::term(0);
-        c.expand(
+        let done = c.expand(
             &mut self.mgr,
             &self.layout,
             &mut self.interner,
             state0,
+            enclosing,
             SymCore::initial(p),
             start,
             &mut root,
-        )?;
+        );
+        self.mgr.publish();
+        done?;
         span.set("leaves", c.leaves);
         span.set("nodes", self.mgr.len());
         Ok((root, c.leaves))
@@ -313,9 +315,6 @@ struct DdCompiler<'a> {
     index: HashMap<&'a str, usize>,
     /// [`match_rows`] of `p`.
     rows: &'a [Vec<Option<Cube>>],
-    /// The cubes whose union contains every state of a restricted compile;
-    /// `None` for a full compile.
-    dirty: Option<&'a [Cube]>,
     limit: usize,
     max_atoms: usize,
     leaves: usize,
@@ -331,24 +330,31 @@ impl<'a> DdCompiler<'a> {
             .ok_or_else(|| Unsupported::UnknownTable(name.to_owned()))
     }
 
-    /// Is row `ec` disjoint from every dirty cube on the columns that are
-    /// still symbolic under `core`? Then `state ∧ ec = ∅` for every state
-    /// of this restricted compile. A concretely-valued column never
-    /// excludes a row: the dirty cube speaks about the input packet, not
-    /// about a register the walk has since rewritten.
-    fn outside_dirty(&self, core: &SymCore, attrs: &[AttrId], ec: &Cube) -> bool {
-        let Some(dirty) = self.dirty else {
-            return false;
-        };
-        !dirty.iter().any(|d| {
-            attrs
-                .iter()
-                .zip(&ec.0)
-                .all(|(&attr, &t)| match self.space.coord_of(attr) {
-                    Some(k) if core.vals[attr.index()].is_none() => t.intersect(d.0[k]).is_some(),
-                    _ => true,
-                })
-        })
+    /// Does row `ec` meet cube `d` of the input space on the columns that
+    /// are still symbolic under `core`? A concretely-valued column never
+    /// excludes a row: `d` speaks about the input packet, not about a
+    /// register the walk has since rewritten.
+    fn meets(&self, core: &SymCore, attrs: &[AttrId], ec: &Cube, d: &Cube) -> bool {
+        attrs
+            .iter()
+            .zip(&ec.0)
+            .all(|(&attr, &t)| match self.space.coord_of(attr) {
+                Some(k) if core.vals[attr.index()].is_none() => t.intersect(d.0[k]).is_some(),
+                _ => true,
+            })
+    }
+
+    /// `d` narrowed by row `ec` on those same columns — what the cube
+    /// compiler's `refine` leaves of a state's cube — or `None` when the
+    /// two are disjoint.
+    fn narrow(&self, core: &SymCore, attrs: &[AttrId], ec: &Cube, d: &Cube) -> Option<Cube> {
+        let mut out = d.clone();
+        for (&attr, &t) in attrs.iter().zip(&ec.0) {
+            if let (Some(k), None) = (self.space.coord_of(attr), core.vals[attr.index()]) {
+                out.0[k] = out.0[k].intersect(t)?;
+            }
+        }
+        Some(out)
     }
 
     /// The predicate "entry row `ec` matches" under the concrete values of
@@ -400,7 +406,12 @@ impl<'a> DdCompiler<'a> {
     }
 
     /// Expand `state ∧ (reach table `ti` with `core`)` down to terminal
-    /// regions, folding each into `root`.
+    /// regions, folding each into `root`. `enclosing` are cubes of the input
+    /// space whose union contains `state` — the universe for a full
+    /// compile, the dirty cubes for a restricted one, each narrowed by the
+    /// rows that won on the way here. A row that meets none of them meets
+    /// no packet of `state`: it wins no region and takes nothing from the
+    /// miss set, so it is skipped before its predicate is built.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &mut self,
@@ -408,6 +419,7 @@ impl<'a> DdCompiler<'a> {
         layout: &BitLayout,
         interner: &mut BehaviorInterner,
         state: NodeRef,
+        enclosing: &[Cube],
         core: SymCore,
         ti: usize,
         root: &mut NodeRef,
@@ -422,7 +434,10 @@ impl<'a> DdCompiler<'a> {
             let Some(ec) = ec else {
                 continue; // unsatisfiable symbolic cell: matches nothing
             };
-            if self.outside_dirty(&core, &t.match_attrs, ec) {
+            if !enclosing
+                .iter()
+                .any(|d| self.meets(&core, &t.match_attrs, ec, d))
+            {
                 continue;
             }
             let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, ec)? else {
@@ -443,20 +458,18 @@ impl<'a> DdCompiler<'a> {
                 return Err(Unsupported::GotoCycle { limit: self.limit });
             }
             let goto = apply_actions(self.p, ti, ei, &mut c2)?;
-            match goto {
-                Some(g) => {
-                    let t2 = self.resolve(g)?;
-                    self.expand(mgr, layout, interner, region, c2, t2, root)?;
+            match goto.or(t.next.as_deref()) {
+                Some(n) => {
+                    let t2 = self.resolve(n)?;
+                    let inner: Vec<Cube> = enclosing
+                        .iter()
+                        .filter_map(|d| self.narrow(&core, &t.match_attrs, ec, d))
+                        .collect();
+                    self.expand(mgr, layout, interner, region, &inner, c2, t2, root)?;
                 }
-                None => match &t.next {
-                    Some(n) => {
-                        let t2 = self.resolve(n)?;
-                        self.expand(mgr, layout, interner, region, c2, t2, root)?;
-                    }
-                    None => {
-                        self.emit(mgr, interner, region, delivered(self.p, &c2), root)?;
-                    }
-                },
+                None => {
+                    self.emit(mgr, interner, region, delivered(self.p, &c2), root)?;
+                }
             }
         }
 
@@ -482,7 +495,7 @@ impl<'a> DdCompiler<'a> {
             }
             MissPolicy::Fall(n) => {
                 let t2 = self.resolve(n)?;
-                self.expand(mgr, layout, interner, miss, c2, t2, root)?;
+                self.expand(mgr, layout, interner, miss, enclosing, c2, t2, root)?;
             }
         }
         Ok(())
@@ -737,116 +750,6 @@ mod tests {
         };
         let mut eng = DdEngine::new(&space, &cfg);
         assert_eq!(eng.compile(&p, &space, &cfg), Err(Unsupported::NodeBudget));
-    }
-
-    /// A random four-table program with everything the local delta has to
-    /// get right: overlapping-priority ternary rows, per-row gotos, a
-    /// `next` edge, `Fall`/`Controller`/`Drop` misses, metadata written
-    /// then matched, and a `SetField` of header `g` that `t1` and `t2`
-    /// re-match (so a dirty cube on `g` must not exclude their rows once
-    /// `g` is concrete).
-    fn random_zoo(rng: &mut rand::rngs::SmallRng) -> Pipeline {
-        use rand::Rng;
-        let mut c = Catalog::new();
-        let f = c.field("f", 6);
-        let g = c.field("g", 6);
-        let h = c.field("h", 4);
-        let m = c.meta("m", 4);
-        let set_m = c.action("set_m", ActionSem::SetField(m));
-        let set_g = c.action("set_g", ActionSem::SetField(g));
-        let goto = c.action("goto", ActionSem::Goto);
-        let out = c.action("out", ActionSem::Output);
-        let mut tern = |w: u32| {
-            let full = (1u64 << w) - 1;
-            let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
-            Value::Ternary {
-                bits: rng.gen_range(0..=full) & mask,
-                mask,
-            }
-        };
-        let mut t0 = Table::new("t0", vec![f, g], vec![set_m, set_g, goto]);
-        let mut t1 = Table::new("t1", vec![m, g], vec![out]);
-        let mut t2 = Table::new("t2", vec![g, h], vec![out]);
-        let mut t3 = Table::new("t3", vec![f, h], vec![out]);
-        for i in 0..6u64 {
-            let rewrite = if i % 2 == 0 {
-                Value::Int(i * 9 % 64)
-            } else {
-                Value::Any
-            };
-            let target = match i % 3 {
-                0 => Value::sym("t2"),
-                1 => Value::sym("t3"),
-                _ => Value::Any, // falls to `next`
-            };
-            t0.row(
-                vec![tern(6), tern(6)],
-                vec![Value::Int(i % 4), rewrite, target],
-            );
-            t1.row(
-                vec![Value::Int(i % 4), tern(6)],
-                vec![Value::sym(format!("a{i}"))],
-            );
-            t2.row(vec![tern(6), tern(4)], vec![Value::sym(format!("b{i}"))]);
-            t3.row(vec![tern(6), tern(4)], vec![Value::sym(format!("c{i}"))]);
-        }
-        t0.next = Some("t1".into());
-        t0.miss = MissPolicy::Fall("t3".into());
-        t1.miss = MissPolicy::Controller;
-        t2.miss = MissPolicy::Fall("t3".into());
-        Pipeline::new(c, vec![t0, t1, t2, t3], "t0")
-    }
-
-    #[test]
-    fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(2019);
-        let cfg = cfg();
-        let mut skipped_somewhere = false;
-        for case in 0..200 {
-            let p = random_zoo(&mut rng);
-            let space = FieldSpace::from_pipelines(&[&p]);
-            let rows = match_rows(&p);
-            let mut eng = DdEngine::new(&space, &cfg);
-            let full = eng.compile(&p, &space, &cfg).unwrap();
-            for _ in 0..4 {
-                let dirty: Vec<Cube> = (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        Cube(
-                            space
-                                .coords
-                                .iter()
-                                .map(|&(_, w)| {
-                                    let full = (1u64 << w) - 1;
-                                    let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
-                                    Tern {
-                                        bits: rng.gen_range(0..=full) & mask,
-                                        mask,
-                                    }
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                let d = eng.region(&dirty).unwrap();
-                let want = eng.mgr.ite(d, full, NodeRef::term(0)).unwrap();
-                let (got, local_leaves) = eng
-                    .compile_within(&p, &space, &cfg, d, &dirty, &rows)
-                    .unwrap();
-                assert_eq!(got, want, "case {case}, dirty {dirty:?}");
-                // The same region without the cubes to skip by: same node.
-                let (blind, leaves) = eng
-                    .compile_within(&p, &space, &cfg, d, &[space.universe()], &rows)
-                    .unwrap();
-                assert_eq!(blind, want, "case {case}");
-                assert_eq!(local_leaves, leaves, "skipped rows emit no leaf");
-                skipped_somewhere |= rows[0]
-                    .iter()
-                    .flatten()
-                    .any(|r| !dirty.iter().any(|c| Cube(c.0[..2].to_vec()).intersects(r)));
-            }
-        }
-        assert!(skipped_somewhere, "no case exercised the skip");
     }
 
     #[test]

@@ -289,6 +289,13 @@ impl IncrementalChecker {
         &self.last_dirty
     }
 
+    /// What the session's decision-diagram manager has done since the last
+    /// from-scratch build; the `dd.*` counters hold all of it whenever a
+    /// call into the session has returned.
+    pub fn dd_stats(&self) -> mapro_dd::Stats {
+        self.eng.mgr.stats()
+    }
+
     /// The current session verdict (exact — see the module invariant).
     pub fn verdict(&self) -> Verdict {
         if self.left.root == self.right.root {
@@ -391,6 +398,8 @@ impl IncrementalChecker {
             None => self.fallback_recheck()?,
         };
 
+        // The splice and the collection ran after the last compile did.
+        self.eng.mgr.publish();
         let verdict = self.verdict();
         mapro_obs::counter!("sym.incr.atoms_rechecked").add(atoms_rechecked as u64);
         let digest = format!(

@@ -333,3 +333,67 @@ fn cli_detects_inequivalence() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A JSON program the constructors would have refused reaches the tools
+/// only through `load`, which must turn it away: one line, exit 2, and
+/// never the index panic the checking subcommands used to die on.
+#[test]
+fn cli_rejects_malformed_programs() {
+    use mapro::prelude::*;
+    if !bin().exists() {
+        eprintln!("skipping: {} not built", bin().display());
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("mapro-cli-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = Gwlb::random(3, 2, 7).normalized(JoinKind::Goto).unwrap();
+    let good_path = dir.join("good.json");
+    std::fs::write(&good_path, serde_json::to_string(&good).unwrap()).unwrap();
+    let good_path = good_path.to_str().unwrap();
+    let (_, err, code) = run_code(&bin(), &["check", good_path, good_path]);
+    assert_eq!(code, Some(0), "{err}");
+
+    type Damage = fn(&mut Pipeline);
+    let cases: [(&str, &str, Damage); 4] = [
+        ("short match row", "match cells", |p| {
+            p.tables[0].entries[1].matches.pop();
+        }),
+        ("short action row", "action cells", |p| {
+            p.tables[1].entries[0].actions.pop();
+        }),
+        ("attribute id out of range", "not in the catalog", |p| {
+            p.tables[1].match_attrs[0] = AttrId(99);
+        }),
+        ("unknown goto target", "does not exist", |p| {
+            p.tables[0].entries[0].actions[0] = Value::sym("nowhere");
+        }),
+    ];
+    for (name, expect, damage) in cases {
+        let mut bad = good.clone();
+        damage(&mut bad);
+        let path = dir.join("bad.json");
+        std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+        let path = path.to_str().unwrap();
+        let commands: [&[&str]; 3] = [
+            &["check", good_path, path],
+            &["normalize", path, "--verify"],
+            &["lint", path],
+        ];
+        for args in commands {
+            let (_, err, code) = run_code(&bin(), args);
+            assert_eq!(code, Some(2), "{name}: mapro {args:?}: {err}");
+            assert!(err.contains(expect), "{name}: mapro {args:?}: {err}");
+            assert_eq!(err.trim_end().lines().count(), 1, "{name}: {err:?}");
+        }
+    }
+
+    // A width the catalog's constructors refuse, reachable only in JSON.
+    let json = serde_json::to_string(&good).unwrap();
+    assert!(json.contains("\"width\":32"), "{json}");
+    let path = dir.join("wide.json");
+    std::fs::write(&path, json.replacen("\"width\":32", "\"width\":65", 1)).unwrap();
+    let (_, err, code) = run_code(&bin(), &["lint", path.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("65 bits wide"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,10 +4,14 @@
 //! engine (where the cube engine's budgets let it answer at all), every
 //! counterexample must be confirmed by directly evaluating both pipelines
 //! through `mapro-core`, and the lint findings of the two backends must be
-//! set-equal wherever the cube backend decided.
+//! set-equal wherever the cube backend decided. Random multi-table
+//! programs whose later tables match what earlier ones rewrote hold both
+//! backends to the enumerative oracle.
 //!
 //! CI runs this file at `MAPRO_THREADS=1` and `=4` and diffs the verdict
 //! digests, so everything asserted here must be thread-count independent.
+
+mod common;
 
 use mapro::prelude::*;
 use mapro_bench::{deep_overlap, deep_pair, DEEP_ROWS};
@@ -249,6 +253,70 @@ fn deep_fixture_flags_planted_entry_error_under_dd_with_zero_unknowns() {
         .find(|d| d.entry == Some(planted))
         .unwrap_or_else(|| panic!("planted entry not flagged:\n{}", dd.to_text()));
     assert_eq!(planted_diag.severity, mapro_lint::Severity::Error);
+}
+
+/// Four tables joined by goto, by metadata and by re-matching a header
+/// field an earlier table `SetField`s: a row behind the rewrite must be
+/// neither skipped nor used to narrow a state on account of what the input
+/// packet's field was. Interval-shaped cells, so the enumerative oracle
+/// applies; it, the cube backend and diagrams must agree on a program
+/// against itself and against a one-cell mutant.
+#[test]
+fn rewritten_then_rematched_fields_agree_with_the_oracle() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    fn interval_cell(rng: &mut SmallRng, w: u32) -> Value {
+        match rng.gen_range(0..4u8) {
+            0 => Value::Any,
+            1 => Value::Int(rng.gen_range(0..1u64 << w)),
+            _ => {
+                // Short prefixes: wide rows overlap, and often hold the
+                // value an earlier table wrote.
+                let len = rng.gen_range(1..=3u32);
+                let bits = rng.gen_range(0..1u64 << len) << (w - len);
+                Value::prefix(bits, len as u8, w)
+            }
+        }
+    }
+    let enumerate = EquivConfig {
+        mode: EquivMode::Enumerate,
+        ..EquivConfig::default()
+    };
+    let mut rng = SmallRng::seed_from_u64(2019);
+    let (mut equal, mut different) = (0, 0);
+    for case in 0..48 {
+        let p = common::rewrite_zoo(&mut rng, interval_cell);
+        assert!(backends_agree(&p, &p, &format!("zoo {case} self")));
+
+        let mut q = p.clone();
+        let t = &mut q.tables[rng.gen_range(0..4usize)];
+        let e = &mut t.entries[rng.gen_range(0..6usize)];
+        if rng.gen_bool(0.5) {
+            let col = rng.gen_range(0..e.matches.len());
+            let width = q.catalog.attr(t.match_attrs[col]).width;
+            e.matches[col] = interval_cell(&mut rng, width);
+        } else {
+            let col = e.actions.len() - 1;
+            e.actions[col] = match &e.actions[col] {
+                Value::Sym(s) if s.starts_with('t') => Value::sym("t3"),
+                _ => Value::sym("mutant"),
+            };
+        }
+        let ctx = format!("zoo {case} mutant");
+        let oracle = mapro::core::check_equivalent(&p, &q, &enumerate)
+            .unwrap_or_else(|err| panic!("{ctx}: oracle errored: {err}"));
+        assert_eq!(
+            backends_agree(&p, &q, &ctx),
+            oracle.is_equivalent(),
+            "{ctx}"
+        );
+        if oracle.is_equivalent() {
+            equal += 1;
+        } else {
+            different += 1;
+        }
+    }
+    assert!(equal > 0 && different > 0, "{equal} equal, {different} not");
 }
 
 proptest! {

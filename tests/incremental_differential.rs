@@ -13,13 +13,21 @@
 //! concrete by the time the executor reaches them, so no dirty cube may
 //! exclude them); and a ternary table whose low-priority rows are partly
 //! shadowed by higher-priority ones. Each mod is first applied to one side
-//! (divergence window) and then mirrored (convergence). CI runs this file
-//! at `MAPRO_THREADS=1` and `=4`, so everything asserted here must be
+//! (divergence window) and then mirrored (convergence). Underneath the
+//! session, the restricted compile is held to its definition on random
+//! multi-table programs and random dirty-cube sets. CI runs this file at
+//! `MAPRO_THREADS=1` and `=4`, so everything asserted here must be
 //! thread-count independent.
+
+mod common;
 
 use mapro_control::{apply_update, delta_rows, RuleUpdate};
 use mapro_core::{ActionSem, Catalog, Counterexample, Entry, EquivOutcome, Pipeline, Table, Value};
-use mapro_sym::{check_symbolic, IncrementalChecker, Side, SymConfig};
+use mapro_dd::NodeRef;
+use mapro_sym::cube::{Cube, Tern};
+use mapro_sym::{
+    check_symbolic, match_rows, DdEngine, FieldSpace, IncrementalChecker, Side, SymConfig,
+};
 use mapro_workloads::{random_table, Enterprise, RandomSpec, RandomTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -281,6 +289,66 @@ fn match_changing_modify_dirties_old_and_new_row() {
     s.update(Side::Left, &left, &rows, 1, 1).unwrap();
     assert_eq!(s.last_dirty().len(), 2, "{:?}", s.last_dirty());
     verdict_matches_fresh(&s, "moved half-space");
+}
+
+/// `compile_within(p, D)` is `compile(p)` cut to `D` — the same node as
+/// `ite(D, compile(p), term(0))` — whatever cubes `D` is handed over as,
+/// and it emits the leaves of `D` only: handing the executor the universe
+/// instead of the dirty cubes (so that it can skip by nothing but what the
+/// winning rows tell it) changes neither the node nor the leaf count the
+/// session reports as `sym.incr.atoms_rechecked`.
+#[test]
+fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
+    fn tern(rng: &mut SmallRng, w: u32) -> Tern {
+        let full = (1u64 << w) - 1;
+        let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
+        Tern {
+            bits: rng.gen_range(0..=full) & mask,
+            mask,
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(2019);
+    let cfg = SymConfig::default();
+    let mut skipped_somewhere = false;
+    for case in 0..200 {
+        let p = common::rewrite_zoo(&mut rng, |rng, w| {
+            let Tern { bits, mask } = tern(rng, w);
+            Value::Ternary { bits, mask }
+        });
+        let space = FieldSpace::from_pipelines(&[&p]);
+        let rows = match_rows(&p);
+        let mut eng = DdEngine::new(&space, &cfg);
+        let full = eng.compile(&p, &space, &cfg).unwrap();
+        for _ in 0..4 {
+            let dirty: Vec<Cube> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    Cube(
+                        space
+                            .coords
+                            .iter()
+                            .map(|&(_, w)| tern(&mut rng, w))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let d = eng.region(&dirty).unwrap();
+            let want = eng.mgr.ite(d, full, NodeRef::term(0)).unwrap();
+            let (got, local_leaves) = eng
+                .compile_within(&p, &space, &cfg, d, &dirty, &rows)
+                .unwrap();
+            assert_eq!(got, want, "case {case}, dirty {dirty:?}");
+            let (blind, leaves) = eng
+                .compile_within(&p, &space, &cfg, d, &[space.universe()], &rows)
+                .unwrap();
+            assert_eq!(blind, want, "case {case}");
+            assert_eq!(local_leaves, leaves, "skipped rows emit no leaf");
+            skipped_somewhere |= rows[0]
+                .iter()
+                .flatten()
+                .any(|r| !dirty.iter().any(|c| Cube(c.0[..2].to_vec()).intersects(r)));
+        }
+    }
+    assert!(skipped_somewhere, "no case exercised the skip");
 }
 
 proptest! {
