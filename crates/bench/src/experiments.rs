@@ -2359,8 +2359,8 @@ pub struct ChurnVerifyReport {
 /// seeded stream of single-entry action `Modify`s onto *both* sides (the
 /// steady-state shape of verified churn: every committed flow-mod must
 /// keep the intended and shadow pipelines equivalent), and times each
-/// `update_both` re-check against a best-of-reps from-scratch
-/// `check_symbolic` baseline.
+/// `update(Side::Both, ..)` — the in-place edit and the re-check —
+/// against a best-of-reps from-scratch `check_symbolic` baseline.
 ///
 /// Correctness is asserted in-experiment, not just reported:
 /// * every steady-state token must read `Equivalent`;
@@ -2417,10 +2417,8 @@ pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
         }
 
         for &rate in &rates {
-            let mut left = base.clone();
-            let mut right = base.clone();
-            let mut session = IncrementalChecker::new(&left, &right, &scfg)
-                .expect("session opens on a GWLB pair");
+            let mut session =
+                IncrementalChecker::new(&base, &base, &scfg).expect("session opens on a GWLB pair");
             let mod_plan = |k: usize| UpdatePlan {
                 intent: format!("churn {k}"),
                 updates: vec![RuleUpdate::Modify {
@@ -2436,12 +2434,12 @@ pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
             let mut atoms_rechecked = 0u64;
             let mut delta_mods = 0usize;
             for (i, ev) in events.iter().enumerate() {
-                let drows = mapro_control::plan_delta_rows(&left, &ev.plan);
-                mapro_control::apply_plan_silent(&mut left, &ev.plan).expect("plan applies");
-                mapro_control::apply_plan_silent(&mut right, &ev.plan).expect("plan applies");
+                let drows = mapro_control::plan_delta_rows(session.left(), &ev.plan);
                 let t0 = Instant::now();
                 let token = session
-                    .update_both(&left, &right, &drows, 1, i as u64)
+                    .update(Side::Both, &drows, 1, i as u64, |p| {
+                        mapro_control::apply_plan_silent(p, &ev.plan)
+                    })
                     .expect("incremental re-check runs");
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 sum_us += us;
@@ -2460,26 +2458,23 @@ pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
             // Divergence tracking: session and from-scratch check must
             // agree through a left-only edit and back.
             let div = mod_plan(usize::MAX - 1);
-            let drows = mapro_control::plan_delta_rows(&left, &div);
-            let mut l2 = left.clone();
-            mapro_control::apply_plan_silent(&mut l2, &div).expect("plan applies");
+            let drows = mapro_control::plan_delta_rows(session.left(), &div);
+            let replay = |p: &mut mapro_core::Pipeline| mapro_control::apply_plan_silent(p, &div);
             let token = session
-                .update(Side::Left, &l2, &drows, 1, mods as u64)
+                .update(Side::Left, &drows, 1, mods as u64, replay)
                 .expect("diverging update runs");
             assert!(
                 !token.verdict.is_equivalent(),
                 "a one-sided edit must flip the session verdict"
             );
             assert!(
-                !mapro_sym::check_symbolic(&l2, &right, &scfg)
+                !mapro_sym::check_symbolic(session.left(), session.right(), &scfg)
                     .expect("fresh check runs")
                     .is_equivalent(),
                 "from-scratch check must agree with the session on divergence"
             );
-            let mut r2 = right.clone();
-            mapro_control::apply_plan_silent(&mut r2, &div).expect("plan applies");
             let token = session
-                .update(Side::Right, &r2, &drows, 1, mods as u64 + 1)
+                .update(Side::Right, &drows, 1, mods as u64 + 1, replay)
                 .expect("converging update runs");
             assert!(
                 token.verdict.is_equivalent(),

@@ -233,6 +233,65 @@ fn incremental_session_pre_registers_sym_incr_metrics() {
 }
 
 #[test]
+fn controller_pre_registers_and_fills_the_per_hop_plan_histograms() {
+    use mapro_control::{Controller, DriverConfig, FaultPlan, FaultyChannel};
+
+    // The split of `Controller::apply_plan_with` beneath
+    // `control.apply_plan_self_share`, one histogram per hop.
+    const HOPS: [&str; 5] = [
+        "control.plan.adopt_ns",
+        "control.plan.wal_ns",
+        "control.plan.proof_intended_ns",
+        "control.plan.deliver_ns",
+        "control.plan.proof_committed_ns",
+    ];
+    let samples = || -> Vec<Option<u64>> {
+        let snap = mapro_obs::registry().snapshot();
+        HOPS.iter()
+            .map(|hop| {
+                snap.entries
+                    .iter()
+                    .find(|e| e.name == *hop)
+                    .map(|e| match &e.value {
+                        mapro_obs::MetricValue::Histogram(h) => h.count,
+                        other => panic!("{hop} must be a histogram, got {other:?}"),
+                    })
+            })
+            .collect()
+    };
+
+    let g = mapro_workloads::Gwlb::fig1();
+    let p = g
+        .normalized(mapro_normalize::JoinKind::Goto)
+        .expect("GWLB decomposes");
+    let cfg = DriverConfig {
+        verify_inline: true,
+        ..DriverConfig::default()
+    };
+    let mut ctl = Controller::new(p.clone(), cfg);
+    let registered = samples();
+    let switch = mapro_switch::LiveSwitch::eswitch(p.clone()).expect("compiles");
+    let mut ch = FaultyChannel::new(switch, FaultPlan::lossless(7));
+    ctl.apply_plan(&mut ch, &g.move_service_port(&p, 0, 8080))
+        .expect("delivered");
+    assert!(ctl.last_proof().is_some_and(|t| t.verdict.is_equivalent()));
+
+    if cfg!(feature = "obs") {
+        // Registered before the first intent, then one sample per hop
+        // (two WAL appends: `Begin` and `Commit`).
+        let after = samples();
+        for ((hop, before), after) in HOPS.iter().zip(registered).zip(after) {
+            let before = before.unwrap_or_else(|| panic!("{hop} not pre-registered"));
+            let want = if *hop == "control.plan.wal_ns" { 2 } else { 1 };
+            assert!(
+                after.expect("still registered") >= before + want,
+                "{hop}: {before} samples before the intent"
+            );
+        }
+    }
+}
+
+#[test]
 fn repro_rejects_unknown_arguments() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("--definitely-not-a-flag")

@@ -62,34 +62,34 @@ fn soak(form: &str, g: &Gwlb, base: &Pipeline) {
     );
     let arena = || (counter("dd.nodes") - nodes0) - (counter("dd.gc.collected") - collected0);
 
-    let (mut left, mut right) = (base.clone(), base.clone());
-    let mut s = IncrementalChecker::new(&left, &right, &SymConfig::default()).unwrap();
+    let mut s = IncrementalChecker::new(base, base, &SymConfig::default()).unwrap();
     // What the two compiles left behind bounds the live diagrams from
     // above; nothing the churn does grows them by more than a few rows.
     let ceiling = 8 * arena().max(1 << 12);
     let mut rng = SmallRng::seed_from_u64(2019);
     let (mut mods, mut txn, mut peak) = (0usize, 0u64, 0u64);
-    let mut step = |s: &mut IncrementalChecker, side, p: &mut Pipeline, plan: &UpdatePlan| {
-        let rows = plan_delta_rows(p, plan);
-        apply_plan_silent(p, plan).expect("plan applies");
+    let mut step = |s: &mut IncrementalChecker, side, plan: &UpdatePlan| {
+        let rows = plan_delta_rows(s.left(), plan);
         txn += 1;
-        let token = s.update(side, p, &rows, 1, txn).expect("re-check runs");
+        let token = s
+            .update(side, &rows, 1, txn, |p| apply_plan_silent(p, plan))
+            .expect("plan applies and re-check runs");
         peak = peak.max(arena());
         token.verdict
     };
     while mods < MODS {
         // Divergence window, then the mirror image: both directions of the
         // verdict, every time.
-        let plan = next_plan(g, &left, &mut rng);
-        step(&mut s, Side::Left, &mut left, &plan);
-        let v = step(&mut s, Side::Right, &mut right, &plan);
+        let plan = next_plan(g, s.left(), &mut rng);
+        step(&mut s, Side::Left, &plan);
+        let v = step(&mut s, Side::Right, &plan);
         assert!(v.is_equivalent(), "{form}: mirrored mod must reconverge");
         mods += 2 * plan.updates.len();
     }
 
     // Leave the pair diverged so there is a witness to compare.
-    let plan = next_plan(g, &left, &mut rng);
-    let v = step(&mut s, Side::Left, &mut left, &plan);
+    let plan = next_plan(g, s.left(), &mut rng);
+    let v = step(&mut s, Side::Left, &plan);
 
     if cfg!(feature = "obs") {
         assert!(
@@ -107,7 +107,7 @@ fn soak(form: &str, g: &Gwlb, base: &Pipeline) {
         );
     }
 
-    let fresh = check_symbolic(&left, &right, &SymConfig::default()).unwrap();
+    let fresh = check_symbolic(s.left(), s.right(), &SymConfig::default()).unwrap();
     assert_eq!(v.is_equivalent(), fresh.is_equivalent(), "{form}");
     match (s.counterexample().unwrap(), fresh) {
         (Some(cx), EquivOutcome::Counterexample(fresh_cx)) => {

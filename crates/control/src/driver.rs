@@ -422,8 +422,14 @@ impl Controller {
 
     fn with_wal(wal: SharedWal, intended: Pipeline, cfg: DriverConfig, epoch: Epoch) -> Controller {
         // Declare up front so `--metrics` shows the shed counter even
-        // for a run that never overloads.
+        // for a run that never overloads, and the per-hop split of
+        // `apply_plan_with` before the first intent.
         mapro_obs::counter!("control.shed");
+        mapro_obs::histogram!("control.plan.adopt_ns");
+        mapro_obs::histogram!("control.plan.wal_ns");
+        mapro_obs::histogram!("control.plan.proof_intended_ns");
+        mapro_obs::histogram!("control.plan.deliver_ns");
+        mapro_obs::histogram!("control.plan.proof_committed_ns");
         let mut ctl = Controller {
             intended,
             cfg,
@@ -521,22 +527,16 @@ impl Controller {
     }
 
     /// Advance the verifier's committed shadow past a just-committed plan
-    /// and log the resulting proof receipt. Any verifier-side failure
-    /// degrades to "no proof this txn" — verification must never turn a
-    /// successful commit into a datapath error.
+    /// (replayed in place on the session's own copy) and log the resulting
+    /// proof receipt. Any verifier-side failure degrades to "no proof this
+    /// txn" — verification must never turn a successful commit into a
+    /// datapath error.
     fn record_proof(&mut self, txn: TxnId, plan: &UpdatePlan, rows: &[(String, Vec<Value>)]) {
         let Some(v) = self.verifier.as_mut() else {
             return;
         };
-        let mut shadow = v.left().clone();
-        if updates::apply_plan_silent(&mut shadow, plan).is_err() {
-            // The shadow lost sync (e.g. repairs landed outside the plan
-            // flow); drop the session and let the next converged
-            // reconcile re-anchor it.
-            self.verifier = None;
-            return;
-        }
-        match v.update(mapro_sym::Side::Left, &shadow, rows, self.epoch, txn) {
+        let replay = |shadow: &mut Pipeline| updates::apply_plan_silent(shadow, plan);
+        match v.update(mapro_sym::Side::Left, rows, self.epoch, txn, replay) {
             Ok(token) => {
                 self.stats.proofs += 1;
                 self.wal.borrow_mut().append(WalRecord::Proof {
@@ -545,6 +545,9 @@ impl Controller {
                 });
                 self.last_proof = Some(token);
             }
+            // The shadow lost sync (e.g. repairs landed outside the plan
+            // flow) or the proof failed: drop the session and let the next
+            // converged reconcile re-anchor it.
             Err(_) => self.verifier = None,
         }
     }
@@ -711,6 +714,12 @@ impl Controller {
     /// [`DriverConfig::window`] admitted intents are undelivered.
     /// While the circuit breaker is open, delivery is skipped entirely
     /// (the intent is adopted and logged; bulk reconciliation repairs).
+    ///
+    /// Each hop records its wall time in a `control.plan.*_ns` histogram:
+    /// `adopt` (the plan on a copy of the intended state), `wal` (each
+    /// `Begin` and `Commit` append), `proof_intended` (the verifier's
+    /// intended side), `deliver` (the flow-mods over the channel) and
+    /// `proof_committed` (the committed shadow and its receipt).
     pub fn apply_plan_with<E: Endpoint>(
         &mut self,
         ch: &mut FaultyChannel<E>,
@@ -734,6 +743,7 @@ impl Controller {
                 deferred: self.deferred,
             });
         }
+        let adopt = mapro_obs::time!("control.plan.adopt_ns");
         let mut next = self.intended.clone();
         updates::apply_plan(&mut next, plan).map_err(DriverError::PlanInvalid)?;
         // The update's footprint rows, computed once against the
@@ -743,27 +753,27 @@ impl Controller {
             .verifier
             .is_some()
             .then(|| updates::plan_delta_rows(&self.intended, plan));
+        drop(adopt);
         // Intent admitted: log it before anything reaches the wire, then
         // adopt it. From here on the plan survives this controller.
         let txn_base = self.next_txn;
+        let wal = mapro_obs::time!("control.plan.wal_ns");
         self.wal.borrow_mut().append(WalRecord::Begin {
             txn: txn_base,
             epoch: self.epoch,
             plan: plan.clone(),
         });
+        drop(wal);
         self.intended = next;
         if let (Some(v), Some(rows)) = (self.verifier.as_mut(), delta.as_deref()) {
-            // Advance the session's intended side now; the committed
-            // shadow catches up in `record_proof` once delivery is
-            // acknowledged. A verifier error degrades, never blocks.
-            if v.update(
-                mapro_sym::Side::Right,
-                &self.intended,
-                rows,
-                self.epoch,
-                txn_base,
-            )
-            .is_err()
+            // Advance the session's intended side now, replaying the plan
+            // on its own copy; the committed shadow catches up in
+            // `record_proof` once delivery is acknowledged. A verifier
+            // error degrades, never blocks.
+            let _t = mapro_obs::time!("control.plan.proof_intended_ns");
+            let replay = |intended: &mut Pipeline| updates::apply_plan_silent(intended, plan);
+            if v.update(mapro_sym::Side::Right, rows, self.epoch, txn_base, replay)
+                .is_err()
             {
                 self.verifier = None;
             }
@@ -775,6 +785,7 @@ impl Controller {
             // stopped answering; the next reconcile repairs in bulk.
             return Ok(());
         }
+        let deliver = mapro_obs::time!("control.plan.deliver_ns");
         let result = if plan.updates.is_empty() {
             Ok(())
         } else if !plan.needs_bundle() {
@@ -783,13 +794,17 @@ impl Controller {
         } else {
             self.commit_bundle(ch, &plan.updates)
         };
+        drop(deliver);
         match result {
             Ok(()) => {
+                let wal = mapro_obs::time!("control.plan.wal_ns");
                 self.wal
                     .borrow_mut()
                     .append(WalRecord::Commit { txn: txn_base });
+                drop(wal);
                 self.deferred = self.deferred.saturating_sub(1);
                 if let Some(rows) = delta.as_deref() {
+                    let _t = mapro_obs::time!("control.plan.proof_committed_ns");
                     self.record_proof(txn_base, plan, rows);
                 }
                 Ok(())

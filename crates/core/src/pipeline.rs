@@ -442,38 +442,175 @@ impl Pipeline {
         out
     }
 
-    /// What a flow-mod against the row `matches` of `table` says about the
-    /// *input* packets it can affect: one `(attribute, bits, mask)` ternary
-    /// cell per match column that constrains them. The one definition of
-    /// "what changed" that megaflow eviction and incremental
-    /// re-verification both map onto their own coordinates.
+    /// What a batch of flow-mods says about the *input* packets it can
+    /// affect: for each `(table, match row)` of `rows` (what the control
+    /// crate's `delta_rows` lists), the `(attribute, bits, mask)` ternary
+    /// cells, sorted by attribute, of a cube holding every input packet
+    /// whose walk can reach that row. The one definition of "what changed"
+    /// that megaflow eviction and incremental re-verification both map onto
+    /// their own coordinates.
     ///
-    /// A column constrains the input only when no table schema can
-    /// `SetField` its attribute ([`Pipeline::written_attrs`]): then the
-    /// value the table compares *is* the input value, so every packet whose
-    /// walk can reach the row lies inside the cell. Written columns are
-    /// left out (wildcard) — the rewritten value is not a function of the
-    /// input coordinate, so no input constraint is sound.
+    /// The cube is the row's cells intersected with the table's *reach
+    /// cube*: the ternary hull of every path from `start` to the table,
+    /// each path contributing the cells of the rows it hits (a goto row
+    /// passes its cells on to its target, a row without one to `next`) and
+    /// nothing for the misses it takes (a `Fall` miss passes its table's
+    /// reach on unchanged — the miss region is a complement, not a cube).
+    /// On a goto fan-out this is exactly the selector of the branch: a row
+    /// of one service's sub-table dirties that service only.
     ///
-    /// `None` when the flow-mod cannot change any packet's behavior: the
-    /// row is unsatisfiable (a symbolic match cell) or `table` does not
-    /// exist.
+    /// Only attributes no table schema can `SetField`
+    /// ([`Pipeline::written_attrs`]) take part, in the row and along the
+    /// path: the value a table compares for such an attribute *is* the
+    /// input value, so every packet that reaches the table and matches the
+    /// row lies inside every cell on the way. Written columns stay
+    /// wildcard — their value is not a function of the input coordinate, so
+    /// no input constraint is sound. A flow-mod changes a packet's fate
+    /// only from the first table at which the packet meets an edited row,
+    /// and every table before it behaves the same before and after, so the
+    /// reach may be taken on either side of the batch.
+    ///
+    /// The reach cubes are computed once per call (a fixpoint over the
+    /// table graph; hulls only widen, so goto cycles terminate), so pass a
+    /// flow-mod batch in one call.
+    ///
+    /// An entry is `None` when its flow-mod cannot change any packet's
+    /// behavior: the row is unsatisfiable (a symbolic match cell), lies
+    /// outside its table's reach, the table is unreachable, or `table` does
+    /// not exist.
     pub fn flowmod_footprint(
         &self,
-        table: &str,
-        matches: &[Value],
-    ) -> Option<Vec<(AttrId, u64, u64)>> {
-        let t = self.table(table)?;
-        debug_assert_eq!(matches.len(), t.match_attrs.len());
+        rows: &[(String, Vec<Value>)],
+    ) -> Vec<Option<Vec<(AttrId, u64, u64)>>> {
         let written = self.written_attrs();
-        let mut cells = Vec::with_capacity(matches.len());
-        for (cell, &attr) in matches.iter().zip(&t.match_attrs) {
+        let reach = self.reach_cubes(&written);
+        rows.iter()
+            .map(|(table, matches)| {
+                let ti = self.tables.iter().position(|t| t.name == *table)?;
+                let t = &self.tables[ti];
+                debug_assert_eq!(matches.len(), t.match_attrs.len());
+                let mut cube = reach[ti].clone()?;
+                self.meet_row(&mut cube, &t.match_attrs, matches, &written)?;
+                Some(
+                    cube.into_iter()
+                        .enumerate()
+                        .filter(|&(_, (_, mask))| mask != 0)
+                        .map(|(a, (bits, mask))| (AttrId(a as u32), bits, mask))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Narrow `cube` (per catalog attribute, `(bits, mask)`) by the cells of
+    /// one row on the columns `attrs` outside `written`. `None` when the
+    /// row is unsatisfiable or disjoint from `cube`.
+    fn meet_row(
+        &self,
+        cube: &mut [(u64, u64)],
+        attrs: &[AttrId],
+        cells: &[Value],
+        written: &[AttrId],
+    ) -> Option<()> {
+        for (cell, &attr) in cells.iter().zip(attrs) {
             let (bits, mask) = cell.as_ternary(self.catalog.attr(attr).width)?;
-            if !written.contains(&attr) {
-                cells.push((attr, bits, mask));
+            if written.contains(&attr) {
+                continue;
+            }
+            let (b, m) = &mut cube[attr.index()];
+            if (*b ^ bits) & *m & mask != 0 {
+                return None;
+            }
+            *b |= bits;
+            *m |= mask;
+        }
+        Some(())
+    }
+
+    /// Every table's reach cube, in `tables` order (see
+    /// [`Pipeline::flowmod_footprint`]): per catalog attribute a ternary
+    /// `(bits, mask)` over the attributes outside `written`, `None` for a
+    /// table no path from `start` reaches. A worklist fixpoint: a table is
+    /// revisited whenever its hull widens, which happens at most once per
+    /// care bit, so cycles terminate.
+    fn reach_cubes(&self, written: &[AttrId]) -> Vec<Option<Vec<(u64, u64)>>> {
+        type Cube = Vec<(u64, u64)>;
+        let mut reach: Vec<Option<Cube>> = vec![None; self.tables.len()];
+        let index = self.name_index();
+        let Some(&start) = index.get(self.start.as_str()) else {
+            return reach;
+        };
+        reach[start] = Some(vec![(0, 0); self.catalog.len()]);
+        let mut queued = vec![false; self.tables.len()];
+        let mut work = vec![start];
+        queued[start] = true;
+        // Widen the reach of table `to` by `cube` (ternary hull) and queue
+        // the table if it grew.
+        let flow = |reach: &mut [Option<Cube>],
+                    queued: &mut [bool],
+                    work: &mut Vec<usize>,
+                    to: &str,
+                    cube: &[(u64, u64)]| {
+            let Some(&j) = index.get(to) else { return };
+            let grew = match &mut reach[j] {
+                slot @ None => {
+                    *slot = Some(cube.to_vec());
+                    true
+                }
+                Some(hull) => {
+                    let mut grew = false;
+                    for ((b, m), &(cb, cm)) in hull.iter_mut().zip(cube) {
+                        let keep = *m & cm & !(*b ^ cb);
+                        grew |= keep != *m;
+                        *m = keep;
+                        *b &= keep;
+                    }
+                    grew
+                }
+            };
+            if grew && !queued[j] {
+                queued[j] = true;
+                work.push(j);
+            }
+        };
+        let (mut from, mut cube) = (Vec::new(), Vec::new());
+        while let Some(ti) = work.pop() {
+            queued[ti] = false;
+            let t = &self.tables[ti];
+            from.clone_from(reach[ti].as_ref().expect("queued tables are reached"));
+            let gotos: Vec<usize> = (0..t.action_attrs.len())
+                .filter(|&c| {
+                    matches!(
+                        self.catalog.attr(t.action_attrs[c]).kind,
+                        AttrKind::Action(ActionSem::Goto)
+                    )
+                })
+                .collect();
+            for e in &t.entries {
+                // The last goto cell wins, as in `run`; without one the
+                // walk continues at `next`.
+                let target = gotos
+                    .iter()
+                    .rev()
+                    .find_map(|&c| match &e.actions[c] {
+                        Value::Sym(g) => Some(g.as_ref()),
+                        _ => None,
+                    })
+                    .or(t.next.as_deref());
+                let Some(target) = target else { continue };
+                cube.clone_from(&from);
+                if self
+                    .meet_row(&mut cube, &t.match_attrs, &e.matches, written)
+                    .is_some()
+                {
+                    flow(&mut reach, &mut queued, &mut work, target, &cube);
+                }
+            }
+            if let MissPolicy::Fall(to) = &t.miss {
+                flow(&mut reach, &mut queued, &mut work, to, &from);
             }
         }
-        Some(cells)
+        reach
     }
 
     /// Run a packet through the pipeline.
@@ -732,20 +869,130 @@ mod tests {
         assert!(v.header_mods.is_empty());
     }
 
+    /// One footprint, of the row `cells` of `table`.
+    fn footprint(p: &Pipeline, table: &str, cells: &[Value]) -> Option<Vec<(AttrId, u64, u64)>> {
+        let mut fp = p.flowmod_footprint(&[(table.to_owned(), cells.to_vec())]);
+        fp.pop().expect("one row in, one footprint out")
+    }
+
     #[test]
     fn flowmod_footprint_constrains_only_unwritten_columns() {
         let p = two_stage();
         let (f, m) = (AttrId(0), AttrId(1));
         assert_eq!(p.written_attrs(), vec![m]);
         assert_eq!(
-            p.flowmod_footprint("t0", &[Value::prefix(0x80, 1, 8)]),
+            footprint(&p, "t0", &[Value::prefix(0x80, 1, 8)]),
             Some(vec![(f, 0x80, 0x80)])
         );
-        // `m` is a SetField target: the row says nothing about the input.
-        assert_eq!(p.flowmod_footprint("t1", &[Value::Int(10)]), Some(vec![]));
+        // `m` is a SetField target: the row says nothing about the input,
+        // but reaching `t1` takes `f` = 1 or 2, whose hull is `000000**`.
+        assert_eq!(
+            footprint(&p, "t1", &[Value::Int(10)]),
+            Some(vec![(f, 0, 0xfc)])
+        );
         // Unsatisfiable row, unknown table: behavior-invisible.
-        assert_eq!(p.flowmod_footprint("t0", &[Value::sym("x")]), None);
-        assert_eq!(p.flowmod_footprint("nope", &[Value::Int(1)]), None);
+        assert_eq!(footprint(&p, "t0", &[Value::sym("x")]), None);
+        assert_eq!(footprint(&p, "nope", &[Value::Int(1)]), None);
+        // One reach per batch, one footprint per row, in order.
+        let rows = [
+            ("t1".to_owned(), vec![Value::Int(20)]),
+            ("nope".to_owned(), vec![Value::Int(1)]),
+            ("t0".to_owned(), vec![Value::Int(7)]),
+        ];
+        assert_eq!(
+            p.flowmod_footprint(&rows),
+            vec![Some(vec![(f, 0, 0xfc)]), None, Some(vec![(f, 7, 0xff)])]
+        );
+    }
+
+    /// `start` matches `f` (never written) and fans out by goto; every other
+    /// table matches `g` (never written) and outputs. `shape` adds edges.
+    fn fan_out(shape: impl FnOnce(&mut [Table])) -> Pipeline {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let g = c.field("g", 8);
+        let goto = c.action("goto", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut tables = vec![Table::new("start", vec![f], vec![goto])];
+        for (v, to) in [(1, "a"), (2, "b"), (3, "b")] {
+            tables[0].row(vec![Value::Int(v)], vec![Value::sym(to)]);
+        }
+        for name in ["a", "b", "c", "d"] {
+            let mut t = Table::new(name, vec![g], vec![goto, out]);
+            t.row(vec![Value::Int(5)], vec![Value::Any, Value::sym(name)]);
+            tables.push(t);
+        }
+        shape(&mut tables);
+        Pipeline::new(c, tables, "start")
+    }
+
+    #[test]
+    fn reach_is_exact_on_a_goto_fan_out() {
+        let p = fan_out(|_| {});
+        let (f, g) = (AttrId(0), AttrId(1));
+        // One branch: exactly its selector, with the edited row's cell.
+        assert_eq!(
+            footprint(&p, "a", &[Value::Int(9)]),
+            Some(vec![(f, 1, 0xff), (g, 9, 0xff)])
+        );
+        // Two selectors into one table: their hull (2 and 3 share 0b1*).
+        assert_eq!(footprint(&p, "b", &[Value::Any]), Some(vec![(f, 2, 0xfe)]));
+        // The start table is reached by every packet.
+        assert_eq!(
+            footprint(&p, "start", &[Value::Int(4)]),
+            Some(vec![(f, 4, 0xff)])
+        );
+    }
+
+    #[test]
+    fn reach_is_a_hull_along_a_next_chain() {
+        // `b`'s hits continue at `c`; a goto cell of `Any` is no goto.
+        let p = fan_out(|t| t[2].next = Some("c".into()));
+        let (f, g) = (AttrId(0), AttrId(1));
+        // Reaching `c` means `f` ∈ {2, 3} and a hit on `b`'s row `g` = 5.
+        assert_eq!(
+            footprint(&p, "c", &[Value::Any]),
+            Some(vec![(f, 2, 0xfe), (g, 5, 0xff)])
+        );
+        // A row of `c` outside the path condition cannot be reached.
+        assert_eq!(footprint(&p, "c", &[Value::Int(6)]), None);
+    }
+
+    #[test]
+    fn a_fall_miss_passes_its_tables_reach_on() {
+        // `a` misses into `d`: every packet that reached `a` may reach `d`,
+        // whatever `a`'s rows say about `g`.
+        let p = fan_out(|t| t[1].miss = MissPolicy::Fall("d".into()));
+        let (f, g) = (AttrId(0), AttrId(1));
+        assert_eq!(
+            footprint(&p, "d", &[Value::Int(6)]),
+            Some(vec![(f, 1, 0xff), (g, 6, 0xff)])
+        );
+    }
+
+    #[test]
+    fn reach_terminates_on_a_goto_cycle() {
+        // `a` loops to itself on `g` = 5 and back to `start` on `g` = 6;
+        // the hull settles: `a` is reached by `f` = 1 alone, `start` by all.
+        let p = fan_out(|t| {
+            t[1].entries[0].actions[0] = Value::sym("a");
+            t[1].row(vec![Value::Int(6)], vec![Value::sym("start"), Value::Any]);
+        });
+        let f = AttrId(0);
+        assert_eq!(footprint(&p, "a", &[Value::Any]), Some(vec![(f, 1, 0xff)]));
+        assert_eq!(footprint(&p, "start", &[Value::Any]), Some(vec![]));
+    }
+
+    #[test]
+    fn an_unreachable_table_has_no_footprint() {
+        let p = fan_out(|_| {});
+        // Nothing reaches `c` or `d`: editing them changes no packet.
+        assert_eq!(footprint(&p, "c", &[Value::Int(5)]), None);
+        assert_eq!(footprint(&p, "d", &[Value::Any]), None);
+        // A program whose `start` names no table reaches nothing.
+        let mut q = p.clone();
+        q.start = "nope".into();
+        assert_eq!(footprint(&q, "start", &[Value::Any]), None);
     }
 
     #[test]

@@ -28,10 +28,19 @@
 //! Megaflows may overlap; every one that covers a packet holds its verdict.
 //!
 //! Invalidation is precise rather than flush-the-world: a flow-mod's
-//! footprint ([`Pipeline::flowmod_footprint`] — its match rows restricted
-//! to attributes no table can `SetField`) says which input packets can
+//! footprint ([`Pipeline::flowmod_footprint`]) says which input packets can
 //! reach the edited row, and only megaflows sharing a packet with it are
-//! dropped. The incremental verifier rechecks by the same footprint.
+//! dropped. The footprint is the row's cells met with the edited table's
+//! *reach cube* — the ternary hull of the rows and `Fall` misses on every
+//! path from the start table — both restricted to attributes no table can
+//! `SetField`, whose value at every table is the one the packet arrived
+//! with. So editing one service's sub-table of a goto-normalized program
+//! evicts that service's megaflows, not every megaflow the row's own cells
+//! overlap. A hull over unwritten attributes is sound because any packet
+//! that reaches the row satisfied, on those attributes, every row it hit on
+//! the way; a `Fall` miss passes its table's reach on whole, since the miss
+//! region is the complement of the rows, not a cube. The incremental
+//! verifier rechecks by the same footprint.
 
 use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 use crate::cost::{CostParams, ModelSpec};
@@ -320,9 +329,12 @@ impl CachedEngine {
     pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
         self.inner.apply_update(&mut self.pipeline, update)?;
         let attrs = self.inner.reg_attrs();
-        let dirty: Vec<Vec<(usize, u64, u64)>> = mapro_control::delta_rows(&self.pipeline, update)
-            .iter()
-            .filter_map(|(table, row)| self.pipeline.flowmod_footprint(table, row))
+        let rows = mapro_control::delta_rows(&self.pipeline, update);
+        let dirty: Vec<Vec<(usize, u64, u64)>> = self
+            .pipeline
+            .flowmod_footprint(&rows)
+            .into_iter()
+            .flatten()
             .map(|cells| {
                 cells
                     .into_iter()
@@ -524,6 +536,54 @@ mod tests {
         let r = sim.process(&other);
         assert!(!r.slow_path, "disjoint megaflow survives the flow-mod");
         assert_eq!(r.output.as_deref(), Some("vm4"));
+    }
+
+    /// Goto fan-out: `t0` sends each tenant (`ip_dst`) to its own
+    /// sub-table, which splits `ip_src` in halves. Editing one tenant's
+    /// row evicts that tenant's megaflow only, though the other tenant's
+    /// megaflow overlaps the row's own `ip_src` cell.
+    #[test]
+    fn sub_table_edit_evicts_only_the_branch_that_reaches_it() {
+        use mapro_control::RuleUpdate;
+        let mut c = Catalog::new();
+        let src = c.field("ip_src", 32);
+        let dst = c.field("ip_dst", 32);
+        let goto = c.action("goto", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut t0 = Table::new("t0", vec![dst], vec![goto]);
+        let mut tables = Vec::new();
+        for tenant in 0..2u64 {
+            let name = format!("tenant{tenant}");
+            t0.row(vec![Value::Int(tenant)], vec![Value::sym(&name)]);
+            let mut t = Table::new(name, vec![src], vec![out]);
+            for half in 0..2u64 {
+                t.row(
+                    vec![Value::prefix(half << 31, 1, 32)],
+                    vec![Value::sym(format!("vm{tenant}{half}"))],
+                );
+            }
+            tables.push(t);
+        }
+        tables.insert(0, t0);
+        let p = Pipeline::new(c, tables, "t0");
+        let mut sim = CachedEngine::eswitch(&p).unwrap();
+        let pkts: Vec<Packet> = (0..2)
+            .map(|tenant| Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", tenant)]))
+            .collect();
+        for pkt in &pkts {
+            assert!(sim.process(pkt).slow_path);
+        }
+        sim.apply_update(&RuleUpdate::Modify {
+            table: "tenant0".into(),
+            matches: vec![Value::prefix(0, 1, 32)],
+            set: vec![(out, Value::sym("vmX"))],
+        })
+        .unwrap();
+        assert_eq!(sim.stats().invalidations, 1);
+        assert_eq!(sim.process(&pkts[0]).output.as_deref(), Some("vmX"));
+        let r = sim.process(&pkts[1]);
+        assert!(!r.slow_path, "the other tenant's megaflow survives");
+        assert_eq!(r.output.as_deref(), Some("vm10"));
     }
 
     /// Evictions and invalidations must count exactly the entries that

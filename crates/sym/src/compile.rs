@@ -120,29 +120,6 @@ pub struct BehaviorCover {
     pub atoms: Vec<Atom>,
 }
 
-/// The input-space region a flow-mod against `(table, matches)` can
-/// affect, as a cube over `space`: [`Pipeline::flowmod_footprint`] mapped
-/// onto the space's coordinates (footprint cells on attributes outside the
-/// space — metadata — stay wildcard, which is conservative).
-///
-/// Returns `None` when the flow-mod cannot change any packet's behavior:
-/// the entry's match row is unsatisfiable (a symbolic match cell) or the
-/// table does not exist in `p`.
-pub fn invalidation_cube(
-    p: &Pipeline,
-    space: &FieldSpace,
-    table: &str,
-    matches: &[Value],
-) -> Option<Cube> {
-    let mut cube = space.universe();
-    for (attr, bits, mask) in p.flowmod_footprint(table, matches)? {
-        if let Some(k) = space.coord_of(attr) {
-            cube.0[k] = cube.0[k].intersect(Tern { bits, mask })?;
-        }
-    }
-    Some(cube)
-}
-
 /// Which representation carries a behavior cover.
 ///
 /// * `Dd` (the default) — hash-consed decision diagrams (`mapro-dd`): one

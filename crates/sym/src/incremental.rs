@@ -5,9 +5,23 @@
 //! [`IncrementalChecker`] *session* alive across updates instead: both
 //! pipelines are compiled once into one decision-diagram manager, the two
 //! roots are retained, and each update only re-derives the part of the
-//! proof inside the update's *invalidation region* — the cubes
-//! [`invalidation_cube`] computes from the same flow-mod footprint
-//! (`Pipeline::flowmod_footprint`) the megaflow cache evicts by.
+//! proof inside the update's *invalidation region* — the cubes of the
+//! flow-mod footprint (`Pipeline::flowmod_footprint`) the megaflow cache
+//! evicts by.
+//!
+//! ## The footprint
+//!
+//! A flow-mod row's footprint is its cells met with its table's *reach
+//! cube*: the ternary hull, over the attributes no table can `SetField`, of
+//! every path from the start table — a goto row or a `next` edge passes on
+//! its cells ∧ its table's reach, a `Fall` miss passes its table's reach on
+//! unchanged. The hull is sound because an unwritten attribute holds the
+//! input value at every table, so a packet that reaches the row satisfied
+//! every row it hit on the way; a miss says only what the packet is *not*,
+//! which no cube can state, so `Fall` carries the predecessor's reach
+//! whole. On the goto-normalized form an edit to one service's sub-table
+//! therefore dirties that service, where the row's cells alone would dirty
+//! its `ip_src` prefix in every service.
 //!
 //! ## The session invariant
 //!
@@ -23,10 +37,14 @@
 //! contract. The restricted compile is local: every state it reaches is a
 //! subset of `D`, so a table row disjoint from every dirty cube can neither
 //! win a region nor shrink the miss set and is skipped before its predicate
-//! is built; the per-table ternary rows it tests are kept here and patched
-//! entry-wise with the pipelines. Counterexamples come from `first_diff`,
-//! whose 0-preferring path order is a function of the diagrams alone, so a
-//! session witness is byte-identical to a fresh check's.
+//! is built. Counterexamples come from `first_diff`, whose 0-preferring
+//! path order is a function of the diagrams alone, so a session witness is
+//! byte-identical to a fresh check's.
+//!
+//! The session owns its two pipelines and takes each edit in place: the
+//! caller's edit runs on the stored pipeline, and only the ternary rows of
+//! the tables the flow-mod names are re-derived — no pipeline is cloned or
+//! diffed per update.
 //!
 //! Every delta leaves its intermediate nodes and memo entries in the
 //! arena; the session collects them (`Mgr::gc` over the two roots) whenever
@@ -37,19 +55,20 @@
 //!
 //! Some updates cannot be delta-processed: rows naming a table the
 //! pipeline doesn't have, a restricted compile reporting [`Unsupported`]
-//! (a DD arena overflow included), or a catalog/space drift between the
-//! session's pipelines. All of these fall back to a from-scratch rebuild of
-//! the session state — counted in `sym.incr.fallbacks` and costed honestly
-//! in the returned token's `atoms_rechecked`.
+//! (a DD arena overflow included), a catalog/space drift between the
+//! session's pipelines, or an edit that failed halfway (the next update).
+//! All of these fall back to a from-scratch rebuild of the session state —
+//! counted in `sym.incr.fallbacks` and costed honestly in the returned
+//! token's `atoms_rechecked`.
 
 use crate::check::{catalog_guard, concretize};
-use crate::compile::{invalidation_cube, FieldSpace, SymConfig, Unsupported};
-use crate::cube::Cube;
+use crate::compile::{FieldSpace, SymConfig, Unsupported};
+use crate::cube::{Cube, Tern};
 use crate::ddcover::{match_rows, DdEngine};
-use mapro_core::{Counterexample, EquivError, Pipeline, Value};
+use mapro_core::{Catalog, Counterexample, EquivError, Pipeline, Table, Value};
 use mapro_dd::NodeRef;
 
-/// Which pipeline of the session an update applies to.
+/// Which pipelines of the session an update edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// The first pipeline of the pair (the control driver's committed
@@ -57,6 +76,10 @@ pub enum Side {
     Left,
     /// The second pipeline (the driver's intended program).
     Right,
+    /// Both, by the same edit (a bundle committed on both sides: the second
+    /// side's restricted compile is answered from the first one's memo
+    /// entries).
+    Both,
 }
 
 /// The session's verdict after an update — the incremental mirror of
@@ -105,10 +128,24 @@ pub struct ProofToken {
     pub verdict: Verdict,
 }
 
+/// Why [`IncrementalChecker::update`] returned no proof token.
+#[derive(Debug, PartialEq)]
+pub enum SessionError<E> {
+    /// The caller's edit failed on a stored pipeline. What it left there is
+    /// the session's pipeline from now on; the next update rebuilds the
+    /// proof from scratch.
+    Edit(E),
+    /// The re-check failed: [`EquivError::IncompatibleCatalogs`] or a
+    /// failed rebuild (budget and unsupported conditions fall back
+    /// internally instead).
+    Check(EquivError),
+}
+
 /// One pipeline of the pair with what the session derives from it.
 struct SideState {
     p: Pipeline,
-    /// [`match_rows`] of `p`, patched entry-wise by [`SideState::sync`].
+    /// [`match_rows`] of `p`, re-derived per edited table by
+    /// [`SideState::edit`].
     rows: Vec<Vec<Option<Cube>>>,
     /// The behavior MTBDD of `p` in the session's engine.
     root: NodeRef,
@@ -123,54 +160,53 @@ impl SideState {
         }
     }
 
-    /// Patch the stored pipeline (and its ternary rows) in place to equal
-    /// `new`, copying only the cells that differ; returns whether anything
-    /// did. At churn rates a full per-update `Pipeline::clone` and row
-    /// re-derivation cost more than the delta proof itself; a single-row
-    /// flow-mod copies one entry here instead.
-    fn sync(&mut self, new: &Pipeline) -> bool {
-        let stored = &mut self.p;
-        let structural = stored.catalog != new.catalog
-            || stored.start != new.start
-            || stored.tables.len() != new.tables.len()
-            || stored.tables.iter().zip(&new.tables).any(|(s, n)| {
-                s.name != n.name
-                    || s.match_attrs != n.match_attrs
-                    || s.action_attrs != n.action_attrs
-                    || s.miss != n.miss
-                    || s.next != n.next
-                    || s.entries.len() != n.entries.len()
-            });
-        if structural {
-            *stored = new.clone();
-            self.rows = match_rows(new);
-            return true;
+    /// Run `edit` on the stored pipeline, then re-derive the ternary rows
+    /// of the tables `rows` names — the only ones an entry-level flow-mod
+    /// touches. After a failed edit, which may have stopped halfway, every
+    /// table's rows are re-derived.
+    fn edit<E>(
+        &mut self,
+        rows: &[(String, Vec<Value>)],
+        edit: &mut impl FnMut(&mut Pipeline) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let result = edit(&mut self.p);
+        if result.is_err() || self.p.tables.len() != self.rows.len() {
+            self.rows = match_rows(&self.p);
+            return result;
         }
-        let mut changed = false;
-        for ((st, nt), rows) in stored
-            .tables
-            .iter_mut()
-            .zip(&new.tables)
-            .zip(&mut self.rows)
-        {
-            for ((se, ne), row) in st.entries.iter_mut().zip(&nt.entries).zip(rows) {
-                if se.matches != ne.matches {
-                    let widths: Vec<u32> = nt
-                        .match_attrs
-                        .iter()
-                        .map(|&a| new.catalog.attr(a).width)
-                        .collect();
-                    *row = Cube::of(&ne.matches, &widths);
-                    se.matches = ne.matches.clone();
-                    changed = true;
-                }
-                if se.actions != ne.actions {
-                    se.actions = ne.actions.clone();
-                    changed = true;
-                }
+        for (t, cubes) in self.p.tables.iter().zip(&mut self.rows) {
+            if rows.iter().any(|(name, _)| *name == t.name) {
+                rederive(&self.p.catalog, t, cubes);
             }
         }
-        changed
+        debug_assert!(
+            self.rows == match_rows(&self.p),
+            "the edit changed a table its flow-mod rows do not name"
+        );
+        Ok(())
+    }
+}
+
+/// Re-derive `t`'s ternary rows (`match_rows` of one table) in place. A
+/// flow-mod batch re-derives every row of the tables it names — hundreds
+/// an update on a universal table — so each row reuses its cube's storage
+/// rather than allocating a new one.
+fn rederive(catalog: &Catalog, t: &Table, cubes: &mut Vec<Option<Cube>>) {
+    cubes.resize(t.entries.len(), None);
+    for (e, slot) in t.entries.iter().zip(cubes.iter_mut()) {
+        let cube = slot.get_or_insert_with(|| Cube(Vec::with_capacity(e.matches.len())));
+        cube.0.clear();
+        let mut cells = e.matches.iter().zip(&t.match_attrs);
+        let sat = cells.all(|(v, &a)| match v.as_ternary(catalog.attr(a).width) {
+            Some((bits, mask)) => {
+                cube.0.push(Tern { bits, mask });
+                true
+            }
+            None => false,
+        });
+        if !sat {
+            *slot = None;
+        }
     }
 }
 
@@ -181,8 +217,10 @@ fn unsup(u: Unsupported) -> EquivError {
 /// Add the invalidation cubes of a batch of flow-mod rows against `p` to
 /// `cubes` (kept free of subsumed members), or return `None` when some row
 /// names a table `p` does not have — the caller cannot bound that update's
-/// footprint and must recheck fully. Rows whose match cells are
-/// unsatisfiable are behavior-invisible and contribute nothing.
+/// footprint and must recheck fully. Each cube is the row's
+/// [`Pipeline::flowmod_footprint`] on the space's coordinates (cells on
+/// attributes outside the space — metadata — stay wildcard, which is
+/// conservative); rows that no packet can reach contribute nothing.
 fn dirty_cubes(
     p: &Pipeline,
     space: &FieldSpace,
@@ -194,9 +232,14 @@ fn dirty_cubes(
         if t.match_attrs.len() != matches.len() {
             return None;
         }
-        let Some(c) = invalidation_cube(p, space, table, matches) else {
-            continue;
-        };
+    }
+    for cells in p.flowmod_footprint(rows).into_iter().flatten() {
+        let mut c = space.universe();
+        for (attr, bits, mask) in cells {
+            if let Some(k) = space.coord_of(attr) {
+                c.0[k] = Tern { bits, mask };
+            }
+        }
         if cubes.iter().any(|k| k.subsumes(&c)) {
             continue;
         }
@@ -216,8 +259,7 @@ const GC_FLOOR: usize = 1 << 12;
 /// A long-lived equivalence session over a pipeline pair.
 ///
 /// Compile once with [`IncrementalChecker::new`], then feed every
-/// flow-mod through [`IncrementalChecker::update`] /
-/// [`IncrementalChecker::update_both`]; each call returns a
+/// flow-mod through [`IncrementalChecker::update`]; each call returns a
 /// [`ProofToken`] whose verdict is always exactly the verdict a
 /// from-scratch [`crate::check_symbolic`] would produce on the same pair
 /// (the differential suite asserts this after every mod).
@@ -236,7 +278,8 @@ pub struct IncrementalChecker {
     /// fallback).
     last_dirty: Vec<Cube>,
     /// Set while the retained roots do not reflect `left`/`right` (a
-    /// rebuild failed); the next update re-attempts a full rebuild.
+    /// rebuild or an edit failed); the next update re-attempts a full
+    /// rebuild.
     stale: bool,
 }
 
@@ -321,49 +364,47 @@ impl IncrementalChecker {
         concretize(&self.left.p, &self.right.p, &self.space, &rep).map(Some)
     }
 
-    /// Re-verify after one side changed: `rows` are the `(table, match
-    /// row)` pairs the flow-mod touched (see the control crate's
-    /// `delta_rows`), `new` is the pipeline after the mod. Returns the
-    /// proof token fenced to `epoch`/`txn`.
+    /// Apply one flow-mod batch to `side` and re-verify: `edit` runs on the
+    /// session's stored pipeline (once per side for [`Side::Both`]) and may
+    /// change only entries of the tables `rows` names; `rows` are the
+    /// `(table, match row)` pairs the batch touches (the control crate's
+    /// `delta_rows`). Returns the proof token fenced to `epoch`/`txn`.
     ///
     /// # Errors
-    /// Hard errors only ([`EquivError::IncompatibleCatalogs`], a failed
-    /// rebuild); budget/unsupported conditions fall back internally.
-    pub fn update(
+    /// [`SessionError::Edit`] with the edit's own error, after which the
+    /// next update rebuilds from scratch; [`SessionError::Check`] for hard
+    /// check errors ([`EquivError::IncompatibleCatalogs`], a failed
+    /// rebuild) — budget and unsupported conditions fall back internally.
+    pub fn update<E>(
         &mut self,
         side: Side,
-        new: &Pipeline,
         rows: &[(String, Vec<Value>)],
         epoch: u64,
         txn: u64,
-    ) -> Result<ProofToken, EquivError> {
-        match side {
-            Side::Left => self.apply(Some(new), None, rows, epoch, txn),
-            Side::Right => self.apply(None, Some(new), rows, epoch, txn),
+        mut edit: impl FnMut(&mut Pipeline) -> Result<(), E>,
+    ) -> Result<ProofToken, SessionError<E>> {
+        let (on_left, on_right) = match side {
+            Side::Left => (true, false),
+            Side::Right => (false, true),
+            Side::Both => (true, true),
+        };
+        for (on, state) in [(on_left, &mut self.left), (on_right, &mut self.right)] {
+            if on {
+                if let Err(e) = state.edit(rows, &mut edit) {
+                    self.stale = true;
+                    self.last_dirty.clear();
+                    return Err(SessionError::Edit(e));
+                }
+            }
         }
+        self.prove(on_left, on_right, rows, epoch, txn)
+            .map_err(SessionError::Check)
     }
 
-    /// Re-verify after the same update bundle was applied to both sides
-    /// (the common committed-bundle case: the second side's restricted
-    /// compile is answered from the first one's memo entries).
-    ///
-    /// # Errors
-    /// As [`IncrementalChecker::update`].
-    pub fn update_both(
+    fn prove(
         &mut self,
-        left: &Pipeline,
-        right: &Pipeline,
-        rows: &[(String, Vec<Value>)],
-        epoch: u64,
-        txn: u64,
-    ) -> Result<ProofToken, EquivError> {
-        self.apply(Some(left), Some(right), rows, epoch, txn)
-    }
-
-    fn apply(
-        &mut self,
-        new_left: Option<&Pipeline>,
-        new_right: Option<&Pipeline>,
+        on_left: bool,
+        on_right: bool,
         rows: &[(String, Vec<Value>)],
         epoch: u64,
         txn: u64,
@@ -372,24 +413,23 @@ impl IncrementalChecker {
         mapro_obs::counter!("sym.incr.checks").inc();
         self.checks += 1;
 
-        // The dirty region is computed against the *pre-update* pipelines:
-        // entry edits never change a table's match schema, so the region
-        // bounds both the old and the new rows' footprints.
+        // The dirty region is read off the edited pipelines: a flow-mod
+        // changes a packet's fate only from the first table at which the
+        // packet meets an edited row, and every table before that one
+        // behaves alike before and after the edit, so the footprint bounds
+        // the change whichever side of it the reach is taken on.
         self.last_dirty.clear();
         let mut bounded = !self.stale;
-        for (new, side) in [(new_left, &self.left), (new_right, &self.right)] {
-            if bounded && new.is_some() {
-                bounded = dirty_cubes(&side.p, &self.space, rows, &mut self.last_dirty).is_some();
+        for (on, state) in [(on_left, &self.left), (on_right, &self.right)] {
+            if bounded && on {
+                bounded = dirty_cubes(&state.p, &self.space, rows, &mut self.last_dirty).is_some();
             }
         }
-
-        let upd_left = new_left.is_some_and(|p| self.left.sync(p));
-        let upd_right = new_right.is_some_and(|p| self.right.sync(p));
 
         let delta = if bounded
             && FieldSpace::from_pipelines(&[&self.left.p, &self.right.p]) == self.space
         {
-            self.delta(upd_left, upd_right).ok()
+            self.delta(on_left, on_right).ok()
         } else {
             None
         };
@@ -420,10 +460,9 @@ impl IncrementalChecker {
     /// back" — the caller rebuilds from scratch, so a half-spliced pair of
     /// roots is safe.
     fn delta(&mut self, upd_left: bool, upd_right: bool) -> Result<usize, Unsupported> {
-        // Nothing observable changed on either side: the retained proof
-        // (including any disagreement inside the dirty region) is still
-        // exact.
-        if self.last_dirty.is_empty() || (!upd_left && !upd_right) {
+        // No packet can reach an edited row: the retained proof (including
+        // any disagreement elsewhere) is still exact.
+        if self.last_dirty.is_empty() {
             return Ok(0);
         }
         let _sp = mapro_obs::trace::span("sym.incr.recheck");
@@ -491,12 +530,13 @@ mod tests {
     use super::*;
     use crate::check_symbolic;
     use mapro_core::{ActionSem, Catalog, EquivOutcome, MissPolicy, Table};
+    use std::convert::Infallible;
 
     /// Two-table pipeline: `acl` diverts one `src` to a quarantine port,
     /// everything else falls through to `fwd`, which maps `dst` to a
     /// port. Rich enough that single-row edits have a proper sub-region
     /// footprint.
-    fn pair() -> (Pipeline, Pipeline) {
+    fn pipeline() -> Pipeline {
         let mut c = Catalog::new();
         let src = c.field("src", 8);
         let dst = c.field("dst", 8);
@@ -508,66 +548,70 @@ mod tests {
         for d in 0..4u64 {
             fwd.row(vec![Value::Int(d)], vec![Value::sym(format!("p{d}"))]);
         }
-        let p = Pipeline::new(c, vec![acl, fwd], "acl");
-        let q = p.clone();
-        (p, q)
+        Pipeline::new(c, vec![acl, fwd], "acl")
     }
 
-    /// Rotate the out-port of one `fwd` row; returns the touched row.
-    fn mod_port(p: &mut Pipeline, row: usize, port: &str) -> (String, Vec<Value>) {
-        let e = &mut p.table_mut("fwd").unwrap().entries[row];
-        e.actions[0] = Value::sym(port);
-        ("fwd".to_string(), e.matches.clone())
+    /// Rotate the out-port of `fwd` row `row` (whose match is `dst = row`)
+    /// on `side`.
+    fn mod_port(
+        s: &mut IncrementalChecker,
+        side: Side,
+        row: usize,
+        port: &str,
+        txn: u64,
+    ) -> ProofToken {
+        let rows = [("fwd".to_string(), vec![Value::Int(row as u64)])];
+        s.update(side, &rows, 7, txn, |p| {
+            p.table_mut("fwd").unwrap().entries[row].actions[0] = Value::sym(port);
+            Ok::<_, Infallible>(())
+        })
+        .unwrap()
     }
 
-    fn fresh_verdict(l: &Pipeline, r: &Pipeline) -> bool {
-        check_symbolic(l, r, &SymConfig::default())
+    fn fresh_verdict(s: &IncrementalChecker) -> bool {
+        check_symbolic(s.left(), s.right(), &SymConfig::default())
             .unwrap()
             .is_equivalent()
     }
 
     #[test]
     fn session_tracks_fresh_checks() {
-        let (mut l, mut r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
+        let p = pipeline();
+        let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
         assert!(s.verdict().is_equivalent());
         assert!(s.counterexample().unwrap().is_none());
 
         // Drift: left-only mod must flip the verdict with a real witness.
-        let row = mod_port(&mut l, 1, "p1-new");
-        let t = s.update(Side::Left, &l, &[row], 7, 1).unwrap();
+        let t = mod_port(&mut s, Side::Left, 1, "p1-new", 1);
         assert_eq!(t.verdict, Verdict::NotEquivalent);
         assert_eq!(t.epoch, 7);
-        assert!(!fresh_verdict(&l, &r));
+        assert!(!fresh_verdict(&s));
         let cx = s.counterexample().unwrap().expect("witness");
         assert_ne!(cx.left.observable(), cx.right.observable());
 
         // Converge: the same mod on the right restores equivalence.
-        let row = mod_port(&mut r, 1, "p1-new");
-        let t = s.update(Side::Right, &r, &[row], 7, 2).unwrap();
+        let t = mod_port(&mut s, Side::Right, 1, "p1-new", 2);
         assert_eq!(t.verdict, Verdict::Equivalent);
-        assert!(fresh_verdict(&l, &r));
+        assert!(fresh_verdict(&s));
         assert!(s.counterexample().unwrap().is_none());
 
         // Steady state: a bundle applied to both sides at once stays
         // equivalent and touches only the mod's region.
-        let row_l = mod_port(&mut l, 2, "p2-new");
-        let _row_r = mod_port(&mut r, 2, "p2-new");
-        let t = s.update_both(&l, &r, &[row_l], 7, 3).unwrap();
+        let t = mod_port(&mut s, Side::Both, 2, "p2-new", 3);
         assert_eq!(t.verdict, Verdict::Equivalent);
+        assert_eq!(s.left(), s.right());
         assert!(t.atoms_rechecked > 0, "the mod's region was re-derived");
         assert_eq!(t.digest, format!("incr:7:3:{}:{}:eq", 3, t.atoms_rechecked));
     }
 
     #[test]
     fn witness_is_byte_equal_to_fresh_check() {
-        let (mut l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
-        let row = mod_port(&mut l, 0, "p0-new");
-        let t = s.update(Side::Left, &l, &[row], 0, 0).unwrap();
+        let p = pipeline();
+        let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
+        let t = mod_port(&mut s, Side::Left, 0, "p0-new", 0);
         assert_eq!(t.verdict, Verdict::NotEquivalent);
         let session_cx = s.counterexample().unwrap().expect("witness");
-        match check_symbolic(&l, &r, &SymConfig::default()).unwrap() {
+        match check_symbolic(s.left(), s.right(), &SymConfig::default()).unwrap() {
             EquivOutcome::Counterexample(fresh) => {
                 assert_eq!(session_cx.fields, fresh.fields);
             }
@@ -577,10 +621,12 @@ mod tests {
 
     #[test]
     fn unknown_table_rows_fall_back_to_full_recheck() {
-        let (l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
+        let p = pipeline();
+        let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
         let rows = vec![("nope".to_string(), vec![Value::Int(0)])];
-        let t = s.update_both(&l, &r, &rows, 0, 1).unwrap();
+        let t = s
+            .update(Side::Both, &rows, 0, 1, |_| Ok::<_, Infallible>(()))
+            .unwrap();
         assert_eq!(t.verdict, Verdict::Equivalent);
         assert!(
             s.last_dirty().is_empty(),
@@ -592,24 +638,50 @@ mod tests {
 
     #[test]
     fn behavior_invisible_rows_cost_nothing() {
-        let (l, r) = pair();
-        let mut s = IncrementalChecker::new(&l, &r, &SymConfig::default()).unwrap();
-        let t = s.update_both(&l, &r, &[], 0, 1).unwrap();
+        let p = pipeline();
+        let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
+        let t = s
+            .update(Side::Both, &[], 0, 1, |_| Ok::<_, Infallible>(()))
+            .unwrap();
         assert_eq!(t.atoms_rechecked, 0);
         assert_eq!(t.verdict, Verdict::Equivalent);
     }
 
     #[test]
+    fn a_failed_edit_is_reported_and_the_next_update_rebuilds() {
+        let p = pipeline();
+        let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
+        let rows = [("fwd".to_string(), vec![Value::Int(3)])];
+        // The edit lands its first half on the left, then gives up.
+        let err = s
+            .update(Side::Left, &rows, 0, 1, |p| {
+                p.table_mut("fwd").unwrap().entries[3].actions[0] = Value::sym("half");
+                Err("second flow-mod refused")
+            })
+            .unwrap_err();
+        assert_eq!(err, SessionError::Edit("second flow-mod refused"));
+        // What the edit left is the session's pipeline: the next update
+        // proves it, from scratch.
+        let t = mod_port(&mut s, Side::Right, 0, "p0-new", 2);
+        assert!(t.atoms_rechecked >= 5, "{t:?}");
+        assert!(s.last_dirty().is_empty());
+        assert_eq!(t.verdict, Verdict::NotEquivalent);
+        assert!(!fresh_verdict(&s));
+        let t = mod_port(&mut s, Side::Left, 0, "p0-new", 3);
+        assert!(!s.last_dirty().is_empty(), "back on the delta path");
+        assert_eq!(t.verdict, Verdict::NotEquivalent, "`half` still differs");
+    }
+
+    #[test]
     fn sessions_run_on_diagrams_whatever_backend_the_config_names() {
-        let (mut l, r) = pair();
+        let p = pipeline();
         let cube = SymConfig {
             backend: crate::CoverBackend::Cube,
             ..SymConfig::default()
         };
-        let mut s = IncrementalChecker::new(&l, &r, &cube).unwrap();
-        let row = mod_port(&mut l, 3, "p3-new");
-        s.update(Side::Left, &l, &[row], 0, 1).unwrap();
-        let dd_cx = match check_symbolic(&l, &r, &SymConfig::default()).unwrap() {
+        let mut s = IncrementalChecker::new(&p, &p, &cube).unwrap();
+        mod_port(&mut s, Side::Left, 3, "p3-new", 1);
+        let dd_cx = match check_symbolic(s.left(), s.right(), &SymConfig::default()).unwrap() {
             EquivOutcome::Counterexample(cx) => cx,
             other => panic!("fresh check disagrees: {other:?}"),
         };
@@ -618,7 +690,7 @@ mod tests {
 
     #[test]
     fn dirty_cubes_bound_the_mod_and_drop_subsumed_members() {
-        let (p, _) = pair();
+        let p = pipeline();
         let space = FieldSpace::from_pipelines(&[&p]);
         let rows = vec![
             ("fwd".to_string(), vec![Value::Int(1)]),

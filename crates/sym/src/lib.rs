@@ -43,9 +43,8 @@ pub use check::{
     check_symbolic, FallbackInfo,
 };
 pub use compile::{
-    compile, invalidation_cube, Atom, Behavior, BehaviorCover, CoverBackend, FieldSpace, SymConfig,
-    Unsupported,
+    compile, Atom, Behavior, BehaviorCover, CoverBackend, FieldSpace, SymConfig, Unsupported,
 };
 pub use cube::{Cube, Tern};
 pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
-pub use incremental::{IncrementalChecker, ProofToken, Side, Verdict};
+pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side, Verdict};

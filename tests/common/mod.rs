@@ -1,6 +1,9 @@
-//! A generator two differential suites share.
+//! Generators the differential suites share.
 
-use mapro_core::{ActionSem, Catalog, MissPolicy, Pipeline, Table, Value};
+#![allow(dead_code)] // each suite uses its own subset
+
+use mapro_control::RuleUpdate;
+use mapro_core::{ActionSem, AttrKind, Catalog, Entry, MissPolicy, Pipeline, Table, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -62,4 +65,157 @@ pub fn rewrite_zoo(rng: &mut SmallRng, cell: fn(&mut SmallRng, u32) -> Value) ->
     t2.miss = MissPolicy::Fall("t3".into());
     t3.miss = MissPolicy::Controller;
     Pipeline::new(c, vec![t0, t1, t2, t3], "t0")
+}
+
+/// One random match cell of `width` bits: a wildcard, an exact value, a
+/// prefix or a sparse ternary.
+fn any_cell(rng: &mut SmallRng, width: u32) -> Value {
+    let full = (1u64 << width) - 1;
+    match rng.gen_range(0..4u8) {
+        0 => Value::Any,
+        1 => Value::Int(rng.gen_range(0..=full)),
+        2 => Value::prefix(
+            rng.gen_range(0..=full),
+            rng.gen_range(1..=width as u8),
+            width,
+        ),
+        _ => {
+            let mask = rng.gen_range(0..=full) & rng.gen_range(0..=full);
+            Value::Ternary {
+                bits: rng.gen_range(0..=full) & mask,
+                mask,
+            }
+        }
+    }
+}
+
+/// A random program in which what a flow-mod can change depends on the
+/// path that reaches the edited table. `front` fans out by goto on `f`
+/// (never written, so each branch's selector survives to the sub-table)
+/// into three per-service tables; its hits without a goto continue at
+/// `svc0` and its misses fall to `svc2`. The sub-tables match `h` (never
+/// written) and `g`, which `front` matches and then may `SetField` — so
+/// nothing about the input `g` may narrow a footprint there, though the
+/// walk pinned it. `svc0` continues at `tail` by
+/// `next`, `svc1`'s misses fall to it, some sub-table rows goto it, and
+/// `tail` joins on the metadata `m` that `front` wrote. No edge leads
+/// back, so every walk ends. Edit it with [`reach_zoo_edit`].
+pub fn reach_zoo(rng: &mut SmallRng) -> Pipeline {
+    let mut c = Catalog::new();
+    let f = c.field("f", 6);
+    let g = c.field("g", 6);
+    let h = c.field("h", 4);
+    let m = c.meta("m", 4);
+    let set_m = c.action("set_m", ActionSem::SetField(m));
+    let set_g = c.action("set_g", ActionSem::SetField(g));
+    let goto = c.action("goto", ActionSem::Goto);
+    let out = c.action("out", ActionSem::Output);
+    let mut tables = vec![Table::new("front", vec![f, g, h], vec![set_m, set_g, goto])];
+    for svc in ["svc0", "svc1", "svc2"] {
+        tables.push(Table::new(svc, vec![h, g], vec![out, goto]));
+    }
+    tables.push(Table::new("tail", vec![m, f], vec![out]));
+    tables[0].next = Some("svc0".into());
+    tables[0].miss = MissPolicy::Fall("svc2".into());
+    tables[1].next = Some("tail".into());
+    tables[2].miss = MissPolicy::Fall("tail".into());
+    tables[3].miss = MissPolicy::Controller;
+    tables[4].miss = MissPolicy::Controller;
+    let mut p = Pipeline::new(c, tables, "front");
+    for ti in 0..p.tables.len() {
+        for _ in 0..rng.gen_range(3..6) {
+            let entry = zoo_entry(&p, ti, rng, 0);
+            p.tables[ti].push(entry);
+        }
+    }
+    p
+}
+
+/// A random row for table `ti` of a [`reach_zoo`] program. `front`'s `f`
+/// cell is mostly an exact selector, so that the fan-out is one.
+fn zoo_entry(p: &Pipeline, ti: usize, rng: &mut SmallRng, step: u64) -> Entry {
+    let t = &p.tables[ti];
+    let matches = t
+        .match_attrs
+        .iter()
+        .map(|&a| {
+            let width = p.catalog.attr(a).width;
+            if ti == 0 && p.catalog.name(a) == "f" && rng.gen_bool(0.7) {
+                Value::Int(rng.gen_range(0..1 << width))
+            } else {
+                any_cell(rng, width)
+            }
+        })
+        .collect();
+    let actions = t
+        .action_attrs
+        .iter()
+        .map(|&a| zoo_param(p, ti, a, rng, step))
+        .collect();
+    Entry::new(matches, actions)
+}
+
+/// A random parameter for action `attr` of table `ti`: a fresh port, a
+/// later table (or no goto), a rewrite (or none).
+fn zoo_param(
+    p: &Pipeline,
+    ti: usize,
+    attr: mapro_core::AttrId,
+    rng: &mut SmallRng,
+    step: u64,
+) -> Value {
+    match p.catalog.attr(attr).kind {
+        AttrKind::Action(ActionSem::Output) => {
+            Value::sym(format!("p{step}-{}", rng.gen_range(0..4u8)))
+        }
+        AttrKind::Action(ActionSem::Goto) => {
+            let later = &p.tables[ti + 1..];
+            if later.is_empty() || rng.gen_bool(0.25) {
+                Value::Any
+            } else {
+                Value::sym(&later[rng.gen_range(0..later.len())].name)
+            }
+        }
+        AttrKind::Action(ActionSem::SetField(target)) => {
+            if rng.gen_bool(0.3) {
+                Value::Any
+            } else {
+                Value::Int(rng.gen_range(0..1 << p.catalog.attr(target).width))
+            }
+        }
+        _ => Value::Any,
+    }
+}
+
+/// One random flow-mod against a [`reach_zoo`] program, on a row of any of
+/// its tables: delete a row, insert one, re-point an action (a port, a
+/// goto target, a rewrite) or re-shape a match cell.
+pub fn reach_zoo_edit(p: &Pipeline, step: u64, rng: &mut SmallRng) -> RuleUpdate {
+    let ti = rng.gen_range(0..p.tables.len());
+    let t = &p.tables[ti];
+    let table = t.name.clone();
+    let matches = t.entries[rng.gen_range(0..t.len())].matches.clone();
+    match rng.gen_range(0..4u8) {
+        0 if t.len() > 1 => RuleUpdate::Delete { table, matches },
+        1 => RuleUpdate::Insert {
+            table,
+            entry: zoo_entry(p, ti, rng, step),
+        },
+        2 => {
+            let attr = t.action_attrs[rng.gen_range(0..t.action_attrs.len())];
+            RuleUpdate::Modify {
+                table,
+                matches,
+                set: vec![(attr, zoo_param(p, ti, attr, rng, step))],
+            }
+        }
+        _ => {
+            let attr = t.match_attrs[rng.gen_range(0..t.match_attrs.len())];
+            RuleUpdate::Modify {
+                table,
+                matches,
+                set: vec![(attr, any_cell(rng, p.catalog.attr(attr).width))],
+            }
+        }
+    }
 }

@@ -133,21 +133,21 @@ fn counters_are_exact_at_call_boundaries() {
     retired = obs.read();
 
     // A session never drops its manager: every update must publish.
-    let mut left = goto.clone();
-    let mut s = IncrementalChecker::new(&left, &goto, &cfg).unwrap();
+    let mut s = IncrementalChecker::new(&goto, &goto, &cfg).unwrap();
     assert_eq!(obs.read(), plus(retired, s.dd_stats()), "after new");
-    let out = left.catalog.lookup("out").expect("gwlb outputs");
+    let out = goto.catalog.lookup("out").expect("gwlb outputs");
     for step in 0..40 {
+        let left = s.left();
         let t = &left.tables[1 + step % (left.tables.len() - 1)];
         let u = RuleUpdate::Modify {
             table: t.name.clone(),
             matches: t.entries[step % t.entries.len()].matches.clone(),
             set: vec![(out, Value::sym(format!("moved-{step}")))],
         };
-        let rows = delta_rows(&left, &u);
-        apply_update(&mut left, &u).unwrap();
+        let rows = delta_rows(left, &u);
         let worked = s.dd_stats();
-        s.update(Side::Left, &left, &rows, 1, step as u64).unwrap();
+        s.update(Side::Left, &rows, 1, step as u64, |p| apply_update(p, &u))
+            .unwrap();
         assert!(!s.last_dirty().is_empty(), "step {step} fell back");
         assert_ne!(s.dd_stats(), worked, "step {step} did no work");
         assert_eq!(

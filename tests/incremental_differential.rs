@@ -7,13 +7,16 @@
 //!
 //! The streams exercise every delta class the session distinguishes —
 //! action-only modifies, match-cell modifies (old and new row: two dirty
-//! cubes), inserts and deletes (structural sync) — on three kinds of
-//! program: one random exact-match table; Enterprise ACL→NAT→L3, where the
-//! modified L3 and NAT rows sit behind the NAT rewrite (their columns are
-//! concrete by the time the executor reaches them, so no dirty cube may
-//! exclude them); and a ternary table whose low-priority rows are partly
-//! shadowed by higher-priority ones. Each mod is first applied to one side
-//! (divergence window) and then mirrored (convergence). Underneath the
+//! cubes), inserts and deletes — on four kinds of program: one random
+//! exact-match table; Enterprise ACL→NAT→L3, where the modified L3 and NAT
+//! rows sit behind the NAT rewrite (their columns are concrete by the time
+//! the executor reaches them, so no dirty cube may exclude them); a ternary
+//! table whose low-priority rows are partly shadowed by higher-priority
+//! ones; and `common::reach_zoo`, where the footprint of a row is narrowed
+//! by the path that reaches its table (goto fan-out, `next`, `Fall`, a
+//! rewritten header, a metadata join) and every table is edited. Each mod
+//! is first applied to one side (divergence window) and then mirrored
+//! (convergence). Underneath the
 //! session, the restricted compile is held to its definition on random
 //! multi-table programs and random dirty-cube sets. CI runs this file at
 //! `MAPRO_THREADS=1` and `=4`, so everything asserted here must be
@@ -220,17 +223,17 @@ fn verdict_matches_fresh(s: &IncrementalChecker, ctx: &str) {
     }
 }
 
-/// Drive one seeded stream of `next_mod`s through a session over two
-/// copies of `base`, checking the verdict against a fresh check after
-/// every single mod.
+/// Drive one seeded stream of `steps` `next_mod`s through a session over
+/// two copies of `base`, checking the verdict against a fresh check after
+/// every single mod. A mod whose rows some packet can reach must stay on
+/// the delta path; one that no packet can reach dirties nothing.
 fn stream_tracks_fresh_checks(
     base: &Pipeline,
     seed: u64,
+    steps: usize,
     mut next_mod: impl FnMut(&Pipeline, usize, &mut SmallRng) -> RuleUpdate,
 ) {
-    let mut left = base.clone();
-    let mut right = base.clone();
-    let mut s = IncrementalChecker::new(&left, &right, &SymConfig::default()).unwrap();
+    let mut s = IncrementalChecker::new(base, base, &SymConfig::default()).unwrap();
     assert!(
         s.verdict().is_equivalent(),
         "identical pair at session start"
@@ -238,26 +241,33 @@ fn stream_tracks_fresh_checks(
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x1CE);
     let mut txn = 0u64;
-    for step in 0..6usize {
-        let u = next_mod(&left, step, &mut rng);
+    for step in 0..steps {
+        let u = next_mod(s.left(), step, &mut rng);
 
         // Divergence window: the mod lands on the left only.
-        let rows = delta_rows(&left, &u);
-        apply_update(&mut left, &u).unwrap();
+        let rows = delta_rows(s.left(), &u);
         txn += 1;
-        let t = s.update(Side::Left, &left, &rows, 1, txn).unwrap();
+        let t = s
+            .update(Side::Left, &rows, 1, txn, |p| apply_update(p, &u))
+            .unwrap();
         assert_eq!(t.verdict, s.verdict(), "token reports the session verdict");
-        assert!(
-            !s.last_dirty().is_empty(),
+        let reachable = s
+            .left()
+            .flowmod_footprint(&rows)
+            .iter()
+            .any(Option::is_some);
+        assert_eq!(
+            s.last_dirty().is_empty(),
+            !reachable,
             "seed {seed} step {step}: {u:?} fell back to a full rebuild"
         );
-        verdict_matches_fresh(&s, &format!("seed {seed} step {step} diverged"));
+        verdict_matches_fresh(&s, &format!("seed {seed} step {step} diverged {u:?}"));
 
         // Convergence: mirror the same mod to the right.
-        let rows = delta_rows(&right, &u);
-        apply_update(&mut right, &u).unwrap();
+        let rows = delta_rows(s.right(), &u);
         txn += 1;
-        s.update(Side::Right, &right, &rows, 1, txn).unwrap();
+        s.update(Side::Right, &rows, 1, txn, |p| apply_update(p, &u))
+            .unwrap();
         assert!(
             s.verdict().is_equivalent(),
             "seed {seed} step {step}: mirrored mod must reconverge"
@@ -271,11 +281,10 @@ fn stream_tracks_fresh_checks(
 #[test]
 fn match_changing_modify_dirties_old_and_new_row() {
     let (p, [f, _, _]) = shadowed_table();
-    let mut left = p.clone();
-    let mut s = IncrementalChecker::new(&left, &p, &SymConfig::default()).unwrap();
+    let mut s = IncrementalChecker::new(&p, &p, &SymConfig::default()).unwrap();
     let u = RuleUpdate::Modify {
         table: "t".into(),
-        matches: left.tables[0].entries[2].matches.clone(),
+        matches: p.tables[0].entries[2].matches.clone(),
         set: vec![(
             f,
             Value::Ternary {
@@ -284,9 +293,9 @@ fn match_changing_modify_dirties_old_and_new_row() {
             },
         )],
     };
-    let rows = delta_rows(&left, &u);
-    apply_update(&mut left, &u).unwrap();
-    s.update(Side::Left, &left, &rows, 1, 1).unwrap();
+    let rows = delta_rows(&p, &u);
+    s.update(Side::Left, &rows, 1, 1, |p| apply_update(p, &u))
+        .unwrap();
     assert_eq!(s.last_dirty().len(), 2, "{:?}", s.last_dirty());
     verdict_matches_fresh(&s, "moved half-space");
 }
@@ -364,10 +373,29 @@ proptest! {
     ) {
         let spec = RandomSpec { fields, rows, domain: 6, planted: vec![(0, 1)] };
         let rt = random_table(&spec, seed);
-        stream_tracks_fresh_checks(&rt.pipeline, seed, |p, step, rng| random_mod(p, &rt, step, rng));
+        stream_tracks_fresh_checks(&rt.pipeline, seed, 6, |p, step, rng| random_mod(p, &rt, step, rng));
         let e = Enterprise::random(rows, 3, seed);
-        stream_tracks_fresh_checks(&e.pipeline, seed, |p, step, rng| enterprise_mod(p, &e, step, rng));
+        stream_tracks_fresh_checks(&e.pipeline, seed, 6, |p, step, rng| enterprise_mod(p, &e, step, rng));
         let (shadowed, attrs) = shadowed_table();
-        stream_tracks_fresh_checks(&shadowed, seed, |p, step, rng| shadowed_mod(p, attrs, step, rng));
+        stream_tracks_fresh_checks(&shadowed, seed, 6, |p, step, rng| shadowed_mod(p, attrs, step, rng));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50))]
+
+    /// Flow-mods on every table of a program whose footprints are narrowed
+    /// by the path that reaches the edited table — goto fan-out, `next`,
+    /// `Fall` misses, a rewritten header and a metadata join (see
+    /// `common::reach_zoo`): twelve updates a case, each followed by a
+    /// fresh check of verdict and witness. A footprint that drops a `Fall`
+    /// edge or keeps a rewritten attribute loses a changed region and fails
+    /// here.
+    #[test]
+    fn reach_conditioned_footprints_track_fresh_checks(seed in 0u64..1_000_000) {
+        let p = common::reach_zoo(&mut SmallRng::seed_from_u64(seed));
+        stream_tracks_fresh_checks(&p, seed, 6, |p, step, rng| {
+            common::reach_zoo_edit(p, step as u64, rng)
+        });
     }
 }

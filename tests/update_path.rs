@@ -15,8 +15,11 @@
 //! behaviour cover to lean on: after every flow-mod a cache hit must be a
 //! verdict the fresh compile would give. They run on GWLB (both forms), on
 //! Enterprise (NAT rewrites what L3 matches, so most footprints constrain
-//! nothing and must evict conservatively) and on a random table of
-//! overlapping ternary rows.
+//! nothing and must evict conservatively), on a random table of
+//! overlapping ternary rows, and on `common::reach_zoo`, whose footprints
+//! are narrowed by the path that reaches the edited table.
+
+mod common;
 
 use mapro::control::{RuleUpdate, UpdatePlan};
 use mapro::core::value::low_mask;
@@ -30,7 +33,7 @@ use rand::{Rng, SeedableRng};
 
 /// A random flow-mod against `p`. `fresh` is a value no match cell holds
 /// yet, so rewritten and inserted match tuples stay unique.
-fn random_update(p: &Pipeline, rng: &mut SmallRng, fresh: u64) -> RuleUpdate {
+fn random_update(p: &Pipeline, fresh: u64, rng: &mut SmallRng) -> RuleUpdate {
     let t = &p.tables[rng.gen_range(0..p.tables.len())];
     let e = &t.entries[rng.gen_range(0..t.len())];
     let col = rng.gen_range(0..t.match_attrs.len());
@@ -165,9 +168,14 @@ fn assert_equals_fresh_compile(
     }
 }
 
-/// Drive `start` through ten random flow-mods (every third followed by a
-/// plan that fails midway), comparing against a fresh compile throughout.
-fn churn_equals_fresh_compiles(start: Pipeline, seed: u64) {
+/// Drive `start` through ten flow-mods drawn by `next` (every third
+/// followed by a plan that fails midway), comparing against a fresh compile
+/// throughout.
+fn churn_equals_fresh_compiles(
+    start: Pipeline,
+    seed: u64,
+    mut next: impl FnMut(&Pipeline, u64, &mut SmallRng) -> RuleUpdate,
+) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut want = start.clone();
     let mut live = LiveSwitch::eswitch(start.clone()).expect("compiles");
@@ -181,7 +189,7 @@ fn churn_equals_fresh_compiles(start: Pipeline, seed: u64) {
     assert_equals_fresh_compile(&mut live, &mut cached, &want, seed, "install");
 
     for step in 0..10u64 {
-        let u = random_update(&want, &mut rng, 50_000 + step);
+        let u = next(&want, 50_000 + step, &mut rng);
         let ctx = format!("seed {seed} step {step} {u:?}");
         mapro::control::apply_update(&mut want, &u).expect("generated against `want`");
         live.apply_update(&u).expect("valid update");
@@ -194,7 +202,7 @@ fn churn_equals_fresh_compiles(start: Pipeline, seed: u64) {
         // first one landed and was recompiled; rollback must undo both
         // halves. The cached engines refuse the bad flow-mod outright.
         if step % 3 == 2 {
-            let ok = random_update(&want, &mut rng, 60_000 + step);
+            let ok = random_update(&want, 60_000 + step, &mut rng);
             let bad = failing_update(&want, &mut rng);
             let ctx = format!("seed {seed} step {step} rollback of [{ok:?}, {bad:?}]");
             let plan = UpdatePlan {
@@ -246,18 +254,37 @@ proptest! {
         } else {
             g.universal.clone()
         };
-        churn_equals_fresh_compiles(start, seed);
+        churn_equals_fresh_compiles(start, seed, random_update);
     }
 
     #[test]
     fn rewritten_fields_are_invalidated_conservatively(seed in 0u64..10_000) {
-        churn_equals_fresh_compiles(Enterprise::random(8, 3, seed).pipeline, seed);
+        churn_equals_fresh_compiles(Enterprise::random(8, 3, seed).pipeline, seed, random_update);
     }
 
     #[test]
     fn overlapping_ternary_rows_are_invalidated_by_their_own_cubes(seed in 0u64..10_000) {
         let start = ternary_table(&mut SmallRng::seed_from_u64(seed));
-        churn_equals_fresh_compiles(start, seed);
+        churn_equals_fresh_compiles(start, seed, random_update);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Flow-mods on every table of a program whose footprints are narrowed
+    /// by the path that reaches the edited table — goto fan-out, `next`,
+    /// `Fall` misses, a rewritten header and a metadata join (see
+    /// `common::reach_zoo`): ten updates a case, after each of which every
+    /// probe through the cached engines gets the fresh engine's verdict. A
+    /// footprint that drops a `Fall` edge or keeps a rewritten attribute
+    /// leaves a stale megaflow behind and fails here.
+    #[test]
+    fn reach_conditioned_invalidation_serves_no_stale_megaflow(seed in 0u64..1_000_000) {
+        let start = common::reach_zoo(&mut SmallRng::seed_from_u64(seed));
+        churn_equals_fresh_compiles(start, seed, |p, step, rng| {
+            common::reach_zoo_edit(p, step, rng)
+        });
     }
 }
 
