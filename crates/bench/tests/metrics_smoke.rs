@@ -292,6 +292,52 @@ fn controller_pre_registers_and_fills_the_per_hop_plan_histograms() {
 }
 
 #[test]
+fn live_switch_pre_registers_and_fills_the_bundle_histograms() {
+    use mapro_control::{Controller, DriverConfig, FaultPlan, FaultyChannel};
+
+    // The split of `LiveSwitch::deliver` beneath `control.plan.deliver_ns`
+    // for a bundled intent: staging, then the atomic commit.
+    const HOPS: [&str; 2] = ["switch.live.prepare_ns", "switch.live.commit_ns"];
+    let samples = || -> Vec<Option<u64>> {
+        let snap = mapro_obs::registry().snapshot();
+        HOPS.iter()
+            .map(|hop| {
+                snap.entries
+                    .iter()
+                    .find(|e| e.name == *hop)
+                    .map(|e| match &e.value {
+                        mapro_obs::MetricValue::Histogram(h) => h.count,
+                        other => panic!("{hop} must be a histogram, got {other:?}"),
+                    })
+            })
+            .collect()
+    };
+
+    let g = mapro_workloads::Gwlb::fig1();
+    let p = g.universal.clone();
+    let switch = mapro_switch::LiveSwitch::eswitch(p.clone()).expect("compiles");
+    let registered = samples();
+    let mut ch = FaultyChannel::new(switch, FaultPlan::lossless(7));
+    let mut ctl = Controller::new(p.clone(), DriverConfig::default());
+    let plan = g.move_service_port(&p, 0, 8080);
+    assert!(
+        plan.needs_bundle(),
+        "the universal table moves a port in a bundle"
+    );
+    ctl.apply_plan(&mut ch, &plan).expect("delivered");
+
+    if cfg!(feature = "obs") {
+        for ((hop, before), after) in HOPS.iter().zip(registered).zip(samples()) {
+            let before = before.unwrap_or_else(|| panic!("{hop} not pre-registered"));
+            assert!(
+                after.expect("still registered") > before,
+                "{hop}: no sample for the bundle"
+            );
+        }
+    }
+}
+
+#[test]
 fn repro_rejects_unknown_arguments() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("--definitely-not-a-flag")

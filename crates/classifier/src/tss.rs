@@ -6,7 +6,7 @@
 //! the number of distinct tuples, which is why OVS performance depends on
 //! the variety of wildcard patterns rather than raw entry count.
 
-use crate::view::TableView;
+use crate::view::{MatchRow, Rows, TableView};
 use crate::{Classifier, LookupStats, TemplateKind};
 use mapro_core::value::prefix_mask;
 use mapro_core::Value;
@@ -35,6 +35,39 @@ impl std::fmt::Display for BadCell {
 
 impl std::error::Error for BadCell {}
 
+/// A cell's care mask and key within its tuple; `None` for a symbolic
+/// cell.
+fn cell_tuple(v: &Value, w: u32) -> Option<(u64, u64)> {
+    Some(match *v {
+        Value::Int(x) => (prefix_mask(w as u8, w), x),
+        Value::Prefix { bits, len } => (prefix_mask(len, w), bits),
+        Value::Ternary { bits, mask } => (mask, bits & mask),
+        Value::Any => (0, 0),
+        Value::Sym(_) => return None,
+    })
+}
+
+/// How many distinct mask tuples the rows fall into: the probes of a
+/// [`TupleSpace`] lookup, counted without building one. (A symbolic
+/// cell, which the build refuses, counts as a wildcard.)
+pub(crate) fn mask_tuples<R: MatchRow>(rows: &Rows<'_, R>) -> usize {
+    let mut tuples: Vec<MaskTuple> = Vec::new();
+    let mut mask = Vec::with_capacity(rows.cols());
+    for row in rows.rows {
+        mask.clear();
+        mask.extend(
+            row.cells()
+                .iter()
+                .zip(rows.widths)
+                .map(|(v, &w)| cell_tuple(v, w).map_or(0, |(m, _)| m)),
+        );
+        if !tuples.contains(&mask) {
+            tuples.push(mask.clone());
+        }
+    }
+    tuples.len()
+}
+
 impl TupleSpace {
     /// Build from a view. Handles exact, prefix, ternary and wildcard
     /// cells (i.e. every predicate kind).
@@ -43,15 +76,8 @@ impl TupleSpace {
         for (i, row) in view.rows.iter().enumerate() {
             let mut mask = Vec::with_capacity(view.cols());
             let mut key = Vec::with_capacity(view.cols());
-            for (c, v) in row.iter().enumerate() {
-                let w = view.widths[c];
-                let (m, k) = match *v {
-                    Value::Int(x) => (prefix_mask(w as u8, w), x),
-                    Value::Prefix { bits, len } => (prefix_mask(len, w), bits),
-                    Value::Ternary { bits, mask } => (mask, bits & mask),
-                    Value::Any => (0, 0),
-                    Value::Sym(_) => return Err(BadCell),
-                };
+            for (v, &w) in row.iter().zip(&view.widths) {
+                let (m, k) = cell_tuple(v, w).ok_or(BadCell)?;
                 mask.push(m);
                 key.push(k & m);
             }

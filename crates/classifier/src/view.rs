@@ -6,8 +6,12 @@
 //! prefix table becomes an LPM trie, anything else falls back to the slow
 //! generic wildcard classifier. [`TableShape`] is that analysis; the
 //! concrete templates live in the sibling modules.
+//!
+//! The analysis reads [`Rows`]: match rows borrowed in place, either a
+//! [`TableView`]'s own or a table's entries, so a datapath recompiling a
+//! table after a flow-mod copies none of them.
 
-use mapro_core::{Catalog, Table, Value};
+use mapro_core::{Catalog, Entry, Table, Value};
 
 /// The match-relevant content of a table: column widths and predicate
 /// rows, in priority order. Classifiers build from this.
@@ -19,18 +23,36 @@ pub struct TableView {
     pub rows: Vec<Vec<Value>>,
 }
 
-impl TableView {
-    /// Extract the view of `table`'s match columns.
-    pub fn of(table: &Table, catalog: &Catalog) -> TableView {
-        let widths = table
-            .match_attrs
-            .iter()
-            .map(|&a| catalog.attr(a).width)
-            .collect();
-        let rows = table.entries.iter().map(|e| e.matches.clone()).collect();
-        TableView { widths, rows }
-    }
+/// One row of match predicates, one per match column.
+pub trait MatchRow {
+    /// The predicates.
+    fn cells(&self) -> &[Value];
+}
 
+impl MatchRow for Vec<Value> {
+    fn cells(&self) -> &[Value] {
+        self
+    }
+}
+
+impl MatchRow for Entry {
+    fn cells(&self) -> &[Value] {
+        &self.matches
+    }
+}
+
+/// Match rows read in place: column widths and rows in priority order.
+/// What [`table_shape`], the ternary cells and the template stats
+/// (`Rows::{specialized, generic, tcam}_stats`) read.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a, R> {
+    /// Bit width per match column.
+    pub widths: &'a [u32],
+    /// Rows (priority = index).
+    pub rows: &'a [R],
+}
+
+impl<R: MatchRow> Rows<'_, R> {
     /// Number of match columns.
     pub fn cols(&self) -> usize {
         self.widths.len()
@@ -46,10 +68,14 @@ impl TableView {
         self.rows.is_empty()
     }
 
+    fn column(&self, c: usize) -> impl Iterator<Item = &Value> + Clone {
+        self.rows.iter().map(move |r| &r.cells()[c])
+    }
+
     /// Columns that actually constrain packets (not `Any` in every row).
     pub fn active_cols(&self) -> Vec<usize> {
         (0..self.cols())
-            .filter(|&c| self.rows.iter().any(|r| !matches!(r[c], Value::Any)))
+            .filter(|&c| self.column(c).any(|v| !matches!(v, Value::Any)))
             .collect()
     }
 
@@ -60,12 +86,106 @@ impl TableView {
     /// matches `v` iff `(v ^ bits) & mask == 0`.
     pub fn ternary_rows(&self) -> Option<Vec<(u64, u64)>> {
         let mut cells = Vec::with_capacity(self.len() * self.cols());
-        for row in &self.rows {
-            for (c, v) in row.iter().enumerate() {
-                cells.push(v.as_ternary(self.widths[c])?);
+        for row in self.rows {
+            for (v, &w) in row.cells().iter().zip(self.widths) {
+                cells.push(v.as_ternary(w)?);
             }
         }
         Some(cells)
+    }
+
+    /// The structural class of these rows. See [`TableShape`].
+    pub fn shape(&self) -> TableShape {
+        let active = self.active_cols();
+        // "Exact" columns may contain sporadic Any cells; those defeat a
+        // plain hash (a hash key can't wildcard), so require Int everywhere.
+        let strictly_exact = active
+            .iter()
+            .all(|&c| self.column(c).all(|v| matches!(v, Value::Int(_))));
+        if active.is_empty() || strictly_exact {
+            return TableShape::AllExact { cols: active };
+        }
+        if let [c] = active[..] {
+            let prefix_like = self
+                .column(c)
+                .all(|v| matches!(v, Value::Prefix { .. } | Value::Int(_) | Value::Any));
+            if prefix_like && self.lpm_safe(c) {
+                return TableShape::SinglePrefix { col: c };
+            }
+        }
+        TableShape::General
+    }
+
+    /// First-match order agrees with longest-prefix-match order: for every
+    /// overlapping pair, the earlier (higher-priority) row is strictly
+    /// longer.
+    fn lpm_safe(&self, col: usize) -> bool {
+        let w = self.widths[col];
+        let mut earlier = self.column(col);
+        while let Some(a) = earlier.next() {
+            let later = earlier.clone();
+            for b in later {
+                if a.intersects(b, w) && prefix_len(a, w) <= prefix_len(b, w) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The longest prefix in column `col` (an exact value is a host
+    /// prefix, `Any` one of length 0): an LPM trie's depth.
+    pub(crate) fn longest_prefix(&self, col: usize) -> usize {
+        let w = self.widths[col];
+        self.column(col)
+            .map(|v| usize::from(prefix_len(v, w)))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Prefix length of a prefix-like cell of width `w`.
+fn prefix_len(v: &Value, w: u32) -> u8 {
+    match *v {
+        Value::Int(_) => w as u8,
+        Value::Prefix { len, .. } => len,
+        _ => 0,
+    }
+}
+
+impl TableView {
+    /// Extract the view of `table`'s match columns.
+    pub fn of(table: &Table, catalog: &Catalog) -> TableView {
+        let widths = table
+            .match_attrs
+            .iter()
+            .map(|&a| catalog.attr(a).width)
+            .collect();
+        let rows = table.entries.iter().map(|e| e.matches.clone()).collect();
+        TableView { widths, rows }
+    }
+
+    /// The view's rows, borrowed.
+    pub fn as_rows(&self) -> Rows<'_, Vec<Value>> {
+        Rows {
+            widths: &self.widths,
+            rows: &self.rows,
+        }
+    }
+
+    /// Number of match columns.
+    pub fn cols(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
     }
 
     /// Reference lookup: first (highest-priority) matching row. All
@@ -104,54 +224,7 @@ pub enum TableShape {
 
 /// Classify a view. See [`TableShape`].
 pub fn table_shape(view: &TableView) -> TableShape {
-    let active = view.active_cols();
-    let all_exact = active.iter().all(|&c| {
-        view.rows
-            .iter()
-            .all(|r| matches!(r[c], Value::Int(_) | Value::Any))
-    });
-    // "Exact" columns may still contain sporadic Any cells; those defeat a
-    // plain hash (a hash key can't wildcard), so require Int everywhere.
-    let strictly_exact = active
-        .iter()
-        .all(|&c| view.rows.iter().all(|r| matches!(r[c], Value::Int(_))));
-    if active.is_empty() || (all_exact && strictly_exact) {
-        return TableShape::AllExact { cols: active };
-    }
-    if active.len() == 1 {
-        let c = active[0];
-        let prefix_like = view
-            .rows
-            .iter()
-            .all(|r| matches!(r[c], Value::Prefix { .. } | Value::Int(_) | Value::Any));
-        if prefix_like && lpm_safe(view, c) {
-            return TableShape::SinglePrefix { col: c };
-        }
-    }
-    TableShape::General
-}
-
-/// First-match order agrees with longest-prefix-match order: for every
-/// overlapping pair, the earlier (higher-priority) row is strictly longer.
-fn lpm_safe(view: &TableView, col: usize) -> bool {
-    let w = view.widths[col];
-    let len_of = |v: &Value| -> u8 {
-        match *v {
-            Value::Int(_) => w as u8,
-            Value::Prefix { len, .. } => len,
-            Value::Any => 0,
-            _ => 0,
-        }
-    };
-    for i in 0..view.rows.len() {
-        for j in i + 1..view.rows.len() {
-            let (a, b) = (&view.rows[i][col], &view.rows[j][col]);
-            if a.intersects(b, w) && len_of(a) <= len_of(b) {
-                return false;
-            }
-        }
-    }
-    true
+    view.as_rows().shape()
 }
 
 #[cfg(test)]

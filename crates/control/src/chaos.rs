@@ -249,7 +249,8 @@ pub fn run_chaos<E: Endpoint>(
                         CrashInjector::random(cfg.crash_rate, cfg.seed ^ splitmix(lease.epoch))
                     };
                     let mut ctl =
-                        Controller::recover(wal.clone(), cfg.driver.clone(), lease.epoch, crash);
+                        Controller::recover(wal.clone(), cfg.driver.clone(), lease.epoch, crash)
+                            .expect("the log holds only plans the controllers validated");
                     match ctl.recover_switch(&mut channels[node]) {
                         Ok(rep) => {
                             note_recovery(&mut report, &rep);
@@ -371,7 +372,12 @@ pub fn run_chaos<E: Endpoint>(
     report.repairs = stats.repairs;
     report.switch_restarts = channels.iter().map(|c| c.stats().restarts).sum();
     report.wal_records = wal.borrow().len();
-    report.in_doubt_final = wal.borrow().replay().in_doubt.len();
+    report.in_doubt_final = wal
+        .borrow()
+        .replay()
+        .expect("the log holds only plans the controllers validated")
+        .in_doubt
+        .len();
     report.elapsed_ns = channels.iter().map(|c| c.now_ns()).max().unwrap_or(0);
     report
 }
@@ -439,7 +445,7 @@ mod tests {
                         let mut next = self.pipeline.clone();
                         match us
                             .iter()
-                            .try_for_each(|u| updates::apply_update(&mut next, u))
+                            .try_for_each(|u| updates::apply_update(&mut next, u).map(drop))
                         {
                             Ok(()) => {
                                 self.pipeline = next.clone();

@@ -35,7 +35,7 @@ use crate::channel::{
     Ack, AckError, AckOk, BundleId, Endpoint, Epoch, FaultyChannel, FlowMod, FlowModOp, TxnId,
 };
 use crate::updates::{self, ApplyError, RuleUpdate, UpdatePlan};
-use crate::wal::{SharedWal, Wal, WalRecord};
+use crate::wal::{ReplayError, SharedWal, Wal, WalRecord};
 use mapro_core::{EquivConfig, EquivOutcome, Pipeline, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -453,14 +453,15 @@ impl Controller {
 
     /// A successor generation: replay `wal` to the predecessor's intended
     /// state and take over under `epoch` (which the election guarantees
-    /// is fresher than anything the dead generation sent).
+    /// is fresher than anything the dead generation sent). A corrupt log
+    /// is refused, never recovered from.
     pub fn recover(
         wal: SharedWal,
         cfg: DriverConfig,
         epoch: Epoch,
         crash: CrashInjector,
-    ) -> Controller {
-        let replay = wal.borrow().replay();
+    ) -> Result<Controller, ReplayError> {
+        let replay = wal.borrow().replay()?;
         let mut ctl = Controller::with_wal(wal, replay.intended, cfg, epoch);
         ctl.next_txn = replay.next_txn;
         // Predecessor bundles are fenced by epoch; ids may restart.
@@ -469,7 +470,7 @@ impl Controller {
         ctl.deferred = replay.in_doubt.len() as u64;
         ctl.in_doubt_at_recovery = replay.in_doubt.len();
         ctl.wal_records_at_recovery = replay.records;
-        ctl
+        Ok(ctl)
     }
 
     /// Install a crash injector (chaos harness / tests).
@@ -716,7 +717,7 @@ impl Controller {
     /// (the intent is adopted and logged; bulk reconciliation repairs).
     ///
     /// Each hop records its wall time in a `control.plan.*_ns` histogram:
-    /// `adopt` (the plan on a copy of the intended state), `wal` (each
+    /// `adopt` (the plan, in place on the intended state), `wal` (each
     /// `Begin` and `Commit` append), `proof_intended` (the verifier's
     /// intended side), `deliver` (the flow-mods over the channel) and
     /// `proof_committed` (the committed shadow and its receipt).
@@ -743,19 +744,21 @@ impl Controller {
                 deferred: self.deferred,
             });
         }
+        // Adopt in place: `apply_plan` is all-or-nothing, so an invalid
+        // plan leaves the intended state as it was.
         let adopt = mapro_obs::time!("control.plan.adopt_ns");
-        let mut next = self.intended.clone();
-        updates::apply_plan(&mut next, plan).map_err(DriverError::PlanInvalid)?;
-        // The update's footprint rows, computed once against the
-        // pre-adoption schema: the verifier's dirty region and (in the
-        // switch) megaflow invalidation both key off these.
+        updates::apply_plan(&mut self.intended, plan).map_err(DriverError::PlanInvalid)?;
+        // The update's footprint rows, computed once (they read only the
+        // schema, which entry edits never change): the verifier's dirty
+        // region and (in the switch) megaflow invalidation both key off
+        // these.
         let delta = self
             .verifier
             .is_some()
             .then(|| updates::plan_delta_rows(&self.intended, plan));
         drop(adopt);
-        // Intent admitted: log it before anything reaches the wire, then
-        // adopt it. From here on the plan survives this controller.
+        // Intent admitted: log it before anything reaches the wire. From
+        // here on the plan survives this controller.
         let txn_base = self.next_txn;
         let wal = mapro_obs::time!("control.plan.wal_ns");
         self.wal.borrow_mut().append(WalRecord::Begin {
@@ -764,7 +767,6 @@ impl Controller {
             plan: plan.clone(),
         });
         drop(wal);
-        self.intended = next;
         if let (Some(v), Some(rows)) = (self.verifier.as_mut(), delta.as_deref()) {
             // Advance the session's intended side now, replaying the plan
             // on its own copy; the committed shadow catches up in
@@ -1233,7 +1235,7 @@ mod tests {
                         let mut next = self.pipeline.clone();
                         match us
                             .iter()
-                            .try_for_each(|u| updates::apply_update(&mut next, u))
+                            .try_for_each(|u| updates::apply_update(&mut next, u).map(drop))
                         {
                             Ok(()) => {
                                 self.pipeline = next.clone();
@@ -1302,7 +1304,7 @@ mod tests {
         // doubt.
         let wal = ctl.wal();
         assert_eq!(wal.borrow().len(), 2);
-        assert!(wal.borrow().replay().in_doubt.is_empty());
+        assert!(wal.borrow().replay().unwrap().in_doubt.is_empty());
     }
 
     #[test]
@@ -1458,7 +1460,7 @@ mod tests {
         // (over a healed channel) would repair the switch.
         assert_ne!(ch.endpoint().pipeline, *ctl.intended());
         // And the WAL carries it in doubt.
-        assert_eq!(ctl.wal().borrow().replay().in_doubt.len(), 1);
+        assert_eq!(ctl.wal().borrow().replay().unwrap().in_doubt.len(), 1);
         assert_eq!(ctl.deferred(), 1);
     }
 
@@ -1558,7 +1560,7 @@ mod tests {
         // the receipts without letting them touch state.
         let wal = ctl.wal();
         assert_eq!(wal.borrow().len(), 6);
-        let rep = wal.borrow().replay();
+        let rep = wal.borrow().replay().unwrap();
         assert_eq!(rep.proofs, 2);
         assert!(rep.in_doubt.is_empty());
         assert_eq!(rep.intended, *ctl.intended());
@@ -1584,7 +1586,7 @@ mod tests {
         assert_eq!(ctl.stats().proofs, 0);
         assert!(ctl.last_proof().is_none());
         assert_eq!(ctl.wal().borrow().len(), 1, "Begin only");
-        assert_eq!(ctl.wal().borrow().replay().proofs, 0);
+        assert_eq!(ctl.wal().borrow().replay().unwrap().proofs, 0);
     }
 
     #[test]
@@ -1610,7 +1612,8 @@ mod tests {
         }
         let wal = ctl.wal();
         drop(ctl); // the dead generation
-        let mut heir = Controller::recover(wal, DriverConfig::default(), 1, CrashInjector::Never);
+        let mut heir =
+            Controller::recover(wal, DriverConfig::default(), 1, CrashInjector::Never).unwrap();
         // The heir's intended state includes the begun-but-undelivered
         // plan, and recovery reconciles the switch to it — verified by
         // the symbolic guardrail.
@@ -1652,7 +1655,8 @@ mod tests {
         // finds nothing to repair.
         let wal = ctl.wal();
         drop(ctl);
-        let mut heir = Controller::recover(wal, DriverConfig::default(), 1, CrashInjector::Never);
+        let mut heir =
+            Controller::recover(wal, DriverConfig::default(), 1, CrashInjector::Never).unwrap();
         let report = heir.recover_switch(&mut ch).unwrap();
         assert_eq!(report.in_doubt, 1);
         assert!(report.reconciled && report.verified);
@@ -1670,7 +1674,8 @@ mod tests {
         // A successor takes over under epoch 1 and writes; the switch
         // advances its fence.
         let mut heir =
-            Controller::recover(old.wal(), DriverConfig::default(), 1, CrashInjector::Never);
+            Controller::recover(old.wal(), DriverConfig::default(), 1, CrashInjector::Never)
+                .unwrap();
         heir.apply_plan(&mut ch_new, &move_plan(f, 7, 8)).unwrap();
         assert_eq!(sw.borrow().epoch, 1);
         // The deposed generation's next write is fenced, not applied.

@@ -57,6 +57,6 @@ pub use election::{Election, Lease, LeaseConfig, NodeId};
 pub use monitor::{rules_where, CounterSet};
 pub use updates::{
     apply_plan, apply_plan_silent, apply_prefix, apply_update, apply_update_silent, delta_rows,
-    plan_delta_rows, ApplyError, RuleUpdate, UpdatePlan,
+    plan_delta_rows, undo, ApplyError, RuleUpdate, Undo, UpdatePlan,
 };
-pub use wal::{Replay, SharedWal, Wal, WalRecord};
+pub use wal::{Replay, ReplayError, SharedWal, Wal, WalRecord};

@@ -6,6 +6,10 @@
 //! entries of the universal table but a single entry of the normalized
 //! pipeline. [`UpdatePlan`] is the compiled form of one intent; applying
 //! a *prefix* of a plan models lost or in-flight updates.
+//!
+//! Every update applies in place and returns an [`Undo`] record holding
+//! exactly what it overwrote; [`undo`] takes it back. Rollback therefore
+//! costs the rows an update changed, never a copy of the pipeline.
 
 use mapro_core::{AttrId, Entry, Pipeline, Value};
 use std::fmt;
@@ -67,6 +71,11 @@ pub enum ApplyError {
         /// The offending attribute.
         attr: AttrId,
     },
+    /// An inserted entry's cell counts do not match the table's columns.
+    Arity {
+        /// The table.
+        table: String,
+    },
 }
 
 impl fmt::Display for ApplyError {
@@ -79,14 +88,68 @@ impl fmt::Display for ApplyError {
             ApplyError::AttrNotInTable { table, attr } => {
                 write!(f, "attribute {attr} is not a column of {table:?}")
             }
+            ApplyError::Arity { table } => {
+                write!(f, "entry does not match the columns of {table:?}")
+            }
         }
     }
 }
 
 impl std::error::Error for ApplyError {}
 
-/// Apply one update in place.
-pub fn apply_update(p: &mut Pipeline, u: &RuleUpdate) -> Result<(), ApplyError> {
+/// What one applied update overwrote: enough to restore the pipeline
+/// exactly, and no more. Returned by [`apply_update`]; consumed by
+/// [`undo`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Undo {
+    /// Position of the edited table in `Pipeline::tables`.
+    table: usize,
+    op: UndoOp,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum UndoOp {
+    /// Put back the overwritten `(column, is_match, old value)` cells of
+    /// `row`, last written first.
+    Cells {
+        row: usize,
+        old: Vec<(usize, bool, Value)>,
+    },
+    /// Pop the appended row.
+    Pop,
+    /// Re-insert the removed entry at its index.
+    Reinsert { row: usize, entry: Entry },
+}
+
+/// Take back one applied update. Records must be undone in the reverse
+/// order of application, on the pipeline they were applied to; then the
+/// pipeline is `==` to what it was before.
+///
+/// # Panics
+/// Panics if `record` does not belong to `p`'s current state.
+pub fn undo(p: &mut Pipeline, record: Undo) {
+    let entries = &mut p.tables[record.table].entries;
+    match record.op {
+        UndoOp::Cells { row, old } => {
+            let e = &mut entries[row];
+            for (col, is_match, v) in old.into_iter().rev() {
+                if is_match {
+                    e.matches[col] = v;
+                } else {
+                    e.actions[col] = v;
+                }
+            }
+        }
+        UndoOp::Pop => {
+            entries.pop();
+        }
+        UndoOp::Reinsert { row, entry } => entries.insert(row, entry),
+    }
+}
+
+/// Apply one update in place and return its [`Undo`] record (callers that
+/// never roll back drop it). A refused update leaves `p` untouched.
+pub fn apply_update(p: &mut Pipeline, u: &RuleUpdate) -> Result<Undo, ApplyError> {
     let _t = mapro_obs::time!("control.updates.apply_ns");
     match u {
         RuleUpdate::Modify { .. } => mapro_obs::counter!("control.updates.modifies").inc(),
@@ -99,54 +162,73 @@ pub fn apply_update(p: &mut Pipeline, u: &RuleUpdate) -> Result<(), ApplyError> 
 /// [`apply_update`] without the `control.updates.*` counters — for shadow
 /// replays (the inline verifier's committed-state mirror) that must not
 /// double-count the datapath's own update traffic.
-pub fn apply_update_silent(p: &mut Pipeline, u: &RuleUpdate) -> Result<(), ApplyError> {
-    let table = p
-        .table_mut(u.table())
+pub fn apply_update_silent(p: &mut Pipeline, u: &RuleUpdate) -> Result<Undo, ApplyError> {
+    let ti = p
+        .tables
+        .iter()
+        .position(|t| t.name == u.table())
         .ok_or_else(|| ApplyError::TableNotFound(u.table().to_owned()))?;
-    match u {
+    let table = &mut p.tables[ti];
+    let row_of = |matches: &Vec<Value>| {
+        table
+            .entries
+            .iter()
+            .position(|e| &e.matches == matches)
+            .ok_or_else(|| ApplyError::EntryNotFound {
+                table: table.name.clone(),
+            })
+    };
+    let op = match u {
         RuleUpdate::Modify { matches, set, .. } => {
-            let row = table
-                .entries
-                .iter()
-                .position(|e| &e.matches == matches)
-                .ok_or_else(|| ApplyError::EntryNotFound {
-                    table: table.name.clone(),
-                })?;
+            let row = row_of(matches)?;
             // Resolve columns first so a bad update leaves the table
             // untouched (per-flow-mod atomicity).
-            let mut cols = Vec::with_capacity(set.len());
-            for (attr, _) in set {
-                let col = table.column_of(*attr).ok_or(ApplyError::AttrNotInTable {
-                    table: table.name.clone(),
-                    attr: *attr,
-                })?;
-                cols.push(col);
-            }
-            for ((_, v), (col, is_match)) in set.iter().zip(cols) {
-                if is_match {
-                    table.entries[row].matches[col] = v.clone();
-                } else {
-                    table.entries[row].actions[col] = v.clone();
-                }
-            }
-            Ok(())
+            let cols = set
+                .iter()
+                .map(|(attr, _)| {
+                    table
+                        .column_of(*attr)
+                        .ok_or_else(|| ApplyError::AttrNotInTable {
+                            table: table.name.clone(),
+                            attr: *attr,
+                        })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let e = &mut table.entries[row];
+            let old = set
+                .iter()
+                .zip(cols)
+                .map(|((_, v), (col, is_match))| {
+                    let cell = if is_match {
+                        &mut e.matches[col]
+                    } else {
+                        &mut e.actions[col]
+                    };
+                    (col, is_match, std::mem::replace(cell, v.clone()))
+                })
+                .collect();
+            UndoOp::Cells { row, old }
         }
         RuleUpdate::Insert { entry, .. } => {
-            table.push(entry.clone());
-            Ok(())
+            if entry.matches.len() != table.match_attrs.len()
+                || entry.actions.len() != table.action_attrs.len()
+            {
+                return Err(ApplyError::Arity {
+                    table: table.name.clone(),
+                });
+            }
+            table.entries.push(entry.clone());
+            UndoOp::Pop
         }
         RuleUpdate::Delete { matches, .. } => {
-            let row = table
-                .entries
-                .iter()
-                .position(|e| &e.matches == matches)
-                .ok_or_else(|| ApplyError::EntryNotFound {
-                    table: table.name.clone(),
-                })?;
-            table.entries.remove(row);
-            Ok(())
+            let row = row_of(matches)?;
+            UndoOp::Reinsert {
+                row,
+                entry: table.entries.remove(row),
+            }
         }
-    }
+    };
+    Ok(Undo { table: ti, op })
 }
 
 /// A compiled intent: the flow-mods realizing one semantic change.
@@ -170,20 +252,35 @@ impl UpdatePlan {
     }
 }
 
-/// Apply a whole plan.
+/// Apply a whole plan in place, all or nothing: if an update is refused,
+/// the ones before it are undone and `p` is `==` to what it was.
 pub fn apply_plan(p: &mut Pipeline, plan: &UpdatePlan) -> Result<(), ApplyError> {
     mapro_obs::counter!("control.updates.plans").inc();
     mapro_obs::histogram!("control.updates.plan_size").record(plan.updates.len() as u64);
-    for u in &plan.updates {
-        apply_update(p, u)?;
-    }
-    Ok(())
+    apply_all(p, plan, apply_update)
 }
 
 /// [`apply_plan`] without counters (see [`apply_update_silent`]).
 pub fn apply_plan_silent(p: &mut Pipeline, plan: &UpdatePlan) -> Result<(), ApplyError> {
+    apply_all(p, plan, apply_update_silent)
+}
+
+fn apply_all(
+    p: &mut Pipeline,
+    plan: &UpdatePlan,
+    apply: fn(&mut Pipeline, &RuleUpdate) -> Result<Undo, ApplyError>,
+) -> Result<(), ApplyError> {
+    let mut done = Vec::with_capacity(plan.updates.len());
     for u in &plan.updates {
-        apply_update_silent(p, u)?;
+        match apply(p, u) {
+            Ok(record) => done.push(record),
+            Err(e) => {
+                for record in done.into_iter().rev() {
+                    undo(p, record);
+                }
+                return Err(e);
+            }
+        }
     }
     Ok(())
 }
@@ -338,6 +435,82 @@ mod tests {
             ),
             Err(ApplyError::AttrNotInTable { .. })
         ));
+    }
+
+    #[test]
+    fn undo_restores_every_kind_exactly() {
+        let (p, f, out) = pipeline();
+        let updates = [
+            // Writes `f` twice: undo must put back the original, not 9.
+            RuleUpdate::Modify {
+                table: "t".into(),
+                matches: vec![Value::Int(1)],
+                set: vec![
+                    (f, Value::Int(9)),
+                    (out, Value::sym("z")),
+                    (f, Value::Int(10)),
+                ],
+            },
+            RuleUpdate::Insert {
+                table: "t".into(),
+                entry: Entry::new(vec![Value::Int(3)], vec![Value::sym("c")]),
+            },
+            RuleUpdate::Delete {
+                table: "t".into(),
+                matches: vec![Value::Int(2)],
+            },
+        ];
+        let mut q = p.clone();
+        let mut states = vec![q.clone()];
+        let mut records = Vec::new();
+        for u in &updates {
+            records.push(apply_update(&mut q, u).unwrap());
+            states.push(q.clone());
+        }
+        assert_eq!(q.table("t").unwrap().entries[0].matches[0], Value::Int(10));
+        for record in records.into_iter().rev() {
+            states.pop();
+            undo(&mut q, record);
+            assert_eq!(&q, states.last().unwrap());
+        }
+        assert_eq!(q, p);
+    }
+
+    #[test]
+    fn plans_apply_all_or_nothing() {
+        let (p, f, _) = pipeline();
+        let ok = RuleUpdate::Modify {
+            table: "t".into(),
+            matches: vec![Value::Int(1)],
+            set: vec![(f, Value::Int(11))],
+        };
+        let insert = |matches: Vec<Value>| RuleUpdate::Insert {
+            table: "t".into(),
+            entry: Entry::new(matches, vec![Value::sym("c")]),
+        };
+        for (bad, want) in [
+            (
+                RuleUpdate::Delete {
+                    table: "t".into(),
+                    matches: vec![Value::Int(99)],
+                },
+                ApplyError::EntryNotFound { table: "t".into() },
+            ),
+            (
+                insert(vec![Value::Int(3), Value::Int(4)]),
+                ApplyError::Arity { table: "t".into() },
+            ),
+        ] {
+            let plan = UpdatePlan {
+                intent: "fails third".into(),
+                updates: vec![ok.clone(), insert(vec![Value::Int(3)]), bad],
+            };
+            let mut q = p.clone();
+            assert_eq!(apply_plan(&mut q, &plan), Err(want.clone()));
+            assert_eq!(q, p, "the applied prefix is undone");
+            assert_eq!(apply_plan_silent(&mut q, &plan), Err(want));
+            assert_eq!(q, p);
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! and replayable byte-for-byte.
 
 use crate::channel::{Epoch, TxnId};
-use crate::updates::{self, UpdatePlan};
+use crate::updates::{self, ApplyError, UpdatePlan};
 use mapro_core::Pipeline;
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 /// One append-only log record.
@@ -77,6 +78,29 @@ pub struct Replay {
     /// only, never state.
     pub proofs: usize,
 }
+
+/// Why a log does not replay: a begun plan no longer applies to the state
+/// the records before it rebuilt. The controller validates every plan
+/// before logging it, so the log is corrupt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayError {
+    /// Index of the offending record.
+    pub record: usize,
+    /// Why its plan was refused.
+    pub error: ApplyError,
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "corrupt WAL: the plan of record {} no longer applies: {}",
+            self.record, self.error
+        )
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 /// The append-only intent log. Clone-free shared access goes through
 /// [`SharedWal`].
@@ -140,7 +164,7 @@ impl Wal {
 
     /// Rebuild the predecessor's state by replaying every record in log
     /// order. Deterministic: same log, same result, bit for bit.
-    pub fn replay(&self) -> Replay {
+    pub fn replay(&self) -> Result<Replay, ReplayError> {
         mapro_obs::counter!("control.wal.replays").inc();
         let _sp =
             mapro_obs::trace::span_kv("wal_replay", vec![("records", self.records.len().into())]);
@@ -149,16 +173,16 @@ impl Wal {
         let mut next_txn: TxnId = 1;
         let mut max_epoch: Epoch = 0;
         let mut proofs = 0usize;
-        for rec in &self.records {
+        for (i, rec) in self.records.iter().enumerate() {
             match rec {
                 WalRecord::Begin { txn, epoch, plan } => {
                     // The plan was validated against the then-intended
                     // state before it was logged, so replay cannot fail;
-                    // a failure here means the log is corrupt, and
-                    // recovering to a silently-wrong pipeline would be
-                    // worse than stopping.
+                    // a failure here means the log is corrupt, and is
+                    // reported: recovering to a silently-wrong pipeline
+                    // would be worse than not recovering.
                     updates::apply_plan(&mut intended, plan)
-                        .expect("WAL replay: begun plan no longer applies (corrupt log)");
+                        .map_err(|error| ReplayError { record: i, error })?;
                     in_doubt.push(*txn);
                     // Leave slack for the bundle txns a plan spends.
                     next_txn = next_txn.max(txn + plan.updates.len() as u64 + 4);
@@ -172,14 +196,14 @@ impl Wal {
                 }
             }
         }
-        Replay {
+        Ok(Replay {
             intended,
             next_txn,
             max_epoch,
             in_doubt,
             records: self.records.len(),
             proofs,
-        }
+        })
     }
 }
 
@@ -223,7 +247,7 @@ mod tests {
             });
             wal.append(WalRecord::Commit { txn: 10 + k });
         }
-        let rep = wal.replay();
+        let rep = wal.replay().unwrap();
         assert_eq!(rep.intended, want);
         assert_eq!(rep.in_doubt, Vec::<TxnId>::new());
         assert_eq!(rep.max_epoch, 1);
@@ -247,7 +271,7 @@ mod tests {
             plan: insert_plan(1),
         });
         // Crash here: txn 2 never confirmed.
-        let rep = wal.replay();
+        let rep = wal.replay().unwrap();
         assert_eq!(rep.in_doubt, vec![2]);
         // The in-doubt plan is still part of the intended state — the
         // successor reconciles the switch toward it either way.
@@ -268,6 +292,31 @@ mod tests {
             }
         }
         assert_eq!(wal.replay(), wal.replay());
-        assert_eq!(wal.replay().max_epoch, 1);
+        assert_eq!(wal.replay().unwrap().max_epoch, 1);
+    }
+
+    #[test]
+    fn malformed_insert_is_a_replay_error_not_a_panic() {
+        let p = pipeline();
+        let mut wal = Wal::new(p.clone());
+        wal.append(WalRecord::Begin {
+            txn: 1,
+            epoch: 0,
+            plan: insert_plan(0),
+        });
+        let mut bad = insert_plan(1);
+        bad.updates.push(RuleUpdate::Insert {
+            table: "t".into(),
+            entry: Entry::new(vec![Value::Int(7), Value::Int(8)], vec![Value::sym("a")]),
+        });
+        wal.append(WalRecord::Begin {
+            txn: 2,
+            epoch: 0,
+            plan: bad,
+        });
+        let err = wal.replay().unwrap_err();
+        assert_eq!(err.record, 1);
+        assert_eq!(err.error, crate::ApplyError::Arity { table: "t".into() });
+        assert_eq!(*wal.base(), p, "the base state is untouched");
     }
 }

@@ -18,20 +18,23 @@
 //! The *modeled* cost of a table visit is independent of that layout: it
 //! is `CostParams::lookup_ns` of the stats of the classifier template the
 //! [`TemplatePolicy`] really selects for the table (`mapro-classifier`
-//! builds it once at compile time, for its stats alone). The classifier
-//! decisions agree with any template because every template implements
-//! first-match semantics; [`mapro_core::Pipeline::run`] is the oracle the
-//! test suites compare against.
+//! reads them off the table's rows, without building the template). The
+//! classifier decisions agree with any template because every template
+//! implements first-match semantics; [`mapro_core::Pipeline::run`] is the
+//! oracle the test suites compare against.
 //!
 //! Control-plane edits are table-granular: [`CompiledEngine::apply_update`]
-//! recompiles the one table a flow-mod touches and reuses the rest.
+//! applies a flow-mod to the pipeline in place and recompiles the one
+//! table it touches, reusing the rest. The recompile reads the table's
+//! entries where they are and copies none of them; rolling a flow-mod
+//! back is its [`Undo`] record, which holds exactly the cells or row it
+//! overwrote. (`Cls` and the entry programs are still rebuilt whole for
+//! the touched table.)
 
 use crate::cost::{CostParams, TemplatePolicy};
-use mapro_classifier::{
-    build_generic, build_specialized, table_shape, Classifier, TableShape, TableView, TemplateKind,
-};
-use mapro_control::RuleUpdate;
-use mapro_core::{ActionSem, AttrId, AttrKind, MissPolicy, Packet, Pipeline, Table, Value};
+use mapro_classifier::{Rows, TableShape, TemplateKind};
+use mapro_control::{RuleUpdate, Undo};
+use mapro_core::{ActionSem, AttrId, AttrKind, Entry, MissPolicy, Packet, Pipeline, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -123,7 +126,7 @@ enum Cls {
         map: HashMap<Vec<u64>, u32>,
     },
     /// First-match scan over the flat canonical ternary cells
-    /// ([`TableView::ternary_rows`]), row-major.
+    /// ([`Rows::ternary_rows`]), row-major.
     Scan {
         regs: Vec<usize>,
         cells: Vec<(u64, u64)>,
@@ -297,40 +300,34 @@ fn compile_table(
     params: &CostParams,
 ) -> Result<CTable, CompileError> {
     let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
-    let view = TableView::of(t, &p.catalog);
-    for row in &view.rows {
-        if row.iter().any(|v| matches!(v, Value::Sym(_))) {
-            return Err(CompileError::BadMatchCell {
-                table: t.name.clone(),
-            });
-        }
-    }
-    // The policy's real classifier is built once, solely for its template
-    // stats: the modeled per-visit cost is a property of the data
-    // structure the modeled switch would use, not of `Cls`.
-    let stats = match policy {
-        TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
-        TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
-        TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
-            .expect("unbounded capacity")
-            .stats(),
+    // The match rows are read in place, never copied.
+    let widths: Vec<u32> = t
+        .match_attrs
+        .iter()
+        .map(|&a| p.catalog.attr(a).width)
+        .collect();
+    let rows = Rows {
+        widths: &widths,
+        rows: &t.entries,
+    };
+    let shape = rows.shape();
+    let int = |e: &Entry, c: usize| match e.matches[c] {
+        Value::Int(v) => v,
+        _ => unreachable!("all-exact shape guarantees Int cells"),
     };
 
     // The monomorphic classifier depends only on the table shape: every
     // template agrees with first-match semantics, so a hash probe
     // (all-exact) or flat ternary scan (everything else) reproduces any
     // policy's decisions.
-    let cls = match table_shape(&view) {
+    let cls = match &shape {
         TableShape::AllExact { cols } if cols.len() == 1 => {
             let col = cols[0];
             let reg = reg_of(t.match_attrs[col]).expect("matched attr has a register");
-            let mut map = HashMap::with_capacity(view.len());
-            for (i, row) in view.rows.iter().enumerate() {
-                let Value::Int(v) = row[col] else {
-                    unreachable!("all-exact shape guarantees Int cells")
-                };
+            let mut map = HashMap::with_capacity(rows.len());
+            for (i, e) in t.entries.iter().enumerate() {
                 // Duplicate keys: first (highest-priority) row wins.
-                map.entry(v).or_insert(i as u32);
+                map.entry(int(e, col)).or_insert(i as u32);
             }
             Cls::Exact1 { reg, map }
         }
@@ -339,41 +336,47 @@ fn compile_table(
                 .iter()
                 .map(|&c| reg_of(t.match_attrs[c]).expect("matched attr has a register"))
                 .collect();
-            let mut map = HashMap::with_capacity(view.len());
+            let mut map = HashMap::with_capacity(rows.len());
             if cols.is_empty() {
                 // Active-column-free rows match every packet.
-                if !view.is_empty() {
+                if !rows.is_empty() {
                     map.insert(Vec::new(), 0u32);
                 }
             } else {
-                for (i, row) in view.rows.iter().enumerate() {
-                    let key: Vec<u64> = cols
-                        .iter()
-                        .map(|&c| match row[c] {
-                            Value::Int(v) => v,
-                            _ => unreachable!("all-exact shape guarantees Int cells"),
-                        })
-                        .collect();
+                for (i, e) in t.entries.iter().enumerate() {
+                    let key: Vec<u64> = cols.iter().map(|&c| int(e, c)).collect();
                     map.entry(key).or_insert(i as u32);
                 }
             }
             Cls::Exact { regs, map }
         }
+        // A symbolic cell is neither exact nor prefix-like, so it always
+        // lands here, and has no ternary form.
         TableShape::SinglePrefix { .. } | TableShape::General => {
             let regs: Vec<usize> = t
                 .match_attrs
                 .iter()
                 .map(|&a| reg_of(a).expect("matched attr has a register"))
                 .collect();
-            let cells = view
+            let cells = rows
                 .ternary_rows()
-                .expect("symbolic match cells rejected above");
+                .ok_or_else(|| CompileError::BadMatchCell {
+                    table: t.name.clone(),
+                })?;
             Cls::Scan {
                 regs,
                 cells,
-                ncols: view.cols(),
+                ncols: rows.cols(),
             }
         }
+    };
+    // The modeled per-visit cost is a property of the classifier template
+    // the modeled switch would use, not of `Cls`: the stats that template
+    // reports, read off the rows without building it.
+    let stats = match policy {
+        TemplatePolicy::Specialize { generic } => rows.specialized_stats(&shape, generic),
+        TemplatePolicy::Uniform(kind) => rows.generic_stats(kind),
+        TemplatePolicy::Tcam => rows.tcam_stats(),
     };
 
     let table_next = match &t.next {
@@ -505,23 +508,24 @@ impl CompiledEngine {
     }
 
     /// The one flow-mod path every switch in this crate uses: apply
-    /// `update` to `p` (the pipeline this engine serves) and recompile the
-    /// touched table. All-or-nothing — if the edited table no longer
-    /// compiles, its entries are put back and the engine is untouched.
+    /// `update` to `p` (the pipeline this engine serves) in place and
+    /// recompile the touched table. All-or-nothing — if the edited table
+    /// no longer compiles, the update is undone and the engine is
+    /// untouched. On success, returns the update's [`Undo`] record: a
+    /// caller rolling back a plan undoes it and recompiles the table.
     pub fn apply_update(
         &mut self,
         p: &mut Pipeline,
         update: &RuleUpdate,
-    ) -> Result<(), UpdateError> {
-        let table = update.table();
-        let before = p.table(table).map(|t| t.entries.clone());
-        mapro_control::apply_update(p, update).map_err(UpdateError::Apply)?;
-        self.recompile_table(p, table).map_err(|e| {
-            if let (Some(entries), Some(t)) = (before, p.table_mut(table)) {
-                t.entries = entries;
+    ) -> Result<Undo, UpdateError> {
+        let record = mapro_control::apply_update(p, update).map_err(UpdateError::Apply)?;
+        match self.recompile_table(p, update.table()) {
+            Ok(()) => Ok(record),
+            Err(e) => {
+                mapro_control::undo(p, record);
+                Err(UpdateError::Compile(e))
             }
-            UpdateError::Compile(e)
-        })
+        }
     }
 
     /// The template each table is charged as, for reports.
@@ -674,6 +678,7 @@ impl CompiledEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapro_classifier::{build_generic, build_specialized, Classifier, TableView};
     use mapro_core::Catalog;
 
     const POLICIES: [TemplatePolicy; 4] = [
@@ -798,6 +803,126 @@ mod tests {
             (punted.output, punted.dropped, punted.lookups),
             (None, false, 2)
         );
+    }
+
+    /// Every visit of `p`'s one table costs what the policy's built
+    /// classifier charges, bit for bit.
+    fn assert_one_table_costs(ce: &mut CompiledEngine, p: &Pipeline, policy: TemplatePolicy) {
+        let params = ce.params().clone();
+        let want = params.per_packet_ns + table_costs(p, policy, &params)[0];
+        let fields: Vec<&str> = p.tables[0]
+            .match_attrs
+            .iter()
+            .map(|&a| p.catalog.name(a))
+            .collect();
+        for v in [0u64, 1, 2, 3, 10, 0x8000_0001, 0xc000_0000] {
+            let vals: Vec<(&str, u64)> = fields.iter().map(|&f| (f, v)).collect();
+            let pkt = Packet::from_fields(&p.catalog, &vals);
+            let got = ce.process(&pkt);
+            assert_eq!(got.lookups, 1);
+            assert_eq!(got.service_ns, want, "{policy:?} {:?}", ce.templates());
+        }
+    }
+
+    /// The stats read off the rows price a table exactly as the built
+    /// classifier does: every policy × every shape, at compile time and
+    /// after flow-mods that move a table Exact → General → Exact.
+    #[test]
+    fn stats_from_rows_price_like_the_built_classifier() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 16);
+        let g = c.field("g", 32);
+        let out = c.action("out", ActionSem::Output);
+        let table = |cols: Vec<AttrId>, rows: Vec<Vec<Value>>| {
+            let mut t = Table::new("t", cols, vec![out]);
+            for (i, r) in rows.into_iter().enumerate() {
+                t.row(r, vec![Value::sym(format!("p{i}"))]);
+            }
+            Pipeline::single(c.clone(), t)
+        };
+        let pfx = |bits, len| Value::prefix(bits, len, 32);
+        let shapes = [
+            table(vec![f], vec![]),
+            table(vec![], vec![vec![]]),
+            table(vec![f], vec![vec![Value::Int(1)], vec![Value::Int(2)]]),
+            table(
+                vec![f, g],
+                vec![
+                    vec![Value::Int(1), Value::Int(10)],
+                    vec![Value::Int(2), Value::Int(20)],
+                ],
+            ),
+            table(
+                vec![g],
+                vec![
+                    vec![pfx(0xc000_0000, 2)],
+                    vec![pfx(0x8000_0000, 1)],
+                    vec![Value::Any],
+                ],
+            ),
+            table(vec![g], vec![vec![pfx(0, 1)], vec![pfx(0, 2)]]),
+            table(
+                vec![f, g],
+                vec![
+                    vec![Value::Int(1), pfx(0, 1)],
+                    vec![Value::Any, Value::Ternary { bits: 2, mask: 3 }],
+                    vec![Value::Int(3), Value::Any],
+                ],
+            ),
+        ];
+        let policies = [
+            TemplatePolicy::Specialize {
+                generic: TemplateKind::Linear,
+            },
+            TemplatePolicy::Specialize {
+                generic: TemplateKind::Tss,
+            },
+            TemplatePolicy::Uniform(TemplateKind::Tss),
+            TemplatePolicy::Uniform(TemplateKind::Linear),
+            TemplatePolicy::Tcam,
+        ];
+        for policy in policies {
+            for p in &shapes {
+                let mut ce = CompiledEngine::compile(p, policy, CostParams::lagopus()).unwrap();
+                assert_one_table_costs(&mut ce, p, policy);
+            }
+            // Exact → General → Exact, by an insert and its delete, then
+            // by a match-cell modify and its inverse.
+            let mut p = shapes[3].clone();
+            let mut ce = CompiledEngine::compile(&p, policy, CostParams::lagopus()).unwrap();
+            let wild = vec![Value::Int(3), pfx(0, 1)];
+            let moves = [
+                RuleUpdate::Insert {
+                    table: "t".into(),
+                    entry: Entry::new(wild.clone(), vec![Value::sym("w")]),
+                },
+                RuleUpdate::Delete {
+                    table: "t".into(),
+                    matches: wild,
+                },
+                RuleUpdate::Modify {
+                    table: "t".into(),
+                    matches: vec![Value::Int(1), Value::Int(10)],
+                    set: vec![(g, pfx(0x8000_0000, 1))],
+                },
+                RuleUpdate::Modify {
+                    table: "t".into(),
+                    matches: vec![Value::Int(1), pfx(0x8000_0000, 1)],
+                    set: vec![(g, Value::Int(10))],
+                },
+            ];
+            let mut kinds = vec![ce.templates()[0].1];
+            for u in &moves {
+                ce.apply_update(&mut p, u).unwrap();
+                assert_one_table_costs(&mut ce, &p, policy);
+                kinds.push(ce.templates()[0].1);
+            }
+            assert_eq!(p, shapes[3]);
+            if policy == policies[0] {
+                use TemplateKind::{Exact, Linear};
+                assert_eq!(kinds, [Exact, Linear, Exact, Linear, Exact]);
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,29 @@
 //! recompiles exactly the touched tables — so routing changes
 //! take effect mid-trace, and per-update datapath work is observable
 //! (entries recompiled, stall estimate).
+//!
+//! No path here copies the pipeline per flow-mod. Every update applies in
+//! place and yields an [`Undo`] record of what it overwrote:
+//!
+//! * a plan that fails midway undoes its applied prefix, newest first,
+//!   and recompiles the tables it touched;
+//! * `Prepare` validates a bundle by applying it in place and undoing it
+//!   at once (staging does no datapath work);
+//! * the restart-durable `committed` state catches up at each bundle
+//!   commit by replaying the single flow-mods applied since the previous
+//!   commit, then the bundle. That is exactly the state a copy of the
+//!   pipeline would give — the volatile mods that landed before the commit
+//!   included — so restart semantics are those of a snapshot. When the log
+//!   of single flow-mods outgrows the pipeline's entry count, it is dropped
+//!   and that one commit copies the pipeline instead.
 
 use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 use crate::cost::ModelSpec;
 use crate::Switch;
-use mapro_control::{Ack, AckError, AckOk, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, TxnId};
+use mapro_control::{
+    Ack, AckError, AckOk, ApplyError, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, RuleUpdate,
+    TxnId, Undo, UpdatePlan,
+};
 use mapro_core::{Packet, Pipeline};
 use std::collections::HashMap;
 
@@ -23,12 +41,18 @@ pub struct LiveSwitch {
     spec: ModelSpec,
     engine: CompiledEngine,
     /// Last durably committed state: what the datapath reverts to on a
-    /// restart. Advances at install time and on every bundle commit;
-    /// single flow-mods are volatile (the asymmetry the fault experiment
+    /// restart. Advances at install time and on every bundle commit, to
+    /// everything `pipeline` then holds; single flow-mods are volatile
+    /// until the next commit (the asymmetry the fault experiment
     /// measures).
     committed: Pipeline,
+    /// The single flow-mods applied to `pipeline` since `committed` last
+    /// caught up, in order; a commit replays them. `None` once the log
+    /// grew longer than the pipeline has entries: the next commit copies
+    /// the pipeline instead, so the log never outweighs it.
+    since_commit: Option<Vec<RuleUpdate>>,
     /// Bundles staged by `Prepare`, awaiting `Commit`/`Rollback`.
-    staged: HashMap<BundleId, Vec<mapro_control::RuleUpdate>>,
+    staged: HashMap<BundleId, Vec<RuleUpdate>>,
     /// Transaction dedup log, scoped per epoch: acks already emitted,
     /// replayed verbatim on redelivery so duplicated flow-mods have a
     /// single effect. Epoch scoping makes txn-id reuse across controller
@@ -53,10 +77,14 @@ impl LiveSwitch {
     pub fn install(pipeline: Pipeline, spec: ModelSpec) -> Result<LiveSwitch, CompileError> {
         let engine = CompiledEngine::compile(&pipeline, spec.policy, spec.params.clone())?;
         // Declare up front so `--metrics` shows the fence counter even
-        // for a run that never sees a stale epoch.
+        // for a run that never sees a stale epoch, and the split of
+        // `deliver` for a run that never bundles.
         mapro_obs::counter!("control.epoch.rejections");
+        mapro_obs::histogram!("switch.live.prepare_ns");
+        mapro_obs::histogram!("switch.live.commit_ns");
         Ok(LiveSwitch {
             committed: pipeline.clone(),
+            since_commit: Some(Vec::new()),
             pipeline,
             spec,
             engine,
@@ -93,19 +121,12 @@ impl LiveSwitch {
 
     /// Apply one flow-mod: update control state, recompile *only the
     /// touched table* (every other table's program is reused), and return
-    /// the modeled datapath stall (ns).
-    pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<f64, UpdateError> {
-        {
-            let _t = mapro_obs::time!("switch.live.recompile_ns");
-            let _sp = mapro_obs::trace::span_kv(
-                "recompile",
-                vec![("table", update.table().to_owned().into())],
-            );
-            self.engine.apply_update(&mut self.pipeline, update)?;
-        }
-        let stall = self.spec.stall.per_flowmod_ns;
-        self.total_stall_ns += stall;
-        Ok(stall)
+    /// the modeled datapath stall (ns). The flow-mod is volatile until the
+    /// next bundle commit.
+    pub fn apply_update(&mut self, update: &RuleUpdate) -> Result<f64, UpdateError> {
+        self.apply_one(update)?;
+        self.log_volatile(std::slice::from_ref(update));
+        Ok(self.spec.stall.per_flowmod_ns)
     }
 
     /// Apply a whole plan atomically: either every update lands, or the
@@ -113,14 +134,17 @@ impl LiveSwitch {
     /// the first error is returned. An atomic multi-entry plan
     /// additionally pays the bundle-commit stall (§5 / Fig. 4) and
     /// advances the committed (restart-durable) state.
-    pub fn apply_plan(&mut self, plan: &mapro_control::UpdatePlan) -> Result<f64, UpdateError> {
-        let snapshot = self.pipeline.clone();
+    pub fn apply_plan(&mut self, plan: &UpdatePlan) -> Result<f64, UpdateError> {
+        let mut done = Vec::with_capacity(plan.updates.len());
         let mut stall = 0.0;
         for u in &plan.updates {
-            match self.apply_update(u) {
-                Ok(ns) => stall += ns,
+            match self.apply_one(u) {
+                Ok(record) => {
+                    done.push(record);
+                    stall += self.spec.stall.per_flowmod_ns;
+                }
                 Err(e) => {
-                    self.rollback_to(snapshot, plan);
+                    self.roll_back(&plan.updates[..done.len()], done);
                     return Err(e);
                 }
             }
@@ -128,26 +152,73 @@ impl LiveSwitch {
         if plan.needs_bundle() {
             stall += self.spec.stall.bundle_ns;
             self.total_stall_ns += self.spec.stall.bundle_ns;
-            self.committed = self.pipeline.clone();
+            self.advance_committed(&plan.updates);
+        } else {
+            self.log_volatile(&plan.updates);
         }
         Ok(stall)
     }
 
-    /// Restore `snapshot` and re-derive the engine tables the aborted
-    /// plan may have touched. The modeled stall already accrued stays: the
-    /// switch really did the work before aborting.
-    fn rollback_to(&mut self, snapshot: Pipeline, plan: &mapro_control::UpdatePlan) {
-        self.pipeline = snapshot;
+    /// Apply one flow-mod to the pipeline and the engine and accrue its
+    /// stall; on error neither changed.
+    fn apply_one(&mut self, update: &RuleUpdate) -> Result<Undo, UpdateError> {
+        let record = {
+            let _t = mapro_obs::time!("switch.live.recompile_ns");
+            let _sp = mapro_obs::trace::span_kv(
+                "recompile",
+                vec![("table", update.table().to_owned().into())],
+            );
+            self.engine.apply_update(&mut self.pipeline, update)?
+        };
+        self.total_stall_ns += self.spec.stall.per_flowmod_ns;
+        Ok(record)
+    }
+
+    /// Undo an aborted plan's `applied` prefix, newest first, and
+    /// recompile the tables it touched. The modeled stall already accrued
+    /// stays: the switch really did the work before aborting.
+    fn roll_back(&mut self, applied: &[RuleUpdate], records: Vec<Undo>) {
+        for record in records.into_iter().rev() {
+            mapro_control::undo(&mut self.pipeline, record);
+        }
         let mut done: Vec<&str> = Vec::new();
-        for u in &plan.updates {
+        for u in applied {
             let name = u.table();
-            if done.contains(&name) || self.pipeline.table(name).is_none() {
-                continue;
+            if !done.contains(&name) {
+                done.push(name);
+                self.engine
+                    .recompile_table(&self.pipeline, name)
+                    .expect("rollback recompiles previously-compiled state");
             }
-            done.push(name);
-            self.engine
-                .recompile_table(&self.pipeline, name)
-                .expect("rollback recompiles previously-compiled state");
+        }
+    }
+
+    /// Note flow-mods that landed outside a bundle (see `since_commit`).
+    fn log_volatile(&mut self, updates: &[RuleUpdate]) {
+        if let Some(log) = &mut self.since_commit {
+            log.extend_from_slice(updates);
+            if log.len() > self.pipeline.total_entries() {
+                self.since_commit = None;
+            }
+        }
+    }
+
+    /// A bundle of `plan` committed: make everything the pipeline holds
+    /// durable, by replaying the volatile log and the plan onto
+    /// `committed` (or, past the log's bound, by one copy).
+    fn advance_committed(&mut self, plan: &[RuleUpdate]) {
+        match &mut self.since_commit {
+            Some(log) => {
+                for u in log.iter().chain(plan) {
+                    mapro_control::apply_update_silent(&mut self.committed, u)
+                        .expect("replays a flow-mod that applied to this very state");
+                }
+                log.clear();
+            }
+            None => {
+                self.committed = self.pipeline.clone();
+                self.since_commit = Some(Vec::new());
+            }
         }
     }
 }
@@ -205,13 +276,19 @@ impl Endpoint for LiveSwitch {
                 .map(|_| AckOk::Done)
                 .map_err(|e| AckError::Rejected(e.to_string())),
             FlowModOp::Prepare { bundle, updates } => {
-                // Validate against a scratch copy; staging itself is free
-                // (no datapath work until commit).
-                let mut probe = self.pipeline.clone();
-                match updates
-                    .iter()
-                    .try_for_each(|u| mapro_control::apply_update(&mut probe, u))
-                {
+                let _t = mapro_obs::time!("switch.live.prepare_ns");
+                // Validate by applying in place and taking it straight
+                // back; staging itself is free (no datapath work until
+                // commit).
+                let mut records = Vec::with_capacity(updates.len());
+                let applied = updates.iter().try_for_each(|u| -> Result<(), ApplyError> {
+                    records.push(mapro_control::apply_update(&mut self.pipeline, u)?);
+                    Ok(())
+                });
+                for record in records.into_iter().rev() {
+                    mapro_control::undo(&mut self.pipeline, record);
+                }
+                match applied {
                     Ok(()) => {
                         self.staged.insert(*bundle, updates.clone());
                         Ok(AckOk::Done)
@@ -222,7 +299,8 @@ impl Endpoint for LiveSwitch {
             FlowModOp::Commit { bundle } => match self.staged.remove(bundle) {
                 None => Err(AckError::BundleUnknown),
                 Some(updates) => {
-                    let plan = mapro_control::UpdatePlan {
+                    let _t = mapro_obs::time!("switch.live.commit_ns");
+                    let plan = UpdatePlan {
                         intent: format!("bundle {bundle}"),
                         updates,
                     };
@@ -251,6 +329,7 @@ impl Endpoint for LiveSwitch {
         mapro_obs::counter!("switch.live.restarts").inc();
         self.restarts += 1;
         self.pipeline = self.committed.clone();
+        self.since_commit = Some(Vec::new());
         self.staged.clear();
         self.acked.clear();
         // `current_epoch` deliberately survives: the fence is durable.
@@ -282,8 +361,7 @@ impl Switch for LiveSwitch {
 mod tests {
     use super::*;
     use crate::cost::ControlStall;
-    use mapro_control::{RuleUpdate, UpdatePlan};
-    use mapro_core::{ActionSem, AttrId, Catalog, Table, Value};
+    use mapro_core::{ActionSem, AttrId, Catalog, Entry, Table, Value};
 
     fn pipeline() -> (Pipeline, AttrId, AttrId) {
         let mut c = Catalog::new();
@@ -523,6 +601,154 @@ mod tests {
             .is_ok());
         let pkt = Packet::from_fields(&sw.pipeline().catalog, &[("f", 31)]);
         assert_eq!(sw.process(&pkt).output.as_deref(), Some("a"));
+    }
+
+    /// `committed` catches up by replay: a single flow-mod applied before
+    /// a bundle becomes durable with it, one applied after does not. Run
+    /// with a log shorter than the pipeline and one longer (whose commit
+    /// copies the pipeline instead); a commit that replayed only its own
+    /// plan fails both.
+    #[test]
+    fn commit_makes_the_single_mods_before_it_durable() {
+        use mapro_control::{Endpoint, FlowMod, FlowModOp};
+        let (p, f, out) = pipeline();
+        for singles in [1u64, 5] {
+            let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
+            let mut txn = 0;
+            let mut send = |sw: &mut LiveSwitch, op| {
+                txn += 1;
+                let ack = sw.deliver(&FlowMod { txn, epoch: 0, op });
+                assert!(ack.result.is_ok(), "{ack:?}");
+            };
+            for k in 1..=singles {
+                send(
+                    &mut sw,
+                    FlowModOp::Apply(RuleUpdate::Modify {
+                        table: "t".into(),
+                        matches: vec![Value::Int(1)],
+                        set: vec![(out, Value::sym(format!("s{k}")))],
+                    }),
+                );
+            }
+            let updates = vec![
+                RuleUpdate::Modify {
+                    table: "t".into(),
+                    matches: vec![Value::Int(2)],
+                    set: vec![(f, Value::Int(12))],
+                },
+                RuleUpdate::Insert {
+                    table: "t".into(),
+                    entry: Entry::new(vec![Value::Int(3)], vec![Value::sym("c")]),
+                },
+            ];
+            send(&mut sw, FlowModOp::Prepare { bundle: 1, updates });
+            send(&mut sw, FlowModOp::Commit { bundle: 1 });
+            let after_bundle = sw.pipeline().clone();
+            send(
+                &mut sw,
+                FlowModOp::Apply(RuleUpdate::Modify {
+                    table: "t".into(),
+                    matches: vec![Value::Int(12)],
+                    set: vec![(f, Value::Int(13))],
+                }),
+            );
+            sw.restart();
+            assert_eq!(*sw.pipeline(), after_bundle, "{singles} single mods");
+            let route = |sw: &mut LiveSwitch, v| {
+                let pkt = Packet::from_fields(&p.catalog, &[("f", v)]);
+                sw.process(&pkt).output
+            };
+            let last = format!("s{singles}");
+            assert_eq!(route(&mut sw, 1).as_deref(), Some(last.as_str()));
+            assert_eq!(route(&mut sw, 12).as_deref(), Some("b"));
+            assert_eq!(route(&mut sw, 13), None);
+        }
+    }
+
+    #[test]
+    fn prepare_validates_in_place_and_leaves_the_pipeline_untouched() {
+        use mapro_control::{AckError, Endpoint, FlowMod, FlowModOp};
+        let (p, f, _) = pipeline();
+        let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
+        let renumber = RuleUpdate::Modify {
+            table: "t".into(),
+            matches: vec![Value::Int(1)],
+            set: vec![(f, Value::Int(11))],
+        };
+        // The second update names the row the first one renumbered.
+        let stale = RuleUpdate::Delete {
+            table: "t".into(),
+            matches: vec![Value::Int(1)],
+        };
+        let prepare = |txn, bundle, updates| FlowMod {
+            txn,
+            epoch: 0,
+            op: FlowModOp::Prepare { bundle, updates },
+        };
+        let ack = sw.deliver(&prepare(1, 1, vec![renumber.clone(), stale]));
+        assert!(matches!(ack.result, Err(AckError::Rejected(_))), "{ack:?}");
+        assert_eq!(*sw.pipeline(), p);
+        assert!(sw.deliver(&prepare(2, 2, vec![renumber])).result.is_ok());
+        assert_eq!(*sw.pipeline(), p, "staging applies nothing");
+        let commit = |txn, bundle| FlowMod {
+            txn,
+            epoch: 0,
+            op: FlowModOp::Commit { bundle },
+        };
+        assert_eq!(
+            sw.deliver(&commit(3, 1)).result,
+            Err(AckError::BundleUnknown),
+            "a refused bundle is not staged"
+        );
+        assert!(sw.deliver(&commit(4, 2)).result.is_ok());
+        assert_eq!(
+            sw.pipeline().table("t").unwrap().entries[0].matches[0],
+            Value::Int(11)
+        );
+    }
+
+    #[test]
+    fn malformed_insert_is_nacked_not_a_panic() {
+        use mapro_control::{AckError, ApplyError, Endpoint, FlowMod, FlowModOp};
+        let (p, f, _) = pipeline();
+        let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
+        let pkts: Vec<Packet> = (0..4u64)
+            .map(|v| Packet::from_fields(&p.catalog, &[("f", v)]))
+            .collect();
+        let verdicts = |sw: &mut LiveSwitch| pkts.iter().map(|k| sw.process(k)).collect::<Vec<_>>();
+        let before = verdicts(&mut sw);
+        let ok = RuleUpdate::Modify {
+            table: "t".into(),
+            matches: vec![Value::Int(1)],
+            set: vec![(f, Value::Int(3))],
+        };
+        let wide = RuleUpdate::Insert {
+            table: "t".into(),
+            entry: Entry::new(vec![Value::Int(3), Value::Int(4)], vec![Value::sym("c")]),
+        };
+        let ops = [
+            FlowModOp::Apply(wide.clone()),
+            FlowModOp::Prepare {
+                bundle: 1,
+                updates: vec![ok.clone(), wide.clone()],
+            },
+        ];
+        for (txn, op) in (1..).zip(ops) {
+            let ack = sw.deliver(&FlowMod { txn, epoch: 0, op });
+            assert!(matches!(ack.result, Err(AckError::Rejected(_))), "{ack:?}");
+            assert_eq!(*sw.pipeline(), p);
+            assert_eq!(verdicts(&mut sw), before);
+        }
+        let plan = UpdatePlan {
+            intent: "ok then malformed".into(),
+            updates: vec![ok, wide],
+        };
+        assert_eq!(
+            sw.apply_plan(&plan),
+            Err(UpdateError::Apply(ApplyError::Arity { table: "t".into() }))
+        );
+        assert_eq!(*sw.pipeline(), p);
+        assert_eq!(verdicts(&mut sw), before);
     }
 
     #[test]

@@ -47,7 +47,7 @@ proptest! {
         let wal = Wal::shared(base.clone());
         let cfg = DriverConfig::default();
         let mut gen1 =
-            Controller::recover(wal.clone(), cfg.clone(), 1, CrashInjector::at_nth(point, nth));
+            Controller::recover(wal.clone(), cfg.clone(), 1, CrashInjector::at_nth(point, nth)).expect("the log replays");
         for k in 0..6u16 {
             let intended = gen1.intended().clone();
             let plan = g.move_service_port(&intended, k as usize % 4, 10_000 + k);
@@ -62,7 +62,7 @@ proptest! {
         // injection point never fired — the successor must recover from
         // the log alone, over its own (clean) channel to the same switch.
         let mut ch2 = FaultyChannel::new(sw.clone(), FaultPlan::lossless(seed ^ 1));
-        let mut gen2 = Controller::recover(wal.clone(), cfg, 2, CrashInjector::Never);
+        let mut gen2 = Controller::recover(wal.clone(), cfg, 2, CrashInjector::Never).expect("the log replays");
         let rep = gen2.recover_switch(&mut ch2).expect("successor recovers");
         prop_assert!(rep.reconciled && rep.verified, "unverified recovery: {rep:?}");
         let swb = sw.borrow();
@@ -91,14 +91,14 @@ proptest! {
         let mut ch2 = FaultyChannel::new(sw.clone(), FaultPlan::lossless(seed ^ 7));
         let wal = Wal::shared(base.clone());
         let cfg = DriverConfig::default();
-        let mut gen1 = Controller::recover(wal.clone(), cfg.clone(), 1, CrashInjector::Never);
+        let mut gen1 = Controller::recover(wal.clone(), cfg.clone(), 1, CrashInjector::Never).expect("the log replays");
         for k in 0..split {
             let intended = gen1.intended().clone();
             let plan = g.move_service_port(&intended, k % 4, 10_000 + k as u16);
             gen1.apply_plan(&mut ch1, &plan).expect("lossless apply");
         }
         // Epoch 2 takes over: replays the WAL and fences the switch.
-        let mut gen2 = Controller::recover(wal.clone(), cfg, 2, CrashInjector::Never);
+        let mut gen2 = Controller::recover(wal.clone(), cfg, 2, CrashInjector::Never).expect("the log replays");
         let rep = gen2.recover_switch(&mut ch2).expect("takeover");
         prop_assert!(rep.reconciled && rep.verified, "takeover unverified: {rep:?}");
         for k in 0..stale_tries {

@@ -146,8 +146,10 @@ fn counters_are_exact_at_call_boundaries() {
         };
         let rows = delta_rows(left, &u);
         let worked = s.dd_stats();
-        s.update(Side::Left, &rows, 1, step as u64, |p| apply_update(p, &u))
-            .unwrap();
+        s.update(Side::Left, &rows, 1, step as u64, |p| {
+            apply_update(p, &u).map(drop)
+        })
+        .unwrap();
         assert!(!s.last_dirty().is_empty(), "step {step} fell back");
         assert_ne!(s.dd_stats(), worked, "step {step} did no work");
         assert_eq!(

@@ -360,3 +360,66 @@ fn reconcile_exhausts_with_typed_outcome_at_extreme_drop() {
         ch.now_ns()
     );
 }
+
+/// A `RuleUpdate::Insert` of the wrong width is an error at the
+/// controller, never a panic: the plan — a valid move followed by the
+/// malformed insert — is refused before the WAL or the wire sees it, and
+/// neither the intended state nor the switch and its verdicts move.
+#[test]
+fn malformed_insert_is_refused_by_the_controller() {
+    use mapro::control::{ApplyError, DriverError};
+    use mapro::core::Entry;
+    let g = Gwlb::fig1();
+    let p = g.universal.clone();
+    let mut ch = FaultyChannel::new(
+        LiveSwitch::eswitch(p.clone()).unwrap(),
+        FaultPlan::lossless(1),
+    );
+    let mut ctl = Controller::new(
+        p.clone(),
+        DriverConfig {
+            verify_inline: true,
+            ..Default::default()
+        },
+    );
+    let pkts: Vec<Packet> = g
+        .services
+        .iter()
+        .flat_map(|s| {
+            [0u64, 1 << 31, 3 << 30].map(|src| {
+                Packet::from_fields(
+                    &p.catalog,
+                    &[
+                        ("ip_src", src),
+                        ("ip_dst", u64::from(s.ip)),
+                        ("tcp_dst", u64::from(s.port)),
+                    ],
+                )
+            })
+        })
+        .collect();
+    let verdicts = |ch: &mut FaultyChannel<LiveSwitch>| {
+        pkts.iter()
+            .map(|k| ch.endpoint_mut().process(k))
+            .collect::<Vec<_>>()
+    };
+    let before = verdicts(&mut ch);
+    let t = &p.tables[0];
+    let mut plan = g.move_service_port(&p, 0, 8443);
+    plan.updates.push(RuleUpdate::Insert {
+        table: t.name.clone(),
+        entry: Entry::new(
+            vec![Value::Any; t.match_attrs.len() + 1],
+            vec![Value::Any; t.action_attrs.len()],
+        ),
+    });
+    match ctl.apply_plan(&mut ch, &plan) {
+        Err(DriverError::PlanInvalid(ApplyError::Arity { table })) => assert_eq!(table, t.name),
+        other => panic!("expected an arity error, got {other:?}"),
+    }
+    assert_eq!(*ctl.intended(), p);
+    assert_eq!(ctl.wal().borrow().len(), 0, "nothing logged");
+    assert_eq!(ch.stats().sent, 0, "nothing sent");
+    assert_eq!(*ch.endpoint().pipeline(), p);
+    assert_eq!(verdicts(&mut ch), before);
+}

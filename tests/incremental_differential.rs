@@ -248,7 +248,7 @@ fn stream_tracks_fresh_checks(
         let rows = delta_rows(s.left(), &u);
         txn += 1;
         let t = s
-            .update(Side::Left, &rows, 1, txn, |p| apply_update(p, &u))
+            .update(Side::Left, &rows, 1, txn, |p| apply_update(p, &u).map(drop))
             .unwrap();
         assert_eq!(t.verdict, s.verdict(), "token reports the session verdict");
         let reachable = s
@@ -266,8 +266,10 @@ fn stream_tracks_fresh_checks(
         // Convergence: mirror the same mod to the right.
         let rows = delta_rows(s.right(), &u);
         txn += 1;
-        s.update(Side::Right, &rows, 1, txn, |p| apply_update(p, &u))
-            .unwrap();
+        s.update(Side::Right, &rows, 1, txn, |p| {
+            apply_update(p, &u).map(drop)
+        })
+        .unwrap();
         assert!(
             s.verdict().is_equivalent(),
             "seed {seed} step {step}: mirrored mod must reconverge"
@@ -294,7 +296,7 @@ fn match_changing_modify_dirties_old_and_new_row() {
         )],
     };
     let rows = delta_rows(&p, &u);
-    s.update(Side::Left, &rows, 1, 1, |p| apply_update(p, &u))
+    s.update(Side::Left, &rows, 1, 1, |p| apply_update(p, &u).map(drop))
         .unwrap();
     assert_eq!(s.last_dirty().len(), 2, "{:?}", s.last_dirty());
     verdict_matches_fresh(&s, "moved half-space");

@@ -7,7 +7,10 @@
 //! Streams mix `Insert`, `Delete`, `Modify` of an output and `Modify`
 //! that rewrites a match cell, interleaved with plans that fail midway
 //! (second flow-mod names a missing entry, or no longer compiles) and must
-//! roll back to the pre-plan state. The "untouched tables are not rebuilt"
+//! roll back to the pre-plan state; `planted_failures_roll_back_exactly`
+//! plants an unknown-row delete, a dangling goto or a symbolic match cell
+//! at a random position of random `reach_zoo` plans and requires the
+//! pipeline `==` to before. The "untouched tables are not rebuilt"
 //! half of the contract needs engine internals and is asserted by
 //! `live::tests::incremental_recompile_reuses_untouched_tables`.
 //!
@@ -266,6 +269,110 @@ proptest! {
     fn overlapping_ternary_rows_are_invalidated_by_their_own_cubes(seed in 0u64..10_000) {
         let start = ternary_table(&mut SmallRng::seed_from_u64(seed));
         churn_equals_fresh_compiles(start, seed, random_update);
+    }
+}
+
+/// A failure planted into a `reach_zoo` program's state `q`: a delete of
+/// a row that is not there, a goto to a table that is not there, or a
+/// symbolic match cell — the first refused by `apply_update`, the other
+/// two by the recompile after it.
+fn planted_failure(q: &Pipeline, rng: &mut SmallRng) -> RuleUpdate {
+    let t = &q.tables[rng.gen_range(0..q.tables.len())];
+    let matches = t.entries[rng.gen_range(0..t.len())].matches.clone();
+    let goto = t
+        .action_attrs
+        .iter()
+        .copied()
+        .find(|&a| matches!(q.catalog.attr(a).kind, AttrKind::Action(ActionSem::Goto)));
+    match (rng.gen_range(0..3u8), goto) {
+        (0, _) => RuleUpdate::Delete {
+            table: t.name.clone(),
+            matches: vec![Value::Int(0xdead); t.match_attrs.len()],
+        },
+        (1, Some(goto)) => RuleUpdate::Modify {
+            table: t.name.clone(),
+            matches,
+            set: vec![(goto, Value::sym("nowhere"))],
+        },
+        _ => RuleUpdate::Modify {
+            table: t.name.clone(),
+            matches,
+            set: vec![(t.match_attrs[0], Value::sym("oops"))],
+        },
+    }
+}
+
+/// A random plan of 1–5 `reach_zoo` edits against `p` with a planted
+/// failure at a random position (everything after it is drawn against the
+/// state before it). Returns the plan, the failure's index and the state
+/// its prefix leads to.
+fn planted_plan(p: &Pipeline, rng: &mut SmallRng) -> (UpdatePlan, usize, Pipeline) {
+    let len = rng.gen_range(1..6);
+    let at = rng.gen_range(0..len);
+    let mut q = p.clone();
+    let mut updates = Vec::with_capacity(len);
+    for i in 0..len {
+        if i == at {
+            updates.push(planted_failure(&q, rng));
+            continue;
+        }
+        let u = common::reach_zoo_edit(&q, 70_000 + i as u64, rng);
+        if i < at {
+            mapro::control::apply_update(&mut q, &u).expect("drawn against `q`");
+        }
+        updates.push(u);
+    }
+    let plan = UpdatePlan {
+        intent: format!("fails at {at} of {len}"),
+        updates,
+    };
+    (plan, at, q)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A plan with a failure planted at a random position rolls back
+    /// exactly: after `LiveSwitch::apply_plan` refuses it, the pipeline is
+    /// `==` to before and the engine equals a fresh compile. Flow-mod by
+    /// flow-mod, a second switch and two caches take the prefix and refuse
+    /// the planted flow-mod whole, and equal a fresh compile of the prefix.
+    #[test]
+    fn planted_failures_roll_back_exactly(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut want = common::reach_zoo(&mut rng);
+        let mut live = LiveSwitch::eswitch(want.clone()).expect("compiles");
+        // Some history first, so the rollback lands on an edited engine.
+        for step in 0..3 {
+            let u = common::reach_zoo_edit(&want, step, &mut rng);
+            mapro::control::apply_update(&mut want, &u).expect("drawn against `want`");
+            live.apply_update(&u).expect("valid update");
+        }
+        let (plan, at, q) = planted_plan(&want, &mut rng);
+        let ctx = format!("seed {seed}: {plan:?}");
+        prop_assert!(live.apply_plan(&plan).is_err(), "{}", ctx);
+        assert_equals_fresh_compile(&mut live, &mut [], &want, seed, &ctx);
+
+        let mut single = LiveSwitch::eswitch(want.clone()).expect("compiles");
+        let mut cached = [
+            CachedEngine::eswitch(&want).expect("compiles"),
+            CachedEngine::eswitch(&want).expect("compiles"),
+        ];
+        cached[1].set_cache_capacity(1);
+        // Fill the caches, so that the prefix has megaflows to evict.
+        assert_equals_fresh_compile(&mut single, &mut cached, &want, seed, &ctx);
+        for u in &plan.updates[..at] {
+            single.apply_update(u).expect("valid update");
+            for ce in cached.iter_mut() {
+                ce.apply_update(u).expect("valid update");
+            }
+        }
+        let planted = &plan.updates[at];
+        prop_assert!(single.apply_update(planted).is_err(), "{}", ctx);
+        for ce in cached.iter_mut() {
+            prop_assert!(ce.apply_update(planted).is_err(), "{}", ctx);
+        }
+        assert_equals_fresh_compile(&mut single, &mut cached, &q, seed ^ 1, &ctx);
     }
 }
 
