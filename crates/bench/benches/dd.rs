@@ -6,7 +6,9 @@
 //! count of the hash-consed diagram. There is no crossover: the diagram
 //! is ahead 6× already at 2 fields, and the gap grows with width (and with
 //! it residue fragmentation) to two orders of magnitude at 16 — which is
-//! why it is the default and cubes the comparison engine. A third group
+//! why it is the default and cubes the comparison engine. A second group
+//! times one cold `DdEngine::compile` of three `toolchain` programs (the
+//! label carries the row count, for ns per row). A third group
 //! pins the `Cube::subtract` scratch-buffer
 //! rework: `subtract_into` reuses one pre-sized output vector across the
 //! partition loop instead of allocating a fresh `Vec` per split.
@@ -14,7 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_bench::wide_pair;
 use mapro_core::Value;
-use mapro_sym::{cube::Cube, CoverBackend, SymConfig};
+use mapro_sym::{cube::Cube, CoverBackend, DdEngine, FieldSpace, SymConfig};
+use mapro_workloads::{Enterprise, Gwlb, L3};
 
 fn backend_cfg(backend: CoverBackend) -> SymConfig {
     SymConfig {
@@ -44,6 +47,28 @@ fn bench_backends(c: &mut Criterion) {
                 let out = mapro_sym::check_symbolic(&l, &r, &backend_cfg(CoverBackend::Dd))
                     .expect("dd decides the wide pairs");
                 assert!(std::hint::black_box(out).is_equivalent());
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_compile(c: &mut Criterion) {
+    // The e2e `toolchain` corpus programs of the same names, at seed 7919.
+    let programs = [
+        ("l3-192", L3::random(192, 16, 8, 7919).universal),
+        ("gwlb-s16-b8", Gwlb::random(16, 8, 7919).universal),
+        ("ent-24", Enterprise::random(24, 8, 7919).pipeline),
+    ];
+    let cfg = SymConfig::default();
+    let mut group = c.benchmark_group("dd_compile");
+    for (name, p) in &programs {
+        let space = FieldSpace::from_pipelines(&[p]);
+        let rows = p.total_entries();
+        group.bench_function(format!("{name}/{rows}rows"), |b| {
+            b.iter(|| {
+                let mut eng = DdEngine::new(&space, &cfg);
+                eng.compile(p, &space, &cfg).expect("the corpus compiles")
             });
         });
     }
@@ -102,5 +127,5 @@ fn bench_subtract(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_subtract);
+criterion_group!(benches, bench_backends, bench_compile, bench_subtract);
 criterion_main!(benches);

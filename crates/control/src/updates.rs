@@ -76,6 +76,15 @@ pub enum ApplyError {
         /// The table.
         table: String,
     },
+    /// A cell does not fit its attribute's width (`Value::fits`, the rule
+    /// `Pipeline::validate` applies): the evaluator would never match it,
+    /// the symbolic checker would match it masked.
+    Width {
+        /// The table.
+        table: String,
+        /// The attribute of the offending cell.
+        attr: AttrId,
+    },
 }
 
 impl fmt::Display for ApplyError {
@@ -90,6 +99,9 @@ impl fmt::Display for ApplyError {
             }
             ApplyError::Arity { table } => {
                 write!(f, "entry does not match the columns of {table:?}")
+            }
+            ApplyError::Width { table, attr } => {
+                write!(f, "a cell of {table:?} is wider than attribute {attr}")
             }
         }
     }
@@ -168,7 +180,15 @@ pub fn apply_update_silent(p: &mut Pipeline, u: &RuleUpdate) -> Result<Undo, App
         .iter()
         .position(|t| t.name == u.table())
         .ok_or_else(|| ApplyError::TableNotFound(u.table().to_owned()))?;
+    let catalog = &p.catalog;
     let table = &mut p.tables[ti];
+    let fits = |attr: AttrId, v: &Value, table: &str| match catalog.cell_width(attr) {
+        Some(w) if !v.fits(w) => Err(ApplyError::Width {
+            table: table.to_owned(),
+            attr,
+        }),
+        _ => Ok(()),
+    };
     let row_of = |matches: &Vec<Value>| {
         table
             .entries
@@ -194,6 +214,9 @@ pub fn apply_update_silent(p: &mut Pipeline, u: &RuleUpdate) -> Result<Undo, App
                         })
                 })
                 .collect::<Result<Vec<_>, _>>()?;
+            for (attr, v) in set {
+                fits(*attr, v, &table.name)?;
+            }
             let e = &mut table.entries[row];
             let old = set
                 .iter()
@@ -216,6 +239,10 @@ pub fn apply_update_silent(p: &mut Pipeline, u: &RuleUpdate) -> Result<Undo, App
                 return Err(ApplyError::Arity {
                     table: table.name.clone(),
                 });
+            }
+            let attrs = table.match_attrs.iter().chain(&table.action_attrs);
+            for (&attr, v) in attrs.zip(entry.matches.iter().chain(&entry.actions)) {
+                fits(attr, v, &table.name)?;
             }
             table.entries.push(entry.clone());
             UndoOp::Pop
@@ -511,6 +538,55 @@ mod tests {
             assert_eq!(apply_plan_silent(&mut q, &plan), Err(want));
             assert_eq!(q, p);
         }
+    }
+
+    /// `Int(x)` with `x ≥ 2^w` matches no packet in the evaluator but
+    /// `x mod 2^w` in the symbolic checker, so no update may install one —
+    /// in a match cell or as a `SetField` parameter.
+    #[test]
+    fn cells_wider_than_their_attribute_are_refused() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let m = c.meta("m", 4);
+        let set_m = c.action("set_m", ActionSem::SetField(m));
+        let out = c.action("out", ActionSem::Output);
+        let mut t = Table::new("t", vec![f], vec![set_m, out]);
+        t.row(vec![Value::Int(1)], vec![Value::Int(2), Value::sym("a")]);
+        let p = Pipeline::single(c, t);
+        let width = |attr| ApplyError::Width {
+            table: "t".into(),
+            attr,
+        };
+        let insert = |matches, actions| RuleUpdate::Insert {
+            table: "t".into(),
+            entry: Entry::new(matches, actions),
+        };
+        let modify = |set| RuleUpdate::Modify {
+            table: "t".into(),
+            matches: vec![Value::Int(1)],
+            set,
+        };
+        for (bad, attr) in [
+            (
+                insert(vec![Value::Int(256)], vec![Value::Any, Value::Any]),
+                f,
+            ),
+            (
+                insert(vec![Value::Any], vec![Value::Int(16), Value::Any]),
+                set_m,
+            ),
+            (modify(vec![(f, Value::prefix(0, 9, 9))]), f),
+            (
+                modify(vec![(out, Value::sym("b")), (set_m, Value::Int(99))]),
+                set_m,
+            ),
+        ] {
+            let mut q = p.clone();
+            assert_eq!(apply_update(&mut q, &bad), Err(width(attr)), "{bad:?}");
+            assert_eq!(q, p);
+        }
+        let ok = modify(vec![(f, Value::Int(255)), (set_m, Value::Int(15))]);
+        assert!(apply_update(&mut p.clone(), &ok).is_ok());
     }
 
     #[test]

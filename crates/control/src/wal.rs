@@ -304,19 +304,36 @@ mod tests {
             epoch: 0,
             plan: insert_plan(0),
         });
-        let mut bad = insert_plan(1);
-        bad.updates.push(RuleUpdate::Insert {
-            table: "t".into(),
-            entry: Entry::new(vec![Value::Int(7), Value::Int(8)], vec![Value::sym("a")]),
-        });
-        wal.append(WalRecord::Begin {
-            txn: 2,
-            epoch: 0,
-            plan: bad,
-        });
-        let err = wal.replay().unwrap_err();
-        assert_eq!(err.record, 1);
-        assert_eq!(err.error, crate::ApplyError::Arity { table: "t".into() });
-        assert_eq!(*wal.base(), p, "the base state is untouched");
+        // A cell too many, and a cell wider than `f`'s 16 bits.
+        let f = p.catalog.lookup("f").unwrap();
+        for (cells, want) in [
+            (
+                vec![Value::Int(7), Value::Int(8)],
+                crate::ApplyError::Arity { table: "t".into() },
+            ),
+            (
+                vec![Value::Int(1 << 16)],
+                crate::ApplyError::Width {
+                    table: "t".into(),
+                    attr: f,
+                },
+            ),
+        ] {
+            let mut wal = wal.clone();
+            let mut bad = insert_plan(1);
+            bad.updates.push(RuleUpdate::Insert {
+                table: "t".into(),
+                entry: Entry::new(cells, vec![Value::sym("a")]),
+            });
+            wal.append(WalRecord::Begin {
+                txn: 2,
+                epoch: 0,
+                plan: bad,
+            });
+            let err = wal.replay().unwrap_err();
+            assert_eq!(err.record, 1);
+            assert_eq!(err.error, want);
+            assert_eq!(*wal.base(), p, "the base state is untouched");
+        }
     }
 }

@@ -165,6 +165,21 @@ impl Catalog {
         &self.attr(id).name
     }
 
+    /// The bits a cell of column `id` must fit (`Value::fits`): a field's
+    /// or metadata's own width, a `SetField` target's; `None` for the other
+    /// actions, whose cells have no width (and for a `SetField` whose target
+    /// is not in the catalog, which `Pipeline::validate` refuses).
+    pub fn cell_width(&self, id: AttrId) -> Option<u32> {
+        let a = self.attr(id);
+        match a.kind {
+            AttrKind::Field | AttrKind::Meta => Some(a.width),
+            AttrKind::Action(ActionSem::SetField(target)) => {
+                self.attrs.get(target.index()).map(|t| t.width)
+            }
+            AttrKind::Action(_) => None,
+        }
+    }
+
     /// Number of registered attributes.
     pub fn len(&self) -> usize {
         self.attrs.len()

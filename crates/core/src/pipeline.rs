@@ -378,18 +378,13 @@ impl Pipeline {
                 let cells = e.matches.iter().zip(&t.match_attrs);
                 for (cell, &a) in cells.chain(e.actions.iter().zip(&t.action_attrs)) {
                     let attr = self.catalog.attr(a);
-                    let width = match attr.kind {
-                        AttrKind::Action(ActionSem::SetField(target)) => {
-                            self.catalog.attr(target).width
-                        }
-                        AttrKind::Action(ActionSem::Goto) => {
-                            if let Value::Sym(target) = cell {
-                                exists(&format!("table {table:?} row {row}: goto"), target)?;
-                            }
-                            continue;
-                        }
-                        AttrKind::Action(_) => continue,
-                        AttrKind::Field | AttrKind::Meta => attr.width,
+                    if let (AttrKind::Action(ActionSem::Goto), Value::Sym(target)) =
+                        (&attr.kind, cell)
+                    {
+                        exists(&format!("table {table:?} row {row}: goto"), target)?;
+                    }
+                    let Some(width) = self.catalog.cell_width(a) else {
+                        continue;
                     };
                     if !cell.fits(width) {
                         return bad(format!(

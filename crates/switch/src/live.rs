@@ -722,33 +722,51 @@ mod tests {
             matches: vec![Value::Int(1)],
             set: vec![(f, Value::Int(3))],
         };
-        let wide = RuleUpdate::Insert {
-            table: "t".into(),
-            entry: Entry::new(vec![Value::Int(3), Value::Int(4)], vec![Value::sym("c")]),
-        };
-        let ops = [
-            FlowModOp::Apply(wide.clone()),
-            FlowModOp::Prepare {
-                bundle: 1,
-                updates: vec![ok.clone(), wide.clone()],
-            },
+        // A cell too many, and a cell wider than `f`'s 16 bits.
+        let malformed = [
+            (
+                RuleUpdate::Insert {
+                    table: "t".into(),
+                    entry: Entry::new(vec![Value::Int(3), Value::Int(4)], vec![Value::sym("c")]),
+                },
+                ApplyError::Arity { table: "t".into() },
+            ),
+            (
+                RuleUpdate::Modify {
+                    table: "t".into(),
+                    matches: vec![Value::Int(2)],
+                    set: vec![(f, Value::Int(1 << 16))],
+                },
+                ApplyError::Width {
+                    table: "t".into(),
+                    attr: f,
+                },
+            ),
         ];
-        for (txn, op) in (1..).zip(ops) {
-            let ack = sw.deliver(&FlowMod { txn, epoch: 0, op });
-            assert!(matches!(ack.result, Err(AckError::Rejected(_))), "{ack:?}");
+        let mut txn = 0;
+        for (bad, want) in malformed {
+            let ops = [
+                FlowModOp::Apply(bad.clone()),
+                FlowModOp::Prepare {
+                    bundle: 1,
+                    updates: vec![ok.clone(), bad.clone()],
+                },
+            ];
+            for op in ops {
+                txn += 1;
+                let ack = sw.deliver(&FlowMod { txn, epoch: 0, op });
+                assert!(matches!(ack.result, Err(AckError::Rejected(_))), "{ack:?}");
+                assert_eq!(*sw.pipeline(), p);
+                assert_eq!(verdicts(&mut sw), before);
+            }
+            let plan = UpdatePlan {
+                intent: "ok then malformed".into(),
+                updates: vec![ok.clone(), bad],
+            };
+            assert_eq!(sw.apply_plan(&plan), Err(UpdateError::Apply(want)));
             assert_eq!(*sw.pipeline(), p);
             assert_eq!(verdicts(&mut sw), before);
         }
-        let plan = UpdatePlan {
-            intent: "ok then malformed".into(),
-            updates: vec![ok, wide],
-        };
-        assert_eq!(
-            sw.apply_plan(&plan),
-            Err(UpdateError::Apply(ApplyError::Arity { table: "t".into() }))
-        );
-        assert_eq!(*sw.pipeline(), p);
-        assert_eq!(verdicts(&mut sw), before);
     }
 
     #[test]

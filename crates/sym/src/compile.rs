@@ -607,8 +607,8 @@ pub(crate) fn apply_actions<'p>(
 
 /// The terminal `Delivered` behavior of a state (mirrors the verdict
 /// projection: touched header fields sorted by id, opaque multiset
-/// sorted). Shared by both cover compilers.
-pub(crate) fn delivered(p: &Pipeline, core: &SymCore) -> Behavior {
+/// sorted), punted on a `Controller` miss. Shared by both cover compilers.
+pub(crate) fn delivered(p: &Pipeline, core: &SymCore, to_controller: bool) -> Behavior {
     let mut mods: Vec<(AttrId, u64)> = core
         .touched
         .iter()
@@ -625,7 +625,7 @@ pub(crate) fn delivered(p: &Pipeline, core: &SymCore) -> Behavior {
     opaque.sort();
     Behavior::Delivered {
         output: core.output.clone(),
-        to_controller: false,
+        to_controller,
         header_mods: mods,
         opaque,
     }
@@ -776,7 +776,7 @@ impl<'a> Compiler<'a> {
             Some(g) => Next::Table(self.resolve(g)?),
             None => match &t.next {
                 Some(n) => Next::Table(self.resolve(n)?),
-                None => Next::Done(delivered(self.p, &s.core)),
+                None => Next::Done(delivered(self.p, &s.core, false)),
             },
         };
         out.push((s, next));
@@ -803,13 +803,7 @@ impl<'a> Compiler<'a> {
         }
         let next = match &t.miss {
             MissPolicy::Drop => Next::Done(Behavior::Dropped),
-            MissPolicy::Controller => {
-                let mut b = delivered(self.p, &s.core);
-                if let Behavior::Delivered { to_controller, .. } = &mut b {
-                    *to_controller = true;
-                }
-                Next::Done(b)
-            }
+            MissPolicy::Controller => Next::Done(delivered(self.p, &s.core, true)),
             MissPolicy::Fall(n) => Next::Table(self.resolve(n)?),
         };
         out.push((s, next));

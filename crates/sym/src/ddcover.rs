@@ -9,12 +9,21 @@
 //!
 //! * a table entry row becomes a conjunction of bit literals
 //!   ([`BitLayout::tern_lits`] + `Mgr::cube`);
-//! * priority resolution is `diff` against the union of earlier entries —
-//!   negation never fragments, unlike recursive cube splitting;
-//! * the atoms never exist as a list: each terminal region is folded into
-//!   the result with `ite(region, term(id), acc)`, and because the
-//!   regions tile the input space the placeholder label 0 vanishes from
-//!   the final diagram.
+//! * a table is the chain `ite(e₀, x₀, … ite(eₙ, xₙ, miss))` built from
+//!   the last row up (the forwarding-decision-diagram construction of
+//!   *A Fast Compiler for NetKAT*): `xᵢ` is row `i`'s behavior terminal or
+//!   the diagram of the table it continues at. Priority falls out of the
+//!   nesting, so a row costs one `ite` and no region is ever formed; the
+//!   reduced ordered diagram is canonical, so the root is the same node
+//!   whatever construction reached it.
+//!
+//! A sub-diagram need be exact only on the packets that take the path to
+//! it, so a row meeting none of the path's *enclosing cubes* is skipped
+//! before its cube is built; the work count is the leaves built, one per
+//! row or miss that ends a walk. As priority prunes no path, only a path
+//! that outruns the visit budget has its region decided (by the priority
+//! subtraction): empty, the placeholder 0 stands in; otherwise a packet
+//! loops ([`Unsupported::GotoCycle`]).
 //!
 //! Equivalence of two pipelines compiled in one [`DdEngine`] is root
 //! pointer equality; a disagreement witness is a `first_diff` path mapped
@@ -126,9 +135,8 @@ impl BitLayout {
 }
 
 /// Interns [`Behavior`]s as MTBDD terminal labels. Ids start at 1: label 0
-/// is the "no behavior assigned yet" placeholder the compiler folds over,
-/// guaranteed absent from a completed diagram because the leaf regions
-/// tile the universe.
+/// is the placeholder outside a restricted compile's region and on an
+/// unreachable path, absent from a full compile's root.
 #[derive(Default)]
 struct BehaviorInterner {
     ids: HashMap<Behavior, u32>,
@@ -195,10 +203,10 @@ impl DdEngine {
     ) -> Result<NodeRef, Unsupported> {
         let rows = match_rows(p);
         let (root, _leaves) =
-            self.compile_from(p, space, cfg, NodeRef::TRUE, &[space.universe()], &rows)?;
+            self.build(p, space, cfg, NodeRef::TRUE, &[space.universe()], &rows)?;
         debug_assert!(
             self.layout.total == 0 || root != NodeRef::term(0) || p.tables.is_empty(),
-            "leaf regions must tile the universe"
+            "every walk ends in a behavior"
         );
         Ok(root)
     }
@@ -225,17 +233,14 @@ impl DdEngine {
     /// `within` to its interned behavior terminal and everything outside it
     /// to the placeholder terminal 0 — the same node as `ite(within,
     /// compile(p), term(0))`. `rows` is [`match_rows`] of `p`. Also returns
-    /// the number of leaf regions emitted — the honest work measure for
-    /// the delta.
+    /// the number of leaves built — the honest work measure for the delta.
     ///
     /// This is the [`crate::incremental`] delta recompile: after a flow-mod
     /// dirties a region `D`, `ite(D, compile_within(new, D), old_root)` is
     /// the new cover, because the two agree everywhere outside `D` by the
-    /// invalidation-cube contract. The cubes are what makes it local: they
-    /// are the executor's initial enclosing cubes (a full compile starts
-    /// from the universe), so a row whose ternary form is disjoint from
-    /// every dirty cube is skipped before its predicate is built, and the
-    /// cost follows the rows the dirty region touches, not the table.
+    /// invalidation-cube contract. The dirty cubes are the build's initial
+    /// enclosing cubes (a full compile's are the universe), so the cost
+    /// follows the rows they touch, not the table.
     ///
     /// # Errors
     /// Same causes as [`DdEngine::compile`].
@@ -248,15 +253,21 @@ impl DdEngine {
         dirty: &[Cube],
         rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
-        self.compile_from(p, space, cfg, within, dirty, rows)
+        let (root, leaves) = self.build(p, space, cfg, within, dirty, rows)?;
+        let cut = self.mgr.ite(within, root, NodeRef::term(0));
+        self.mgr.publish();
+        Ok((cut?, leaves))
     }
 
-    fn compile_from(
+    /// [`DdEngine::compile_within`] without the final cut: exact on
+    /// `within ⊆ ⋃ enclosing`, unspecified elsewhere — all a splice
+    /// `ite(within, ·, old)` needs.
+    pub(crate) fn build(
         &mut self,
         p: &Pipeline,
         space: &FieldSpace,
         cfg: &SymConfig,
-        state0: NodeRef,
+        within: NodeRef,
         enclosing: &[Cube],
         rows: &[Vec<Option<Cube>>],
     ) -> Result<(NodeRef, usize), Unsupported> {
@@ -266,33 +277,25 @@ impl DdEngine {
         let mut c = DdCompiler {
             p,
             space,
+            mgr: &mut self.mgr,
+            layout: &self.layout,
+            interner: &mut self.interner,
             index: p.name_index(),
             rows,
+            within,
             limit: visit_limit(p),
             max_atoms: cfg.max_atoms,
             leaves: 0,
             lits: Vec::new(),
+            path: Vec::new(),
         };
-        let start = c
-            .index
-            .get(p.start.as_str())
-            .copied()
-            .ok_or_else(|| Unsupported::UnknownTable(p.start.clone()))?;
-        let mut root = NodeRef::term(0);
-        let done = c.expand(
-            &mut self.mgr,
-            &self.layout,
-            &mut self.interner,
-            state0,
-            enclosing,
-            SymCore::initial(p),
-            start,
-            &mut root,
-        );
-        self.mgr.publish();
-        done?;
+        let root = c
+            .resolve(&p.start)
+            .and_then(|start| c.table(enclosing, &SymCore::initial(p), start));
+        c.mgr.publish();
+        let root = root?;
         span.set("leaves", c.leaves);
-        span.set("nodes", self.mgr.len());
+        span.set("nodes", c.mgr.len());
         Ok((root, c.leaves))
     }
 
@@ -306,20 +309,26 @@ impl DdEngine {
     }
 }
 
-/// The DD symbolic executor. Single-threaded depth-first — determinism is
-/// structural (the manager is `&mut` everywhere), and the expensive work
-/// (apply ops) is memoized rather than parallelized.
+/// The DD builder: single-threaded depth-first, so determinism is
+/// structural; the apply ops are memoized rather than parallelized.
 struct DdCompiler<'a> {
     p: &'a Pipeline,
     space: &'a FieldSpace,
+    mgr: &'a mut Mgr,
+    layout: &'a BitLayout,
+    interner: &'a mut BehaviorInterner,
     index: HashMap<&'a str, usize>,
     /// [`match_rows`] of `p`.
     rows: &'a [Vec<Option<Cube>>],
+    /// The packets the result must be exact on.
+    within: NodeRef,
     limit: usize,
     max_atoms: usize,
     leaves: usize,
     /// Scratch literal buffer for entry-predicate construction.
     lits: Vec<(u32, bool)>,
+    /// `(table, row taken or None for the miss)` from the start table on.
+    path: Vec<(usize, Option<usize>)>,
 }
 
 impl<'a> DdCompiler<'a> {
@@ -363,27 +372,21 @@ impl<'a> DdCompiler<'a> {
     /// state.
     fn entry_bdd(
         &mut self,
-        mgr: &mut Mgr,
-        layout: &BitLayout,
         core: &SymCore,
         attrs: &[AttrId],
         ec: &Cube,
     ) -> Result<Option<NodeRef>, Overflow> {
         self.lits.clear();
-        for (col, &attr) in attrs.iter().enumerate() {
-            let t = ec.0[col];
+        for (&attr, &t) in attrs.iter().zip(&ec.0) {
             match core.vals[attr.index()] {
-                Some(v) => {
-                    if !t.matches(v) {
-                        return Ok(None);
-                    }
-                }
+                Some(v) if !t.matches(v) => return Ok(None),
+                Some(_) => {}
                 None => {
                     let k = self
                         .space
                         .coord_of(attr)
                         .expect("unwritten match attr is a space coordinate");
-                    layout.tern_lits(k, t.bits, t.mask, &mut self.lits);
+                    self.layout.tern_lits(k, t.bits, t.mask, &mut self.lits);
                 }
             }
         }
@@ -391,132 +394,133 @@ impl<'a> DdCompiler<'a> {
         // collapse duplicates (the same attribute matched twice), treating
         // a contradictory duplicate as an unsatisfiable row.
         self.lits.sort_unstable();
-        let mut i = 0;
-        while i + 1 < self.lits.len() {
-            if self.lits[i].0 == self.lits[i + 1].0 {
-                if self.lits[i].1 != self.lits[i + 1].1 {
-                    return Ok(None);
-                }
-                self.lits.remove(i + 1);
-            } else {
-                i += 1;
-            }
+        if self
+            .lits
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+        {
+            return Ok(None);
         }
-        mgr.cube(&self.lits).map(Some)
+        self.lits.dedup();
+        self.mgr.cube(&self.lits).map(Some)
     }
 
-    /// Expand `state ∧ (reach table `ti` with `core`)` down to terminal
-    /// regions, folding each into `root`. `enclosing` are cubes of the input
-    /// space whose union contains `state` — the universe for a full
-    /// compile, the dirty cubes for a restricted one, each narrowed by the
-    /// rows that won on the way here. A row that meets none of them meets
-    /// no packet of `state`: it wins no region and takes nothing from the
-    /// miss set, so it is skipped before its predicate is built.
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
+    /// `ite(e₀, x₀, … ite(eₙ, xₙ, miss))` for table `ti` reached with
+    /// `core`, exact on every packet of the path here. `enclosing` are input
+    /// cubes holding all of those packets (the universe or the dirty cubes,
+    /// narrowed by each row taken on the way); a row meeting none of them is
+    /// left out before its cube is built.
+    fn table(
         &mut self,
-        mgr: &mut Mgr,
-        layout: &BitLayout,
-        interner: &mut BehaviorInterner,
-        state: NodeRef,
         enclosing: &[Cube],
-        core: SymCore,
+        core: &SymCore,
         ti: usize,
-        root: &mut NodeRef,
-    ) -> Result<(), Unsupported> {
-        let t = &self.p.tables[ti];
-        // Priority resolution: entry `ei` wins on `state ∧ eᵢ ∖ (⋃ e₀..ᵢ₋₁)`;
-        // `acc` is that union restricted to `state`, so rows that miss the
-        // state leave it (and the arena) alone.
-        let mut acc = NodeRef::FALSE;
+    ) -> Result<NodeRef, Unsupported> {
+        let attrs = &self.p.tables[ti].match_attrs;
+        let mut acc = self.then(enclosing, core, ti, None)?;
         let rows: &'a [Option<Cube>] = &self.rows[ti];
-        for (ei, ec) in rows.iter().enumerate() {
+        for (ei, ec) in rows.iter().enumerate().rev() {
             let Some(ec) = ec else {
                 continue; // unsatisfiable symbolic cell: matches nothing
             };
-            if !enclosing
-                .iter()
-                .any(|d| self.meets(&core, &t.match_attrs, ec, d))
-            {
+            if !enclosing.iter().any(|d| self.meets(core, attrs, ec, d)) {
                 continue;
             }
-            let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, ec)? else {
+            let Some(e) = self.entry_bdd(core, attrs, ec)? else {
                 continue; // concrete column mismatch: matches nothing here
             };
-            let hit = mgr.and(state, e)?;
-            if hit == NodeRef::FALSE {
-                continue;
-            }
-            let region = mgr.diff(hit, acc)?;
-            acc = mgr.or(acc, hit)?;
-            if region == NodeRef::FALSE {
-                continue;
-            }
-            let mut c2 = core.clone();
-            c2.steps += 1;
-            if c2.steps > self.limit {
-                return Err(Unsupported::GotoCycle { limit: self.limit });
-            }
-            let goto = apply_actions(self.p, ti, ei, &mut c2)?;
-            match goto.or(t.next.as_deref()) {
-                Some(n) => {
-                    let t2 = self.resolve(n)?;
-                    let inner: Vec<Cube> = enclosing
-                        .iter()
-                        .filter_map(|d| self.narrow(&core, &t.match_attrs, ec, d))
-                        .collect();
-                    self.expand(mgr, layout, interner, region, &inner, c2, t2, root)?;
-                }
-                None => {
-                    self.emit(mgr, interner, region, delivered(self.p, &c2), root)?;
-                }
-            }
+            let x = self.then(enclosing, core, ti, Some((ei, ec)))?;
+            acc = self.mgr.ite(e, x, acc)?;
         }
-
-        let miss = mgr.diff(state, acc)?;
-        if miss == NodeRef::FALSE {
-            return Ok(());
-        }
-        let mut c2 = core;
-        c2.steps += 1;
-        if c2.steps > self.limit {
-            return Err(Unsupported::GotoCycle { limit: self.limit });
-        }
-        match &t.miss {
-            MissPolicy::Drop => {
-                self.emit(mgr, interner, miss, Behavior::Dropped, root)?;
-            }
-            MissPolicy::Controller => {
-                let mut b = delivered(self.p, &c2);
-                if let Behavior::Delivered { to_controller, .. } = &mut b {
-                    *to_controller = true;
-                }
-                self.emit(mgr, interner, miss, b, root)?;
-            }
-            MissPolicy::Fall(n) => {
-                let t2 = self.resolve(n)?;
-                self.expand(mgr, layout, interner, miss, enclosing, c2, t2, root)?;
-            }
-        }
-        Ok(())
+        Ok(acc)
     }
 
-    /// Fold one terminal region into the result MTBDD.
-    fn emit(
+    /// What follows at table `ti` under `core` when row `hit` wins (`None`:
+    /// a miss): a behavior terminal or the next table's diagram.
+    fn then(
         &mut self,
-        mgr: &mut Mgr,
-        interner: &mut BehaviorInterner,
-        region: NodeRef,
-        behavior: Behavior,
-        root: &mut NodeRef,
-    ) -> Result<(), Unsupported> {
+        enclosing: &[Cube],
+        core: &SymCore,
+        ti: usize,
+        hit: Option<(usize, &Cube)>,
+    ) -> Result<NodeRef, Unsupported> {
+        let p = self.p;
+        let t = &p.tables[ti];
+        self.path.push((ti, hit.map(|(ei, _)| ei)));
+        let next = || SymCore {
+            steps: core.steps + 1,
+            ..core.clone()
+        };
+        let x = match (hit, &t.miss) {
+            _ if core.steps >= self.limit => self.cut()?,
+            (Some((ei, ec)), _) => {
+                let mut c2 = next();
+                match apply_actions(p, ti, ei, &mut c2)?.or(t.next.as_deref()) {
+                    Some(n) => {
+                        let t2 = self.resolve(n)?;
+                        let inner: Vec<Cube> = enclosing
+                            .iter()
+                            .filter_map(|d| self.narrow(core, &t.match_attrs, ec, d))
+                            .collect();
+                        self.table(&inner, &c2, t2)?
+                    }
+                    None => self.leaf(delivered(p, &c2, false))?,
+                }
+            }
+            (None, MissPolicy::Drop) => self.leaf(Behavior::Dropped)?,
+            (None, MissPolicy::Controller) => self.leaf(delivered(p, core, true))?,
+            (None, MissPolicy::Fall(n)) => {
+                let t2 = self.resolve(n)?;
+                self.table(enclosing, &next(), t2)?
+            }
+        };
+        self.path.pop();
+        Ok(x)
+    }
+
+    /// One walk ends in `behavior`.
+    fn leaf(&mut self, behavior: Behavior) -> Result<NodeRef, Unsupported> {
         self.leaves += 1;
         if self.leaves > self.max_atoms {
             return Err(Unsupported::AtomBudget);
         }
-        let id = interner.intern(behavior);
-        *root = mgr.ite(region, NodeRef::term(id), *root)?;
-        Ok(())
+        Ok(NodeRef::term(self.interner.intern(behavior)))
+    }
+
+    /// The path has outrun the visit budget: decide exactly whether a
+    /// packet of `within` takes it. If none does, the placeholder stands in
+    /// for a branch nothing selects; otherwise some packet loops.
+    fn cut(&mut self) -> Result<NodeRef, Unsupported> {
+        let p = self.p;
+        let mut core = SymCore::initial(p);
+        let mut region = self.within;
+        for (ti, hit) in self.path.clone() {
+            let attrs = &p.tables[ti].match_attrs;
+            let rows: &'a [Option<Cube>] = &self.rows[ti];
+            // Every earlier row takes its packets first.
+            for (ei, ec) in rows[..hit.map_or(rows.len(), |ei| ei + 1)]
+                .iter()
+                .enumerate()
+            {
+                let e = match ec {
+                    Some(ec) => self.entry_bdd(&core, attrs, ec)?.unwrap_or(NodeRef::FALSE),
+                    None => NodeRef::FALSE,
+                };
+                region = if hit == Some(ei) {
+                    self.mgr.and(region, e)?
+                } else {
+                    self.mgr.diff(region, e)?
+                };
+            }
+            if region == NodeRef::FALSE {
+                return Ok(NodeRef::term(0));
+            }
+            if let Some(ei) = hit {
+                apply_actions(p, ti, ei, &mut core)?;
+            }
+            core.steps += 1;
+        }
+        Err(Unsupported::GotoCycle { limit: self.limit })
     }
 }
 
@@ -717,6 +721,28 @@ mod tests {
             eng.compile(&p, &space, &cfg),
             Err(Unsupported::GotoCycle { .. })
         ));
+    }
+
+    /// A goto back to its own table behind a row that shadows it: no packet
+    /// takes the cycle, so the build must not report one, and the check
+    /// stays symbolic.
+    #[test]
+    fn a_cycle_only_a_shadowed_row_reaches_is_no_cycle() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 4);
+        let out = c.action("out", ActionSem::Output);
+        let goto = c.action("goto", ActionSem::Goto);
+        let mut t0 = Table::new("t0", vec![f], vec![out, goto]);
+        t0.row(vec![Value::Int(1)], vec![Value::sym("a"), Value::Any]);
+        t0.row(vec![Value::Int(1)], vec![Value::Any, Value::sym("t0")]);
+        let p = Pipeline::single(c, t0);
+        assert_dd_exact(&p);
+        match crate::check_symbolic(&p, &p, &cfg()).unwrap() {
+            mapro_core::EquivOutcome::Equivalent { method, .. } => {
+                assert_eq!(method, mapro_core::CheckMethod::Symbolic);
+            }
+            other => panic!("expected a symbolic proof, got {other:?}"),
+        }
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! region `D` as a BDD, compiles the new pipeline restricted to `D`
 //! ([`DdEngine::compile_within`]), and splices with `root ← ite(D, delta,
 //! root)` — the two diagrams agree outside `D` by the invalidation
-//! contract. The restricted compile is local: every state it reaches is a
-//! subset of `D`, so a table row disjoint from every dirty cube can neither
-//! win a region nor shrink the miss set and is skipped before its predicate
-//! is built. Counterexamples come from `first_diff`, whose 0-preferring
+//! contract. The restricted compile is local: it builds over the dirty
+//! cubes, so a table row disjoint from every one of them matches no packet
+//! of `D` and is left out before its cube is built (the splice takes the
+//! unmasked build, whose nodes outside `D` it never selects).
+//! Counterexamples come from `first_diff`, whose 0-preferring
 //! path order is a function of the diagrams alone, so a session witness is
 //! byte-identical to a fresh check's.
 //!
@@ -121,8 +122,8 @@ pub struct ProofToken {
     pub txn: u64,
     /// Deterministic digest: `incr:<epoch>:<txn>:<checks>:<atoms>:<verdict>`.
     pub digest: String,
-    /// Leaf regions re-derived for this proof; the shared node count of
-    /// both diagrams when the update fell back to a from-scratch check.
+    /// Leaves built for this proof; the shared node count of both diagrams
+    /// when the update fell back to a from-scratch check.
     pub atoms_rechecked: usize,
     /// The session verdict after applying the update.
     pub verdict: Verdict,
@@ -479,8 +480,7 @@ impl IncrementalChecker {
         let mut work = 0usize;
         for (upd, side) in [(upd_left, &mut *left), (upd_right, &mut *right)] {
             if upd {
-                let (delta, leaves) =
-                    eng.compile_within(&side.p, space, cfg, d, last_dirty, &side.rows)?;
+                let (delta, leaves) = eng.build(&side.p, space, cfg, d, last_dirty, &side.rows)?;
                 side.root = eng.mgr.ite(d, delta, side.root)?;
                 work += leaves;
             }

@@ -18,6 +18,8 @@ use mapro_bench::{deep_overlap, deep_pair, DEEP_ROWS};
 use mapro_sym::{check_symbolic, CoverBackend, SymConfig};
 use mapro_workloads::{random_table, RandomSpec};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 fn backend_cfg(backend: CoverBackend) -> SymConfig {
@@ -255,6 +257,22 @@ fn deep_fixture_flags_planted_entry_error_under_dd_with_zero_unknowns() {
     assert_eq!(planted_diag.severity, mapro_lint::Severity::Error);
 }
 
+/// One interval-shaped match cell of `w` bits (so the enumerative oracle
+/// applies): a wildcard, an exact value or a short prefix.
+fn interval_cell(rng: &mut SmallRng, w: u32) -> Value {
+    match rng.gen_range(0..4u8) {
+        0 => Value::Any,
+        1 => Value::Int(rng.gen_range(0..1u64 << w)),
+        _ => {
+            // Short prefixes: wide rows overlap, and often hold the
+            // value an earlier table wrote.
+            let len = rng.gen_range(1..=3u32);
+            let bits = rng.gen_range(0..1u64 << len) << (w - len);
+            Value::prefix(bits, len as u8, w)
+        }
+    }
+}
+
 /// Four tables joined by goto, by metadata and by re-matching a header
 /// field an earlier table `SetField`s: a row behind the rewrite must be
 /// neither skipped nor used to narrow a state on account of what the input
@@ -263,21 +281,6 @@ fn deep_fixture_flags_planted_entry_error_under_dd_with_zero_unknowns() {
 /// against itself and against a one-cell mutant.
 #[test]
 fn rewritten_then_rematched_fields_agree_with_the_oracle() {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    fn interval_cell(rng: &mut SmallRng, w: u32) -> Value {
-        match rng.gen_range(0..4u8) {
-            0 => Value::Any,
-            1 => Value::Int(rng.gen_range(0..1u64 << w)),
-            _ => {
-                // Short prefixes: wide rows overlap, and often hold the
-                // value an earlier table wrote.
-                let len = rng.gen_range(1..=3u32);
-                let bits = rng.gen_range(0..1u64 << len) << (w - len);
-                Value::prefix(bits, len as u8, w)
-            }
-        }
-    }
     let enumerate = EquivConfig {
         mode: EquivMode::Enumerate,
         ..EquivConfig::default()
@@ -311,6 +314,43 @@ fn rewritten_then_rematched_fields_agree_with_the_oracle() {
             "{ctx}"
         );
         if oracle.is_equivalent() {
+            equal += 1;
+        } else {
+            different += 1;
+        }
+    }
+    assert!(equal > 0 && different > 0, "{equal} equal, {different} not");
+}
+
+/// Multi-table programs from both of `tests/common`'s zoos — goto fan-out,
+/// `next`, `Fall` misses, metadata joins and a `SetField` of a field a later
+/// table re-matches — each against a one-leaf mutant (one row's output
+/// renamed, which may or may not be observable): the diagram's verdict is the cube
+/// compiler's, and every witness is confirmed by the evaluator on both
+/// sides. Where a diagram built bottom-up and a top-down walk could
+/// disagree, this is where they would.
+#[test]
+fn multi_table_zoos_agree_with_the_cube_compiler() {
+    use mapro::core::AttrKind;
+    let mut rng = SmallRng::seed_from_u64(7919);
+    let (mut equal, mut different) = (0, 0);
+    for case in 0..200 {
+        let p = if case % 2 == 0 {
+            common::reach_zoo(&mut rng)
+        } else {
+            common::rewrite_zoo(&mut rng, interval_cell)
+        };
+        // Every table of both zoos but the first has an output column.
+        let mut q = p.clone();
+        let t = &mut q.tables[rng.gen_range(1..p.tables.len())];
+        let col = t
+            .action_attrs
+            .iter()
+            .position(|&a| p.catalog.attr(a).kind == AttrKind::Action(ActionSem::Output))
+            .expect("an output column");
+        let row = rng.gen_range(0..t.entries.len());
+        t.entries[row].actions[col] = Value::sym("mutant");
+        if backends_agree(&p, &q, &format!("zoo {case} mutant")) {
             equal += 1;
         } else {
             different += 1;

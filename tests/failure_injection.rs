@@ -361,10 +361,11 @@ fn reconcile_exhausts_with_typed_outcome_at_extreme_drop() {
     );
 }
 
-/// A `RuleUpdate::Insert` of the wrong width is an error at the
-/// controller, never a panic: the plan — a valid move followed by the
-/// malformed insert — is refused before the WAL or the wire sees it, and
-/// neither the intended state nor the switch and its verdicts move.
+/// A `RuleUpdate::Insert` with a cell too many, or with a cell wider than
+/// its attribute, is an error at the controller, never a panic: the plan —
+/// a valid move followed by the malformed insert — is refused before the
+/// WAL or the wire sees it, and neither the intended state nor the switch
+/// and its verdicts move.
 #[test]
 fn malformed_insert_is_refused_by_the_controller() {
     use mapro::control::{ApplyError, DriverError};
@@ -405,21 +406,38 @@ fn malformed_insert_is_refused_by_the_controller() {
     };
     let before = verdicts(&mut ch);
     let t = &p.tables[0];
-    let mut plan = g.move_service_port(&p, 0, 8443);
-    plan.updates.push(RuleUpdate::Insert {
-        table: t.name.clone(),
-        entry: Entry::new(
+    // A cell too many, and a `tcp_dst` one bit wider than its attribute.
+    let tcp_dst = p.catalog.lookup("tcp_dst").unwrap();
+    let mut too_wide = vec![Value::Any; t.match_attrs.len()];
+    too_wide[t.column_of(tcp_dst).unwrap().0] = Value::Int(1 << p.catalog.attr(tcp_dst).width);
+    for (cells, want) in [
+        (
             vec![Value::Any; t.match_attrs.len() + 1],
-            vec![Value::Any; t.action_attrs.len()],
+            ApplyError::Arity {
+                table: t.name.clone(),
+            },
         ),
-    });
-    match ctl.apply_plan(&mut ch, &plan) {
-        Err(DriverError::PlanInvalid(ApplyError::Arity { table })) => assert_eq!(table, t.name),
-        other => panic!("expected an arity error, got {other:?}"),
+        (
+            too_wide,
+            ApplyError::Width {
+                table: t.name.clone(),
+                attr: tcp_dst,
+            },
+        ),
+    ] {
+        let mut plan = g.move_service_port(&p, 0, 8443);
+        plan.updates.push(RuleUpdate::Insert {
+            table: t.name.clone(),
+            entry: Entry::new(cells, vec![Value::Any; t.action_attrs.len()]),
+        });
+        match ctl.apply_plan(&mut ch, &plan) {
+            Err(DriverError::PlanInvalid(got)) => assert_eq!(got, want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+        assert_eq!(*ctl.intended(), p);
+        assert_eq!(ctl.wal().borrow().len(), 0, "nothing logged");
+        assert_eq!(ch.stats().sent, 0, "nothing sent");
+        assert_eq!(*ch.endpoint().pipeline(), p);
+        assert_eq!(verdicts(&mut ch), before);
     }
-    assert_eq!(*ctl.intended(), p);
-    assert_eq!(ctl.wal().borrow().len(), 0, "nothing logged");
-    assert_eq!(ch.stats().sent, 0, "nothing sent");
-    assert_eq!(*ch.endpoint().pipeline(), p);
-    assert_eq!(verdicts(&mut ch), before);
 }

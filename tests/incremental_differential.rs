@@ -303,11 +303,11 @@ fn match_changing_modify_dirties_old_and_new_row() {
 }
 
 /// `compile_within(p, D)` is `compile(p)` cut to `D` — the same node as
-/// `ite(D, compile(p), term(0))` — whatever cubes `D` is handed over as,
-/// and it emits the leaves of `D` only: handing the executor the universe
-/// instead of the dirty cubes (so that it can skip by nothing but what the
-/// winning rows tell it) changes neither the node nor the leaf count the
-/// session reports as `sym.incr.atoms_rechecked`.
+/// `ite(D, compile(p), term(0))` — whatever cubes `D` is handed over as.
+/// The cubes decide only the cost: handing the build the universe instead
+/// of the dirty cubes (so that it can skip by nothing but the rows taken on
+/// the way) never builds fewer leaves — the count the session reports as
+/// `sym.incr.atoms_rechecked` — and builds more wherever a row is skipped.
 #[test]
 fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
     fn tern(rng: &mut SmallRng, w: u32) -> Tern {
@@ -320,7 +320,7 @@ fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
     }
     let mut rng = SmallRng::seed_from_u64(2019);
     let cfg = SymConfig::default();
-    let mut skipped_somewhere = false;
+    let (mut skipped_somewhere, mut fewer_somewhere) = (false, false);
     for case in 0..200 {
         let p = common::rewrite_zoo(&mut rng, |rng, w| {
             let Tern { bits, mask } = tern(rng, w);
@@ -352,7 +352,11 @@ fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
                 .compile_within(&p, &space, &cfg, d, &[space.universe()], &rows)
                 .unwrap();
             assert_eq!(blind, want, "case {case}");
-            assert_eq!(local_leaves, leaves, "skipped rows emit no leaf");
+            assert!(
+                local_leaves <= leaves,
+                "case {case}: {local_leaves} > {leaves}"
+            );
+            fewer_somewhere |= local_leaves < leaves;
             skipped_somewhere |= rows[0]
                 .iter()
                 .flatten()
@@ -360,6 +364,7 @@ fn restricted_compile_is_the_full_compile_cut_to_the_dirty_region() {
         }
     }
     assert!(skipped_somewhere, "no case exercised the skip");
+    assert!(fewer_somewhere, "the dirty cubes never saved a leaf");
 }
 
 proptest! {
