@@ -4,15 +4,14 @@
 //! fields, checked against their priority-reversed reordering) straddle
 //! the trade-off: the enumerative engine's cost follows the representative
 //! domain product (~(2k)^f packets), the symbolic engine's cost follows
-//! the atom count (~k·f·w cubes). Small fields keep enumeration cheap;
-//! adding fields inflates the product exponentially while the covers grow
-//! linearly — which is the whole point of the atom-based engine. Like
-//! E17 itself this pins the cube engine (the cost model above is its);
-//! `benches/dd.rs` has cubes against the default, decision diagrams.
+//! the node count of the decision diagrams (~k·f·w nodes). Small fields
+//! keep enumeration cheap; adding fields inflates the product exponentially
+//! while the diagrams grow linearly — which is the whole point of the
+//! symbolic engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_core::{ActionSem, Catalog, EquivConfig, EquivMode, Pipeline, Table, Value};
-use mapro_sym::{CoverBackend, SymConfig};
+use mapro_sym::SymConfig;
 
 /// `rows` disjoint exact entries over `fields` 16-bit columns; reversed
 /// priority order on demand (still equivalent — rows are disjoint).
@@ -51,10 +50,7 @@ fn bench_equiv(c: &mut Criterion) {
     // (label, fields, rows): representative product ≈ (2·rows)^fields.
     let sizes: [(&str, usize, u64); 3] = [("2f", 2, 8), ("3f", 3, 10), ("4f", 4, 12)];
 
-    let cube = SymConfig {
-        backend: CoverBackend::Cube,
-        ..SymConfig::default()
-    };
+    let sym = SymConfig::default();
 
     let mut group = c.benchmark_group("equiv");
     for (label, fields, rows) in sizes {
@@ -68,7 +64,7 @@ fn bench_equiv(c: &mut Criterion) {
         });
         group.bench_function(format!("symbolic_{label}"), |b| {
             b.iter(|| {
-                let out = mapro_sym::check_symbolic(&l, &r, &cube).expect("checks");
+                let out = mapro_sym::check_symbolic(&l, &r, &sym).expect("checks");
                 assert!(std::hint::black_box(out).is_equivalent());
             });
         });

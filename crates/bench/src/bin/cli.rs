@@ -8,11 +8,10 @@
 //! mapro convert <prog.json|prog.mat> [--mat]     # JSON ↔ text format
 //! mapro show <prog.json>                          # paper-figure rendering
 //! mapro analyze <prog.json>                       # per-table NF report
-//! mapro lint <prog.json> [--format text|json] [--backend dd|cube]
-//!            [--deny warn] [-A|-W|-D <lint-id>]...
+//! mapro lint <prog.json> [--format text|json] [--deny warn] [-A|-W|-D <lint-id>]...
 //! mapro normalize <prog.json> [--join goto|metadata|rematch] [--target 2nf|3nf|bcnf] [--verify]
 //! mapro flatten <prog.json>                       # denormalize to one table
-//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend dd|cube]
+//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate]
 //! mapro replay <prog.json> [--packets N --flows F --seed S --shards N]
 //!              [--switch ovs|eswitch|lagopus|noviflow|cached]
 //! mapro export <prog.json> --format openflow|p4   # data-plane program text
@@ -64,11 +63,11 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
     exit(2)
 }
 
-fn parse_backend(flag: &Option<String>) -> mapro_sym::CoverBackend {
-    match flag.as_deref() {
-        None => mapro_sym::CoverBackend::default(),
-        Some(s) => mapro_sym::CoverBackend::parse(s)
-            .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (dd|cube)"))),
+/// `lint` and `check` have one symbolic engine; the flag that chose
+/// between two is refused rather than ignored.
+fn refuse_backend(has: impl Fn(&str) -> bool) {
+    if has("--backend") {
+        usage_error("--backend was removed; decision diagrams are the only symbolic engine");
     }
 }
 
@@ -206,8 +205,8 @@ fn main() {
                 }
                 "deep" => {
                     // The E21 deep-overlap workload: a planted dead entry
-                    // only decidable by union reasoning past the cube
-                    // engine's budget (tests/golden/deep_overlap.json).
+                    // only decidable by union reasoning over many rows
+                    // (tests/golden/deep_overlap.json).
                     let s = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(2019);
                     mapro_bench::deep_overlap(mapro_bench::DEEP_ROWS, s)
                 }
@@ -290,14 +289,8 @@ fn main() {
                     s
                 }));
             }
-            let backend = parse_backend(&flag("--backend"));
-            let mut report = mapro_lint::lint(
-                &p,
-                &mapro_lint::LintConfig {
-                    backend,
-                    ..mapro_lint::LintConfig::default()
-                },
-            );
+            refuse_backend(has);
+            let mut report = mapro_lint::lint(&p, &mapro_lint::LintConfig::default());
             report.apply(&overrides);
             if json {
                 println!("{}", report.to_json());
@@ -366,9 +359,9 @@ fn main() {
             let a = load(args.get(1).unwrap_or_else(|| usage()));
             let b = load(args.get(2).unwrap_or_else(|| usage()));
             // Engine selection: the default Auto runs the symbolic engine
-            // (decision diagrams unless `--backend cube`) and falls back to
-            // enumeration outside its fragment; the method is always
-            // printed so a sampled verdict is never mistaken for a proof.
+            // (decision diagrams) and falls back to enumeration outside its
+            // fragment; the method is always printed so a sampled verdict
+            // is never mistaken for a proof.
             let mode = match flag("--mode").as_deref() {
                 None | Some("auto") => mapro_core::EquivMode::Auto,
                 Some("symbolic") => mapro_core::EquivMode::Symbolic,
@@ -377,15 +370,12 @@ fn main() {
                     usage_error(format_args!("unknown mode {m:?} (auto|symbolic|enumerate)"))
                 }
             };
+            refuse_backend(has);
             let cfg = mapro_core::EquivConfig {
                 mode,
                 ..mapro_core::EquivConfig::default()
             };
-            let sym_cfg = mapro_sym::SymConfig {
-                backend: parse_backend(&flag("--backend")),
-                ..mapro_sym::SymConfig::default()
-            };
-            match mapro_sym::check_equivalent_explain(&a, &b, &cfg, &sym_cfg) {
+            match mapro_sym::check_equivalent_explain(&a, &b, &cfg, &Default::default()) {
                 Ok((
                     mapro_core::EquivOutcome::Equivalent {
                         packets_checked,

@@ -537,9 +537,9 @@ fn main() {
                 "enum[ms]",
                 "sym[ms]",
                 "speedup",
-                "atoms_l",
-                "atoms_r",
-                "pairs"
+                "nodes_l",
+                "nodes_r",
+                "checked"
             );
             for r in &rep.rows {
                 println!(
@@ -553,9 +553,9 @@ fn main() {
                     r.speedup
                         .map(|s| format!("{s:.1}x"))
                         .unwrap_or_else(|| "-".into()),
-                    r.atoms_left,
-                    r.atoms_right,
-                    r.pairs,
+                    r.dd_nodes_left,
+                    r.dd_nodes_right,
+                    r.packets_checked,
                     r.verdict,
                     r.digest
                 );
@@ -564,7 +564,7 @@ fn main() {
     }
     if want("ddscale") {
         println!(
-            "\n############ E21 — cube covers vs hash-consed decision diagrams (extension) ############"
+            "\n############ E21 — hash-consed decision diagrams at width (extension) ############"
         );
         let rep = ddscale(&args.cfg);
         if args.json {
@@ -572,45 +572,26 @@ fn main() {
         } else {
             println!("host cores: {}", rep.host_cores);
             println!(
-                "{:<8} {:>9} {:>6} {:>17} {:>9} {:>9} {:>9} {:>9}  verdict / digest",
-                "workload",
-                "log2|D|",
-                "bits",
-                "cube status",
-                "atoms",
-                "cube[ms]",
-                "nodes",
-                "dd[ms]"
+                "{:<8} {:>9} {:>6} {:>9} {:>9}  verdict / digest",
+                "workload", "log2|D|", "bits", "nodes", "dd[ms]"
             );
             for r in &rep.rows {
-                let atoms = match (r.cube_atoms_left, r.cube_atoms_right) {
-                    (Some(a), Some(b)) => format!("{a}+{b}"),
-                    _ => "-".into(),
-                };
                 println!(
-                    "{:<8} {:>9.1} {:>6} {:>17} {:>9} {:>9} {:>9} {:>9.3}  {} / {}",
+                    "{:<8} {:>9.1} {:>6} {:>9} {:>9.3}  {} / {}",
                     r.workload,
                     r.product_log2,
                     r.joint_bits,
-                    r.cube_status,
-                    atoms,
-                    r.cube_ms
-                        .map(|m| format!("{m:.2}"))
-                        .unwrap_or_else(|| "-".into()),
                     r.dd_nodes,
                     r.dd_ms,
                     r.verdict,
                     r.digest
                 );
             }
-            println!(
-                "{:<10} {:>12} {:>9} {:>10} {:>7}  digest",
-                "lint", "cube_unk", "cube_dead", "dd_unk", "dd_dead"
-            );
+            println!("{:<10} {:>10} {:>7}  digest", "lint", "dd_unk", "dd_dead");
             for r in &rep.lint {
                 println!(
-                    "{:<10} {:>12} {:>9} {:>10} {:>7}  {}",
-                    r.workload, r.cube_unknown, r.cube_dead, r.dd_unknown, r.dd_dead, r.digest
+                    "{:<10} {:>10} {:>7}  {}",
+                    r.workload, r.dd_unknown, r.dd_dead, r.digest
                 );
             }
         }

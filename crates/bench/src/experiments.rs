@@ -1487,20 +1487,20 @@ pub struct SymScaleRow {
     pub sym_ms: f64,
     /// `enum_ms / sym_ms` when both ran.
     pub speedup: Option<f64>,
-    /// Atom count of the left behavior cover.
-    pub atoms_left: usize,
-    /// Atom count of the right behavior cover.
-    pub atoms_right: usize,
-    /// Non-empty atom intersections compared (only meaningful on an
-    /// equivalent verdict; 0 when a counterexample cut the scan short).
-    pub pairs: usize,
+    /// Nodes of the left pipeline's behavior diagram.
+    pub dd_nodes_left: usize,
+    /// Nodes of the right pipeline's behavior diagram.
+    pub dd_nodes_right: usize,
+    /// The check's own `packets_checked`: the shared node count of both
+    /// diagrams on an equivalent verdict, 0 on a counterexample.
+    pub packets_checked: usize,
     /// How the reported verdict was decided (`symbolic` always, here).
     pub method: String,
     /// `equivalent` or `counterexample`.
     pub verdict: String,
-    /// Fingerprint of the deterministic parts of the result (atom counts,
-    /// pairs, verdict, counterexample fields) — never timings — so CI can
-    /// diff it across thread counts.
+    /// Fingerprint of the deterministic parts of the result (node counts,
+    /// verdict, counterexample fields) — never timings — so CI can diff it
+    /// across thread counts.
     pub digest: String,
 }
 
@@ -1556,32 +1556,29 @@ pub fn wide_pair(fields: usize, nrows: u64, seed: u64) -> (Pipeline, Pipeline) {
     (build(false), build(true))
 }
 
-/// Extension experiment E17: the symbolic atom-based equivalence engine
-/// against the enumerative oracle, across the feasibility boundary.
+/// Extension experiment E17: the symbolic (decision-diagram) equivalence
+/// engine against the enumerative oracle, across the feasibility boundary.
 ///
 /// Four configurations:
 /// * `gwlb` — the E15 equivalence workload (universal vs goto-normalized
 ///   GWLB), where exhaustive enumeration is feasible: both engines run and
-///   the speedup is reported. (The enumerative engine's representative
-///   domain is tiny here while GWLB's wide exact fields inflate the atom
-///   count — an honest configuration where enumeration wins.)
+///   the speedup is reported.
 /// * `wide4` — 4 × 16-bit fields with disjoint exact rows, reordered: the
 ///   representative product is ~10^6 (feasible, expensive) while the
-///   covers stay small — the configuration where the symbolic engine is
-///   an order of magnitude faster.
+///   diagrams stay small — the configuration where the symbolic engine is
+///   orders of magnitude faster.
 /// * `wide8` — same shape at 8 fields: the derived product exceeds 2^40
-///   packets, enumeration can only sample, while the cover check
+///   packets, enumeration can only sample, while the diagram check
 ///   completes and *proves* equivalence.
 /// * `churn` — the `gwlb` pair re-checked after one action edit (the
-///   update-churn shape): the per-table partition cache carries over, and
-///   the engine pinpoints the exact counterexample.
+///   update-churn shape): the engine pinpoints the exact counterexample.
 ///
 /// Timing is best-of-`REPS` after an untimed warmup, like E15. The digest
 /// column captures only deterministic results, so runs at different
 /// `--threads` must produce byte-identical digests (CI enforces this).
 pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
     use mapro_core::{Domain, EquivConfig, EquivMode, EquivOutcome, Value};
-    use mapro_sym::{compile, FieldSpace, SymConfig};
+    use mapro_sym::{DdEngine, FieldSpace, SymConfig};
     use std::time::Instant;
 
     const REPS: usize = 3;
@@ -1589,12 +1586,7 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
         mode: EquivMode::Enumerate,
         ..EquivConfig::default()
     };
-    // E17 measures the *cube* engine; pin it so the committed digests stay
-    // byte-identical as the Auto policy evolves (E21 covers the DD side).
-    let scfg = SymConfig {
-        backend: mapro_sym::CoverBackend::Cube,
-        ..SymConfig::default()
-    };
+    let scfg = SymConfig::default();
 
     // `gwlb`: the E15 equivalence pair, and its churn variant with one
     // backend's output port edited (guaranteed counterexample).
@@ -1630,8 +1622,7 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
             .unwrap_or(u128::MAX);
         let enum_feasible = product <= enum_cfg.max_exhaustive;
 
-        // Untimed warmup (also primes the partition cache, deliberately:
-        // re-verification against a warm cache is the production shape).
+        // Untimed warmup.
         let _ = mapro_sym::check_equivalent_with(
             l,
             r,
@@ -1654,11 +1645,16 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
         }
         let outcome = outcome.expect("REPS >= 1");
 
+        // Each side's diagram on its own, over the joint space.
         let space = FieldSpace::from_pipelines(&[l, r]);
-        let atoms_left = compile(l, &space, &scfg).expect("compiles").atoms.len();
-        let atoms_right = compile(r, &space, &scfg).expect("compiles").atoms.len();
+        let nodes = |p: &Pipeline| {
+            let mut eng = DdEngine::new(&space, &scfg);
+            let root = eng.compile(p, &space, &scfg).expect("compiles");
+            eng.mgr.node_count(&[root])
+        };
+        let (dd_nodes_left, dd_nodes_right) = (nodes(l), nodes(r));
 
-        let (pairs, verdict, digest_tail) = match &outcome {
+        let (packets_checked, verdict, digest_tail) = match &outcome {
             EquivOutcome::Equivalent {
                 packets_checked, ..
             } => (*packets_checked, "equivalent", "eq".to_owned()),
@@ -1693,12 +1689,12 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
             enum_ms,
             sym_ms,
             speedup: enum_ms.map(|e| e / sym_ms),
-            atoms_left,
-            atoms_right,
-            pairs,
+            dd_nodes_left,
+            dd_nodes_right,
+            packets_checked,
             method: "symbolic".to_owned(),
             verdict: verdict.to_owned(),
-            digest: format!("sym:{atoms_left}:{atoms_right}:{pairs}:{digest_tail}"),
+            digest: format!("sym:{dd_nodes_left}:{dd_nodes_right}:{packets_checked}:{digest_tail}"),
         });
     }
 
@@ -1717,7 +1713,7 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
 /// One attributed phase of an E18 workload.
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseRow {
-    /// Logical span path, e.g. `check.symbolic.cross.chunk`.
+    /// Logical span path, e.g. `check.symbolic.symbolic_dd.dd.compile`.
     pub path: String,
     /// Spans recorded at this path.
     pub count: u64,
@@ -1760,8 +1756,8 @@ pub struct PhasesReport {
 /// wall clock to logical phases via [`mapro_obs::trace::TraceSummary`].
 ///
 /// Six workloads cover the three instrumented subsystems: the symbolic
-/// checker on the GWLB pair and the E17 `wide4`/`wide8` pairs (compile vs
-/// cross-intersection split), the enumerative checker on the same GWLB
+/// checker on the GWLB pair and the E17 `wide4`/`wide8` pairs (space vs
+/// diagram compile), the enumerative checker on the same GWLB
 /// pair (chunked scan), the sharded packet replay (per-shard compile vs
 /// eval), and the E14 control driver (txn/bundle/reconcile lifecycle).
 ///
@@ -1889,11 +1885,10 @@ pub const DEEP_ROWS: usize = 88;
 /// deterministic, so a given `(nrows, seed)` always yields the same
 /// program.
 ///
-/// The fragmented union is the adversarial shape for cube engines: the
-/// budgeted recursive split in `covered_by` must chew through the random
-/// layer before the covering block can close any branch, exhausting its
-/// default budget — while the hash-consed diagram stays near-linear in
-/// the entry count.
+/// The fragmented union is the adversarial shape for cube lists: splitting
+/// the wildcard against the random layer fragments it long before the
+/// covering block can close any branch — while the hash-consed diagram
+/// stays near-linear in the entry count.
 pub fn deep_overlap(nrows: usize, seed: u64) -> Pipeline {
     use mapro_core::{ActionSem, Catalog, Table, Value};
     use mapro_sym::{cube::Cube, SymConfig, TableLiveness};
@@ -1992,7 +1987,7 @@ pub fn deep_overlap(nrows: usize, seed: u64) -> Pipeline {
 /// program with the shadowed wildcard entry removed. They are equivalent
 /// *iff* the plant is dead — which generation proved — so the pair turns
 /// the lint liveness question into an equivalence question the E21 sweep
-/// can time on both engines.
+/// can time.
 pub fn deep_pair(nrows: usize, seed: u64) -> (Pipeline, Pipeline) {
     let left = deep_overlap(nrows, seed);
     let mut right = left.clone();
@@ -2009,43 +2004,28 @@ pub struct DdScaleRow {
     pub product_log2: f64,
     /// Total match bits of the joint field space (the DD variable count).
     pub joint_bits: u32,
-    /// `ok` when the cube engine compiled both covers, else the budget it
-    /// exhausted (`atom_budget` | `partition_budget`).
-    pub cube_status: String,
-    /// Cube atoms of the left cover (`None` when the cube engine failed).
-    pub cube_atoms_left: Option<usize>,
-    /// Cube atoms of the right cover (`None` when the cube engine failed).
-    pub cube_atoms_right: Option<usize>,
-    /// Best-of-reps wall clock of the full cube check \[ms\]; `None` when
-    /// the cube engine exhausted a budget and was not timed.
-    pub cube_ms: Option<f64>,
     /// Live MTBDD nodes reachable from both compiled roots.
     pub dd_nodes: usize,
     /// Best-of-reps wall clock of the full DD check \[ms\].
     pub dd_ms: f64,
-    /// `equivalent` or `counterexample` (the DD verdict; the cube verdict
-    /// must agree whenever it exists, asserted in the experiment).
+    /// `equivalent`, or `cx@` and the counterexample's fields.
     pub verdict: String,
-    /// Fingerprint of the deterministic parts (bits, nodes, atoms,
-    /// verdict, cube status) — never timings — for the cross-thread diff.
+    /// Fingerprint of the deterministic parts (bits, nodes, verdict) —
+    /// never timings — for the cross-thread diff.
     pub digest: String,
 }
 
-/// One lint row of the E21 report: unknowns per backend per workload.
+/// One lint row of the E21 report: liveness verdicts per workload.
 #[derive(Debug, Clone, Serialize)]
 pub struct DdLintRow {
     /// Workload label.
     pub workload: String,
-    /// Undecided union-cover findings under `--backend cube`.
-    pub cube_unknown: usize,
-    /// `dead-entry` findings under `--backend cube`.
-    pub cube_dead: usize,
-    /// Undecided findings under `--backend dd` — zero, by construction
-    /// (asserted in the experiment).
+    /// Undecided liveness findings — zero, by construction (asserted in
+    /// the experiment).
     pub dd_unknown: usize,
-    /// `dead-entry` findings under `--backend dd`.
+    /// `dead-entry` findings.
     pub dd_dead: usize,
-    /// Deterministic fingerprint of the four counts.
+    /// Deterministic fingerprint of the two counts.
     pub digest: String,
 }
 
@@ -2064,50 +2044,31 @@ pub struct DdScaleReport {
     pub lint: Vec<DdLintRow>,
 }
 
-/// Extension experiment E21: the hash-consed decision-diagram backend
-/// against the cube-cover engine, across the width boundary where cube
-/// lists stop being a usable representation.
+/// Extension experiment E21: the hash-consed decision-diagram engine
+/// across the width boundary where cube lists stop being a usable
+/// representation.
 ///
-/// Equivalence sweep — four pairs, each checked by both backends:
-/// * `wide4` / `wide8` — the E17 wide workloads: inside the cube
-///   fragment, where the sweep records the crossover (small covers beat
-///   small diagrams on constant factors).
-/// * `wide16` — 16 × 16-bit fields, product ≥ 2^64: the acceptance bar.
-///   The experiment *asserts* that the cube engine either exhausts a
-///   budget here or is ≥ 10× slower than the DD proof.
+/// Equivalence sweep — four pairs:
+/// * `wide4` / `wide8` — the E17 wide workloads.
+/// * `wide16` — 16 × 16-bit fields, product ≥ 2^64: the acceptance bar
+///   (asserted) — a product no enumeration can touch, proven in ms.
 /// * `deep` — the [`deep_overlap`] pair: equivalent iff the planted
 ///   wildcard entry is dead, the shape where cube residue lists fragment.
 ///
-/// Lint sweep — the six paper workloads plus the deep fixture, linted
-/// under `--backend cube` and `--backend dd`: the DD column must report
-/// zero undecided findings everywhere (asserted), and on `deep` the cube
-/// column must report at least one — the verdict the DD backend is there
-/// to decide.
+/// Lint sweep — the six paper workloads plus the deep fixture: every
+/// liveness verdict must be decided (asserted), and on `deep` the planted
+/// entry must be flagged dead.
 ///
 /// Timing is best-of-`REPS` after an untimed warmup. The digest columns
 /// capture only deterministic results, so runs at different `--threads`
 /// must produce byte-identical digests (CI enforces this).
 pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
     use mapro_core::{Domain, EquivOutcome};
-    use mapro_sym::{compile, BitLayout, CoverBackend, DdEngine, FieldSpace, SymConfig};
+    use mapro_sym::{BitLayout, DdEngine, FieldSpace, SymConfig};
     use std::time::Instant;
 
     const REPS: usize = 2;
-    // The cube side runs under a 2^16 atom ceiling rather than the 2^20
-    // compile default: the cross-intersection is quadratic in the atom
-    // count, so 2^16 is where a timed check stops being practical (≈4×10^9
-    // pair intersections) — past it the engine's own budget verdict *is*
-    // the result E21 records. (`deep` compiles to ~3×10^5 atoms per side;
-    // timing that check would take hours.)
-    let cube_cfg = SymConfig {
-        backend: CoverBackend::Cube,
-        max_atoms: 1 << 16,
-        ..SymConfig::default()
-    };
-    let dd_cfg = SymConfig {
-        backend: CoverBackend::Dd,
-        ..SymConfig::default()
-    };
+    let dd_cfg = SymConfig::default();
 
     let (deep_l, deep_r) = deep_pair(DEEP_ROWS, cfg.seed);
     let (w4l, w4r) = wide_pair(4, 12, cfg.seed);
@@ -2128,35 +2089,10 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
             .map(|d| d.product_size())
             .unwrap_or(u128::MAX);
 
-        // Cube side: compile each cover first so a budget failure is
-        // captured structurally (which budget, not just a message), then
-        // time the full check only when both sides compiled.
-        let cube_compile = compile(l, &space, &cube_cfg).and_then(|cl| {
-            compile(r, &space, &cube_cfg).map(|cr| (cl.atoms.len(), cr.atoms.len()))
-        });
-        let (cube_status, cube_atoms, cube_ms, cube_verdict) = match cube_compile {
-            Ok((al, ar)) => {
-                let mut best = f64::INFINITY;
-                let mut out = None;
-                for _ in 0..=REPS {
-                    // First pass is the untimed warmup (primes caches).
-                    let t0 = Instant::now();
-                    let o = mapro_sym::check_symbolic(l, r, &cube_cfg)
-                        .expect("cube check runs once both covers compiled");
-                    if out.is_some() {
-                        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                    }
-                    out = Some(o);
-                }
-                let verdict = out.expect("REPS >= 1").is_equivalent();
-                ("ok".to_owned(), Some((al, ar)), Some(best), Some(verdict))
-            }
-            Err(u) => (u.label().to_owned(), None, None, None),
-        };
-
         let mut dd_ms = f64::INFINITY;
         let mut out = None;
         for _ in 0..=REPS {
+            // First pass is the untimed warmup.
             let t0 = Instant::now();
             let o = mapro_sym::check_symbolic(l, r, &dd_cfg)
                 .expect("the DD engine decides every ddscale workload");
@@ -2165,15 +2101,7 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
             }
             out = Some(o);
         }
-        let out = out.expect("REPS >= 1");
-        if let Some(cv) = cube_verdict {
-            assert_eq!(
-                cv,
-                out.is_equivalent(),
-                "ddscale {name}: backends disagree — differential bug"
-            );
-        }
-        let verdict = match &out {
+        let verdict = match out.expect("REPS >= 1") {
             EquivOutcome::Equivalent { .. } => "equivalent".to_owned(),
             EquivOutcome::Counterexample(cx) => format!("cx@{:?}", cx.fields),
         };
@@ -2190,43 +2118,24 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
         let dd_nodes = eng.mgr.node_count(&[lr, rr]);
 
         if *name == "wide16" {
-            // The acceptance bar: a ≥ 2^64 product the DD backend proves
-            // while the cube engine exhausts a budget or pays ≥ 10×.
             assert!(
                 (product as f64).log2() >= 64.0,
                 "wide16 product shrank below 2^64"
             );
-            assert!(
-                cube_status != "ok" || cube_ms.unwrap_or(f64::INFINITY) >= 10.0 * dd_ms,
-                "E21 wide16: cube engine neither exhausted a budget nor was 10x slower \
-                 (cube {cube_ms:?} ms vs dd {dd_ms:.3} ms)"
-            );
         }
 
-        let (cube_atoms_left, cube_atoms_right) = match cube_atoms {
-            Some((a, b)) => (Some(a), Some(b)),
-            None => (None, None),
-        };
-        let atoms_tail = match cube_atoms {
-            Some((a, b)) => format!("{a}:{b}"),
-            None => "-".to_owned(),
-        };
         rows.push(DdScaleRow {
             workload: (*name).to_owned(),
             product_log2: (product as f64).log2(),
             joint_bits,
-            cube_status: cube_status.clone(),
-            cube_atoms_left,
-            cube_atoms_right,
-            cube_ms,
             dd_nodes,
             dd_ms,
-            verdict: verdict.clone(),
-            digest: format!("dd:{joint_bits}:{dd_nodes}:{verdict}:{cube_status}:{atoms_tail}"),
+            digest: format!("dd:{joint_bits}:{dd_nodes}:{verdict}"),
+            verdict,
         });
     }
 
-    // Lint sweep: every verdict decidable under the DD backend.
+    // Lint sweep: every verdict decided.
     let lint_cases: Vec<(&str, Pipeline)> = vec![
         ("fig1", Gwlb::fig1().universal),
         (
@@ -2242,48 +2151,30 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
         ),
         ("deep", deep_l),
     ];
-    let backend_cfg = |backend| mapro_lint::LintConfig {
-        backend,
-        ..mapro_lint::LintConfig::default()
-    };
     let mut lint = Vec::new();
     for (name, p) in &lint_cases {
-        let cube = mapro_lint::lint(p, &backend_cfg(mapro_lint::CoverBackend::Cube));
-        let dd = mapro_lint::lint(p, &backend_cfg(mapro_lint::CoverBackend::Dd));
+        let dd = mapro_lint::lint(p, &mapro_lint::LintConfig::default());
         assert_eq!(
             dd.unknown_findings,
             0,
-            "{name}: DD backend left a lint verdict undecided:\n{}",
+            "{name}: a lint verdict was left undecided:\n{}",
             dd.to_text()
         );
         if *name == "deep" {
-            assert!(
-                cube.unknown_findings > 0,
-                "deep: cube budget no longer exhausts — regenerate the workload:\n{}",
-                cube.to_text()
-            );
             let planted = p.tables[0].entries.len() - 1;
             assert!(
                 dd.with_lint("dead-entry").any(|d| d.entry == Some(planted)),
-                "deep: DD backend missed the planted dead entry:\n{}",
+                "deep: the planted dead entry was missed:\n{}",
                 dd.to_text()
             );
         }
-        let row = DdLintRow {
+        let dd_dead = dd.with_lint("dead-entry").count();
+        lint.push(DdLintRow {
             workload: (*name).to_owned(),
-            cube_unknown: cube.unknown_findings,
-            cube_dead: cube.with_lint("dead-entry").count(),
             dd_unknown: dd.unknown_findings,
-            dd_dead: dd.with_lint("dead-entry").count(),
-            digest: format!(
-                "lint:{}:{}:{}:{}",
-                cube.unknown_findings,
-                cube.with_lint("dead-entry").count(),
-                dd.unknown_findings,
-                dd.with_lint("dead-entry").count()
-            ),
-        };
-        lint.push(row);
+            dd_dead,
+            digest: format!("lint:{}:{dd_dead}", dd.unknown_findings),
+        });
     }
 
     DdScaleReport {

@@ -44,43 +44,27 @@ fn structure_at(threads: usize, work: impl FnOnce()) -> Vec<(String, usize)> {
 #[test]
 fn symbolic_check_structure_is_thread_invariant() {
     let _g = lock();
-    // An *equivalent* pair: a counterexample would let the chunked cross
-    // scan exit early, making chunk counts legitimately thread-dependent.
     let g = Gwlb::random(8, 4, 2019);
     let goto = g.normalized(JoinKind::Goto).expect("decomposes");
     let cfg = EquivConfig {
         mode: EquivMode::Symbolic,
         ..EquivConfig::default()
     };
-    // The default path (one diagram manager, no fan-out) and the cube
-    // engine, whose compile branches and cross scan do fan out over the
-    // pool: each must leave the same spans at 1 and 4 threads.
-    let cube = mapro_sym::SymConfig {
-        backend: mapro_sym::CoverBackend::Cube,
-        ..mapro_sym::SymConfig::default()
+    // One diagram manager, no fan-out: the same spans at 1 and 4 threads.
+    let run = |threads| {
+        structure_at(threads, || {
+            let out = mapro_sym::check_equivalent(&g.universal, &goto, &cfg).expect("comparable");
+            assert!(matches!(out, EquivOutcome::Equivalent { .. }));
+        })
     };
-    for (sym, expect) in [
-        (
-            mapro_sym::SymConfig::default(),
-            "check.symbolic.symbolic_dd.dd.compile",
-        ),
-        (cube, "check.symbolic.cross.chunk"),
-    ] {
-        let run = |threads| {
-            structure_at(threads, || {
-                let out = mapro_sym::check_equivalent_with(&g.universal, &goto, &cfg, &sym)
-                    .expect("comparable");
-                assert!(matches!(out, EquivOutcome::Equivalent { .. }));
-            })
-        };
-        let s1 = run(1);
-        let s4 = run(4);
-        assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
-        assert!(
-            s1.iter().any(|(p, _)| p == expect),
-            "{expect} missing from {s1:?}"
-        );
-    }
+    let s1 = run(1);
+    let s4 = run(4);
+    assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
+    let expect = "check.symbolic.symbolic_dd.dd.compile";
+    assert!(
+        s1.iter().any(|(p, _)| p == expect),
+        "{expect} missing from {s1:?}"
+    );
 }
 
 #[test]

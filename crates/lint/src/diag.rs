@@ -87,8 +87,8 @@ pub const CATALOGUE: &[LintInfo] = &[
     LintInfo {
         id: "undecided-liveness",
         default_severity: Severity::Info,
-        summary: "union-cover liveness left undecided: only under --backend cube, whose split \
-                  budget ran out (the default --backend dd is exact)",
+        summary: "union-cover liveness left undecided: the table's decision diagram outgrew \
+                  the node arena",
     },
     LintInfo {
         id: "unknown-goto-target",
@@ -324,10 +324,10 @@ impl Overrides {
 pub struct LintReport {
     /// All findings, in pass order (deterministic for a given program).
     pub diagnostics: Vec<Diagnostic>,
-    /// How many liveness questions the run left undecided (cube backend
-    /// budget exhaustion). Always zero under the default DD backend, whose
-    /// verdicts are exact; each undecided question also appears as an
-    /// `undecided-liveness` diagnostic.
+    /// How many liveness questions the run left undecided: liveness is
+    /// exact decision-diagram subtraction, so only a table whose diagram
+    /// outgrows the node arena leaves any; each undecided question also
+    /// appears as an `undecided-liveness` diagnostic.
     pub unknown_findings: usize,
 }
 

@@ -3,23 +3,26 @@
 //!
 //! `mapro_normalize::prune_dead_entries` establishes the same facts by
 //! enumerating the packet domain; this pass proves them from the program
-//! text alone, in time polynomial in the table size, independent of field
-//! widths. The union-cover question ("do the higher-priority entries
-//! together leave this one nothing to match?") is decided by the engine
-//! [`LintConfig::backend`] selects: exact decision-diagram subtraction
-//! ([`mapro_sym::TableLiveness`], the default — every verdict is decided)
-//! or, when asked for explicitly, the budgeted recursive cube split
-//! ([`crate::cover::covered_by`]), which may leave one undecided.
+//! text alone, independent of field widths. The union-cover question ("do
+//! the higher-priority entries together leave this one nothing to
+//! match?") is decided exactly by decision-diagram subtraction
+//! ([`mapro_sym::TableLiveness`]); only a table whose diagram outgrows the
+//! node arena leaves its verdicts undecided.
 
-use crate::cover::{covered_by, Cube};
+use crate::cover::Cube;
 use crate::diag::{Diagnostic, LintReport};
-use crate::{CoverBackend, LintConfig};
+use crate::LintConfig;
 use mapro_core::Pipeline;
 use mapro_sym::{SymConfig, TableLiveness};
 
 /// Run shadowed-/dead-entry detection over every table.
-pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
-    let max_nodes = SymConfig::default().max_nodes;
+pub fn check_entries(p: &Pipeline, _cfg: &LintConfig, out: &mut LintReport) {
+    entries_within(p, SymConfig::default().max_nodes, out);
+}
+
+/// [`check_entries`] with each table's liveness diagram held to
+/// `max_nodes` interior nodes.
+fn entries_within(p: &Pipeline, max_nodes: usize, out: &mut LintReport) {
     for t in &p.tables {
         let widths: Vec<u32> = t
             .match_attrs
@@ -32,8 +35,8 @@ pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
             .map(|e| Cube::of(&e.matches, &widths))
             .collect();
         // DD liveness for this table, built on first use. Outer `None` =
-        // not built yet; inner `None` = the arena limit was hit (treated
-        // as undecided, like a blown cube budget).
+        // not built yet; inner `None` = the arena limit was hit (every
+        // union verdict of the table is then undecided).
         let mut dd: Option<Option<TableLiveness>> = None;
         for (j, cj) in cubes.iter().enumerate() {
             let Some(cj) = cj else {
@@ -65,20 +68,14 @@ pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
             }
             // Union cover: no single entry shadows it, but together the
             // earlier entries leave it nothing to match.
-            let earlier: Vec<&Cube> = cubes[..j].iter().flatten().collect();
-            if earlier.len() < 2 {
+            let earlier = cubes[..j].iter().flatten().count();
+            if earlier < 2 {
                 continue;
             }
-            let verdict = match cfg.backend {
-                CoverBackend::Cube => {
-                    let mut budget = cfg.cover_budget;
-                    covered_by(cj, &earlier, &mut budget)
-                }
-                CoverBackend::Dd => dd
-                    .get_or_insert_with(|| TableLiveness::build(&widths, &cubes, max_nodes).ok())
-                    .as_ref()
-                    .and_then(|lv| lv.covered[j]),
-            };
+            let verdict = dd
+                .get_or_insert_with(|| TableLiveness::build(&widths, &cubes, max_nodes).ok())
+                .as_ref()
+                .and_then(|lv| lv.covered[j]);
             match verdict {
                 Some(true) => {
                     out.diagnostics.push(
@@ -86,7 +83,7 @@ pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
                             "dead-entry",
                             format!(
                                 "the union of the {} higher-priority entries covers it",
-                                earlier.len()
+                                earlier
                             ),
                         )
                         .table(&t.name)
@@ -103,13 +100,15 @@ pub fn check_entries(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
                             "undecided-liveness",
                             format!(
                                 "the union-cover check against the {} higher-priority entries \
-                                 exhausted its budget; liveness is undecided",
-                                earlier.len()
+                                 outgrew the decision-diagram arena; liveness is undecided",
+                                earlier
                             ),
                         )
                         .table(&t.name)
                         .entry(j)
-                        .suggest("re-run with --backend dd for an exact verdict".to_owned()),
+                        .suggest(
+                            "split the table so each part's diagram fits the arena".to_owned(),
+                        ),
                     );
                 }
             }
@@ -185,11 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn cube_budget_exhaustion_reports_unknown_and_dd_decides_it() {
+    fn liveness_overflow_reports_undecided_liveness() {
         let (c, fs, out) = cat();
         let mut t = Table::new("t", fs, vec![out]);
-        // 0*/any ∪ 1*/any covers any/any by union only; a 1-step budget
-        // cannot decide it.
+        // 0*/any ∪ 1*/any covers any/any by union only.
         t.row(
             vec![Value::prefix(0, 1, 8), Value::Any],
             vec![Value::sym("a")],
@@ -200,21 +198,15 @@ mod tests {
         );
         t.row(vec![Value::Any, Value::Any], vec![Value::sym("c")]);
         let p = Pipeline::single(c, t);
-        let tiny = |backend| LintConfig {
-            cover_budget: 1,
-            backend,
-            ..LintConfig::default()
-        };
-        // Forced cube backend: undecided, surfaced as an unknown finding.
+        // An arena of no interior nodes overflows on the first row.
         let mut r = LintReport::default();
-        check_entries(&p, &tiny(crate::CoverBackend::Cube), &mut r);
+        entries_within(&p, 0, &mut r);
         assert_eq!(r.unknown_findings, 1);
         assert_eq!(r.with_lint("undecided-liveness").count(), 1);
         assert_eq!(r.with_lint("dead-entry").count(), 0);
         assert!(r.to_text().contains("1 unknown"), "{}", r.to_text());
-        // The default (DD): exact, no budget, no unknown.
-        let mut r = LintReport::default();
-        check_entries(&p, &tiny(crate::CoverBackend::default()), &mut r);
+        // The default arena decides it: dead, nothing unknown.
+        let r = lint_table(p.tables[0].clone(), p.catalog.clone());
         assert_eq!(r.unknown_findings, 0);
         let d: Vec<_> = r.with_lint("dead-entry").collect();
         assert_eq!(d.len(), 1);

@@ -35,14 +35,13 @@ pub mod graph;
 pub mod redundancy;
 
 pub use capacity::check_capacity;
-pub use cover::{covered_by, Cube, Tern};
+pub use cover::{Cube, Tern};
 pub use diag::{lint_info, Diagnostic, LintInfo, LintReport, Overrides, Severity, CATALOGUE};
 pub use entries::check_entries;
 pub use graph::check_graph;
 pub use redundancy::{check_redundancy, DeclaredFd};
 
 use mapro_core::Pipeline;
-pub use mapro_sym::CoverBackend;
 
 /// Tunables for a lint run.
 #[derive(Debug, Clone)]
@@ -51,14 +50,6 @@ pub struct LintConfig {
     pub tcam_capacity_entries: usize,
     /// Modeled TCAM per-slice match width in bits (default 640).
     pub tcam_slice_bits: u32,
-    /// Step budget for the recursive union-cover check (cube backend
-    /// only); exhaustion counts as an unknown finding (sound: never a
-    /// false positive).
-    pub cover_budget: usize,
-    /// Which engine decides union-cover liveness: `Dd` (the default) is
-    /// exact decision-diagram subtraction with no budget, `Cube` the
-    /// budgeted recursive split, kept as the independent second engine.
-    pub backend: CoverBackend,
     /// Model-level dependencies the author declares to hold, unioned with
     /// the mined ones before normal-form analysis.
     pub declared_fds: Vec<DeclaredFd>,
@@ -69,8 +60,6 @@ impl Default for LintConfig {
         LintConfig {
             tcam_capacity_entries: 4096,
             tcam_slice_bits: 640,
-            cover_budget: 10_000,
-            backend: CoverBackend::default(),
             declared_fds: Vec::new(),
         }
     }

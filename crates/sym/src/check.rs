@@ -1,37 +1,31 @@
-//! The two symbolic full checks and the mode-dispatching equivalence front
+//! The symbolic full check and the mode-dispatching equivalence front
 //! door.
 //!
-//! The default engine compiles both pipelines into one decision-diagram
-//! manager and compares the two roots ([`CoverBackend::Dd`]). The second,
-//! independent engine ([`CoverBackend::Cube`], run only when asked for)
-//! cross-intersects two cube covers: two pipelines are equivalent iff on
-//! every non-empty intersection of a left atom with a right atom the two
-//! behaviors agree — the atoms of each cover tile the input space, so the
-//! pairwise intersections tile it too, and behavior is constant on each
-//! piece. Either way the cost is independent of field widths, instead of a
-//! sweep over the (possibly astronomically large) Cartesian packet domain.
+//! Both pipelines are compiled into one decision-diagram manager
+//! ([`DdEngine`]) and the two roots are compared: the diagrams are reduced
+//! and hash-consed, so equivalence is one pointer comparison, and the cost
+//! is independent of field widths instead of a sweep over the (possibly
+//! astronomically large) Cartesian packet domain.
 //!
-//! A disagreeing region is reported as a concrete [`Counterexample`]: a
-//! representative packet is extracted from it (the diagram's 0-preferring
-//! `first_diff` path, or the intersection cube with free bits zero) and
-//! both pipelines are re-run on it with the ordinary evaluator, so the
-//! reported packet, field listing and verdicts are byte-compatible with
-//! the enumerative engine's output (and independently re-checkable).
+//! A disagreement is reported as a concrete [`Counterexample`]: the
+//! diagram's 0-preferring `first_diff` path names a representative packet
+//! (free bits zero), and both pipelines are re-run on it with the ordinary
+//! evaluator, so the reported packet, field listing and verdicts are
+//! byte-compatible with the enumerative engine's output (and independently
+//! re-checkable).
 //!
-//! The degrade ladder has one rung: the selected engine, then — under
-//! [`EquivMode::Auto`] only — enumeration when it reports [`Unsupported`].
+//! The degrade ladder has one rung: the diagrams, then — under
+//! [`EquivMode::Auto`] only — enumeration when they report [`Unsupported`].
 
-use crate::compile::{compile, CoverBackend, FieldSpace, SymConfig, Unsupported};
+use crate::compile::{FieldSpace, SymConfig, Unsupported};
 use crate::ddcover::DdEngine;
 use mapro_core::{
     CheckMethod, Counterexample, EquivConfig, EquivError, EquivMode, EquivOutcome, Packet, Pipeline,
 };
-use mapro_par::{CancelToken, Pool};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why the symbolic path could not produce a verdict.
 enum SymFail {
-    /// The program is outside the cover compilers' fragment (or blew a
+    /// The program is outside the compiler's fragment (or blew a
     /// budget) — `Auto` mode falls back to the enumerative engine.
     Unsupported(Unsupported),
     /// A hard comparability/evaluation error the fallback engine would
@@ -39,24 +33,12 @@ enum SymFail {
     Hard(EquivError),
 }
 
-/// How many left atoms one pool task scans against the full right cover.
-/// Fixed — never derived from the thread count — so the chunk grid (and
-/// therefore the winning counterexample) is identical at any pool size.
-const SYM_CHUNK: usize = 32;
-
-/// A scan task's terminating event (first in-chunk disagreement or the
-/// first evaluation error while concretizing it).
-enum ChunkEvent {
-    Cx(Box<Counterexample>),
-    Fail(EquivError),
-}
-
 /// Run the symbolic engine only. Public for benchmarks and tests that
 /// want the raw engine; most callers should use [`check_equivalent`].
 ///
 /// # Errors
 /// [`EquivError::SymbolicUnsupported`] when the program falls outside the
-/// cover compilers' fragment (under [`EquivMode::Auto`] the front door
+/// compiler's fragment (under [`EquivMode::Auto`] the front door
 /// falls back to enumeration instead), plus the same hard errors the
 /// enumerative engine reports ([`EquivError::IncompatibleCatalogs`],
 /// [`EquivError::Eval`]).
@@ -104,17 +86,13 @@ fn symbolic(left: &Pipeline, right: &Pipeline, sym: &SymConfig) -> Result<EquivO
     let space = FieldSpace::from_pipelines(&[left, right]);
     catalog_guard(left, right, &space).map_err(SymFail::Hard)?;
     drop(space_span);
-
-    match sym.backend {
-        CoverBackend::Cube => symbolic_cube(left, right, &space, sym),
-        CoverBackend::Dd => symbolic_dd(left, right, &space, sym),
-    }
+    symbolic_dd(left, right, &space, sym)
 }
 
 /// Concretize a disagreeing region into a counterexample by re-running the
 /// ordinary evaluator on a representative coordinate point (one value per
-/// space column). Shared by both backends so the reported packet, field
-/// listing and verdicts are byte-compatible regardless of engine.
+/// space column). Shared with the incremental sessions, so a session
+/// witness and a fresh check's are the same packet with the same verdicts.
 pub(crate) fn concretize(
     left: &Pipeline,
     right: &Pipeline,
@@ -130,8 +108,8 @@ pub(crate) fn concretize(
     debug_assert_ne!(
         vl.observable(),
         vr.observable(),
-        "behavior covers disagree on a region whose representative \
-         evaluates identically — cover compilation is unsound"
+        "behavior diagrams disagree on a packet that \
+         evaluates identically — diagram compilation is unsound"
     );
     let fields = space
         .coords
@@ -146,11 +124,10 @@ pub(crate) fn concretize(
     })
 }
 
-/// The DD engine: compile both pipelines into one manager and compare the
-/// MTBDD roots — equivalence is a single pointer comparison, and any
-/// difference yields a `first_diff` witness path. `packets_checked`
-/// reports the shared node count of the two diagrams (the honest measure
-/// of work, mirroring the pair count the cube scan reports).
+/// Compile both pipelines into one manager and compare the MTBDD roots —
+/// equivalence is a single pointer comparison, and any difference yields a
+/// `first_diff` witness path. `packets_checked` reports the shared node
+/// count of the two diagrams (the honest measure of work).
 fn symbolic_dd(
     left: &Pipeline,
     right: &Pipeline,
@@ -183,83 +160,13 @@ fn symbolic_dd(
     }
 }
 
-fn symbolic_cube(
-    left: &Pipeline,
-    right: &Pipeline,
-    space: &FieldSpace,
-    sym: &SymConfig,
-) -> Result<EquivOutcome, SymFail> {
-    let space = space.clone();
-    // Each side gets its own `compile` span (opened inside `compile`);
-    // they appear in left, right order on the timeline.
-    let lc = compile(left, &space, sym).map_err(SymFail::Unsupported)?;
-    let rc = compile(right, &space, sym).map_err(SymFail::Unsupported)?;
-
-    // Cross-intersection fan-out: fixed-size chunks of left atoms, each
-    // task scanning the full right cover. `find_first` keeps the lowest
-    // chunk index, and within a chunk the scan is in order, so the winning
-    // counterexample is the first in (left atom, right atom) order at any
-    // thread count. The non-empty pair count is only reported on the
-    // equivalent outcome, where every task ran to completion — making the
-    // relaxed atomic tally deterministic too.
-    let pairs = AtomicUsize::new(0);
-    let chunks = mapro_par::chunk_ranges(lc.atoms.len(), SYM_CHUNK);
-    let pool = Pool::current();
-    let mut cross_span = mapro_obs::trace::span_kv(
-        "cross",
-        vec![
-            ("atoms_left", lc.atoms.len().into()),
-            ("atoms_right", rc.atoms.len().into()),
-            ("chunks", chunks.len().into()),
-        ],
-    );
-    let hit = pool.find_first(chunks.len(), &CancelToken::new(), |ci, ctl| {
-        let mut chunk_span = mapro_obs::trace::span_kv("chunk", vec![("chunk", ci.into())]);
-        let mut local_pairs = 0usize;
-        for la in &lc.atoms[chunks[ci].clone()] {
-            if ctl.superseded(ci) {
-                return None; // a lower-indexed chunk already hit
-            }
-            for ra in &rc.atoms {
-                let Some(meet) = la.cube.intersect(&ra.cube) else {
-                    continue;
-                };
-                local_pairs += 1;
-                if la.behavior != ra.behavior {
-                    let _c = mapro_obs::trace::span("concretize");
-                    return Some(
-                        match concretize(left, right, &space, &meet.representative()) {
-                            Ok(cx) => ChunkEvent::Cx(Box::new(cx)),
-                            Err(e) => ChunkEvent::Fail(e),
-                        },
-                    );
-                }
-            }
-        }
-        chunk_span.set("pairs", local_pairs);
-        pairs.fetch_add(local_pairs, Ordering::Relaxed);
-        None
-    });
-    cross_span.set("pairs", pairs.load(Ordering::Relaxed));
-    drop(cross_span);
-    match hit {
-        None => Ok(EquivOutcome::Equivalent {
-            packets_checked: pairs.load(Ordering::Relaxed),
-            exhaustive: true,
-            method: CheckMethod::Symbolic,
-        }),
-        Some(ChunkEvent::Cx(cx)) => Ok(EquivOutcome::Counterexample(cx)),
-        Some(ChunkEvent::Fail(e)) => Err(SymFail::Hard(e)),
-    }
-}
-
 /// Check whether two pipelines are observationally equivalent — the
 /// mode-dispatching front door (re-exported by the `mapro` prelude).
 ///
 /// Dispatch on [`EquivConfig::mode`]:
-/// * [`EquivMode::Auto`] — run the symbolic engine (decision diagrams
-///   unless `sym` says otherwise); if the program is outside its fragment,
-///   fall back to the enumerative engine (counted in `sym.fallbacks`).
+/// * [`EquivMode::Auto`] — run the symbolic engine; if the program is
+///   outside its fragment, fall back to the enumerative engine (counted in
+///   `sym.fallbacks`).
 ///   Hard errors never fall back.
 /// * [`EquivMode::Symbolic`] — symbolic only; unsupported constructs are
 ///   [`EquivError::SymbolicUnsupported`].
@@ -292,8 +199,8 @@ pub fn check_equivalent_with(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FallbackInfo {
     /// Stable cause label ([`Unsupported::label`]): `goto_cycle`,
-    /// `unknown_table`, `bad_action_param`, `atom_budget`,
-    /// `partition_budget`, or `node_budget`.
+    /// `unknown_table`, `bad_action_param`, `atom_budget` or
+    /// `node_budget`.
     pub cause: &'static str,
     /// Human-readable detail of the unsupported construct.
     pub detail: String,
@@ -414,7 +321,7 @@ mod tests {
     #[test]
     fn infeasible_width_still_checked_exactly() {
         // 2^64 packets: enumeration (even sampled) could miss the single
-        // disagreeing point; the cover check finds it exactly.
+        // disagreeing point; the diagram check finds it exactly.
         let a = out_table(64, &[(123_456_789_000, "x")]);
         let b = out_table(64, &[(123_456_789_000, "z")]);
         match check_symbolic(&a, &b, &SymConfig::default()).unwrap() {
@@ -489,41 +396,6 @@ mod tests {
             }
             _ => panic!("expected equivalence via fallback"),
         }
-    }
-
-    #[test]
-    fn dd_backend_agrees_with_cube_on_verdict_and_witness() {
-        let dd = SymConfig::default();
-        assert_eq!(dd.backend, CoverBackend::Dd, "diagrams are the default");
-        let cube = SymConfig {
-            backend: CoverBackend::Cube,
-            ..SymConfig::default()
-        };
-        let a = out_table(8, &[(1, "x"), (2, "y")]);
-        let b = out_table(8, &[(2, "y"), (1, "x")]);
-        match check_symbolic(&a, &b, &dd).unwrap() {
-            EquivOutcome::Equivalent {
-                exhaustive, method, ..
-            } => {
-                assert!(exhaustive);
-                assert_eq!(method, CheckMethod::Symbolic);
-            }
-            _ => panic!("expected equivalence"),
-        }
-        // A planted difference must come back as the same concrete
-        // counterexample shape the cube backend reports.
-        let c = out_table(8, &[(1, "x"), (2, "z")]);
-        let cube_cx = match check_symbolic(&a, &c, &cube).unwrap() {
-            EquivOutcome::Counterexample(cx) => cx,
-            _ => panic!("expected counterexample"),
-        };
-        let dd_cx = match check_symbolic(&a, &c, &dd).unwrap() {
-            EquivOutcome::Counterexample(cx) => cx,
-            _ => panic!("expected counterexample"),
-        };
-        assert_eq!(cube_cx.fields, dd_cx.fields);
-        assert_eq!(cube_cx.left.output, dd_cx.left.output);
-        assert_eq!(cube_cx.right.output, dd_cx.right.output);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Compiling a pipeline to one hash-consed MTBDD over header bits.
 //!
-//! The cube compiler ([`crate::compile`]) materializes a behavior cover as
-//! a *list* of disjoint ternary cubes; this module compiles the same
-//! symbolic execution into a single `mapro-dd` MTBDD mapping every point
-//! of the joint header space to an interned behavior id. The two engines
-//! share [`SymCore`] / `apply_actions` / `delivered`, so the action
-//! semantics cannot drift — only the predicate representation differs:
+//! A pipeline is executed symbolically (the walk state and action
+//! semantics of [`crate::compile`]) into a single `mapro-dd` MTBDD mapping
+//! every point of the joint header space to an interned behavior id:
 //!
 //! * a table entry row becomes a conjunction of bit literals
 //!   ([`BitLayout::tern_lits`] + `Mgr::cube`);
@@ -21,9 +18,10 @@
 //! it, so a row meeting none of the path's *enclosing cubes* is skipped
 //! before its cube is built; the work count is the leaves built, one per
 //! row or miss that ends a walk. As priority prunes no path, only a path
-//! that outruns the visit budget has its region decided (by the priority
-//! subtraction): empty, the placeholder 0 stands in; otherwise a packet
-//! loops ([`Unsupported::GotoCycle`]).
+//! whose last step fails — it outruns the visit budget, or its row names an
+//! unknown table or holds a malformed action cell — has its region decided
+//! (by the priority subtraction): empty, the placeholder 0 stands in;
+//! otherwise the failure is reported ([`Unsupported`]).
 //!
 //! Equivalence of two pipelines compiled in one [`DdEngine`] is root
 //! pointer equality; a disagreement witness is a `first_diff` path mapped
@@ -115,8 +113,8 @@ impl BitLayout {
     }
 
     /// Map a (partial) variable assignment back to one concrete value per
-    /// column; unassigned bits are zero, so representatives are the same
-    /// byte-stable "free bits pinned to 0" form the cube engine reports.
+    /// column; unassigned bits are zero, so representatives are byte-stable
+    /// ("free bits pinned to 0").
     pub fn key_of_path(&self, path: &[(u32, bool)]) -> Vec<u64> {
         let mut key = vec![0u64; self.widths.len()];
         for &(v, val) in path {
@@ -191,10 +189,9 @@ impl DdEngine {
     /// equivalent on the space iff their roots are the same [`NodeRef`].
     ///
     /// # Errors
-    /// The same [`Unsupported`] causes as the cube compiler (goto cycles,
-    /// unknown tables, malformed action cells, the shared atom budget as a
-    /// branch-count safety valve), plus [`Unsupported::NodeBudget`] when
-    /// the arena limit is hit.
+    /// [`Unsupported`] on a goto cycle, an unknown table, a malformed
+    /// action cell, the atom budget (a branch-count safety valve), or
+    /// [`Unsupported::NodeBudget`] when the arena limit is hit.
     pub fn compile(
         &mut self,
         p: &Pipeline,
@@ -353,8 +350,7 @@ impl<'a> DdCompiler<'a> {
             })
     }
 
-    /// `d` narrowed by row `ec` on those same columns — what the cube
-    /// compiler's `refine` leaves of a state's cube — or `None` when the
+    /// `d` narrowed by row `ec` on those same columns, or `None` when the
     /// two are disjoint.
     fn narrow(&self, core: &SymCore, attrs: &[AttrId], ec: &Cube, d: &Cube) -> Option<Cube> {
         let mut out = d.clone();
@@ -452,27 +448,31 @@ impl<'a> DdCompiler<'a> {
             ..core.clone()
         };
         let x = match (hit, &t.miss) {
-            _ if core.steps >= self.limit => self.cut()?,
+            _ if core.steps >= self.limit => {
+                self.cut(Unsupported::GotoCycle { limit: self.limit })?
+            }
             (Some((ei, ec)), _) => {
                 let mut c2 = next();
-                match apply_actions(p, ti, ei, &mut c2)?.or(t.next.as_deref()) {
-                    Some(n) => {
-                        let t2 = self.resolve(n)?;
+                let step = apply_actions(p, ti, ei, &mut c2)
+                    .and_then(|g| g.or(t.next.as_deref()).map(|n| self.resolve(n)).transpose());
+                match step {
+                    Ok(Some(t2)) => {
                         let inner: Vec<Cube> = enclosing
                             .iter()
                             .filter_map(|d| self.narrow(core, &t.match_attrs, ec, d))
                             .collect();
                         self.table(&inner, &c2, t2)?
                     }
-                    None => self.leaf(delivered(p, &c2, false))?,
+                    Ok(None) => self.leaf(delivered(p, &c2, false))?,
+                    Err(u) => self.cut(u)?,
                 }
             }
             (None, MissPolicy::Drop) => self.leaf(Behavior::Dropped)?,
             (None, MissPolicy::Controller) => self.leaf(delivered(p, core, true))?,
-            (None, MissPolicy::Fall(n)) => {
-                let t2 = self.resolve(n)?;
-                self.table(enclosing, &next(), t2)?
-            }
+            (None, MissPolicy::Fall(n)) => match self.resolve(n) {
+                Ok(t2) => self.table(enclosing, &next(), t2)?,
+                Err(u) => self.cut(u)?,
+            },
         };
         self.path.pop();
         Ok(x)
@@ -487,10 +487,12 @@ impl<'a> DdCompiler<'a> {
         Ok(NodeRef::term(self.interner.intern(behavior)))
     }
 
-    /// The path has outrun the visit budget: decide exactly whether a
-    /// packet of `within` takes it. If none does, the placeholder stands in
-    /// for a branch nothing selects; otherwise some packet loops.
-    fn cut(&mut self) -> Result<NodeRef, Unsupported> {
+    /// The last step of the path fails with `err` — it outruns the visit
+    /// budget, names an unknown table or applies a malformed action cell:
+    /// decide exactly whether a packet of `within` takes the path. If none
+    /// does, the placeholder stands in for a branch nothing selects, as the
+    /// evaluator never fails there; otherwise `err` is real.
+    fn cut(&mut self, err: Unsupported) -> Result<NodeRef, Unsupported> {
         let p = self.p;
         let mut core = SymCore::initial(p);
         let mut region = self.within;
@@ -520,13 +522,12 @@ impl<'a> DdCompiler<'a> {
             }
             core.steps += 1;
         }
-        Err(Unsupported::GotoCycle { limit: self.limit })
+        Err(err)
     }
 }
 
-/// Exact per-table entry liveness over one table's own match columns —
-/// the DD replacement for the budgeted [`crate::cube::covered_by`] union
-/// check in the shadowed-/dead-entry lints.
+/// Exact per-table entry liveness over one table's own match columns — the
+/// union-cover question of the shadowed-/dead-entry lints.
 pub struct TableLiveness {
     /// Per entry: `None` when the row is unsatisfiable (a symbolic match
     /// cell — the existing "dead entry" case), `Some(true)` when the union
@@ -571,7 +572,6 @@ impl TableLiveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
     use crate::cube::Tern;
     use mapro_core::{ActionSem, Catalog, Packet, Table, Value};
 
@@ -580,13 +580,12 @@ mod tests {
     }
 
     /// Enumerate the whole (small) space: the MTBDD must agree with the
-    /// cube cover and the concrete evaluator on every packet.
+    /// concrete evaluator on every packet.
     fn assert_dd_exact(p: &Pipeline) {
         let space = FieldSpace::from_pipelines(&[p]);
         let cfg = cfg();
         let mut eng = DdEngine::new(&space, &cfg);
         let root = eng.compile(p, &space, &cfg).unwrap();
-        let cover = compile(p, &space, &cfg).unwrap();
         let widths: Vec<u32> = space.coords.iter().map(|&(_, w)| w).collect();
         let total: u64 = widths.iter().map(|&w| 1u64 << w).product();
         assert!(total <= 1 << 16, "test space too large");
@@ -606,17 +605,6 @@ mod tests {
                 key[col] >> b & 1 == 1
             });
             assert_ne!(id, 0, "placeholder terminal must not survive");
-            let ai = cover
-                .atoms
-                .iter()
-                .position(|a| a.cube.contains(&key))
-                .expect("cover tiles the space");
-            assert_eq!(
-                eng.behavior(id),
-                &cover.atoms[ai].behavior,
-                "DD and cube backends disagree at {key:?}"
-            );
-            // And against the ground-truth evaluator.
             let mut pkt = Packet::zero(&p.catalog);
             for (k, &(attr, _)) in space.coords.iter().enumerate() {
                 pkt.set(attr, key[k]);
@@ -641,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn single_table_dd_matches_cube_and_evaluator() {
+    fn single_table_dd_matches_evaluator() {
         let mut c = Catalog::new();
         let f = c.field("f", 4);
         let g = c.field("g", 4);
@@ -704,6 +692,37 @@ mod tests {
         t1.miss = MissPolicy::Controller;
         let p = Pipeline::new(c, vec![t0, t1], "t0");
         assert_dd_exact(&p);
+    }
+
+    #[test]
+    fn bad_action_param_is_unsupported() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 4);
+        let out = c.action("out", ActionSem::Output);
+        let mut t = Table::new("t", vec![f], vec![out]);
+        t.row(vec![Value::Any], vec![Value::Int(3)]); // output wants a Sym
+        let p = Pipeline::single(c, t);
+        let space = FieldSpace::from_pipelines(&[&p]);
+        let cfg = cfg();
+        let mut eng = DdEngine::new(&space, &cfg);
+        assert!(matches!(
+            eng.compile(&p, &space, &cfg),
+            Err(Unsupported::BadActionParam { .. })
+        ));
+    }
+
+    #[test]
+    fn unreachable_bad_param_does_not_poison_compile() {
+        // The malformed cell sits behind a shadowing entry; no packet can
+        // reach it, and the compiler never applies an unreachable row's
+        // actions.
+        let mut c = Catalog::new();
+        let f = c.field("f", 4);
+        let out = c.action("out", ActionSem::Output);
+        let mut t = Table::new("t", vec![f], vec![out]);
+        t.row(vec![Value::Any], vec![Value::sym("a")]);
+        t.row(vec![Value::Int(1)], vec![Value::Int(9)]); // shadowed
+        assert_dd_exact(&Pipeline::single(c, t));
     }
 
     #[test]
@@ -792,8 +811,7 @@ mod tests {
     #[test]
     fn table_liveness_is_exact_without_budget() {
         // 0*** ∪ 1*** covers ****: entry 2 is shadowed by the union even
-        // though neither cover row subsumes it alone — the case the
-        // budgeted cube walk decides only within budget.
+        // though neither cover row subsumes it alone.
         let widths = [4u32];
         let rows = vec![
             Some(Cube(vec![Tern {

@@ -1,9 +1,10 @@
 //! Incremental equivalence re-verification under control-plane churn.
 //!
-//! A full symbolic check recompiles both pipelines on every flow-mod for an
-//! update whose observable footprint is one table row. This module keeps an
-//! [`IncrementalChecker`] *session* alive across updates instead: both
-//! pipelines are compiled once into one decision-diagram manager, the two
+//! A full symbolic check ([`crate::check`]) recompiles both pipelines on
+//! every flow-mod for an update whose observable footprint is one table row.
+//! This module keeps an [`IncrementalChecker`] *session* alive across
+//! updates instead: both pipelines are compiled once into the same kind of
+//! decision-diagram manager the full check uses ([`DdEngine`]), the two
 //! roots are retained, and each update only re-derives the part of the
 //! proof inside the update's *invalidation region* — the cubes of the
 //! flow-mod footprint (`Pipeline::flowmod_footprint`) the megaflow cache
@@ -285,8 +286,7 @@ pub struct IncrementalChecker {
 }
 
 impl IncrementalChecker {
-    /// Compile both pipelines and build the initial proof state. Sessions
-    /// always run on decision diagrams; `cfg.backend` is not consulted.
+    /// Compile both pipelines and build the initial proof state.
     ///
     /// Pre-registers the `sym.incr.*` metrics so a scrape between
     /// construction and the first update already sees them at zero.
@@ -670,22 +670,6 @@ mod tests {
         let t = mod_port(&mut s, Side::Left, 0, "p0-new", 3);
         assert!(!s.last_dirty().is_empty(), "back on the delta path");
         assert_eq!(t.verdict, Verdict::NotEquivalent, "`half` still differs");
-    }
-
-    #[test]
-    fn sessions_run_on_diagrams_whatever_backend_the_config_names() {
-        let p = pipeline();
-        let cube = SymConfig {
-            backend: crate::CoverBackend::Cube,
-            ..SymConfig::default()
-        };
-        let mut s = IncrementalChecker::new(&p, &p, &cube).unwrap();
-        mod_port(&mut s, Side::Left, 3, "p3-new", 1);
-        let dd_cx = match check_symbolic(s.left(), s.right(), &SymConfig::default()).unwrap() {
-            EquivOutcome::Counterexample(cx) => cx,
-            other => panic!("fresh check disagrees: {other:?}"),
-        };
-        assert_eq!(s.counterexample().unwrap().unwrap().fields, dd_cx.fields);
     }
 
     #[test]

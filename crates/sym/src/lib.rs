@@ -8,25 +8,22 @@
 //! of the joint header space to the one observable behavior all its
 //! packets share, and two pipelines are equivalent iff their covers are.
 //!
-//! A cover has two representations. The default ([`ddcover`], on
-//! `mapro-dd`) is one hash-consed MTBDD per pipeline in a shared manager:
-//! equivalence is root equality, a witness is a `first_diff` path, and an
-//! [`incremental`] session keeps the two roots alive across flow-mods,
-//! recompiling only the region (and visiting only the rows) an update can
-//! touch. The other ([`mod@compile`] + [`check`]'s cross-intersection) is an
-//! ordered list of disjoint ternary cubes ([`cube`]); it runs only when
-//! [`CoverBackend::Cube`] is asked for, as the independent second engine
-//! the differential suites and E17/E21 compare against. Either way one
-//! concrete representative packet is extracted per disagreement, so
-//! counterexample reporting stays byte-compatible with the enumerative
-//! API.
+//! A cover is one hash-consed MTBDD per pipeline ([`ddcover`], on
+//! `mapro-dd`) in a shared manager: equivalence is root equality, a
+//! witness is a `first_diff` path ([`check`]), and an [`incremental`]
+//! session keeps the two roots alive across flow-mods, recompiling only
+//! the region (and visiting only the rows) an update can touch.
+//! [`mod@compile`] holds the vocabulary of the symbolic walk and [`cube`]
+//! the ternary rows it starts from. One concrete representative packet is
+//! extracted per disagreement, so counterexample reporting stays
+//! byte-compatible with the enumerative API.
 //!
 //! [`check_equivalent`] is the mode-dispatching front door re-exported by
 //! the umbrella `mapro` prelude: `Auto` runs the symbolic engine and falls
 //! back to enumeration for constructs it cannot express; `Symbolic` and
-//! `Enumerate` force one engine. The enumerative checker is retained as a
-//! cross-check oracle — the differential test suite asserts both engines
-//! agree on every workload.
+//! `Enumerate` force one engine. The enumerative checker and the concrete
+//! evaluator are retained as independent oracles — the differential suite
+//! holds the diagrams to both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,15 +33,12 @@ pub mod compile;
 pub mod cube;
 pub mod ddcover;
 pub mod incremental;
-mod trie;
 
 pub use check::{
     assert_equivalent, check_equivalent, check_equivalent_explain, check_equivalent_with,
     check_symbolic, FallbackInfo,
 };
-pub use compile::{
-    compile, Atom, Behavior, BehaviorCover, CoverBackend, FieldSpace, SymConfig, Unsupported,
-};
+pub use compile::{Behavior, FieldSpace, SymConfig, Unsupported};
 pub use cube::{Cube, Tern};
 pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
 pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side, Verdict};

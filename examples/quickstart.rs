@@ -59,15 +59,16 @@ fn main() {
         print!("{}", display::render_pipeline(&normalized));
 
         // 4. Machine-check the equivalence. The prelude front door is the
-        //    symbolic engine: disjoint ternary atoms instead of packet
-        //    enumeration, with the method reported alongside the verdict.
+        //    symbolic engine: one decision diagram per program instead of
+        //    packet enumeration, with the method reported alongside the
+        //    verdict.
         match check_equivalent(&gwlb.universal, &normalized, &EquivConfig::default()).unwrap() {
             EquivOutcome::Equivalent {
                 packets_checked,
                 exhaustive,
                 method,
             } => println!(
-                "equivalent to the universal table ({packets_checked} atoms/packets, exhaustive: {exhaustive}, method: {method})"
+                "equivalent to the universal table ({packets_checked} nodes/packets, exhaustive: {exhaustive}, method: {method})"
             ),
             EquivOutcome::Counterexample(cx) => {
                 panic!("BUG: representations differ on {:?}", cx.fields)

@@ -42,18 +42,17 @@ cargo run --release -p mapro-bench --bin repro -- --experiment parscale --json \
 
 echo "== symbolic equivalence engine (E17) =="
 # Symbolic vs enumerative equivalence across the feasibility boundary.
-# Timings are machine-dependent; the digest column (atom counts, pairs,
+# Timings are machine-dependent; the digest column (diagram node counts,
 # verdicts, counterexamples) is deterministic at any thread count — CI
 # diffs it across MAPRO_THREADS settings.
 cargo run --release -p mapro-bench --bin repro -- --experiment symscale --json \
     | sed '1,/############/d' > "$OUT/symscale.json"
 
-echo "== decision-diagram backend (E21) =="
-# Cube covers vs hash-consed decision diagrams across the width boundary,
-# plus the per-backend lint sweep. Timings are machine-dependent; the
-# digest columns (joint bits, node counts, atom counts, verdicts, unknown
-# counts) are deterministic at any thread count — CI diffs them across
-# MAPRO_THREADS settings.
+echo "== decision diagrams at width (E21) =="
+# Hash-consed decision diagrams across the width boundary, plus the lint
+# liveness sweep. Timings are machine-dependent; the digest columns
+# (joint bits, node counts, verdicts, unknown counts) are deterministic
+# at any thread count — CI diffs them across MAPRO_THREADS settings.
 cargo run --release -p mapro-bench --bin repro -- --experiment ddscale --json \
     | sed '1,/############/d' > "$OUT/ddscale.json"
 

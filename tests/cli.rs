@@ -207,9 +207,14 @@ fn cli_usage_errors_exit_2_with_one_line() {
         &["lint", path, "-D", "not-a-lint"],
         &["lint", path, "-A"],
         &["lint", path, "--deny", "error"],
-        // The cube-then-DD ladder is gone; `dd` is the default.
+        // Decision diagrams are the only symbolic engine; the flag that
+        // chose one is gone, whatever value it names.
         &["lint", path, "--backend", "auto"],
         &["check", path, path, "--backend", "auto"],
+        &["lint", path, "--backend", "dd"],
+        &["check", path, path, "--backend", "dd"],
+        &["lint", path, "--backend", "cube"],
+        &["check", path, path, "--backend", "cube"],
         &["normalize", path, "--join", "bogus"],
         &["normalize", path, "--target", "4nf"],
         &["export", path, "--format", "xml"],

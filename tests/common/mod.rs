@@ -13,8 +13,9 @@ use rand::Rng;
 /// matched, and a `SetField` of header `g` that `t1` and `t2` re-match —
 /// so by the time their rows are tested `g` is concrete, and nothing known
 /// about the *input* packet's `g` may exclude a row there, nor may such a
-/// row narrow what is known about the input on the way to `t3`.
-/// `cell(rng, width)` draws one match cell.
+/// row narrow what is known about the input on the way to `t3`. `t2` may
+/// write `g` again, so a walk can set one field twice (the last write
+/// wins). `cell(rng, width)` draws one match cell.
 pub fn rewrite_zoo(rng: &mut SmallRng, cell: fn(&mut SmallRng, u32) -> Value) -> Pipeline {
     let mut c = Catalog::new();
     let f = c.field("f", 6);
@@ -27,7 +28,7 @@ pub fn rewrite_zoo(rng: &mut SmallRng, cell: fn(&mut SmallRng, u32) -> Value) ->
     let out = c.action("out", ActionSem::Output);
     let mut t0 = Table::new("t0", vec![f, g], vec![set_m, set_g, goto]);
     let mut t1 = Table::new("t1", vec![m, g], vec![out]);
-    let mut t2 = Table::new("t2", vec![g, h], vec![out]);
+    let mut t2 = Table::new("t2", vec![g, h], vec![set_g, out]);
     let mut t3 = Table::new("t3", vec![f, h], vec![out]);
     for i in 0..6u64 {
         let rewrite = if rng.gen_bool(0.6) {
@@ -48,9 +49,14 @@ pub fn rewrite_zoo(rng: &mut SmallRng, cell: fn(&mut SmallRng, u32) -> Value) ->
             vec![Value::Int(i % 4), cell(rng, 6)],
             vec![Value::sym(format!("a{i}"))],
         );
+        let rewrite_again = if rng.gen_bool(0.5) {
+            Value::Int(rng.gen_range(0..64))
+        } else {
+            Value::Any
+        };
         t2.row(
             vec![cell(rng, 6), cell(rng, 4)],
-            vec![Value::sym(format!("b{i}"))],
+            vec![rewrite_again, Value::sym(format!("b{i}"))],
         );
         t3.row(
             vec![cell(rng, 6), cell(rng, 4)],
