@@ -1,12 +1,11 @@
-//! E20 corroboration — wall-clock microbenchmark of the engine, bare and
-//! behind the megaflow cache, on goto chains of 2, 3 and 4 tables.
+//! Wall-clock microbenchmark of the engine, bare and behind the megaflow
+//! cache, on goto chains of 2, 3 and 4 tables.
 //!
-//! The modeled Mpps numbers in `BENCH_mpps.json` come from the cost
-//! model; this bench times the real data structures: the engine's
-//! monomorphic per-table dispatch and the megaflow cache's single
-//! masked-tuple probe. The expected ordering is compiled < cached(warm),
-//! with the walk's cost growing with pipeline depth and the cache's
-//! independent of it (one probe regardless).
+//! Modeled Mpps numbers come from the cost model; this bench times the
+//! real data structures: the engine's monomorphic per-table dispatch and
+//! the megaflow cache's single masked-tuple probe. The expected ordering
+//! is compiled < cached(warm), with the walk's cost growing with pipeline
+//! depth and the cache's independent of it (one probe regardless).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_core::{ActionSem, Catalog, Packet, Pipeline, Table, Value};

@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--experiment all|fig1|fig2|fig3|fig4|fig5|table1|size|control|monitor|theorem1|templates|cache|scaling|joins|fig4queue|faults|chaos|parscale|lint|symscale|ddscale|churnverify|phases|mpps]
+//! repro [--experiment all|fig1|fig2|fig3|fig4|fig5|table1|size|control|monitor|theorem1|templates|cache|scaling|joins|fig4queue|faults|lint|symscale|ddscale|phases]
 //!       [--packets N] [--services N] [--backends M] [--seed S] [--threads N]
 //!       [--json] [--metrics [out.json]] [--trace out.json]
 //! ```
@@ -18,7 +18,7 @@
 
 use mapro_bench::*;
 
-const USAGE: &str = "repro [--experiment all|fig1|fig2|fig3|fig4|fig5|table1|size|control|monitor|theorem1|templates|cache|scaling|joins|fig4queue|faults|chaos|parscale|lint|symscale|ddscale|churnverify|phases|mpps] [--packets N] [--services N] [--backends M] [--seed S] [--threads N] [--json] [--metrics [out.json]] [--trace out.json]";
+const USAGE: &str = "repro [--experiment all|fig1|fig2|fig3|fig4|fig5|table1|size|control|monitor|theorem1|templates|cache|scaling|joins|fig4queue|faults|lint|symscale|ddscale|phases] [--packets N] [--services N] [--backends M] [--seed S] [--threads N] [--json] [--metrics [out.json]] [--trace out.json]";
 
 /// Where `--metrics` sends the registry snapshot.
 enum MetricsSink {
@@ -107,14 +107,10 @@ const EXPERIMENTS: &[&str] = &[
     "scaling",
     "joins",
     "faults",
-    "chaos",
-    "parscale",
     "lint",
     "symscale",
     "ddscale",
-    "churnverify",
     "phases",
-    "mpps",
 ];
 
 /// Report a usage error on one line and exit 2 (the contract
@@ -150,15 +146,11 @@ fn main() {
             EXPERIMENTS.contains(&name),
             "want({name:?}) not in EXPERIMENTS — add it to the list"
         );
-        // parscale repeats every hot path at 4 pool sizes, symscale
-        // repeats the equivalence workloads per engine, phases re-runs
-        // the instrumented hot paths under tracing, and mpps wall-clocks
-        // three engines over million-flow traces; they are machine
-        // benchmarks, not paper artifacts, so `all` skips them.
-        (all && !matches!(
-            name,
-            "parscale" | "symscale" | "ddscale" | "churnverify" | "phases" | "mpps"
-        )) || args.experiment == name
+        // symscale and ddscale time the equivalence workloads at width,
+        // and phases re-runs the instrumented hot paths under tracing;
+        // they are machine benchmarks, not paper artifacts, so `all`
+        // skips them.
+        (all && !matches!(name, "symscale" | "ddscale" | "phases")) || args.experiment == name
     };
 
     if want("fig1") {
@@ -424,103 +416,6 @@ fn main() {
             }
         }
     }
-    if want("chaos") {
-        println!(
-            "\n############ E19 — controller crash-recovery chaos sweep (extension) ############"
-        );
-        let rep = chaos_report(&args.cfg);
-        if args.json {
-            println!("{}", serde_json::to_string_pretty(&rep).unwrap());
-        } else {
-            println!(
-                "{:>6} {:>6} {:>5} {:>6} {:>8} {:>6} {:>6} {:>7} {:>6} {:>5} {:>8} {:>8} {:>5} {:>6}  verdict",
-                "crash",
-                "fault",
-                "ctls",
-                "acked",
-                "crashes",
-                "elect",
-                "fenced",
-                "shed",
-                "brk",
-                "wal",
-                "retries",
-                "repairs",
-                "epoch",
-                "doubt"
-            );
-            for r in &rep.rows {
-                println!(
-                    "{:>6.2} {:>6.2} {:>5} {:>3}/{:<2} {:>8} {:>6} {:>6} {:>7} {:>6} {:>5} {:>8} {:>8} {:>5} {:>6}  {}",
-                    r.crash_rate,
-                    r.fault_rate,
-                    r.controllers,
-                    r.acked,
-                    r.intents,
-                    r.crashes,
-                    r.elections,
-                    r.epoch_rejections,
-                    r.shed,
-                    r.breaker_opens,
-                    r.wal_records,
-                    r.retries,
-                    r.repairs,
-                    r.final_epoch,
-                    r.in_doubt,
-                    if r.verified {
-                        "verified"
-                    } else if r.reconciled {
-                        "RECONCILED-UNVERIFIED"
-                    } else {
-                        "NOT-CONVERGED"
-                    }
-                );
-            }
-            // The per-takeover recovery summaries the driver printed into
-            // each report, worst cell last.
-            println!("\nrecovery log (last cell):");
-            if let Some(r) = rep.rows.last() {
-                for line in &r.recovery_lines {
-                    println!("  {line}");
-                }
-            }
-            let failures: u64 = rep.rows.iter().map(|r| r.guardrail_failures).sum();
-            println!(
-                "guardrail: {} failure(s) across {} cells{}",
-                failures,
-                rep.rows.len(),
-                if failures == 0 {
-                    " — all recoveries verified"
-                } else {
-                    "  *** GATE FAILED ***"
-                }
-            );
-        }
-    }
-    if want("parscale") {
-        println!(
-            "\n############ E15 — thread scaling of the parallel executor (extension) ############"
-        );
-        let rep = parscale(&args.cfg, &[1, 2, 4, 8]);
-        if args.json {
-            println!("{}", serde_json::to_string_pretty(&rep).unwrap());
-        } else {
-            println!(
-                "host cores: {} (speedup saturates there; higher thread rows measure oversubscription)",
-                rep.host_cores
-            );
-            println!(
-                "{:<8} {:>8} {:>12} {:>9}  digest",
-                "workload", "threads", "wall [ms]", "speedup"
-            );
-            for r in &rep.rows {
-                println!(
-                    "{:<8} {:>8} {:>12.2} {:>8.2}x  {}",
-                    r.workload, r.threads, r.wall_ms, r.speedup, r.digest
-                );
-            }
-        }
-    }
     if want("symscale") {
         println!(
             "\n############ E17 — symbolic vs enumerative equivalence checking (extension) ############"
@@ -596,48 +491,6 @@ fn main() {
             }
         }
     }
-    if want("churnverify") {
-        println!(
-            "\n############ E22 — incremental re-verification under churn (extension) ############"
-        );
-        let rep = churnverify(&args.cfg);
-        if args.json {
-            println!("{}", serde_json::to_string_pretty(&rep).unwrap());
-        } else {
-            println!("host cores: {}", rep.host_cores);
-            println!(
-                "{:<14} {:<5} {:>7} {:>8} {:>6} {:>10} {:>12} {:>11} {:>9} {:>7} {:>6}  digest",
-                "workload",
-                "bknd",
-                "rate/s",
-                "entries",
-                "mods",
-                "full[ms]",
-                "incr[us]",
-                "max[us]",
-                "speedup",
-                "atoms",
-                "delta"
-            );
-            for r in &rep.rows {
-                println!(
-                    "{:<14} {:<5} {:>7.0} {:>8} {:>6} {:>10.3} {:>12.2} {:>11.2} {:>8.0}x {:>7} {:>6}  {}",
-                    r.workload,
-                    r.backend,
-                    r.rate_per_sec,
-                    r.entries,
-                    r.mods,
-                    r.full_ms,
-                    r.incr_mean_us,
-                    r.incr_max_us,
-                    r.speedup,
-                    r.atoms_rechecked,
-                    r.delta_mods,
-                    r.digest
-                );
-            }
-        }
-    }
     if want("phases") {
         println!(
             "\n############ E18 — phase attribution from span traces (extension) ############"
@@ -676,45 +529,6 @@ fn main() {
                         p.share * 100.0
                     );
                 }
-            }
-        }
-    }
-    if want("mpps") {
-        println!(
-            "\n############ E20 — Mpps-scale replay: compiled vs cached (extension) ############"
-        );
-        let rep = mpps(&args.cfg, &[1_024, 65_536, 1_048_576]);
-        if args.json {
-            println!("{}", serde_json::to_string_pretty(&rep).unwrap());
-        } else {
-            println!(
-                "packets/run: {}   zipf: {}   workers: {}",
-                rep.packets, rep.zipf, rep.workers
-            );
-            println!(
-                "{:<10} {:>9} {:<9} {:>9} {:>11} {:>13} {:>9} {:>7}  digest",
-                "repr",
-                "flows",
-                "engine",
-                "distinct",
-                "wall Mpps",
-                "modeled Mpps",
-                "hit rate",
-                "drops"
-            );
-            for r in &rep.rows {
-                println!(
-                    "{:<10} {:>9} {:<9} {:>9} {:>11.2} {:>13.2} {:>9.4} {:>7}  {}",
-                    r.repr,
-                    r.flows,
-                    r.engine,
-                    r.distinct_flows,
-                    r.wall_mpps,
-                    r.modeled_mpps,
-                    r.hit_rate,
-                    r.dropped,
-                    r.digest
-                );
             }
         }
     }

@@ -6,10 +6,10 @@
 //! E10 = Fig. 5 / appendix, E11 = §5 ESwitch template mechanism,
 //! E12 = OVS cache sensitivity, E13 = flow state explosion,
 //! E14 = faults: churn under an unreliable control channel,
-//! E15 = thread scaling, E16 = static analysis, E17 = symbolic vs
-//! enumerative equivalence, E18 = phase attribution from span traces,
-//! E19 = controller crash-recovery chaos sweep, E20 = Mpps-scale replay
-//! (the compiled engine, bare and behind the megaflow cache).
+//! E16 = static analysis, E17 = symbolic vs enumerative equivalence,
+//! E18 = phase attribution from span traces, E21 = decision diagrams at
+//! width. E15, E19, E20 and E22 are retired: `crates/e2e` measures what
+//! they did, end to end (EXPERIMENTS.md).
 
 use mapro_core::{display, Pipeline};
 use mapro_normalize::JoinKind;
@@ -53,7 +53,7 @@ impl Default for BenchConfig {
 pub struct RunMeta {
     /// Artifact schema version; bump when the report shape changes.
     pub schema: u32,
-    /// Experiment id (`faults`, `parscale`, `symscale`, `phases`, …).
+    /// Experiment id (`faults`, `symscale`, `ddscale`, `phases`, …).
     pub experiment: String,
     /// Workload seed the artifact was produced with.
     pub seed: u64,
@@ -870,521 +870,6 @@ pub fn faults(cfg: &BenchConfig, rates: &[f64]) -> Vec<FaultRow> {
     out
 }
 
-// ---------------------------------------------------------------- E19 ---
-
-/// One cell of the crash-rate × fault-rate × controller-count sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ChaosRow {
-    /// Per-injection-point crash probability for elected controllers.
-    pub crash_rate: f64,
-    /// Channel fault intensity (`p_drop`; dup/reorder run at half).
-    pub fault_rate: f64,
-    /// Controller slots racing for the lease.
-    pub controllers: usize,
-    /// Intents offered to the control plane.
-    pub intents: usize,
-    /// Intents synchronously acked (the rest arrive via reconciliation).
-    pub acked: usize,
-    /// Controller generations killed by the injector.
-    pub crashes: u64,
-    /// Leadership grants total.
-    pub elections: u64,
-    /// Leadership grants after the first.
-    pub failovers: u64,
-    /// Straggler flow-mods fenced by the switch's epoch check.
-    pub epoch_rejections: u64,
-    /// Churn intents refused by admission control.
-    pub shed: u64,
-    /// Circuit-breaker openings across generations.
-    pub breaker_opens: u64,
-    /// Flow-mod retransmissions across generations.
-    pub retries: u64,
-    /// Repair flow-mods emitted by reconciliation.
-    pub repairs: u64,
-    /// Switch restarts injected across channels.
-    pub switch_restarts: u64,
-    /// WAL records at the end of the run.
-    pub wal_records: usize,
-    /// Begun-but-unconfirmed intents left in the log (proved applied by
-    /// the final guardrail, not by `Commit` records).
-    pub in_doubt: usize,
-    /// Highest fencing epoch granted.
-    pub final_epoch: u64,
-    /// Whether the final drain reconciled the switch.
-    pub reconciled: bool,
-    /// Whether the final `mapro_sym` guardrail proved equivalence.
-    pub verified: bool,
-    /// Recoveries that reconciled but failed verification (gate: 0).
-    pub guardrail_failures: u64,
-    /// One summary line per takeover plus the final verified drain.
-    pub recovery_lines: Vec<String>,
-    /// Virtual time consumed (ms, max over channels).
-    pub elapsed_ms: f64,
-}
-
-/// The E19 artifact: chaos-sweep rows under a provenance header.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosSweepReport {
-    /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
-    /// One row per crash rate × fault rate × controller count.
-    pub rows: Vec<ChaosRow>,
-}
-
-/// [`chaos_sweep`] wrapped in the artifact header `scripts/bench_diff.py`
-/// keys on. Rows are virtual-clock deterministic, so the gate compares
-/// them exactly when the metadata matches.
-pub fn chaos_report(cfg: &BenchConfig) -> ChaosSweepReport {
-    ChaosSweepReport {
-        meta: RunMeta::new("chaos", cfg.seed),
-        rows: chaos_sweep(cfg),
-    }
-}
-
-/// Extension experiment E19: controller crash-recovery under chaos.
-///
-/// A reduced GWLB (universal form, so every intent is a multi-flow-mod
-/// two-phase bundle) is driven through [`run_chaos`]: N controller slots
-/// race for a lease over per-slot [`FaultyChannel`]s to one shared
-/// `LiveSwitch`, every elected generation recovers from the shared WAL
-/// under a seeded [`CrashInjector`], and the run must end with the
-/// switch reconciled to the WAL-derived intended pipeline **and** proved
-/// equivalent by `mapro_sym`. The acceptance gate is the
-/// `guardrail_failures == 0` column across the whole
-/// crash-rate × fault-rate × controller-count sweep.
-///
-/// [`run_chaos`]: mapro_control::run_chaos
-/// [`FaultyChannel`]: mapro_control::FaultyChannel
-/// [`CrashInjector`]: mapro_control::CrashInjector
-pub fn chaos_sweep(cfg: &BenchConfig) -> Vec<ChaosRow> {
-    use mapro_control::{run_chaos, ChaosConfig};
-    use mapro_switch::LiveSwitch;
-
-    // Reduced workload: the sweep runs 18 cells and the guardrail proves
-    // full-pipeline equivalence per recovery, so keep each cell small.
-    const SERVICES: usize = 6;
-    const BACKENDS: usize = 4; // GWLB hashes backends; must be a power of two
-    const INTENTS: usize = 24;
-    let g = Gwlb::random(SERVICES, BACKENDS, cfg.seed);
-    let base = g.universal.clone();
-    // Compile the intent list once against a shadow of the evolving
-    // intended state; every cell replays the same list.
-    let mut shadow = base.clone();
-    let intents: Vec<_> = (0..INTENTS)
-        .map(|k| {
-            let plan = g.move_service_port(&shadow, k % SERVICES, 10_000 + k as u16);
-            mapro_control::apply_plan(&mut shadow, &plan).expect("intent applies to shadow");
-            plan
-        })
-        .collect();
-
-    let mut out = Vec::new();
-    for &crash_rate in &[0.0f64, 0.1, 0.25] {
-        for &fault_rate in &[0.0f64, 0.2] {
-            for controllers in 1..=3usize {
-                let seed = cfg.seed
-                    ^ crash_rate.to_bits().rotate_left(11)
-                    ^ fault_rate.to_bits().rotate_left(29)
-                    ^ (controllers as u64).rotate_left(47);
-                let ccfg = ChaosConfig {
-                    controllers,
-                    crash_rate,
-                    fault_rate,
-                    restart_every: 50,
-                    seed,
-                    ..ChaosConfig::default()
-                };
-                let sw = LiveSwitch::noviflow(base.clone()).expect("compiles");
-                let rep = run_chaos(sw, base.clone(), &intents, &ccfg);
-                out.push(ChaosRow {
-                    crash_rate,
-                    fault_rate,
-                    controllers,
-                    intents: rep.intents,
-                    acked: rep.acked,
-                    crashes: rep.crashes,
-                    elections: rep.elections,
-                    failovers: rep.failovers,
-                    epoch_rejections: rep.epoch_rejections,
-                    shed: rep.shed,
-                    breaker_opens: rep.breaker_opens,
-                    retries: rep.retries,
-                    repairs: rep.repairs,
-                    switch_restarts: rep.switch_restarts,
-                    wal_records: rep.wal_records,
-                    in_doubt: rep.in_doubt_final,
-                    final_epoch: rep.final_epoch,
-                    reconciled: rep.reconciled,
-                    verified: rep.verified,
-                    guardrail_failures: rep.guardrail_failures,
-                    recovery_lines: rep.recovery_lines,
-                    elapsed_ms: rep.elapsed_ns as f64 / 1e6,
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- E15 ---
-
-/// One cell of the thread-scaling sweep (E15, extension).
-#[derive(Debug, Clone, Serialize)]
-pub struct ParScaleRow {
-    /// Which parallelized hot path was measured.
-    pub workload: String,
-    /// Thread count the pool ran with.
-    pub threads: usize,
-    /// Best-of-reps wall clock \[ms\].
-    pub wall_ms: f64,
-    /// Single-thread wall clock over this run's wall clock.
-    pub speedup: f64,
-    /// Result fingerprint — must be identical at every thread count.
-    pub digest: String,
-}
-
-/// The E15 report. `host_cores` matters for reading the numbers: speedup
-/// saturates at the physical core count no matter how many pool threads
-/// are requested, so an 8-thread row on a 2-core host is an oversubscription
-/// data point, not a scalability ceiling.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParScaleReport {
-    /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
-    /// `available_parallelism` of the machine that produced the numbers.
-    pub host_cores: usize,
-    /// Workload seed (fixed: the sweep is reproducible end to end).
-    pub seed: u64,
-    /// Packets in the replay trace.
-    pub packets: usize,
-    /// One row per workload × thread count.
-    pub rows: Vec<ParScaleRow>,
-}
-
-/// Extension experiment E15: wall-clock scaling of the three parallelized
-/// hot paths — exhaustive equivalence checking, FD mining, and modeled
-/// packet replay — across pool sizes, on the E5 GWLB workload.
-///
-/// Every row carries a digest of the computed *result*; the sweep panics
-/// if any digest differs across thread counts, so the benchmark doubles
-/// as an end-to-end determinism check (DESIGN.md §9).
-///
-/// # Panics
-/// Panics if a workload's result differs between thread counts — that is
-/// a determinism bug in the executor, never an acceptable outcome.
-pub fn parscale(cfg: &BenchConfig, threads: &[usize]) -> ParScaleReport {
-    use mapro_core::{Catalog, EquivConfig, EquivOutcome, Table, Value};
-    use std::time::Instant;
-
-    // Equivalence workload: a 3× scaled-up GWLB so the domain product
-    // spans many scan chunks and the universal table's linear lookup is
-    // expensive per packet. (The E5-sized instance finishes in one chunk.)
-    let g_eq = Gwlb::random(cfg.services * 3, cfg.backends * 2, cfg.seed);
-    let goto_eq = g_eq.normalized(JoinKind::Goto).expect("decomposes");
-
-    // Replay workload: the E5 pipeline under a longer trace, so per-shard
-    // replay work dwarfs the per-shard classifier compile.
-    let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
-    let trace = generate(
-        &g.universal.catalog,
-        &g.trace_spec(),
-        cfg.packets.max(200_000),
-        cfg.seed,
-    );
-
-    // Mining workload: a fixed-seed relation of low-cardinality columns —
-    // no small attribute subset is a key, so the lattice search stays deep
-    // and partition refinement dominates the wall clock.
-    const MINE_COLS: usize = 10;
-    const MINE_ROWS: usize = 12_000;
-    let mut mine_cat = Catalog::new();
-    let cols: Vec<_> = (0..MINE_COLS)
-        .map(|i| mine_cat.field(format!("c{i}"), 16))
-        .collect();
-    let mut relation = Table::new("bench", cols.clone(), vec![]);
-    let mut s = cfg.seed | 1;
-    let mut rng = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    for _ in 0..MINE_ROWS {
-        let row: Vec<Value> = (0..MINE_COLS)
-            .map(|i| Value::Int(rng() % (3 + i as u64)))
-            .collect();
-        relation.row(row, vec![]);
-    }
-
-    let equiv_cfg = EquivConfig::default();
-    type Work<'a> = (&'a str, Box<dyn Fn() -> String + 'a>);
-    let workloads: Vec<Work> = vec![
-        ("equiv", {
-            let (l, r, c) = (&g_eq.universal, &goto_eq, &equiv_cfg);
-            Box::new(move || match mapro_core::check_equivalent(l, r, c) {
-                Ok(EquivOutcome::Equivalent {
-                    packets_checked,
-                    exhaustive,
-                    ..
-                }) => format!("eq:{packets_checked}:{exhaustive}"),
-                Ok(EquivOutcome::Counterexample(cx)) => format!("cx:{:?}", cx.fields),
-                Err(e) => format!("err:{e}"),
-            })
-        }),
-        ("mine", {
-            let (t, c) = (&relation, &mine_cat);
-            Box::new(move || {
-                let m = mapro_fd::mine_fds(t, c);
-                format!("fds:{}:{}", m.fds.len(), m.distinct_rows)
-            })
-        }),
-        ("replay", {
-            let (p, t) = (&g.universal, &trace);
-            Box::new(move || {
-                let rep = mapro_switch::run_modeled_parallel(
-                    &|| Box::new(OvsSim::compile(p).expect("compiles")) as Box<dyn Switch + Send>,
-                    t,
-                    8,
-                );
-                format!(
-                    "mpps:{:.9}:lat:{:.9}:{:.9}:{:.9}:drop:{}",
-                    rep.mpps, rep.latency_us[0], rep.latency_us[1], rep.latency_us[2], rep.dropped
-                )
-            })
-        }),
-    ];
-
-    const REPS: usize = 3;
-    let saved = mapro_par::thread_override();
-    // Untimed warmup: the first-ever run of each workload pays page-fault
-    // and allocator warmup that would otherwise bias the first thread
-    // count measured (and make later ones look superlinear).
-    mapro_par::set_threads(1);
-    for (_, run) in &workloads {
-        let _ = run();
-    }
-    let mut rows = Vec::new();
-    let mut base_ms: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
-    let mut digests: std::collections::HashMap<&str, String> = std::collections::HashMap::new();
-    for &t in threads {
-        mapro_par::set_threads(t);
-        for (name, run) in &workloads {
-            let mut best = f64::INFINITY;
-            let mut digest = String::new();
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                digest = run();
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            match digests.get(name) {
-                None => {
-                    digests.insert(name, digest.clone());
-                }
-                Some(d) => assert_eq!(
-                    *d, digest,
-                    "parscale: {name} result diverged at {t} threads — determinism bug"
-                ),
-            }
-            let base = *base_ms.entry(name).or_insert(best);
-            rows.push(ParScaleRow {
-                workload: (*name).to_owned(),
-                threads: t,
-                wall_ms: best,
-                speedup: base / best,
-                digest,
-            });
-        }
-    }
-    mapro_par::set_threads(saved);
-
-    ParScaleReport {
-        meta: RunMeta::new("parscale", cfg.seed),
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        seed: cfg.seed,
-        packets: trace.len(),
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------- E20 ---
-
-/// One row of the Mpps-scale engine comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct MppsRow {
-    /// Representation (`universal` / `goto`).
-    pub repr: String,
-    /// Requested flow-population size.
-    pub flows: usize,
-    /// Execution mode (`compiled` engine / `cached` behind the megaflow cache).
-    pub engine: String,
-    /// Flows that actually appear in the Zipf trace.
-    pub distinct_flows: usize,
-    /// Wall-clock replay rate of the real data structures \[Mpps\],
-    /// best-of-reps on a warm engine.
-    pub wall_mpps: f64,
-    /// Modeled throughput at the sweep's worker count \[Mpps\].
-    pub modeled_mpps: f64,
-    /// Megaflow fast-path hit rate (0 for the uncached engines).
-    pub hit_rate: f64,
-    /// Packets dropped — identical across engines by construction.
-    pub dropped: usize,
-    /// Hex verdict digest at the sweep's worker count — identical across
-    /// engines by construction.
-    pub digest: String,
-}
-
-/// The E20 artifact: engine-comparison rows under a provenance header.
-#[derive(Debug, Clone, Serialize)]
-pub struct MppsReport {
-    /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
-    /// Packets per measured trace.
-    pub packets: usize,
-    /// Zipf exponent of flow popularity.
-    pub zipf: f64,
-    /// Modeled datapath workers (sharding for modeled rate and digest).
-    pub workers: usize,
-    /// One row per representation × flow count × engine.
-    pub rows: Vec<MppsRow>,
-}
-
-/// Extension experiment E20: the compiled engine, bare and behind the
-/// megaflow cache, at flow populations up to the millions.
-///
-/// The flow population cycles the (service, backend) pairs of the §5 GWLB
-/// workload and varies the low `ip_src` bits inside each backend prefix —
-/// so the population grows into the millions while the population of
-/// forwarding equivalence classes stays fixed at a few hundred. That
-/// separation is the megaflow story: a megaflow pins only the bits its
-/// installing walk depended on, so the cache's hit rate tracks classes,
-/// not flows, and `cached` stays in the fast path at any flow count,
-/// while `compiled` pays the table walk per packet. Verdict digests are asserted identical across
-/// both per configuration — the sweep doubles as a differential check.
-///
-/// # Panics
-/// Panics if any engine's verdict digest or drop count diverges — that is
-/// a compiler or cache-soundness bug, never an acceptable outcome.
-pub fn mpps(cfg: &BenchConfig, flow_counts: &[usize]) -> MppsReport {
-    use mapro_packet::{FlowSpec, Popularity, TraceSpec};
-    use mapro_switch::{replay_digest, run_modeled_parallel, run_wallclock};
-
-    type EngineFactory<'a> = Box<dyn Fn() -> Box<dyn Switch + Send> + Sync + 'a>;
-
-    const ZIPF: f64 = 1.1;
-    const WORKERS: usize = 4;
-    const WALL_REPS: usize = 2;
-    let packets = cfg.packets.max(100_000);
-    let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
-    let goto = g.normalized(JoinKind::Goto).expect("decomposes");
-
-    // (ip_src prefix base, ip_dst, tcp_dst) per (service, backend) pair.
-    let pairs: Vec<(u64, u64, u64)> = g
-        .services
-        .iter()
-        .flat_map(|s| {
-            s.backends.iter().map(move |(pfx, _)| {
-                let base = match *pfx {
-                    mapro_core::Value::Prefix { bits, .. } => bits,
-                    mapro_core::Value::Int(v) => v,
-                    _ => 0,
-                };
-                (base, s.ip as u64, s.port as u64)
-            })
-        })
-        .collect();
-    let population = |f: usize| -> Vec<FlowSpec> {
-        (0..f)
-            .map(|k| {
-                let (base, ip, port) = pairs[k % pairs.len()];
-                // Low 16 bits stay inside every backend prefix, so flow k
-                // hits the same table entry as its pair's canonical flow.
-                let low = (k / pairs.len()) as u64 & 0xffff;
-                FlowSpec {
-                    fields: vec![(g.ip_src, base | low), (g.ip_dst, ip), (g.tcp_dst, port)],
-                    weight: 1,
-                }
-            })
-            .collect()
-    };
-
-    let mut rows = Vec::new();
-    for (repr_name, repr) in [("universal", &g.universal), ("goto", &goto)] {
-        for &flows in flow_counts {
-            let spec = TraceSpec {
-                flows: population(flows),
-                popularity: Popularity::Zipf(ZIPF),
-            };
-            let trace = generate(&repr.catalog, &spec, packets, cfg.seed);
-            let engines: Vec<(&str, EngineFactory<'_>)> = vec![
-                ("compiled", {
-                    Box::new(move || Box::new(SwitchModel::eswitch(repr).expect("gwlb compiles")))
-                }),
-                ("cached", {
-                    Box::new(move || {
-                        Box::new(mapro_switch::CachedEngine::eswitch(repr).expect("gwlb compiles"))
-                    })
-                }),
-            ];
-            let mut cell_digest: Option<(String, usize)> = None;
-            for (engine, factory) in &engines {
-                let rep = run_modeled_parallel(&**factory, &trace, WORKERS);
-                let digest = format!("{:016x}", replay_digest(&**factory, &trace, WORKERS));
-                match &cell_digest {
-                    None => cell_digest = Some((digest.clone(), rep.dropped)),
-                    Some((d, dr)) => {
-                        assert_eq!(
-                            (d.as_str(), *dr),
-                            (digest.as_str(), rep.dropped),
-                            "mpps: {engine} diverged on {repr_name}/{flows} — engine bug"
-                        );
-                    }
-                }
-                // Wall clock on one warm engine: the first pass pays
-                // compilation and (for `cached`) cold megaflow installs.
-                let mut sw = factory();
-                let _ = run_wallclock(sw.as_mut(), &trace, 1);
-                let mut wall = 0.0f64;
-                for _ in 0..WALL_REPS {
-                    wall = wall.max(run_wallclock(sw.as_mut(), &trace, 1));
-                }
-                rows.push(MppsRow {
-                    repr: repr_name.to_owned(),
-                    flows,
-                    engine: (*engine).to_owned(),
-                    distinct_flows: trace.distinct_flows(),
-                    wall_mpps: wall,
-                    modeled_mpps: rep.mpps,
-                    hit_rate: if *engine == "cached" {
-                        1.0 - rep.slow_path as f64 / rep.packets as f64
-                    } else {
-                        0.0
-                    },
-                    dropped: rep.dropped,
-                    digest,
-                });
-            }
-        }
-    }
-
-    MppsReport {
-        meta: RunMeta::new("mpps", cfg.seed),
-        packets,
-        zipf: ZIPF,
-        workers: WORKERS,
-        rows,
-    }
-}
-
-/// Run a switch over the trace and return the report — helper used by
-/// criterion benches.
-pub fn measure(switch: &mut dyn Switch, cfg: &BenchConfig) -> mapro_switch::RunReport {
-    let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
-    let trace = generate(&g.universal.catalog, &g.trace_spec(), cfg.packets, cfg.seed);
-    run_modeled(switch, &trace)
-}
-
 // --------------------------------------------------------------- E16 ----
 
 /// One row of E16: static-analysis findings for a paper workload.
@@ -2185,242 +1670,5 @@ pub fn ddscale(cfg: &BenchConfig) -> DdScaleReport {
         seed: cfg.seed,
         rows,
         lint,
-    }
-}
-
-// ---------------------------------------------------------------- E22 ---
-
-/// One configuration of the incremental re-verification sweep (E22).
-#[derive(Debug, Clone, Serialize)]
-pub struct ChurnVerifyRow {
-    /// Workload label (`gwlb-s{services}-b{backends}`).
-    pub workload: String,
-    /// Cover representation of session and baseline: always `dd` (sessions
-    /// have no other; the column keeps the committed rows' key).
-    pub backend: String,
-    /// Poisson intent rate of the churn stream \[1/s\].
-    pub rate_per_sec: f64,
-    /// Total entries across the pipeline's tables (the table-size axis).
-    pub entries: usize,
-    /// Flow-mods in the generated stream.
-    pub mods: usize,
-    /// Best-of-reps wall clock of one from-scratch `check_symbolic` \[ms\]
-    /// — what every committed flow-mod would cost without the session.
-    pub full_ms: f64,
-    /// Mean per-mod incremental re-check latency \[µs\].
-    pub incr_mean_us: f64,
-    /// Worst per-mod incremental re-check latency \[µs\].
-    pub incr_max_us: f64,
-    /// `full_ms / incr_mean` — the headline ratio (≥ 10 asserted on the
-    /// largest configuration, against the best full check there is).
-    pub speedup: f64,
-    /// Leaf regions re-derived across the stream (summed `ProofToken`
-    /// field).
-    pub atoms_rechecked: u64,
-    /// Mods that stayed on the delta path (non-empty dirty region); the
-    /// remainder fell back to a full recheck inside the session.
-    pub delta_mods: usize,
-    /// The steady-state stream verdict (`equivalent` — identical churn on
-    /// both sides; divergence detection is asserted separately).
-    pub verdict: String,
-    /// Fingerprint of the deterministic parts (entries, mods, atoms,
-    /// delta-path count, verdict) — never timings — for the cross-thread
-    /// diff.
-    pub digest: String,
-}
-
-/// The E22 report.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChurnVerifyReport {
-    /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
-    /// `available_parallelism` of the measuring host.
-    pub host_cores: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// One row per (size × rate) configuration.
-    pub rows: Vec<ChurnVerifyRow>,
-}
-
-/// Extension experiment E22: incremental equivalence re-verification
-/// under control-plane churn ([`mapro_sym::IncrementalChecker`]).
-///
-/// For each GWLB size × Poisson rate configuration, the sweep
-/// opens one session over the `(universal, universal)` pair, replays a
-/// seeded stream of single-entry action `Modify`s onto *both* sides (the
-/// steady-state shape of verified churn: every committed flow-mod must
-/// keep the intended and shadow pipelines equivalent), and times each
-/// `update(Side::Both, ..)` — the in-place edit and the re-check —
-/// against a best-of-reps from-scratch `check_symbolic` baseline.
-///
-/// Correctness is asserted in-experiment, not just reported:
-/// * every steady-state token must read `Equivalent`;
-/// * after the stream, a left-only edit must flip the session to
-///   `NotEquivalent` *and* a from-scratch check must agree, then
-///   applying the same edit to the right side must restore
-///   `Equivalent` — the incremental verdict tracks ground truth through
-///   divergence and convergence;
-/// * every mod must stay on the delta path (no fallback), and on the
-///   largest configuration the mean incremental latency must beat the
-///   decision-diagram full check — the best baseline, 15–36 ms there — by
-///   ≥ 10× and stay sub-millisecond on optimized builds.
-///
-/// Timing is best-of-`REPS` for the baseline and per-mod for the session
-/// (a session re-check runs once per flow-mod in production; "best of"
-/// would flatter it). Digests capture only deterministic results, so
-/// runs at different `--threads` must produce byte-identical digests.
-pub fn churnverify(cfg: &BenchConfig) -> ChurnVerifyReport {
-    use mapro_control::{RuleUpdate, UpdatePlan};
-    use mapro_core::Value;
-    use mapro_sym::{IncrementalChecker, Side, SymConfig};
-    use std::time::Instant;
-
-    const REPS: usize = 3;
-    const DURATION_SEC: f64 = 0.1;
-
-    let sizes = [
-        (cfg.services, cfg.backends),
-        (cfg.services * 3, cfg.backends * 2),
-    ];
-    let rates = [200.0, 2000.0];
-    let largest = cfg.services * 3;
-    let scfg = SymConfig::default();
-
-    let mut rows = Vec::new();
-    for &(services, nbackends) in &sizes {
-        let g = Gwlb::random(services, nbackends, cfg.seed);
-        let base = g.universal.clone();
-        let table_name = base.tables[0].name.clone();
-        let action_attr = base.tables[0].action_attrs[0];
-        let nrows = base.tables[0].entries.len();
-        let entries: usize = base.tables.iter().map(|t| t.entries.len()).sum();
-        let workload = format!("gwlb-s{services}-b{nbackends}");
-
-        // Baseline: what re-verifying a commit costs from scratch.
-        let _ = mapro_sym::check_symbolic(&base, &base, &scfg); // warmup
-        let mut full_ms = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let o = mapro_sym::check_symbolic(&base, &base, &scfg)
-                .expect("GWLB is inside the symbolic fragment");
-            assert!(o.is_equivalent());
-            full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-
-        for &rate in &rates {
-            let mut session =
-                IncrementalChecker::new(&base, &base, &scfg).expect("session opens on a GWLB pair");
-            let mod_plan = |k: usize| UpdatePlan {
-                intent: format!("churn {k}"),
-                updates: vec![RuleUpdate::Modify {
-                    table: table_name.clone(),
-                    matches: base.tables[0].entries[k % nrows].matches.clone(),
-                    set: vec![(action_attr, Value::sym(format!("vm-churn-{k}")))],
-                }],
-            };
-            let events = mapro_control::poisson_stream(rate, DURATION_SEC, cfg.seed, mod_plan);
-
-            let mut sum_us = 0.0f64;
-            let mut max_us = 0.0f64;
-            let mut atoms_rechecked = 0u64;
-            let mut delta_mods = 0usize;
-            for (i, ev) in events.iter().enumerate() {
-                let drows = mapro_control::plan_delta_rows(session.left(), &ev.plan);
-                let t0 = Instant::now();
-                let token = session
-                    .update(Side::Both, &drows, 1, i as u64, |p| {
-                        mapro_control::apply_plan_silent(p, &ev.plan)
-                    })
-                    .expect("incremental re-check runs");
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                sum_us += us;
-                max_us = max_us.max(us);
-                atoms_rechecked += token.atoms_rechecked as u64;
-                if !session.last_dirty().is_empty() {
-                    delta_mods += 1;
-                }
-                assert!(
-                    token.verdict.is_equivalent(),
-                    "identical churn on both sides must stay equivalent (mod {i})"
-                );
-            }
-            let mods = events.len();
-
-            // Divergence tracking: session and from-scratch check must
-            // agree through a left-only edit and back.
-            let div = mod_plan(usize::MAX - 1);
-            let drows = mapro_control::plan_delta_rows(session.left(), &div);
-            let replay = |p: &mut mapro_core::Pipeline| mapro_control::apply_plan_silent(p, &div);
-            let token = session
-                .update(Side::Left, &drows, 1, mods as u64, replay)
-                .expect("diverging update runs");
-            assert!(
-                !token.verdict.is_equivalent(),
-                "a one-sided edit must flip the session verdict"
-            );
-            assert!(
-                !mapro_sym::check_symbolic(session.left(), session.right(), &scfg)
-                    .expect("fresh check runs")
-                    .is_equivalent(),
-                "from-scratch check must agree with the session on divergence"
-            );
-            let token = session
-                .update(Side::Right, &drows, 1, mods as u64 + 1, replay)
-                .expect("converging update runs");
-            assert!(
-                token.verdict.is_equivalent(),
-                "mirroring the edit must restore equivalence"
-            );
-
-            let incr_mean_us = sum_us / mods.max(1) as f64;
-            let speedup = full_ms * 1e3 / incr_mean_us.max(f64::MIN_POSITIVE);
-            assert_eq!(
-                delta_mods, mods,
-                "E22 {workload}@{rate}: a mod fell back to a full rebuild"
-            );
-            if services == largest {
-                assert!(
-                    speedup >= 10.0,
-                    "E22 {workload}@{rate}: incremental re-check only {speedup:.1}x \
-                     over full check ({incr_mean_us:.1} us vs {full_ms:.3} ms)"
-                );
-                // Sub-millisecond latency is an optimized-build claim; the
-                // ratio above is what debug builds can honestly hold.
-                if !cfg!(debug_assertions) {
-                    assert!(
-                        incr_mean_us < 1000.0,
-                        "E22 {workload}@{rate}: mean per-mod re-check \
-                         {incr_mean_us:.1} us is not sub-millisecond"
-                    );
-                }
-            }
-
-            rows.push(ChurnVerifyRow {
-                workload: workload.clone(),
-                backend: "dd".to_owned(),
-                rate_per_sec: rate,
-                entries,
-                mods,
-                full_ms,
-                incr_mean_us,
-                incr_max_us: max_us,
-                speedup,
-                atoms_rechecked,
-                delta_mods,
-                verdict: "equivalent".to_owned(),
-                digest: format!(
-                    "churnverify:dd:{entries}:{mods}:{atoms_rechecked}:{delta_mods}:eq"
-                ),
-            });
-        }
-    }
-
-    ChurnVerifyReport {
-        meta: RunMeta::new("churnverify", cfg.seed),
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        seed: cfg.seed,
-        rows,
     }
 }

@@ -30,10 +30,11 @@ pub type TxnId = u64;
 /// Identifier of a two-phase update bundle.
 pub type BundleId = u64;
 
-/// A controller generation. Epochs are handed out monotonically by the
-/// lease-based election (see `crate::election`); the switch remembers the
-/// highest epoch it has seen and fences everything older, so a deposed
-/// controller's stragglers can never clobber its successor's writes.
+/// A controller generation. Each successor takes a higher epoch than its
+/// predecessor ([`Controller::recover`](crate::Controller::recover)); the
+/// switch remembers the highest epoch it has seen and fences everything
+/// older, so a deposed controller's stragglers can never clobber its
+/// successor's writes.
 pub type Epoch = u64;
 
 /// What a control message asks the switch to do.

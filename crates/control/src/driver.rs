@@ -24,8 +24,8 @@
 //!   [`DriverError::Deposed`] instead of corrupting its successor's
 //!   writes;
 //! * a [`CrashInjector`] can kill the controller at any
-//!   [`CrashPoint`] — the chaos harness uses this to prove recovery at
-//!   every injection point;
+//!   [`CrashPoint`] — `tests/chaos_recovery.rs` uses this to prove
+//!   recovery at every injection point;
 //! * overload shedding ([`DriverError::Overloaded`]) refuses churn-class
 //!   intents once too many admitted intents are still undelivered, and a
 //!   circuit breaker stops per-txn retry storms after K consecutive
@@ -37,8 +37,6 @@ use crate::channel::{
 use crate::updates::{self, ApplyError, RuleUpdate, UpdatePlan};
 use crate::wal::{ReplayError, SharedWal, Wal, WalRecord};
 use mapro_core::{EquivConfig, EquivOutcome, Pipeline, Value};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -71,7 +69,7 @@ pub struct DriverConfig {
     /// Verify every committed intent inline: keep an incremental
     /// equivalence session (committed shadow vs. intended) and append a
     /// [`WalRecord::Proof`] receipt next to each `Commit`. Off by
-    /// default — the E22 experiment and chaos harness turn it on.
+    /// default — the e2e `churn_*` workloads turn it on.
     pub verify_inline: bool,
 }
 
@@ -92,8 +90,8 @@ impl Default for DriverConfig {
     }
 }
 
-/// Somewhere the controller can be killed mid-protocol. The chaos
-/// harness proves recovery from every one of these.
+/// Somewhere the controller can be killed mid-protocol.
+/// `tests/chaos_recovery.rs` proves recovery from every one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
     /// After the WAL `Begin` append, before anything reaches the wire.
@@ -142,14 +140,6 @@ impl CrashPoint {
 pub enum CrashInjector {
     /// Production mode: never crash.
     Never,
-    /// Crash with probability `rate` at every injection point, from a
-    /// seeded stream (the chaos sweep's knob).
-    Random {
-        /// Per-point crash probability.
-        rate: f64,
-        /// Seeded roll stream.
-        rng: SmallRng,
-    },
     /// Crash exactly at the `nth` occurrence of `point` (the proptest
     /// knob: enumerate every point deterministically).
     AtNth {
@@ -163,16 +153,6 @@ pub enum CrashInjector {
 }
 
 impl CrashInjector {
-    /// Crash with probability `rate` at every point, deterministically
-    /// under `seed`.
-    pub fn random(rate: f64, seed: u64) -> CrashInjector {
-        assert!((0.0..=1.0).contains(&rate), "crash rate out of range");
-        CrashInjector::Random {
-            rate,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
     /// Crash at the `nth` time execution reaches `point`.
     pub fn at_nth(point: CrashPoint, nth: u32) -> CrashInjector {
         CrashInjector::AtNth {
@@ -185,7 +165,6 @@ impl CrashInjector {
     fn fires(&mut self, point: CrashPoint) -> bool {
         match self {
             CrashInjector::Never => false,
-            CrashInjector::Random { rate, rng } => *rate > 0.0 && rng.gen_bool(*rate),
             CrashInjector::AtNth {
                 point: p,
                 nth,
@@ -340,7 +319,7 @@ pub enum ReconcileOutcome {
 }
 
 /// What [`Controller::recover_switch`] did, for the one-line recovery
-/// summary and the chaos report.
+/// summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The recovering generation's epoch.
@@ -452,8 +431,8 @@ impl Controller {
     }
 
     /// A successor generation: replay `wal` to the predecessor's intended
-    /// state and take over under `epoch` (which the election guarantees
-    /// is fresher than anything the dead generation sent). A corrupt log
+    /// state and take over under `epoch` (which the caller must pick
+    /// fresher than anything the dead generation sent). A corrupt log
     /// is refused, never recovered from.
     pub fn recover(
         wal: SharedWal,
@@ -471,11 +450,6 @@ impl Controller {
         ctl.in_doubt_at_recovery = replay.in_doubt.len();
         ctl.wal_records_at_recovery = replay.records;
         Ok(ctl)
-    }
-
-    /// Install a crash injector (chaos harness / tests).
-    pub fn set_crash_injector(&mut self, crash: CrashInjector) {
-        self.crash = crash;
     }
 
     /// The state the controller is driving the switch toward.
@@ -1604,8 +1578,13 @@ mod tests {
     fn crash_at_begin_recovers_via_wal_replay() {
         let (p, f, _) = pipeline();
         let mut ch = FaultyChannel::new(MiniSwitch::new(p.clone()), FaultPlan::lossless(1));
-        let mut ctl = Controller::new(p.clone(), DriverConfig::default());
-        ctl.set_crash_injector(CrashInjector::at_nth(CrashPoint::Begin, 1));
+        let mut ctl = Controller::recover(
+            Wal::shared(p.clone()),
+            DriverConfig::default(),
+            0,
+            CrashInjector::at_nth(CrashPoint::Begin, 1),
+        )
+        .unwrap();
         match ctl.apply_plan(&mut ch, &move_plan(f, 1, 7)) {
             Err(DriverError::Crashed(CrashPoint::Begin)) => {}
             other => panic!("expected crash, got {other:?}"),
@@ -1629,8 +1608,13 @@ mod tests {
     fn crash_after_commit_leaves_consistent_in_doubt() {
         let (p, f, _) = pipeline();
         let mut ch = FaultyChannel::new(MiniSwitch::new(p.clone()), FaultPlan::lossless(1));
-        let mut ctl = Controller::new(p.clone(), DriverConfig::default());
-        ctl.set_crash_injector(CrashInjector::at_nth(CrashPoint::AfterCommit, 1));
+        let mut ctl = Controller::recover(
+            Wal::shared(p.clone()),
+            DriverConfig::default(),
+            0,
+            CrashInjector::at_nth(CrashPoint::AfterCommit, 1),
+        )
+        .unwrap();
         let plan = UpdatePlan {
             intent: "renumber both".into(),
             updates: vec![

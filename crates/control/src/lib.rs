@@ -20,10 +20,6 @@
 //!   recovery, overload shedding and a circuit breaker.
 //! * [`wal`] — the deterministic write-ahead log a successor controller
 //!   replays to the predecessor's exact intended state.
-//! * [`election`] — seeded lease-based leader election handing out the
-//!   monotonically increasing fencing epochs switches enforce.
-//! * [`chaos`] — the crash × fault × controller-count harness driving
-//!   all of the above to a verified-recovery verdict (bench E19).
 //!
 //! Workload-specific intent compilers (e.g. "move tenant 1's service to
 //! HTTPS" against a given GWLB representation) live next to the workload
@@ -33,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod chaos;
 pub mod churn;
 pub mod consistency;
 pub mod driver;
-pub mod election;
 pub mod monitor;
 pub mod updates;
 pub mod wal;
@@ -46,14 +40,12 @@ pub use channel::{
     Ack, AckError, AckOk, BundleId, ChannelStats, Endpoint, Epoch, FaultPlan, FaultyChannel,
     FlowMod, FlowModOp, TxnId,
 };
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use churn::{poisson_stream, summarize, ChurnEvent, ChurnSummary};
 pub use consistency::{exposure, ExposureReport, Invariant};
 pub use driver::{
     diff_pipelines, Controller, CrashInjector, CrashPoint, DriverConfig, DriverError, DriverStats,
     ReconcileOutcome, ReconcileReport, RecoveryReport, TxnClass,
 };
-pub use election::{Election, Lease, LeaseConfig, NodeId};
 pub use monitor::{rules_where, CounterSet};
 pub use updates::{
     apply_plan, apply_plan_silent, apply_prefix, apply_update, apply_update_silent, delta_rows,

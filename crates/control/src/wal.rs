@@ -119,7 +119,7 @@ impl Wal {
     /// with, before any controller wrote).
     pub fn new(base: Pipeline) -> Wal {
         // Declare the log's counters up front so a `--metrics` snapshot
-        // shows them (at zero) even before the first append or failover.
+        // shows them (at zero) even before the first append or replay.
         mapro_obs::counter!("control.wal.appends");
         mapro_obs::counter!("control.wal.replays");
         Wal {

@@ -9,7 +9,6 @@
 use crate::compile::BATCH;
 use crate::Switch;
 use mapro_packet::Trace;
-use std::time::Instant;
 
 /// Replay `pkts` through `switch` in [`BATCH`]-packet chunks, feeding each
 /// result to `sink` in arrival order. One virtual call per chunk instead of
@@ -273,23 +272,6 @@ pub struct ClosedLoopReport {
     pub stall_total_ns: f64,
 }
 
-/// Wall-clock throughput of the real data structures, in Mpps. Replays the
-/// trace `repeats` times and divides by elapsed time. Indicative only —
-/// orderings matter, absolute numbers depend on the host.
-pub fn run_wallclock(switch: &mut dyn Switch, trace: &Trace, repeats: usize) -> f64 {
-    assert!(!trace.is_empty() && repeats > 0);
-    let start = Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..repeats {
-        replay_batched(switch, trace.packets.iter().map(|(_, p)| p), |r| {
-            sink += r.lookups;
-        });
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    (trace.len() * repeats) as f64 / elapsed / 1e6
-}
-
 /// A replay's verdict digest: FNV-1a over every packet's `(output,
 /// dropped)` verdict, sharded exactly like [`run_modeled_parallel`]
 /// (per-shard digests over the shard's packets in arrival order, combined
@@ -458,13 +440,5 @@ mod tests {
         // Packets right after the update see the stall in their latency.
         assert!(rep.outputs[500].1.latency_ns > rep.outputs[499].1.latency_ns);
         assert!(rep.stall_total_ns > 0.0);
-    }
-
-    #[test]
-    fn wallclock_positive() {
-        let (p, trace) = setup();
-        let mut sim = SwitchModel::eswitch(&p).unwrap();
-        let mpps = run_wallclock(&mut sim, &trace, 2);
-        assert!(mpps > 0.0);
     }
 }

@@ -44,8 +44,7 @@ pub use churn::{
 pub use compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 pub use cost::{ControlStall, CostParams, HwLatency, ModelSpec, TemplatePolicy};
 pub use harness::{
-    replay_digest, run_modeled, run_modeled_parallel, run_wallclock, run_with_updates,
-    ClosedLoopReport, RunReport,
+    replay_digest, run_modeled, run_modeled_parallel, run_with_updates, ClosedLoopReport, RunReport,
 };
 pub use live::LiveSwitch;
 pub use megaflow::{CachedEngine, MegaflowStats};

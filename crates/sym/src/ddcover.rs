@@ -725,6 +725,46 @@ mod tests {
         assert_dd_exact(&Pipeline::single(c, t));
     }
 
+    /// A goto to a table that does not exist, on row 1 behind row 0, or
+    /// a `Fall` to one on the miss; `reachable` decides whether any
+    /// packet gets there.
+    fn unknown_table_program(on_miss: bool, reachable: bool) -> Pipeline {
+        let mut c = Catalog::new();
+        let f = c.field("f", 4);
+        let out = c.action("out", ActionSem::Output);
+        let goto = c.action("goto", ActionSem::Goto);
+        let mut t = Table::new("t", vec![f], vec![out, goto]);
+        let first = if reachable { Value::Int(1) } else { Value::Any };
+        t.row(vec![first], vec![Value::sym("a"), Value::Any]);
+        if on_miss {
+            t.miss = MissPolicy::Fall("nowhere".into());
+        } else {
+            t.row(vec![Value::Any], vec![Value::Any, Value::sym("nowhere")]);
+        }
+        Pipeline::single(c, t)
+    }
+
+    #[test]
+    fn an_unknown_table_no_packet_reaches_does_not_poison_compile() {
+        for on_miss in [false, true] {
+            assert_dd_exact(&unknown_table_program(on_miss, false));
+        }
+    }
+
+    #[test]
+    fn a_reachable_unknown_table_is_unsupported() {
+        for on_miss in [false, true] {
+            let p = unknown_table_program(on_miss, true);
+            let space = FieldSpace::from_pipelines(&[&p]);
+            let cfg = cfg();
+            let mut eng = DdEngine::new(&space, &cfg);
+            match eng.compile(&p, &space, &cfg) {
+                Err(Unsupported::UnknownTable(name)) => assert_eq!(name, "nowhere"),
+                other => panic!("on_miss={on_miss}: expected UnknownTable, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn goto_cycle_is_unsupported() {
         let mut c = Catalog::new();

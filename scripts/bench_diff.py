@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Perf-regression gate: diff fresh E14/E15/E17/E19/E20/E21/E22 runs
-against the committed BENCH_*.json references.
+"""Perf-regression gate: diff fresh E14/E17/E21 runs against the
+committed BENCH_*.json references.
 
 usage: bench_diff.py FRESH_DIR [--repo DIR] [--timing-tolerance X]
 
-FRESH_DIR must contain faults.json, parscale.json, symscale.json,
-ddscale.json, chaos.json, mpps.json and churnverify.json as written by
-scripts/reproduce.sh (or the CI job). They are compared against
-BENCH_faults.json, BENCH_parallel.json, BENCH_symbolic.json,
-BENCH_dd.json, BENCH_chaos.json, BENCH_mpps.json and
-BENCH_churnverify.json in the repo root:
+FRESH_DIR must contain faults.json, symscale.json and ddscale.json as
+written by scripts/reproduce.sh (or the CI job). They are compared
+against BENCH_faults.json, BENCH_symbolic.json and BENCH_dd.json in the
+repo root:
 
   * run metadata (`meta`) must be compatible — same schema, experiment
     and seed. A mismatch means the two runs measured different things;
@@ -17,11 +15,10 @@ BENCH_churnverify.json in the repo root:
     verdict. Thread count, crate version and host cores may differ (they
     are reported, and absorbed by the timing tolerance).
   * deterministic columns are compared EXACTLY: every E14 fault-sweep
-    and E19 chaos-sweep field (both run on a virtual clock), and E15/E17
-    digests, verdicts, methods and size columns. Any difference is a
-    functional regression (exit 1).
-  * timing columns (E15 wall_ms, E17 sym_ms/enum_ms, E20 wall_mpps,
-    E21 dd_ms) must agree within
+    field (it runs on a virtual clock), and E17/E21 digests, verdicts,
+    methods and size columns. Any difference is a functional regression
+    (exit 1).
+  * timing columns (E17 sym_ms/enum_ms, E21 dd_ms) must agree within
     --timing-tolerance (default 5.0): fresh <= committed * X and
     fresh >= committed / X. The default is deliberately loose — CI
     machines differ from the machine that produced the reference — but
@@ -125,7 +122,7 @@ def check_rows(name, fresh_rows, committed_rows, key_fn, exact, timings, tol):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("fresh_dir", help="directory with faults/parscale/symscale.json")
+    ap.add_argument("fresh_dir", help="directory with faults/symscale/ddscale.json")
     ap.add_argument("--repo", default=None, help="repo root (default: script's parent)")
     ap.add_argument(
         "--timing-tolerance",
@@ -152,50 +149,6 @@ def main():
         lambda r: r["fault_rate"],
         exact=fault_cols,
         timings=[],
-        tol=tol,
-    )
-
-    # E19: crash-recovery chaos sweep. Virtual clock + derived seeds =>
-    # every field exact, including the per-recovery summary lines. On top
-    # of the diff, the fresh run must itself be green: a non-zero
-    # guardrail_failures cell is a regression even if it matches the
-    # committed reference (the reference must never go red silently).
-    fresh = load(os.path.join(args.fresh_dir, "chaos.json"))
-    committed = load(os.path.join(repo, "BENCH_chaos.json"))
-    check_meta("chaos", meta_of(fresh, "chaos.json"), meta_of(committed, "BENCH_chaos.json"))
-    chaos_cols = sorted({k for r in committed["rows"] for k in r})
-    check_rows(
-        "chaos",
-        fresh["rows"],
-        committed["rows"],
-        lambda r: (r["crash_rate"], r["fault_rate"], r["controllers"]),
-        exact=chaos_cols,
-        timings=[],
-        tol=tol,
-    )
-    for r in fresh["rows"]:
-        cell = (r["crash_rate"], r["fault_rate"], r["controllers"])
-        if r.get("guardrail_failures", 0) != 0 or not r.get("verified", False):
-            fail(f"chaos {cell}: recovery not verified ({r.get('guardrail_failures')} guardrail failure(s))")
-
-    # E15: parallel scaling. Digests machine-independent; wall clock not.
-    fresh = load(os.path.join(args.fresh_dir, "parscale.json"))
-    committed = load(os.path.join(repo, "BENCH_parallel.json"))
-    check_meta(
-        "parscale", meta_of(fresh, "parscale.json"), meta_of(committed, "BENCH_parallel.json")
-    )
-    if fresh.get("packets") != committed.get("packets"):
-        refuse(
-            f"parscale: packets differs (fresh {fresh.get('packets')!r} "
-            f"vs committed {committed.get('packets')!r})"
-        )
-    check_rows(
-        "parscale",
-        fresh["rows"],
-        committed["rows"],
-        lambda r: (r["workload"], r["threads"]),
-        exact=["digest"],
-        timings=["wall_ms"],
         tol=tol,
     )
 
@@ -265,92 +218,6 @@ def main():
     for r in fresh["lint"]:
         if r.get("dd_unknown", 0) != 0:
             fail(f"ddscale lint {r['workload']}: {r['dd_unknown']} DD unknown finding(s)")
-
-    # E20: Mpps-scale replay. Verdict digests, drop counts, distinct-flow
-    # counts and megaflow hit rates are seed-determined and machine
-    # independent => exact. Wall-clock Mpps is a rate, gated by the same
-    # multiplicative envelope as the other timing columns. Rows are the
-    # compiled engine bare (`compiled`) and behind the megaflow cache
-    # (`cached`); a digest mismatch means the cache changed observable
-    # behavior — the one thing it must never do.
-    fresh = load(os.path.join(args.fresh_dir, "mpps.json"))
-    committed = load(os.path.join(repo, "BENCH_mpps.json"))
-    check_meta("mpps", meta_of(fresh, "mpps.json"), meta_of(committed, "BENCH_mpps.json"))
-    for key in ("packets", "zipf", "workers"):
-        if fresh.get(key) != committed.get(key):
-            refuse(
-                f"mpps: {key} differs (fresh {fresh.get(key)!r} "
-                f"vs committed {committed.get(key)!r})"
-            )
-    check_rows(
-        "mpps",
-        fresh["rows"],
-        committed["rows"],
-        lambda r: (r["repr"], r["flows"], r["engine"]),
-        exact=["digest", "dropped", "distinct_flows", "hit_rate"],
-        timings=["wall_mpps"],
-        tol=tol,
-    )
-    # The fresh run must also uphold the headline claim: on the skewed
-    # (Zipf) traces the cache serves almost everything from installed
-    # cubes, and both rows agree on the digest per cell.
-    by_cell = {}
-    for r in fresh["rows"]:
-        by_cell.setdefault((r["repr"], r["flows"]), {})[r["engine"]] = r
-    for cell, engines in sorted(by_cell.items()):
-        digests = {e: r["digest"] for e, r in engines.items()}
-        if len(set(digests.values())) != 1:
-            fail(f"mpps {cell}: engines disagree on digest ({digests})")
-        cached = engines.get("cached")
-        if cached is not None and cached["hit_rate"] < 0.9:
-            fail(f"mpps {cell}: megaflow hit rate {cached['hit_rate']:.4f} < 0.9")
-
-    # E22: incremental re-verification under churn, decision diagrams on
-    # both sides of the ratio (sessions have no other representation, and
-    # the DD full check is the best baseline). The proof-work columns
-    # (mods, leaf regions rechecked, delta-processed mods, verdicts and
-    # their digest) are seed-determined and machine independent => exact.
-    # Latencies are machine-dependent: the full-check baseline and the
-    # per-mod incremental mean sit in the timing envelope (the mean is in
-    # µs, so the sub-millisecond noise skip never hides it); the per-mod
-    # max and the speedup ratio are too noisy to gate here — the headline
-    # claims (no fallback anywhere; at the largest size a sub-millisecond
-    # mean that beats the full check by >= 10x) are re-asserted below on the
-    # fresh run alone, mirroring the asserts inside the experiment.
-    fresh = load(os.path.join(args.fresh_dir, "churnverify.json"))
-    committed = load(os.path.join(repo, "BENCH_churnverify.json"))
-    check_meta(
-        "churnverify",
-        meta_of(fresh, "churnverify.json"),
-        meta_of(committed, "BENCH_churnverify.json"),
-    )
-    check_rows(
-        "churnverify",
-        fresh["rows"],
-        committed["rows"],
-        lambda r: (r["workload"], r["backend"], r["rate_per_sec"]),
-        exact=["digest", "verdict", "entries", "mods", "atoms_rechecked", "delta_mods"],
-        timings=["full_ms", "incr_mean_us"],
-        tol=tol,
-    )
-    largest = max(r["entries"] for r in fresh["rows"])
-    for r in fresh["rows"]:
-        cell = (r["workload"], r["backend"], r["rate_per_sec"])
-        if r["delta_mods"] != r["mods"]:
-            fail(
-                f"churnverify {cell}: only {r['delta_mods']}/{r['mods']} mods "
-                f"were delta-processed (unexpected fallbacks)"
-            )
-        if r["entries"] == largest and r["speedup"] < 10.0:
-            fail(
-                f"churnverify {cell}: incremental re-check only "
-                f"{r['speedup']:.1f}x over a full check"
-            )
-        if r["entries"] == largest and r["incr_mean_us"] >= 1000.0:
-            fail(
-                f"churnverify {cell}: mean re-check {r['incr_mean_us']:.0f} us "
-                f"is not sub-millisecond"
-            )
 
     if FAILURES:
         print(f"bench_diff: {len(FAILURES)} regression(s)")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Line ledger: non-test lines per crate, code and docs counted apart.
 
-usage: loc.py [--repo DIR] [--json]
+usage: loc.py
 
 Counts every `src/**/*.rs` of each crate under `crates/` (and the umbrella
 package's `src/`). Test code is left out wherever it sits: an item under
@@ -18,9 +18,7 @@ what a reader of the crate's API reads, comments and blanks aside).
 Integration tests, benches and examples are not counted.
 """
 
-import argparse
 import glob
-import json
 import os
 import re
 
@@ -114,15 +112,7 @@ def ledger(repo):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repo", default=None, help="repo root (default: script's parent)")
-    ap.add_argument("--json", action="store_true", help="print JSON instead of a table")
-    args = ap.parse_args()
-    repo = args.repo or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    crates = ledger(repo)
-    if args.json:
-        print(json.dumps(crates, indent=2, sort_keys=True))
-        return
+    crates = ledger(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     cols = ["files", "code", "doc", "comment", "blank", "total"]
     print(f"{'crate':<12}" + "".join(f"{c:>9}" for c in cols))
     sums = dict.fromkeys(cols, 0)

@@ -19,7 +19,7 @@ cargo run --release -p mapro-bench --bin repro -- --metrics "$OUT/metrics.json" 
     | tee "$OUT/experiments.txt" | grep '############'
 
 echo "== experiments (json) =="
-for e in table1 fig4 fig4queue size control monitor theorem1 templates cache scaling joins faults chaos; do
+for e in table1 fig4 fig4queue size control monitor theorem1 templates cache scaling joins faults; do
     cargo run --release -p mapro-bench --bin repro -- --experiment "$e" --json \
         | sed '1,/############/d' > "$OUT/$e.json"
 done
@@ -31,14 +31,6 @@ cargo run --release -p mapro-bench --bin repro -- --experiment phases \
     --trace "$OUT/phases-trace.json" > "$OUT/phases.txt"
 cargo run --release -p mapro-bench --bin repro -- --experiment phases --json \
     | sed '1,/############/d' > "$OUT/phases.json"
-
-echo "== parallel executor scaling (E15) =="
-# Wall-clock scaling of the parallelized hot paths at 1/2/4/8 pool
-# threads. Timings are machine-dependent (read host_cores before judging
-# speedups); the digests are not — the sweep aborts if any result differs
-# across thread counts.
-cargo run --release -p mapro-bench --bin repro -- --experiment parscale --json \
-    | sed '1,/############/d' > "$OUT/parscale.json"
 
 echo "== symbolic equivalence engine (E17) =="
 # Symbolic vs enumerative equivalence across the feasibility boundary.
@@ -56,24 +48,6 @@ echo "== decision diagrams at width (E21) =="
 cargo run --release -p mapro-bench --bin repro -- --experiment ddscale --json \
     | sed '1,/############/d' > "$OUT/ddscale.json"
 
-echo "== Mpps-scale replay (E20) =="
-# The compiled engine, bare and behind the megaflow cache, over Zipf
-# traces with up to a million-flow population. Wall-clock Mpps is
-# machine-dependent; the digest, drop and hit-rate columns are
-# seed-determined — the sweep asserts both agree per cell before
-# reporting.
-cargo run --release -p mapro-bench --bin repro -- --experiment mpps --json \
-    | sed '1,/############/d' > "$OUT/mpps.json"
-
-echo "== incremental re-verification under churn (E22) =="
-# A long-lived equivalence session absorbing a Poisson flow-mod stream:
-# per-mod delta re-checks vs a from-scratch check. Latencies are
-# machine-dependent; the proof-work columns (mods, atoms rechecked,
-# delta-vs-fallback split, verdicts, digests) are seed-determined — CI
-# diffs them across MAPRO_THREADS settings.
-cargo run --release -p mapro-bench --bin repro -- --experiment churnverify --json \
-    | sed '1,/############/d' > "$OUT/churnverify.json"
-
 echo "== perf-regression diff (advisory) =="
 # Compare the fresh runs against the committed references *before*
 # refreshing them, so an unexpected drift is visible in the log. The
@@ -83,12 +57,8 @@ python3 scripts/bench_diff.py "$OUT" \
 # The fault sweep runs on the channel's virtual clock under a fixed seed,
 # so its JSON is bit-reproducible — keep the committed references in sync.
 cp "$OUT/faults.json" BENCH_faults.json
-cp "$OUT/chaos.json" BENCH_chaos.json
-cp "$OUT/parscale.json" BENCH_parallel.json
 cp "$OUT/symscale.json" BENCH_symbolic.json
 cp "$OUT/ddscale.json" BENCH_dd.json
-cp "$OUT/mpps.json" BENCH_mpps.json
-cp "$OUT/churnverify.json" BENCH_churnverify.json
 
 echo "== benches =="
 cargo bench --workspace 2>&1 | tee "$OUT/bench_output.txt" | grep -E "^(table1|fig4|encoding|classifier|normalize)/" || true

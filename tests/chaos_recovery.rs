@@ -6,7 +6,8 @@
 //! interleave with the successor's.
 
 use mapro::control::{
-    Controller, CrashInjector, CrashPoint, DriverConfig, DriverError, FaultPlan, FaultyChannel, Wal,
+    AckError, Controller, CrashInjector, CrashPoint, DriverConfig, DriverError, FaultPlan,
+    FaultyChannel, FlowMod, FlowModOp, Wal,
 };
 use mapro::prelude::*;
 use mapro::switch::LiveSwitch;
@@ -78,6 +79,10 @@ proptest! {
     /// the fence as `Deposed` and leave the switch byte-identical: no
     /// prefix of the stale bundle may stick (the torn-update hazard the
     /// two-phase protocol plus epoch fencing is there to kill).
+    /// Generation 1's channel duplicates, reorders and delays, and it
+    /// still holds a bundle generation 1 put on the wire before the
+    /// takeover: those stragglers reach the switch only after the fence
+    /// went up, and every copy, in any order, must be refused.
     #[test]
     fn interleaved_epochs_never_tear_bundles(
         split in 1usize..5,
@@ -87,7 +92,17 @@ proptest! {
         let g = Gwlb::random(4, 2, 13);
         let base = g.universal.clone();
         let sw = Rc::new(RefCell::new(LiveSwitch::noviflow(base.clone()).unwrap()));
-        let mut ch1 = FaultyChannel::new(sw.clone(), FaultPlan::lossless(seed));
+        let mut ch1 = FaultyChannel::new(
+            sw.clone(),
+            FaultPlan {
+                p_drop: 0.0,
+                p_dup: 0.3,
+                p_reorder: 0.3,
+                restart_every: 0,
+                latency_ns: 50_000,
+                seed,
+            },
+        );
         let mut ch2 = FaultyChannel::new(sw.clone(), FaultPlan::lossless(seed ^ 7));
         let wal = Wal::shared(base.clone());
         let cfg = DriverConfig::default();
@@ -95,12 +110,32 @@ proptest! {
         for k in 0..split {
             let intended = gen1.intended().clone();
             let plan = g.move_service_port(&intended, k % 4, 10_000 + k as u16);
-            gen1.apply_plan(&mut ch1, &plan).expect("lossless apply");
+            gen1.apply_plan(&mut ch1, &plan).expect("no drops: every bundle lands");
+        }
+        // A bundle in flight on generation 1's channel when it is deposed.
+        let straggler = g.move_service_port(gen1.intended(), split % 4, 30_000);
+        let txn = 1 << 20;
+        for (txn, op) in [
+            (txn, FlowModOp::Prepare { bundle: txn, updates: straggler.updates }),
+            (txn + 1, FlowModOp::Commit { bundle: txn }),
+        ] {
+            ch1.send(FlowMod { txn, epoch: 1, op });
         }
         // Epoch 2 takes over: replays the WAL and fences the switch.
         let mut gen2 = Controller::recover(wal.clone(), cfg, 2, CrashInjector::Never).expect("the log replays");
         let rep = gen2.recover_switch(&mut ch2).expect("takeover");
         prop_assert!(rep.reconciled && rep.verified, "takeover unverified: {rep:?}");
+        let fenced = sw.borrow().pipeline().clone();
+        ch1.pump();
+        let mut stale = 0;
+        while let Some(ack) = ch1.recv() {
+            if ack.txn >= txn {
+                prop_assert_eq!(ack.result, Err(AckError::StaleEpoch { current: 2 }));
+                stale += 1;
+            }
+        }
+        prop_assert!(stale >= 2, "only {} straggler acks", stale);
+        prop_assert_eq!(&fenced, sw.borrow().pipeline(), "a straggler tore the switch");
         for k in 0..stale_tries {
             let before = sw.borrow().pipeline().clone();
             let intended = gen1.intended().clone();

@@ -231,7 +231,16 @@ fn cli_usage_errors_exit_2_with_one_line() {
     }
 
     if repro_bin().exists() {
-        for args in [&["--experiment", "bogus"][..], &["--bogus-flag"][..]] {
+        let cases: &[&[&str]] = &[
+            &["--experiment", "bogus"],
+            // Retired: `crates/e2e` measures what these did, end to end.
+            &["--experiment", "mpps"],
+            &["--experiment", "chaos"],
+            &["--experiment", "parscale"],
+            &["--experiment", "churnverify"],
+            &["--bogus-flag"],
+        ];
+        for args in cases {
             let (_, err, code) = run_code(&repro_bin(), args);
             assert_eq!(code, Some(2), "repro {args:?}: {err}");
             assert_eq!(

@@ -1,9 +1,12 @@
-//! Generators the differential suites share.
+//! Generators and checks the differential suites share.
 
 #![allow(dead_code)] // each suite uses its own subset
 
 use mapro_control::RuleUpdate;
-use mapro_core::{ActionSem, AttrKind, Catalog, Entry, MissPolicy, Pipeline, Table, Value};
+use mapro_core::{
+    ActionSem, AttrKind, Catalog, Counterexample, Entry, MissPolicy, Pipeline, Table, Value,
+};
+use mapro_workloads::{Enterprise, Gwlb, Sdx, Vlan, L3};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -224,4 +227,53 @@ pub fn reach_zoo_edit(p: &Pipeline, step: u64, rng: &mut SmallRng) -> RuleUpdate
             }
         }
     }
+}
+
+/// The six paper workloads the lint and equivalence sweeps pin down.
+pub fn paper_workloads() -> Vec<(&'static str, Pipeline)> {
+    vec![
+        ("gwlb fig1", Gwlb::fig1().universal),
+        ("l3 fig2", L3::fig2().universal),
+        ("vlan fig3", Vlan::fig3().universal),
+        ("sdx fig5", Sdx::fig5().universal),
+        ("gwlb random", Gwlb::random(6, 4, 7).universal),
+        ("enterprise random", Enterprise::random(12, 3, 5).pipeline),
+    ]
+}
+
+/// Rename the first symbolic output parameter found in the pipeline —
+/// an observable divergence on the paper workloads, whose rows are all
+/// reachable (exact, deduplicated matches).
+pub fn perturb_one_output(p: &Pipeline) -> Pipeline {
+    let mut q = p.clone();
+    'edit: for t in &mut q.tables {
+        for e in &mut t.entries {
+            for v in &mut e.actions {
+                if let Value::Sym(s) = v {
+                    *v = Value::sym(format!("{s}-perturbed"));
+                    break 'edit;
+                }
+            }
+        }
+    }
+    q
+}
+
+/// A counterexample is only as good as the packet it names: re-run both
+/// pipelines on it through the concrete `mapro-core` evaluator and
+/// require observably different behavior matching the recorded verdicts.
+pub fn confirm_counterexample(l: &Pipeline, r: &Pipeline, cx: &Counterexample, ctx: &str) {
+    let lv = l
+        .run_indexed(&cx.packet, &l.name_index())
+        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on left: {e}"));
+    let rv = r
+        .run_indexed(&cx.packet, &r.name_index())
+        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on right: {e}"));
+    assert_ne!(
+        lv.observable(),
+        rv.observable(),
+        "{ctx}: reported counterexample does not distinguish the pipelines"
+    );
+    assert_eq!(lv.observable(), cx.left.observable(), "{ctx}: stale left");
+    assert_eq!(rv.observable(), cx.right.observable(), "{ctx}: stale right");
 }

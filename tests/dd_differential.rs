@@ -7,6 +7,9 @@
 //!
 //! Everything asserted here must be thread-count independent.
 
+mod common;
+
+use common::{confirm_counterexample, paper_workloads, perturb_one_output};
 use mapro::prelude::*;
 use mapro_sym::{check_symbolic, IncrementalChecker, SymConfig};
 use mapro_workloads::{random_table, RandomSpec};
@@ -18,8 +21,8 @@ use proptest::prelude::*;
 /// the shared verdict.
 fn backends_agree(l: &Pipeline, r: &Pipeline, ctx: &str) -> bool {
     let cfg = SymConfig::default();
-    let cold = check_symbolic(l, r, &cfg)
-        .unwrap_or_else(|err| panic!("{ctx}: cold check errored: {err}"));
+    let cold =
+        check_symbolic(l, r, &cfg).unwrap_or_else(|err| panic!("{ctx}: cold check errored: {err}"));
     let session = IncrementalChecker::new(l, r, &cfg)
         .unwrap_or_else(|err| panic!("{ctx}: session compile errored: {err}"));
     assert_eq!(
@@ -49,56 +52,6 @@ fn backends_agree(l: &Pipeline, r: &Pipeline, ctx: &str) -> bool {
         }
     }
     cold.is_equivalent()
-}
-
-/// A counterexample is only as good as the packet it names: re-run both
-/// pipelines on it through the concrete `mapro-core` evaluator and require
-/// observably different behavior matching the recorded verdicts.
-fn confirm_counterexample(l: &Pipeline, r: &Pipeline, cx: &mapro::core::Counterexample, ctx: &str) {
-    let lv = l
-        .run_indexed(&cx.packet, &l.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on left: {e}"));
-    let rv = r
-        .run_indexed(&cx.packet, &r.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on right: {e}"));
-    assert_ne!(
-        lv.observable(),
-        rv.observable(),
-        "{ctx}: reported counterexample does not distinguish the pipelines"
-    );
-    assert_eq!(lv.observable(), cx.left.observable(), "{ctx}: stale left");
-    assert_eq!(rv.observable(), cx.right.observable(), "{ctx}: stale right");
-}
-
-/// Rename the first symbolic output parameter found in the pipeline.
-fn perturb_one_output(p: &Pipeline) -> Pipeline {
-    let mut q = p.clone();
-    'edit: for t in &mut q.tables {
-        for e in &mut t.entries {
-            for v in &mut e.actions {
-                if let Value::Sym(s) = v {
-                    *v = Value::sym(format!("{s}-perturbed"));
-                    break 'edit;
-                }
-            }
-        }
-    }
-    q
-}
-
-/// The six paper workloads the lint and equivalence sweeps pin down.
-fn paper_workloads() -> Vec<(&'static str, Pipeline)> {
-    vec![
-        ("gwlb fig1", Gwlb::fig1().universal),
-        ("l3 fig2", L3::fig2().universal),
-        ("vlan fig3", Vlan::fig3().universal),
-        ("sdx fig5", Sdx::fig5().universal),
-        ("gwlb random", Gwlb::random(6, 4, 7).universal),
-        (
-            "enterprise random",
-            mapro_workloads::Enterprise::random(12, 3, 5).pipeline,
-        ),
-    ]
 }
 
 #[test]

@@ -24,8 +24,9 @@
 
 mod common;
 
+use common::confirm_counterexample;
 use mapro_control::{apply_update, delta_rows, RuleUpdate};
-use mapro_core::{ActionSem, Catalog, Counterexample, Entry, EquivOutcome, Pipeline, Table, Value};
+use mapro_core::{ActionSem, Catalog, Entry, EquivOutcome, Pipeline, Table, Value};
 use mapro_dd::NodeRef;
 use mapro_sym::cube::{Cube, Tern};
 use mapro_sym::{
@@ -35,25 +36,6 @@ use mapro_workloads::{random_table, Enterprise, RandomSpec, RandomTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A counterexample is only as good as the packet it names: re-run both
-/// pipelines through the concrete evaluator and require observably
-/// different behavior matching the recorded verdicts.
-fn confirm_counterexample(l: &Pipeline, r: &Pipeline, cx: &Counterexample, ctx: &str) {
-    let lv = l
-        .run_indexed(&cx.packet, &l.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on left: {e}"));
-    let rv = r
-        .run_indexed(&cx.packet, &r.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on right: {e}"));
-    assert_ne!(
-        lv.observable(),
-        rv.observable(),
-        "{ctx}: reported counterexample does not distinguish the pipelines"
-    );
-    assert_eq!(lv.observable(), cx.left.observable(), "{ctx}: stale left");
-    assert_eq!(rv.observable(), cx.right.observable(), "{ctx}: stale right");
-}
 
 /// One random flow-mod against the current pipeline, spanning all four
 /// delta classes. Inserted rows use match values above the generator's

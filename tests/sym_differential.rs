@@ -14,6 +14,7 @@
 
 mod common;
 
+use common::{confirm_counterexample, paper_workloads, perturb_one_output};
 use mapro::core::{AttrKind, Packet};
 use mapro::prelude::*;
 use mapro_bench::{deep_overlap, deep_pair, DEEP_ROWS};
@@ -66,66 +67,6 @@ fn engines_agree(l: &Pipeline, r: &Pipeline, ctx: &str) -> bool {
         "{ctx}: engines disagree — enumerative says {e:?}"
     );
     e.is_equivalent()
-}
-
-/// A counterexample is only as good as the packet it names: re-run both
-/// pipelines on it and require observably different behavior, matching
-/// the verdicts recorded in the report.
-fn confirm_counterexample(l: &Pipeline, r: &Pipeline, cx: &mapro::core::Counterexample, ctx: &str) {
-    let lv = l
-        .run_indexed(&cx.packet, &l.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on left: {e}"));
-    let rv = r
-        .run_indexed(&cx.packet, &r.name_index())
-        .unwrap_or_else(|e| panic!("{ctx}: cx packet fails on right: {e}"));
-    assert_ne!(
-        lv.observable(),
-        rv.observable(),
-        "{ctx}: reported counterexample does not actually distinguish the pipelines"
-    );
-    assert_eq!(
-        lv.observable(),
-        cx.left.observable(),
-        "{ctx}: stale left verdict"
-    );
-    assert_eq!(
-        rv.observable(),
-        cx.right.observable(),
-        "{ctx}: stale right verdict"
-    );
-}
-
-/// Rename the first symbolic output parameter found in the pipeline —
-/// guaranteed observable divergence because every row of these workloads
-/// is reachable (exact, deduplicated matches).
-fn perturb_one_output(p: &Pipeline) -> Pipeline {
-    let mut q = p.clone();
-    'edit: for t in &mut q.tables {
-        for e in &mut t.entries {
-            for v in &mut e.actions {
-                if let Value::Sym(s) = v {
-                    *v = Value::sym(format!("{s}-perturbed"));
-                    break 'edit;
-                }
-            }
-        }
-    }
-    q
-}
-
-/// The six paper workloads the lint and equivalence sweeps pin down.
-fn paper_workloads() -> Vec<(&'static str, Pipeline)> {
-    vec![
-        ("gwlb fig1", Gwlb::fig1().universal),
-        ("l3 fig2", L3::fig2().universal),
-        ("vlan fig3", Vlan::fig3().universal),
-        ("sdx fig5", Sdx::fig5().universal),
-        ("gwlb random", Gwlb::random(6, 4, 7).universal),
-        (
-            "enterprise random",
-            mapro_workloads::Enterprise::random(12, 3, 5).pipeline,
-        ),
-    ]
 }
 
 #[test]
