@@ -97,16 +97,15 @@ fn load(path: &str) -> Pipeline {
         eprintln!("cannot read {path}: {e}");
         exit(1)
     });
+    // A program that does not parse is malformed input, like one that does
+    // not validate: exit 2, so that `check`'s exit 1 keeps meaning "not
+    // equivalent".
     let p: Pipeline = if path.ends_with(".mat") {
-        mapro_core::parse_program(&data).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            exit(1)
-        })
+        mapro_core::parse_program(&data)
+            .unwrap_or_else(|e| usage_error(format_args!("cannot parse {path}: {e}")))
     } else {
-        serde_json::from_str(&data).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            exit(1)
-        })
+        serde_json::from_str(&data)
+            .unwrap_or_else(|e| usage_error(format_args!("cannot parse {path}: {e}")))
     };
     // Everything downstream indexes rows and catalogs without checking.
     if let Err(e) = p.validate() {

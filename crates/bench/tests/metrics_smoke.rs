@@ -313,10 +313,33 @@ fn live_switch_pre_registers_and_fills_the_bundle_histograms() {
             .collect()
     };
 
+    // Which path the engine took for each flow-mod: a row spliced into
+    // its table, or the table rebuilt whole.
+    const PATHS: [&str; 2] = [
+        "switch.compiled.table_splices",
+        "switch.compiled.table_recompiles",
+    ];
+    let paths = || -> Vec<Option<u64>> {
+        let snap = mapro_obs::registry().snapshot();
+        PATHS
+            .iter()
+            .map(|name| {
+                snap.entries
+                    .iter()
+                    .find(|e| e.name == *name)
+                    .map(|e| match &e.value {
+                        mapro_obs::MetricValue::Counter(n) => *n,
+                        other => panic!("{name} must be a counter, got {other:?}"),
+                    })
+            })
+            .collect()
+    };
+
     let g = mapro_workloads::Gwlb::fig1();
     let p = g.universal.clone();
     let switch = mapro_switch::LiveSwitch::eswitch(p.clone()).expect("compiles");
     let registered = samples();
+    let paths_before = paths();
     let mut ch = FaultyChannel::new(switch, FaultPlan::lossless(7));
     let mut ctl = Controller::new(p.clone(), DriverConfig::default());
     let plan = g.move_service_port(&p, 0, 8080);
@@ -334,6 +357,15 @@ fn live_switch_pre_registers_and_fills_the_bundle_histograms() {
                 "{hop}: no sample for the bundle"
             );
         }
+        // The universal table stays one ternary scan under a port move:
+        // every flow-mod of the bundle is spliced, none rebuilds the table.
+        let [splices, recompiles] = [0, 1].map(|i| {
+            let before =
+                paths_before[i].unwrap_or_else(|| panic!("{} not pre-registered", PATHS[i]));
+            paths()[i].expect("still registered") - before
+        });
+        assert!(splices >= plan.updates.len() as u64, "{splices} splices");
+        assert_eq!(recompiles, 0, "a flow-mod rebuilt the universal table");
     }
 }
 

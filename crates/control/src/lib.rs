@@ -49,6 +49,6 @@ pub use driver::{
 pub use monitor::{rules_where, CounterSet};
 pub use updates::{
     apply_plan, apply_plan_silent, apply_prefix, apply_update, apply_update_silent, delta_rows,
-    plan_delta_rows, undo, ApplyError, RuleUpdate, Undo, UpdatePlan,
+    plan_delta_rows, undo, ApplyError, RowEdit, RuleUpdate, Undo, UpdatePlan,
 };
 pub use wal::{Replay, ReplayError, SharedWal, Wal, WalRecord};

@@ -133,6 +133,47 @@ enum UndoOp {
     Reinsert { row: usize, entry: Entry },
 }
 
+/// The row an applied update edited, read off its [`Undo`] record
+/// ([`Undo::edit`]), with what the row held before where the update
+/// overwrote it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RowEdit<'a> {
+    /// Cells of row `row` were overwritten: `old` holds each written
+    /// `(column, is_match, previous value)` in write order, so the first
+    /// entry for a column is the value the row had before the update.
+    Modify {
+        /// Index of the row in its table.
+        row: usize,
+        /// The overwritten cells.
+        old: &'a [(usize, bool, Value)],
+    },
+    /// A row was appended: it is the table's last.
+    Insert,
+    /// Row `row` was removed; the rows after it moved up by one.
+    Delete {
+        /// Index the row had.
+        row: usize,
+        /// The removed entry.
+        entry: &'a Entry,
+    },
+}
+
+impl Undo {
+    /// Position of the edited table in `Pipeline::tables`.
+    pub fn table(&self) -> usize {
+        self.table
+    }
+
+    /// The row the update edited.
+    pub fn edit(&self) -> RowEdit<'_> {
+        match &self.op {
+            UndoOp::Cells { row, old } => RowEdit::Modify { row: *row, old },
+            UndoOp::Pop => RowEdit::Insert,
+            UndoOp::Reinsert { row, entry } => RowEdit::Delete { row: *row, entry },
+        }
+    }
+}
+
 /// Take back one applied update. Records must be undone in the reverse
 /// order of application, on the pipeline they were applied to; then the
 /// pipeline is `==` to what it was before.
@@ -495,6 +536,16 @@ mod tests {
             states.push(q.clone());
         }
         assert_eq!(q.table("t").unwrap().entries[0].matches[0], Value::Int(10));
+        // Each record names its row; the first write of a column holds the
+        // value the row had.
+        let old_f = (0, true, Value::Int(1));
+        assert!(matches!(records[0].edit(), RowEdit::Modify { row: 0, old } if old[0] == old_f));
+        assert_eq!(records[1].edit(), RowEdit::Insert);
+        assert!(matches!(
+            records[2].edit(),
+            RowEdit::Delete { row: 1, entry } if entry.matches == [Value::Int(2)]
+        ));
+        assert!(records.iter().all(|r| r.table() == 0));
         for record in records.into_iter().rev() {
             states.pop();
             undo(&mut q, record);

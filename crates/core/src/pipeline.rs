@@ -465,9 +465,10 @@ impl Pipeline {
     /// and every table before it behaves the same before and after, so the
     /// reach may be taken on either side of the batch.
     ///
-    /// The reach cubes are computed once per call (a fixpoint over the
-    /// table graph; hulls only widen, so goto cycles terminate), so pass a
-    /// flow-mod batch in one call.
+    /// This computes the reach cubes ([`Pipeline::reach`]) for the call. A
+    /// caller that serves flow-mods one by one keeps a [`Reach`] instead
+    /// and recomputes it only after an edit that
+    /// [moves](Pipeline::moves_reach) it.
     ///
     /// An entry is `None` when its flow-mod cannot change any packet's
     /// behavior: the row is unsatisfiable (a symbolic match cell), lies
@@ -477,24 +478,29 @@ impl Pipeline {
         &self,
         rows: &[(String, Vec<Value>)],
     ) -> Vec<Option<Vec<(AttrId, u64, u64)>>> {
-        let written = self.written_attrs();
-        let reach = self.reach_cubes(&written);
-        rows.iter()
-            .map(|(table, matches)| {
-                let ti = self.tables.iter().position(|t| t.name == *table)?;
-                let t = &self.tables[ti];
-                debug_assert_eq!(matches.len(), t.match_attrs.len());
-                let mut cube = reach[ti].clone()?;
-                self.meet_row(&mut cube, &t.match_attrs, matches, &written)?;
-                Some(
-                    cube.into_iter()
-                        .enumerate()
-                        .filter(|&(_, (_, mask))| mask != 0)
-                        .map(|(a, (bits, mask))| (AttrId(a as u32), bits, mask))
-                        .collect(),
-                )
-            })
-            .collect()
+        self.reach().footprint(self, rows)
+    }
+
+    /// Whether an entry edit of `table` (an insert, a delete or a modify of
+    /// one of its rows) can change [`Pipeline::reach`]: true iff the table
+    /// has a goto column or a `next`, or does not exist.
+    ///
+    /// Why a table with neither cannot: a reach cube is a fixpoint over
+    /// three kinds of edge. A row edge leaves a table only through a goto
+    /// cell or `next`, so the rows of a table with neither start no edge.
+    /// A `Fall` edge carries its table's reach on whole, and the miss
+    /// policy is schema. The attributes the cubes range over are those no
+    /// action column can `SetField`, also schema. An entry edit changes no
+    /// schema, so every edge of the fixpoint — and with them every cube —
+    /// is what it was.
+    pub fn moves_reach(&self, table: &str) -> bool {
+        let Some(t) = self.table(table) else {
+            return true;
+        };
+        t.next.is_some()
+            || t.action_attrs
+                .iter()
+                .any(|&a| matches!(self.catalog.attr(a).kind, AttrKind::Action(ActionSem::Goto)))
     }
 
     /// Narrow `cube` (per catalog attribute, `(bits, mask)`) by the cells of
@@ -522,18 +528,19 @@ impl Pipeline {
         Some(())
     }
 
-    /// Every table's reach cube, in `tables` order (see
-    /// [`Pipeline::flowmod_footprint`]): per catalog attribute a ternary
-    /// `(bits, mask)` over the attributes outside `written`, `None` for a
-    /// table no path from `start` reaches. A worklist fixpoint: a table is
-    /// revisited whenever its hull widens, which happens at most once per
-    /// care bit, so cycles terminate.
-    fn reach_cubes(&self, written: &[AttrId]) -> Vec<Option<Vec<(u64, u64)>>> {
+    /// Every table's reach cube (see [`Pipeline::flowmod_footprint`]). A
+    /// worklist fixpoint: a table is revisited whenever its hull widens,
+    /// which happens at most once per care bit, so cycles terminate.
+    pub fn reach(&self) -> Reach {
         type Cube = Vec<(u64, u64)>;
+        let written = self.written_attrs();
         let mut reach: Vec<Option<Cube>> = vec![None; self.tables.len()];
         let index = self.name_index();
         let Some(&start) = index.get(self.start.as_str()) else {
-            return reach;
+            return Reach {
+                written,
+                cubes: reach,
+            };
         };
         reach[start] = Some(vec![(0, 0); self.catalog.len()]);
         let mut queued = vec![false; self.tables.len()];
@@ -595,7 +602,7 @@ impl Pipeline {
                 let Some(target) = target else { continue };
                 cube.clone_from(&from);
                 if self
-                    .meet_row(&mut cube, &t.match_attrs, &e.matches, written)
+                    .meet_row(&mut cube, &t.match_attrs, &e.matches, &written)
                     .is_some()
                 {
                     flow(&mut reach, &mut queued, &mut work, target, &cube);
@@ -605,7 +612,10 @@ impl Pipeline {
                 flow(&mut reach, &mut queued, &mut work, to, &from);
             }
         }
-        reach
+        Reach {
+            written,
+            cubes: reach,
+        }
     }
 
     /// Run a packet through the pipeline.
@@ -769,11 +779,61 @@ impl Pipeline {
     }
 }
 
+/// Every table's reach cube, as [`Pipeline::reach`] computed it: the
+/// input packets that can reach the table, per catalog attribute a ternary
+/// `(bits, mask)` over the attributes no table schema can `SetField`. A
+/// `Reach` stays exact across entry edits of tables that do not
+/// [move](Pipeline::moves_reach) it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reach {
+    /// [`Pipeline::written_attrs`]: the columns every cube leaves wildcard.
+    written: Vec<AttrId>,
+    /// Per table, in `tables` order; `None` for a table no path from
+    /// `start` reaches.
+    cubes: Vec<Option<Vec<(u64, u64)>>>,
+}
+
+impl Reach {
+    /// [`Pipeline::flowmod_footprint`] of `rows` against `p`, the pipeline
+    /// this reach was computed on, or one that differs from it only by
+    /// entry edits that do not [move](Pipeline::moves_reach) it.
+    pub fn footprint(
+        &self,
+        p: &Pipeline,
+        rows: &[(String, Vec<Value>)],
+    ) -> Vec<Option<Vec<(AttrId, u64, u64)>>> {
+        debug_assert_eq!(
+            self.cubes.len(),
+            p.tables.len(),
+            "a reach of another program"
+        );
+        rows.iter()
+            .map(|(table, matches)| {
+                let ti = p.tables.iter().position(|t| t.name == *table)?;
+                let t = &p.tables[ti];
+                debug_assert_eq!(matches.len(), t.match_attrs.len());
+                let mut cube = self.cubes[ti].clone()?;
+                p.meet_row(&mut cube, &t.match_attrs, matches, &self.written)?;
+                Some(
+                    cube.into_iter()
+                        .enumerate()
+                        .filter(|&(_, (_, mask))| mask != 0)
+                        .map(|(a, (bits, mask))| (AttrId(a as u32), bits, mask))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::ActionSem;
+    use crate::table::Entry;
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two-stage pipeline: t0 matches f, writes meta and gotos t1;
     /// t1 matches meta and outputs.
@@ -988,6 +1048,131 @@ mod tests {
         let mut q = p.clone();
         q.start = "nope".into();
         assert_eq!(footprint(&q, "start", &[Value::Any]), None);
+    }
+
+    #[test]
+    fn moves_reach_follows_the_schema() {
+        let p = two_stage();
+        assert!(p.moves_reach("t0"), "a goto column");
+        assert!(!p.moves_reach("t1"), "neither goto nor next");
+        assert!(p.moves_reach("nope"), "unknown tables are not vouched for");
+        let q = fan_out(|t| t[0].action_attrs.clear());
+        assert!(!q.moves_reach("start"));
+        let q = fan_out(|t| {
+            t[0].action_attrs.clear();
+            t[0].next = Some("a".into());
+        });
+        assert!(q.moves_reach("start"), "a next");
+    }
+
+    /// A random program in the spirit of the integration suites' reach zoo:
+    /// `front` fans out by goto and `next`, rewrites `g` and writes `m`,
+    /// and misses into `svc2`; `svc0` has a goto column and `next`; `svc1`
+    /// (missing into `tail`), `svc2` and `tail` have neither, so their
+    /// entry edits cannot move a reach cube.
+    fn reach_zoo(rng: &mut SmallRng) -> Pipeline {
+        let mut c = Catalog::new();
+        let f = c.field("f", 4);
+        let g = c.field("g", 4);
+        let h = c.field("h", 4);
+        let m = c.meta("m", 4);
+        let set_m = c.action("set_m", ActionSem::SetField(m));
+        let set_g = c.action("set_g", ActionSem::SetField(g));
+        let goto = c.action("goto", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut tables = vec![
+            Table::new("front", vec![f, g, h], vec![set_m, set_g, goto]),
+            Table::new("svc0", vec![h, g], vec![out, goto]),
+            Table::new("svc1", vec![h, g], vec![out]),
+            Table::new("svc2", vec![h, f], vec![out]),
+            Table::new("tail", vec![m, f], vec![out]),
+        ];
+        tables[0].next = Some("svc0".into());
+        tables[0].miss = MissPolicy::Fall("svc2".into());
+        tables[1].next = Some("tail".into());
+        tables[2].miss = MissPolicy::Fall("tail".into());
+        let mut p = Pipeline::new(c, tables, "front");
+        for ti in 0..p.tables.len() {
+            for _ in 0..rng.gen_range(2..5) {
+                let e = zoo_entry(&p, ti, rng);
+                p.tables[ti].push(e);
+            }
+        }
+        p
+    }
+
+    fn zoo_entry(p: &Pipeline, ti: usize, rng: &mut SmallRng) -> Entry {
+        let t = &p.tables[ti];
+        let cell = |rng: &mut SmallRng| match rng.gen_range(0..4u8) {
+            0 => Value::Any,
+            1 => Value::Int(rng.gen_range(0..16)),
+            2 => Value::prefix(rng.gen_range(0..16), rng.gen_range(1..=4), 4),
+            _ => {
+                let mask = rng.gen_range(0..16u64);
+                Value::Ternary {
+                    bits: rng.gen_range(0..16u64) & mask,
+                    mask,
+                }
+            }
+        };
+        let matches = t.match_attrs.iter().map(|_| cell(rng)).collect();
+        let actions = t
+            .action_attrs
+            .iter()
+            .map(|&a| match p.catalog.attr(a).kind {
+                AttrKind::Action(ActionSem::Goto) if rng.gen_bool(0.7) => {
+                    let later = &p.tables[ti + 1..];
+                    Value::sym(&later[rng.gen_range(0..later.len())].name)
+                }
+                AttrKind::Action(ActionSem::SetField(_)) if rng.gen_bool(0.7) => {
+                    Value::Int(rng.gen_range(0..16))
+                }
+                AttrKind::Action(ActionSem::Output) => Value::sym("p"),
+                _ => Value::Any,
+            })
+            .collect();
+        Entry::new(matches, actions)
+    }
+
+    /// A `Reach` kept across entry edits of tables that do not move it is
+    /// the reach of the edited program; and edits of tables that do move it
+    /// really do, now and then.
+    #[test]
+    fn a_kept_reach_survives_edits_that_cannot_move_it() {
+        let (mut kept_edits, mut moved) = (0, 0);
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut p = reach_zoo(&mut rng);
+            let mut reach = p.reach();
+            for step in 0..12 {
+                let ti = rng.gen_range(0..p.tables.len());
+                let n = p.tables[ti].len();
+                match rng.gen_range(0..3u8) {
+                    0 if n > 1 => {
+                        p.tables[ti].entries.remove(rng.gen_range(0..n));
+                    }
+                    1 => {
+                        let e = zoo_entry(&p, ti, &mut rng);
+                        p.tables[ti].entries.insert(rng.gen_range(0..=n), e);
+                    }
+                    _ => {
+                        let e = zoo_entry(&p, ti, &mut rng);
+                        p.tables[ti].entries[rng.gen_range(0..n)] = e;
+                    }
+                }
+                let fresh = p.reach();
+                let name = p.tables[ti].name.clone();
+                if p.moves_reach(&name) {
+                    moved += usize::from(reach != fresh);
+                    reach = fresh;
+                } else {
+                    assert_eq!(reach, fresh, "seed {seed} step {step}: edit of {name}");
+                    kept_edits += 1;
+                }
+            }
+        }
+        assert!(kept_edits > 500, "{kept_edits} edits kept the reach");
+        assert!(moved > 100, "only {moved} edits moved a reach cube");
     }
 
     #[test]

@@ -148,9 +148,15 @@ pub fn parse_program(src: &str) -> Result<Pipeline, ParseError> {
                     line: ln,
                     msg: "unterminated schema".into(),
                 })?;
+                if close < open {
+                    return err(ln, "schema closes with `]` before it opens with `[`");
+                }
                 let name = line[5..open].trim();
                 if name.is_empty() {
                     return err(ln, "table needs a name");
+                }
+                if tables.iter().any(|t| t.name == name) {
+                    return err(ln, format!("duplicate table {name:?}"));
                 }
                 let schema = &line[open + 1..close];
                 let (ms, as_) = match schema.split_once('|') {
@@ -515,9 +521,9 @@ start t0
         }
     }
 
-    #[test]
-    fn cell_kinds() {
-        let src = r#"
+    /// Every cell kind, metadata, a set-field, an opaque action and both
+    /// table options.
+    const KINDS: &str = r#"
 field a 8
 field b 32
 field c 16
@@ -530,7 +536,10 @@ table t [a b c | set_m ttl] miss=controller next=t2
 table t2 [a | ]
   * |
 "#;
-        let p = parse_program(src).unwrap();
+
+    #[test]
+    fn cell_kinds() {
+        let p = parse_program(KINDS).unwrap();
         let t = p.table("t").unwrap();
         assert_eq!(t.entries[0].matches[0], Value::Any);
         assert_eq!(t.entries[0].matches[1], Value::prefix(0x0a00_0000, 8, 32));
@@ -557,11 +566,72 @@ table t2 [a | ]
                 "field f 8\ntable t [f | ]\n  111111111* |",
                 "longer than field width",
             ),
+            // Both once panicked: an out-of-order header sliced out of
+            // range, and a repeated name reached `Pipeline::new`'s assert.
+            (
+                "field ip_dst 32\naction out output\ntable l3 ][ip_dst | out]",
+                "before it opens",
+            ),
+            (
+                "field f 8\ntable t [f | ]\n  1 |\ntable t [f | ]",
+                "duplicate table \"t\"",
+            ),
         ];
         for (src, want) in cases {
             let e = parse_program(src).unwrap_err();
             assert!(e.msg.contains(want), "{src:?} → {e}");
             assert!(e.line > 0);
+        }
+        assert_eq!(parse_program(cases[7].0).unwrap_err().line, 3);
+        assert_eq!(parse_program(cases[8].0).unwrap_err().line, 4);
+    }
+
+    /// One edit of a program's text: delete, insert or replace a byte, or
+    /// duplicate a line. Inserted bytes come from the format's own
+    /// alphabet, so most mutants stay close to a program.
+    fn mutate(src: &str, op: u8, at: usize, byte: usize) -> String {
+        const ALPHABET: &[u8] = b"[]|*/.:=-#0129ax tn\n";
+        let mut b = src.as_bytes().to_vec();
+        let at = at % (b.len() + 1);
+        let byte = ALPHABET[byte % ALPHABET.len()];
+        match op {
+            0 if at < b.len() => {
+                b.remove(at);
+            }
+            1 => b.insert(at, byte),
+            2 if at < b.len() => b[at] = byte,
+            _ => {
+                let mut lines: Vec<&str> = src.lines().collect();
+                if let Some(&line) = lines.get(at % lines.len().max(1)) {
+                    lines.insert(at % (lines.len() + 1), line);
+                }
+                return lines.join("\n");
+            }
+        }
+        String::from_utf8(b).expect("ASCII edits of ASCII text")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// `parse_program` answers every mutant of a formatted program with
+        /// a pipeline or a `ParseError`, never a panic.
+        #[test]
+        fn mutated_programs_parse_or_err(
+            base in 0usize..3,
+            edits in proptest::collection::vec((0u8..4, 0usize..4096, 0usize..64), 1..5),
+        ) {
+            let mut text = match base {
+                0 => FIG1B.to_owned(),
+                1 => format_program(&parse_program(FIG1B).unwrap()),
+                _ => format_program(&parse_program(KINDS).unwrap()),
+            };
+            for (op, at, byte) in edits {
+                text = mutate(&text, op, at, byte);
+            }
+            if let Err(e) = parse_program(&text) {
+                proptest::prop_assert!(e.line <= text.lines().count(), "{e} in {text:?}");
+            }
         }
     }
 

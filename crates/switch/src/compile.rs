@@ -23,20 +23,26 @@
 //! implements first-match semantics; [`mapro_core::Pipeline::run`] is the
 //! oracle the test suites compare against.
 //!
-//! Control-plane edits are table-granular: [`CompiledEngine::apply_update`]
-//! applies a flow-mod to the pipeline in place and recompiles the one
-//! table it touches, reusing the rest. The recompile reads the table's
-//! entries where they are and copies none of them; rolling a flow-mod
-//! back is its [`Undo`] record, which holds exactly the cells or row it
-//! overwrote. (`Cls` and the entry programs are still rebuilt whole for
-//! the touched table.)
+//! Control-plane edits are row-granular: [`CompiledEngine::apply_update`]
+//! applies a flow-mod to the pipeline in place and splices the one row it
+//! changed into the touched table — the row's entry program, its ternary
+//! cells or hash key (the rows after it renumbered, a shadowed duplicate
+//! key surfacing when its owner goes) — then re-reads the table's shape and
+//! template stats off the rows, so the result equals a fresh compile of the
+//! table. The row comes from the flow-mod's [`Undo`] record, which holds
+//! exactly the cells or row it overwrote and is also how a flow-mod is
+//! rolled back. Only a change of classifier arm (into or out of an
+//! all-exact shape, or to other key columns) rebuilds the table whole;
+//! `switch.compiled.table_splices` and `switch.compiled.table_recompiles`
+//! count which path ran.
 
 use crate::cost::{CostParams, TemplatePolicy};
-use mapro_classifier::{Rows, TableShape, TemplateKind};
-use mapro_control::{RuleUpdate, Undo};
+use mapro_classifier::{LookupStats, Rows, TableShape, TemplateKind};
+use mapro_control::{RowEdit, RuleUpdate, Undo};
 use mapro_core::{ActionSem, AttrId, AttrKind, Entry, MissPolicy, Packet, Pipeline, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Chunk size the harness replays traces in (one virtual call per chunk).
@@ -116,6 +122,7 @@ pub struct ProcessOut {
 }
 
 /// A table's monomorphic classifier over the engine's register file.
+#[derive(Debug, PartialEq)]
 enum Cls {
     /// Single active exact column: one `u64` hash probe.
     Exact1 { reg: usize, map: HashMap<u64, u32> },
@@ -251,6 +258,7 @@ impl Lookup<'_> {
 }
 
 /// One entry's pre-resolved action program.
+#[derive(Debug, PartialEq)]
 struct EntryProg {
     /// Register stores in action order (`SetField` targets that some
     /// table matches; unmatchable targets are compiled away).
@@ -262,13 +270,14 @@ struct EntryProg {
 }
 
 /// A table's compiled miss continuation.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum MissProg {
     Drop,
     Controller,
     Fall(u32),
 }
 
+#[derive(Debug, PartialEq)]
 struct CTable {
     name: String,
     cls: Cls,
@@ -289,6 +298,102 @@ fn table_index(p: &Pipeline, name: &str) -> Result<u32, CompileError> {
         .ok_or_else(|| CompileError::UnknownTable(name.to_owned()))
 }
 
+/// The register attribute `a` is loaded into.
+fn reg_of(reg_attrs: &[AttrId], a: AttrId) -> usize {
+    reg_attrs
+        .iter()
+        .position(|&x| x == a)
+        .expect("matched attr has a register")
+}
+
+/// The value of an all-exact shape's key cell.
+fn int(e: &Entry, col: usize) -> u64 {
+    match e.matches[col] {
+        Value::Int(v) => v,
+        _ => unreachable!("all-exact shape guarantees Int cells"),
+    }
+}
+
+/// `t`'s match rows read in place, with `widths` its columns' widths.
+fn rows_of<'a>(t: &'a Table, widths: &'a [u32]) -> Rows<'a, Entry> {
+    Rows {
+        widths,
+        rows: &t.entries,
+    }
+}
+
+/// Bit width of each of `t`'s match columns.
+fn widths(p: &Pipeline, t: &Table) -> Vec<u32> {
+    t.match_attrs
+        .iter()
+        .map(|&a| p.catalog.attr(a).width)
+        .collect()
+}
+
+/// The modeled per-visit cost is a property of the classifier template the
+/// modeled switch would use, not of `Cls`: the stats that template reports,
+/// read off the rows without building it.
+fn template_stats(
+    rows: &Rows<'_, Entry>,
+    shape: &TableShape,
+    policy: TemplatePolicy,
+) -> LookupStats {
+    match policy {
+        TemplatePolicy::Specialize { generic } => rows.specialized_stats(shape, generic),
+        TemplatePolicy::Uniform(kind) => rows.generic_stats(kind),
+        TemplatePolicy::Tcam => rows.tcam_stats(),
+    }
+}
+
+/// Lower one entry of `t` to its action program; `table_next` is `t.next`
+/// resolved. The one lowering: a compile and a splice both call it.
+fn entry_prog(
+    p: &Pipeline,
+    t: &Table,
+    e: &Entry,
+    reg_attrs: &[AttrId],
+    table_next: Option<u32>,
+) -> Result<EntryProg, CompileError> {
+    let mut prog = EntryProg {
+        sets: Vec::new(),
+        output: None,
+        next: table_next,
+    };
+    for (col, &attr) in t.action_attrs.iter().enumerate() {
+        let param = &e.actions[col];
+        if matches!(param, Value::Any) {
+            continue;
+        }
+        let sem = match &p.catalog.attr(attr).kind {
+            AttrKind::Action(s) => s,
+            _ => unreachable!("action column"),
+        };
+        match (sem, param) {
+            (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
+            (ActionSem::Goto, Value::Sym(s)) => {
+                prog.next = Some(table_index(p, s)?);
+            }
+            (ActionSem::SetField(target), Value::Int(v)) => {
+                if let Some(r) = reg_attrs.iter().position(|x| x == target) {
+                    prog.sets.push((r, *v));
+                }
+            }
+            (ActionSem::Opaque, _) => {}
+            _ => {
+                return Err(CompileError::BadActionParam {
+                    table: t.name.clone(),
+                })
+            }
+        }
+    }
+    Ok(prog)
+}
+
+/// `t.next` resolved to a table position.
+fn table_next(p: &Pipeline, t: &Table) -> Result<Option<u32>, CompileError> {
+    t.next.as_deref().map(|n| table_index(p, n)).transpose()
+}
+
 /// Compile one table against the engine's register file. Goto and fall
 /// targets resolve to positions in `p.tables`, so the result is only valid
 /// while the pipeline keeps its table order.
@@ -299,22 +404,10 @@ fn compile_table(
     policy: TemplatePolicy,
     params: &CostParams,
 ) -> Result<CTable, CompileError> {
-    let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
     // The match rows are read in place, never copied.
-    let widths: Vec<u32> = t
-        .match_attrs
-        .iter()
-        .map(|&a| p.catalog.attr(a).width)
-        .collect();
-    let rows = Rows {
-        widths: &widths,
-        rows: &t.entries,
-    };
+    let widths = widths(p, t);
+    let rows = rows_of(t, &widths);
     let shape = rows.shape();
-    let int = |e: &Entry, c: usize| match e.matches[c] {
-        Value::Int(v) => v,
-        _ => unreachable!("all-exact shape guarantees Int cells"),
-    };
 
     // The monomorphic classifier depends only on the table shape: every
     // template agrees with first-match semantics, so a hash probe
@@ -323,102 +416,58 @@ fn compile_table(
     let cls = match &shape {
         TableShape::AllExact { cols } if cols.len() == 1 => {
             let col = cols[0];
-            let reg = reg_of(t.match_attrs[col]).expect("matched attr has a register");
             let mut map = HashMap::with_capacity(rows.len());
             for (i, e) in t.entries.iter().enumerate() {
                 // Duplicate keys: first (highest-priority) row wins.
                 map.entry(int(e, col)).or_insert(i as u32);
             }
-            Cls::Exact1 { reg, map }
+            Cls::Exact1 {
+                reg: reg_of(reg_attrs, t.match_attrs[col]),
+                map,
+            }
         }
         TableShape::AllExact { cols } => {
-            let regs: Vec<usize> = cols
-                .iter()
-                .map(|&c| reg_of(t.match_attrs[c]).expect("matched attr has a register"))
-                .collect();
             let mut map = HashMap::with_capacity(rows.len());
-            if cols.is_empty() {
-                // Active-column-free rows match every packet.
-                if !rows.is_empty() {
-                    map.insert(Vec::new(), 0u32);
-                }
-            } else {
-                for (i, e) in t.entries.iter().enumerate() {
-                    let key: Vec<u64> = cols.iter().map(|&c| int(e, c)).collect();
-                    map.entry(key).or_insert(i as u32);
-                }
+            // Active-column-free rows have the empty key: the first row
+            // matches every packet.
+            for (i, e) in t.entries.iter().enumerate() {
+                let key: Vec<u64> = cols.iter().map(|&c| int(e, c)).collect();
+                map.entry(key).or_insert(i as u32);
             }
-            Cls::Exact { regs, map }
+            Cls::Exact {
+                regs: cols
+                    .iter()
+                    .map(|&c| reg_of(reg_attrs, t.match_attrs[c]))
+                    .collect(),
+                map,
+            }
         }
         // A symbolic cell is neither exact nor prefix-like, so it always
         // lands here, and has no ternary form.
         TableShape::SinglePrefix { .. } | TableShape::General => {
-            let regs: Vec<usize> = t
-                .match_attrs
-                .iter()
-                .map(|&a| reg_of(a).expect("matched attr has a register"))
-                .collect();
             let cells = rows
                 .ternary_rows()
                 .ok_or_else(|| CompileError::BadMatchCell {
                     table: t.name.clone(),
                 })?;
             Cls::Scan {
-                regs,
+                regs: t
+                    .match_attrs
+                    .iter()
+                    .map(|&a| reg_of(reg_attrs, a))
+                    .collect(),
                 cells,
                 ncols: rows.cols(),
             }
         }
     };
-    // The modeled per-visit cost is a property of the classifier template
-    // the modeled switch would use, not of `Cls`: the stats that template
-    // reports, read off the rows without building it.
-    let stats = match policy {
-        TemplatePolicy::Specialize { generic } => rows.specialized_stats(&shape, generic),
-        TemplatePolicy::Uniform(kind) => rows.generic_stats(kind),
-        TemplatePolicy::Tcam => rows.tcam_stats(),
-    };
-
-    let table_next = match &t.next {
-        Some(n) => Some(table_index(p, n)?),
-        None => None,
-    };
-    let mut entries = Vec::with_capacity(t.len());
-    for e in &t.entries {
-        let mut prog = EntryProg {
-            sets: Vec::new(),
-            output: None,
-            next: table_next,
-        };
-        for (col, &attr) in t.action_attrs.iter().enumerate() {
-            let param = &e.actions[col];
-            if matches!(param, Value::Any) {
-                continue;
-            }
-            let sem = match &p.catalog.attr(attr).kind {
-                AttrKind::Action(s) => s,
-                _ => unreachable!("action column"),
-            };
-            match (sem, param) {
-                (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
-                (ActionSem::Goto, Value::Sym(s)) => {
-                    prog.next = Some(table_index(p, s)?);
-                }
-                (ActionSem::SetField(target), Value::Int(v)) => {
-                    if let Some(r) = reg_of(*target) {
-                        prog.sets.push((r, *v));
-                    }
-                }
-                (ActionSem::Opaque, _) => {}
-                _ => {
-                    return Err(CompileError::BadActionParam {
-                        table: t.name.clone(),
-                    })
-                }
-            }
-        }
-        entries.push(prog);
-    }
+    let stats = template_stats(&rows, &shape, policy);
+    let table_next = table_next(p, t)?;
+    let entries = t
+        .entries
+        .iter()
+        .map(|e| entry_prog(p, t, e, reg_attrs, table_next))
+        .collect::<Result<Vec<_>, _>>()?;
     let miss = match &t.miss {
         MissPolicy::Drop => MissProg::Drop,
         MissPolicy::Controller => MissProg::Controller,
@@ -434,6 +483,66 @@ fn compile_table(
     })
 }
 
+/// Splice one edited row into an all-exact table's key → first-row map.
+/// `rows` is the table's row count after the edit, `key(i)` the key of row
+/// `i` as edited and `is(i, k)` whether row `i` has key `k`; `old` is the
+/// edited row's key before the edit, `None` when the edit did not change
+/// it. A key whose owner goes passes to the next row holding it — the
+/// duplicate it shadowed.
+fn splice_keys<K: Hash + Eq>(
+    map: &mut HashMap<K, u32>,
+    edit: RowEdit<'_>,
+    rows: usize,
+    key: impl Fn(usize) -> K,
+    is: impl Fn(usize, &K) -> bool,
+    old: Option<K>,
+) {
+    let heir = |k: &K, from: usize| (from..rows).find(|&j| is(j, k));
+    match edit {
+        RowEdit::Insert => {
+            map.entry(key(rows - 1)).or_insert(rows as u32 - 1);
+        }
+        RowEdit::Delete { row, .. } => {
+            let old = old.expect("a deleted row had a key");
+            let owned = map.get(&old) == Some(&(row as u32));
+            if owned {
+                map.remove(&old);
+            }
+            for v in map.values_mut() {
+                if *v > row as u32 {
+                    *v -= 1;
+                }
+            }
+            if let Some(j) = owned.then(|| heir(&old, row)).flatten() {
+                map.insert(old, j as u32);
+            }
+        }
+        RowEdit::Modify { row, .. } => {
+            let Some(old) = old else { return };
+            if map.get(&old) == Some(&(row as u32)) {
+                match heir(&old, row + 1) {
+                    Some(j) => map.insert(old, j as u32),
+                    None => map.remove(&old),
+                };
+            }
+            let owner = map.entry(key(row)).or_insert(row as u32);
+            *owner = (*owner).min(row as u32);
+        }
+    }
+}
+
+/// How an engine's flow-mods were applied, kept locally (as the megaflow
+/// counters are): tests read them with the `obs` feature compiled out,
+/// and the `obs` registry is one per process, so a delta on it also
+/// counts the flow-mods of tests running alongside.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct UpdateStats {
+    /// Rows spliced into a compiled table.
+    pub(crate) splices: u64,
+    /// Tables rebuilt whole.
+    pub(crate) recompiles: u64,
+}
+
 /// A pipeline compiled for execution under one template policy and cost
 /// model. Same verdicts and lookup counts as [`Pipeline::run`].
 pub struct CompiledEngine {
@@ -445,17 +554,22 @@ pub struct CompiledEngine {
     params: CostParams,
     regs: Vec<u64>,
     key: Vec<u64>,
+    stats: UpdateStats,
 }
 
 impl CompiledEngine {
     /// Compile `p` under a template policy and cost model. Compilation
-    /// time lands in the `switch.compile.ns` timer.
+    /// time lands in the `switch.compile.ns` timer. Pre-registers the
+    /// flow-mod path counters, so a run that never edits a table still
+    /// reports them.
     pub fn compile(
         p: &Pipeline,
         policy: TemplatePolicy,
         params: CostParams,
     ) -> Result<CompiledEngine, CompileError> {
         mapro_obs::counter!("switch.compiled.compiles").inc();
+        mapro_obs::counter!("switch.compiled.table_splices");
+        mapro_obs::counter!("switch.compiled.table_recompiles");
         let _t = mapro_obs::time!("switch.compile.ns");
 
         // Register file: every attribute any table matches on, in first
@@ -484,6 +598,7 @@ impl CompiledEngine {
             params,
             regs: vec![0; nregs],
             key: Vec::new(),
+            stats: UpdateStats::default(),
         })
     }
 
@@ -494,9 +609,15 @@ impl CompiledEngine {
     /// registers are baked into the compiled tables). On error the engine
     /// is untouched.
     pub fn recompile_table(&mut self, p: &Pipeline, name: &str) -> Result<(), CompileError> {
-        mapro_obs::counter!("switch.compiled.table_recompiles").inc();
         let pos = table_index(p, name)? as usize;
         debug_assert_eq!(self.tables[pos].name, name, "table order changed");
+        self.rebuild(p, pos)
+    }
+
+    /// Compile table `pos` of `p` afresh; on error the engine is untouched.
+    fn rebuild(&mut self, p: &Pipeline, pos: usize) -> Result<(), CompileError> {
+        mapro_obs::counter!("switch.compiled.table_recompiles").inc();
+        self.stats.recompiles += 1;
         self.tables[pos] = compile_table(
             p,
             &p.tables[pos],
@@ -509,7 +630,8 @@ impl CompiledEngine {
 
     /// The one flow-mod path every switch in this crate uses: apply
     /// `update` to `p` (the pipeline this engine serves) in place and
-    /// recompile the touched table. All-or-nothing — if the edited table
+    /// splice the row it changed into the touched table
+    /// ([`CompiledEngine::splice`]). All-or-nothing — if the edited table
     /// no longer compiles, the update is undone and the engine is
     /// untouched. On success, returns the update's [`Undo`] record: a
     /// caller rolling back a plan undoes it and recompiles the table.
@@ -519,13 +641,153 @@ impl CompiledEngine {
         update: &RuleUpdate,
     ) -> Result<Undo, UpdateError> {
         let record = mapro_control::apply_update(p, update).map_err(UpdateError::Apply)?;
-        match self.recompile_table(p, update.table()) {
+        match self.splice(p, &record) {
             Ok(()) => Ok(record),
             Err(e) => {
                 mapro_control::undo(p, record);
                 Err(UpdateError::Compile(e))
             }
         }
+    }
+
+    /// Bring the compiled table `record` names up to date with `p`, which
+    /// `record`'s update has just edited, by the one row it changed: the
+    /// row's entry program and its classifier cells or hash keys, renumbering
+    /// the rows after it; then the shape's template and cost, read off the
+    /// rows as a compile does. The result equals a fresh compile of the
+    /// table. Only a change of `Cls` arm — into or out of an all-exact
+    /// shape, or to other key columns — rebuilds the table whole. On error
+    /// the engine is untouched: everything fallible runs before the first
+    /// write.
+    fn splice(&mut self, p: &Pipeline, record: &Undo) -> Result<(), CompileError> {
+        let pos = record.table();
+        let t = &p.tables[pos];
+        debug_assert_eq!(self.tables[pos].name, t.name, "table order changed");
+        let widths = widths(p, t);
+        let rows = rows_of(t, &widths);
+        let shape = rows.shape();
+        let reg_attrs = &self.reg_attrs;
+        let same_arm = match (&shape, &self.tables[pos].cls) {
+            (TableShape::AllExact { cols }, Cls::Exact1 { reg, .. }) => {
+                cols.len() == 1 && reg_of(reg_attrs, t.match_attrs[cols[0]]) == *reg
+            }
+            (TableShape::AllExact { cols }, Cls::Exact { regs, .. }) => {
+                cols.len() != 1
+                    && cols
+                        .iter()
+                        .map(|&c| reg_of(reg_attrs, t.match_attrs[c]))
+                        .eq(regs.iter().copied())
+            }
+            (TableShape::AllExact { .. }, Cls::Scan { .. }) => false,
+            (_, Cls::Scan { .. }) => true,
+            _ => false,
+        };
+        if !same_arm {
+            return self.rebuild(p, pos);
+        }
+
+        let edit = record.edit();
+        let row = match edit {
+            RowEdit::Insert => t.len() - 1,
+            RowEdit::Modify { row, .. } | RowEdit::Delete { row, .. } => row,
+        };
+        let prog = match edit {
+            RowEdit::Delete { .. } => None,
+            _ => Some(entry_prog(
+                p,
+                t,
+                &t.entries[row],
+                reg_attrs,
+                table_next(p, t)?,
+            )?),
+        };
+        let cells = match (&self.tables[pos].cls, edit) {
+            (Cls::Scan { .. }, RowEdit::Insert | RowEdit::Modify { .. }) => {
+                let cells = t.entries[row].matches.iter().zip(&widths);
+                let cells: Option<Vec<_>> = cells.map(|(v, &w)| v.as_ternary(w)).collect();
+                Some(cells.ok_or_else(|| CompileError::BadMatchCell {
+                    table: t.name.clone(),
+                })?)
+            }
+            _ => None,
+        };
+        let stats = template_stats(&rows, &shape, self.policy);
+
+        mapro_obs::counter!("switch.compiled.table_splices").inc();
+        self.stats.splices += 1;
+        let ct = &mut self.tables[pos];
+        match (edit, prog) {
+            (RowEdit::Delete { .. }, _) => {
+                ct.entries.remove(row);
+            }
+            (RowEdit::Insert, Some(prog)) => ct.entries.push(prog),
+            (RowEdit::Modify { .. }, Some(prog)) => ct.entries[row] = prog,
+            _ => unreachable!("a program for every row the edit leaves"),
+        }
+        // The edited row's key cells before the edit, on the key columns
+        // `cols`: `None` when the edit wrote none of them.
+        let old_cells = |cols: &[usize]| -> Option<Vec<u64>> {
+            match edit {
+                RowEdit::Insert => None,
+                RowEdit::Delete { entry, .. } => {
+                    Some(cols.iter().map(|&c| int(entry, c)).collect())
+                }
+                RowEdit::Modify { old, .. } => {
+                    let was = |c: usize| {
+                        old.iter()
+                            .find(|&&(col, is_match, _)| is_match && col == c)
+                            .map(|(_, _, v)| v)
+                    };
+                    if cols.iter().all(|&c| was(c).is_none()) {
+                        return None;
+                    }
+                    let key = cols.iter().map(|&c| match was(c) {
+                        Some(Value::Int(v)) => *v,
+                        Some(_) => unreachable!("an all-exact shape before the edit"),
+                        None => int(&t.entries[row], c),
+                    });
+                    Some(key.collect())
+                }
+            }
+        };
+        let n = t.len();
+        match (&mut ct.cls, &shape) {
+            (Cls::Exact1 { map, .. }, TableShape::AllExact { cols }) => {
+                let col = cols[0];
+                let old = old_cells(cols).map(|k| k[0]);
+                let key = |i: usize| int(&t.entries[i], col);
+                splice_keys(map, edit, n, key, |i, k| key(i) == *k, old);
+            }
+            (Cls::Exact { map, .. }, TableShape::AllExact { cols }) => {
+                let key = |i: usize| cols.iter().map(|&c| int(&t.entries[i], c)).collect();
+                let is = |i: usize, k: &Vec<u64>| {
+                    cols.iter()
+                        .zip(k)
+                        .all(|(&c, &v)| int(&t.entries[i], c) == v)
+                };
+                splice_keys(map, edit, n, key, is, old_cells(cols));
+            }
+            (
+                Cls::Scan {
+                    cells: all, ncols, ..
+                },
+                _,
+            ) => {
+                let at = row * *ncols..(row + 1) * *ncols;
+                match (edit, cells) {
+                    (RowEdit::Delete { .. }, _) => {
+                        all.drain(at);
+                    }
+                    (RowEdit::Insert, Some(cells)) => all.extend_from_slice(&cells),
+                    (RowEdit::Modify { .. }, Some(cells)) => all[at].copy_from_slice(&cells),
+                    _ => unreachable!("cells for every row the edit leaves"),
+                }
+            }
+            _ => unreachable!("the arm matches the shape"),
+        }
+        ct.template = stats.kind;
+        ct.cost_ns = self.params.lookup_ns(&stats);
+        Ok(())
     }
 
     /// The template each table is charged as, for reports.
@@ -673,6 +935,11 @@ impl CompiledEngine {
             .map(|t| t.entries.as_ptr() as usize)
             .collect()
     }
+
+    /// How this engine's flow-mods were applied so far.
+    pub(crate) fn update_stats(&self) -> UpdateStats {
+        self.stats
+    }
 }
 
 #[cfg(test)]
@@ -680,6 +947,8 @@ mod tests {
     use super::*;
     use mapro_classifier::{build_generic, build_specialized, Classifier, TableView};
     use mapro_core::Catalog;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     const POLICIES: [TemplatePolicy; 4] = [
         TemplatePolicy::Specialize {
@@ -1042,5 +1311,271 @@ mod tests {
         assert_eq!(ce.table_addrs(), addrs);
         let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
         assert_eq!(ce.process(&pkt).output.as_deref(), Some("a"));
+    }
+
+    /// Every compiled table equals a fresh compile of the pipeline's table:
+    /// classifier, entry programs, template and modeled cost.
+    fn assert_fresh(ce: &CompiledEngine, p: &Pipeline, ctx: &str) {
+        assert_eq!(ce.tables.len(), p.tables.len());
+        for (ct, t) in ce.tables.iter().zip(&p.tables) {
+            let fresh = compile_table(p, t, &ce.reg_attrs, ce.policy, &ce.params).unwrap();
+            assert_eq!(*ct, fresh, "{ctx}: table {}", t.name);
+        }
+    }
+
+    /// Five tables, one per classifier arm and shape: `t0` exact over two
+    /// columns (with `next` and gotos), `t1` exact over one, `t2` a single
+    /// prefix column, `t3` general, `t4` empty.
+    fn shapes() -> Pipeline {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let g = c.field("g", 8);
+        let h = c.field("h", 16);
+        let m = c.meta("m", 8);
+        let set_m = c.action("set_m", ActionSem::SetField(m));
+        let goto = c.action("goto", ActionSem::Goto);
+        let out = c.action("out", ActionSem::Output);
+        let mut t0 = Table::new("t0", vec![f, g], vec![set_m, goto]);
+        let mut t1 = Table::new("t1", vec![m], vec![out]);
+        let mut t2 = Table::new("t2", vec![h], vec![out]);
+        let mut t3 = Table::new("t3", vec![f, h], vec![out]);
+        let t4 = Table::new("t4", vec![g], vec![out]);
+        for i in 0..4u64 {
+            let to = Value::sym(["t2", "t3", "t4"][i as usize % 3]);
+            t0.row(
+                vec![Value::Int(i), Value::Int(i % 2)],
+                vec![Value::Int(i), to],
+            );
+            t1.row(vec![Value::Int(i)], vec![Value::sym(format!("a{i}"))]);
+            t2.row(
+                vec![Value::prefix(i << 12, 4, 16)],
+                vec![Value::sym(format!("b{i}"))],
+            );
+            t3.row(
+                vec![Value::Int(i), Value::prefix(i << 14, 2, 16)],
+                vec![Value::sym(format!("c{i}"))],
+            );
+        }
+        t0.next = Some("t1".into());
+        t1.miss = MissPolicy::Fall("t2".into());
+        Pipeline::new(c, vec![t0, t1, t2, t3, t4], "t0")
+    }
+
+    /// A random match cell of `width` bits over a small value range, so
+    /// that keys collide and duplicates happen: mostly exact, sometimes a
+    /// prefix, a ternary or a wildcard — each of which moves an all-exact
+    /// table off its hash.
+    fn cell(rng: &mut SmallRng, width: u32) -> Value {
+        match rng.gen_range(0..8u8) {
+            0 => Value::Any,
+            1 => Value::prefix(
+                rng.gen_range(0..4u64) << (width - 2),
+                rng.gen_range(1..3),
+                width,
+            ),
+            2 => Value::Ternary {
+                bits: rng.gen_range(0..2),
+                mask: 1,
+            },
+            _ => Value::Int(rng.gen_range(0..6)),
+        }
+    }
+
+    /// A random flow-mod against `p`, fallible ones included: a symbolic
+    /// match cell or a dangling goto (the splice refuses them), a delete
+    /// of a row that is not there (the edit does).
+    fn random_edit(p: &Pipeline, rng: &mut SmallRng) -> RuleUpdate {
+        let t = &p.tables[rng.gen_range(0..p.tables.len())];
+        let table = t.name.clone();
+        let width = |a: AttrId| p.catalog.attr(a).width;
+        let row = (!t.entries.is_empty()).then(|| &t.entries[rng.gen_range(0..t.len())]);
+        let new_row = |rng: &mut SmallRng| {
+            let matches = t.match_attrs.iter().map(|&a| cell(rng, width(a))).collect();
+            let actions = match t.name.as_str() {
+                "t0" => vec![Value::Int(rng.gen_range(0..6)), Value::sym("t3")],
+                _ => vec![Value::sym("new")],
+            };
+            Entry::new(matches, actions)
+        };
+        match (rng.gen_range(0..10u8), row) {
+            (0..=2, _) | (_, None) => RuleUpdate::Insert {
+                table,
+                entry: new_row(rng),
+            },
+            // A copy of an existing row: a duplicate key, shadowed.
+            (3, Some(e)) => RuleUpdate::Insert {
+                table,
+                entry: e.clone(),
+            },
+            (4 | 5, Some(e)) => RuleUpdate::Delete {
+                table,
+                matches: e.matches.clone(),
+            },
+            (6 | 7, Some(e)) => {
+                let attr = t.match_attrs[rng.gen_range(0..t.match_attrs.len())];
+                RuleUpdate::Modify {
+                    table,
+                    matches: e.matches.clone(),
+                    set: vec![(attr, cell(rng, width(attr)))],
+                }
+            }
+            (8, Some(e)) => {
+                let attr = t.action_attrs[rng.gen_range(0..t.action_attrs.len())];
+                let v = match p.catalog.attr(attr).kind {
+                    AttrKind::Action(ActionSem::Goto) => {
+                        Value::sym(["t3", "t4", "nowhere"][rng.gen_range(0..3usize)])
+                    }
+                    AttrKind::Action(ActionSem::SetField(_)) => Value::Int(rng.gen_range(0..6)),
+                    _ => Value::sym("moved"),
+                };
+                RuleUpdate::Modify {
+                    table,
+                    matches: e.matches.clone(),
+                    set: vec![(attr, v)],
+                }
+            }
+            (_, Some(e)) if rng.gen_bool(0.5) => RuleUpdate::Modify {
+                table,
+                matches: e.matches.clone(),
+                set: vec![(t.match_attrs[0], Value::sym("oops"))],
+            },
+            (_, Some(_)) => RuleUpdate::Delete {
+                table,
+                matches: vec![Value::Int(0xff); t.match_attrs.len()],
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// After every flow-mod — spliced, rebuilt or refused — each
+        /// compiled table equals a fresh `compile_table` of its table, under
+        /// every policy, and a refused flow-mod leaves the pipeline as it
+        /// was.
+        #[test]
+        fn spliced_tables_equal_fresh_compiles(seed in 0u64..1_000_000, policy in 0usize..5) {
+            let policy = [
+                POLICIES[0],
+                POLICIES[1],
+                POLICIES[2],
+                POLICIES[3],
+                TemplatePolicy::Specialize { generic: TemplateKind::Tss },
+            ][policy];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut p = shapes();
+            let mut ce = CompiledEngine::compile(&p, policy, CostParams::eswitch()).unwrap();
+            for step in 0..40 {
+                let u = random_edit(&p, &mut rng);
+                let before = p.clone();
+                let ctx = format!("seed {seed} {policy:?} step {step}: {u:?}");
+                if ce.apply_update(&mut p, &u).is_err() {
+                    proptest::prop_assert_eq!(&p, &before, "{}", ctx);
+                }
+                assert_fresh(&ce, &p, &ctx);
+            }
+            proptest::prop_assert!(ce.update_stats().splices > 0);
+        }
+    }
+
+    /// Which edits splice and which rebuild: a move between `SinglePrefix`
+    /// and `General` keeps the scan and splices; entering or leaving an
+    /// all-exact shape, or changing its key columns, rebuilds; deleting the
+    /// owner of a duplicate exact key surfaces the duplicate.
+    #[test]
+    fn only_a_change_of_classifier_arm_rebuilds() {
+        let mut p = shapes();
+        let mut ce = CompiledEngine::compile(&p, POLICIES[0], CostParams::eswitch()).unwrap();
+        let (m, h, f) = (
+            p.catalog.lookup("m").unwrap(),
+            p.catalog.lookup("h").unwrap(),
+            p.catalog.lookup("f").unwrap(),
+        );
+        let expect = |ce: &mut CompiledEngine, p: &mut Pipeline, u: RuleUpdate, rebuilt| {
+            let before = ce.update_stats();
+            ce.apply_update(p, &u).unwrap();
+            let after = ce.update_stats();
+            let want = if rebuilt {
+                (before.splices, before.recompiles + 1)
+            } else {
+                (before.splices + 1, before.recompiles)
+            };
+            assert_eq!((after.splices, after.recompiles), want, "{u:?}");
+            assert_fresh(ce, p, &format!("{u:?}"));
+        };
+        let out = |v: &str| vec![Value::sym(v)];
+        // t1: a duplicate of key 1, then its owner goes — the copy owns it.
+        let dup = Entry::new(vec![Value::Int(1)], out("dup"));
+        let ins = |table: &str, entry: Entry| RuleUpdate::Insert {
+            table: table.into(),
+            entry,
+        };
+        let del = |table: &str, matches: Vec<Value>| RuleUpdate::Delete {
+            table: table.into(),
+            matches,
+        };
+        expect(&mut ce, &mut p, ins("t1", dup), false);
+        expect(&mut ce, &mut p, del("t1", vec![Value::Int(1)]), false);
+        assert!(matches!(&ce.tables[1].cls, Cls::Exact1 { map, .. } if map[&1] == 3));
+        // t1: a prefix cell leaves the hash, its delete returns to it.
+        let wild = vec![Value::prefix(0, 1, 8)];
+        expect(
+            &mut ce,
+            &mut p,
+            ins("t1", Entry::new(wild.clone(), out("w"))),
+            true,
+        );
+        expect(&mut ce, &mut p, del("t1", wild), true);
+        // t1: a wildcard key cell leaves the hash too.
+        let any = RuleUpdate::Modify {
+            table: "t1".into(),
+            matches: vec![Value::Int(0)],
+            set: vec![(m, Value::Any)],
+        };
+        expect(&mut ce, &mut p, any, true);
+        // t2: SinglePrefix → General (overlapping, shorter prefix first)
+        // and back, both on the scan.
+        let short = RuleUpdate::Modify {
+            table: "t2".into(),
+            matches: vec![Value::prefix(0, 4, 16)],
+            set: vec![(h, Value::prefix(0, 1, 16))],
+        };
+        expect(&mut ce, &mut p, short, false);
+        assert_eq!(ce.templates()[2].1, TemplateKind::Linear);
+        let back = RuleUpdate::Modify {
+            table: "t2".into(),
+            matches: vec![Value::prefix(0, 1, 16)],
+            set: vec![(h, Value::prefix(0, 4, 16))],
+        };
+        expect(&mut ce, &mut p, back, false);
+        assert_eq!(ce.templates()[2].1, TemplateKind::Lpm);
+        // t3: delete every ternary row but one, then that one: all-exact.
+        for i in 0..3u64 {
+            let row = vec![Value::Int(i), Value::prefix(i << 14, 2, 16)];
+            expect(&mut ce, &mut p, del("t3", row), false);
+        }
+        let exact = Entry::new(vec![Value::Int(7), Value::Int(9)], out("e"));
+        expect(&mut ce, &mut p, ins("t3", exact), false);
+        expect(
+            &mut ce,
+            &mut p,
+            del("t3", vec![Value::Int(3), Value::prefix(3 << 14, 2, 16)]),
+            true,
+        );
+        // t0: a key column turns wildcard — other key columns — rebuilds.
+        let key = RuleUpdate::Modify {
+            table: "t0".into(),
+            matches: vec![Value::Int(0), Value::Int(0)],
+            set: vec![(f, Value::Int(5))],
+        };
+        expect(&mut ce, &mut p, key, false);
+        // t4: the first row of an empty table has a key column where the
+        // empty table had none.
+        expect(
+            &mut ce,
+            &mut p,
+            ins("t4", Entry::new(vec![Value::Int(1)], out("x"))),
+            true,
+        );
     }
 }

@@ -21,7 +21,7 @@
 //! * [`churn`] — the Fig. 4 control-plane stall model (analytic and
 //!   discrete-event timeline).
 //! * [`live`] — [`LiveSwitch`]: the engine accepting control-plane
-//!   flow-mods at runtime, one table recompiled per flow-mod.
+//!   flow-mods at runtime, one row spliced into its table per flow-mod.
 //! * [`cost`] — the calibrated cost constants and the per-model
 //!   [`ModelSpec`]s, documented in one place.
 

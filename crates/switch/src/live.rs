@@ -5,15 +5,16 @@
 //! intent costs (modeled in [`crate::churn`]) and *what the datapath does*
 //! while applying them. [`LiveSwitch`] closes the loop functionally: it
 //! owns the authoritative [`Pipeline`], applies `RuleUpdate`s to it, and
-//! recompiles exactly the touched tables — so routing changes
-//! take effect mid-trace, and per-update datapath work is observable
-//! (entries recompiled, stall estimate).
+//! splices each changed row into the compiled table it belongs to
+//! ([`CompiledEngine::apply_update`]) — so routing changes take effect
+//! mid-trace, a flow-mod costs the row it changes, and per-update datapath
+//! work is observable (rows spliced, tables rebuilt, stall estimate).
 //!
 //! No path here copies the pipeline per flow-mod. Every update applies in
 //! place and yields an [`Undo`] record of what it overwrote:
 //!
 //! * a plan that fails midway undoes its applied prefix, newest first,
-//!   and recompiles the tables it touched;
+//!   and recompiles the tables it touched whole (the rare path);
 //! * `Prepare` validates a bundle by applying it in place and undoing it
 //!   at once (staging does no datapath work);
 //! * the restart-durable `committed` state catches up at each bundle
@@ -119,8 +120,9 @@ impl LiveSwitch {
         &self.pipeline
     }
 
-    /// Apply one flow-mod: update control state, recompile *only the
-    /// touched table* (every other table's program is reused), and return
+    /// Apply one flow-mod: update control state, splice the changed row
+    /// into *only the touched table* (every other table's program is
+    /// reused), and return
     /// the modeled datapath stall (ns). The flow-mod is volatile until the
     /// next bundle commit.
     pub fn apply_update(&mut self, update: &RuleUpdate) -> Result<f64, UpdateError> {
@@ -453,6 +455,7 @@ mod tests {
         let (p, _, out) = two_tables();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
         let before = sw.engine.table_addrs();
+        let stats = sw.engine.update_stats();
         sw.apply_update(&RuleUpdate::Modify {
             table: "t1".into(),
             matches: vec![Value::Int(5)],
@@ -464,8 +467,12 @@ mod tests {
             before[0], after[0],
             "t0 was untouched; its compiled table must be reused"
         );
-        assert_ne!(before[1], after[1], "t1 changed; it must be recompiled");
-        // The rebuilt table routes the new action.
+        assert_eq!(
+            sw.engine.update_stats().splices,
+            stats.splices + 1,
+            "t1 changed; its row must be spliced in"
+        );
+        // The spliced table routes the new action.
         let pkt = Packet::from_fields(&sw.pipeline().catalog, &[("f", 1), ("g", 5)]);
         assert_eq!(sw.process(&pkt).output.as_deref(), Some("z"));
     }

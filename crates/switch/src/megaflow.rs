@@ -28,7 +28,7 @@
 //! Megaflows may overlap; every one that covers a packet holds its verdict.
 //!
 //! Invalidation is precise rather than flush-the-world: a flow-mod's
-//! footprint ([`Pipeline::flowmod_footprint`]) says which input packets can
+//! footprint ([`Reach::footprint`]) says which input packets can
 //! reach the edited row, and only megaflows sharing a packet with it are
 //! dropped. The footprint is the row's cells met with the edited table's
 //! *reach cube* — the ternary hull of the rows and `Fall` misses on every
@@ -39,13 +39,15 @@
 //! overlap. A hull over unwritten attributes is sound because any packet
 //! that reaches the row satisfied, on those attributes, every row it hit on
 //! the way; a `Fall` miss passes its table's reach on whole, since the miss
-//! region is the complement of the rows, not a cube. The incremental
-//! verifier rechecks by the same footprint.
+//! region is the complement of the rows, not a cube. The engine keeps its
+//! [`Reach`] across flow-mods that cannot move it
+//! ([`Pipeline::moves_reach`]). The incremental verifier rechecks by the
+//! same footprint.
 
 use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 use crate::cost::{CostParams, ModelSpec};
 use crate::Switch;
-use mapro_core::{AttrId, Packet, Pipeline};
+use mapro_core::{AttrId, Packet, Pipeline, Reach};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -251,6 +253,9 @@ impl MegaflowStore {
 pub struct CachedEngine {
     inner: CompiledEngine,
     pipeline: Pipeline,
+    /// `pipeline`'s reach cubes: computed at the first flow-mod, and again
+    /// only after one that [moves](Pipeline::moves_reach) them.
+    reach: Option<Reach>,
     store: MegaflowStore,
     /// Modeled extra cost of a miss (mask derivation + install), ns.
     /// In-process specialization, not an OVS upcall — orders of magnitude
@@ -276,6 +281,7 @@ impl CachedEngine {
         Ok(CachedEngine {
             inner,
             pipeline: p.clone(),
+            reach: None,
             store: MegaflowStore::new(nregs),
             install_ns: 500.0,
             key: Vec::with_capacity(nregs),
@@ -320,19 +326,23 @@ impl CachedEngine {
         Some(attrs.iter().copied().zip(mask.iter().copied()).collect())
     }
 
-    /// Apply a control-plane flow-mod: recompile the touched table and
-    /// drop exactly the megaflows that share a packet with the flow-mod's
-    /// footprint ([`mapro_control::delta_rows`] →
-    /// [`Pipeline::flowmod_footprint`]; for a Modify that rewrites match
-    /// cells, old and new row both count). A refused flow-mod changes
-    /// neither the engine nor the cache.
+    /// Apply a control-plane flow-mod: splice the changed row into the
+    /// touched table and drop exactly the megaflows that share a packet
+    /// with the flow-mod's footprint ([`mapro_control::delta_rows`] →
+    /// [`Reach::footprint`]; for a Modify that rewrites match cells, old
+    /// and new row both count). The reach cubes are kept across flow-mods
+    /// that cannot move them. A refused flow-mod changes neither the
+    /// engine nor the cache.
     pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
         self.inner.apply_update(&mut self.pipeline, update)?;
+        if self.pipeline.moves_reach(update.table()) {
+            self.reach = None;
+        }
+        let reach = self.reach.get_or_insert_with(|| self.pipeline.reach());
         let attrs = self.inner.reg_attrs();
         let rows = mapro_control::delta_rows(&self.pipeline, update);
-        let dirty: Vec<Vec<(usize, u64, u64)>> = self
-            .pipeline
-            .flowmod_footprint(&rows)
+        let dirty: Vec<Vec<(usize, u64, u64)>> = reach
+            .footprint(&self.pipeline, &rows)
             .into_iter()
             .flatten()
             .map(|cells| {

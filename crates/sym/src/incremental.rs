@@ -46,7 +46,9 @@
 //! The session owns its two pipelines and takes each edit in place: the
 //! caller's edit runs on the stored pipeline, and only the ternary rows of
 //! the tables the flow-mod names are re-derived — no pipeline is cloned or
-//! diffed per update.
+//! diffed per update. Each side keeps its reach cubes ([`Reach`]) and
+//! recomputes them only after an edit of a table that
+//! [moves](Pipeline::moves_reach) them (one with a goto column or `next`).
 //!
 //! Every delta leaves its intermediate nodes and memo entries in the
 //! arena; the session collects them (`Mgr::gc` over the two roots) whenever
@@ -67,7 +69,7 @@ use crate::check::{catalog_guard, concretize};
 use crate::compile::{FieldSpace, SymConfig, Unsupported};
 use crate::cube::{Cube, Tern};
 use crate::ddcover::{match_rows, DdEngine};
-use mapro_core::{Catalog, Counterexample, EquivError, Pipeline, Table, Value};
+use mapro_core::{Catalog, Counterexample, EquivError, Pipeline, Reach, Table, Value};
 use mapro_dd::NodeRef;
 
 /// Which pipelines of the session an update edits.
@@ -151,6 +153,10 @@ struct SideState {
     rows: Vec<Vec<Option<Cube>>>,
     /// The behavior MTBDD of `p` in the session's engine.
     root: NodeRef,
+    /// `p`'s reach cubes: computed when a proof first needs them, and
+    /// again only after an edit of a table that
+    /// [moves](Pipeline::moves_reach) them.
+    reach: Option<Reach>,
 }
 
 impl SideState {
@@ -159,13 +165,15 @@ impl SideState {
             p: p.clone(),
             rows: match_rows(p),
             root: NodeRef::term(0),
+            reach: None,
         }
     }
 
     /// Run `edit` on the stored pipeline, then re-derive the ternary rows
     /// of the tables `rows` names — the only ones an entry-level flow-mod
-    /// touches. After a failed edit, which may have stopped halfway, every
-    /// table's rows are re-derived.
+    /// touches — and drop the reach cubes if one of them moves them. After
+    /// a failed edit, which may have stopped halfway, every table's rows
+    /// are re-derived and the reach cubes dropped.
     fn edit<E>(
         &mut self,
         rows: &[(String, Vec<Value>)],
@@ -174,12 +182,22 @@ impl SideState {
         let result = edit(&mut self.p);
         if result.is_err() || self.p.tables.len() != self.rows.len() {
             self.rows = match_rows(&self.p);
+            self.reach = None;
             return result;
         }
         for (t, cubes) in self.p.tables.iter().zip(&mut self.rows) {
             if rows.iter().any(|(name, _)| *name == t.name) {
                 rederive(&self.p.catalog, t, cubes);
             }
+        }
+        if rows.iter().any(|(name, _)| self.p.moves_reach(name)) {
+            self.reach = None;
+        }
+        if let Some(reach) = &self.reach {
+            debug_assert!(
+                *reach == self.p.reach(),
+                "an edit moved the reach of a table its flow-mod rows do not name"
+            );
         }
         debug_assert!(
             self.rows == match_rows(&self.p),
@@ -219,12 +237,14 @@ fn unsup(u: Unsupported) -> EquivError {
 /// Add the invalidation cubes of a batch of flow-mod rows against `p` to
 /// `cubes` (kept free of subsumed members), or return `None` when some row
 /// names a table `p` does not have — the caller cannot bound that update's
-/// footprint and must recheck fully. Each cube is the row's
-/// [`Pipeline::flowmod_footprint`] on the space's coordinates (cells on
-/// attributes outside the space — metadata — stay wildcard, which is
-/// conservative); rows that no packet can reach contribute nothing.
+/// footprint and must recheck fully. Each cube is the row's footprint
+/// ([`Reach::footprint`] of `reach`, `p`'s reach cubes) on the space's
+/// coordinates (cells on attributes outside the space — metadata — stay
+/// wildcard, which is conservative); rows that no packet can reach
+/// contribute nothing.
 fn dirty_cubes(
     p: &Pipeline,
+    reach: &Reach,
     space: &FieldSpace,
     rows: &[(String, Vec<Value>)],
     cubes: &mut Vec<Cube>,
@@ -235,7 +255,7 @@ fn dirty_cubes(
             return None;
         }
     }
-    for cells in p.flowmod_footprint(rows).into_iter().flatten() {
+    for cells in reach.footprint(p, rows).into_iter().flatten() {
         let mut c = space.universe();
         for (attr, bits, mask) in cells {
             if let Some(k) = space.coord_of(attr) {
@@ -421,9 +441,11 @@ impl IncrementalChecker {
         // the change whichever side of it the reach is taken on.
         self.last_dirty.clear();
         let mut bounded = !self.stale;
-        for (on, state) in [(on_left, &self.left), (on_right, &self.right)] {
+        for (on, state) in [(on_left, &mut self.left), (on_right, &mut self.right)] {
             if bounded && on {
-                bounded = dirty_cubes(&state.p, &self.space, rows, &mut self.last_dirty).is_some();
+                let reach = state.reach.get_or_insert_with(|| state.p.reach());
+                bounded =
+                    dirty_cubes(&state.p, reach, &self.space, rows, &mut self.last_dirty).is_some();
             }
         }
 
@@ -682,16 +704,23 @@ mod tests {
             ("fwd".to_string(), vec![Value::Int(1)]),
         ];
         let mut d = Vec::new();
-        dirty_cubes(&p, &space, &rows, &mut d).expect("tables known");
+        dirty_cubes(&p, &p.reach(), &space, &rows, &mut d).expect("tables known");
         assert_eq!(d.len(), 2, "the repeated row adds nothing: {d:?}");
         let dst = space.coord_of(p.catalog.lookup("dst").unwrap()).unwrap();
         for (c, v) in d.iter().zip([1u64, 2]) {
             assert!(c.0[dst].matches(v) && !c.0[dst].matches(3));
         }
         // A row over the whole table swallows both.
-        dirty_cubes(&p, &space, &[("fwd".to_string(), vec![Value::Any])], &mut d).unwrap();
+        dirty_cubes(
+            &p,
+            &p.reach(),
+            &space,
+            &[("fwd".to_string(), vec![Value::Any])],
+            &mut d,
+        )
+        .unwrap();
         assert_eq!(d.len(), 1);
         let unknown = [("nope".to_string(), vec![Value::Int(0)])];
-        assert!(dirty_cubes(&p, &space, &unknown, &mut d).is_none());
+        assert!(dirty_cubes(&p, &p.reach(), &space, &unknown, &mut d).is_none());
     }
 }

@@ -409,5 +409,26 @@ fn cli_rejects_malformed_programs() {
     let (_, err, code) = run_code(&bin(), &["lint", path.to_str().unwrap()]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("65 bits wide"), "{err}");
+
+    // `.mat` headers the parser once panicked on: a table declared twice,
+    // and a schema whose `]` comes before its `[`.
+    let texts = [
+        (
+            "field f 8\naction out output\ntable t [f | out]\n  1 | a\ntable t [f | out]\n",
+            "line 5: duplicate table \"t\"",
+        ),
+        (
+            "field f 8\naction out output\ntable t ][f | out]\n",
+            "line 3: schema closes",
+        ),
+    ];
+    for (text, expect) in texts {
+        let path = dir.join("bad.mat");
+        std::fs::write(&path, text).unwrap();
+        let (_, err, code) = run_code(&bin(), &["check", good_path, path.to_str().unwrap()]);
+        assert_eq!(code, Some(2), "{text:?}: {err}");
+        assert!(err.contains(expect), "{text:?}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{err:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -388,3 +388,45 @@ proptest! {
         });
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The goto form of a GWLB, edited on its dispatch table and on its
+    /// per-service sub-tables in turn: a dispatch edit moves a service's
+    /// reach cube (its goto row selects the sub-table), a sub-table edit
+    /// cannot (no goto column, no `next`), so each side of the session
+    /// keeps its reach across the latter and recomputes it after the
+    /// former. Either way the verdict tracks a fresh check after every mod.
+    #[test]
+    fn goto_gwlb_dispatch_and_sub_table_edits_track_fresh_checks(seed in 0u64..1_000_000) {
+        let g = mapro_workloads::Gwlb::random(6, 4, seed);
+        let p = g.normalized(mapro_normalize::JoinKind::Goto).expect("GWLB decomposes");
+        let dispatch = p.start.clone();
+        assert!(p.moves_reach(&dispatch));
+        stream_tracks_fresh_checks(&p, seed, 8, |p, step, rng| {
+            if step % 2 == 0 {
+                // Move one service to another port: a match cell of its
+                // dispatch row.
+                let t = p.table(&dispatch).expect("dispatch table");
+                let row = &t.entries[rng.gen_range(0..t.len())];
+                RuleUpdate::Modify {
+                    table: dispatch.clone(),
+                    matches: row.matches.clone(),
+                    set: vec![(g.tcp_dst, Value::Int(20_000 + step as u64))],
+                }
+            } else {
+                // Swap one backend: the output of a sub-table row.
+                let subs: Vec<&Table> = p.tables.iter().filter(|t| t.name != dispatch).collect();
+                let t = subs[rng.gen_range(0..subs.len())];
+                assert!(!p.moves_reach(&t.name), "{} moves the reach", t.name);
+                let row = &t.entries[rng.gen_range(0..t.len())];
+                RuleUpdate::Modify {
+                    table: t.name.clone(),
+                    matches: row.matches.clone(),
+                    set: vec![(g.out, Value::sym(format!("vm-{step}")))],
+                }
+            }
+        });
+    }
+}

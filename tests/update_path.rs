@@ -35,7 +35,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A random flow-mod against `p`. `fresh` is a value no match cell holds
-/// yet, so rewritten and inserted match tuples stay unique.
+/// yet, so rewritten and inserted exact match tuples stay unique. Some
+/// draws change a table's shape — a prefix or wildcard cell inserted into
+/// an all-exact table, the only non-exact row of a table deleted — and
+/// some plant a duplicate exact key and then delete its owner, so the
+/// copy it shadowed must take over.
 fn random_update(p: &Pipeline, fresh: u64, rng: &mut SmallRng) -> RuleUpdate {
     let t = &p.tables[rng.gen_range(0..p.tables.len())];
     let e = &t.entries[rng.gen_range(0..t.len())];
@@ -57,7 +61,24 @@ fn random_update(p: &Pipeline, fresh: u64, rng: &mut SmallRng) -> RuleUpdate {
                 _ => None,
             }
         });
-    match rng.gen_range(0..4u32) {
+    let exact = |e: &Entry| e.matches.iter().all(|v| matches!(v, Value::Int(_)));
+    // A table one delete away from all-exact, and that row.
+    let lone_wildcard = p.tables.iter().find_map(|t| {
+        let mut inexact = t.entries.iter().filter(|e| !exact(e));
+        match (inexact.next(), inexact.next()) {
+            (Some(row), None) if t.len() > 1 => Some((t, row)),
+            _ => None,
+        }
+    });
+    // A table holding an exact row twice, and that row.
+    let duplicate = p.tables.iter().find_map(|t| {
+        let mut rows = t.entries.iter().enumerate();
+        rows.find_map(|(i, e)| {
+            (exact(e) && t.entries[i + 1..].iter().any(|d| d.matches == e.matches))
+                .then_some((t, e))
+        })
+    });
+    match rng.gen_range(0..7u32) {
         0 if t.len() > 1 => RuleUpdate::Delete {
             table: t.name.clone(),
             matches: e.matches.clone(),
@@ -74,6 +95,38 @@ fn random_update(p: &Pipeline, fresh: u64, rng: &mut SmallRng) -> RuleUpdate {
             table: t.name.clone(),
             matches: e.matches.clone(),
             set: vec![new_param.unwrap()],
+        },
+        4 => {
+            let width = p.catalog.attr(t.match_attrs[col]).width;
+            let mut matches = e.matches.clone();
+            matches[col] = if rng.gen::<bool>() {
+                Value::Any
+            } else {
+                let len = width.min(16);
+                Value::prefix((fresh & low_mask(len)) << (width - len), len as u8, width)
+            };
+            RuleUpdate::Insert {
+                table: t.name.clone(),
+                entry: Entry::new(matches, e.actions.clone()),
+            }
+        }
+        5 if lone_wildcard.is_some() => {
+            let (t, row) = lone_wildcard.unwrap();
+            RuleUpdate::Delete {
+                table: t.name.clone(),
+                matches: row.matches.clone(),
+            }
+        }
+        5 | 6 => match duplicate {
+            // Deletes the first copy: the owner of the key.
+            Some((t, row)) => RuleUpdate::Delete {
+                table: t.name.clone(),
+                matches: row.matches.clone(),
+            },
+            None => RuleUpdate::Insert {
+                table: t.name.clone(),
+                entry: Entry::new(e.matches.clone(), vec![Value::Any; e.actions.len()]),
+            },
         },
         _ => RuleUpdate::Modify {
             table: t.name.clone(),
