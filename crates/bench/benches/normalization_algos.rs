@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_core::{check_equivalent, EquivConfig};
 use mapro_fd::mine_fds;
-use mapro_normalize::{decompose, flatten, normalize, DecomposeOpts, NormalizeOpts};
+use mapro_normalize::{flatten, normalize, split, JoinKind, NormalizeOpts, Split, SplitOpts};
 use mapro_workloads::{Gwlb, L3};
 
 fn bench_algos(c: &mut Criterion) {
@@ -22,16 +22,14 @@ fn bench_algos(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(mined.fds.candidate_keys()));
     });
     group.bench_function("decompose/gwlb_metadata", |b| {
+        let fd = Split::Fd {
+            x: vec![g.ip_dst],
+            y: vec![g.tcp_dst],
+            join: JoinKind::Metadata,
+        };
         b.iter(|| {
             std::hint::black_box(
-                decompose(
-                    &g.universal,
-                    "t0",
-                    &[g.ip_dst],
-                    &[g.tcp_dst],
-                    &DecomposeOpts::default(),
-                )
-                .expect("decomposes"),
+                split(&g.universal, "t0", &fd, &SplitOpts::default()).expect("decomposes"),
             )
         });
     });

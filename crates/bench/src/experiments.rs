@@ -12,7 +12,7 @@
 //! they did, end to end (EXPERIMENTS.md).
 
 use mapro_core::{display, Pipeline};
-use mapro_normalize::JoinKind;
+use mapro_normalize::{split, JoinKind, Split, SplitOpts};
 use mapro_packet::generate;
 use mapro_switch::{
     churn_sweep, run_modeled, ChurnPoint, ControlStall, HwLatency, ModelSpec, OvsSim, Switch,
@@ -530,13 +530,12 @@ pub fn fig2_rendering() -> String {
     let mut s = String::new();
     s.push_str("=== Fig. 2a: universal L3 table ===\n");
     s.push_str(&display::render_pipeline(&l3.universal));
-    let factored = mapro_normalize::factor_constants(
-        &l3.universal,
-        "l3",
-        Some(&[l3.eth_type, l3.mod_ttl]),
-        mapro_normalize::FactorPlacement::Before,
-    )
-    .expect("constants factor");
+    let constants = Split::Constant {
+        only: Some(vec![l3.eth_type, l3.mod_ttl]),
+        placement: mapro_normalize::FactorPlacement::Before,
+    };
+    let factored =
+        split(&l3.universal, "l3", &constants, &SplitOpts::default()).expect("constants factor");
     s.push_str("=== Fig. 2c step 1: Cartesian factor (eth_type | mod_ttl) ===\n");
     s.push_str(&display::render_pipeline(&factored));
     let n = mapro_normalize::normalize(&factored, &mapro_normalize::NormalizeOpts::default());
@@ -555,14 +554,12 @@ pub fn fig3_rendering() -> String {
     let mut s = String::new();
     s.push_str("=== Fig. 3a: universal VLAN table ===\n");
     s.push_str(&display::render_pipeline(&v.universal));
-    let err = mapro_normalize::decompose(
-        &v.universal,
-        "t0",
-        &[v.out],
-        &[v.vlan],
-        &mapro_normalize::DecomposeOpts::default(),
-    )
-    .expect_err("must be rejected");
+    let fd = Split::Fd {
+        x: vec![v.out],
+        y: vec![v.vlan],
+        join: JoinKind::Metadata,
+    };
+    let err = split(&v.universal, "t0", &fd, &SplitOpts::default()).expect_err("must be rejected");
     s.push_str(&format!("Decomposition along out -> vlan REFUSED: {err}\n"));
     s
 }
@@ -583,8 +580,9 @@ pub fn fig5_rendering() -> String {
         "Naive 3-table chain equivalent? {} (appendix: must be incorrect)\n",
         r.is_equivalent()
     ));
-    let tagged = mapro_normalize::decompose_jd(&sdx.universal, "sdx", &sdx.components)
-        .expect("JD decomposition");
+    let jd = Split::Jd(sdx.components.clone());
+    let tagged =
+        split(&sdx.universal, "sdx", &jd, &SplitOpts::default()).expect("JD decomposition");
     s.push_str("=== Fig. 5c: `all`-metadata pipeline ===\n");
     s.push_str(&display::render_pipeline(&tagged));
     let r =

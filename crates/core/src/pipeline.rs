@@ -300,8 +300,9 @@ impl Pipeline {
 
     /// Check what the constructors guarantee and deserialization does not:
     /// every attribute id lies in the catalog, match columns are fields or
-    /// metadata and action columns actions, attributes are at most 64 bits
-    /// wide, every row has one cell per column, every numeric cell fits its
+    /// metadata and action columns actions, no attribute names two columns
+    /// of one table, attributes are at most 64 bits wide, every row has
+    /// one cell per column, every numeric cell fits its
     /// attribute (a `SetField` parameter, the attribute it sets), and
     /// `start`, `next`, `Fall` and symbolic goto targets name tables of the
     /// program. The analyses index rows and catalogs freely behind this.
@@ -355,6 +356,15 @@ impl Pipeline {
                         ));
                     }
                 }
+            }
+            let cols = t.attrs();
+            if let Some(&a) =
+                (1..cols.len()).find_map(|i| cols[..i].iter().find(|&&b| b == cols[i]))
+            {
+                return bad(format!(
+                    "table {table:?}: {:?} names two columns",
+                    self.catalog.name(a)
+                ));
             }
             if let Some(n) = &t.next {
                 exists(&format!("table {table:?}: next"), n)?;
@@ -861,7 +871,7 @@ mod tests {
         let good = two_stage();
         assert_eq!(good.validate(), Ok(()));
         type Damage = fn(&mut Pipeline);
-        let cases: [(&str, Damage); 12] = [
+        let cases: [(&str, Damage); 13] = [
             ("1 match cells for 2", |p| {
                 p.tables[0].match_attrs.push(AttrId(1));
             }),
@@ -891,6 +901,12 @@ mod tests {
             }),
             ("300 does not fit the 8 bits of \"set_m\"", |p| {
                 p.tables[0].entries[0].actions[0] = Value::Int(300);
+            }),
+            ("table \"t1\": \"m\" names two columns", |p| {
+                p.tables[1].match_attrs.push(AttrId(1));
+                for e in &mut p.tables[1].entries {
+                    e.matches.push(e.matches[0].clone());
+                }
             }),
             ("start names table \"t9\"", |p| p.start = "t9".into()),
             ("table \"t1\": miss names table \"t9\"", |p| {

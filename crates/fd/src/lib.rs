@@ -29,6 +29,6 @@ pub use approx::{g3_error, mine_approx_fds, ApproxFd};
 pub use armstrong::{all_implied, equivalent as fdsets_equivalent};
 pub use fd::{Fd, FdSet};
 pub use mine::{mine_fds, Mined};
-pub use mvd::{join_dependency_holds, mine_mvds, mvd_holds, mvd_trivial, Rel};
+pub use mvd::{join_dependency_holds, mvd_holds, Rel};
 pub use nf::{analyze, analyze_with, FirstNfIssue, NfLevel, NfReport};
 pub use set::{AttrSet, Universe};

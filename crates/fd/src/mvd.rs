@@ -14,7 +14,7 @@
 //! announcement/outbound/inbound split of the SDX table is lossless even
 //! though no FD justifies it.
 
-use crate::set::{AttrSet, Universe};
+use crate::set::Universe;
 use mapro_core::{AttrId, Table, Value};
 use std::collections::{BTreeMap, HashSet};
 
@@ -169,55 +169,6 @@ pub fn mvd_holds(table: &Table, x: &[AttrId], y: &[AttrId]) -> bool {
     join_dependency_holds(table, &[left, right])
 }
 
-/// Is `X ↠ Y` *trivial* (Y ⊆ X, or X ∪ Y covers the whole relation)?
-pub fn mvd_trivial(table: &Table, x: &[AttrId], y: &[AttrId]) -> bool {
-    let attrs = table.attrs();
-    let u = Universe::new(attrs);
-    let xs = u.encode(x);
-    let ys = u.encode(y);
-    ys.subset_of(xs) || xs.union(ys) == u.full()
-}
-
-/// Mine nontrivial MVDs `X ↠ Y` with `|X| ≤ max_lhs`, reporting one
-/// witness `(X, Y)` per distinct (X, Y-set) pair. Exponential in the
-/// attribute count; intended for the small tables of the paper's examples.
-pub fn mine_mvds(table: &Table, max_lhs: usize) -> Vec<(Vec<AttrId>, Vec<AttrId>)> {
-    let attrs = table.attrs();
-    let n = attrs.len();
-    let u = Universe::new(attrs.clone());
-    let full = u.full();
-    let mut out = Vec::new();
-    for xm in 0..(1u64 << n) {
-        let xs = AttrSet(xm);
-        if xs.len() as usize > max_lhs {
-            continue;
-        }
-        let rest = full.minus(xs);
-        // Enumerate Y over subsets of rest (non-empty, proper, canonical:
-        // Y and Z=rest∖Y are symmetric, keep the lexicographically smaller).
-        let rest_pos: Vec<usize> = rest.iter().collect();
-        let m = rest_pos.len();
-        for ym in 1..(1u64 << m) {
-            let mut ys = AttrSet::EMPTY;
-            for (i, &p) in rest_pos.iter().enumerate() {
-                if ym & (1 << i) != 0 {
-                    ys = ys.with(p);
-                }
-            }
-            let zs = rest.minus(ys);
-            if zs.is_empty() || ys > zs {
-                continue;
-            }
-            let x = u.decode(xs);
-            let y = u.decode(ys);
-            if !mvd_trivial(table, &x, &y) && mvd_holds(table, &x, &y) {
-                out.push((x, y));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,23 +219,6 @@ mod tests {
             &t,
             &[vec![ids[0], ids[1]], vec![ids[0], ids[2]]]
         ));
-    }
-
-    #[test]
-    fn trivial_mvds() {
-        let (_c, t, ids) = course_table(true);
-        assert!(mvd_trivial(&t, &[ids[0], ids[1]], &[ids[1]]));
-        assert!(mvd_trivial(&t, &[ids[0]], &[ids[1], ids[2]]));
-        assert!(!mvd_trivial(&t, &[ids[0]], &[ids[1]]));
-    }
-
-    #[test]
-    fn mine_finds_course_mvd() {
-        let (_c, t, ids) = course_table(true);
-        let mvds = mine_mvds(&t, 1);
-        assert!(mvds
-            .iter()
-            .any(|(x, y)| x == &vec![ids[0]] && (y == &vec![ids[1]] || y == &vec![ids[2]])));
     }
 
     #[test]

@@ -280,8 +280,8 @@ fn emit(p: &Pipeline, st: PathState, match_attrs: &[AttrId], action_attrs: &[Att
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::{decompose, DecomposeOpts};
     use crate::join::JoinKind;
+    use crate::split::{split, Split, SplitOpts};
     use mapro_core::{assert_equivalent, ActionSem, Catalog, Pipeline};
 
     fn mini_gw() -> (Pipeline, Vec<AttrId>) {
@@ -305,17 +305,12 @@ mod tests {
     #[test]
     fn flatten_is_inverse_of_decompose_metadata() {
         let (p, ids) = mini_gw();
-        let q = decompose(
-            &p,
-            "t0",
-            &[ids[1]],
-            &[ids[2]],
-            &DecomposeOpts {
-                join: JoinKind::Metadata,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let fd = Split::Fd {
+            x: vec![ids[1]],
+            y: vec![ids[2]],
+            join: JoinKind::Metadata,
+        };
+        let q = split(&p, "t0", &fd, &SplitOpts::default()).unwrap();
         let t = flatten(&q, "flat").unwrap();
         let flat = Pipeline::single(q.catalog.clone(), t);
         assert_equivalent(&p, &flat);
@@ -326,17 +321,12 @@ mod tests {
     #[test]
     fn flatten_is_inverse_of_decompose_goto() {
         let (p, ids) = mini_gw();
-        let q = decompose(
-            &p,
-            "t0",
-            &[ids[1]],
-            &[ids[2]],
-            &DecomposeOpts {
-                join: JoinKind::Goto,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let fd = Split::Fd {
+            x: vec![ids[1]],
+            y: vec![ids[2]],
+            join: JoinKind::Goto,
+        };
+        let q = split(&p, "t0", &fd, &SplitOpts::default()).unwrap();
         let t = flatten(&q, "flat").unwrap();
         let flat = Pipeline::single(q.catalog.clone(), t);
         assert_equivalent(&p, &flat);
@@ -345,17 +335,12 @@ mod tests {
     #[test]
     fn flatten_is_inverse_of_decompose_rematch() {
         let (p, ids) = mini_gw();
-        let q = decompose(
-            &p,
-            "t0",
-            &[ids[1]],
-            &[ids[2]],
-            &DecomposeOpts {
-                join: JoinKind::Rematch,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let fd = Split::Fd {
+            x: vec![ids[1]],
+            y: vec![ids[2]],
+            join: JoinKind::Rematch,
+        };
+        let q = split(&p, "t0", &fd, &SplitOpts::default()).unwrap();
         let t = flatten(&q, "flat").unwrap();
         let flat = Pipeline::single(q.catalog.clone(), t);
         assert_equivalent(&p, &flat);

@@ -4,19 +4,17 @@
 //! and multi-table representations (§3–4 of *Normal Forms for Match-Action
 //! Programs*, CoNEXT'19):
 //!
-//! * [`decompose()`] — split a table along a functional dependency under the
-//!   goto / metadata / rematch join abstractions, with shape analysis for
-//!   action-valued sides and detection of the Fig. 3 order-independence
-//!   failure.
-//! * [`normalize()`] — iterate decomposition to 2NF/3NF, mining dependencies
-//!   from the instance.
-//! * [`factor`] — Cartesian-product extraction of constant columns
-//!   (Fig. 2c).
+//! * [`split()`] — the one lossless split: a table into stages whose join
+//!   is the table, licensed by an FD (Heath; goto / metadata / rematch
+//!   joins, with shape analysis for action-valued sides and detection of
+//!   the Fig. 3 order-independence failure), an MVD or a join dependency
+//!   (the appendix's SDX use case, path metadata), or constant columns
+//!   (the Cartesian product of Fig. 2c). [`chain_components_naive`] is the
+//!   appendix's untagged counter-example.
+//! * [`normalize()`] — iterate FD splits to 2NF/3NF/BCNF, mining
+//!   dependencies from the instance.
 //! * [`flatten()`] — denormalization: collapse a pipeline back into one
 //!   universal table (the transformation OVS's flow cache performs).
-//! * [`beyond3nf`] — join-dependency decompositions with path metadata for
-//!   the appendix's SDX use case (4NF/5NF territory), plus MVD splits and
-//!   the 4NF driver.
 //! * [`prune`] — exact dead-entry minimization, demonstrating §3's
 //!   orthogonality remark.
 //!
@@ -27,19 +25,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod beyond3nf;
-pub mod decompose;
-pub mod factor;
 pub mod flatten;
 pub mod join;
 pub mod normalize;
 pub mod prune;
+pub mod split;
 
-pub use beyond3nf::{
-    chain_components_naive, decompose_jd, decompose_mvd, normalize_to_4nf, JdError, MvdStep,
-};
-pub use decompose::{decompose, DecomposeError, DecomposeOpts};
-pub use factor::{factor_constants, FactorError, FactorPlacement};
 pub use flatten::{flatten, FlattenError};
 pub use join::JoinKind;
 pub use normalize::{
@@ -47,3 +38,4 @@ pub use normalize::{
     StepRecord, Target,
 };
 pub use prune::{prune_dead_entries, PruneError, Pruned};
+pub use split::{chain_components_naive, split, FactorPlacement, Split, SplitError, SplitOpts};

@@ -2,15 +2,15 @@
 //!
 //! Strategy, following the paper's narrative: analyze each table of the
 //! pipeline (mining minimal FDs from the instance), find a violating
-//! dependency for the target normal form, and decompose that table along
+//! dependency for the target normal form, and split that table along
 //! `X → (X⁺ ∖ X)` — stating everything `X` determines in one stage — then
 //! repeat until no violations remain. Dependencies whose decomposition is
 //! rejected (the Fig. 3 action-to-match shape) are recorded as skipped and
 //! never retried, so normalization always terminates with either a
 //! normal-form pipeline or an explicit list of irremovable violations.
 
-use crate::decompose::{decompose, DecomposeError, DecomposeOpts};
 use crate::join::JoinKind;
+use crate::split::{split, Split, SplitError, SplitOpts};
 use mapro_core::{ActionSem, AttrId, AttrKind, Pipeline, Table};
 use mapro_fd::{analyze, NfLevel, NfReport};
 use std::collections::HashSet;
@@ -75,7 +75,7 @@ pub struct SkipRecord {
     /// Determinant attribute names.
     pub lhs: Vec<String>,
     /// Why decomposition was refused.
-    pub reason: DecomposeError,
+    pub reason: SplitError,
 }
 
 /// Result of a normalization run.
@@ -221,12 +221,16 @@ pub fn normalize(p: &Pipeline, opts: &NormalizeOpts) -> Normalized {
                 .iter()
                 .map(|&a| cur.catalog.name(a).to_owned())
                 .collect();
-            let dopts = DecomposeOpts {
+            let fd = Split::Fd {
+                x: lhs,
+                y: rhs,
                 join: opts.join,
+            };
+            let sopts = SplitOpts {
                 verify: opts.verify,
                 allow_non_1nf: false,
             };
-            match decompose(&cur, &tname, &lhs, &rhs, &dopts) {
+            match split(&cur, &tname, &fd, &sopts) {
                 Ok(next) => {
                     // The stages stand where the table stood; analyze them
                     // (the first keeps the table's name) before moving on.
@@ -276,7 +280,7 @@ mod tests {
     use mapro_core::{assert_equivalent, ActionSem, Catalog, Table, Value};
     use mapro_fd::NfLevel;
 
-    /// Miniature Fig. 1a (same as decompose tests).
+    /// Miniature Fig. 1a (same as the split tests).
     fn mini_gw() -> Pipeline {
         let mut c = Catalog::new();
         let src = c.field("src", 4);
@@ -298,7 +302,7 @@ mod tests {
         Pipeline::single(c, t)
     }
 
-    /// Fig. 2a miniature (same as decompose tests), with repeated next-hops
+    /// Fig. 2a miniature (same as the split tests), with repeated next-hops
     /// and shared smacs per port.
     fn mini_l3() -> Pipeline {
         let mut c = Catalog::new();
@@ -405,7 +409,7 @@ mod tests {
             assert!(n
                 .skipped
                 .iter()
-                .any(|s| matches!(s.reason, DecomposeError::StageNot1NF { .. })));
+                .any(|s| matches!(s.reason, SplitError::StageNot1NF { .. })));
         }
     }
 

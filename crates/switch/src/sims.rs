@@ -118,17 +118,12 @@ mod tests {
         let p = universal();
         let dst = p.catalog.lookup("ip_dst").unwrap();
         let port = p.catalog.lookup("tcp_dst").unwrap();
-        mapro_normalize::decompose(
-            &p,
-            "t0",
-            &[dst],
-            &[port],
-            &mapro_normalize::DecomposeOpts {
-                join: mapro_normalize::JoinKind::Goto,
-                ..Default::default()
-            },
-        )
-        .unwrap()
+        let fd = mapro_normalize::Split::Fd {
+            x: vec![dst],
+            y: vec![port],
+            join: mapro_normalize::JoinKind::Goto,
+        };
+        mapro_normalize::split(&p, "t0", &fd, &Default::default()).unwrap()
     }
 
     #[test]

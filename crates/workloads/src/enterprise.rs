@@ -131,7 +131,7 @@ impl Enterprise {
 mod tests {
     use super::*;
     use mapro_core::{assert_equivalent, Packet};
-    use mapro_normalize::{decompose, normalize, DecomposeOpts, NormalizeOpts};
+    use mapro_normalize::{normalize, split, JoinKind, NormalizeOpts, Split, SplitOpts};
 
     fn probe(e: &Enterprise, p: &Pipeline, svc: usize, src: u64) -> Option<String> {
         let (pub_ip, pub_port, _, _) = e.services[svc];
@@ -171,14 +171,12 @@ mod tests {
         // tcp_dst → set_port: a field-to-action dependency inside a stage
         // whose rewrites feed the following stage's matches.
         let e = Enterprise::random(8, 2, 3);
-        let q = decompose(
-            &e.pipeline,
-            "nat",
-            &[e.tcp_dst],
-            &[e.set_port],
-            &DecomposeOpts::default(),
-        )
-        .unwrap();
+        let fd = Split::Fd {
+            x: vec![e.tcp_dst],
+            y: vec![e.set_port],
+            join: JoinKind::Metadata,
+        };
+        let q = split(&e.pipeline, "nat", &fd, &SplitOpts::default()).unwrap();
         assert_eq!(q.tables.len(), 4);
         assert_equivalent(&e.pipeline, &q);
         // The port-rewrite table has one row per *service kind*, not per

@@ -11,7 +11,7 @@
 
 use mapro_control::{RuleUpdate, UpdatePlan};
 use mapro_core::{ActionSem, AttrId, Catalog, Pipeline, Table, Value};
-use mapro_normalize::{decompose, DecomposeError, DecomposeOpts, JoinKind};
+use mapro_normalize::{split, JoinKind, Split, SplitError, SplitOpts};
 use mapro_packet::{FlowSpec, TraceSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -248,19 +248,15 @@ impl Gwlb {
         fds
     }
 
-    /// Decompose along `ip_dst → tcp_dst` with the given join — Fig. 1b
+    /// Split along `ip_dst → tcp_dst` with the given join — Fig. 1b
     /// (goto), Fig. 1c (metadata) or Fig. 1d (rematch).
-    pub fn normalized(&self, join: JoinKind) -> Result<Pipeline, DecomposeError> {
-        decompose(
-            &self.universal,
-            "t0",
-            &[self.ip_dst],
-            &[self.tcp_dst],
-            &DecomposeOpts {
-                join,
-                ..Default::default()
-            },
-        )
+    pub fn normalized(&self, join: JoinKind) -> Result<Pipeline, SplitError> {
+        let fd = Split::Fd {
+            x: vec![self.ip_dst],
+            y: vec![self.tcp_dst],
+            join,
+        };
+        split(&self.universal, "t0", &fd, &SplitOpts::default())
     }
 
     /// §2 controllability: compile "move service `idx` to `new_port`"

@@ -114,7 +114,7 @@ mod tests {
     use mapro_core::assert_equivalent;
     use mapro_fd::NfLevel;
     use mapro_normalize::{
-        factor_constants, normalize, pipeline_level, FactorPlacement, NormalizeOpts,
+        normalize, pipeline_level, split, FactorPlacement, NormalizeOpts, Split, SplitOpts,
     };
 
     #[test]
@@ -139,13 +139,11 @@ mod tests {
     fn fig2c_cartesian_factoring() {
         let l3 = L3::fig2();
         // eth_type and mod_ttl are constant → factor them out first.
-        let factored = factor_constants(
-            &l3.universal,
-            "l3",
-            Some(&[l3.eth_type, l3.mod_ttl]),
-            FactorPlacement::Before,
-        )
-        .unwrap();
+        let constants = Split::Constant {
+            only: Some(vec![l3.eth_type, l3.mod_ttl]),
+            placement: FactorPlacement::Before,
+        };
+        let factored = split(&l3.universal, "l3", &constants, &SplitOpts::default()).unwrap();
         assert_eq!(factored.tables.len(), 2);
         assert_eq!(factored.tables[0].len(), 1);
         assert_equivalent(&l3.universal, &factored);

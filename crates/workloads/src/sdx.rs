@@ -95,7 +95,7 @@ mod tests {
     use super::*;
     use mapro_core::{assert_equivalent, check_equivalent, EquivConfig};
     use mapro_fd::join_dependency_holds;
-    use mapro_normalize::{chain_components_naive, decompose_jd};
+    use mapro_normalize::{chain_components_naive, split, Split, SplitOpts};
 
     #[test]
     fn split_is_a_join_dependency_not_an_fd() {
@@ -126,10 +126,15 @@ mod tests {
         assert!(!r.is_equivalent(), "naive SDX chain must misroute");
     }
 
+    fn tagged(s: &Sdx) -> Pipeline {
+        let jd = Split::Jd(s.components.clone());
+        split(&s.universal, "sdx", &jd, &SplitOpts::default()).unwrap()
+    }
+
     #[test]
     fn all_metadata_pipeline_is_correct() {
         let s = Sdx::fig5();
-        let tagged = decompose_jd(&s.universal, "sdx", &s.components).unwrap();
+        let tagged = tagged(&s);
         assert_eq!(tagged.tables.len(), 3);
         assert_equivalent(&s.universal, &tagged);
     }
@@ -137,7 +142,7 @@ mod tests {
     #[test]
     fn inbound_balancing_actually_balances() {
         let s = Sdx::fig5();
-        let tagged = decompose_jd(&s.universal, "sdx", &s.components).unwrap();
+        let tagged = tagged(&s);
         let p1 = mapro_packet::ipv4("203.0.113.0") as u64;
         for (src, want) in [(0u64, "c1"), (1u64 << 31, "c2")] {
             let pkt = mapro_core::Packet::from_fields(

@@ -45,7 +45,7 @@ impl Vlan {
 mod tests {
     use super::*;
     use mapro_fd::mine_fds;
-    use mapro_normalize::{decompose, DecomposeError, DecomposeOpts};
+    use mapro_normalize::{split, JoinKind, Split, SplitError, SplitOpts};
 
     #[test]
     fn out_determines_vlan_in_the_instance() {
@@ -60,39 +60,23 @@ mod tests {
     #[test]
     fn fig3_decomposition_refused_for_every_join() {
         let v = Vlan::fig3();
-        for join in [
-            mapro_normalize::JoinKind::Metadata,
-            mapro_normalize::JoinKind::Goto,
-        ] {
-            let err = decompose(
-                &v.universal,
-                "t0",
-                &[v.out],
-                &[v.vlan],
-                &DecomposeOpts {
-                    join,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
+        let out_vlan = |join| Split::Fd {
+            x: vec![v.out],
+            y: vec![v.vlan],
+            join,
+        };
+        for join in [JoinKind::Metadata, JoinKind::Goto] {
+            let err =
+                split(&v.universal, "t0", &out_vlan(join), &SplitOpts::default()).unwrap_err();
             assert!(
-                matches!(err, DecomposeError::StageNot1NF { .. }),
+                matches!(err, SplitError::StageNot1NF { .. }),
                 "{join}: {err:?}"
             );
         }
         // Rematch cannot even express an action-valued X.
-        let err = decompose(
-            &v.universal,
-            "t0",
-            &[v.out],
-            &[v.vlan],
-            &DecomposeOpts {
-                join: mapro_normalize::JoinKind::Rematch,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, DecomposeError::RematchNeedsFieldX);
+        let rematch = out_vlan(JoinKind::Rematch);
+        let err = split(&v.universal, "t0", &rematch, &SplitOpts::default()).unwrap_err();
+        assert_eq!(err, SplitError::RematchNeedsFieldX);
     }
 
     #[test]
@@ -101,17 +85,16 @@ mod tests {
         // packet: in_port=1, vlan=2 matches T1's first row (tag for out=1)
         // and then dies or misroutes in T2.
         let v = Vlan::fig3();
-        let broken = decompose(
-            &v.universal,
-            "t0",
-            &[v.out],
-            &[v.vlan],
-            &DecomposeOpts {
-                allow_non_1nf: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let fd = Split::Fd {
+            x: vec![v.out],
+            y: vec![v.vlan],
+            join: JoinKind::Metadata,
+        };
+        let opts = SplitOpts {
+            allow_non_1nf: true,
+            ..Default::default()
+        };
+        let broken = split(&v.universal, "t0", &fd, &opts).unwrap();
         let r = mapro_core::check_equivalent(
             &v.universal,
             &broken,

@@ -24,14 +24,12 @@ fn main() {
 
     // The NAT stage couples every same-kind service to the same private
     // port: tcp_dst → set_port. Decompose it in place.
-    let q = decompose(
-        &e.pipeline,
-        "nat",
-        &[e.tcp_dst],
-        &[e.set_port],
-        &DecomposeOpts::default(),
-    )
-    .expect("shape-B decomposition");
+    let fd = Split::Fd {
+        x: vec![e.tcp_dst],
+        y: vec![e.set_port],
+        join: JoinKind::Metadata,
+    };
+    let q = split(&e.pipeline, "nat", &fd, &SplitOpts::default()).expect("shape-B decomposition");
     println!(
         "\nAfter decomposing nat along tcp_dst → set_port ({} stages):",
         q.tables.len()

@@ -20,13 +20,11 @@ fn main() {
     print!("{}", display::render_pipeline(&l3.universal));
 
     // Step 1: Fig. 2c's Cartesian product — factor the constant columns.
-    let factored = factor_constants(
-        &l3.universal,
-        "l3",
-        Some(&[l3.eth_type, l3.mod_ttl]),
-        FactorPlacement::Before,
-    )
-    .unwrap();
+    let constants = Split::Constant {
+        only: Some(vec![l3.eth_type, l3.mod_ttl]),
+        placement: FactorPlacement::Before,
+    };
+    let factored = split(&l3.universal, "l3", &constants, &SplitOpts::default()).unwrap();
     println!("\nAfter factoring (eth_type | mod_ttl) — the × of Fig. 2c:");
     print!("{}", display::render_pipeline(&factored));
     assert_equivalent(&l3.universal, &factored);

@@ -11,7 +11,7 @@
 
 use mapro::core::display;
 use mapro::fd::join_dependency_holds;
-use mapro::normalize::{chain_components_naive, decompose_jd};
+use mapro::normalize::chain_components_naive;
 use mapro::prelude::*;
 
 fn main() {
@@ -50,7 +50,8 @@ fn main() {
     }
 
     // The `all`-metadata pipeline: correct by construction.
-    let tagged = decompose_jd(&sdx.universal, "sdx", &sdx.components).unwrap();
+    let jd = Split::Jd(sdx.components.clone());
+    let tagged = split(&sdx.universal, "sdx", &jd, &SplitOpts::default()).unwrap();
     println!("\n`all`-metadata pipeline (Fig. 5c):");
     print!("{}", display::render_pipeline(&tagged));
     assert_equivalent(&sdx.universal, &tagged);

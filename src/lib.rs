@@ -51,8 +51,8 @@ pub mod prelude {
     // enumerative engine in mapro-core.
     pub use mapro_fd::{analyze, mine_fds, NfLevel};
     pub use mapro_normalize::{
-        decompose, factor_constants, flatten, normalize, pipeline_level, DecomposeOpts,
-        FactorPlacement, JoinKind, NormalizeOpts,
+        flatten, normalize, pipeline_level, split, FactorPlacement, JoinKind, NormalizeOpts, Split,
+        SplitOpts,
     };
     pub use mapro_switch::{run_modeled, OvsSim, Switch, SwitchModel};
     pub use mapro_sym::{assert_equivalent, check_equivalent};

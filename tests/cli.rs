@@ -368,7 +368,7 @@ fn cli_rejects_malformed_programs() {
     assert_eq!(code, Some(0), "{err}");
 
     type Damage = fn(&mut Pipeline);
-    let cases: [(&str, &str, Damage); 4] = [
+    let cases: [(&str, &str, Damage); 5] = [
         ("short match row", "match cells", |p| {
             p.tables[0].entries[1].matches.pop();
         }),
@@ -380,6 +380,13 @@ fn cli_rejects_malformed_programs() {
         }),
         ("unknown goto target", "does not exist", |p| {
             p.tables[0].entries[0].actions[0] = Value::sym("nowhere");
+        }),
+        ("one attribute in two columns", "names two columns", |p| {
+            let t = &mut p.tables[1];
+            t.match_attrs.push(t.match_attrs[0]);
+            for e in &mut t.entries {
+                e.matches.push(e.matches[0].clone());
+            }
         }),
     ];
     for (name, expect, damage) in cases {

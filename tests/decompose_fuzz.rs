@@ -1,11 +1,12 @@
 //! Shape-machinery fuzzing: random tables with randomly *kinded* columns
 //! (match fields vs output/opaque/set-field actions), random planted
-//! dependencies, random join kinds. Whatever `decompose` accepts must be
+//! dependencies, random join kinds. Whatever `split` accepts must be
 //! semantically equivalent; whatever it refuses must be a structured
 //! error. This exercises shapes A–D and the Fig. 3 refusal far beyond the
-//! paper's hand-picked instances.
+//! paper's hand-picked instances, and hostile arguments (attributes that
+//! are not columns, overlapping or empty sides) on the MVD and JD paths.
 
-use mapro::normalize::DecomposeError;
+use mapro::normalize::{chain_components_naive, SplitError};
 use mapro::prelude::*;
 use proptest::prelude::*;
 
@@ -138,8 +139,8 @@ proptest! {
         let Some((p, ids)) = build(&spec) else { return Ok(()); };
         let x = vec![ids[spec.det]];
         let y = vec![ids[spec.dep]];
-        let opts = DecomposeOpts { join: spec.join, ..Default::default() };
-        match decompose(&p, "t", &x, &y, &opts) {
+        let fd = Split::Fd { x, y, join: spec.join };
+        match split(&p, "t", &fd, &SplitOpts::default()) {
             Ok(q) => {
                 // Anything accepted must preserve semantics.
                 match check_equivalent(&p, &q, &EquivConfig::default()).unwrap() {
@@ -150,14 +151,14 @@ proptest! {
                 }
             }
             Err(
-                DecomposeError::FdDoesNotHold { .. }
-                | DecomposeError::StageNot1NF { .. }
-                | DecomposeError::RematchNeedsFieldX
-                | DecomposeError::GotoNotInLastStage
-                | DecomposeError::SourceNot1NF
-                | DecomposeError::OrderSensitiveActionSplit { .. }
-                | DecomposeError::RewriteBeforeMatch { .. }
-                | DecomposeError::BadSides,
+                SplitError::FdDoesNotHold { .. }
+                | SplitError::StageNot1NF { .. }
+                | SplitError::RematchNeedsFieldX
+                | SplitError::GotoNotInLastStage
+                | SplitError::SourceNot1NF
+                | SplitError::OrderSensitiveActionSplit { .. }
+                | SplitError::RewriteBeforeMatch { .. }
+                | SplitError::BadSides,
             ) => {}
             Err(e) => prop_assert!(false, "unexpected error {e:?} for {spec:?}"),
         }
@@ -188,8 +189,8 @@ proptest! {
         // table (dedup can only remove rows, never break an FD).
         let x = vec![ids[spec.det]];
         let y = vec![ids[spec.dep]];
-        let opts = DecomposeOpts { join: spec.join, ..Default::default() };
-        let q = decompose(&p, "t", &x, &y, &opts);
+        let fd = Split::Fd { x, y, join: spec.join };
+        let q = split(&p, "t", &fd, &SplitOpts::default());
         prop_assert!(q.is_ok(), "refused field→field FD: {:?} ({spec:?})", q.err());
         assert_equivalent(&p, &q.unwrap());
     }
@@ -199,10 +200,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The join-dependency decomposition under the same fuzz: any accepted
-    /// split must be equivalent; refusals must be structured.
+    /// split must be equivalent; refusals must be structured. One case in
+    /// four names a catalog attribute that is not a column of the table,
+    /// which the tagged and the naive chain must both refuse.
     #[test]
-    fn decompose_jd_sound_or_refuses(spec in arb_spec(), cut in 1usize..4) {
-        use mapro::normalize::{decompose_jd, JdError};
+    fn decompose_jd_sound_or_refuses(spec in arb_spec(), cut in 1usize..4, hostile in 0usize..4) {
         let Some((p, ids)) = build(&spec) else { return Ok(()); };
         let n = ids.len();
         let cut = cut.min(n - 1);
@@ -214,7 +216,16 @@ proptest! {
         if a.is_empty() {
             a.push(ids[0]);
         }
-        match decompose_jd(&p, "t", &[a.clone(), b.clone()]) {
+        if hostile == 0 {
+            let stranger = p.catalog.lookup("t0").expect("set-field target");
+            a.push(stranger);
+            let comps = [a.clone(), b.clone()];
+            let want = Err(SplitError::AttrNotInTable(stranger));
+            prop_assert_eq!(split(&p, "t", &Split::Jd(comps.to_vec()), &SplitOpts::default()), want.clone());
+            prop_assert_eq!(chain_components_naive(&p, "t", &comps), want);
+            return Ok(());
+        }
+        match split(&p, "t", &Split::Jd(vec![a.clone(), b.clone()]), &SplitOpts::default()) {
             Ok(q) => match check_equivalent(&p, &q, &EquivConfig::default()).unwrap() {
                 EquivOutcome::Equivalent { .. } => {}
                 EquivOutcome::Counterexample(cx) => {
@@ -226,25 +237,34 @@ proptest! {
                 }
             },
             Err(
-                JdError::JoinDependencyDoesNotHold
-                | JdError::StageNot1NF { .. }
-                | JdError::SourceNot1NF
-                | JdError::ComponentsDontCover,
+                SplitError::JoinDependencyDoesNotHold
+                | SplitError::StageNot1NF { .. }
+                | SplitError::OrderSensitiveActionSplit { .. }
+                | SplitError::RewriteBeforeMatch { .. }
+                | SplitError::SourceNot1NF
+                | SplitError::ComponentsDontCover,
             ) => {}
             Err(e) => prop_assert!(false, "unexpected JD error {e:?}"),
         }
     }
 
-    /// Same for the MVD binary split.
+    /// Same for the MVD binary split. One case in four overlaps `X` and
+    /// `Y`, one leaves `Y` empty: both are bad sides.
     #[test]
-    fn decompose_mvd_sound_or_refuses(spec in arb_spec()) {
-        use mapro::normalize::{decompose_mvd, JdError};
+    fn decompose_mvd_sound_or_refuses(spec in arb_spec(), hostile in 0usize..4) {
         prop_assume!(spec.det != spec.dep);
         prop_assume!(spec.kinds[spec.det] == ColKind::Field);
         let Some((p, ids)) = build(&spec) else { return Ok(()); };
         let x = vec![ids[spec.det]];
-        let y = vec![ids[spec.dep]];
-        match decompose_mvd(&p, "t", &x, &y) {
+        let y = match hostile {
+            0 => vec![ids[spec.det], ids[spec.dep]],
+            1 => vec![],
+            _ => vec![ids[spec.dep]],
+        };
+        let bad_sides = hostile < 2;
+        match split(&p, "t", &Split::Mvd { x, y }, &SplitOpts::default()) {
+            Err(SplitError::BadSides) if bad_sides => {}
+            _ if bad_sides => prop_assert!(false, "hostile sides accepted ({spec:?})"),
             Ok(q) => match check_equivalent(&p, &q, &EquivConfig::default()).unwrap() {
                 EquivOutcome::Equivalent { .. } => {}
                 EquivOutcome::Counterexample(cx) => {
@@ -252,10 +272,11 @@ proptest! {
                 }
             },
             Err(
-                JdError::JoinDependencyDoesNotHold
-                | JdError::StageNot1NF { .. }
-                | JdError::SourceNot1NF
-                | JdError::ComponentsDontCover,
+                SplitError::JoinDependencyDoesNotHold
+                | SplitError::StageNot1NF { .. }
+                | SplitError::OrderSensitiveActionSplit { .. }
+                | SplitError::RewriteBeforeMatch { .. }
+                | SplitError::SourceNot1NF,
             ) => {}
             Err(e) => prop_assert!(false, "unexpected MVD error {e:?}"),
         }

@@ -22,14 +22,12 @@ fn fig2b_decomposition_reproduces_group_tables() {
     let l3 = L3::fig2();
     // Decompose along mod_dmac → (mod_ttl, mod_smac, out): the second
     // stage is the OpenFlow group-table / neighbor-table abstraction (§3).
-    let p = decompose(
-        &l3.universal,
-        "l3",
-        &[l3.mod_dmac],
-        &[l3.mod_ttl, l3.mod_smac, l3.out],
-        &DecomposeOpts::default(),
-    )
-    .unwrap();
+    let fd = Split::Fd {
+        x: vec![l3.mod_dmac],
+        y: vec![l3.mod_ttl, l3.mod_smac, l3.out],
+        join: JoinKind::Metadata,
+    };
+    let p = split(&l3.universal, "l3", &fd, &SplitOpts::default()).unwrap();
     assert_eq!(p.tables.len(), 2);
     // Three distinct next-hops → three group entries.
     assert_eq!(p.tables[1].len(), 3);
@@ -37,16 +35,19 @@ fn fig2b_decomposition_reproduces_group_tables() {
     assert_equivalent(&l3.universal, &p);
 }
 
+/// Fig. 2c's Cartesian factor of the constant columns `only`.
+fn constants(l3: &L3, only: &[AttrId], placement: FactorPlacement) -> Pipeline {
+    let how = Split::Constant {
+        only: Some(only.to_vec()),
+        placement,
+    };
+    split(&l3.universal, "l3", &how, &SplitOpts::default()).unwrap()
+}
+
 #[test]
 fn fig2c_full_3nf_chain() {
     let l3 = L3::fig2();
-    let factored = factor_constants(
-        &l3.universal,
-        "l3",
-        Some(&[l3.eth_type, l3.mod_ttl]),
-        FactorPlacement::Before,
-    )
-    .unwrap();
+    let factored = constants(&l3, &[l3.eth_type, l3.mod_ttl], FactorPlacement::Before);
     let n = normalize(&factored, &NormalizeOpts::default());
     assert!(n.complete(), "skipped: {:?}", n.skipped);
     assert!(pipeline_level(&n.pipeline) >= NfLevel::Third);
@@ -61,20 +62,8 @@ fn cartesian_product_commutes() {
     // anywhere in between". Constant actions may trail; constant matches
     // must lead (and the library enforces that soundness condition).
     let l3 = L3::fig2();
-    let leading = factor_constants(
-        &l3.universal,
-        "l3",
-        Some(&[l3.eth_type, l3.mod_ttl]),
-        FactorPlacement::Before,
-    )
-    .unwrap();
-    let trailing = factor_constants(
-        &l3.universal,
-        "l3",
-        Some(&[l3.mod_ttl]),
-        FactorPlacement::After,
-    )
-    .unwrap();
+    let leading = constants(&l3, &[l3.eth_type, l3.mod_ttl], FactorPlacement::Before);
+    let trailing = constants(&l3, &[l3.mod_ttl], FactorPlacement::After);
     assert_equivalent(&l3.universal, &leading);
     assert_equivalent(&l3.universal, &trailing);
     assert_equivalent(&leading, &trailing);

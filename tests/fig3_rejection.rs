@@ -1,21 +1,23 @@
 //! E3 — Fig. 3: action-to-match dependencies do not decompose.
 
-use mapro::normalize::DecomposeError;
+use mapro::normalize::SplitError;
 use mapro::prelude::*;
+
+/// Fig. 3's dependency `out → vlan`, as a split under the metadata join.
+fn out_to_vlan(v: &Vlan) -> Split {
+    Split::Fd {
+        x: vec![v.out],
+        y: vec![v.vlan],
+        join: JoinKind::Metadata,
+    }
+}
 
 #[test]
 fn out_to_vlan_decomposition_rejected_with_fig3_diagnosis() {
     let v = Vlan::fig3();
-    let err = decompose(
-        &v.universal,
-        "t0",
-        &[v.out],
-        &[v.vlan],
-        &DecomposeOpts::default(),
-    )
-    .unwrap_err();
+    let err = split(&v.universal, "t0", &out_to_vlan(&v), &SplitOpts::default()).unwrap_err();
     match err {
-        DecomposeError::StageNot1NF { stage, rows } => {
+        SplitError::StageNot1NF { stage, rows } => {
             assert_eq!(stage, "t0");
             // The two in_port = 1 rows are the colliding pair.
             assert_eq!(rows, (0, 1));
@@ -27,17 +29,11 @@ fn out_to_vlan_decomposition_rejected_with_fig3_diagnosis() {
 #[test]
 fn forced_fig3b_pipeline_is_demonstrably_wrong() {
     let v = Vlan::fig3();
-    let broken = decompose(
-        &v.universal,
-        "t0",
-        &[v.out],
-        &[v.vlan],
-        &DecomposeOpts {
-            allow_non_1nf: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let opts = SplitOpts {
+        allow_non_1nf: true,
+        ..Default::default()
+    };
+    let broken = split(&v.universal, "t0", &out_to_vlan(&v), &opts).unwrap();
     let r = check_equivalent(&v.universal, &broken, &EquivConfig::default()).unwrap();
     assert!(!r.is_equivalent());
 }
@@ -48,14 +44,12 @@ fn match_to_action_direction_on_same_table_works() {
     // match-to-action shape and decomposes fine (B-shape), showing the
     // asymmetry §4 describes.
     let v = Vlan::fig3();
-    let p = decompose(
-        &v.universal,
-        "t0",
-        &[v.in_port, v.vlan],
-        &[v.out],
-        &DecomposeOpts::default(),
-    )
-    .unwrap();
+    let fd = Split::Fd {
+        x: vec![v.in_port, v.vlan],
+        y: vec![v.out],
+        join: JoinKind::Metadata,
+    };
+    let p = split(&v.universal, "t0", &fd, &SplitOpts::default()).unwrap();
     assert_equivalent(&v.universal, &p);
 }
 
@@ -69,7 +63,7 @@ fn normalizer_leaves_fig3_intact_but_equivalent() {
     for s in &n.skipped {
         assert!(matches!(
             s.reason,
-            DecomposeError::StageNot1NF { .. } | DecomposeError::RematchNeedsFieldX
+            SplitError::StageNot1NF { .. } | SplitError::RematchNeedsFieldX
         ));
     }
 }

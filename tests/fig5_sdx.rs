@@ -1,7 +1,7 @@
 //! E10 — Fig. 5 / appendix: decomposition beyond 3NF.
 
 use mapro::fd::{join_dependency_holds, mine_fds, Fd};
-use mapro::normalize::{chain_components_naive, decompose_jd};
+use mapro::normalize::{chain_components_naive, SplitError};
 use mapro::prelude::*;
 
 #[test]
@@ -50,10 +50,15 @@ fn naive_chain_order_dependent_and_misroutes() {
     }
 }
 
+fn jd(s: &Sdx, components: &[Vec<mapro::core::AttrId>]) -> Result<Pipeline, SplitError> {
+    let how = Split::Jd(components.to_vec());
+    split(&s.universal, "sdx", &how, &SplitOpts::default())
+}
+
 #[test]
 fn all_metadata_pipeline_correct_and_deferred_actions_fire_late() {
     let s = Sdx::fig5();
-    let tagged = decompose_jd(&s.universal, "sdx", &s.components).unwrap();
+    let tagged = jd(&s, &s.components).unwrap();
     assert_eq!(tagged.tables.len(), 3);
     assert_equivalent(&s.universal, &tagged);
     // `member` is not determined by the announcement stage alone (dst = P1
@@ -68,7 +73,7 @@ fn all_metadata_pipeline_correct_and_deferred_actions_fire_late() {
 #[test]
 fn tagged_pipeline_balances_both_members() {
     let s = Sdx::fig5();
-    let tagged = decompose_jd(&s.universal, "sdx", &s.components).unwrap();
+    let tagged = jd(&s, &s.components).unwrap();
     let p1 = mapro::packet::ipv4("203.0.113.0") as u64;
     let p2 = mapro::packet::ipv4("198.51.100.0") as u64;
     let cases = [
@@ -95,11 +100,7 @@ fn tagged_pipeline_balances_both_members() {
 
 #[test]
 fn lossy_splits_are_refused() {
-    use mapro::normalize::JdError;
     let s = Sdx::fig5();
     let bad = vec![vec![s.ip_dst, s.member], vec![s.tcp_dst, s.ip_src, s.fwd]];
-    assert_eq!(
-        decompose_jd(&s.universal, "sdx", &bad),
-        Err(JdError::JoinDependencyDoesNotHold)
-    );
+    assert_eq!(jd(&s, &bad), Err(SplitError::JoinDependencyDoesNotHold));
 }
