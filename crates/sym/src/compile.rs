@@ -96,7 +96,7 @@ impl Default for SymConfig {
     fn default() -> Self {
         SymConfig {
             max_atoms: 1 << 20,
-            max_nodes: mapro_dd::Mgr::DEFAULT_MAX_NODES,
+            max_nodes: crate::dd::Mgr::DEFAULT_MAX_NODES,
         }
     }
 }

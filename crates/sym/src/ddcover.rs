@@ -1,7 +1,7 @@
 //! Compiling a pipeline to one hash-consed MTBDD over header bits.
 //!
 //! A pipeline is executed symbolically (the walk state and action
-//! semantics of [`crate::compile`]) into a single `mapro-dd` MTBDD mapping
+//! semantics of [`crate::compile`]) into a single [`crate::dd`] MTBDD mapping
 //! every point of the joint header space to an interned behavior id:
 //!
 //! * a table entry row becomes a conjunction of bit literals
@@ -40,8 +40,8 @@ use crate::compile::{
     Unsupported,
 };
 use crate::cube::Cube;
+use crate::dd::{Mgr, NodeRef, Overflow};
 use mapro_core::{AttrId, MissPolicy, Pipeline};
-use mapro_dd::{Mgr, NodeRef, Overflow};
 use std::collections::HashMap;
 
 impl From<Overflow> for Unsupported {

@@ -68,9 +68,9 @@
 use crate::check::{catalog_guard, concretize};
 use crate::compile::{FieldSpace, SymConfig, Unsupported};
 use crate::cube::{Cube, Tern};
+use crate::dd::NodeRef;
 use crate::ddcover::{match_rows, DdEngine};
 use mapro_core::{Catalog, Counterexample, EquivError, Pipeline, Reach, Table, Value};
-use mapro_dd::NodeRef;
 
 /// Which pipelines of the session an update edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,7 +356,7 @@ impl IncrementalChecker {
     /// What the session's decision-diagram manager has done since the last
     /// from-scratch build; the `dd.*` counters hold all of it whenever a
     /// call into the session has returned.
-    pub fn dd_stats(&self) -> mapro_dd::Stats {
+    pub fn dd_stats(&self) -> crate::dd::Stats {
         self.eng.mgr.stats()
     }
 

@@ -8,8 +8,8 @@
 //! of the joint header space to the one observable behavior all its
 //! packets share, and two pipelines are equivalent iff their covers are.
 //!
-//! A cover is one hash-consed MTBDD per pipeline ([`ddcover`], on
-//! `mapro-dd`) in a shared manager: equivalence is root equality, a
+//! A cover is one hash-consed MTBDD per pipeline ([`ddcover`], on the
+//! decision diagrams of [`dd`]) in a shared manager: equivalence is root equality, a
 //! witness is a `first_diff` path ([`check`]), and an [`incremental`]
 //! session keeps the two roots alive across flow-mods, recompiling only
 //! the region (and visiting only the rows) an update can touch.
@@ -31,6 +31,7 @@
 pub mod check;
 pub mod compile;
 pub mod cube;
+pub mod dd;
 pub mod ddcover;
 pub mod incremental;
 
