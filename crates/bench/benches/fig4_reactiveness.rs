@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mapro_bench::{fig4, BenchConfig};
-use mapro_control::apply_plan;
+use mapro_core::apply_plan;
 use mapro_normalize::JoinKind;
 use mapro_workloads::Gwlb;
 

@@ -9,7 +9,7 @@
 //! `dd.nodes` / `dd.gc.collected` counters, so nothing else in this process
 //! may build diagrams while a session is being measured.
 
-use mapro_control::{apply_plan_silent, plan_delta_rows, RuleUpdate, UpdatePlan};
+use mapro_core::{apply_plan_silent, plan_delta_rows, RuleUpdate, UpdatePlan};
 use mapro_core::{EquivOutcome, Pipeline, Value};
 use mapro_normalize::JoinKind;
 use mapro_sym::{check_symbolic, IncrementalChecker, Side, SymConfig};

@@ -14,142 +14,10 @@
 //! backoffs, so convergence times are reproducible numbers, not
 //! wall-clock noise.
 
-use crate::updates::RuleUpdate;
-use mapro_core::Pipeline;
+use mapro_core::{Ack, Endpoint, FlowMod};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-
-/// Transaction id tagging a flow-mod; the unit of idempotence.
-///
-/// Transaction ids are scoped *per epoch*: a new controller generation
-/// may reuse ids, because the switch dedups on `(epoch, txn)` and the
-/// controller matches acks on both fields.
-pub type TxnId = u64;
-
-/// Identifier of a two-phase update bundle.
-pub type BundleId = u64;
-
-/// A controller generation. Each successor takes a higher epoch than its
-/// predecessor ([`Controller::recover`](crate::Controller::recover)); the
-/// switch remembers the highest epoch it has seen and fences everything
-/// older, so a deposed controller's stragglers can never clobber its
-/// successor's writes.
-pub type Epoch = u64;
-
-/// What a control message asks the switch to do.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowModOp {
-    /// Apply one flow-mod immediately.
-    Apply(RuleUpdate),
-    /// Stage a multi-update bundle (validated, not yet applied).
-    Prepare {
-        /// Bundle being staged.
-        bundle: BundleId,
-        /// The flow-mods of the bundle, in application order.
-        updates: Vec<RuleUpdate>,
-    },
-    /// Atomically apply a staged bundle.
-    Commit {
-        /// Bundle to apply.
-        bundle: BundleId,
-    },
-    /// Discard a staged bundle.
-    Rollback {
-        /// Bundle to discard.
-        bundle: BundleId,
-    },
-    /// Read back the switch's authoritative pipeline (reconciliation).
-    ReadState,
-}
-
-impl FlowModOp {
-    /// Flow-mods this message carries — the management-CPU work a
-    /// (re)delivery costs the switch, whether or not it takes effect.
-    pub fn mods_carried(&self) -> usize {
-        match self {
-            FlowModOp::Apply(_) | FlowModOp::Commit { .. } | FlowModOp::Rollback { .. } => 1,
-            FlowModOp::Prepare { updates, .. } => updates.len(),
-            FlowModOp::ReadState => 0,
-        }
-    }
-}
-
-/// A control message: controller generation, transaction id, operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowMod {
-    /// Idempotence tag; retransmissions reuse the id.
-    pub txn: TxnId,
-    /// Generation of the controller that sent this message. The switch
-    /// rejects epochs below the highest it has seen ([`AckError::StaleEpoch`]).
-    pub epoch: Epoch,
-    /// The requested operation.
-    pub op: FlowModOp,
-}
-
-/// Successful ack payloads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AckOk {
-    /// The operation took effect (or was already applied — dedup).
-    Done,
-    /// Response to [`FlowModOp::ReadState`].
-    State(Box<Pipeline>),
-}
-
-/// Negative ack payloads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AckError {
-    /// Commit/rollback named a bundle the switch does not hold (e.g. a
-    /// restart wiped the staging area).
-    BundleUnknown,
-    /// The message's epoch is below the highest the switch has seen: the
-    /// sender was deposed by a newer controller generation. Nothing was
-    /// logged or applied — the fence precedes even the dedup log.
-    StaleEpoch {
-        /// The epoch the switch is currently fenced to.
-        current: Epoch,
-    },
-    /// The operation was refused; the state is unchanged.
-    Rejected(String),
-}
-
-/// The switch's reply to one [`FlowMod`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ack {
-    /// Transaction this ack answers.
-    pub txn: TxnId,
-    /// Epoch echoed from the answered message, so a controller never
-    /// mistakes a predecessor's straggler ack (same txn id, older epoch)
-    /// for its own.
-    pub epoch: Epoch,
-    /// Outcome.
-    pub result: Result<AckOk, AckError>,
-}
-
-/// The switch side of the channel. `mapro-switch`'s `LiveSwitch`
-/// implements this; tests may substitute in-memory fakes.
-pub trait Endpoint {
-    /// Process one delivered message and produce its ack. Must be
-    /// idempotent per [`TxnId`] (redelivery returns the recorded ack).
-    fn deliver(&mut self, msg: &FlowMod) -> Ack;
-    /// Power-cycle: volatile state (uncommitted updates, staged bundles,
-    /// the txn dedup log) is lost; the datapath reverts to the last
-    /// committed state.
-    fn restart(&mut self);
-}
-
-/// A switch shared by several control channels (one per controller in a
-/// multi-controller deployment): each channel holds a handle to the same
-/// underlying endpoint, so their deliveries interleave at one switch the
-/// way N controllers' connections terminate at one device.
-impl<E: Endpoint> Endpoint for std::rc::Rc<std::cell::RefCell<E>> {
-    fn deliver(&mut self, msg: &FlowMod) -> Ack {
-        self.borrow_mut().deliver(msg)
-    }
-    fn restart(&mut self) {
-        self.borrow_mut().restart()
-    }
-}
 
 /// Fault configuration for a [`FaultyChannel`]. All probabilities are
 /// per-message and apply independently to flow-mods and acks.
@@ -389,6 +257,7 @@ impl<E: Endpoint> FaultyChannel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapro_core::{AckOk, FlowModOp, RuleUpdate, TxnId};
 
     /// Endpoint recording delivered txns; acks everything.
     struct Recorder {

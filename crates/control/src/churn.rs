@@ -1,7 +1,7 @@
 //! Churn streams: Poisson arrivals of control-plane intents (Fig. 4's
 //! "atomically updating a random service port 100 times per second").
 
-use crate::updates::UpdatePlan;
+use mapro_core::UpdatePlan;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,7 +81,7 @@ pub fn summarize(events: &[ChurnEvent], duration_sec: f64) -> ChurnSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::updates::RuleUpdate;
+    use mapro_core::RuleUpdate;
     use mapro_core::Value;
 
     fn plan(n: usize) -> UpdatePlan {

@@ -7,8 +7,7 @@
 //! violating intermediate states is the consistency-exposure metric —
 //! zero for single-update plans (the normalized representation's virtue).
 
-use crate::updates::{apply_prefix, ApplyError, UpdatePlan};
-use mapro_core::Pipeline;
+use mapro_core::{apply_prefix, ApplyError, Pipeline, UpdatePlan};
 
 /// An invariant over data-plane state: `Err(reason)` when violated.
 pub type Invariant<'a> = &'a dyn Fn(&Pipeline) -> Result<(), String>;
@@ -56,7 +55,7 @@ pub fn exposure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::updates::RuleUpdate;
+    use mapro_core::RuleUpdate;
     use mapro_core::{ActionSem, Catalog, Table, Value};
 
     /// Two-entry service table; invariant: the service must be reachable on

@@ -31,11 +31,12 @@
 //!   circuit breaker stops per-txn retry storms after K consecutive
 //!   timeouts, deferring to bulk read-diff-repair instead.
 
-use crate::channel::{
-    Ack, AckError, AckOk, BundleId, Endpoint, Epoch, FaultyChannel, FlowMod, FlowModOp, TxnId,
-};
-use crate::updates::{self, ApplyError, RuleUpdate, UpdatePlan};
+use crate::channel::FaultyChannel;
 use crate::wal::{ReplayError, SharedWal, Wal, WalRecord};
+use mapro_core::update::{
+    self, Ack, AckError, AckOk, ApplyError, BundleId, Endpoint, Epoch, FlowMod, FlowModOp,
+    RuleUpdate, TxnId, UpdatePlan,
+};
 use mapro_core::{EquivConfig, EquivOutcome, Pipeline, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -510,7 +511,7 @@ impl Controller {
         let Some(v) = self.verifier.as_mut() else {
             return;
         };
-        let replay = |shadow: &mut Pipeline| updates::apply_plan_silent(shadow, plan);
+        let replay = |shadow: &mut Pipeline| update::apply_plan_silent(shadow, plan);
         match v.update(mapro_sym::Side::Left, rows, self.epoch, txn, replay) {
             Ok(token) => {
                 self.stats.proofs += 1;
@@ -721,7 +722,7 @@ impl Controller {
         // Adopt in place: `apply_plan` is all-or-nothing, so an invalid
         // plan leaves the intended state as it was.
         let adopt = mapro_obs::time!("control.plan.adopt_ns");
-        updates::apply_plan(&mut self.intended, plan).map_err(DriverError::PlanInvalid)?;
+        update::apply_plan(&mut self.intended, plan).map_err(DriverError::PlanInvalid)?;
         // The update's footprint rows, computed once (they read only the
         // schema, which entry edits never change): the verifier's dirty
         // region and (in the switch) megaflow invalidation both key off
@@ -729,7 +730,7 @@ impl Controller {
         let delta = self
             .verifier
             .is_some()
-            .then(|| updates::plan_delta_rows(&self.intended, plan));
+            .then(|| update::plan_delta_rows(&self.intended, plan));
         drop(adopt);
         // Intent admitted: log it before anything reaches the wire. From
         // here on the plan survives this controller.
@@ -747,7 +748,7 @@ impl Controller {
             // `record_proof` once delivery is acknowledged. A verifier
             // error degrades, never blocks.
             let _t = mapro_obs::time!("control.plan.proof_intended_ns");
-            let replay = |intended: &mut Pipeline| updates::apply_plan_silent(intended, plan);
+            let replay = |intended: &mut Pipeline| update::apply_plan_silent(intended, plan);
             if v.update(mapro_sym::Side::Right, rows, self.epoch, txn_base, replay)
                 .is_err()
             {
@@ -1192,7 +1193,7 @@ mod tests {
             let result = match &msg.op {
                 FlowModOp::Apply(u) => {
                     self.applies += 1;
-                    updates::apply_update(&mut self.pipeline, u)
+                    update::apply_update(&mut self.pipeline, u)
                         .map(|_| AckOk::Done)
                         .map_err(|e| AckError::Rejected(e.to_string()))
                 }
@@ -1209,7 +1210,7 @@ mod tests {
                         let mut next = self.pipeline.clone();
                         match us
                             .iter()
-                            .try_for_each(|u| updates::apply_update(&mut next, u).map(drop))
+                            .try_for_each(|u| update::apply_update(&mut next, u).map(drop))
                         {
                             Ok(()) => {
                                 self.pipeline = next.clone();
@@ -1701,7 +1702,7 @@ mod tests {
         ));
         // Applying the repairs restores the intended pipeline exactly.
         for u in &repairs {
-            updates::apply_update(&mut actual, u).unwrap();
+            update::apply_update(&mut actual, u).unwrap();
         }
         assert_eq!(actual, p);
     }
@@ -1715,7 +1716,7 @@ mod tests {
         assert_eq!(repairs.len(), 1);
         assert!(matches!(&repairs[0], RuleUpdate::Insert { .. }));
         for u in &repairs {
-            updates::apply_update(&mut actual, u).unwrap();
+            update::apply_update(&mut actual, u).unwrap();
         }
         assert_eq!(actual, p);
     }

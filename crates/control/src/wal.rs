@@ -16,8 +16,7 @@
 //! virtual-clock channel models a real transport: deterministic, seeded,
 //! and replayable byte-for-byte.
 
-use crate::channel::{Epoch, TxnId};
-use crate::updates::{self, ApplyError, UpdatePlan};
+use mapro_core::update::{self, ApplyError, Epoch, TxnId, UpdatePlan};
 use mapro_core::Pipeline;
 use std::cell::RefCell;
 use std::fmt;
@@ -181,7 +180,7 @@ impl Wal {
                     // a failure here means the log is corrupt, and is
                     // reported: recovering to a silently-wrong pipeline
                     // would be worse than not recovering.
-                    updates::apply_plan(&mut intended, plan)
+                    update::apply_plan(&mut intended, plan)
                         .map_err(|error| ReplayError { record: i, error })?;
                     in_doubt.push(*txn);
                     // Leave slack for the bundle txns a plan spends.
@@ -210,7 +209,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::updates::RuleUpdate;
+    use mapro_core::RuleUpdate;
     use mapro_core::{ActionSem, Catalog, Entry, Table, Value};
 
     fn pipeline() -> Pipeline {
@@ -239,7 +238,7 @@ mod tests {
         let mut want = p.clone();
         for k in 0..5u64 {
             let plan = insert_plan(k);
-            updates::apply_plan(&mut want, &plan).unwrap();
+            update::apply_plan(&mut want, &plan).unwrap();
             wal.append(WalRecord::Begin {
                 txn: 10 + k,
                 epoch: 1,

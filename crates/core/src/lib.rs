@@ -19,6 +19,10 @@
 //!   counterpart of the paper's Theorem 1.
 //! * **Size accounting** ([`size`]) — the §2 "number of match-action fields"
 //!   redundancy metric and TCAM-bit estimates.
+//! * **Updates** ([`update`]) — flow-mods ([`RuleUpdate`]), update plans
+//!   (the §2 controllability metric) applied in place with an [`Undo`]
+//!   record, and the [`FlowMod`]/[`Ack`]/[`Endpoint`] protocol that carries
+//!   them from a controller to a switch.
 //!
 //! Higher layers build on this: `mapro-fd` (dependency theory), and
 //! `mapro-normalize` (the 1NF/2NF/3NF transformation engine).
@@ -35,6 +39,7 @@ pub mod pipeline;
 pub mod size;
 pub mod table;
 pub mod text;
+pub mod update;
 pub mod value;
 
 pub use attr::{ActionSem, AttrId, AttrKind, Attribute, Catalog};
@@ -47,4 +52,9 @@ pub use pipeline::{EvalError, InvalidProgram, Packet, Pipeline, Reach, Verdict};
 pub use size::{SizeReport, TableSize};
 pub use table::{Entry, MissPolicy, Overlap, Table};
 pub use text::{format_program, parse_program};
+pub use update::{
+    apply_plan, apply_plan_silent, apply_prefix, apply_update, apply_update_silent, delta_rows,
+    plan_delta_rows, undo, Ack, AckError, AckOk, ApplyError, BundleId, Endpoint, Epoch, FlowMod,
+    FlowModOp, RowEdit, RuleUpdate, TxnId, Undo, UpdatePlan,
+};
 pub use value::Value;

@@ -97,12 +97,15 @@ pub fn churn_sweep(
 /// line-rate packet slots with control-channel stall intervals on a
 /// simulated timeline and count the packets actually forwarded.
 ///
-/// `events` are `(arrival_sec, flowmods, atomic)` tuples (e.g. from
-/// `mapro-control`'s Poisson stream summarized per intent). Stalls are
-/// serialized through the management CPU: an update arriving while a
-/// previous one is still being applied queues behind it, exactly like a
-/// hardware switch's flow-mod queue — which is why measured throughput
-/// can dip *below* the analytic duty-cycle estimate near saturation.
+/// `events` are `(arrival_sec, flowmods, atomic)` tuples, one per intent:
+/// when it arrives (e.g. the `at_sec` of each event of `mapro-control`'s
+/// `poisson_stream`), how many flow-mods it carries, and whether they go
+/// as one bundle (which adds `bundle_ns` when there are two or more).
+/// Stalls are serialized through the management CPU: an update arriving
+/// while a previous one is still being applied queues behind it, exactly
+/// like a hardware switch's flow-mod queue — which is why measured
+/// throughput can dip *below* the analytic duty-cycle estimate near
+/// saturation.
 pub fn simulate_churn_timeline(
     line_mpps: f64,
     duration_sec: f64,

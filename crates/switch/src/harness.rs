@@ -216,7 +216,7 @@ pub fn run_with_updates(
     sw: &mut crate::LiveSwitch,
     trace: &Trace,
     pps: f64,
-    plans: &[(f64, mapro_control::UpdatePlan)],
+    plans: &[(f64, mapro_core::UpdatePlan)],
 ) -> Result<ClosedLoopReport, crate::UpdateError> {
     assert!(!trace.is_empty() && pps > 0.0);
     assert!(
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn closed_loop_updates_take_effect_at_their_time() {
-        use mapro_control::{RuleUpdate, UpdatePlan};
+        use mapro_core::{RuleUpdate, UpdatePlan};
         // One flow; halfway through the trace its output is rewired.
         let mut c = Catalog::new();
         let f = c.field("f", 8);

@@ -28,11 +28,10 @@
 use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
 use crate::cost::ModelSpec;
 use crate::Switch;
-use mapro_control::{
-    Ack, AckError, AckOk, ApplyError, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, RuleUpdate,
-    TxnId, Undo, UpdatePlan,
+use mapro_core::{
+    Ack, AckError, AckOk, ApplyError, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, Packet,
+    Pipeline, RuleUpdate, TxnId, Undo, UpdatePlan,
 };
-use mapro_core::{Packet, Pipeline};
 use std::collections::HashMap;
 
 /// A switch whose rules can change while traffic flows.
@@ -181,7 +180,7 @@ impl LiveSwitch {
     /// stays: the switch really did the work before aborting.
     fn roll_back(&mut self, applied: &[RuleUpdate], records: Vec<Undo>) {
         for record in records.into_iter().rev() {
-            mapro_control::undo(&mut self.pipeline, record);
+            mapro_core::undo(&mut self.pipeline, record);
         }
         let mut done: Vec<&str> = Vec::new();
         for u in applied {
@@ -212,7 +211,7 @@ impl LiveSwitch {
         match &mut self.since_commit {
             Some(log) => {
                 for u in log.iter().chain(plan) {
-                    mapro_control::apply_update_silent(&mut self.committed, u)
+                    mapro_core::apply_update_silent(&mut self.committed, u)
                         .expect("replays a flow-mod that applied to this very state");
                 }
                 log.clear();
@@ -284,11 +283,11 @@ impl Endpoint for LiveSwitch {
                 // commit).
                 let mut records = Vec::with_capacity(updates.len());
                 let applied = updates.iter().try_for_each(|u| -> Result<(), ApplyError> {
-                    records.push(mapro_control::apply_update(&mut self.pipeline, u)?);
+                    records.push(mapro_core::apply_update(&mut self.pipeline, u)?);
                     Ok(())
                 });
                 for record in records.into_iter().rev() {
-                    mapro_control::undo(&mut self.pipeline, record);
+                    mapro_core::undo(&mut self.pipeline, record);
                 }
                 match applied {
                     Ok(()) => {
@@ -509,7 +508,7 @@ mod tests {
 
     #[test]
     fn endpoint_dedups_by_txn_and_charges_reprocessing() {
-        use mapro_control::{Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{Endpoint, FlowMod, FlowModOp};
         let (p, _, out) = pipeline();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
         let msg = FlowMod {
@@ -536,7 +535,7 @@ mod tests {
 
     #[test]
     fn restart_reverts_to_committed_bundle() {
-        use mapro_control::{Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{Endpoint, FlowMod, FlowModOp};
         let (p, f, _) = pipeline();
         let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
         // A committed bundle moves f=1 → f=11 durably.
@@ -617,7 +616,7 @@ mod tests {
     /// plan fails both.
     #[test]
     fn commit_makes_the_single_mods_before_it_durable() {
-        use mapro_control::{Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{Endpoint, FlowMod, FlowModOp};
         let (p, f, out) = pipeline();
         for singles in [1u64, 5] {
             let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
@@ -674,7 +673,7 @@ mod tests {
 
     #[test]
     fn prepare_validates_in_place_and_leaves_the_pipeline_untouched() {
-        use mapro_control::{AckError, Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{AckError, Endpoint, FlowMod, FlowModOp};
         let (p, f, _) = pipeline();
         let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
         let renumber = RuleUpdate::Modify {
@@ -716,7 +715,7 @@ mod tests {
 
     #[test]
     fn malformed_insert_is_nacked_not_a_panic() {
-        use mapro_control::{AckError, ApplyError, Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{AckError, ApplyError, Endpoint, FlowMod, FlowModOp};
         let (p, f, _) = pipeline();
         let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
         let pkts: Vec<Packet> = (0..4u64)
@@ -778,7 +777,7 @@ mod tests {
 
     #[test]
     fn commit_of_unknown_bundle_refused() {
-        use mapro_control::{AckError, Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{AckError, Endpoint, FlowMod, FlowModOp};
         let (p, _, _) = pipeline();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
         let ack = sw.deliver(&FlowMod {
@@ -856,7 +855,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_fenced_before_dedup_and_fence_survives_restart() {
-        use mapro_control::{AckError, Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{AckError, Endpoint, FlowMod, FlowModOp};
         let (p, _, out) = pipeline();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
         let modify = |txn, epoch, val: &str| FlowMod {
@@ -888,7 +887,7 @@ mod tests {
 
     #[test]
     fn epoch_advance_purges_predecessor_staged_bundles() {
-        use mapro_control::{AckError, Endpoint, FlowMod, FlowModOp};
+        use mapro_core::{AckError, Endpoint, FlowMod, FlowModOp};
         let (p, f, _) = pipeline();
         let mut sw = LiveSwitch::noviflow(p.clone()).unwrap();
         // Epoch 1 stages a bundle, then dies without committing.

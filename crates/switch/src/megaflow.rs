@@ -328,19 +328,19 @@ impl CachedEngine {
 
     /// Apply a control-plane flow-mod: splice the changed row into the
     /// touched table and drop exactly the megaflows that share a packet
-    /// with the flow-mod's footprint ([`mapro_control::delta_rows`] →
+    /// with the flow-mod's footprint ([`mapro_core::delta_rows`] →
     /// [`Reach::footprint`]; for a Modify that rewrites match cells, old
     /// and new row both count). The reach cubes are kept across flow-mods
     /// that cannot move them. A refused flow-mod changes neither the
     /// engine nor the cache.
-    pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
+    pub fn apply_update(&mut self, update: &mapro_core::RuleUpdate) -> Result<(), UpdateError> {
         self.inner.apply_update(&mut self.pipeline, update)?;
         if self.pipeline.moves_reach(update.table()) {
             self.reach = None;
         }
         let reach = self.reach.get_or_insert_with(|| self.pipeline.reach());
         let attrs = self.inner.reg_attrs();
-        let rows = mapro_control::delta_rows(&self.pipeline, update);
+        let rows = mapro_core::delta_rows(&self.pipeline, update);
         let dirty: Vec<Vec<(usize, u64, u64)>> = reach
             .footprint(&self.pipeline, &rows)
             .into_iter()
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn flowmod_invalidates_intersecting_megaflows_only() {
-        use mapro_control::RuleUpdate;
+        use mapro_core::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
         let mut sim = CachedEngine::eswitch(&p).unwrap();
@@ -554,7 +554,7 @@ mod tests {
     /// megaflow overlaps the row's own `ip_src` cell.
     #[test]
     fn sub_table_edit_evicts_only_the_branch_that_reaches_it() {
-        use mapro_control::RuleUpdate;
+        use mapro_core::RuleUpdate;
         let mut c = Catalog::new();
         let src = c.field("ip_src", 32);
         let dst = c.field("ip_dst", 32);
@@ -600,7 +600,7 @@ mod tests {
     /// left the store, for the walk-masked cache and for OVS alike.
     #[test]
     fn bookkeeping_counts_entries_actually_removed() {
-        use mapro_control::RuleUpdate;
+        use mapro_core::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
         // Six flows, one per (tenant, /1 half): six megaflows in either
@@ -684,7 +684,7 @@ mod tests {
     /// in chunks of any size is `process` packet by packet.
     #[test]
     fn process_batch_is_process_in_chunks() {
-        use mapro_control::RuleUpdate;
+        use mapro_core::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
         // Eight regions (six rows and tenant 3's two drops) in a scrambled

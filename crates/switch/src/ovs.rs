@@ -73,7 +73,7 @@ impl OvsSim {
     /// revalidators invalidate affected megaflows on any OpenFlow table
     /// change; we model the conservative full flush a table-version bump
     /// causes).
-    pub fn apply_update(&mut self, update: &mapro_control::RuleUpdate) -> Result<(), UpdateError> {
+    pub fn apply_update(&mut self, update: &mapro_core::RuleUpdate) -> Result<(), UpdateError> {
         self.engine.apply_update(&mut self.pipeline, update)?;
         let p = &self.pipeline;
         for (mask, t) in self.table_masks.iter_mut().zip(&p.tables) {
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn updates_invalidate_stale_megaflows() {
-        use mapro_control::RuleUpdate;
+        use mapro_core::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
         let mut sim = OvsSim::compile(&p).unwrap();

@@ -9,8 +9,7 @@
 //! controllability), counter placement (§2 monitorability) and the §5
 //! traffic description (20 random services × 8 backends, 64-byte packets).
 
-use mapro_control::{RuleUpdate, UpdatePlan};
-use mapro_core::{ActionSem, AttrId, Catalog, Pipeline, Table, Value};
+use mapro_core::{ActionSem, AttrId, Catalog, Pipeline, RuleUpdate, Table, UpdatePlan, Value};
 use mapro_normalize::{split, JoinKind, Split, SplitError, SplitOpts};
 use mapro_packet::{FlowSpec, TraceSpec};
 use rand::rngs::SmallRng;
@@ -523,10 +522,10 @@ mod tests {
     fn moved_port_plans_converge_semantically() {
         let g = Gwlb::fig1();
         let mut uni = g.universal.clone();
-        mapro_control::apply_plan(&mut uni, &g.move_service_port(&g.universal, 0, 443)).unwrap();
+        mapro_core::apply_plan(&mut uni, &g.move_service_port(&g.universal, 0, 443)).unwrap();
         let goto0 = g.normalized(JoinKind::Goto).unwrap();
         let mut goto = goto0.clone();
-        mapro_control::apply_plan(&mut goto, &g.move_service_port(&goto0, 0, 443)).unwrap();
+        mapro_core::apply_plan(&mut goto, &g.move_service_port(&goto0, 0, 443)).unwrap();
         assert_equivalent(&uni, &goto);
     }
 
@@ -727,7 +726,7 @@ mod tests {
             // M deletes + M' inserts, in every representation.
             assert_eq!(plan.touched_entries(), 2 + 4, "{}", repr.start);
             let mut after = repr.clone();
-            mapro_control::apply_plan(&mut after, &plan).unwrap();
+            mapro_core::apply_plan(&mut after, &plan).unwrap();
             mapro_core::assert_equivalent(&want.universal, &after);
         }
     }
@@ -747,7 +746,7 @@ mod tests {
         let plan = g.reweight_backends(&goto, 0, &new_split);
         assert!(plan.needs_bundle(), "resplit cannot be a single flow-mod");
         // Intermediate state after the deletes: tenant-1 HTTP traffic drops.
-        let mid = mapro_control::apply_prefix(&goto, &plan, 2).unwrap();
+        let mid = mapro_core::apply_prefix(&goto, &plan, 2).unwrap();
         let pkt = mapro_core::Packet::from_fields(
             &goto.catalog,
             &[

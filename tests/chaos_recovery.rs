@@ -7,8 +7,9 @@
 
 use mapro::control::{
     AckError, Controller, CrashInjector, CrashPoint, DriverConfig, DriverError, FaultPlan,
-    FaultyChannel, FlowMod, FlowModOp, Wal,
+    FaultyChannel, FlowMod, Wal,
 };
+use mapro::core::FlowModOp;
 use mapro::prelude::*;
 use mapro::switch::LiveSwitch;
 use proptest::prelude::*;

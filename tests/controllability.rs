@@ -1,6 +1,7 @@
 //! E7 — §2 controllability and update-consistency claims.
 
-use mapro::control::{apply_plan, exposure};
+use mapro::control::exposure;
+use mapro::core::apply_plan;
 use mapro::prelude::*;
 use mapro_bench::{controllability, BenchConfig};
 
@@ -85,7 +86,7 @@ fn halfway_exposed_service_reproduced() {
 
 #[test]
 fn lost_update_leaves_universal_inconsistent_but_normalized_atomic() {
-    use mapro::control::apply_prefix;
+    use mapro::core::apply_prefix;
     let g = Gwlb::fig1();
     let plan = g.move_service_port(&g.universal, 0, 443);
     // Drop the tail of the plan: the data plane now answers on both ports.

@@ -105,9 +105,9 @@ fn intent_application_preserves_equivalence_between_representations() {
     let mut goto = goto0.clone();
     for (i, port) in [(0usize, 1111u16), (2, 2222), (4, 3333), (0, 4444)] {
         let plan = g.move_service_port(&uni, i, port);
-        mapro::control::apply_plan(&mut uni, &plan).unwrap();
+        mapro::core::apply_plan(&mut uni, &plan).unwrap();
         let plan = g.move_service_port(&goto, i, port);
-        mapro::control::apply_plan(&mut goto, &plan).unwrap();
+        mapro::core::apply_plan(&mut goto, &plan).unwrap();
     }
     assert_equivalent(&uni, &goto);
 }

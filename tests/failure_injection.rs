@@ -1,7 +1,8 @@
 //! Failure injection: malformed inputs must produce errors, never panics
 //! or silent corruption.
 
-use mapro::control::{apply_prefix, RuleUpdate, UpdatePlan};
+use mapro::control::{RuleUpdate, UpdatePlan};
+use mapro::core::apply_prefix;
 use mapro::prelude::*;
 use proptest::prelude::*;
 
@@ -47,7 +48,7 @@ proptest! {
         // Re-deriving via individual updates matches.
         let mut step = g.universal.clone();
         for u in plan.updates.iter().take(k) {
-            mapro::control::apply_update(&mut step, u).unwrap();
+            mapro::core::apply_update(&mut step, u).unwrap();
         }
         prop_assert_eq!(state, step);
     }
@@ -102,7 +103,7 @@ fn update_plan_against_wrong_representation_fails_cleanly() {
     let mut target = goto.clone();
     let mut failed = false;
     for u in &uni_plan.updates {
-        if mapro::control::apply_update(&mut target, u).is_err() {
+        if mapro::core::apply_update(&mut target, u).is_err() {
             failed = true;
         }
     }
@@ -138,7 +139,7 @@ fn deleting_all_entries_yields_drop_everything() {
         })
         .collect();
     for u in &all {
-        mapro::control::apply_update(&mut p, u).unwrap();
+        mapro::core::apply_update(&mut p, u).unwrap();
     }
     assert_eq!(p.table("t0").unwrap().len(), 0);
     let pkt = Packet::from_fields(
@@ -156,9 +157,8 @@ fn deleting_all_entries_yields_drop_everything() {
 // to the intended pipeline under any survivable fault plan, and the
 // switch's txn dedup must make duplicated/reordered flow-mods harmless.
 
-use mapro::control::{
-    Controller, DriverConfig, Endpoint, FaultPlan, FaultyChannel, FlowMod, FlowModOp,
-};
+use mapro::control::{Controller, DriverConfig, Endpoint, FaultPlan, FaultyChannel, FlowMod};
+use mapro::core::FlowModOp;
 use mapro::switch::LiveSwitch;
 
 /// Drive `intents` service moves through a faulty channel, then reconcile
@@ -241,7 +241,7 @@ proptest! {
         for k in 0..moves {
             let plan = g.move_service_port(&intended, k % 4, 12_000 + k as u16);
             for u in &plan.updates {
-                mapro::control::apply_update(&mut intended, u).unwrap();
+                mapro::core::apply_update(&mut intended, u).unwrap();
                 msgs.push(FlowMod {
                     txn: msgs.len() as u64 + 1,
                     epoch: 0,

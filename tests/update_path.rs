@@ -247,7 +247,7 @@ fn churn_equals_fresh_compiles(
     for step in 0..10u64 {
         let u = next(&want, 50_000 + step, &mut rng);
         let ctx = format!("seed {seed} step {step} {u:?}");
-        mapro::control::apply_update(&mut want, &u).expect("generated against `want`");
+        mapro::core::apply_update(&mut want, &u).expect("generated against `want`");
         live.apply_update(&u).expect("valid update");
         for ce in cached.iter_mut() {
             ce.apply_update(&u).expect("valid update");
@@ -371,7 +371,7 @@ fn planted_plan(p: &Pipeline, rng: &mut SmallRng) -> (UpdatePlan, usize, Pipelin
         }
         let u = common::reach_zoo_edit(&q, 70_000 + i as u64, rng);
         if i < at {
-            mapro::control::apply_update(&mut q, &u).expect("drawn against `q`");
+            mapro::core::apply_update(&mut q, &u).expect("drawn against `q`");
         }
         updates.push(u);
     }
@@ -398,7 +398,7 @@ proptest! {
         // Some history first, so the rollback lands on an edited engine.
         for step in 0..3 {
             let u = common::reach_zoo_edit(&want, step, &mut rng);
-            mapro::control::apply_update(&mut want, &u).expect("drawn against `want`");
+            mapro::core::apply_update(&mut want, &u).expect("drawn against `want`");
             live.apply_update(&u).expect("valid update");
         }
         let (plan, at, q) = planted_plan(&want, &mut rng);
