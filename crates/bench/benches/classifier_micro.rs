@@ -7,12 +7,12 @@
 //! is the paper's explanation for ESwitch's Table 1 numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapro_classifier::{
+use mapro_normalize::JoinKind;
+use mapro_packet::generate;
+use mapro_switch::cls::{
     Classifier, DecisionTree, DtreeConfig, ExactTable, LinearTernary, LpmTrie, TableView,
     TupleSpace,
 };
-use mapro_normalize::JoinKind;
-use mapro_packet::generate;
 use mapro_workloads::Gwlb;
 
 fn keys_for(

@@ -1,15 +1,15 @@
-//! Capacity lints against `mapro-classifier`'s TCAM resource model.
+//! Capacity lints against the TCAM resource model of `mapro_switch::cls`.
 //!
 //! The paper's §2 motivates normalization partly by TCAM space: a
 //! universal table multiplies out its factors and blows the entry budget,
 //! and wide compound keys exceed the device's per-slice match width. This
-//! pass re-uses [`mapro_classifier::TcamModel`]'s accounting to report
+//! pass re-uses [`mapro_switch::cls::TcamModel`]'s accounting to report
 //! both statically.
 
 use crate::diag::{Diagnostic, LintReport};
 use crate::LintConfig;
-use mapro_classifier::{TableView, TcamModel};
 use mapro_core::Pipeline;
+use mapro_switch::cls::{TableView, TcamModel};
 
 /// Check every table against the configured TCAM entry capacity and slice
 /// width.

@@ -14,8 +14,8 @@
 //!   2NF/3NF/BCNF violations with the concrete Heath decomposition
 //!   `mapro normalize` would apply as the suggested fix, and the Fig. 3
 //!   action-to-match hazard.
-//! * [`capacity`] — TCAM entry/width budgets via `mapro-classifier`'s
-//!   resource model.
+//! * [`capacity`] — TCAM entry/width budgets via the TCAM resource model
+//!   of `mapro_switch::cls`.
 //!
 //! Findings carry a stable lint id from [`CATALOGUE`], a severity, and
 //! table/entry provenance; [`LintReport`] renders as human text or as the

@@ -18,7 +18,7 @@
 //! Absolute agreement with the testbed is explicitly a non-goal
 //! (EXPERIMENTS.md reports shape, not numbers).
 
-use mapro_classifier::{LookupStats, TemplateKind};
+use crate::cls::{LookupStats, TemplateKind};
 
 /// How an engine chooses the classifier template whose cost a table
 /// visit is charged.

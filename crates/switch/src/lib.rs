@@ -24,11 +24,15 @@
 //!   flow-mods at runtime, one row spliced into its table per flow-mod.
 //! * [`cost`] — the calibrated cost constants and the per-model
 //!   [`ModelSpec`]s, documented in one place.
+//! * [`cls`] — the packet-classifier templates a table is instantiated
+//!   with (exact hash, LPM trie, tuple space, linear scan, TCAM model,
+//!   decision tree) and the shape analysis that picks among them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;
+pub mod cls;
 pub mod compile;
 pub mod cost;
 pub mod harness;

@@ -15,10 +15,10 @@
 //!   Table 1); control-plane updates stall the datapath (Fig. 4, modeled
 //!   in [`crate::churn`]).
 
+use crate::cls::TemplateKind;
 use crate::compile::{CompileError, CompiledEngine, ProcessOut};
 use crate::cost::{HwLatency, ModelSpec};
 use crate::Switch;
-use mapro_classifier::TemplateKind;
 use mapro_core::{Packet, Pipeline};
 
 /// A stateless switch model: the engine plus the model's reporting rule.

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use mapro_classifier as classifier;
 pub use mapro_control as control;
 pub use mapro_core as core;
 pub use mapro_fd as fd;

@@ -1,7 +1,7 @@
 //! E11 — the §5 ESwitch mechanism: per-table template specialization.
 
-use mapro::classifier::{table_shape, TableShape, TableView};
 use mapro::prelude::*;
+use mapro::switch::cls::{table_shape, TableShape, TableView};
 use mapro_bench::{eswitch_templates, BenchConfig};
 
 #[test]
@@ -51,7 +51,7 @@ fn template_report_covers_all_representations() {
 
 #[test]
 fn specialized_templates_agree_with_reference_semantics() {
-    use mapro::classifier::{build_specialized, TemplateKind};
+    use mapro::switch::cls::{build_specialized, TemplateKind};
     let g = Gwlb::random(10, 4, 5);
     let goto = g.normalized(JoinKind::Goto).unwrap();
     let trace = mapro::packet::generate(&g.universal.catalog, &g.trace_spec(), 1_000, 6);
