@@ -1,13 +1,13 @@
 //! Shadowed- and dead-entry detection — classifier minimization as a
 //! *symbolic* pass.
 //!
-//! `mapro_normalize::prune_dead_entries` establishes the same facts by
-//! enumerating the packet domain; this pass proves them from the program
-//! text alone, independent of field widths. The union-cover question ("do
-//! the higher-priority entries together leave this one nothing to
-//! match?") is decided exactly by decision-diagram subtraction
-//! ([`mapro_sym::TableLiveness`]); only a table whose diagram outgrows the
-//! node arena leaves its verdicts undecided.
+//! The pass finds the entries no packet can hit from the program text
+//! alone, without enumerating the packet domain and independent of field
+//! widths. The union-cover question ("do the higher-priority entries
+//! together leave this one nothing to match?") is decided exactly by
+//! decision-diagram subtraction ([`mapro_sym::TableLiveness`]); only a
+//! table whose diagram outgrows the node arena leaves its verdicts
+//! undecided.
 
 use crate::cover::Cube;
 use crate::diag::{Diagnostic, LintReport};

@@ -15,8 +15,6 @@
 //!   dependencies from the instance.
 //! * [`flatten()`] — denormalization: collapse a pipeline back into one
 //!   universal table (the transformation OVS's flow cache performs).
-//! * [`prune`] — exact dead-entry minimization, demonstrating §3's
-//!   orthogonality remark.
 //!
 //! Every transformation can be verified against the source program with
 //! `mapro-core`'s complete equivalence checker; the test suites do so
@@ -28,7 +26,6 @@
 pub mod flatten;
 pub mod join;
 pub mod normalize;
-pub mod prune;
 pub mod split;
 
 pub use flatten::{flatten, FlattenError};
@@ -37,5 +34,4 @@ pub use normalize::{
     normalize, pipeline_level, program_view, report, NormalizeOpts, Normalized, SkipRecord,
     StepRecord, Target,
 };
-pub use prune::{prune_dead_entries, PruneError, Pruned};
 pub use split::{chain_components_naive, split, FactorPlacement, Split, SplitError, SplitOpts};
