@@ -252,6 +252,75 @@ mod tests {
         assert_eq!(g.vlan, None);
     }
 
+    /// The exact bytes `emit` writes, pinned field by field: each case is
+    /// a frame, the hex of its headers and the length it is zero-padded to.
+    #[test]
+    fn emitted_bytes_are_pinned() {
+        let ones = Frame {
+            eth_dst: [0xff; 6],
+            eth_src: [0xff; 6],
+            ip_src: u32::MAX,
+            ip_dst: u32::MAX,
+            ttl: u8::MAX,
+            proto: u8::MAX,
+            sport: u16::MAX,
+            dport: u16::MAX,
+            ..Default::default()
+        };
+        // Ethernet addresses; IPv4 version/IHL, TOS, total length 28, id,
+        // flags; then TTL, protocol, checksum, addresses; ports and filler.
+        let macs = "020000000001 020000000002";
+        let ip = "45 00 001c 0000 0000";
+        let rest = "40 06 0000 0a000001 0a000002 3039 0050 00000000";
+        let cases: [(Frame, String, usize); 6] = [
+            (Frame::default(), format!("{macs} 0800 {ip} {rest}"), 60),
+            (
+                Frame {
+                    vlan: Some(0xf123),
+                    ..Default::default()
+                },
+                format!("{macs} 8100 0123 0800 {ip} {rest}"),
+                60,
+            ),
+            (
+                Frame {
+                    len: 0,
+                    ..Default::default()
+                },
+                format!("{macs} 0800 {ip} {rest}"),
+                42,
+            ),
+            (
+                Frame {
+                    vlan: Some(7),
+                    len: 0,
+                    ..Default::default()
+                },
+                format!("{macs} 8100 0007 0800 {ip} {rest}"),
+                46,
+            ),
+            (
+                Frame {
+                    len: 128,
+                    ..Default::default()
+                },
+                format!("{macs} 0800 {ip} {rest}"),
+                128,
+            ),
+            (
+                ones,
+                format!("ffffffffffff ffffffffffff 0800 {ip} ff ff 0000 ffffffff ffffffff ffff ffff 00000000"),
+                60,
+            ),
+        ];
+        for (frame, headers, len) in cases {
+            let mut want = headers.replace(' ', "");
+            want += &"00".repeat(len - want.len() / 2);
+            let got: String = frame.emit().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "{frame:?}");
+        }
+    }
+
     #[test]
     fn vlan_roundtrip() {
         let f = Frame {
