@@ -2,10 +2,10 @@
 //!
 //! The measurement workloads of §5 use 64-byte Ethernet/IPv4/TCP frames;
 //! this module builds and dissects them. The design follows smoltcp's
-//! wire-representation idiom: plain structs with explicit emit/parse, no
-//! allocation surprises, every length checked.
+//! wire-representation idiom: plain structs with explicit emit/parse, one
+//! allocation per emitted frame and none per parsed one, every length
+//! checked.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Minimum Ethernet frame size (without FCS) the generators pad to — the
@@ -93,39 +93,32 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 impl Frame {
-    /// Serialize to wire bytes, padding to [`Frame::len`] (at least the
-    /// header length).
-    pub fn emit(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.len.max(MIN_FRAME));
-        b.put_slice(&self.eth_dst);
-        b.put_slice(&self.eth_src);
+    /// Serialize to wire bytes, zero-padded to [`Frame::len`] (at least
+    /// the header length). One allocation, every field at its fixed offset.
+    pub fn emit(&self) -> Vec<u8> {
+        let l2 = if self.vlan.is_some() { 18 } else { 14 };
+        // IPv4 header (20 bytes, no options), then 8 transport bytes.
+        let mut b = vec![0u8; (l2 + 28).max(self.len)];
+        b[0..6].copy_from_slice(&self.eth_dst);
+        b[6..12].copy_from_slice(&self.eth_src);
         if let Some(v) = self.vlan {
-            b.put_u16(ETHERTYPE_VLAN);
-            b.put_u16(v & 0x0fff);
+            b[12..14].copy_from_slice(&ETHERTYPE_VLAN.to_be_bytes());
+            b[14..16].copy_from_slice(&(v & 0x0fff).to_be_bytes());
         }
-        b.put_u16(self.eth_type);
-        // IPv4 header (20 bytes, no options).
-        let ip_start = b.len();
-        b.put_u8(0x45);
-        b.put_u8(0);
-        let transport_len = 20 + 8; // we emit 8 transport bytes (ports + misc)
-        b.put_u16(transport_len as u16); // total length (headers only)
-        b.put_u16(0); // id
-        b.put_u16(0); // flags/frag
-        b.put_u8(self.ttl);
-        b.put_u8(self.proto);
-        b.put_u16(0); // checksum (not modeled)
-        b.put_u32(self.ip_src);
-        b.put_u32(self.ip_dst);
-        let _ = ip_start;
-        // Transport: source/dest port + 4 filler bytes (seq lo, etc.).
-        b.put_u16(self.sport);
-        b.put_u16(self.dport);
-        b.put_u32(0);
-        while b.len() < self.len {
-            b.put_u8(0);
-        }
-        b.freeze()
+        b[l2 - 2..l2].copy_from_slice(&self.eth_type.to_be_bytes());
+        let ip = &mut b[l2..l2 + 28];
+        // Version 4, IHL 5; total length covers the headers only. Id,
+        // flags and checksum (not modeled) stay zero.
+        ip[0] = 0x45;
+        ip[2..4].copy_from_slice(&28u16.to_be_bytes());
+        ip[8] = self.ttl;
+        ip[9] = self.proto;
+        ip[12..16].copy_from_slice(&self.ip_src.to_be_bytes());
+        ip[16..20].copy_from_slice(&self.ip_dst.to_be_bytes());
+        // Transport: source/dest port + 4 zero filler bytes.
+        ip[20..22].copy_from_slice(&self.sport.to_be_bytes());
+        ip[22..24].copy_from_slice(&self.dport.to_be_bytes());
+        b
     }
 
     /// Parse wire bytes.
@@ -343,12 +336,12 @@ mod tests {
 
     #[test]
     fn non_ipv4_rejected() {
-        let mut b = Frame::default().emit().to_vec();
+        let mut b = Frame::default().emit();
         b[12] = 0x86; // 0x86dd = IPv6
         b[13] = 0xdd;
         assert_eq!(Frame::parse(&b), Err(ParseError::NotIpv4));
         // EtherType says IPv4, the header's version nibble says 6.
-        let mut b = Frame::default().emit().to_vec();
+        let mut b = Frame::default().emit();
         b[14] = 0x65;
         assert_eq!(Frame::parse(&b), Err(ParseError::NotIpv4));
     }

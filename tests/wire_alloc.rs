@@ -1,7 +1,8 @@
 //! The wire path's budget per frame, counted rather than timed: heap
-//! allocations on a megaflow hit, and the `switch.megaflow.*` obs counters
-//! against the engine's own [`MegaflowStats`]. Counts repeat exactly, so
-//! this is the regression guard a noisy clock cannot give.
+//! allocations per emitted frame and on a megaflow hit, and the
+//! `switch.megaflow.*` obs counters against the engine's own
+//! [`MegaflowStats`]. Counts repeat exactly, so this is the regression
+//! guard a noisy clock cannot give.
 //!
 //! One `#[test]`: the allocator and the obs registry are process-global,
 //! and a second test running beside this one would show up in both.
@@ -178,7 +179,7 @@ fn a_hit_allocates_nothing_and_counters_are_exact_at_call_boundaries() {
     let mut spec = g.trace_spec();
     spec.popularity = Popularity::Zipf(1.1);
     let binding = Binding::standard(&goto.catalog);
-    let wire: Vec<Vec<u8>> = generate(&goto.catalog, &spec, BUFFER * BURST, 7919)
+    let frames: Vec<Frame> = generate(&goto.catalog, &spec, BUFFER * BURST, 7919)
         .packets
         .iter()
         .map(|(_, pkt)| {
@@ -186,9 +187,15 @@ fn a_hit_allocates_nothing_and_counters_are_exact_at_call_boundaries() {
             for a in [g.ip_src, g.ip_dst, g.tcp_dst] {
                 binding.write(a, pkt.get(a), &mut f, &mut HashMap::new());
             }
-            f.emit().to_vec()
+            f
         })
         .collect();
+
+    // The transmit side: one buffer per emitted frame, nothing more.
+    let mut wire = Vec::with_capacity(frames.len());
+    let before = allocs();
+    wire.extend(frames.iter().map(Frame::emit));
+    assert_eq!(allocs() - before, frames.len() as u64);
 
     assert_eq!(WirePath::new(&goto).allocations_when_warm(&wire), 0);
 
