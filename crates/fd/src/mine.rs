@@ -19,7 +19,7 @@
 //! at least two rows are materialized — singleton classes carry no
 //! refinement information — so work per product is `O(‖π‖)`, the number of
 //! rows in non-singleton classes, which shrinks rapidly down the lattice.
-//! Products and dependency checks run through a reusable [`Probe`] table
+//! Products and dependency checks run through a reusable `Probe` table
 //! (two `u32` arrays indexed by base-class id) instead of a per-product
 //! `HashMap`. Each lattice level keeps the level-(k−1) partitions of its
 //! parents cached in `entries`, checks all of the level's candidate FDs,

@@ -633,7 +633,7 @@ impl CompiledEngine {
     /// The one flow-mod path every switch in this crate uses: apply
     /// `update` to `p` (the pipeline this engine serves) in place and
     /// splice the row it changed into the touched table
-    /// ([`CompiledEngine::splice`]). All-or-nothing — if the edited table
+    /// (`CompiledEngine::splice`). All-or-nothing — if the edited table
     /// no longer compiles, the update is undone and the engine is
     /// untouched. On success, returns the update's [`Undo`] record: a
     /// caller rolling back a plan undoes it and recompiles the table.

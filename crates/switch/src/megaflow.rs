@@ -4,18 +4,18 @@
 //!
 //! A megaflow is a `(mask, masked key)` pair over the engine's register
 //! file, standing for every packet whose initial registers agree with it
-//! under the mask. [`MegaflowStore`] keeps them the way OVS does — one hash
+//! under the mask. `MegaflowStore` keeps them the way OVS does — one hash
 //! map per distinct mask tuple, probed in turn — under a FIFO capacity
 //! bound, and is the only implementation of install / probe / evict /
 //! invalidate in the crate. Both users build the mask on the miss path,
 //! from what the engine's one walk reports about each lookup
-//! ([`Lookup`](crate::compile::Lookup)); they differ in how much of it they
+//! (`compile::Lookup`); they differ in how much of it they
 //! keep:
 //!
 //! * [`crate::OvsSim`] models OVS's conservative unwildcarding: the union
 //!   of every bit any entry of a visited table examines;
 //! * [`CachedEngine`] keeps only what pinned the outcome
-//!   ([`Lookup::pin`](crate::compile::Lookup::pin)).
+//!   (`Lookup::pin`).
 //!
 //! Why a `CachedEngine` hit is the verdict a walk would produce — by
 //! induction over the lookups of the walk that installed the megaflow: a

@@ -3,7 +3,7 @@
 //!
 //! The decision-diagram compiler ([`crate::ddcover`]) runs a pipeline
 //! *symbolically*: a walk carries the concrete values of every field the
-//! program has written so far ([`SymCore`]; metadata starts at zero,
+//! program has written so far (`SymCore`; metadata starts at zero,
 //! `SetField` writes are always concrete integers, so written fields never
 //! become symbolic), while header fields nobody wrote stay free input bits.
 //! This module holds what that walk is made of: the joint coordinate system
