@@ -48,7 +48,7 @@ use std::time::Instant;
 
 /// Number of power-of-two histogram buckets: bucket 0 holds the value 0,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -58,7 +58,7 @@ pub struct Counter {
 
 impl Counter {
     /// New counter at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counter::default()
     }
 
@@ -96,7 +96,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// New gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge::default()
     }
 
@@ -119,12 +119,12 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Relaxed)
     }
 
     /// Reset to zero.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.value.store(0, Relaxed);
     }
 }
@@ -236,7 +236,7 @@ impl Histogram {
     }
 
     /// Reset all buckets and statistics to zero.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.count.store(0, Relaxed);
         self.sum.store(0, Relaxed);
         self.max.store(0, Relaxed);
@@ -259,14 +259,8 @@ impl Histogram {
     }
 }
 
-/// RAII timer recording elapsed nanoseconds into a [`Histogram`] on drop.
-///
-/// Two forms:
-/// - [`ScopedTimer::new`] records into an explicit (cached) histogram —
-///   the hot-path form;
-/// - [`ScopedTimer::span`] additionally maintains a per-thread span
-///   stack, recording under `span.<parent>.<name>` in the global
-///   registry so nested phases show up as a path hierarchy.
+/// RAII timer recording elapsed nanoseconds into a [`Histogram`] on drop;
+/// [`ScopedTimer::new`] takes an explicit (cached) histogram.
 ///
 /// With the `enabled` feature off, construction is free and the clock is
 /// never read.
@@ -282,13 +276,6 @@ pub struct ScopedTimer {
 struct TimerInner {
     hist: Arc<Histogram>,
     start: Instant,
-    is_span: bool,
-}
-
-#[cfg(feature = "enabled")]
-thread_local! {
-    static SPAN_STACK: std::cell::RefCell<Vec<String>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl ScopedTimer {
@@ -301,7 +288,6 @@ impl ScopedTimer {
                 inner: Some(TimerInner {
                     hist: Arc::clone(hist),
                     start: Instant::now(),
-                    is_span: false,
                 }),
             }
         }
@@ -311,50 +297,6 @@ impl ScopedTimer {
             ScopedTimer { _noop: () }
         }
     }
-
-    /// Open a named span nested under any currently open span on this
-    /// thread; records into the global registry histogram
-    /// `span.<path>_ns` on drop.
-    #[inline]
-    pub fn span(name: &str) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let path = SPAN_STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                let path = match s.last() {
-                    Some(parent) => format!("{parent}.{name}"),
-                    None => name.to_owned(),
-                };
-                s.push(path.clone());
-                path
-            });
-            let hist = registry().histogram(&format!("span.{path}_ns"));
-            ScopedTimer {
-                inner: Some(TimerInner {
-                    hist,
-                    start: Instant::now(),
-                    is_span: true,
-                }),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            ScopedTimer { _noop: () }
-        }
-    }
-
-    /// Discard without recording.
-    pub fn cancel(mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = self.inner.take() {
-            if inner.is_span {
-                SPAN_STACK.with(|s| {
-                    s.borrow_mut().pop();
-                });
-            }
-        }
-    }
 }
 
 impl Drop for ScopedTimer {
@@ -362,11 +304,6 @@ impl Drop for ScopedTimer {
         #[cfg(feature = "enabled")]
         if let Some(inner) = self.inner.take() {
             inner.hist.record(inner.start.elapsed().as_nanos() as u64);
-            if inner.is_span {
-                SPAN_STACK.with(|s| {
-                    s.borrow_mut().pop();
-                });
-            }
         }
     }
 }
@@ -486,13 +423,13 @@ pub struct HistogramSummary {
     /// Sum of samples.
     pub sum: u64,
     /// Exact mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Approximate median (one-power-of-two resolution).
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// Approximate 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// Approximate 99th percentile.
-    pub p99: u64,
+    pub(crate) p99: u64,
     /// Exact maximum.
     pub max: u64,
 }
@@ -525,17 +462,12 @@ pub struct MetricsReport {
     /// so an artifact is self-describing: seed, thread count, crate
     /// version, experiment id. Empty by default; populate with
     /// [`MetricsReport::with_meta`].
-    pub meta: Vec<(String, String)>,
+    pub(crate) meta: Vec<(String, String)>,
     /// All metrics, sorted by name.
     pub entries: Vec<MetricEntry>,
 }
 
 impl MetricsReport {
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Append one metadata pair (builder-style) for the JSON header.
     pub fn with_meta(mut self, key: &str, value: impl ToString) -> Self {
         self.meta.push((key.to_owned(), value.to_string()));
@@ -722,17 +654,6 @@ mod tests {
             std::hint::black_box(0u64);
         }
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn spans_nest() {
-        {
-            let _outer = ScopedTimer::span("obs_test_outer");
-            let _inner = ScopedTimer::span("obs_test_inner");
-        }
-        let snap = registry().snapshot();
-        assert!(snap.get("span.obs_test_outer_ns").is_some());
-        assert!(snap.get("span.obs_test_outer.obs_test_inner_ns").is_some());
     }
 
     #[test]

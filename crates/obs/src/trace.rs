@@ -4,8 +4,7 @@
 //! histograms); this module answers *where time goes*: hierarchical
 //! spans with typed key/value fields, collected into per-thread ring
 //! buffers and exported as a Chrome trace-event JSON timeline
-//! (Perfetto / `chrome://tracing`) or collapsed-stack text
-//! (flamegraph / speedscope), plus a [`TraceSummary`] phase-attribution
+//! (Perfetto / `chrome://tracing`), plus a [`TraceSummary`] phase-attribution
 //! report (per-phase total/self time, span counts, critical-path
 //! estimate).
 //!
@@ -28,7 +27,7 @@
 //!   *tree* is identical at any thread count even though events land
 //!   on different **tracks** (timeline lanes, one per named thread).
 //! - Scheduler activity (worker lifetimes, steals, cancellation) is
-//!   recorded in the [`Category::Sched`] category and excluded from
+//!   recorded in the `Category::Sched` category and excluded from
 //!   the logical tree ([`TraceData::structure`]) — it varies with
 //!   thread count by design.
 //!
@@ -53,7 +52,7 @@ use std::time::Instant;
 use crate::json_str;
 
 /// Default per-thread ring-buffer capacity, in events.
-pub const DEFAULT_BUFFER_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_BUFFER_CAPACITY: usize = 1 << 16;
 
 /// Configuration for a trace session.
 #[derive(Debug, Clone)]
@@ -73,7 +72,7 @@ impl Default for TraceConfig {
 
 /// Event category: logical program phase vs. scheduler bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Category {
+pub(crate) enum Category {
     /// A program phase — part of the deterministic logical span tree.
     Phase,
     /// Scheduler activity (worker lifetime, steal, cancel). Varies
@@ -139,7 +138,7 @@ impl From<String> for FieldVal {
 
 /// What kind of event was recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A closed span with a duration.
     Span {
         /// Elapsed nanoseconds between open and close.
@@ -155,23 +154,23 @@ pub struct Event {
     /// Span/instant name (one path segment; must not contain `.`).
     pub name: &'static str,
     /// Logical phase or scheduler bookkeeping.
-    pub cat: Category,
+    pub(crate) cat: Category,
     /// Span-with-duration or instant.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Start time in nanoseconds since the process trace epoch.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Track (timeline lane) the event was recorded on.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Full logical path, e.g. `check.cross.chunk` (for
     /// [`Category::Sched`] events: just the name).
-    pub path: Arc<str>,
+    pub(crate) path: Arc<str>,
     /// Typed key/value annotations.
     pub fields: Vec<(&'static str, FieldVal)>,
 }
 
 impl Event {
     /// Span duration, or 0 for instants.
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         match self.kind {
             EventKind::Span { dur_ns } => dur_ns,
             EventKind::Instant => 0,
@@ -185,7 +184,7 @@ impl Event {
 #[derive(Debug, Clone)]
 pub struct TrackInfo {
     /// Track id (the Chrome `tid`).
-    pub id: u32,
+    pub(crate) id: u32,
     /// Human-readable lane name (`main`, `worker-0`, …).
     pub name: String,
 }
@@ -472,7 +471,7 @@ fn flush_current_thread() {
 // Public API: emitting events
 // ---------------------------------------------------------------------
 
-/// RAII guard for an open span; records a [`EventKind::Span`] event
+/// RAII guard for an open span; records a `EventKind::Span` event
 /// with the elapsed duration on drop. Inert (no allocation, no clock
 /// read) when no session is active.
 #[must_use = "a trace Span records on drop; binding it to `_` drops immediately"]
@@ -533,7 +532,7 @@ impl Drop for Span {
     }
 }
 
-/// Open a [`Category::Phase`] span nested under the innermost open
+/// Open a `Category::Phase` span nested under the innermost open
 /// span on this thread (or the ambient parent inherited from the
 /// spawning thread; see [`ambient_scope`]).
 #[inline]
@@ -568,7 +567,7 @@ pub fn span_kv(name: &'static str, fields: Vec<(&'static str, FieldVal)>) -> Spa
     }
 }
 
-/// Open a [`Category::Sched`] span (worker lifetime etc.): shown on
+/// Open a `Category::Sched` span (worker lifetime etc.): shown on
 /// its thread track in the timeline, but not part of the logical span
 /// tree and never a parent of phase spans.
 pub fn sched_span(name: &'static str) -> Span {
@@ -590,14 +589,8 @@ pub fn sched_span(name: &'static str) -> Span {
     }
 }
 
-/// Record a point-in-time [`Category::Phase`] marker under the current
-/// span path.
-#[inline]
-pub fn instant(name: &'static str) {
-    instant_kv(name, Vec::new());
-}
-
-/// [`instant`] with key/value fields.
+/// Record a point-in-time `Category::Phase` marker with key/value
+/// fields under the current span path.
 pub fn instant_kv(name: &'static str, fields: Vec<(&'static str, FieldVal)>) {
     #[cfg(feature = "enabled")]
     {
@@ -627,7 +620,7 @@ pub fn instant_kv(name: &'static str, fields: Vec<(&'static str, FieldVal)>) {
     }
 }
 
-/// Record a point-in-time [`Category::Sched`] marker (steal, cancel).
+/// Record a point-in-time `Category::Sched` marker (steal, cancel).
 pub fn sched_instant(name: &'static str, fields: Vec<(&'static str, FieldVal)>) {
     #[cfg(feature = "enabled")]
     {
@@ -730,13 +723,8 @@ impl TraceData {
         self.events.sort_by_key(|e| e.ts_ns);
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Wall-clock extent: last event end minus first event start.
-    pub fn wall_ns(&self) -> u64 {
+    pub(crate) fn wall_ns(&self) -> u64 {
         let start = self.events.iter().map(|e| e.ts_ns).min().unwrap_or(0);
         let end = self
             .events
@@ -748,9 +736,9 @@ impl TraceData {
     }
 
     /// The deterministic logical span tree: sorted `(path, count)` for
-    /// every [`Category::Phase`] span. Identical at any thread count
+    /// every `Category::Phase` span. Identical at any thread count
     /// for a fixed-seed run (timestamps, tracks, fields and
-    /// [`Category::Sched`] events excluded by construction).
+    /// `Category::Sched` events excluded by construction).
     pub fn structure(&self) -> Vec<(String, usize)> {
         let mut counts = std::collections::BTreeMap::new();
         for e in &self.events {
@@ -829,19 +817,6 @@ impl TraceData {
             out.push_str("}}");
         }
         out.push_str("\n]}\n");
-        out
-    }
-
-    /// Export as collapsed-stack text (one `a;b;c value` line per
-    /// logical path, value = self time in nanoseconds) — feed to
-    /// flamegraph.pl or paste into speedscope.
-    pub fn to_collapsed(&self) -> String {
-        let mut out = String::new();
-        for p in &self.phase_stats() {
-            if p.self_ns > 0 {
-                let _ = writeln!(out, "{} {}", p.path.replace('.', ";"), p.self_ns);
-            }
-        }
         out
     }
 
@@ -946,10 +921,10 @@ pub struct TraceSummary {
     pub wall_ns: u64,
     /// Union of root-span intervals — the instrumented share of the
     /// wall clock.
-    pub covered_ns: u64,
+    pub(crate) covered_ns: u64,
     /// Summed root-span durations: an estimate of the critical path
     /// (roots are sequential on the driving thread).
-    pub critical_path_ns: u64,
+    pub(crate) critical_path_ns: u64,
     /// Ring-buffer overflow count for the session.
     pub dropped: u64,
 }
@@ -962,11 +937,6 @@ impl TraceSummary {
         } else {
             self.covered_ns as f64 / self.wall_ns as f64
         }
-    }
-
-    /// Statistics for one exact path, if recorded.
-    pub fn get(&self, path: &str) -> Option<&PhaseStat> {
-        self.phases.iter().find(|p| p.path == path)
     }
 
     /// Render as an aligned text table plus a coverage footer.
@@ -1030,7 +1000,7 @@ mod tests {
             let mut outer = span("outer");
             outer.set("k", 7u64);
             let _inner = span("inner");
-            instant("tick");
+            instant_kv("tick", Vec::new());
         }
         let data = stop();
         let tree = data.structure();
@@ -1042,16 +1012,17 @@ mod tests {
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"outer.inner\""));
         let sum = data.summary();
-        assert_eq!(sum.get("outer").unwrap().count, 1);
-        assert!(sum.get("outer").unwrap().total_ns >= sum.get("outer.inner").unwrap().total_ns);
+        let get = |path: &str| sum.phases.iter().find(|p| p.path == path).unwrap();
+        assert_eq!(get("outer").count, 1);
+        assert!(get("outer").total_ns >= get("outer.inner").total_ns);
     }
 
     #[test]
     fn inert_without_session() {
         let _g = lock();
         let _s = span("ignored");
-        instant("ignored");
-        assert!(stop().is_empty());
+        instant_kv("ignored", Vec::new());
+        assert!(stop().events.is_empty());
         assert!(current_path().is_none());
     }
 
@@ -1080,7 +1051,7 @@ mod tests {
         let _g = lock();
         assert!(start(&TraceConfig { buffer_capacity: 4 }));
         for _ in 0..10 {
-            instant("e");
+            instant_kv("e", Vec::new());
         }
         let data = stop();
         assert_eq!(data.events.len(), 4);
