@@ -10,7 +10,7 @@
 //!   deques, steal-half when a worker runs dry, no allocation after the
 //!   initial task split;
 //! - an **ordered-reduction** API ([`Pool::map_ordered`],
-//!   [`Pool::map_ordered_with`]): results come back indexed by submission
+//!   `Pool::map_ordered_with`): results come back indexed by submission
 //!   order, so folds over them are independent of scheduling;
 //! - **deterministic first-hit search** ([`Pool::find_first`]): tasks
 //!   race, but the result reported is the one the *lowest-indexed* task
@@ -121,7 +121,7 @@ impl CancelToken {
     }
 
     /// Has early exit been requested?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -150,7 +150,7 @@ impl TaskCtl<'_> {
     }
 
     /// Record that `task` produced a hit (used by [`Pool::find_first`]).
-    pub fn hit(&self, task: usize) {
+    pub(crate) fn hit(&self, task: usize) {
         self.first_hit.fetch_min(task, Ordering::AcqRel);
         if mapro_obs::trace::active() {
             mapro_obs::trace::sched_instant("par.cancel", vec![("task", task.into())]);
@@ -172,9 +172,9 @@ pub struct RunStats {
     /// Tasks skipped by cancellation or first-hit supersession.
     pub tasks_skipped: usize,
     /// Steal-half operations between worker deques.
-    pub steals: u64,
+    pub(crate) steals: u64,
     /// Workers spawned (0 for the inline single-thread path).
-    pub workers: usize,
+    pub(crate) workers: usize,
 }
 
 // -------------------------------------------------------------- pool ----
@@ -200,11 +200,6 @@ impl Pool {
     /// Pool sized by the global configuration (see [`configured_threads`]).
     pub fn current() -> Pool {
         Pool::new(configured_threads())
-    }
-
-    /// Number of worker threads this pool runs.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Core primitive: run `ntasks` indexed tasks, each `f(state, index,
@@ -332,7 +327,7 @@ impl Pool {
     }
 
     /// [`Pool::run_tasks_stats`] without the statistics.
-    pub fn run_tasks<S, R, FS, F>(
+    pub(crate) fn run_tasks<S, R, FS, F>(
         &self,
         ntasks: usize,
         cancel: &CancelToken,
@@ -362,7 +357,7 @@ impl Pool {
 
     /// [`Pool::map_ordered`] with per-worker scratch state built by `init`
     /// and reused across all tasks a worker executes.
-    pub fn map_ordered_with<S, T, R, FS, F>(&self, items: &[T], init: FS, f: F) -> Vec<R>
+    pub(crate) fn map_ordered_with<S, T, R, FS, F>(&self, items: &[T], init: FS, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
