@@ -169,7 +169,7 @@ impl Catalog {
     /// or metadata's own width, a `SetField` target's; `None` for the other
     /// actions, whose cells have no width (and for a `SetField` whose target
     /// is not in the catalog, which `Pipeline::validate` refuses).
-    pub fn cell_width(&self, id: AttrId) -> Option<u32> {
+    pub(crate) fn cell_width(&self, id: AttrId) -> Option<u32> {
         let a = self.attr(id);
         match a.kind {
             AttrKind::Field | AttrKind::Meta => Some(a.width),
@@ -205,17 +205,6 @@ impl Catalog {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// Register `name` if absent, with the given kind/width; return its id.
-    ///
-    /// Used by transformations that may run repeatedly over the same catalog
-    /// (e.g. introducing the `meta` tag field once).
-    pub fn add_or_lookup(&mut self, name: &str, kind: AttrKind, width: u32) -> AttrId {
-        match self.lookup(name) {
-            Some(id) => id,
-            None => self.add(name.to_owned(), kind, width),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,15 +238,6 @@ mod tests {
     fn oversized_width_rejected() {
         let mut c = Catalog::new();
         c.field("f", 65);
-    }
-
-    #[test]
-    fn add_or_lookup_is_idempotent() {
-        let mut c = Catalog::new();
-        let a = c.add_or_lookup("meta", AttrKind::Meta, 32);
-        let b = c.add_or_lookup("meta", AttrKind::Meta, 32);
-        assert_eq!(a, b);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

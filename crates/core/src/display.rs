@@ -12,7 +12,7 @@ use crate::value::Value;
 /// Render a cell the way the paper's figures write it: IPv4-looking
 /// 32-bit fields as dotted quads, short prefixes in the binary-star
 /// notation (`0*`, `10*`), everything else via [`Value`]'s `Display`.
-pub fn render_cell(p: &Pipeline, attr: AttrId, v: &Value) -> String {
+pub(crate) fn render_cell(p: &Pipeline, attr: AttrId, v: &Value) -> String {
     // A set-field action's parameter lives in the *target* field's domain;
     // borrow its rendering rules (a NAT rewrite shows as a dotted quad).
     let a = match &p.catalog.attr(attr).kind {
@@ -54,7 +54,7 @@ pub fn render_cell(p: &Pipeline, attr: AttrId, v: &Value) -> String {
 }
 
 /// Render one table.
-pub fn render_table(p: &Pipeline, t: &Table) -> String {
+pub(crate) fn render_table(p: &Pipeline, t: &Table) -> String {
     let mut cols: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     for &a in &t.match_attrs {

@@ -116,24 +116,12 @@ impl Domain {
             .fold(1u128, |acc, (_, vs)| acc.saturating_mul(vs.len() as u128))
     }
 
-    /// Iterate the full Cartesian product of representatives as packets.
-    pub fn packets<'a>(&'a self, proto: &'a Packet) -> DomainIter<'a> {
-        DomainIter {
-            domain: self,
-            proto,
-            idx: vec![0; self.fields.len()],
-            done: self.fields.iter().any(|(_, v)| v.is_empty()),
-            remaining: None,
-        }
-    }
-
     /// Iterate `len` packets of the Cartesian product starting at product
-    /// index `start` (mixed-radix, last field varying fastest — the same
-    /// order [`Domain::packets`] enumerates). This is the random-access
-    /// entry point the parallel equivalence checker uses to hand disjoint
-    /// index ranges to pool workers; concatenating the ranges
+    /// index `start` (mixed-radix, last field varying fastest). This is the
+    /// random-access entry point the parallel equivalence checker uses to
+    /// hand disjoint index ranges to pool workers; concatenating the ranges
     /// `[0,c), [c,2c), …` reproduces the serial enumeration exactly.
-    pub fn packets_range<'a>(
+    pub(crate) fn packets_range<'a>(
         &'a self,
         proto: &'a Packet,
         start: u128,
@@ -158,7 +146,7 @@ impl Domain {
             proto,
             idx,
             done,
-            remaining: Some(len),
+            remaining: len,
         }
     }
 
@@ -181,13 +169,13 @@ impl Domain {
 }
 
 /// Iterator over the Cartesian product of a [`Domain`].
-pub struct DomainIter<'a> {
+pub(crate) struct DomainIter<'a> {
     domain: &'a Domain,
     proto: &'a Packet,
     idx: Vec<usize>,
     done: bool,
-    /// Packet budget for range iteration (`None` = the full product).
-    remaining: Option<usize>,
+    /// Packets left in the range.
+    remaining: usize,
 }
 
 impl Iterator for DomainIter<'_> {
@@ -197,13 +185,11 @@ impl Iterator for DomainIter<'_> {
         if self.done {
             return None;
         }
-        if let Some(rem) = &mut self.remaining {
-            if *rem == 0 {
-                self.done = true;
-                return None;
-            }
-            *rem -= 1;
+        if self.remaining == 0 {
+            self.done = true;
+            return None;
         }
+        self.remaining -= 1;
         let mut p = self.proto.clone();
         for (k, (attr, vs)) in self.domain.fields.iter().enumerate() {
             p.set(*attr, vs[self.idx[k]]);
@@ -286,7 +272,7 @@ mod tests {
         // f: {0,1,2}, g: {0,2,3}
         assert_eq!(d.product_size(), 9);
         let proto = Packet::zero(&p.catalog);
-        let pkts: Vec<_> = d.packets(&proto).collect();
+        let pkts: Vec<_> = d.packets_range(&proto, 0, usize::MAX).collect();
         assert_eq!(pkts.len(), 9);
         // All distinct.
         for i in 0..pkts.len() {
@@ -366,7 +352,7 @@ mod tests {
         let p = Pipeline::single(c, t);
         let d = Domain::from_pipelines(&[&p]).unwrap();
         let proto = Packet::zero(&p.catalog);
-        let serial: Vec<_> = d.packets(&proto).collect();
+        let serial: Vec<_> = d.packets_range(&proto, 0, usize::MAX).collect();
         let n = serial.len();
         assert_eq!(n as u128, d.product_size());
         // Any chunking concatenates back to the serial enumeration.
@@ -396,7 +382,7 @@ mod tests {
         let p = Pipeline::single(c, t);
         let d = Domain::from_pipelines(&[&p]).unwrap();
         let proto = Packet::zero(&p.catalog);
-        let pkts: Vec<_> = d.packets(&proto).collect();
+        let pkts: Vec<_> = d.packets_range(&proto, 0, usize::MAX).collect();
         assert_eq!(pkts.len(), 1);
     }
 }

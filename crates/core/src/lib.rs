@@ -14,10 +14,10 @@
 //! * **Pipelines** ([`Pipeline`]) — chained tables with OpenFlow-style
 //!   `goto_table`, metadata writes, and implicit sequential chaining; a
 //!   deterministic evaluator yields a [`Verdict`] per packet.
-//! * **Equivalence** ([`equiv`], [`domain`]) — complete observational
+//! * **Equivalence** (`equiv`, `domain`) — complete observational
 //!   equivalence checking over derived finite domains, the mechanical
 //!   counterpart of the paper's Theorem 1.
-//! * **Size accounting** ([`size`]) — the §2 "number of match-action fields"
+//! * **Size accounting** (`size`) — the §2 "number of match-action fields"
 //!   redundancy metric and TCAM-bit estimates.
 //! * **Updates** ([`update`]) — flow-mods ([`RuleUpdate`]), update plans
 //!   (the §2 controllability metric) applied in place with an [`Undo`]
@@ -30,14 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attr;
+pub(crate) mod attr;
 pub mod display;
-pub mod domain;
-pub mod equiv;
+pub(crate) mod domain;
+pub(crate) mod equiv;
 pub mod export;
 pub mod pipeline;
-pub mod size;
-pub mod table;
+pub(crate) mod size;
+pub(crate) mod table;
 pub mod text;
 pub mod update;
 pub mod value;

@@ -432,7 +432,7 @@ impl Pipeline {
     /// `SetField` targets of the tables' schemas, reachable or not, sorted.
     /// The value a table compares for such an attribute may differ from the
     /// value the packet arrived with.
-    pub fn written_attrs(&self) -> Vec<AttrId> {
+    pub(crate) fn written_attrs(&self) -> Vec<AttrId> {
         let mut out: Vec<AttrId> = Vec::new();
         for t in &self.tables {
             for &a in &t.action_attrs {
@@ -465,7 +465,7 @@ impl Pipeline {
     /// of one service's sub-table dirties that service only.
     ///
     /// Only attributes no table schema can `SetField`
-    /// ([`Pipeline::written_attrs`]) take part, in the row and along the
+    /// (`Pipeline::written_attrs`) take part, in the row and along the
     /// path: the value a table compares for such an attribute *is* the
     /// input value, so every packet that reaches the table and matches the
     /// row lies inside every cell on the way. Written columns stay

@@ -15,19 +15,19 @@ use crate::table::Table;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSize {
     /// Table name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of entries.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Number of match columns.
-    pub match_attrs: usize,
+    pub(crate) match_attrs: usize,
     /// Number of action columns.
-    pub action_attrs: usize,
+    pub(crate) action_attrs: usize,
     /// entries × (match + action columns) — the §2 metric.
-    pub fields: usize,
+    pub(crate) fields: usize,
     /// entries × Σ match-column widths: bits of TCAM value array consumed
     /// (mask bits double this on real hardware; the factor is representation-
     /// independent so we report value bits).
-    pub tcam_bits: usize,
+    pub(crate) tcam_bits: usize,
 }
 
 /// Size of a whole pipeline.

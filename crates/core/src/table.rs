@@ -172,7 +172,11 @@ impl Table {
     /// First (highest-priority) entry matching the packet's field values.
     ///
     /// `field` maps a match attribute to the packet's value for it.
-    pub fn lookup_with(&self, catalog: &Catalog, field: impl Fn(AttrId) -> u64) -> Option<usize> {
+    pub(crate) fn lookup_with(
+        &self,
+        catalog: &Catalog,
+        field: impl Fn(AttrId) -> u64,
+    ) -> Option<usize> {
         'entry: for (i, e) in self.entries.iter().enumerate() {
             for (j, &attr) in self.match_attrs.iter().enumerate() {
                 let width = catalog.attr(attr).width;
@@ -282,7 +286,7 @@ impl Table {
 
     /// Total number of match-action *fields* (cells) in the table — the
     /// paper's §2 encoding-size metric (Fig. 1a has 6 × 4 = 24 fields).
-    pub fn field_count(&self) -> usize {
+    pub(crate) fn field_count(&self) -> usize {
         self.entries.len() * (self.match_attrs.len() + self.action_attrs.len())
     }
 }

@@ -44,7 +44,7 @@ pub struct ParseError {
     /// 1-based source line.
     pub line: usize,
     /// What went wrong.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {

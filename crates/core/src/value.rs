@@ -72,11 +72,6 @@ impl Value {
         }
     }
 
-    /// True if this value may appear in a match column.
-    pub fn is_predicate(&self) -> bool {
-        !matches!(self, Value::Sym(_))
-    }
-
     /// Does this predicate match the concrete field value `v`?
     ///
     /// `width` is the attribute's bit width; `v` must fit in it.
@@ -97,7 +92,7 @@ impl Value {
     /// Is this cell well formed at `width` (at most 64) bits: an integer or
     /// a ternary care mask inside the width, a prefix no longer than it with
     /// nothing set below its length? Wildcards and symbols always are.
-    pub fn fits(&self, width: u32) -> bool {
+    pub(crate) fn fits(&self, width: u32) -> bool {
         match *self {
             Value::Int(x) => x & !low_mask(width) == 0,
             Value::Prefix { bits, len } => {
@@ -229,7 +224,7 @@ impl Value {
     ///
     /// Interval endpoints drive the derivation of per-field representative
     /// packet values for exhaustive equivalence checking (see
-    /// [`crate::domain`]).
+    /// `crate::domain`).
     pub fn interval(&self, width: u32) -> Option<(u64, u64)> {
         match *self {
             Value::Int(x) => Some((x, x)),
