@@ -14,13 +14,11 @@ use std::fmt;
 pub const MIN_FRAME: usize = 60;
 
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 /// EtherType for a VLAN tag (802.1Q).
-pub const ETHERTYPE_VLAN: u16 = 0x8100;
+pub(crate) const ETHERTYPE_VLAN: u16 = 0x8100;
 /// IPv4 protocol number for TCP.
-pub const IPPROTO_TCP: u8 = 6;
-/// IPv4 protocol number for UDP.
-pub const IPPROTO_UDP: u8 = 17;
+pub(crate) const IPPROTO_TCP: u8 = 6;
 
 /// A parsed (or to-be-emitted) frame: Ethernet, optional 802.1Q tag,
 /// IPv4, and TCP/UDP ports.

@@ -1,17 +1,17 @@
 //! # mapro-packet — concrete packets and traffic generation
 //!
 //! The measurement substrate's traffic side: wire-format frames
-//! ([`headers`]), the binding between catalog attributes and header fields
-//! ([`bind`]), and deterministic trace generation ([`trace`]) matching the
+//! (`headers`), the binding between catalog attributes and header fields
+//! (`bind`), and deterministic trace generation (`trace`) matching the
 //! paper's benchmark configuration (64-byte packets, weighted/Zipf flow
 //! mixes, fixed seeds).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bind;
-pub mod headers;
-pub mod trace;
+pub(crate) mod bind;
+pub(crate) mod headers;
+pub(crate) mod trace;
 
 pub use bind::{mac_to_u64, u64_to_mac, Binding, FieldLoc};
 pub use headers::{ipv4, ipv4_to_string, Frame, ParseError, MIN_FRAME};
