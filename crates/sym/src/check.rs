@@ -198,7 +198,7 @@ pub fn check_equivalent_with(
 /// Why [`EquivMode::Auto`] abandoned the symbolic engine for this check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FallbackInfo {
-    /// Stable cause label ([`Unsupported::label`]): `goto_cycle`,
+    /// Stable cause label (`Unsupported::label`): `goto_cycle`,
     /// `unknown_table`, `bad_action_param`, `atom_budget` or
     /// `node_budget`.
     pub cause: &'static str,

@@ -49,7 +49,7 @@ impl FieldSpace {
 
     /// Column index of an attribute, if it participates.
     #[inline]
-    pub fn coord_of(&self, attr: AttrId) -> Option<usize> {
+    pub(crate) fn coord_of(&self, attr: AttrId) -> Option<usize> {
         self.coords.iter().position(|&(id, _)| id == attr)
     }
 
@@ -87,7 +87,7 @@ pub enum Behavior {
 pub struct SymConfig {
     /// Maximum number of leaves (walks ending in a behavior) one
     /// compilation may build — a branch-count safety valve.
-    pub max_atoms: usize,
+    pub(crate) max_atoms: usize,
     /// Maximum interior nodes in one decision-diagram manager.
     pub max_nodes: usize,
 }
@@ -120,7 +120,7 @@ pub enum Unsupported {
         /// Offending action attribute name.
         attr: String,
     },
-    /// The compilation exceeded [`SymConfig::max_atoms`].
+    /// The compilation exceeded `SymConfig::max_atoms`.
     AtomBudget,
     /// The diagram manager exceeded [`SymConfig::max_nodes`].
     NodeBudget,
@@ -153,7 +153,7 @@ impl std::fmt::Display for Unsupported {
 impl Unsupported {
     /// Stable snake_case cause label, used as the `sym.fallback.<cause>`
     /// counter suffix and in `mapro check` fallback notes.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Unsupported::GotoCycle { .. } => "goto_cycle",
             Unsupported::UnknownTable(_) => "unknown_table",

@@ -10,7 +10,7 @@
 //!
 //! Union questions — is a row covered by the rows above it, what region
 //! does a flow-mod dirty — are decided on decision diagrams
-//! ([`crate::ddcover`]), never by splitting cubes. This module began life
+//! (`crate::ddcover`), never by splitting cubes. This module began life
 //! as `mapro_lint::cover` and was promoted here so the diagram compiler,
 //! the incremental sessions and the linter share one implementation;
 //! `mapro_lint::cover` now re-exports it.
@@ -28,18 +28,18 @@ pub struct Tern {
 
 impl Tern {
     /// The wildcard column: matches every value.
-    pub const ANY: Tern = Tern { bits: 0, mask: 0 };
+    pub(crate) const ANY: Tern = Tern { bits: 0, mask: 0 };
 
     /// Does this column predicate match the concrete value `v`?
     #[inline]
-    pub fn matches(self, v: u64) -> bool {
+    pub(crate) fn matches(self, v: u64) -> bool {
         (v ^ self.bits) & self.mask == 0
     }
 
     /// Per-column intersection; `None` when the two disagree on a shared
     /// care bit (empty intersection).
     #[inline]
-    pub fn intersect(self, other: Tern) -> Option<Tern> {
+    pub(crate) fn intersect(self, other: Tern) -> Option<Tern> {
         if (self.bits ^ other.bits) & self.mask & other.mask != 0 {
             return None;
         }
@@ -71,7 +71,7 @@ impl Cube {
     }
 
     /// The all-wildcard cube over `n` columns (the universe).
-    pub fn any(n: usize) -> Cube {
+    pub(crate) fn any(n: usize) -> Cube {
         Cube(vec![Tern::ANY; n])
     }
 

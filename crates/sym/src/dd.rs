@@ -8,11 +8,11 @@
 //!
 //! Two flavors share the arena:
 //!
-//! * **Boolean BDDs** — terminals [`NodeRef::FALSE`] / [`NodeRef::TRUE`];
-//!   combined with the memoized apply operations [`Mgr::and`], [`Mgr::or`],
-//!   [`Mgr::not`], [`Mgr::diff`] (set subtraction `a ∧ ¬b`) and
-//!   [`Mgr::cofactor`]. These are the header-space predicates: a ternary
-//!   match row becomes a conjunction of bit literals ([`Mgr::cube`]).
+//! * **Boolean BDDs** — terminals `NodeRef::FALSE` / `NodeRef::TRUE`;
+//!   combined with the memoized apply operations `Mgr::and`, `Mgr::or`
+//!   and `Mgr::diff` (set subtraction `a ∧ ¬b`). These are the
+//!   header-space predicates: a ternary match row becomes a conjunction
+//!   of bit literals (`Mgr::cube`).
 //! * **Terminal-labeled MTBDDs** — terminals carry an arbitrary `u32`
 //!   label (a behavior id interned by the caller); built by selecting
 //!   between labeled terminals with [`Mgr::ite`] under boolean guards.
@@ -21,7 +21,7 @@
 //!   equality.
 //!
 //! Variables are plain `u32` bit indices; smaller indices sit closer to
-//! the root. Callers fix the order ([`ddcover`](crate::ddcover) uses field-declaration
+//! the root. Callers fix the order (`ddcover` uses field-declaration
 //! order, MSB first within a field). Every allocation is bounded by a node
 //! limit whose exhaustion is the recoverable [`Overflow`] error, never an
 //! abort.
@@ -59,7 +59,7 @@
 //! The manager tallies its own work ([`Mgr::stats`]) in plain integers and
 //! adds the difference to the process-wide `mapro-obs` counters `dd.nodes`
 //! (fresh allocations), `dd.unique.hits`, `dd.memo.hits` /
-//! `dd.memo.misses` when [`Mgr::publish`] is called, when [`Mgr::gc`] runs
+//! `dd.memo.misses` when `Mgr::publish` is called, when [`Mgr::gc`] runs
 //! and when it is dropped — not once per node. This crate publishes at
 //! the end of every compile and check, so the counters are exact wherever
 //! they are read. `dd.gc.collected` counts nodes reclaimed by [`Mgr::gc`].
@@ -71,7 +71,7 @@ use std::collections::HashSet;
 const TERM_BIT: u32 = 1 << 31;
 
 /// Largest terminal label an MTBDD can carry.
-pub const MAX_TERM: u32 = TERM_BIT - 1;
+pub(crate) const MAX_TERM: u32 = TERM_BIT - 1;
 
 /// A canonical reference to a decision-diagram node (or terminal).
 ///
@@ -83,14 +83,14 @@ pub struct NodeRef(u32);
 
 impl NodeRef {
     /// The constant-false boolean terminal (label 0).
-    pub const FALSE: NodeRef = NodeRef(TERM_BIT);
+    pub(crate) const FALSE: NodeRef = NodeRef(TERM_BIT);
     /// The constant-true boolean terminal (label 1).
-    pub const TRUE: NodeRef = NodeRef(TERM_BIT | 1);
+    pub(crate) const TRUE: NodeRef = NodeRef(TERM_BIT | 1);
 
     /// The terminal carrying MTBDD label `v`.
     ///
     /// # Panics
-    /// Panics if `v` exceeds [`MAX_TERM`].
+    /// Panics if `v` exceeds `MAX_TERM`.
     #[inline]
     pub fn term(v: u32) -> NodeRef {
         assert!(v <= MAX_TERM, "terminal label {v} exceeds MAX_TERM");
@@ -99,14 +99,8 @@ impl NodeRef {
 
     /// Is this a terminal?
     #[inline]
-    pub fn is_term(self) -> bool {
+    pub(crate) fn is_term(self) -> bool {
         self.0 & TERM_BIT != 0
-    }
-
-    /// The terminal label, if this is a terminal.
-    #[inline]
-    pub fn term_value(self) -> Option<u32> {
-        self.is_term().then_some(self.0 & !TERM_BIT)
     }
 
     #[inline]
@@ -132,7 +126,7 @@ struct Node {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Overflow {
     /// The limit that was hit.
-    pub limit: usize,
+    pub(crate) limit: usize,
 }
 
 impl std::fmt::Display for Overflow {
@@ -153,8 +147,6 @@ enum Op {
     And = TERM_BIT,
     Or,
     Diff,
-    Cofactor0,
-    Cofactor1,
 }
 
 /// One computed-cache slot: `key` → `result`.
@@ -198,7 +190,7 @@ fn hash3(a: u32, b: u32, c: u32) -> u64 {
 }
 
 /// What one manager has done so far — the per-manager side of the `dd.*`
-/// counters (see [`Mgr::publish`]).
+/// counters (see `Mgr::publish`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Interior nodes allocated (`dd.nodes`).
@@ -257,16 +249,16 @@ fn shift_for(len: usize) -> u32 {
 impl Mgr {
     /// Default node limit: ~4M interior nodes (64 MiB of arena), far above
     /// anything the workloads need but a hard stop for pathological input.
-    pub const DEFAULT_MAX_NODES: usize = 1 << 22;
+    pub(crate) const DEFAULT_MAX_NODES: usize = 1 << 22;
 
     /// A manager with the default node limit.
-    pub fn new() -> Mgr {
+    pub(crate) fn new() -> Mgr {
         Mgr::with_limit(Self::DEFAULT_MAX_NODES)
     }
 
     /// A manager that refuses to allocate more than `max_nodes` interior
     /// nodes (clamped to the 2^31 arena address space).
-    pub fn with_limit(max_nodes: usize) -> Mgr {
+    pub(crate) fn with_limit(max_nodes: usize) -> Mgr {
         let mut m = Mgr {
             nodes: Vec::new(),
             unique: Vec::new(),
@@ -293,13 +285,8 @@ impl Mgr {
     }
 
     /// Number of interior nodes currently in the arena (live + garbage).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when no interior node has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// This manager's own tallies, published or not.
@@ -310,7 +297,7 @@ impl Mgr {
     /// Add what this manager has tallied since the last call to the
     /// process-wide `dd.*` counters. Runs on [`Mgr::gc`] and on drop as
     /// well; call it wherever a reader may look at the counters next.
-    pub fn publish(&mut self) {
+    pub(crate) fn publish(&mut self) {
         let (now, was) = (self.stats, self.published);
         mapro_obs::counter!("dd.nodes").add(now.nodes - was.nodes);
         mapro_obs::counter!("dd.unique.hits").add(now.unique_hits - was.unique_hits);
@@ -451,7 +438,7 @@ impl Mgr {
 
     /// Conjunction of bit literals `(var, value)` — a ternary match row as
     /// a predicate. Literals must be sorted by strictly ascending `var`.
-    pub fn cube(&mut self, lits: &[(u32, bool)]) -> Result<NodeRef, Overflow> {
+    pub(crate) fn cube(&mut self, lits: &[(u32, bool)]) -> Result<NodeRef, Overflow> {
         debug_assert!(
             lits.windows(2).all(|w| w[0].0 < w[1].0),
             "cube literals must be sorted by strictly ascending var"
@@ -502,7 +489,6 @@ impl Mgr {
                     None
                 }
             }
-            Op::Cofactor0 | Op::Cofactor1 => unreachable!("cofactor is not a binary apply"),
         }
     }
 
@@ -548,24 +534,19 @@ impl Mgr {
     }
 
     /// Boolean conjunction `a ∧ b`.
-    pub fn and(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
+    pub(crate) fn and(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
         self.apply(Op::And, a, b)
     }
 
     /// Boolean disjunction `a ∨ b`.
-    pub fn or(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
+    pub(crate) fn or(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
         self.apply(Op::Or, a, b)
     }
 
     /// Set subtraction `a ∧ ¬b` — the operation that replaces recursive
     /// cube splitting.
-    pub fn diff(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
+    pub(crate) fn diff(&mut self, a: NodeRef, b: NodeRef) -> Result<NodeRef, Overflow> {
         self.apply(Op::Diff, a, b)
-    }
-
-    /// Boolean negation `¬a`.
-    pub fn not(&mut self, a: NodeRef) -> Result<NodeRef, Overflow> {
-        self.apply(Op::Diff, NodeRef::TRUE, a)
     }
 
     /// If-then-else: boolean guard `f` selecting between `g` and `h`
@@ -596,70 +577,6 @@ impl Mgr {
         Ok(r)
     }
 
-    /// Cofactor (restriction): `f` with variable `var` pinned to `val`.
-    pub fn cofactor(&mut self, f: NodeRef, var: u32, val: bool) -> Result<NodeRef, Overflow> {
-        if self.var_of(f) > var {
-            // `var` cannot appear below the root in an ordered diagram.
-            return Ok(f);
-        }
-        if self.var_of(f) == var {
-            let n = self.node(f);
-            return Ok(if val { n.hi } else { n.lo });
-        }
-        let op = if val { Op::Cofactor1 } else { Op::Cofactor0 };
-        // The pinned variable rides in the key's second operand slot.
-        let key = [op as u32, f.0, var];
-        if let Some(r) = self.recall(key) {
-            return Ok(r);
-        }
-        let n = self.node(f);
-        let lo = self.cofactor(n.lo, var, val)?;
-        let hi = self.cofactor(n.hi, var, val)?;
-        let r = self.mk(n.var, lo, hi)?;
-        self.remember(key, r);
-        Ok(r)
-    }
-
-    /// Evaluate to the terminal label under a concrete assignment.
-    pub fn eval(&self, mut f: NodeRef, bit: impl Fn(u32) -> bool) -> u32 {
-        loop {
-            match f.term_value() {
-                Some(v) => return v,
-                None => {
-                    let n = self.node(f);
-                    f = if bit(n.var) { n.hi } else { n.lo };
-                }
-            }
-        }
-    }
-
-    /// The first satisfying assignment of a boolean BDD in 0-preferring
-    /// path order: `(var, value)` for each decision on the path; unlisted
-    /// variables are free (callers pin them to 0 for byte-stable
-    /// representatives). `None` iff `f` is `FALSE`.
-    ///
-    /// Every reduced non-`FALSE` node is satisfiable, so the walk never
-    /// backtracks.
-    pub fn first_sat(&self, f: NodeRef) -> Option<Vec<(u32, bool)>> {
-        if f == NodeRef::FALSE {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while !cur.is_term() {
-            let n = self.node(cur);
-            if n.lo != NodeRef::FALSE {
-                path.push((n.var, false));
-                cur = n.lo;
-            } else {
-                path.push((n.var, true));
-                cur = n.hi;
-            }
-        }
-        debug_assert_ne!(cur, NodeRef::FALSE);
-        Some(path)
-    }
-
     /// The first assignment (0-preferring path order) on which two MTBDDs
     /// reach different terminals, or `None` iff `a == b`. This is the
     /// counterexample extractor: by hash-consing, semantic equality is
@@ -668,7 +585,7 @@ impl Mgr {
     ///
     /// Pairs proven equal are memoized in a visited set, bounding the walk
     /// by the number of distinct `(a, b)` subproblems.
-    pub fn first_diff(&self, a: NodeRef, b: NodeRef) -> Option<Vec<(u32, bool)>> {
+    pub(crate) fn first_diff(&self, a: NodeRef, b: NodeRef) -> Option<Vec<(u32, bool)>> {
         fn go(
             m: &Mgr,
             a: NodeRef,
@@ -788,17 +705,27 @@ impl Mgr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// Evaluate `f` to its terminal label under a concrete assignment: the
+    /// oracle the diagram tests compare against enumeration.
+    pub(crate) fn eval(m: &Mgr, mut f: NodeRef, bit: impl Fn(u32) -> bool) -> u32 {
+        while !f.is_term() {
+            let n = m.node(f);
+            f = if bit(n.var) { n.hi } else { n.lo };
+        }
+        f.0 & !TERM_BIT
+    }
 
     const W: u32 = 8;
 
     /// Truth table of a boolean BDD over variables 0..W.
     fn table(m: &Mgr, f: NodeRef) -> Vec<bool> {
         (0..1u32 << W)
-            .map(|x| m.eval(f, |v| (x >> (W - 1 - v)) & 1 == 1) == 1)
+            .map(|x| eval(m, f, |v| (x >> (W - 1 - v)) & 1 == 1) == 1)
             .collect()
     }
 
@@ -824,7 +751,7 @@ mod tests {
         let a = m.cube(&[(0, true), (3, false)]).unwrap();
         let b1 = m.var(0).unwrap();
         let b2 = m.var(3).unwrap();
-        let n2 = m.not(b2).unwrap();
+        let n2 = m.diff(NodeRef::TRUE, b2).unwrap();
         let b = m.and(b1, n2).unwrap();
         assert_eq!(a, b, "structurally equal builds intern to one node");
     }
@@ -841,7 +768,7 @@ mod tests {
             let and = m.and(a, b).unwrap();
             let or = m.or(a, b).unwrap();
             let diff = m.diff(a, b).unwrap();
-            let not = m.not(a).unwrap();
+            let not = m.diff(NodeRef::TRUE, a).unwrap();
             assert_eq!(
                 table(&m, and),
                 ta.iter()
@@ -876,9 +803,9 @@ mod tests {
             let b = random_fn(&mut m, &mut rng);
             // De Morgan: ¬(a ∨ b) == ¬a ∧ ¬b, as refs.
             let or = m.or(a, b).unwrap();
-            let lhs = m.not(or).unwrap();
-            let na = m.not(a).unwrap();
-            let nb = m.not(b).unwrap();
+            let lhs = m.diff(NodeRef::TRUE, or).unwrap();
+            let na = m.diff(NodeRef::TRUE, a).unwrap();
+            let nb = m.diff(NodeRef::TRUE, b).unwrap();
             let rhs = m.and(na, nb).unwrap();
             assert_eq!(lhs, rhs);
         }
@@ -891,51 +818,11 @@ mod tests {
         let t5 = NodeRef::term(5);
         let t9 = NodeRef::term(9);
         let f = m.ite(guard, t5, t9).unwrap();
-        assert_eq!(m.eval(f, |_| true), 5);
-        assert_eq!(m.eval(f, |_| false), 9);
+        assert_eq!(eval(&m, f, |_| true), 5);
+        assert_eq!(eval(&m, f, |_| false), 9);
         // Same-terminal branches collapse.
         let g = m.ite(guard, t5, t5).unwrap();
         assert_eq!(g, t5);
-    }
-
-    #[test]
-    fn cofactor_matches_enumeration() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut m = Mgr::new();
-        for _ in 0..40 {
-            let a = random_fn(&mut m, &mut rng);
-            let v = rng.gen_range(0..W);
-            let val = rng.gen_bool(0.5);
-            let c = m.cofactor(a, v, val).unwrap();
-            for x in 0..1u32 << W {
-                let pinned = if val {
-                    x | (1 << (W - 1 - v))
-                } else {
-                    x & !(1 << (W - 1 - v))
-                };
-                assert_eq!(
-                    m.eval(c, |b| (x >> (W - 1 - b)) & 1 == 1),
-                    m.eval(a, |b| (pinned >> (W - 1 - b)) & 1 == 1),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn first_sat_is_a_member_preferring_zero() {
-        let mut m = Mgr::new();
-        assert_eq!(m.first_sat(NodeRef::FALSE), None);
-        assert_eq!(m.first_sat(NodeRef::TRUE), Some(vec![]));
-        let c = m.cube(&[(1, true), (4, false)]).unwrap();
-        let v2 = m.var(2).unwrap();
-        let f = m.or(c, v2).unwrap();
-        let path = m.first_sat(f).unwrap();
-        // The 0-preferring walk lands in the var-2 branch with 1 pinned 0.
-        let mut assign = [false; W as usize];
-        for &(v, b) in &path {
-            assign[v as usize] = b;
-        }
-        assert_eq!(m.eval(f, |v| assign[v as usize]), 1);
     }
 
     #[test]
@@ -953,8 +840,8 @@ mod tests {
                         assign[v as usize] = val;
                     }
                     assert_ne!(
-                        m.eval(a, |v| assign[v as usize]),
-                        m.eval(b, |v| assign[v as usize]),
+                        eval(&m, a, |v| assign[v as usize]),
+                        eval(&m, b, |v| assign[v as usize]),
                         "returned path must witness the difference"
                     );
                 }
@@ -1013,12 +900,12 @@ mod tests {
                 0 => m.and(a, b)?,
                 1 => m.or(a, b)?,
                 2 => m.diff(a, b)?,
-                3 => m.cofactor(a, rng.gen_range(0..WIDE), rng.gen_bool(0.5))?,
+                3 => m.diff(b, a)?,
                 _ => {
                     let label = NodeRef::term(rng.gen_range(2..9));
                     let g = m.ite(a, label, NodeRef::term(9))?;
                     out.push(m.ite(b, NodeRef::term(2), g)?);
-                    m.not(a)?
+                    m.diff(NodeRef::TRUE, a)?
                 }
             };
             pool.push(r);
@@ -1069,7 +956,7 @@ mod tests {
             (0..200)
                 .map(|_| {
                     let x: u32 = rng.gen();
-                    m.eval(f, |v| x >> v & 1 == 1)
+                    eval(m, f, |v| x >> v & 1 == 1)
                 })
                 .collect()
         };
@@ -1153,8 +1040,8 @@ mod tests {
             "arena is exactly the live set"
         );
         // The manager stays usable: hash-consing still canonical.
-        let a = m.not(roots[0]).unwrap();
-        let b = m.not(roots[0]).unwrap();
+        let a = m.diff(NodeRef::TRUE, roots[0]).unwrap();
+        let b = m.diff(NodeRef::TRUE, roots[0]).unwrap();
         assert_eq!(a, b);
     }
 

@@ -72,7 +72,7 @@ impl BitLayout {
 
     /// A layout from raw column widths (used by the per-table liveness
     /// analysis, where the columns are one table's match columns).
-    pub fn from_widths(widths: impl IntoIterator<Item = u32>) -> BitLayout {
+    pub(crate) fn from_widths(widths: impl IntoIterator<Item = u32>) -> BitLayout {
         let widths: Vec<u32> = widths.into_iter().collect();
         let mut offsets = Vec::with_capacity(widths.len());
         let mut total = 0u32;
@@ -94,7 +94,7 @@ impl BitLayout {
 
     /// Append the bit literals of a ternary `(bits, mask)` predicate on
     /// column `col`, in ascending variable order (MSB of the field first).
-    pub fn tern_lits(&self, col: usize, bits: u64, mask: u64, out: &mut Vec<(u32, bool)>) {
+    pub(crate) fn tern_lits(&self, col: usize, bits: u64, mask: u64, out: &mut Vec<(u32, bool)>) {
         let w = self.widths[col];
         for i in 0..w {
             let b = w - 1 - i; // bit position from the LSB
@@ -106,7 +106,7 @@ impl BitLayout {
 
     /// Append the bit literals of a whole cube over this layout's columns,
     /// in ascending variable order — ready for `Mgr::cube`.
-    pub fn cube_lits(&self, c: &Cube, out: &mut Vec<(u32, bool)>) {
+    pub(crate) fn cube_lits(&self, c: &Cube, out: &mut Vec<(u32, bool)>) {
         for (col, t) in c.0.iter().enumerate() {
             self.tern_lits(col, t.bits, t.mask, out);
         }
@@ -115,7 +115,7 @@ impl BitLayout {
     /// Map a (partial) variable assignment back to one concrete value per
     /// column; unassigned bits are zero, so representatives are byte-stable
     /// ("free bits pinned to 0").
-    pub fn key_of_path(&self, path: &[(u32, bool)]) -> Vec<u64> {
+    pub(crate) fn key_of_path(&self, path: &[(u32, bool)]) -> Vec<u64> {
         let mut key = vec![0u64; self.widths.len()];
         for &(v, val) in path {
             if !val {
@@ -169,7 +169,7 @@ pub struct DdEngine {
     /// `first_diff` on compiled roots.
     pub mgr: Mgr,
     /// The space-to-variable mapping of this domain.
-    pub layout: BitLayout,
+    pub(crate) layout: BitLayout,
     interner: BehaviorInterner,
 }
 
@@ -232,7 +232,7 @@ impl DdEngine {
     /// compile(p), term(0))`. `rows` is [`match_rows`] of `p`. Also returns
     /// the number of leaves built — the honest work measure for the delta.
     ///
-    /// This is the [`crate::incremental`] delta recompile: after a flow-mod
+    /// This is the `crate::incremental` delta recompile: after a flow-mod
     /// dirties a region `D`, `ite(D, compile_within(new, D), old_root)` is
     /// the new cover, because the two agree everywhere outside `D` by the
     /// invalidation-cube contract. The dirty cubes are the build's initial
@@ -294,15 +294,6 @@ impl DdEngine {
         span.set("leaves", c.leaves);
         span.set("nodes", c.mgr.len());
         Ok((root, c.leaves))
-    }
-
-    /// The behavior interned under terminal label `id` (1-based).
-    ///
-    /// # Panics
-    /// Panics on the placeholder label 0 or an id this engine never
-    /// interned.
-    pub fn behavior(&self, id: u32) -> &Behavior {
-        &self.interner.behaviors[id as usize - 1]
     }
 }
 
@@ -596,7 +587,7 @@ mod tests {
                 key.push(n & ((1u64 << w) - 1));
                 n >>= w;
             }
-            let id = eng.mgr.eval(root, |v| {
+            let id = crate::dd::tests::eval(&eng.mgr, root, |v| {
                 let col = match layout.offsets.binary_search(&v) {
                     Ok(c) => c,
                     Err(c) => c - 1,
@@ -624,7 +615,11 @@ mod tests {
                     opaque: opaque.to_vec(),
                 },
             };
-            assert_eq!(eng.behavior(id), &expect, "packet {key:?}");
+            assert_eq!(
+                &eng.interner.behaviors[id as usize - 1],
+                &expect,
+                "packet {key:?}"
+            );
         }
     }
 

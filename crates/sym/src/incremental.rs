@@ -104,7 +104,7 @@ impl Verdict {
     }
 
     /// Stable short label for digests and reports: `"eq"` / `"ne"`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Verdict::Equivalent => "eq",
             Verdict::NotEquivalent => "ne",
@@ -124,10 +124,10 @@ pub struct ProofToken {
     /// Transaction id of the update bundle this token certifies.
     pub txn: u64,
     /// Deterministic digest: `incr:<epoch>:<txn>:<checks>:<atoms>:<verdict>`.
-    pub digest: String,
+    pub(crate) digest: String,
     /// Leaves built for this proof; the shared node count of both diagrams
     /// when the update fell back to a from-scratch check.
-    pub atoms_rechecked: usize,
+    pub(crate) atoms_rechecked: usize,
     /// The session verdict after applying the update.
     pub verdict: Verdict,
 }
@@ -369,7 +369,7 @@ impl IncrementalChecker {
         }
     }
 
-    /// Concretize a witness for the current [`Verdict::NotEquivalent`]
+    /// Concretize a witness for the current `Verdict::NotEquivalent`
     /// state (or `None` when equivalent). Kept off the update path so
     /// steady-state proofs never pay evaluator runs. Byte-identical to a
     /// fresh check's witness (`first_diff` path order is a function of the

@@ -8,12 +8,12 @@
 //! of the joint header space to the one observable behavior all its
 //! packets share, and two pipelines are equivalent iff their covers are.
 //!
-//! A cover is one hash-consed MTBDD per pipeline ([`ddcover`], on the
+//! A cover is one hash-consed MTBDD per pipeline (`ddcover`, on the
 //! decision diagrams of [`dd`]) in a shared manager: equivalence is root equality, a
-//! witness is a `first_diff` path ([`check`]), and an [`incremental`]
+//! witness is a `first_diff` path (`check`), and an `incremental`
 //! session keeps the two roots alive across flow-mods, recompiling only
 //! the region (and visiting only the rows) an update can touch.
-//! [`mod@compile`] holds the vocabulary of the symbolic walk and [`cube`]
+//! `compile` holds the vocabulary of the symbolic walk and [`cube`]
 //! the ternary rows it starts from. One concrete representative packet is
 //! extracted per disagreement, so counterexample reporting stays
 //! byte-compatible with the enumerative API.
@@ -28,12 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
-pub mod compile;
+pub(crate) mod check;
+pub(crate) mod compile;
 pub mod cube;
 pub mod dd;
-pub mod ddcover;
-pub mod incremental;
+pub(crate) mod ddcover;
+pub(crate) mod incremental;
 
 pub use check::{
     assert_equivalent, check_equivalent, check_equivalent_explain, check_equivalent_with,
@@ -42,4 +42,4 @@ pub use check::{
 pub use compile::{Behavior, FieldSpace, SymConfig, Unsupported};
 pub use cube::{Cube, Tern};
 pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
-pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side, Verdict};
+pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side};
