@@ -27,7 +27,7 @@ impl Fd {
     }
 
     /// A dependency is trivial iff `rhs ⊆ lhs`.
-    pub fn is_trivial(self) -> bool {
+    pub(crate) fn is_trivial(self) -> bool {
         self.rhs.subset_of(self.lhs)
     }
 }
@@ -56,7 +56,7 @@ impl FdSet {
     }
 
     /// Add a dependency (by masks).
-    pub fn add(&mut self, fd: Fd) {
+    pub(crate) fn add(&mut self, fd: Fd) {
         if !self.fds.contains(&fd) {
             self.fds.push(fd);
         }
@@ -106,7 +106,7 @@ impl FdSet {
     }
 
     /// Is `x` a superkey (determines every attribute)?
-    pub fn is_superkey(&self, x: AttrSet) -> bool {
+    pub(crate) fn is_superkey(&self, x: AttrSet) -> bool {
         self.closure(x) == self.universe.full()
     }
 
@@ -158,77 +158,6 @@ impl FdSet {
         keys
     }
 
-    /// Prime attributes: members of at least one candidate key.
-    pub fn prime_attrs(&self) -> AttrSet {
-        self.candidate_keys()
-            .into_iter()
-            .fold(AttrSet::EMPTY, AttrSet::union)
-    }
-
-    /// A minimal (canonical) cover: singleton right-hand sides, no
-    /// extraneous LHS attributes, no redundant dependencies.
-    ///
-    /// 3NF synthesis (§3 / `mapro-normalize`) decomposes along the groups
-    /// of such a cover.
-    pub fn minimal_cover(&self) -> FdSet {
-        // 1. Split RHSs.
-        let mut work: Vec<Fd> = Vec::new();
-        for fd in &self.fds {
-            for p in fd.rhs.minus(fd.lhs).iter() {
-                let f = Fd::new(fd.lhs, AttrSet::single(p));
-                if !work.contains(&f) {
-                    work.push(f);
-                }
-            }
-        }
-        // 2. Remove extraneous LHS attributes.
-        let all = FdSet {
-            universe: self.universe.clone(),
-            fds: work.clone(),
-        };
-        for fd in &mut work {
-            let mut lhs = fd.lhs;
-            loop {
-                let mut shrunk = false;
-                for cand in lhs.shrink_by_one() {
-                    if fd.rhs.subset_of(all.closure(cand)) {
-                        lhs = cand;
-                        shrunk = true;
-                        break;
-                    }
-                }
-                if !shrunk {
-                    break;
-                }
-            }
-            fd.lhs = lhs;
-        }
-        work.dedup();
-        // 3. Remove redundant FDs.
-        let mut i = 0;
-        while i < work.len() {
-            let fd = work[i];
-            let rest = FdSet {
-                universe: self.universe.clone(),
-                fds: work
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, f)| *f)
-                    .collect(),
-            };
-            if rest.implies(fd) {
-                work.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        FdSet {
-            universe: self.universe.clone(),
-            fds: work,
-        }
-    }
-
     /// Project this dependency set onto an attribute subset: all FDs
     /// `X → Y` with `X, Y ⊆ attrs` implied by the set (computed via
     /// closures of subsets of `attrs`; exponential in `|attrs|`, which is
@@ -237,7 +166,7 @@ impl FdSet {
     /// This is the π_R(F) of decomposition theory: a decomposition into
     /// stages `R₁…Rₖ` is *dependency-preserving* iff `⋃ π_{Rᵢ}(F)` implies
     /// `F` — see [`FdSet::preserved_by`].
-    pub fn project_onto(&self, attrs: &[mapro_core::AttrId]) -> FdSet {
+    pub(crate) fn project_onto(&self, attrs: &[mapro_core::AttrId]) -> FdSet {
         let positions: Vec<usize> = attrs
             .iter()
             .filter_map(|a| self.universe.position(*a))
@@ -333,7 +262,6 @@ mod tests {
         let s = abcd();
         // Key must contain A (nothing determines it) and D: key = {A,D}.
         assert_eq!(s.candidate_keys(), vec![AttrSet(0b1001)]);
-        assert_eq!(s.prime_attrs(), AttrSet(0b1001));
     }
 
     #[test]
@@ -344,7 +272,6 @@ mod tests {
         s.add_ids(&[AttrId(0)], &[AttrId(1)]);
         s.add_ids(&[AttrId(1)], &[AttrId(0)]);
         assert_eq!(s.candidate_keys(), vec![AttrSet(0b01), AttrSet(0b10)]);
-        assert_eq!(s.prime_attrs(), AttrSet(0b11));
     }
 
     #[test]
@@ -358,48 +285,6 @@ mod tests {
     fn trivial_fd_detection() {
         assert!(Fd::new(AttrSet(0b11), AttrSet(0b01)).is_trivial());
         assert!(!Fd::new(AttrSet(0b01), AttrSet(0b10)).is_trivial());
-    }
-
-    #[test]
-    fn minimal_cover_splits_and_prunes() {
-        // A→BC, B→C, AB→C. Cover should be {A→B, B→C}.
-        let u = Universe::new(ids(3));
-        let mut s = FdSet::new(u);
-        s.add_ids(&[AttrId(0)], &[AttrId(1), AttrId(2)]);
-        s.add_ids(&[AttrId(1)], &[AttrId(2)]);
-        s.add_ids(&[AttrId(0), AttrId(1)], &[AttrId(2)]);
-        let mc = s.minimal_cover();
-        let mut got = mc.fds().to_vec();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![
-                Fd::new(AttrSet(0b001), AttrSet(0b010)), // A→B
-                Fd::new(AttrSet(0b010), AttrSet(0b100)), // B→C
-            ]
-        );
-    }
-
-    #[test]
-    fn minimal_cover_removes_extraneous_lhs() {
-        // AB→C with A→B means B is... actually A→B makes AB→C reducible to A→C?
-        // A⁺ under {A→B, AB→C} = {A,B,C}: so A→C holds; cover must shrink AB→C to A→C.
-        let u = Universe::new(ids(3));
-        let mut s = FdSet::new(u);
-        s.add_ids(&[AttrId(0)], &[AttrId(1)]);
-        s.add_ids(&[AttrId(0), AttrId(1)], &[AttrId(2)]);
-        let mc = s.minimal_cover();
-        assert!(mc.fds().contains(&Fd::new(AttrSet(0b001), AttrSet(0b100))));
-        assert!(!mc.fds().iter().any(|f| f.lhs == AttrSet(0b011)));
-    }
-
-    #[test]
-    fn cover_preserves_closure() {
-        let s = abcd();
-        let mc = s.minimal_cover();
-        for mask in 0..16u64 {
-            assert_eq!(s.closure(AttrSet(mask)), mc.closure(AttrSet(mask)));
-        }
     }
 
     #[test]

@@ -23,16 +23,16 @@ use std::collections::{BTreeMap, HashSet};
 /// Rows map attribute ids to values; all rows of one relation share the
 /// same attribute set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rel {
+pub(crate) struct Rel {
     /// Attributes, sorted by id.
-    pub attrs: Vec<AttrId>,
+    pub(crate) attrs: Vec<AttrId>,
     /// Distinct rows.
-    pub rows: Vec<BTreeMap<AttrId, Value>>,
+    pub(crate) rows: Vec<BTreeMap<AttrId, Value>>,
 }
 
 impl Rel {
     /// Materialize a table's relation over all its attributes.
-    pub fn from_table(table: &Table) -> Rel {
+    pub(crate) fn from_table(table: &Table) -> Rel {
         let mut attrs = table.attrs();
         attrs.sort_unstable();
         let mut seen = HashSet::new();
@@ -50,7 +50,7 @@ impl Rel {
     }
 
     /// Project onto a subset of attributes, eliminating duplicates.
-    pub fn project(&self, attrs: &[AttrId]) -> Rel {
+    pub(crate) fn project(&self, attrs: &[AttrId]) -> Rel {
         let mut keep: Vec<AttrId> = attrs.to_vec();
         keep.sort_unstable();
         keep.dedup();
@@ -72,7 +72,7 @@ impl Rel {
     }
 
     /// Natural join on shared attributes.
-    pub fn join(&self, other: &Rel) -> Rel {
+    pub(crate) fn join(&self, other: &Rel) -> Rel {
         let shared: Vec<AttrId> = self
             .attrs
             .iter()
@@ -105,7 +105,7 @@ impl Rel {
     }
 
     /// Set equality of relations (attribute sets and row sets).
-    pub fn set_eq(&self, other: &Rel) -> bool {
+    pub(crate) fn set_eq(&self, other: &Rel) -> bool {
         if self.attrs != other.attrs {
             return false;
         }
@@ -114,13 +114,8 @@ impl Rel {
         a == b
     }
 
-    /// Number of distinct rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True if the relation has no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 }
@@ -227,8 +222,8 @@ mod tests {
         let rel = Rel::from_table(&t);
         let p1 = rel.project(&[ids[0], ids[1]]);
         let p2 = rel.project(&[ids[0], ids[2]]);
-        assert_eq!(p1.len(), 3); // (1,1),(1,2),(2,3)
-        assert_eq!(p2.len(), 3); // (1,10),(1,20),(2,30)
+        assert_eq!(p1.rows.len(), 3); // (1,1),(1,2),(2,3)
+        assert_eq!(p2.rows.len(), 3); // (1,10),(1,20),(2,30)
         let j = p1.join(&p2);
         assert!(j.set_eq(&rel));
     }
@@ -242,7 +237,7 @@ mod tests {
         let j = rel
             .project(&[ids[0], ids[1]])
             .join(&rel.project(&[ids[0], ids[2]]));
-        assert!(j.len() > rel.len());
+        assert!(j.rows.len() > rel.rows.len());
         // Every original tuple survives.
         for r in &rel.rows {
             assert!(j.rows.contains(r));

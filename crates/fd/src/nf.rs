@@ -66,8 +66,6 @@ pub struct NfReport {
     pub fds: FdSet,
     /// Candidate keys.
     pub keys: Vec<AttrSet>,
-    /// Union of all keys.
-    pub prime: AttrSet,
     /// 1NF structural problems (empty when in 1NF).
     pub first_issues: Vec<FirstNfIssue>,
     /// FDs witnessing a 2NF violation (partial dependencies).
@@ -79,17 +77,6 @@ pub struct NfReport {
     pub bcnf_deps: Vec<Fd>,
     /// The classification.
     pub level: NfLevel,
-}
-
-impl NfReport {
-    /// The first dependency one would decompose along to climb one normal
-    /// form higher, if any (paper §3: decompose along a violating FD).
-    pub fn next_decomposition(&self) -> Option<Fd> {
-        self.partial_deps
-            .first()
-            .or_else(|| self.transitive_deps.first())
-            .copied()
-    }
 }
 
 /// Analyze a table against the paper's normal forms, mining dependencies
@@ -153,7 +140,6 @@ pub fn analyze_with(table: &Table, catalog: &Catalog, fds: FdSet) -> NfReport {
     NfReport {
         fds,
         keys,
-        prime,
         first_issues,
         partial_deps: partial,
         transitive_deps: transitive,
@@ -309,13 +295,5 @@ mod tests {
         let r = analyze(&t, &cat);
         assert!(r.first_issues.contains(&FirstNfIssue::DuplicateMatch));
         assert_eq!(r.level, NfLevel::NotFirst);
-    }
-
-    #[test]
-    fn next_decomposition_prefers_partial_deps() {
-        let (c, t) = fig1_like();
-        let r = analyze(&t, &c);
-        let fd = r.next_decomposition().expect("has a violation");
-        assert_eq!(fd, r.partial_deps[0]);
     }
 }

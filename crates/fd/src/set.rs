@@ -31,17 +31,12 @@ impl Universe {
     }
 
     /// Number of attributes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.attrs.len()
     }
 
-    /// True if the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-
     /// All attributes as a set.
-    pub fn full(&self) -> AttrSet {
+    pub(crate) fn full(&self) -> AttrSet {
         if self.attrs.is_empty() {
             AttrSet(0)
         } else {
@@ -52,11 +47,6 @@ impl Universe {
     /// The position of `attr`, if it participates.
     pub fn position(&self, attr: AttrId) -> Option<usize> {
         self.attrs.iter().position(|&a| a == attr)
-    }
-
-    /// The attribute at `pos`.
-    pub fn attr(&self, pos: usize) -> AttrId {
-        self.attrs[pos]
     }
 
     /// Encode a slice of attribute ids as a set.
@@ -78,11 +68,6 @@ impl Universe {
     pub fn decode(&self, s: AttrSet) -> Vec<AttrId> {
         s.iter().map(|p| self.attrs[p]).collect()
     }
-
-    /// Iterate over the attribute ids in universe order.
-    pub fn iter(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.attrs.iter().copied()
-    }
 }
 
 /// A subset of a [`Universe`], packed as a bitmask.
@@ -95,31 +80,25 @@ impl AttrSet {
 
     /// Singleton set of the attribute at `pos`.
     #[inline]
-    pub fn single(pos: usize) -> AttrSet {
+    pub(crate) fn single(pos: usize) -> AttrSet {
         AttrSet(1 << pos)
-    }
-
-    /// Number of attributes in the set.
-    #[inline]
-    pub fn len(self) -> u32 {
-        self.0.count_ones()
     }
 
     /// True if empty.
     #[inline]
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Set union.
     #[inline]
-    pub fn union(self, other: AttrSet) -> AttrSet {
+    pub(crate) fn union(self, other: AttrSet) -> AttrSet {
         AttrSet(self.0 | other.0)
     }
 
     /// Set intersection.
     #[inline]
-    pub fn inter(self, other: AttrSet) -> AttrSet {
+    pub(crate) fn inter(self, other: AttrSet) -> AttrSet {
         AttrSet(self.0 & other.0)
     }
 
@@ -131,32 +110,20 @@ impl AttrSet {
 
     /// True if `self ⊆ other`.
     #[inline]
-    pub fn subset_of(self, other: AttrSet) -> bool {
+    pub(crate) fn subset_of(self, other: AttrSet) -> bool {
         self.0 & !other.0 == 0
     }
 
     /// True if `self ⊊ other`.
     #[inline]
-    pub fn proper_subset_of(self, other: AttrSet) -> bool {
+    pub(crate) fn proper_subset_of(self, other: AttrSet) -> bool {
         self.subset_of(other) && self != other
-    }
-
-    /// True if the attribute at `pos` is a member.
-    #[inline]
-    pub fn contains(self, pos: usize) -> bool {
-        self.0 & (1 << pos) != 0
     }
 
     /// Insert the attribute at `pos`.
     #[inline]
-    pub fn with(self, pos: usize) -> AttrSet {
+    pub(crate) fn with(self, pos: usize) -> AttrSet {
         AttrSet(self.0 | (1 << pos))
-    }
-
-    /// Remove the attribute at `pos`.
-    #[inline]
-    pub fn without(self, pos: usize) -> AttrSet {
-        AttrSet(self.0 & !(1 << pos))
     }
 
     /// Iterate member positions in ascending order.
@@ -171,11 +138,6 @@ impl AttrSet {
                 Some(p)
             }
         })
-    }
-
-    /// Iterate all subsets of `self` obtained by removing exactly one member.
-    pub fn shrink_by_one(self) -> impl Iterator<Item = AttrSet> {
-        self.iter().map(move |p| self.without(p))
     }
 }
 
@@ -205,7 +167,7 @@ mod tests {
         let u = Universe::new(ids(5));
         let s = u.encode(&[AttrId(1), AttrId(3)]);
         assert_eq!(u.decode(s), vec![AttrId(1), AttrId(3)]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s, AttrSet(0b1010));
     }
 
     #[test]
@@ -232,17 +194,7 @@ mod tests {
     #[test]
     fn member_ops() {
         let s = AttrSet::EMPTY.with(2).with(5);
-        assert!(s.contains(2));
-        assert!(!s.contains(3));
-        assert_eq!(s.without(2), AttrSet::single(5));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 5]);
-    }
-
-    #[test]
-    fn shrink_by_one_enumerates_maximal_proper_subsets() {
-        let s = AttrSet(0b101);
-        let sub: Vec<_> = s.shrink_by_one().collect();
-        assert_eq!(sub, vec![AttrSet(0b100), AttrSet(0b001)]);
     }
 
     #[test]
