@@ -47,7 +47,7 @@ pub struct Gwlb {
 
 /// Split the `ip_src` space into `m` equal disjoint prefixes
 /// (`m` must be a power of two).
-pub fn even_split(m: usize) -> Vec<Value> {
+pub(crate) fn even_split(m: usize) -> Vec<Value> {
     assert!(m.is_power_of_two() && m > 0, "m must be a power of two");
     let len = m.trailing_zeros() as u8;
     (0..m as u64)
@@ -105,7 +105,7 @@ pub fn weighted_split(weights: &[u64]) -> Vec<Value> {
 
 impl Gwlb {
     /// Build a workload from explicit services.
-    pub fn from_services(services: Vec<Service>) -> Gwlb {
+    pub(crate) fn from_services(services: Vec<Service>) -> Gwlb {
         let mut c = Catalog::new();
         let ip_src = c.field("ip_src", 32);
         let ip_dst = c.field("ip_dst", 32);
@@ -190,37 +190,6 @@ impl Gwlb {
                 .map(|pfx| {
                     vm += 1;
                     (pfx, format!("vm{vm}"))
-                })
-                .collect();
-            services.push(Service { ip, port, backends });
-        }
-        Gwlb::from_services(services)
-    }
-
-    /// Like [`Gwlb::random`] but with a shared weighted backend split
-    /// (e.g. `&[1, 1, 2]` reproduces Fig. 1's tenant-2 proportions for
-    /// every service).
-    pub fn random_weighted(n: usize, weights: &[u64], seed: u64) -> Gwlb {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut used_ips = HashSet::new();
-        let prefixes = weighted_split(weights);
-        let mut services = Vec::with_capacity(n);
-        let mut vm = 0usize;
-        for _ in 0..n {
-            let ip = loop {
-                let cand: u32 = rng.gen();
-                if used_ips.insert(cand) {
-                    break cand;
-                }
-            };
-            let port = *[80u16, 443, 22, 8080, 53]
-                .get(rng.gen_range(0..5usize))
-                .unwrap();
-            let backends = prefixes
-                .iter()
-                .map(|pfx| {
-                    vm += 1;
-                    (pfx.clone(), format!("vm{vm}"))
                 })
                 .collect();
             services.push(Service { ip, port, backends });
@@ -759,15 +728,5 @@ mod tests {
             mid.run(&pkt).unwrap().dropped,
             "halfway state loses traffic"
         );
-    }
-
-    #[test]
-    fn random_weighted_workload_equivalent_across_joins() {
-        let g = Gwlb::random_weighted(4, &[1, 1, 2], 9);
-        assert_eq!(g.universal.table("t0").unwrap().len(), 12);
-        for join in [JoinKind::Goto, JoinKind::Metadata, JoinKind::Rematch] {
-            let p = g.normalized(join).unwrap();
-            assert_equivalent(&g.universal, &p);
-        }
     }
 }

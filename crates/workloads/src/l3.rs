@@ -19,8 +19,6 @@ pub struct L3 {
     pub universal: Pipeline,
     /// `eth_type` attribute.
     pub eth_type: AttrId,
-    /// `ip_dst` attribute.
-    pub ip_dst: AttrId,
     /// `mod_ttl` attribute (opaque TTL decrement).
     pub mod_ttl: AttrId,
     /// `mod_smac` attribute (source-MAC rewrite).
@@ -32,11 +30,11 @@ pub struct L3 {
 }
 
 /// One route: `(prefix, next-hop dmac, smac, port)`.
-pub type Route = (Value, u64, u64, String);
+pub(crate) type Route = (Value, u64, u64, String);
 
 impl L3 {
     /// Build from explicit routes.
-    pub fn from_routes(routes: Vec<Route>) -> L3 {
+    pub(crate) fn from_routes(routes: Vec<Route>) -> L3 {
         let mut c = Catalog::new();
         let eth_type = c.field("eth_type", 16);
         let ip_dst = c.field("ip_dst", 32);
@@ -65,7 +63,6 @@ impl L3 {
         L3 {
             universal: Pipeline::single(c, t),
             eth_type,
-            ip_dst,
             mod_ttl,
             mod_smac,
             mod_dmac,
