@@ -37,25 +37,25 @@ impl std::fmt::Display for JoinKind {
 
 /// Register a fresh metadata field (width 32) whose name is derived from
 /// `base` and does not collide with existing attributes.
-pub fn fresh_meta(catalog: &mut Catalog, base: &str) -> AttrId {
+pub(crate) fn fresh_meta(catalog: &mut Catalog, base: &str) -> AttrId {
     let id = fresh_name(catalog, &format!("M_{base}"));
     catalog.add(id, AttrKind::Meta, 32)
 }
 
 /// Register the companion write-metadata action for `meta`.
-pub fn fresh_tag_action(catalog: &mut Catalog, base: &str, meta: AttrId) -> AttrId {
+pub(crate) fn fresh_tag_action(catalog: &mut Catalog, base: &str, meta: AttrId) -> AttrId {
     let id = fresh_name(catalog, &format!("A_{base}"));
     catalog.add(id, AttrKind::Action(ActionSem::SetField(meta)), 0)
 }
 
 /// Register a fresh goto action column named after `base`.
-pub fn fresh_goto_action(catalog: &mut Catalog, base: &str) -> AttrId {
+pub(crate) fn fresh_goto_action(catalog: &mut Catalog, base: &str) -> AttrId {
     let id = fresh_name(catalog, &format!("goto_{base}"));
     catalog.add(id, AttrKind::Action(ActionSem::Goto), 0)
 }
 
 /// First non-colliding name in `base`, `base_2`, `base_3`, …
-pub fn fresh_name(catalog: &Catalog, base: &str) -> String {
+pub(crate) fn fresh_name(catalog: &Catalog, base: &str) -> String {
     if catalog.lookup(base).is_none() {
         return base.to_owned();
     }
@@ -69,7 +69,7 @@ pub fn fresh_name(catalog: &Catalog, base: &str) -> String {
 }
 
 /// First table name not used by `taken`, trying `base`, `base_2`, …
-pub fn fresh_table_name(taken: &[String], base: &str) -> String {
+pub(crate) fn fresh_table_name(taken: &[String], base: &str) -> String {
     if !taken.iter().any(|t| t == base) {
         return base.to_owned();
     }

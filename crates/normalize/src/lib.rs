@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod flatten;
-pub mod join;
+pub(crate) mod join;
 pub mod normalize;
 pub mod split;
 

@@ -92,7 +92,7 @@ pub struct Normalized {
     /// The normal form the final pipeline actually reached (weakest table).
     pub reached: NfLevel,
     /// The requested target.
-    pub target: Target,
+    pub(crate) target: Target,
 }
 
 impl Normalized {
