@@ -9,10 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapro_normalize::JoinKind;
 use mapro_packet::generate;
-use mapro_switch::cls::{
-    Classifier, DecisionTree, DtreeConfig, ExactTable, LinearTernary, LpmTrie, TableView,
-    TupleSpace,
-};
+use mapro_switch::cls::{Classifier, ExactTable, LinearTernary, LpmTrie, TableView, TupleSpace};
 use mapro_workloads::Gwlb;
 
 fn keys_for(
@@ -66,15 +63,6 @@ fn bench_classifiers(c: &mut Criterion) {
             let k = &t0_keys[i % t0_keys.len()];
             i += 1;
             std::hint::black_box(exact.lookup(k));
-        });
-    });
-    let dtree = DecisionTree::build(&uni_view, DtreeConfig::default());
-    group.bench_function("dtree_160_rules", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let k = &uni_keys[i % uni_keys.len()];
-            i += 1;
-            std::hint::black_box(dtree.lookup(k));
         });
     });
     let lpm = LpmTrie::build(&sub_view).expect("sub is LPM");

@@ -17,15 +17,15 @@ use crate::cost::{ControlStall, HwLatency};
 
 /// One churn scenario point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnSpec {
+pub(crate) struct ChurnSpec {
     /// Control-plane intents per second.
-    pub updates_per_sec: f64,
+    pub(crate) updates_per_sec: f64,
     /// Table entries each intent touches in this representation (the
     /// controllability metric from `mapro-control`).
-    pub flowmods_per_update: usize,
+    pub(crate) flowmods_per_update: usize,
     /// Whether updates must be applied atomically (bundle commit when more
     /// than one entry is touched).
-    pub atomic: bool,
+    pub(crate) atomic: bool,
 }
 
 /// Result of the churn model at one update rate.
@@ -34,14 +34,14 @@ pub struct ChurnPoint {
     /// Forwarding throughput in Mpps.
     pub mpps: f64,
     /// Fraction of time the datapath is stalled by the control channel.
-    pub stall_fraction: f64,
+    pub(crate) stall_fraction: f64,
     /// 3rd-quartile latency in µs (pipeline-depth term; churn-independent,
     /// as in Fig. 4).
     pub latency_us: f64,
 }
 
 /// Evaluate the churn model.
-pub fn churn_point(
+pub(crate) fn churn_point(
     line_mpps: f64,
     stages: usize,
     spec: ChurnSpec,
@@ -93,60 +93,6 @@ pub fn churn_sweep(
         .collect()
 }
 
-/// A discrete-event validation of the analytic model: interleave
-/// line-rate packet slots with control-channel stall intervals on a
-/// simulated timeline and count the packets actually forwarded.
-///
-/// `events` are `(arrival_sec, flowmods, atomic)` tuples, one per intent:
-/// when it arrives (e.g. the `at_sec` of each event of `mapro-control`'s
-/// `poisson_stream`), how many flow-mods it carries, and whether they go
-/// as one bundle (which adds `bundle_ns` when there are two or more).
-/// Stalls are serialized through the management CPU: an update arriving
-/// while a previous one is still being applied queues behind it, exactly
-/// like a hardware switch's flow-mod queue — which is why measured
-/// throughput can dip *below* the analytic duty-cycle estimate near
-/// saturation.
-pub fn simulate_churn_timeline(
-    line_mpps: f64,
-    duration_sec: f64,
-    events: &[(f64, usize, bool)],
-    stall: ControlStall,
-) -> ChurnPoint {
-    mapro_obs::counter!("switch.churn.simulations").inc();
-    let _t = mapro_obs::time!("switch.churn.simulate_ns");
-    mapro_obs::counter!("switch.churn.events").add(events.len() as u64);
-    let slot_ns = 1e3 / line_mpps; // ns per packet at line rate
-    let mut stall_until_ns = 0.0f64;
-    let mut stalled_ns = 0.0f64;
-    for &(at_sec, flowmods, atomic) in events {
-        let at_ns = at_sec * 1e9;
-        if at_ns >= duration_sec * 1e9 {
-            break;
-        }
-        let cost = flowmods as f64 * stall.per_flowmod_ns
-            + if atomic && flowmods > 1 {
-                stall.bundle_ns
-            } else {
-                0.0
-            };
-        // Queue behind any in-flight update.
-        let start = at_ns.max(stall_until_ns);
-        let end = (start + cost).min(duration_sec * 1e9);
-        if end > start {
-            stalled_ns += end - start;
-        }
-        stall_until_ns = start + cost;
-    }
-    let total_ns = duration_sec * 1e9;
-    let forwarding_ns = (total_ns - stalled_ns).max(0.0);
-    let packets = forwarding_ns / slot_ns;
-    ChurnPoint {
-        mpps: packets / (duration_sec * 1e6),
-        stall_fraction: stalled_ns / total_ns,
-        latency_us: 0.0, // latency is the pipeline-depth term; see churn_point
-    }
-}
-
 /// Configuration for the queueing timeline ([`queue_timeline`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueConfig {
@@ -165,9 +111,9 @@ pub struct QueueConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueReport {
     /// Packets offered.
-    pub offered: usize,
+    pub(crate) offered: usize,
     /// Packets delivered.
-    pub delivered: usize,
+    pub(crate) delivered: usize,
     /// Packets tail-dropped at the full buffer.
     pub dropped: usize,
     /// Delivered throughput \[Mpps\].
@@ -186,8 +132,9 @@ pub struct QueueReport {
 /// (the paper observes latency "mostly independent from the control plane
 /// churn").
 ///
-/// `events` are `(arrival_sec, flowmods, atomic)` intents as in
-/// [`simulate_churn_timeline`].
+/// `events` are `(arrival_sec, flowmods, atomic)` tuples, one per intent:
+/// when it arrives, how many flow-mods it carries, and whether they go as
+/// one bundle (which adds `bundle_ns` when there are two or more).
 pub fn queue_timeline(
     cfg: QueueConfig,
     events: &[(f64, usize, bool)],
@@ -351,55 +298,6 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[1].1.mpps <= w[0].1.mpps);
         }
-    }
-
-    #[test]
-    fn timeline_simulation_agrees_with_analytic_model() {
-        // Regular (deterministic) arrivals at 50/s with 8-mod bundles: the
-        // timeline result must be within a few percent of the duty-cycle
-        // formula (no queueing below saturation).
-        let stall = ControlStall::default();
-        let events: Vec<(f64, usize, bool)> = (0..50).map(|i| (i as f64 / 50.0, 8, true)).collect();
-        let sim = simulate_churn_timeline(LINE, 1.0, &events, stall);
-        let analytic = churn_point(
-            LINE,
-            1,
-            ChurnSpec {
-                updates_per_sec: 50.0,
-                flowmods_per_update: 8,
-                atomic: true,
-            },
-            stall,
-            HwLatency::default(),
-        );
-        let rel = (sim.mpps - analytic.mpps).abs() / analytic.mpps;
-        assert!(
-            rel < 0.05,
-            "timeline {} vs analytic {}",
-            sim.mpps,
-            analytic.mpps
-        );
-    }
-
-    #[test]
-    fn timeline_queueing_saturates() {
-        // Updates arriving faster than they can be applied: the datapath
-        // starves completely.
-        let stall = ControlStall::default();
-        let events: Vec<(f64, usize, bool)> =
-            (0..2000).map(|i| (i as f64 / 2000.0, 8, true)).collect();
-        let sim = simulate_churn_timeline(LINE, 1.0, &events, stall);
-        assert!(sim.stall_fraction > 0.99, "{}", sim.stall_fraction);
-        assert!(sim.mpps < 0.2);
-    }
-
-    #[test]
-    fn timeline_single_mod_updates_barely_noticed() {
-        let stall = ControlStall::default();
-        let events: Vec<(f64, usize, bool)> =
-            (0..100).map(|i| (i as f64 / 100.0, 1, true)).collect();
-        let sim = simulate_churn_timeline(LINE, 1.0, &events, stall);
-        assert!(sim.mpps > LINE * 0.99, "{}", sim.mpps);
     }
 
     fn qcfg() -> QueueConfig {

@@ -59,16 +59,15 @@ impl Classifier for LinearTernary {
 #[derive(Debug, Clone)]
 pub struct TcamModel {
     inner: LinearTernary,
-    capacity_entries: usize,
 }
 
 /// Error building a [`TcamModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcamFull {
     /// Entries requested.
-    pub requested: usize,
+    pub(crate) requested: usize,
     /// Entries available.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 impl std::fmt::Display for TcamFull {
@@ -94,7 +93,6 @@ impl TcamModel {
         }
         Ok(TcamModel {
             inner: LinearTernary::build(view),
-            capacity_entries,
         })
     }
 
@@ -102,11 +100,6 @@ impl TcamModel {
     pub fn bits_used(&self) -> usize {
         let per_row: u32 = self.inner.widths.iter().sum();
         self.inner.rows.len() * per_row as usize
-    }
-
-    /// Remaining entry slots.
-    pub fn free_entries(&self) -> usize {
-        self.capacity_entries - self.inner.rows.len()
     }
 }
 
@@ -161,7 +154,6 @@ mod tests {
         }
         assert_eq!(t.stats().depth, 1);
         assert_eq!(t.bits_used(), 3 * 48);
-        assert_eq!(t.free_entries(), 1021);
     }
 
     #[test]

@@ -10,26 +10,23 @@
 //! * [`LinearTernary`] — priority linear scan; the slow generic fallback.
 //! * [`TcamModel`] — ternary semantics with parallel lookup and capacity
 //!   accounting; the hardware switch's match engine.
-//! * [`DecisionTree`] — HiCuts-style geometric classifier (extension: a
-//!   cleverer generic template for multi-field wildcard tables).
 //!
 //! All templates implement [`Classifier`] and agree with the reference
 //! first-match semantics of [`TableView::linear_lookup`] on the table
 //! shapes they accept (property-tested in the workspace test suite).
 
-pub mod dtree;
-pub mod exact;
-pub mod linear;
-pub mod trie;
-pub mod tss;
-pub mod view;
+pub(crate) mod exact;
+pub(crate) mod linear;
+pub(crate) mod trie;
+pub(crate) mod tss;
+pub(crate) mod view;
 
-pub use dtree::{DecisionTree, DtreeConfig};
 pub use exact::{ExactTable, NotExact};
 pub use linear::{LinearTernary, TcamFull, TcamModel};
 pub use trie::{LpmTrie, NotLpm};
 pub use tss::TupleSpace;
-pub use view::{table_shape, MatchRow, Rows, TableShape, TableView};
+pub use view::{table_shape, TableShape, TableView};
+pub(crate) use view::{MatchRow, Rows};
 
 /// What kind of template a classifier is (for cost models and reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,15 +60,15 @@ impl std::fmt::Display for TemplateKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupStats {
     /// Template kind.
-    pub kind: TemplateKind,
+    pub(crate) kind: TemplateKind,
     /// Rules stored.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Hash groups probed per lookup (TSS) — 1 elsewhere.
-    pub tuples: usize,
+    pub(crate) tuples: usize,
     /// Sequential steps per lookup: trie depth, scan length, or 1.
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// Columns participating in the key.
-    pub key_cols: usize,
+    pub(crate) key_cols: usize,
 }
 
 /// A built packet classifier over fixed match columns.
@@ -101,7 +98,10 @@ pub fn build_specialized(
 
 /// Build the generic classifier of the given kind (TSS or linear; other
 /// kinds fall back to linear semantics).
-pub fn build_generic(view: &TableView, kind: TemplateKind) -> Box<dyn Classifier + Send + Sync> {
+pub(crate) fn build_generic(
+    view: &TableView,
+    kind: TemplateKind,
+) -> Box<dyn Classifier + Send + Sync> {
     match kind {
         TemplateKind::Tss => Box::new(TupleSpace::build(view).expect("no symbolic match cells")),
         _ => Box::new(LinearTernary::build(view)),
@@ -115,7 +115,11 @@ pub fn build_generic(view: &TableView, kind: TemplateKind) -> Box<dyn Classifier
 impl<R: MatchRow> Rows<'_, R> {
     /// `build_specialized(view, generic).stats()`; `shape` is
     /// [`Rows::shape`].
-    pub fn specialized_stats(&self, shape: &TableShape, generic: TemplateKind) -> LookupStats {
+    pub(crate) fn specialized_stats(
+        &self,
+        shape: &TableShape,
+        generic: TemplateKind,
+    ) -> LookupStats {
         match shape {
             TableShape::AllExact { cols } => LookupStats {
                 kind: TemplateKind::Exact,
@@ -136,7 +140,7 @@ impl<R: MatchRow> Rows<'_, R> {
     }
 
     /// `build_generic(view, kind).stats()`.
-    pub fn generic_stats(&self, kind: TemplateKind) -> LookupStats {
+    pub(crate) fn generic_stats(&self, kind: TemplateKind) -> LookupStats {
         match kind {
             TemplateKind::Tss => LookupStats {
                 kind: TemplateKind::Tss,
@@ -156,7 +160,7 @@ impl<R: MatchRow> Rows<'_, R> {
     }
 
     /// `TcamModel::build(view, capacity)?.stats()`.
-    pub fn tcam_stats(&self) -> LookupStats {
+    pub(crate) fn tcam_stats(&self) -> LookupStats {
         LookupStats {
             kind: TemplateKind::Tcam,
             entries: self.len(),

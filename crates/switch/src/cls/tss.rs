@@ -100,11 +100,6 @@ impl TupleSpace {
             entries: view.len(),
         })
     }
-
-    /// Number of distinct mask tuples.
-    pub fn tuple_count(&self) -> usize {
-        self.tuples.len()
-    }
 }
 
 impl Classifier for TupleSpace {
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn groups_by_mask_tuple() {
         let ts = TupleSpace::build(&gwlb_view()).unwrap();
-        assert_eq!(ts.tuple_count(), 3);
+        assert_eq!(ts.tuples.len(), 3);
     }
 
     #[test]

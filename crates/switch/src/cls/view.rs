@@ -20,11 +20,11 @@ pub struct TableView {
     /// Bit width per match column.
     pub widths: Vec<u32>,
     /// Predicate rows (one per entry, priority = index).
-    pub rows: Vec<Vec<Value>>,
+    pub(crate) rows: Vec<Vec<Value>>,
 }
 
 /// One row of match predicates, one per match column.
-pub trait MatchRow {
+pub(crate) trait MatchRow {
     /// The predicates.
     fn cells(&self) -> &[Value];
 }
@@ -45,26 +45,26 @@ impl MatchRow for Entry {
 /// What [`table_shape`], the ternary cells and the template stats
 /// (`Rows::{specialized, generic, tcam}_stats`) read.
 #[derive(Debug, Clone, Copy)]
-pub struct Rows<'a, R> {
+pub(crate) struct Rows<'a, R> {
     /// Bit width per match column.
-    pub widths: &'a [u32],
+    pub(crate) widths: &'a [u32],
     /// Rows (priority = index).
-    pub rows: &'a [R],
+    pub(crate) rows: &'a [R],
 }
 
 impl<R: MatchRow> Rows<'_, R> {
     /// Number of match columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.widths.len()
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -73,7 +73,7 @@ impl<R: MatchRow> Rows<'_, R> {
     }
 
     /// Columns that actually constrain packets (not `Any` in every row).
-    pub fn active_cols(&self) -> Vec<usize> {
+    pub(crate) fn active_cols(&self) -> Vec<usize> {
         (0..self.cols())
             .filter(|&c| self.column(c).any(|v| !matches!(v, Value::Any)))
             .collect()
@@ -84,7 +84,7 @@ impl<R: MatchRow> Rows<'_, R> {
     /// is symbolic (no ternary form). A compiled scan over this flat
     /// array is equivalent to [`TableView::linear_lookup`]: a cell
     /// matches `v` iff `(v ^ bits) & mask == 0`.
-    pub fn ternary_rows(&self) -> Option<Vec<(u64, u64)>> {
+    pub(crate) fn ternary_rows(&self) -> Option<Vec<(u64, u64)>> {
         let mut cells = Vec::with_capacity(self.len() * self.cols());
         for row in self.rows {
             for (v, &w) in row.cells().iter().zip(self.widths) {
@@ -95,7 +95,7 @@ impl<R: MatchRow> Rows<'_, R> {
     }
 
     /// The structural class of these rows. See [`TableShape`].
-    pub fn shape(&self) -> TableShape {
+    pub(crate) fn shape(&self) -> TableShape {
         let active = self.active_cols();
         // "Exact" columns may contain sporadic Any cells; those defeat a
         // plain hash (a hash key can't wildcard), so require Int everywhere.
@@ -166,7 +166,7 @@ impl TableView {
     }
 
     /// The view's rows, borrowed.
-    pub fn as_rows(&self) -> Rows<'_, Vec<Value>> {
+    pub(crate) fn as_rows(&self) -> Rows<'_, Vec<Value>> {
         Rows {
             widths: &self.widths,
             rows: &self.rows,
@@ -174,18 +174,13 @@ impl TableView {
     }
 
     /// Number of match columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.widths.len()
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Reference lookup: first (highest-priority) matching row. All

@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// Chunk size the harness replays traces in (one virtual call per chunk).
 /// 128 keeps a chunk of keys and results comfortably inside L1/L2 while
 /// amortizing per-batch overheads.
-pub const BATCH: usize = 128;
+pub(crate) const BATCH: usize = 128;
 
 /// Why a pipeline could not be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -547,7 +547,7 @@ pub(crate) struct UpdateStats {
 
 /// A pipeline compiled for execution under one template policy and cost
 /// model. Same verdicts and lookup counts as [`Pipeline::run`].
-pub struct CompiledEngine {
+pub(crate) struct CompiledEngine {
     tables: Vec<CTable>,
     start: usize,
     /// Attribute per register, load order.
@@ -564,7 +564,7 @@ impl CompiledEngine {
     /// time lands in the `switch.compile.ns` timer. Pre-registers the
     /// flow-mod path counters, so a run that never edits a table still
     /// reports them.
-    pub fn compile(
+    pub(crate) fn compile(
         p: &Pipeline,
         policy: TemplatePolicy,
         params: CostParams,
@@ -610,7 +610,7 @@ impl CompiledEngine {
     /// columns and cross-table wiring may not change (positions and
     /// registers are baked into the compiled tables). On error the engine
     /// is untouched.
-    pub fn recompile_table(&mut self, p: &Pipeline, name: &str) -> Result<(), CompileError> {
+    pub(crate) fn recompile_table(&mut self, p: &Pipeline, name: &str) -> Result<(), CompileError> {
         let pos = table_index(p, name)? as usize;
         debug_assert_eq!(self.tables[pos].name, name, "table order changed");
         self.rebuild(p, pos)
@@ -637,7 +637,7 @@ impl CompiledEngine {
     /// no longer compiles, the update is undone and the engine is
     /// untouched. On success, returns the update's [`Undo`] record: a
     /// caller rolling back a plan undoes it and recompiles the table.
-    pub fn apply_update(
+    pub(crate) fn apply_update(
         &mut self,
         p: &mut Pipeline,
         update: &RuleUpdate,
@@ -793,7 +793,7 @@ impl CompiledEngine {
     }
 
     /// The template each table is charged as, for reports.
-    pub fn templates(&self) -> Vec<(String, TemplateKind)> {
+    pub(crate) fn templates(&self) -> Vec<(String, TemplateKind)> {
         self.tables
             .iter()
             .map(|t| (t.name.clone(), t.template))
@@ -801,13 +801,13 @@ impl CompiledEngine {
     }
 
     /// Cost parameters in use.
-    pub fn params(&self) -> &CostParams {
+    pub(crate) fn params(&self) -> &CostParams {
         &self.params
     }
 
     /// Longest start-to-end chain over next/goto/fall edges (for hardware
     /// latency accounting).
-    pub fn stages(&self) -> usize {
+    pub(crate) fn stages(&self) -> usize {
         fn depth(tables: &[CTable], i: usize, seen: &mut Vec<bool>) -> usize {
             if seen[i] {
                 return 0;
@@ -854,7 +854,7 @@ impl CompiledEngine {
 
     /// Process one packet.
     #[inline]
-    pub fn process(&mut self, pkt: &Packet) -> ProcessOut {
+    pub(crate) fn process(&mut self, pkt: &Packet) -> ProcessOut {
         self.load(pkt);
         self.walk(|_| {})
     }

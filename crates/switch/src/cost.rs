@@ -41,31 +41,31 @@ pub struct CostParams {
     /// Fixed per-packet cost (RX/TX, parsing, bookkeeping).
     pub per_packet_ns: f64,
     /// Fixed per-table-visit cost.
-    pub per_table_ns: f64,
+    pub(crate) per_table_ns: f64,
     /// Exact-match probe.
-    pub exact_ns: f64,
+    pub(crate) exact_ns: f64,
     /// LPM trie: base plus per-level cost.
-    pub lpm_base_ns: f64,
+    pub(crate) lpm_base_ns: f64,
     /// LPM trie per-level cost (× depth).
-    pub lpm_level_ns: f64,
+    pub(crate) lpm_level_ns: f64,
     /// Linear ternary scan: base plus per-entry cost.
-    pub linear_base_ns: f64,
+    pub(crate) linear_base_ns: f64,
     /// Linear ternary per-entry cost (× entries; average scan is half, the
     /// constant should fold that in).
-    pub linear_entry_ns: f64,
+    pub(crate) linear_entry_ns: f64,
     /// Tuple-space search per-tuple probe cost.
-    pub tss_tuple_ns: f64,
+    pub(crate) tss_tuple_ns: f64,
     /// TCAM lookup (parallel compare).
-    pub tcam_ns: f64,
+    pub(crate) tcam_ns: f64,
     /// Multiplier from per-packet service time to measured latency
     /// (queueing/batching scale of the original testbed; purely a
     /// reporting scale, does not affect throughput).
-    pub queue_factor: f64,
+    pub(crate) queue_factor: f64,
 }
 
 impl CostParams {
     /// ESwitch-like specializing software datapath.
-    pub fn eswitch() -> CostParams {
+    pub(crate) fn eswitch() -> CostParams {
         CostParams {
             per_packet_ns: 44.0,
             per_table_ns: 0.0,
@@ -81,7 +81,7 @@ impl CostParams {
     }
 
     /// OVS-like datapath (costs apply to its megaflow cache and slow path).
-    pub fn ovs() -> CostParams {
+    pub(crate) fn ovs() -> CostParams {
         CostParams {
             per_packet_ns: 175.0,
             per_table_ns: 0.0,
@@ -97,7 +97,7 @@ impl CostParams {
     }
 
     /// Lagopus-like datapath: heavy fixed I/O cost, generic TSS tables.
-    pub fn lagopus() -> CostParams {
+    pub(crate) fn lagopus() -> CostParams {
         CostParams {
             per_packet_ns: 680.0,
             per_table_ns: 5.0,
@@ -130,7 +130,7 @@ impl CostParams {
     }
 
     /// Modeled cost of one lookup in a classifier with the given stats.
-    pub fn lookup_ns(&self, s: &LookupStats) -> f64 {
+    pub(crate) fn lookup_ns(&self, s: &LookupStats) -> f64 {
         self.per_table_ns
             + match s.kind {
                 TemplateKind::Exact => self.exact_ns,
@@ -150,9 +150,9 @@ impl CostParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwLatency {
     /// Fixed portion (µs).
-    pub base_us: f64,
+    pub(crate) base_us: f64,
     /// Added per pipeline stage (µs).
-    pub per_stage_us: f64,
+    pub(crate) per_stage_us: f64,
 }
 
 impl Default for HwLatency {
@@ -175,9 +175,9 @@ impl Default for HwLatency {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlStall {
     /// Forwarding stall per individual flow-mod (ns).
-    pub per_flowmod_ns: f64,
+    pub(crate) per_flowmod_ns: f64,
     /// Extra stall per atomic bundle spanning more than one entry (ns).
-    pub bundle_ns: f64,
+    pub(crate) bundle_ns: f64,
 }
 
 impl Default for ControlStall {
@@ -192,7 +192,7 @@ impl Default for ControlStall {
 impl ControlStall {
     /// Software datapaths: a flow-mod costs microseconds of classifier
     /// rebuild and there is no TCAM bundle penalty.
-    pub fn software() -> ControlStall {
+    pub(crate) fn software() -> ControlStall {
         ControlStall {
             per_flowmod_ns: 5_000.0,
             bundle_ns: 0.0,
@@ -204,7 +204,7 @@ impl ControlStall {
 /// template a table is charged as, what a lookup costs, whether latency
 /// follows a hardware pipeline, and what a flow-mod stalls. The
 /// match-action semantics is not on this list — every model runs the one
-/// [`crate::CompiledEngine`].
+/// `crate::CompiledEngine`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Short identifier (`eswitch`, `ovs`, …).
@@ -212,12 +212,12 @@ pub struct ModelSpec {
     /// Template selection.
     pub policy: TemplatePolicy,
     /// Lookup cost constants.
-    pub params: CostParams,
+    pub(crate) params: CostParams,
     /// Hardware pipelines forward at the line-rate slot whatever the depth
     /// and report `base + per_stage · lookups` as latency.
-    pub hw_latency: Option<HwLatency>,
+    pub(crate) hw_latency: Option<HwLatency>,
     /// What a flow-mod costs the datapath.
-    pub stall: ControlStall,
+    pub(crate) stall: ControlStall,
 }
 
 impl ModelSpec {
@@ -236,7 +236,7 @@ impl ModelSpec {
 
     /// OVS: the policy only prices the slow-path walk behind the
     /// megaflow cache ([`crate::OvsSim`] charges hits itself).
-    pub fn ovs() -> ModelSpec {
+    pub(crate) fn ovs() -> ModelSpec {
         ModelSpec {
             name: "ovs",
             policy: TemplatePolicy::Uniform(TemplateKind::Linear),

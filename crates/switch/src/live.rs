@@ -65,7 +65,7 @@ pub struct LiveSwitch {
     /// again).
     current_epoch: Epoch,
     /// Restarts simulated so far.
-    pub restarts: u64,
+    pub(crate) restarts: u64,
     /// Cumulative modeled stall (ns) since construction.
     pub total_stall_ns: f64,
 }
@@ -74,7 +74,7 @@ impl LiveSwitch {
     /// Install a pipeline on a switch of the given model. (Verdict costs
     /// are the engine's accumulated lookup costs for every model; the
     /// hardware latency rule belongs to [`crate::SwitchModel`] reports.)
-    pub fn install(pipeline: Pipeline, spec: ModelSpec) -> Result<LiveSwitch, CompileError> {
+    pub(crate) fn install(pipeline: Pipeline, spec: ModelSpec) -> Result<LiveSwitch, CompileError> {
         let engine = CompiledEngine::compile(&pipeline, spec.policy, spec.params.clone())?;
         // Declare up front so `--metrics` shows the fence counter even
         // for a run that never sees a stale epoch, and the split of
@@ -94,11 +94,6 @@ impl LiveSwitch {
             restarts: 0,
             total_stall_ns: 0.0,
         })
-    }
-
-    /// The fencing epoch the switch currently enforces.
-    pub fn epoch(&self) -> Epoch {
-        self.current_epoch
     }
 
     /// A NoviFlow-flavoured live switch (TCAM templates, hardware stall
@@ -870,7 +865,7 @@ mod tests {
         // Epoch 0 writes, then a successor at epoch 2 takes over.
         assert!(sw.deliver(&modify(1, 0, "x")).result.is_ok());
         assert!(sw.deliver(&modify(1, 2, "y")).result.is_ok());
-        assert_eq!(sw.epoch(), 2);
+        assert_eq!(sw.current_epoch, 2);
         // The deposed generation is fenced — even a txn id its successor
         // already used must NOT replay the cached ack across epochs.
         let ack = sw.deliver(&modify(1, 0, "z"));
@@ -880,7 +875,7 @@ mod tests {
         assert_eq!(sw.process(&pkt).output.as_deref(), Some("y"));
         // The fence survives a power-cycle; the dedup log does not.
         sw.restart();
-        assert_eq!(sw.epoch(), 2);
+        assert_eq!(sw.current_epoch, 2);
         let ack = sw.deliver(&modify(9, 1, "z"));
         assert_eq!(ack.result, Err(AckError::StaleEpoch { current: 2 }));
     }

@@ -54,7 +54,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Default megaflow capacity (OVS's `flow-limit` default).
-pub const DEFAULT_CACHE_CAPACITY: usize = 200_000;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 200_000;
 
 /// Cache-behavior counters, kept locally so reports work with the `obs`
 /// feature compiled out.
@@ -271,7 +271,7 @@ impl CachedEngine {
     /// Build the cached engine. All four `switch.megaflow.*` counters are
     /// registered here so they appear in metrics dumps even when the run
     /// never exercises them.
-    pub fn new(p: &Pipeline, spec: ModelSpec) -> Result<CachedEngine, CompileError> {
+    pub(crate) fn new(p: &Pipeline, spec: ModelSpec) -> Result<CachedEngine, CompileError> {
         mapro_obs::counter!("switch.megaflow.hits");
         mapro_obs::counter!("switch.megaflow.misses");
         mapro_obs::counter!("switch.megaflow.evictions");
@@ -648,22 +648,18 @@ mod tests {
         for pkt in &flows {
             assert!(ovs.process(pkt).slow_path);
         }
-        assert_eq!((ovs.cache_entries(), ovs.stats().evictions), (4, 2));
+        assert_eq!((ovs.store.len(), ovs.store.stats.evictions), (4, 2));
         // FIFO: the newest flow still hits; the first was evicted, and
         // re-installing it evicts the oldest survivor.
         assert!(!ovs.process(&flows[5]).slow_path);
         assert!(ovs.process(&flows[0]).slow_path);
         assert!(ovs.process(&flows[2]).slow_path);
-        assert_eq!((ovs.cache_entries(), ovs.stats().evictions), (4, 4));
-        // OVS revalidation is a full flush: all four resident entries.
-        ovs.apply_update(&rewire).unwrap();
-        assert_eq!((ovs.cache_entries(), ovs.stats().invalidations), (0, 4));
-        assert_eq!(ovs.process(&flows[2]).output.as_deref(), Some("vmX"));
-        let s = ovs.stats();
-        assert_eq!((s.hits, s.misses), (1, 9));
+        assert_eq!((ovs.store.len(), ovs.store.stats.evictions), (4, 4));
+        let s = ovs.store.stats;
+        assert_eq!((s.hits, s.misses), (1, 8));
         assert_eq!(
             s.misses - s.evictions - s.invalidations,
-            ovs.cache_entries() as u64
+            ovs.store.len() as u64
         );
 
         // Capacity 0 means "install nothing", not "keep one".
@@ -675,8 +671,11 @@ mod tests {
             assert!(cached.process(&flows[4]).slow_path);
             assert!(ovs.process(&flows[4]).slow_path);
         }
-        assert_eq!((cached.cache_entries(), ovs.cache_entries()), (0, 0));
-        assert_eq!((cached.stats().evictions, ovs.stats().evictions), (0, 0));
+        assert_eq!((cached.cache_entries(), ovs.store.len()), (0, 0));
+        assert_eq!(
+            (cached.stats().evictions, ovs.store.stats.evictions),
+            (0, 0)
+        );
     }
 
     /// Batching loses no verdict: over a trace with hits, misses, capacity

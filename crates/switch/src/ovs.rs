@@ -10,24 +10,23 @@
 //! packets covered by the megaflow hit the cache in one lookup, at a cost
 //! independent of how many tables the pipeline has.
 
-use crate::compile::{CompileError, CompiledEngine, ProcessOut, UpdateError};
+use crate::compile::{CompileError, CompiledEngine, ProcessOut};
 use crate::cost::ModelSpec;
-use crate::megaflow::{MegaflowStats, MegaflowStore};
+use crate::megaflow::MegaflowStore;
 use crate::Switch;
 use mapro_core::value::prefix_mask;
 use mapro_core::{AttrId, AttrKind, Packet, Pipeline, Table, Value};
 
 /// The OVS simulator.
 pub struct OvsSim {
-    pipeline: Pipeline,
     /// The slow path.
     engine: CompiledEngine,
     /// Per table (in table order), per engine register, the conservative
     /// mask.
     table_masks: Vec<Vec<u64>>,
-    store: MegaflowStore,
+    pub(crate) store: MegaflowStore,
     /// Modeled slow-path cost (upcall + pipeline interpretation), ns.
-    pub slow_path_ns: f64,
+    pub(crate) slow_path_ns: f64,
     /// Miss-path scratch: the packet's registers before the walk.
     key: Vec<u64>,
 }
@@ -59,7 +58,6 @@ impl OvsSim {
         let regs = engine.reg_attrs();
         let table_masks = p.tables.iter().map(|t| table_mask(p, t, regs)).collect();
         Ok(OvsSim {
-            pipeline: p.clone(),
             store: MegaflowStore::new(regs.len()),
             key: Vec::with_capacity(regs.len()),
             engine,
@@ -68,47 +66,15 @@ impl OvsSim {
         })
     }
 
-    /// Apply a control-plane flow-mod: recompile the touched slow-path
-    /// table and its mask, and flush the megaflow cache (OVS's
-    /// revalidators invalidate affected megaflows on any OpenFlow table
-    /// change; we model the conservative full flush a table-version bump
-    /// causes).
-    pub fn apply_update(&mut self, update: &mapro_core::RuleUpdate) -> Result<(), UpdateError> {
-        self.engine.apply_update(&mut self.pipeline, update)?;
-        let p = &self.pipeline;
-        for (mask, t) in self.table_masks.iter_mut().zip(&p.tables) {
-            if t.name == update.table() {
-                *mask = table_mask(p, t, self.engine.reg_attrs());
-            }
-        }
-        self.invalidate_cache();
-        Ok(())
-    }
-
-    /// Drop every megaflow (revalidation flush).
-    pub fn invalidate_cache(&mut self) {
-        self.store.retain(|_, _| false);
-    }
-
     /// Bound the cache to `capacity` megaflows (OVS's `flow-limit`;
     /// defaults to the real datapath's 200 000).
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.store.capacity = capacity;
     }
 
-    /// Number of megaflow entries installed.
-    pub fn cache_entries(&self) -> usize {
-        self.store.len()
-    }
-
     /// Number of distinct megaflow mask tuples.
     pub fn cache_tuples(&self) -> usize {
         self.store.tuples()
-    }
-
-    /// Cache-behavior counters so far.
-    pub fn stats(&self) -> MegaflowStats {
-        self.store.stats
     }
 }
 
@@ -229,7 +195,7 @@ mod tests {
         assert!(!second.slow_path);
         assert_eq!(second.output.as_deref(), Some("vm2"));
         assert!(second.service_ns < first.service_ns);
-        assert_eq!(sim.cache_entries(), 1);
+        assert_eq!(sim.store.len(), 1);
     }
 
     #[test]
@@ -289,40 +255,6 @@ mod tests {
         assert_eq!(a.output, b.output);
         let ratio = a.service_ns / b.service_ns;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn updates_invalidate_stale_megaflows() {
-        use mapro_core::RuleUpdate;
-        let p = universal();
-        let out = p.catalog.lookup("out").unwrap();
-        let mut sim = OvsSim::compile(&p).unwrap();
-        let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
-        assert_eq!(sim.process(&pkt).output.as_deref(), Some("vm2"));
-        assert!(!sim.process(&pkt).slow_path); // warm
-                                               // Rewire the flow's backend; the warm cache must not serve vm2.
-        sim.apply_update(&RuleUpdate::Modify {
-            table: "t0".into(),
-            matches: vec![Value::prefix(0, 1, 32), Value::Int(1)],
-            set: vec![(out, Value::sym("vmX"))],
-        })
-        .unwrap();
-        let r = sim.process(&pkt);
-        assert!(r.slow_path, "cache must be revalidated after a flow-mod");
-        assert_eq!(r.output.as_deref(), Some("vmX"));
-        assert_eq!(sim.process(&pkt).output.as_deref(), Some("vmX"));
-    }
-
-    #[test]
-    fn manual_invalidation_flushes() {
-        let p = universal();
-        let mut sim = OvsSim::compile(&p).unwrap();
-        let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
-        sim.process(&pkt);
-        assert_eq!(sim.cache_entries(), 1);
-        sim.invalidate_cache();
-        assert_eq!(sim.cache_entries(), 0);
-        assert!(sim.process(&pkt).slow_path);
     }
 
     #[test]
