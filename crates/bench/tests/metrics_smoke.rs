@@ -236,7 +236,7 @@ fn incremental_session_pre_registers_sym_incr_metrics() {
 fn controller_pre_registers_and_fills_the_per_hop_plan_histograms() {
     use mapro_control::{Controller, DriverConfig, FaultPlan, FaultyChannel};
 
-    // The split of `Controller::apply_plan_with` beneath
+    // The split of `Controller::apply_plan` beneath
     // `control.apply_plan_self_share`, one histogram per hop.
     const HOPS: [&str; 5] = [
         "control.plan.adopt_ns",

@@ -49,19 +49,6 @@ impl FaultPlan {
             seed,
         }
     }
-
-    /// The E14 sweep shape: drop with probability `p`, duplicate and
-    /// reorder with `p/2` each.
-    pub fn uniform(p: f64, restart_every: u64, seed: u64) -> FaultPlan {
-        FaultPlan {
-            p_drop: p,
-            p_dup: p / 2.0,
-            p_reorder: p / 2.0,
-            restart_every,
-            latency_ns: 10_000,
-            seed,
-        }
-    }
 }
 
 impl Default for FaultPlan {
@@ -79,21 +66,21 @@ pub struct ChannelStats {
     /// Flow-mods actually delivered to the endpoint (incl. duplicates).
     pub delivered: u64,
     /// Flow-mods dropped in flight.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Flow-mods duplicated in flight.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Messages (either direction) that jumped the queue.
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Acks dropped on the return path.
-    pub ack_dropped: u64,
+    pub(crate) ack_dropped: u64,
     /// Acks duplicated on the return path.
-    pub ack_duplicated: u64,
+    pub(crate) ack_duplicated: u64,
     /// Switch restarts injected.
     pub restarts: u64,
     /// Flow-mods flushed from the in-flight queue by a restart (a real
     /// transport's connection dies with the switch; nothing queued before
     /// the power-cycle is delivered after it).
-    pub flushed: u64,
+    pub(crate) flushed: u64,
 }
 
 /// A lossy, duplicating, reordering, restart-injecting control channel
@@ -224,7 +211,7 @@ impl<E: Endpoint> FaultyChannel<E> {
     }
 
     /// Advance the virtual clock (driver timeouts / backoff).
-    pub fn advance(&mut self, ns: u64) {
+    pub(crate) fn advance(&mut self, ns: u64) {
         self.now_ns += ns;
     }
 
@@ -258,6 +245,19 @@ impl<E: Endpoint> FaultyChannel<E> {
 mod tests {
     use super::*;
     use mapro_core::{AckOk, FlowModOp, RuleUpdate, TxnId};
+
+    /// The E14 sweep shape: drop with probability `p`, duplicate and
+    /// reorder with `p/2` each.
+    fn uniform(p: f64, restart_every: u64, seed: u64) -> FaultPlan {
+        FaultPlan {
+            p_drop: p,
+            p_dup: p / 2.0,
+            p_reorder: p / 2.0,
+            restart_every,
+            latency_ns: 10_000,
+            seed,
+        }
+    }
 
     /// Endpoint recording delivered txns; acks everything.
     struct Recorder {
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn deterministic_fault_trace_under_seed() {
         let run = |seed: u64| {
-            let mut ch = FaultyChannel::new(Recorder::new(), FaultPlan::uniform(0.4, 3, seed));
+            let mut ch = FaultyChannel::new(Recorder::new(), uniform(0.4, 3, seed));
             for t in 0..50 {
                 ch.send(msg(t));
             }
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn faults_actually_fire() {
-        let mut ch = FaultyChannel::new(Recorder::new(), FaultPlan::uniform(0.5, 0, 42));
+        let mut ch = FaultyChannel::new(Recorder::new(), uniform(0.5, 0, 42));
         for t in 0..200 {
             ch.send(msg(t));
         }
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn restart_flush_conserves_under_faults() {
-        let mut ch = FaultyChannel::new(Recorder::new(), FaultPlan::uniform(0.5, 10, 42));
+        let mut ch = FaultyChannel::new(Recorder::new(), uniform(0.5, 10, 42));
         for t in 0..200 {
             ch.send(msg(t));
         }
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn restart_never_fires_when_disabled() {
-        let mut ch = FaultyChannel::new(Recorder::new(), FaultPlan::uniform(0.3, 0, 9));
+        let mut ch = FaultyChannel::new(Recorder::new(), uniform(0.3, 0, 9));
         for t in 0..100 {
             ch.send(msg(t));
         }

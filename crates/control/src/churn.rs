@@ -11,7 +11,7 @@ pub struct ChurnEvent {
     /// Arrival time in seconds from the run start.
     pub at_sec: f64,
     /// The compiled plan.
-    pub plan: UpdatePlan,
+    pub(crate) plan: UpdatePlan,
 }
 
 /// Generate a Poisson stream of intents over `duration_sec` at `rate`

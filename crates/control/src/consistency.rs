@@ -10,7 +10,7 @@
 use mapro_core::{apply_prefix, ApplyError, Pipeline, UpdatePlan};
 
 /// An invariant over data-plane state: `Err(reason)` when violated.
-pub type Invariant<'a> = &'a dyn Fn(&Pipeline) -> Result<(), String>;
+pub(crate) type Invariant<'a> = &'a dyn Fn(&Pipeline) -> Result<(), String>;
 
 /// Result of a consistency scan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -69,7 +69,7 @@ pub struct DriverConfig {
     pub breaker_cooldown_ns: u64,
     /// Verify every committed intent inline: keep an incremental
     /// equivalence session (committed shadow vs. intended) and append a
-    /// [`WalRecord::Proof`] receipt next to each `Commit`. Off by
+    /// `WalRecord::Proof` receipt next to each `Commit`. Off by
     /// default — the e2e `churn_*` workloads turn it on.
     pub verify_inline: bool,
 }
@@ -124,7 +124,7 @@ impl CrashPoint {
     ];
 
     /// Stable label for traces and counters.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CrashPoint::Begin => "begin",
             CrashPoint::InFlight => "in_flight",
@@ -254,36 +254,25 @@ impl fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
-/// Priority class of an intent, for overload shedding. Reconciliation
-/// repairs outrank churn: shedding churn under load converges the system,
-/// shedding repairs would wedge it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnClass {
-    /// Repair traffic; never shed.
-    Reconcile,
-    /// Ordinary intent churn; shed once the window fills.
-    Churn,
-}
-
 /// Per-controller accounting (per-run, unlike the global obs counters).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DriverStats {
     /// Flow-mods sent (including retransmissions).
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Retransmissions.
     pub retries: u64,
     /// Positive acks received.
-    pub acks: u64,
+    pub(crate) acks: u64,
     /// Negative acks received.
-    pub nacks: u64,
+    pub(crate) nacks: u64,
     /// Repair flow-mods emitted by reconciliation.
     pub repairs: u64,
     /// Reconcile passes that converged.
-    pub reconciles: u64,
+    pub(crate) reconciles: u64,
     /// Churn intents refused by admission control.
     pub shed: u64,
     /// Times the circuit breaker opened.
-    pub breaker_opens: u64,
+    pub(crate) breaker_opens: u64,
     /// Inline equivalence proofs recorded (`verify_inline`).
     pub proofs: u64,
 }
@@ -292,9 +281,9 @@ pub struct DriverStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconcileReport {
     /// Read–diff–repair rounds used (1 = already in sync).
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Repair flow-mods emitted.
-    pub repairs: usize,
+    pub(crate) repairs: usize,
     /// Virtual time from pass start to verified convergence (ns).
     pub convergence_ns: u64,
 }
@@ -324,22 +313,22 @@ pub enum ReconcileOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The recovering generation's epoch.
-    pub epoch: Epoch,
+    pub(crate) epoch: Epoch,
     /// WAL records replayed to rebuild the intended state.
-    pub wal_records: usize,
+    pub(crate) wal_records: usize,
     /// Begun-but-unconfirmed intents inherited from the predecessor.
-    pub in_doubt: usize,
+    pub(crate) in_doubt: usize,
     /// Whether reconciliation converged.
     pub reconciled: bool,
     /// Whether the post-recovery `mapro_sym` guardrail proved the switch
     /// equivalent to the WAL-derived intended pipeline.
     pub verified: bool,
     /// Reconcile rounds used.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Repair flow-mods emitted.
-    pub repairs: usize,
+    pub(crate) repairs: usize,
     /// Virtual time from takeover to verified recovery (ns).
-    pub elapsed_ns: u64,
+    pub(crate) elapsed_ns: u64,
 }
 
 impl RecoveryReport {
@@ -403,7 +392,7 @@ impl Controller {
     fn with_wal(wal: SharedWal, intended: Pipeline, cfg: DriverConfig, epoch: Epoch) -> Controller {
         // Declare up front so `--metrics` shows the shed counter even
         // for a run that never overloads, and the per-hop split of
-        // `apply_plan_with` before the first intent.
+        // `apply_plan` before the first intent.
         mapro_obs::counter!("control.shed");
         mapro_obs::histogram!("control.plan.adopt_ns");
         mapro_obs::histogram!("control.plan.wal_ns");
@@ -456,16 +445,6 @@ impl Controller {
     /// The state the controller is driving the switch toward.
     pub fn intended(&self) -> &Pipeline {
         &self.intended
-    }
-
-    /// This generation's fencing epoch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// Admitted intents not yet confirmed delivered.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
     }
 
     /// The shared write-ahead log.
@@ -666,16 +645,6 @@ impl Controller {
         })
     }
 
-    /// Drive one churn-class intent to the switch; see
-    /// [`apply_plan_with`](Controller::apply_plan_with).
-    pub fn apply_plan<E: Endpoint>(
-        &mut self,
-        ch: &mut FaultyChannel<E>,
-        plan: &UpdatePlan,
-    ) -> Result<(), DriverError> {
-        self.apply_plan_with(ch, plan, TxnClass::Churn)
-    }
-
     /// Drive one intent to the switch. Single-update plans go as one
     /// idempotent flow-mod; multi-update plans as a two-phase bundle
     /// (prepare → commit, rollback on failure). The intended state adopts
@@ -685,7 +654,7 @@ impl Controller {
     /// appended before the first send, a `Commit` only after the switch
     /// acknowledged.
     ///
-    /// Admission control: churn-class intents are shed
+    /// Admission control: intents are shed
     /// ([`DriverError::Overloaded`], *not* adopted) while more than
     /// [`DriverConfig::window`] admitted intents are undelivered.
     /// While the circuit breaker is open, delivery is skipped entirely
@@ -696,11 +665,10 @@ impl Controller {
     /// `Begin` and `Commit` append), `proof_intended` (the verifier's
     /// intended side), `deliver` (the flow-mods over the channel) and
     /// `proof_committed` (the committed shadow and its receipt).
-    pub fn apply_plan_with<E: Endpoint>(
+    pub fn apply_plan<E: Endpoint>(
         &mut self,
         ch: &mut FaultyChannel<E>,
         plan: &UpdatePlan,
-        class: TxnClass,
     ) -> Result<(), DriverError> {
         let _sp = mapro_obs::trace::span_kv(
             "plan",
@@ -709,7 +677,7 @@ impl Controller {
                 ("bundled", plan.needs_bundle().into()),
             ],
         );
-        if class == TxnClass::Churn && self.deferred >= self.cfg.window as u64 {
+        if self.deferred >= self.cfg.window as u64 {
             self.stats.shed += 1;
             mapro_obs::counter!("control.shed").inc();
             if mapro_obs::trace::active() {
@@ -837,7 +805,7 @@ impl Controller {
     }
 
     /// Read back the switch's authoritative pipeline.
-    pub fn read_state<E: Endpoint>(
+    pub(crate) fn read_state<E: Endpoint>(
         &mut self,
         ch: &mut FaultyChannel<E>,
     ) -> Result<Pipeline, DriverError> {
@@ -1032,7 +1000,7 @@ impl Controller {
     /// The post-recovery equivalence guardrail: prove (symbolically, with
     /// enumerative fallback) that the switch's pipeline and the intended
     /// one are observationally equivalent.
-    pub fn guardrail(&self, actual: &Pipeline) -> bool {
+    pub(crate) fn guardrail(&self, actual: &Pipeline) -> bool {
         let mut sp = mapro_obs::trace::span_kv("guardrail", vec![("epoch", self.epoch.into())]);
         let ok = matches!(
             mapro_sym::check_equivalent(actual, &self.intended, &EquivConfig::default()),
@@ -1072,7 +1040,7 @@ fn op_label(op: &FlowModOp) -> &'static str {
 /// rows become `Delete`s; missing tail rows become `Insert`s (inserts
 /// append, so only the tail can be grown — mid-table divergence is
 /// expressed as in-place rewrites instead).
-pub fn diff_pipelines(
+pub(crate) fn diff_pipelines(
     actual: &Pipeline,
     intended: &Pipeline,
 ) -> Result<Vec<RuleUpdate>, DriverError> {
@@ -1436,7 +1404,7 @@ mod tests {
         assert_ne!(ch.endpoint().pipeline, *ctl.intended());
         // And the WAL carries it in doubt.
         assert_eq!(ctl.wal().borrow().replay().unwrap().in_doubt.len(), 1);
-        assert_eq!(ctl.deferred(), 1);
+        assert_eq!(ctl.deferred, 1);
     }
 
     #[test]
@@ -1461,7 +1429,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_sheds_churn_but_admits_reconcile_class() {
+    fn overload_sheds_churn() {
         let (p, f, _) = pipeline();
         let mut ch = FaultyChannel::new(MiniSwitch::new(p.clone()), FaultPlan::lossless(1));
         // A zero window sheds every churn intent immediately.
@@ -1477,10 +1445,6 @@ mod tests {
         assert_eq!(ctl.stats().shed, 1);
         assert_eq!(*ctl.intended(), p, "shed intents are not adopted");
         assert!(ctl.wal().borrow().is_empty(), "shed intents are not logged");
-        // Reconcile-class traffic outranks churn and still goes through.
-        ctl.apply_plan_with(&mut ch, &move_plan(f, 1, 7), TxnClass::Reconcile)
-            .unwrap();
-        assert_eq!(ch.endpoint().pipeline, *ctl.intended());
     }
 
     #[test]
@@ -1513,7 +1477,7 @@ mod tests {
         ctl.apply_plan(&mut ch, &ins(2)).unwrap();
         assert_eq!(ctl.stats().sent, sent_before);
         assert_eq!(ctl.wal().borrow().len(), 3, "all three Begins logged");
-        assert_eq!(ctl.deferred(), 3);
+        assert_eq!(ctl.deferred, 3);
     }
 
     #[test]

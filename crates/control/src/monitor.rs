@@ -7,14 +7,14 @@
 //! *monitorability metric* of a query is simply how many rules the
 //! counter set must span in a given representation.
 
-use mapro_core::{Pipeline, Verdict};
+use mapro_core::Verdict;
 use std::collections::HashMap;
 
 /// A set of per-rule counters.
 #[derive(Debug, Clone, Default)]
 pub struct CounterSet {
     /// Monitored rules: `(table name, entry index)`.
-    pub rules: Vec<(String, usize)>,
+    pub(crate) rules: Vec<(String, usize)>,
     counts: HashMap<(String, usize), u64>,
 }
 
@@ -59,27 +59,10 @@ impl CounterSet {
     }
 }
 
-/// Find all rules of `p` whose cells satisfy `pred` — a helper for
-/// workload-specific counter placement ("all entries of tenant 2").
-pub fn rules_where(
-    p: &Pipeline,
-    pred: impl Fn(&mapro_core::Table, usize) -> bool,
-) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for t in &p.tables {
-        for row in 0..t.len() {
-            if pred(t, row) {
-                out.push((t.name.clone(), row));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapro_core::{ActionSem, Catalog, Packet, Table, Value};
+    use mapro_core::{ActionSem, Catalog, Packet, Pipeline, Table, Value};
 
     fn pipeline() -> Pipeline {
         let mut c = Catalog::new();
@@ -118,15 +101,5 @@ mod tests {
             .unwrap();
         cs.observe(&v);
         assert_eq!(cs.aggregate(), 0);
-    }
-
-    #[test]
-    fn rules_where_selects_by_predicate() {
-        let p = pipeline();
-        let rules = rules_where(
-            &p,
-            |t, row| matches!(t.entries[row].actions.first(), Some(Value::Sym(s)) if &**s == "p2"),
-        );
-        assert_eq!(rules, vec![("t".to_owned(), 2)]);
     }
 }

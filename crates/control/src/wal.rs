@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 /// One append-only log record.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// An intent was admitted: the plan is now part of the intended state,
     /// whatever happens to its delivery. Logged *before* the first send.
     Begin {
@@ -60,22 +60,22 @@ pub enum WalRecord {
 
 /// What a successor learns from replaying the log.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Replay {
+pub(crate) struct Replay {
     /// The intended pipeline the predecessor died with: base state plus
     /// every begun plan, in log order.
-    pub intended: Pipeline,
+    pub(crate) intended: Pipeline,
     /// First safe transaction id for the successor (see `Begin::txn`).
-    pub next_txn: TxnId,
+    pub(crate) next_txn: TxnId,
     /// Highest epoch that ever wrote to the log.
-    pub max_epoch: Epoch,
+    pub(crate) max_epoch: Epoch,
     /// Begun-but-unconfirmed transactions: the switch may hold none, some,
     /// or all of them. Reconciliation repairs whichever way it went.
-    pub in_doubt: Vec<TxnId>,
+    pub(crate) in_doubt: Vec<TxnId>,
     /// Records replayed.
-    pub records: usize,
+    pub(crate) records: usize,
     /// Equivalence-proof receipts seen ([`WalRecord::Proof`]); evidence
     /// only, never state.
-    pub proofs: usize,
+    pub(crate) proofs: usize,
 }
 
 /// Why a log does not replay: a begun plan no longer applies to the state
@@ -84,9 +84,9 @@ pub struct Replay {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayError {
     /// Index of the offending record.
-    pub record: usize,
+    pub(crate) record: usize,
     /// Why its plan was refused.
-    pub error: ApplyError,
+    pub(crate) error: ApplyError,
 }
 
 impl fmt::Display for ReplayError {
@@ -102,7 +102,7 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// The append-only intent log. Clone-free shared access goes through
-/// [`SharedWal`].
+/// `SharedWal`.
 #[derive(Debug, Clone)]
 pub struct Wal {
     base: Pipeline,
@@ -111,12 +111,12 @@ pub struct Wal {
 
 /// Handle to a log shared by successive (and concurrent) controller
 /// generations — the model of one durable store behind N controllers.
-pub type SharedWal = Rc<RefCell<Wal>>;
+pub(crate) type SharedWal = Rc<RefCell<Wal>>;
 
 impl Wal {
     /// An empty log over the given base pipeline (what the switch booted
     /// with, before any controller wrote).
-    pub fn new(base: Pipeline) -> Wal {
+    pub(crate) fn new(base: Pipeline) -> Wal {
         // Declare the log's counters up front so a `--metrics` snapshot
         // shows them (at zero) even before the first append or replay.
         mapro_obs::counter!("control.wal.appends");
@@ -127,13 +127,13 @@ impl Wal {
         }
     }
 
-    /// [`Wal::new`] wrapped for sharing across controller generations.
+    /// `Wal::new` wrapped for sharing across controller generations.
     pub fn shared(base: Pipeline) -> SharedWal {
         Rc::new(RefCell::new(Wal::new(base)))
     }
 
     /// Append one record.
-    pub fn append(&mut self, rec: WalRecord) {
+    pub(crate) fn append(&mut self, rec: WalRecord) {
         mapro_obs::counter!("control.wal.appends").inc();
         if mapro_obs::trace::active() {
             let (kind, txn) = match &rec {
@@ -156,14 +156,9 @@ impl Wal {
         self.records.is_empty()
     }
 
-    /// The base pipeline the log grows from.
-    pub fn base(&self) -> &Pipeline {
-        &self.base
-    }
-
     /// Rebuild the predecessor's state by replaying every record in log
     /// order. Deterministic: same log, same result, bit for bit.
-    pub fn replay(&self) -> Result<Replay, ReplayError> {
+    pub(crate) fn replay(&self) -> Result<Replay, ReplayError> {
         mapro_obs::counter!("control.wal.replays").inc();
         let _sp =
             mapro_obs::trace::span_kv("wal_replay", vec![("records", self.records.len().into())]);
@@ -332,7 +327,7 @@ mod tests {
             let err = wal.replay().unwrap_err();
             assert_eq!(err.record, 1);
             assert_eq!(err.error, want);
-            assert_eq!(*wal.base(), p, "the base state is untouched");
+            assert_eq!(wal.base, p, "the base state is untouched");
         }
     }
 }

@@ -42,4 +42,4 @@ pub use check::{
 pub use compile::{Behavior, FieldSpace, SymConfig, Unsupported};
 pub use cube::{Cube, Tern};
 pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
-pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side};
+pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side, Verdict};
