@@ -13,7 +13,7 @@ use mapro_switch::cls::{TableView, TcamModel};
 
 /// Check every table against the configured TCAM entry capacity and slice
 /// width.
-pub fn check_capacity(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
+pub(crate) fn check_capacity(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
     for t in &p.tables {
         let view = TableView::of(t, &p.catalog);
         match TcamModel::build(&view, cfg.tcam_capacity_entries) {

@@ -64,102 +64,98 @@ pub struct LintInfo {
     /// Stable machine-readable id (`kebab-case`).
     pub id: &'static str,
     /// Default severity (overridable with `-A`/`-W`/`-D`).
-    pub default_severity: Severity,
-    /// What the lint detects.
-    pub summary: &'static str,
+    pub(crate) default_severity: Severity,
 }
 
 /// The full lint catalogue, in reporting order.
 ///
-/// Kept as data so the CLI can validate `-A`/`-W`/`-D` arguments and docs
-/// can be generated from one source of truth.
+/// Kept as data so the CLI can validate `-A`/`-W`/`-D` arguments; the
+/// comment above each entry says what the lint detects.
 pub const CATALOGUE: &[LintInfo] = &[
+    // entry fully covered by a single higher-priority entry; it can never fire
     LintInfo {
         id: "shadowed-entry",
         default_severity: Severity::Error,
-        summary: "entry fully covered by a single higher-priority entry; it can never fire",
     },
+    // entry covered by the union of higher-priority entries, or unsatisfiable
     LintInfo {
         id: "dead-entry",
         default_severity: Severity::Error,
-        summary: "entry covered by the union of higher-priority entries, or unsatisfiable",
     },
+    // union-cover liveness left undecided: the table's decision diagram outgrew the node arena
     LintInfo {
         id: "undecided-liveness",
         default_severity: Severity::Info,
-        summary: "union-cover liveness left undecided: the table's decision diagram outgrew \
-                  the node arena",
     },
+    // goto/next/fall-through names a table that does not exist
     LintInfo {
         id: "unknown-goto-target",
         default_severity: Severity::Error,
-        summary: "goto/next/fall-through names a table that does not exist",
     },
+    // the jump graph has a reachable cycle; evaluation can exceed its step budget
     LintInfo {
         id: "goto-cycle",
         default_severity: Severity::Error,
-        summary: "the jump graph has a reachable cycle; evaluation can exceed its step budget",
     },
+    // no jump-graph path from the start table reaches this table
     LintInfo {
         id: "unreachable-table",
         default_severity: Severity::Warn,
-        summary: "no jump-graph path from the start table reaches this table",
     },
+    // metadata field written by a reachable entry but matched nowhere
     LintInfo {
         id: "meta-never-matched",
         default_severity: Severity::Warn,
-        summary: "metadata field written by a reachable entry but matched nowhere",
     },
+    // metadata field matched non-trivially but never written (always zero)
     LintInfo {
         id: "meta-never-written",
         default_severity: Severity::Warn,
-        summary: "metadata field matched non-trivially but never written (always zero)",
     },
+    // two entries overlap: the table is order-dependent (violates 1NF)
     LintInfo {
         id: "overlapping-entries",
         default_severity: Severity::Warn,
-        summary: "two entries overlap: the table is order-dependent (violates 1NF)",
     },
+    // FD from part of a candidate key to a non-prime attribute (violates 2NF)
     LintInfo {
         id: "partial-dependency",
         default_severity: Severity::Warn,
-        summary: "FD from part of a candidate key to a non-prime attribute (violates 2NF)",
     },
+    // transitive FD to a non-prime attribute (violates 3NF)
     LintInfo {
         id: "transitive-dependency",
         default_severity: Severity::Warn,
-        summary: "transitive FD to a non-prime attribute (violates 3NF)",
     },
+    // non-superkey determinant among prime attributes (violates BCNF only)
     LintInfo {
         id: "bcnf-dependency",
         default_severity: Severity::Info,
-        summary: "non-superkey determinant among prime attributes (violates BCNF only)",
     },
+    // violating FD has actions determining match fields; decomposition would break 1NF (Fig. 3) and is refused
     LintInfo {
         id: "action-to-match-dependency",
         default_severity: Severity::Warn,
-        summary: "violating FD has actions determining match fields; decomposition would \
-                  break 1NF (Fig. 3) and is refused",
     },
+    // a declared FD names attributes the table does not have; it was ignored
     LintInfo {
         id: "unknown-declared-fd",
         default_severity: Severity::Warn,
-        summary: "a declared FD names attributes the table does not have; it was ignored",
     },
+    // table exceeds the modeled TCAM entry capacity
     LintInfo {
         id: "tcam-capacity",
         default_severity: Severity::Warn,
-        summary: "table exceeds the modeled TCAM entry capacity",
     },
+    // per-entry match width exceeds the modeled TCAM slice width
     LintInfo {
         id: "tcam-width",
         default_severity: Severity::Warn,
-        summary: "per-entry match width exceeds the modeled TCAM slice width",
     },
 ];
 
 /// Look up a catalogue entry by id.
-pub fn lint_info(id: &str) -> Option<&'static LintInfo> {
+pub(crate) fn lint_info(id: &str) -> Option<&'static LintInfo> {
     CATALOGUE.iter().find(|l| l.id == id)
 }
 
@@ -179,7 +175,7 @@ pub struct Diagnostic {
     pub message: String,
     /// Concrete repair, when the analyzer knows one (e.g. the Heath
     /// decomposition `mapro normalize` would apply).
-    pub suggestion: Option<String>,
+    pub(crate) suggestion: Option<String>,
 }
 
 // Absent provenance fields are omitted from the JSON rather than emitted
@@ -245,7 +241,7 @@ impl Diagnostic {
     ///
     /// # Panics
     /// Panics if `lint` is not in the catalogue (a pass bug, not input).
-    pub fn new(lint: &'static str, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn new(lint: &'static str, message: impl Into<String>) -> Diagnostic {
         let info = lint_info(lint).unwrap_or_else(|| panic!("lint {lint:?} not in CATALOGUE"));
         Diagnostic {
             lint: lint.to_owned(),
@@ -258,19 +254,19 @@ impl Diagnostic {
     }
 
     /// Attach table provenance.
-    pub fn table(mut self, t: impl Into<String>) -> Self {
+    pub(crate) fn table(mut self, t: impl Into<String>) -> Self {
         self.table = Some(t.into());
         self
     }
 
     /// Attach entry provenance.
-    pub fn entry(mut self, row: usize) -> Self {
+    pub(crate) fn entry(mut self, row: usize) -> Self {
         self.entry = Some(row);
         self
     }
 
     /// Attach a repair suggestion.
-    pub fn suggest(mut self, s: impl Into<String>) -> Self {
+    pub(crate) fn suggest(mut self, s: impl Into<String>) -> Self {
         self.suggestion = Some(s.into());
         self
     }

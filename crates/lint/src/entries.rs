@@ -9,14 +9,14 @@
 //! table whose diagram outgrows the node arena leaves its verdicts
 //! undecided.
 
-use crate::cover::Cube;
 use crate::diag::{Diagnostic, LintReport};
 use crate::LintConfig;
 use mapro_core::Pipeline;
+use mapro_sym::cube::Cube;
 use mapro_sym::{SymConfig, TableLiveness};
 
 /// Run shadowed-/dead-entry detection over every table.
-pub fn check_entries(p: &Pipeline, _cfg: &LintConfig, out: &mut LintReport) {
+pub(crate) fn check_entries(p: &Pipeline, _cfg: &LintConfig, out: &mut LintReport) {
     entries_within(p, SymConfig::default().max_nodes, out);
 }
 

@@ -40,7 +40,7 @@ fn edges(t: &Table, p: &Pipeline) -> Vec<(String, String)> {
 }
 
 /// Run reachability, cycle, and metadata-hygiene checks.
-pub fn check_graph(p: &Pipeline, out: &mut LintReport) {
+pub(crate) fn check_graph(p: &Pipeline, out: &mut LintReport) {
     let names: BTreeSet<&str> = p.tables.iter().map(|t| t.name.as_str()).collect();
 
     // Adjacency over existing tables; unknown targets are reported and

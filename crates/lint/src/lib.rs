@@ -5,16 +5,16 @@
 //! [`Pipeline`] — tables, entries, the jump graph, mined dependencies —
 //! without evaluating a single packet:
 //!
-//! * [`entries`] — shadowed and dead entries, proved by the ternary-cover
+//! * `entries` — shadowed and dead entries, proved by the ternary-cover
 //!   algebra (`Value::as_ternary` / `Value::subsumes` in `mapro-core`,
-//!   lifted to whole-entry cubes in [`cover`]).
-//! * [`graph`] — unknown jump targets, unreachable tables, reachable goto
+//!   lifted to whole-entry cubes in `mapro_sym::cube`).
+//! * `graph` — unknown jump targets, unreachable tables, reachable goto
 //!   cycles, and metadata-tag hygiene.
-//! * [`redundancy`] — the paper's normal-form theory as diagnostics:
+//! * `redundancy` — the paper's normal-form theory as diagnostics:
 //!   2NF/3NF/BCNF violations with the concrete Heath decomposition
 //!   `mapro normalize` would apply as the suggested fix, and the Fig. 3
 //!   action-to-match hazard.
-//! * [`capacity`] — TCAM entry/width budgets via the TCAM resource model
+//! * `capacity` — TCAM entry/width budgets via the TCAM resource model
 //!   of `mapro_switch::cls`.
 //!
 //! Findings carry a stable lint id from [`CATALOGUE`], a severity, and
@@ -27,19 +27,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
-pub mod cover;
-pub mod diag;
-pub mod entries;
-pub mod graph;
-pub mod redundancy;
+pub(crate) mod capacity;
+pub(crate) mod diag;
+pub(crate) mod entries;
+pub(crate) mod graph;
+pub(crate) mod redundancy;
 
-pub use capacity::check_capacity;
-pub use cover::{Cube, Tern};
-pub use diag::{lint_info, Diagnostic, LintInfo, LintReport, Overrides, Severity, CATALOGUE};
-pub use entries::check_entries;
-pub use graph::check_graph;
-pub use redundancy::{check_redundancy, DeclaredFd};
+pub(crate) use capacity::check_capacity;
+pub use diag::{Diagnostic, LintInfo, LintReport, Overrides, Severity, CATALOGUE};
+pub(crate) use entries::check_entries;
+pub(crate) use graph::check_graph;
+pub(crate) use redundancy::{check_redundancy, DeclaredFd};
 
 use mapro_core::Pipeline;
 
@@ -47,12 +45,12 @@ use mapro_core::Pipeline;
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Modeled TCAM entry capacity per table (default 4096).
-    pub tcam_capacity_entries: usize,
+    pub(crate) tcam_capacity_entries: usize,
     /// Modeled TCAM per-slice match width in bits (default 640).
-    pub tcam_slice_bits: u32,
+    pub(crate) tcam_slice_bits: u32,
     /// Model-level dependencies the author declares to hold, unioned with
     /// the mined ones before normal-form analysis.
-    pub declared_fds: Vec<DeclaredFd>,
+    pub(crate) declared_fds: Vec<DeclaredFd>,
 }
 
 impl Default for LintConfig {

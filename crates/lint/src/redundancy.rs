@@ -21,13 +21,13 @@ use mapro_normalize::program_view;
 /// `ip_dst → tcp_dst` in Fig. 1a). Declared FDs are unioned with the
 /// mined ones before normal-form analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeclaredFd {
+pub(crate) struct DeclaredFd {
     /// Table the dependency applies to.
-    pub table: String,
+    pub(crate) table: String,
     /// Determinant attribute names.
-    pub lhs: Vec<String>,
+    pub(crate) lhs: Vec<String>,
     /// Dependent attribute names.
-    pub rhs: Vec<String>,
+    pub(crate) rhs: Vec<String>,
 }
 
 /// Names of the attributes in `s`, via the report's universe.
@@ -40,7 +40,7 @@ fn decode_names(p: &Pipeline, fds: &FdSet, s: mapro_fd::AttrSet) -> Vec<String> 
 }
 
 /// Run the normal-form redundancy lints over every table.
-pub fn check_redundancy(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
+pub(crate) fn check_redundancy(p: &Pipeline, cfg: &LintConfig, out: &mut LintReport) {
     for t in &p.tables {
         let view = program_view(t, p);
         if view.is_empty() {

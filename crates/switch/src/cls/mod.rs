@@ -24,7 +24,7 @@ pub(crate) mod view;
 pub use exact::{ExactTable, NotExact};
 pub use linear::{LinearTernary, TcamFull, TcamModel};
 pub use trie::{LpmTrie, NotLpm};
-pub use tss::TupleSpace;
+pub use tss::{BadCell, TupleSpace};
 pub use view::{table_shape, TableShape, TableView};
 pub(crate) use view::{MatchRow, Rows};
 

@@ -12,8 +12,7 @@
 //! does a flow-mod dirty — are decided on decision diagrams
 //! (`crate::ddcover`), never by splitting cubes. This module began life
 //! as `mapro_lint::cover` and was promoted here so the diagram compiler,
-//! the incremental sessions and the linter share one implementation;
-//! `mapro_lint::cover` now re-exports it.
+//! the incremental sessions and the linter share one implementation.
 
 use mapro_core::Value;
 
