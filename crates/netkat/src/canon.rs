@@ -4,8 +4,8 @@
 //! generally corresponds to the 'local OpenFlow normal form' from \[1\]" —
 //! a parallel composition of sequences, each sequence being tests followed
 //! by modifications/actions. This module rewrites an arbitrary policy of
-//! the fragment into that shape using the distributivity and unit axioms
-//! (every step is one of the validated rewrites of [`crate::axioms`]):
+//! the fragment into that shape using the distributivity and unit axioms;
+//! its tests check each result semantically against the input:
 //!
 //! 1. distribute `;` over `+` (both sides) until no `+` sits under a `;`;
 //! 2. flatten the resulting sum and drop `0` summands;
@@ -150,8 +150,8 @@ mod tests {
     #[test]
     fn distributes_and_flattens() {
         // f=1; (a + b) → f=1;a + f=1;b
-        let p =
-            Pol::test(f(0), 1u64).seq(Pol::Plus(Box::new(Pol::act("a")), Box::new(Pol::act("b"))));
+        let p = Pol::Test(f(0), 1u64.into())
+            .seq(Pol::Plus(Box::new(Pol::act("a")), Box::new(Pol::act("b"))));
         let c = canonicalize(&p);
         assert!(is_openflow_nf(&c));
         assert!(semantically_equal(&p, &c, &W).is_ok());
@@ -170,7 +170,10 @@ mod tests {
     #[test]
     fn tests_hoisted_before_actions() {
         // act; f=1 (commutable) → f=1; act
-        let p = Pol::Seq(Box::new(Pol::act("x")), Box::new(Pol::test(f(0), 1u64)));
+        let p = Pol::Seq(
+            Box::new(Pol::act("x")),
+            Box::new(Pol::Test(f(0), 1u64.into())),
+        );
         let c = canonicalize(&p);
         assert!(is_openflow_nf(&c));
         assert!(semantically_equal(&p, &c, &W).is_ok());
@@ -179,7 +182,10 @@ mod tests {
     #[test]
     fn same_field_mod_test_not_commuted() {
         // f<-1; f=1 must NOT be reordered to f=1; f<-1 (different meaning).
-        let p = Pol::Seq(Box::new(Pol::Mod(f(0), 1)), Box::new(Pol::test(f(0), 1u64)));
+        let p = Pol::Seq(
+            Box::new(Pol::Mod(f(0), 1)),
+            Box::new(Pol::Test(f(0), 1u64.into())),
+        );
         let c = canonicalize(&p);
         assert!(semantically_equal(&p, &c, &W).is_ok());
         // Not in OF-NF (test after mod on the same field is irreducible in
@@ -206,7 +212,7 @@ mod tests {
         prop_oneof![
             Just(Pol::Drop),
             Just(Pol::Id),
-            (0u32..3, 0u64..4).prop_map(|(fi, v)| Pol::test(f(fi), v)),
+            (0u32..3, 0u64..4).prop_map(|(fi, v)| Pol::Test(f(fi), v.into())),
             (0u32..3, 0u64..4).prop_map(|(fi, v)| Pol::Mod(f(fi), v)),
             (0u32..2).prop_map(|i| Pol::act(format!("a{i}"))),
         ]

@@ -75,7 +75,7 @@ pub fn compile_pipeline(p: &Pipeline) -> Result<Pol, CompileError> {
 }
 
 /// Compile the sub-pipeline rooted at `table`.
-pub fn compile_from(p: &Pipeline, table: &str, budget: usize) -> Result<Pol, CompileError> {
+pub(crate) fn compile_from(p: &Pipeline, table: &str, budget: usize) -> Result<Pol, CompileError> {
     if budget == 0 {
         return Err(CompileError::GotoCycle {
             table: table.to_owned(),

@@ -248,10 +248,10 @@ mod tests {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let out = c.action("out", ActionSem::Output);
-        let pol = Pol::test(f, 1u64)
-            .seq(Pol::test(f, 2u64))
+        let pol = Pol::Test(f, 1u64.into())
+            .seq(Pol::Test(f, 2u64.into()))
             .seq(Pol::act("out(x)"))
-            .plus(Pol::test(f, 3u64).seq(Pol::act("out(y)")));
+            .plus(Pol::Test(f, 3u64.into()).seq(Pol::act("out(y)")));
         let t = policy_to_table(&pol, &c, "t").unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.entries[0].matches[0], Value::Int(3));
@@ -287,7 +287,9 @@ mod tests {
         let f = c.field("f", 8);
         let g = c.field("g", 8);
         c.action("set_g", ActionSem::SetField(g));
-        let pol = Pol::test(f, 1u64).seq(Pol::Mod(g, 5)).seq(Pol::Mod(g, 7));
+        let pol = Pol::Test(f, 1u64.into())
+            .seq(Pol::Mod(g, 5))
+            .seq(Pol::Mod(g, 7));
         let t = policy_to_table(&pol, &c, "t").unwrap();
         assert_eq!(t.entries[0].actions[0], Value::Int(7));
     }

@@ -5,27 +5,24 @@
 //! header-field functional dependency preserves semantics) by equational
 //! rewriting. This crate makes that layer executable:
 //!
-//! * [`pol`] — policy AST, packet-set semantics, and complete semantic
+//! * `pol` — policy AST, packet-set semantics, and complete semantic
 //!   equality over derived finite domains.
-//! * [`axioms`] — the Boolean/Kleene axioms cited in the proof, as
-//!   shape-checked rewrites validated semantically by the test suite.
-//! * [`compile`] — compiling 1NF tables and acyclic pipelines to policies
+//! * `compile` — compiling 1NF tables and acyclic pipelines to policies
 //!   (rejecting non-order-independent tables, the Fig. 3 failure mode).
-//! * [`theorem1`] — a line-by-line, machine-checked replay of the Theorem 1
+//! * `theorem1` — a line-by-line, machine-checked replay of the Theorem 1
 //!   derivation on concrete tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod axioms;
-pub mod canon;
-pub mod compile;
-pub mod decompile;
-pub mod pol;
-pub mod theorem1;
+pub(crate) mod canon;
+pub(crate) mod compile;
+pub(crate) mod decompile;
+pub(crate) mod pol;
+pub(crate) mod theorem1;
 
 pub use canon::{canonicalize, is_openflow_nf};
 pub use compile::{compile_pipeline, CompileError};
 pub use decompile::{policy_to_table, DecompileError};
-pub use pol::{eval, semantically_equal, Pk, Pol};
+pub use pol::{Pk, Pol};
 pub use theorem1::{derivation, verify, Step, Theorem1Error};

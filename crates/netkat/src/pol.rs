@@ -42,7 +42,7 @@ pub enum Pol {
 impl Pol {
     /// `p; q`, folding the units `1` and the annihilator `0` on the fly to
     /// keep constructed derivations readable.
-    pub fn seq(self, q: Pol) -> Pol {
+    pub(crate) fn seq(self, q: Pol) -> Pol {
         match (self, q) {
             (Pol::Id, q) => q,
             (p, Pol::Id) => p,
@@ -52,7 +52,7 @@ impl Pol {
     }
 
     /// `p + q`, folding `0`.
-    pub fn plus(self, q: Pol) -> Pol {
+    pub(crate) fn plus(self, q: Pol) -> Pol {
         match (self, q) {
             (Pol::Drop, q) => q,
             (p, Pol::Drop) => p,
@@ -61,7 +61,7 @@ impl Pol {
     }
 
     /// Σ of policies (right-nested), `0` when empty.
-    pub fn sum(terms: impl IntoIterator<Item = Pol>) -> Pol {
+    pub(crate) fn sum(terms: impl IntoIterator<Item = Pol>) -> Pol {
         let mut terms: Vec<Pol> = terms.into_iter().collect();
         match terms.pop() {
             None => Pol::Drop,
@@ -70,7 +70,7 @@ impl Pol {
     }
 
     /// Sequence of policies (right-nested), `1` when empty.
-    pub fn sequence(terms: impl IntoIterator<Item = Pol>) -> Pol {
+    pub(crate) fn sequence(terms: impl IntoIterator<Item = Pol>) -> Pol {
         let mut terms: Vec<Pol> = terms.into_iter().collect();
         match terms.pop() {
             None => Pol::Id,
@@ -78,13 +78,8 @@ impl Pol {
         }
     }
 
-    /// Shorthand test.
-    pub fn test(f: AttrId, v: impl Into<Value>) -> Pol {
-        Pol::Test(f, v.into())
-    }
-
     /// Shorthand action token.
-    pub fn act(s: impl AsRef<str>) -> Pol {
+    pub(crate) fn act(s: impl AsRef<str>) -> Pol {
         Pol::Act(Arc::from(s.as_ref()))
     }
 
@@ -98,7 +93,7 @@ impl Pol {
 
     /// All `(field, value)` pairs tested anywhere in the policy. Drives
     /// the finite-domain equivalence check.
-    pub fn tests(&self) -> Vec<(AttrId, Value)> {
+    pub(crate) fn tests(&self) -> Vec<(AttrId, Value)> {
         let mut out = Vec::new();
         self.collect_tests(&mut out);
         out
@@ -121,30 +116,22 @@ impl Pol {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pk {
     /// Field values; absent fields read as 0.
-    pub fields: BTreeMap<AttrId, u64>,
+    pub(crate) fields: BTreeMap<AttrId, u64>,
     /// Action tokens accumulated so far.
-    pub acts: BTreeSet<Arc<str>>,
+    pub(crate) acts: BTreeSet<Arc<str>>,
 }
 
 impl Pk {
     /// Read a field (0 when unset).
-    pub fn get(&self, f: AttrId) -> u64 {
+    pub(crate) fn get(&self, f: AttrId) -> u64 {
         self.fields.get(&f).copied().unwrap_or(0)
-    }
-
-    /// Build from `(field, value)` pairs.
-    pub fn with(fields: &[(AttrId, u64)]) -> Pk {
-        Pk {
-            fields: fields.iter().copied().collect(),
-            acts: BTreeSet::new(),
-        }
     }
 }
 
 /// Evaluate a policy on a packet under packet-set semantics.
 ///
 /// `width` supplies each field's bit width (for prefix predicates).
-pub fn eval(pol: &Pol, pk: &Pk, width: &impl Fn(AttrId) -> u32) -> BTreeSet<Pk> {
+pub(crate) fn eval(pol: &Pol, pk: &Pk, width: &impl Fn(AttrId) -> u32) -> BTreeSet<Pk> {
     match pol {
         Pol::Drop => BTreeSet::new(),
         Pol::Id => [pk.clone()].into(),
@@ -186,7 +173,7 @@ pub fn eval(pol: &Pol, pk: &Pk, width: &impl Fn(AttrId) -> u32) -> BTreeSet<Pk> 
 /// `mapro_core::domain`).
 ///
 /// Returns the distinguishing input packet on failure.
-pub fn semantically_equal(
+pub(crate) fn semantically_equal(
     a: &Pol,
     b: &Pol,
     width: &impl Fn(AttrId) -> u32,
@@ -268,21 +255,30 @@ mod tests {
 
     #[test]
     fn drop_and_id() {
-        let pk = Pk::with(&[(f(0), 5)]);
+        let pk = Pk {
+            fields: [(f(0), 5)].into(),
+            ..Pk::default()
+        };
         assert!(eval(&Pol::Drop, &pk, &W).is_empty());
         assert_eq!(eval(&Pol::Id, &pk, &W), [pk.clone()].into());
     }
 
     #[test]
     fn test_filters() {
-        let pk = Pk::with(&[(f(0), 5)]);
-        assert!(!eval(&Pol::test(f(0), 5u64), &pk, &W).is_empty());
-        assert!(eval(&Pol::test(f(0), 6u64), &pk, &W).is_empty());
+        let pk = Pk {
+            fields: [(f(0), 5)].into(),
+            ..Pk::default()
+        };
+        assert!(!eval(&Pol::Test(f(0), 5u64.into()), &pk, &W).is_empty());
+        assert!(eval(&Pol::Test(f(0), 6u64.into()), &pk, &W).is_empty());
     }
 
     #[test]
     fn mod_writes() {
-        let pk = Pk::with(&[(f(0), 5)]);
+        let pk = Pk {
+            fields: [(f(0), 5)].into(),
+            ..Pk::default()
+        };
         let out = eval(&Pol::Mod(f(0), 9), &pk, &W);
         assert_eq!(out.len(), 1);
         assert_eq!(out.iter().next().unwrap().get(f(0)), 9);
@@ -308,7 +304,7 @@ mod tests {
     fn seq_composes() {
         let pk = Pk::default();
         let p = Pol::Mod(f(0), 1)
-            .seq(Pol::test(f(0), 1u64))
+            .seq(Pol::Test(f(0), 1u64.into()))
             .seq(Pol::act("hit"));
         let out = eval(&p, &pk, &W);
         assert_eq!(out.len(), 1);
@@ -333,15 +329,15 @@ mod tests {
     #[test]
     fn semantic_equality_basics() {
         // f=1;f<-2  ==  f=1;f<-2 trivially
-        let a = Pol::test(f(0), 1u64).seq(Pol::Mod(f(0), 2));
+        let a = Pol::Test(f(0), 1u64.into()).seq(Pol::Mod(f(0), 2));
         assert!(semantically_equal(&a, &a.clone(), &W).is_ok());
         // f<-2;f=2 == f<-2 (Mod-Test axiom instance)
-        let l = Pol::Mod(f(0), 2).seq(Pol::test(f(0), 2u64));
+        let l = Pol::Mod(f(0), 2).seq(Pol::Test(f(0), 2u64.into()));
         let r = Pol::Mod(f(0), 2);
         assert!(semantically_equal(&l, &r, &W).is_ok());
         // f=1 != f=2: counterexample exists
-        let l = Pol::test(f(0), 1u64);
-        let r = Pol::test(f(0), 2u64);
+        let l = Pol::Test(f(0), 1u64.into());
+        let r = Pol::Test(f(0), 2u64.into());
         let cx = semantically_equal(&l, &r, &W).unwrap_err();
         assert!(cx.get(f(0)) == 1 || cx.get(f(0)) == 2);
     }
@@ -351,13 +347,13 @@ mod tests {
         // f in 1xxx (width 4... use width 16 top bit) vs exact tests
         let wi: fn(AttrId) -> u32 = |_| 4;
         let pfx = Pol::Test(f(0), Value::prefix(0b1000, 1, 4));
-        let split = Pol::sum((0b1000..=0b1111u64).map(|v| Pol::test(f(0), v)));
+        let split = Pol::sum((0b1000..=0b1111u64).map(|v| Pol::Test(f(0), v.into())));
         assert!(semantically_equal(&pfx, &split, &wi).is_ok());
     }
 
     #[test]
     fn policy_size_and_display() {
-        let p = Pol::test(f(0), 1u64)
+        let p = Pol::Test(f(0), 1u64.into())
             .seq(Pol::act("out(a)"))
             .plus(Pol::Drop);
         assert!(p.size() >= 3);
