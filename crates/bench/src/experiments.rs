@@ -50,24 +50,24 @@ impl Default for BenchConfig {
 /// comparisons (different seed, workload shape, or artifact schema)
 /// instead of reporting them as regressions.
 #[derive(Debug, Clone, Serialize)]
-pub struct RunMeta {
+pub(crate) struct RunMeta {
     /// Artifact schema version; bump when the report shape changes.
-    pub schema: u32,
+    pub(crate) schema: u32,
     /// Experiment id (`faults`, `symscale`, `ddscale`, `phases`, …).
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Workload seed the artifact was produced with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Resolved worker-pool size at production time.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Crate version that produced the artifact.
-    pub version: String,
+    pub(crate) version: String,
     /// `available_parallelism` of the producing host.
-    pub host_cores: usize,
+    pub(crate) host_cores: usize,
 }
 
 impl RunMeta {
     /// Capture the provenance of the current run.
-    pub fn new(experiment: &str, seed: u64) -> RunMeta {
+    pub(crate) fn new(experiment: &str, seed: u64) -> RunMeta {
         RunMeta {
             schema: 1,
             experiment: experiment.to_owned(),
@@ -733,7 +733,7 @@ pub struct FaultRow {
     /// `"universal"` or `"goto"`.
     pub repr: String,
     /// Intents driven through the controller.
-    pub intents: usize,
+    pub(crate) intents: usize,
     /// Intents whose delivery errored (repaired by reconciliation).
     pub intent_errors: usize,
     /// Flow-mods delivered to the switch (includes redeliveries).
@@ -751,7 +751,7 @@ pub struct FaultRow {
     /// Cumulative switch control-CPU stall (ms).
     pub stall_ms: f64,
     /// Stall as a fraction of the churn window.
-    pub stall_fraction: f64,
+    pub(crate) stall_fraction: f64,
     /// Line rate minus the stall fraction \[Mpps\].
     pub goodput_mpps: f64,
 }
@@ -760,7 +760,7 @@ pub struct FaultRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultsReport {
     /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// One row per fault rate × representation.
     pub rows: Vec<FaultRow>,
 }
@@ -962,7 +962,7 @@ pub struct SymScaleRow {
     /// Whether exhaustive enumeration is feasible (product within the
     /// default `max_exhaustive`); when false, enumeration could only
     /// *sample* and the symbolic verdict is the only complete one.
-    pub enum_feasible: bool,
+    pub(crate) enum_feasible: bool,
     /// Best-of-reps wall clock of the enumerative engine \[ms\]; `None`
     /// when enumeration is infeasible and was not run.
     pub enum_ms: Option<f64>,
@@ -978,7 +978,7 @@ pub struct SymScaleRow {
     /// diagrams on an equivalent verdict, 0 on a counterexample.
     pub packets_checked: usize,
     /// How the reported verdict was decided (`symbolic` always, here).
-    pub method: String,
+    pub(crate) method: String,
     /// `equivalent` or `counterexample`.
     pub verdict: String,
     /// Fingerprint of the deterministic parts of the result (node counts,
@@ -991,11 +991,11 @@ pub struct SymScaleRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct SymScaleReport {
     /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// `available_parallelism` of the measuring host.
     pub host_cores: usize,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// One row per configuration.
     pub rows: Vec<SymScaleRow>,
 }
@@ -1229,7 +1229,7 @@ pub struct PhaseWorkload {
 #[derive(Debug, Clone, Serialize)]
 pub struct PhasesReport {
     /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// One entry per traced workload.
     pub workloads: Vec<PhaseWorkload>,
 }
@@ -1516,11 +1516,11 @@ pub struct DdLintRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct DdScaleReport {
     /// Provenance header (seed, threads, version) for the regression gate.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// `available_parallelism` of the measuring host.
     pub host_cores: usize,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// One row per equivalence configuration.
     pub rows: Vec<DdScaleRow>,
     /// One row per lint workload.

@@ -11,6 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
+pub(crate) mod experiments;
 
 pub use experiments::*;
