@@ -48,7 +48,7 @@ pub use equiv::{
     assert_equivalent, check_equivalent, CheckMethod, Counterexample, EquivConfig, EquivError,
     EquivMode, EquivOutcome,
 };
-pub use pipeline::{EvalError, InvalidProgram, Packet, Pipeline, Reach, Verdict};
+pub use pipeline::{EvalError, Packet, Pipeline, Reach, Verdict};
 pub use size::{SizeReport, TableSize};
 pub use table::{Entry, MissPolicy, Overlap, Table};
 pub use text::{format_program, parse_program};

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// The wire location a field name maps to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldLoc {
+pub(crate) enum FieldLoc {
     /// Ethernet destination MAC (low 48 bits of the value).
     EthDst,
     /// Ethernet source MAC.
@@ -58,7 +58,7 @@ pub struct Binding {
 impl Binding {
     /// Build a binding for every matchable attribute of `catalog`, using
     /// the conventional names of the paper's figures; unrecognized fields
-    /// (and all metadata) become [`FieldLoc::Sideband`].
+    /// (and all metadata) become `FieldLoc::Sideband`.
     pub fn standard(catalog: &Catalog) -> Binding {
         let mut b = Binding {
             locs: vec![FieldLoc::Sideband; catalog.len()],
@@ -176,7 +176,7 @@ fn wire_value(loc: FieldLoc, frame: &Frame) -> u64 {
 }
 
 /// Pack a MAC address into the low 48 bits of a u64.
-pub fn mac_to_u64(mac: &[u8; 6]) -> u64 {
+pub(crate) fn mac_to_u64(mac: &[u8; 6]) -> u64 {
     mac.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64)
 }
 

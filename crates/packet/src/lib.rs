@@ -13,6 +13,6 @@ pub(crate) mod bind;
 pub(crate) mod headers;
 pub(crate) mod trace;
 
-pub use bind::{mac_to_u64, u64_to_mac, Binding, FieldLoc};
+pub use bind::{u64_to_mac, Binding};
 pub use headers::{ipv4, ipv4_to_string, Frame, ParseError, MIN_FRAME};
 pub use trace::{generate, FlowSpec, Popularity, Trace, TraceSpec};

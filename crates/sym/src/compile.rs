@@ -64,7 +64,7 @@ impl FieldSpace {
 /// the controller) to the absorbing [`Behavior::Dropped`], discarding any
 /// effects accumulated before the miss, exactly as the evaluator does.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Behavior {
+pub(crate) enum Behavior {
     /// The packet was discarded; nothing is externally visible.
     Dropped,
     /// The packet left the switch with these effects applied.

@@ -39,7 +39,7 @@ pub use check::{
     assert_equivalent, check_equivalent, check_equivalent_explain, check_equivalent_with,
     check_symbolic, FallbackInfo,
 };
-pub use compile::{Behavior, FieldSpace, SymConfig, Unsupported};
-pub use cube::{Cube, Tern};
+pub use compile::{FieldSpace, SymConfig, Unsupported};
+pub use cube::Cube;
 pub use ddcover::{match_rows, BitLayout, DdEngine, TableLiveness};
 pub use incremental::{IncrementalChecker, ProofToken, SessionError, Side, Verdict};
