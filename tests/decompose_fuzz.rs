@@ -130,38 +130,74 @@ fn build(spec: &Spec) -> Option<(Pipeline, Vec<mapro::core::AttrId>)> {
     Some((Pipeline::single(c, t), ids))
 }
 
+/// Split `spec`'s table along its planted `det → dep` (the two must
+/// differ): whatever `split` accepts is equivalent to its source, and
+/// whatever it refuses is refused with one of the structured errors.
+fn split_is_sound_or_refuses_with_structure(spec: &Spec) {
+    let Some((p, ids)) = build(spec) else {
+        return;
+    };
+    let x = vec![ids[spec.det]];
+    let y = vec![ids[spec.dep]];
+    let fd = Split::Fd {
+        x,
+        y,
+        join: spec.join,
+    };
+    match split(&p, "t", &fd, &SplitOpts::default()) {
+        Ok(q) => {
+            // Anything accepted must preserve semantics.
+            match check_equivalent(&p, &q, &EquivConfig::default()).unwrap() {
+                EquivOutcome::Equivalent { .. } => {}
+                EquivOutcome::Counterexample(cx) => {
+                    panic!("ACCEPTED BUT WRONG: {:?}\nspec {:?}", cx.fields, spec);
+                }
+            }
+        }
+        Err(
+            SplitError::FdDoesNotHold { .. }
+            | SplitError::StageNot1NF { .. }
+            | SplitError::RematchNeedsFieldX
+            | SplitError::GotoNotInLastStage
+            | SplitError::SourceNot1NF
+            | SplitError::OrderSensitiveActionSplit { .. }
+            | SplitError::RewriteBeforeMatch { .. }
+            | SplitError::BadSides,
+        ) => {}
+        Err(e) => panic!("unexpected error {e:?} for {spec:?}"),
+    }
+}
+
+/// The two shrunk cases an earlier proptest run recorded (one per join
+/// that failed then), written out so they run on every `cargo test`.
+#[test]
+fn recorded_regressions_stay_sound() {
+    use ColKind::{Field, Output};
+    let metadata = Spec {
+        kinds: vec![Field, Field, Output, Output],
+        rows: vec![vec![0, 0, 3, 0]; 11],
+        det: 0,
+        dep: 2,
+        join: JoinKind::Metadata,
+    };
+    let goto = Spec {
+        kinds: vec![Output, Field, Output, Field],
+        rows: vec![vec![3, 0, 0, 0]; 6],
+        det: 2,
+        dep: 0,
+        join: JoinKind::Goto,
+    };
+    split_is_sound_or_refuses_with_structure(&metadata);
+    split_is_sound_or_refuses_with_structure(&goto);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
     #[test]
     fn decompose_is_sound_or_refuses_with_structure(spec in arb_spec()) {
         prop_assume!(spec.det != spec.dep);
-        let Some((p, ids)) = build(&spec) else { return Ok(()); };
-        let x = vec![ids[spec.det]];
-        let y = vec![ids[spec.dep]];
-        let fd = Split::Fd { x, y, join: spec.join };
-        match split(&p, "t", &fd, &SplitOpts::default()) {
-            Ok(q) => {
-                // Anything accepted must preserve semantics.
-                match check_equivalent(&p, &q, &EquivConfig::default()).unwrap() {
-                    EquivOutcome::Equivalent { .. } => {}
-                    EquivOutcome::Counterexample(cx) => {
-                        prop_assert!(false, "ACCEPTED BUT WRONG: {:?}\nspec {:?}", cx.fields, spec);
-                    }
-                }
-            }
-            Err(
-                SplitError::FdDoesNotHold { .. }
-                | SplitError::StageNot1NF { .. }
-                | SplitError::RematchNeedsFieldX
-                | SplitError::GotoNotInLastStage
-                | SplitError::SourceNot1NF
-                | SplitError::OrderSensitiveActionSplit { .. }
-                | SplitError::RewriteBeforeMatch { .. }
-                | SplitError::BadSides,
-            ) => {}
-            Err(e) => prop_assert!(false, "unexpected error {e:?} for {spec:?}"),
-        }
+        split_is_sound_or_refuses_with_structure(&spec);
     }
 
     /// When the planted dependency holds and both sides are fields, every
