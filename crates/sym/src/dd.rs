@@ -40,8 +40,8 @@
 //!   alone carries canonicity. It is kept at most half full: when the arena
 //!   outgrows that, the table doubles and is refilled by re-hashing the
 //!   arena.
-//! * the **computed cache** remembers results of `and`/`or`/`diff`/
-//!   `cofactor`/`ite` calls. It is direct-mapped: one slot per hash value,
+//! * the **computed cache** remembers results of `and`/`or`/`diff`/`ite`
+//!   calls. It is direct-mapped: one slot per hash value,
 //!   a new result overwrites whatever was there. It may therefore *forget*
 //!   any entry at any time. That is sound because a cached result is only
 //!   ever a shortcut to the `NodeRef` the recursion would build anyway:
