@@ -10,9 +10,8 @@
 //!
 //! Union questions — is a row covered by the rows above it, what region
 //! does a flow-mod dirty — are decided on decision diagrams
-//! (`crate::ddcover`), never by splitting cubes. This module began life
-//! as `mapro_lint::cover` and was promoted here so the diagram compiler,
-//! the incremental sessions and the linter share one implementation.
+//! (`crate::ddcover`), never by splitting cubes. The diagram compiler,
+//! the incremental sessions and the linter share this one implementation.
 
 use mapro_core::Value;
 
