@@ -191,31 +191,107 @@ impl Table {
 
     /// Check 1NF *order-independence*: return every pair of entries whose
     /// predicates overlap on all match columns (§3, and the failure mode of
-    /// Fig. 3).
+    /// Fig. 3), in `(first, second)` order.
     ///
-    /// Quadratic in the number of entries; the tables normalization handles
-    /// are control-plane-sized, not datapath-cache-sized.
+    /// Only candidate pairs are compared. The rows are bucketed by one
+    /// column's cells under the care mask every row shares there: two
+    /// rows whose cells differ under that mask cannot overlap. A row whose
+    /// cell has no ternary form, or no care bit in the mask, is a
+    /// candidate against every row. The column chosen is the one with the
+    /// fewest candidate pairs, so a table that some column keys costs
+    /// about linear time; one that no column separates (all wildcards)
+    /// still costs the quadratic scan.
     pub fn order_independence(&self, catalog: &Catalog) -> Vec<Overlap> {
+        let n = self.entries.len();
         let widths: Vec<u32> = self
             .match_attrs
             .iter()
             .map(|&a| catalog.attr(a).width)
             .collect();
+        let overlap = |i: usize, j: usize| {
+            let (a, b) = (&self.entries[i].matches, &self.entries[j].matches);
+            (0..widths.len()).all(|k| a[k].intersects(&b[k], widths[k]))
+        };
+        if widths.is_empty() {
+            // No match column: every entry matches every packet.
+            return (0..n)
+                .flat_map(|i| {
+                    (i + 1..n).map(move |j| Overlap {
+                        first: i,
+                        second: j,
+                    })
+                })
+                .collect();
+        }
+        if n < 2 {
+            return Vec::new();
+        }
+        // The column that leaves the fewest candidate pairs; a column
+        // that leaves none ends the search.
+        let (mut keys, mut best) = (Vec::with_capacity(n), Vec::new());
+        let (mut sorted, mut fewest) = (Vec::with_capacity(n), u64::MAX);
+        for (k, &width) in widths.iter().enumerate() {
+            self.column_keys(k, width, &mut keys);
+            let candidates = candidate_pairs(&keys, &mut sorted);
+            if candidates < fewest {
+                fewest = candidates;
+                std::mem::swap(&mut keys, &mut best);
+            }
+            if fewest == 0 {
+                break;
+            }
+        }
+        let buckets = Buckets::of(&best);
         let mut out = Vec::new();
-        for i in 0..self.entries.len() {
-            for j in i + 1..self.entries.len() {
-                let overlap = self.match_attrs.iter().enumerate().all(|(k, _)| {
-                    self.entries[i].matches[k].intersects(&self.entries[j].matches[k], widths[k])
-                });
-                if overlap {
+        for i in 0..n {
+            let mut push = |j: usize| {
+                if overlap(i, j) {
                     out.push(Overlap {
                         first: i,
                         second: j,
                     });
                 }
+            };
+            match buckets.of_row[i] {
+                None => (i + 1..n).for_each(push),
+                Some((b, at)) => {
+                    // Merge the rest of `i`'s bucket with the wildcard rows
+                    // after `i`, both ascending.
+                    let same = &buckets.rows[b][at + 1..];
+                    let wild = &buckets.wild[buckets.wild.partition_point(|&w| w <= i)..];
+                    let (mut s, mut w) = (0, 0);
+                    while s < same.len() || w < wild.len() {
+                        if w == wild.len() || (s < same.len() && same[s] < wild[w]) {
+                            push(same[s]);
+                            s += 1;
+                        } else {
+                            push(wild[w]);
+                            w += 1;
+                        }
+                    }
+                }
             }
         }
         out
+    }
+
+    /// Per row, its key for bucketing on match column `k`: the cell's bits
+    /// under the care mask every row's cell shares there, or `None` for a
+    /// cell with no ternary form or no care bit in that mask.
+    fn column_keys(&self, k: usize, width: u32, keys: &mut Vec<Option<u64>>) {
+        let form = |e: &Entry| e.matches[k].as_ternary(width);
+        let shared = self
+            .entries
+            .iter()
+            .filter_map(form)
+            .map(|(_, mask)| mask)
+            .filter(|&mask| mask != 0)
+            .fold(u64::MAX, |acc, mask| acc & mask);
+        keys.clear();
+        keys.extend(self.entries.iter().map(|e| match form(e) {
+            Some((bits, mask)) if mask & shared != 0 => Some(bits & shared),
+            _ => None,
+        }));
     }
 
     /// True iff no two entries share identical match tuples (row uniqueness,
@@ -288,6 +364,61 @@ impl Table {
     /// paper's §2 encoding-size metric (Fig. 1a has 6 × 4 = 24 fields).
     pub(crate) fn field_count(&self) -> usize {
         self.entries.len() * (self.match_attrs.len() + self.action_attrs.len())
+    }
+}
+
+/// How many pairs bucketing rows by `keys` leaves to compare: pairs
+/// within a bucket, and every pair with a keyless row. `sorted` is
+/// scratch space.
+fn candidate_pairs(keys: &[Option<u64>], sorted: &mut Vec<u64>) -> u64 {
+    let pairs = |k: u64| k * k.saturating_sub(1) / 2;
+    sorted.clear();
+    sorted.extend(keys.iter().flatten());
+    sorted.sort_unstable();
+    let (n, wild) = (keys.len() as u64, (keys.len() - sorted.len()) as u64);
+    let mut within = 0;
+    let mut start = 0;
+    for i in 1..=sorted.len() {
+        if i == sorted.len() || sorted[i] != sorted[start] {
+            within += pairs((i - start) as u64);
+            start = i;
+        }
+    }
+    within + wild * (n - wild) + pairs(wild)
+}
+
+/// Rows bucketed by their keys, for [`Table::order_independence`].
+struct Buckets {
+    /// The rows of each key, ascending.
+    rows: Vec<Vec<usize>>,
+    /// The keyless rows, a candidate against every row, ascending.
+    wild: Vec<usize>,
+    /// Per row, its bucket and its position there; `None` for a wild row.
+    of_row: Vec<Option<(usize, usize)>>,
+}
+
+impl Buckets {
+    fn of(keys: &[Option<u64>]) -> Buckets {
+        let mut keyed: Vec<(u64, usize)> = keys
+            .iter()
+            .enumerate()
+            .filter_map(|(row, key)| key.map(|key| (key, row)))
+            .collect();
+        keyed.sort_unstable();
+        let mut b = Buckets {
+            rows: Vec::new(),
+            wild: (0..keys.len()).filter(|&row| keys[row].is_none()).collect(),
+            of_row: vec![None; keys.len()],
+        };
+        for (i, &(key, row)) in keyed.iter().enumerate() {
+            if i == 0 || keyed[i - 1].0 != key {
+                b.rows.push(Vec::new());
+            }
+            let bucket = b.rows.len() - 1;
+            b.of_row[row] = Some((bucket, b.rows[bucket].len()));
+            b.rows[bucket].push(row);
+        }
+        b
     }
 }
 

@@ -144,3 +144,61 @@ fn prefix_normalization_makes_equality_semantic() {
     let b = Value::prefix(0b1011_1111_1111_1111, 3, 16);
     assert_eq!(a, b);
 }
+
+/// A small-width cell of any kind a table may hold: exact, prefix,
+/// ternary, wildcard or symbolic (which matches nothing). Exact cells
+/// dominate, as in the tables normalization sees.
+fn arb_table_cell() -> impl Strategy<Value = Value> {
+    const CW: u32 = 4;
+    prop_oneof![
+        4 => (0u64..1 << CW).prop_map(Value::Int),
+        2 => (0u64..1 << CW, 0u8..=CW as u8).prop_map(|(b, l)| Value::prefix(b, l, CW)),
+        1 => (0u64..1 << CW, 0u64..1 << CW).prop_map(|(b, m)| Value::Ternary {
+            bits: b & m,
+            mask: m
+        }),
+        2 => Just(Value::Any),
+        1 => Just(Value::sym("s")),
+    ]
+}
+
+/// The all-pairs scan `Table::order_independence` replaced: every pair
+/// `i < j` whose cells intersect in every column, in `(i, j)` order.
+fn overlapping_pairs_by_scan(t: &mapro::core::Table, widths: &[u32]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for i in 0..t.entries.len() {
+        for j in i + 1..t.entries.len() {
+            let (a, b) = (&t.entries[i].matches, &t.entries[j].matches);
+            if (0..widths.len()).all(|k| a[k].intersects(&b[k], widths[k])) {
+                out.push((i, j));
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The bucketed 1NF test returns exactly the all-pairs scan's pairs,
+    /// in the same order, on tables of zero to three 4-bit columns.
+    #[test]
+    fn order_independence_equals_the_all_pairs_scan(
+        cols in 0usize..4,
+        rows in proptest::collection::vec(proptest::collection::vec(arb_table_cell(), 3), 0..24),
+    ) {
+        use mapro::core::{Catalog, Table};
+        let mut c = Catalog::new();
+        let attrs: Vec<_> = (0..cols).map(|k| c.field(format!("f{k}"), 4)).collect();
+        let mut t = Table::new("t", attrs, vec![]);
+        for r in rows {
+            t.row(r[..cols].to_vec(), vec![]);
+        }
+        let got: Vec<(usize, usize)> = t
+            .order_independence(&c)
+            .into_iter()
+            .map(|o| (o.first, o.second))
+            .collect();
+        prop_assert_eq!(got, overlapping_pairs_by_scan(&t, &vec![4; cols]));
+    }
+}
