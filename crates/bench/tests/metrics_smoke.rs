@@ -233,6 +233,65 @@ fn incremental_session_pre_registers_sym_incr_metrics() {
 }
 
 #[test]
+fn verified_normalization_pre_registers_and_counts_the_step_lemmas() {
+    // `split`'s verify hook: each step is proved by Heath's lemma on the
+    // rows, or falls back to the whole-program check, counted by cause.
+    // Every counter is registered before the first step proves anything.
+    const COUNTERS: [&str; 11] = [
+        "normalize.verify.lemmas",
+        "normalize.verify.fallbacks",
+        "normalize.verify.fallback.miss_policy",
+        "normalize.verify.fallback.naming",
+        "normalize.verify.fallback.source_not_1nf",
+        "normalize.verify.fallback.stage_not_1nf",
+        "normalize.verify.fallback.exits",
+        "normalize.verify.fallback.action_order",
+        "normalize.verify.fallback.metadata",
+        "normalize.verify.fallback.flatten",
+        "normalize.verify.fallback.rows_differ",
+    ];
+    let counts = || -> Vec<Option<u64>> {
+        let snap = mapro_obs::registry().snapshot();
+        COUNTERS
+            .iter()
+            .map(|name| {
+                snap.entries
+                    .iter()
+                    .find(|e| e.name == *name)
+                    .map(|e| match &e.value {
+                        mapro_obs::MetricValue::Counter(n) => *n,
+                        other => panic!("{name} must be a counter, got {other:?}"),
+                    })
+            })
+            .collect()
+    };
+
+    let g = mapro_workloads::Gwlb::random(6, 4, 7);
+    let opts = mapro_normalize::NormalizeOpts {
+        join: mapro_normalize::JoinKind::Goto,
+        verify: true,
+        ..Default::default()
+    };
+    let before = counts();
+    let n = mapro_normalize::normalize(&g.universal, &opts);
+    assert!(!n.steps.is_empty(), "the GWLB normalizes");
+
+    if cfg!(feature = "obs") {
+        let after: Vec<u64> = counts()
+            .into_iter()
+            .zip(COUNTERS)
+            .map(|(n, name)| n.unwrap_or_else(|| panic!("{name} not registered")))
+            .collect();
+        let delta = |i: usize| after[i] - before[i].unwrap_or(0);
+        // Every step of a goto-normalized GWLB is the lemma's.
+        assert_eq!(delta(0), n.steps.len() as u64, "lemmas");
+        for (i, name) in COUNTERS.iter().enumerate().skip(1) {
+            assert_eq!(delta(i), 0, "{name}");
+        }
+    }
+}
+
+#[test]
 fn controller_pre_registers_and_fills_the_per_hop_plan_histograms() {
     use mapro_control::{Controller, DriverConfig, FaultPlan, FaultyChannel};
 

@@ -14,9 +14,10 @@
 //! resulting entry order reproduces the pipeline's first-match semantics
 //! even when flattened entries overlap.
 
-use mapro_core::{ActionSem, AttrId, AttrKind, Entry, MissPolicy, Pipeline, Table, Value};
-use std::collections::HashMap;
+use mapro_core::{ActionSem, AttrId, AttrKind, Catalog, Entry, MissPolicy, Pipeline, Table, Value};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a pipeline could not be flattened.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,17 +70,32 @@ impl fmt::Display for FlattenError {
 
 impl std::error::Error for FlattenError {}
 
-/// Per-path symbolic state during flattening.
-#[derive(Debug, Clone)]
+/// Per-path symbolic state during flattening: bindings pushed entry by
+/// entry, the latest binding of an attribute winning, and truncated back
+/// when the walk returns from an entry (a path touches a handful of
+/// attributes, so a short list beats a map).
+#[derive(Debug, Default)]
 struct PathState {
     /// Accumulated constraint per header field (conjunction so far).
-    constraints: HashMap<AttrId, Value>,
+    constraints: Vec<(AttrId, Value)>,
     /// Concrete values of fields written by `SetField` (metadata starts at
     /// `Known(0)`).
-    known: HashMap<AttrId, u64>,
+    known: Vec<(AttrId, u64)>,
     /// Final action parameters per action attribute (last write wins for
     /// output/set-field; conflict for opaque).
     actions: Vec<(AttrId, Value)>,
+}
+
+impl PathState {
+    fn mark(&self) -> [usize; 3] {
+        [self.constraints.len(), self.known.len(), self.actions.len()]
+    }
+
+    fn rewind(&mut self, [c, k, a]: [usize; 3]) {
+        self.constraints.truncate(c);
+        self.known.truncate(k);
+        self.actions.truncate(a);
+    }
 }
 
 /// Flatten `p` into a single universal table named `name`.
@@ -88,20 +104,36 @@ struct PathState {
 /// pipeline (metadata excluded — it is resolved away); its action columns
 /// are all non-goto, non-metadata-write actions.
 pub fn flatten(p: &Pipeline, name: &str) -> Result<Table, FlattenError> {
+    flatten_tables(
+        &p.catalog,
+        &p.tables.iter().collect::<Vec<_>>(),
+        &p.start,
+        name,
+    )
+}
+
+/// [`flatten`] of the pipeline `tables` would make over `catalog`,
+/// starting at `start`, without owning them.
+pub(crate) fn flatten_tables(
+    catalog: &Catalog,
+    tables: &[&Table],
+    start: &str,
+    name: &str,
+) -> Result<Table, FlattenError> {
     // Output schema.
     let mut match_attrs: Vec<AttrId> = Vec::new();
     let mut action_attrs: Vec<AttrId> = Vec::new();
-    for t in &p.tables {
+    for t in tables {
         for &a in &t.match_attrs {
-            if matches!(p.catalog.attr(a).kind, AttrKind::Field) && !match_attrs.contains(&a) {
+            if matches!(catalog.attr(a).kind, AttrKind::Field) && !match_attrs.contains(&a) {
                 match_attrs.push(a);
             }
         }
         for &a in &t.action_attrs {
-            let keep = match &p.catalog.attr(a).kind {
+            let keep = match &catalog.attr(a).kind {
                 AttrKind::Action(ActionSem::Goto) => false,
                 AttrKind::Action(ActionSem::SetField(target)) => {
-                    matches!(p.catalog.attr(*target).kind, AttrKind::Field)
+                    matches!(catalog.attr(*target).kind, AttrKind::Field)
                 }
                 AttrKind::Action(_) => true,
                 _ => false,
@@ -118,45 +150,78 @@ pub fn flatten(p: &Pipeline, name: &str) -> Result<Table, FlattenError> {
     out.miss = MissPolicy::Drop;
 
     // Initial state: metadata fields are known-zero.
-    let mut init = PathState {
-        constraints: HashMap::new(),
-        known: HashMap::new(),
-        actions: Vec::new(),
-    };
-    for (id, a) in p.catalog.iter() {
+    let mut state = PathState::default();
+    for (id, a) in catalog.iter() {
         if matches!(a.kind, AttrKind::Meta) {
-            init.known.insert(id, 0);
+            state.known.push((id, 0));
         }
     }
 
     let mut rows: Vec<Entry> = Vec::new();
-    walk(p, &p.start, init, p.tables.len() * 2 + 8, &mut |st| {
-        rows.push(emit(p, st, &match_attrs, &action_attrs));
-    })?;
-    let mut seen = std::collections::HashSet::new();
-    for r in rows {
-        if seen.insert((r.matches.clone(), r.actions.clone())) {
+    // By name, the first table of a name winning, as `Pipeline::table` does.
+    let by_name: HashMap<&str, &Table> =
+        tables.iter().rev().map(|t| (t.name.as_str(), *t)).collect();
+    walk(
+        catalog,
+        &by_name,
+        start,
+        &mut state,
+        tables.len() * 2 + 8,
+        &mut |st| rows.push(emit(st, &match_attrs, &action_attrs)),
+    )?;
+    let mut seen = HashSet::with_capacity_and_hasher(rows.len(), RowHash::default());
+    let first: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
+    drop(seen);
+    for (r, first) in rows.into_iter().zip(first) {
+        if first {
             out.push(r);
         }
     }
     Ok(out)
 }
 
+/// Hasher for sets of rows: one rotate-xor-multiply per word, where
+/// SipHash cost more than the walk that made the rows.
+#[derive(Default)]
+pub(crate) struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// [`RowHasher`]'s builder.
+pub(crate) type RowHash = BuildHasherDefault<RowHasher>;
+
 /// Recursive DFS over entries; `sink` receives each completed path.
 fn walk(
-    p: &Pipeline,
+    catalog: &Catalog,
+    tables: &HashMap<&str, &Table>,
     table: &str,
-    state: PathState,
+    st: &mut PathState,
     budget: usize,
-    sink: &mut impl FnMut(PathState),
+    sink: &mut impl FnMut(&PathState),
 ) -> Result<(), FlattenError> {
     if budget == 0 {
         return Err(FlattenError::GotoCycle {
             table: table.to_owned(),
         });
     }
-    let t = p
-        .table(table)
+    let t = *tables
+        .get(table)
         .ok_or_else(|| FlattenError::UnknownTable(table.to_owned()))?;
     match &t.miss {
         MissPolicy::Drop => {}
@@ -167,64 +232,72 @@ fn walk(
         }
     }
     'entry: for e in &t.entries {
-        let mut st = state.clone();
+        let mark = st.mark();
         // Conjoin predicates.
         for (i, &attr) in t.match_attrs.iter().enumerate() {
             let pred = &e.matches[i];
             if matches!(pred, Value::Any) {
                 continue;
             }
-            let width = p.catalog.attr(attr).width;
-            if let Some(&v) = st.known.get(&attr) {
+            let width = catalog.attr(attr).width;
+            if let Some(&v) = latest(&st.known, attr) {
                 // Field already concretized (metadata, or rewritten header).
                 if !pred.matches(v, width) {
+                    st.rewind(mark);
                     continue 'entry; // path dead
                 }
-            } else if matches!(p.catalog.attr(attr).kind, AttrKind::Meta) {
+            } else if matches!(catalog.attr(attr).kind, AttrKind::Meta) {
                 return Err(FlattenError::UnresolvedMeta {
-                    attr: p.catalog.name(attr).to_owned(),
+                    attr: catalog.name(attr).to_owned(),
                 });
             } else {
-                let cur = st.constraints.get(&attr).cloned().unwrap_or(Value::Any);
+                let cur = latest(&st.constraints, attr).unwrap_or(&Value::Any);
                 match cur.intersect(pred, width) {
-                    None => continue 'entry, // contradictory conjunction
-                    Some(v) => {
-                        st.constraints.insert(attr, v);
+                    None => {
+                        st.rewind(mark);
+                        continue 'entry; // contradictory conjunction
                     }
+                    Some(v) => st.constraints.push((attr, v)),
                 }
             }
         }
         // Apply actions.
-        let mut goto: Option<String> = None;
+        let mut goto: Option<&str> = None;
         for (i, &attr) in t.action_attrs.iter().enumerate() {
             let param = &e.actions[i];
             if matches!(param, Value::Any) {
                 continue;
             }
-            match &p.catalog.attr(attr).kind {
+            match &catalog.attr(attr).kind {
                 AttrKind::Action(ActionSem::Goto) => {
                     if let Value::Sym(s) = param {
-                        goto = Some(s.to_string());
+                        goto = Some(s);
                     }
                 }
                 AttrKind::Action(ActionSem::SetField(target)) => {
                     if let Value::Int(v) = param {
-                        st.known.insert(*target, *v);
+                        st.known.push((*target, *v));
                     }
-                    record(&mut st.actions, attr, param.clone(), p)?;
+                    record(&mut st.actions, attr, param, catalog)?;
                 }
                 AttrKind::Action(_) => {
-                    record(&mut st.actions, attr, param.clone(), p)?;
+                    record(&mut st.actions, attr, param, catalog)?;
                 }
                 _ => unreachable!("action column holds non-action"),
             }
         }
-        match goto.or_else(|| t.next.clone()) {
-            Some(nxt) => walk(p, &nxt, st, budget - 1, sink)?,
+        match goto.or(t.next.as_deref()) {
+            Some(nxt) => walk(catalog, tables, nxt, st, budget - 1, sink)?,
             None => sink(st),
         }
+        st.rewind(mark);
     }
     Ok(())
+}
+
+/// The latest value `slots` binds `attr` to.
+fn latest<T>(slots: &[(AttrId, T)], attr: AttrId) -> Option<&T> {
+    slots.iter().rev().find(|(a, _)| *a == attr).map(|(_, v)| v)
 }
 
 /// Record an action application; last write wins except for opaque
@@ -232,48 +305,34 @@ fn walk(
 fn record(
     actions: &mut Vec<(AttrId, Value)>,
     attr: AttrId,
-    param: Value,
-    p: &Pipeline,
+    param: &Value,
+    catalog: &Catalog,
 ) -> Result<(), FlattenError> {
-    if let Some(slot) = actions.iter_mut().find(|(a, _)| *a == attr) {
-        let opaque = matches!(
-            p.catalog.attr(attr).kind,
-            AttrKind::Action(ActionSem::Opaque)
-        );
-        if opaque && slot.1 != param {
-            return Err(FlattenError::OpaqueConflict {
-                attr: p.catalog.name(attr).to_owned(),
-            });
-        }
-        slot.1 = param;
-    } else {
-        actions.push((attr, param));
+    let opaque = matches!(catalog.attr(attr).kind, AttrKind::Action(ActionSem::Opaque));
+    if opaque && latest(actions, attr).is_some_and(|v| v != param) {
+        return Err(FlattenError::OpaqueConflict {
+            attr: catalog.name(attr).to_owned(),
+        });
     }
+    actions.push((attr, param.clone()));
     Ok(())
 }
 
-fn emit(p: &Pipeline, st: PathState, match_attrs: &[AttrId], action_attrs: &[AttrId]) -> Entry {
+fn emit(st: &PathState, match_attrs: &[AttrId], action_attrs: &[AttrId]) -> Entry {
     let matches = match_attrs
         .iter()
-        .map(|a| {
+        .map(|&a| {
             // A field the path overwrote and then matched reads as the
             // constraint accumulated *before* the overwrite; the constraint
             // map already reflects only pre-write predicates because
             // post-write predicates were checked against `known`.
-            st.constraints.get(a).cloned().unwrap_or(Value::Any)
+            latest(&st.constraints, a).cloned().unwrap_or(Value::Any)
         })
         .collect();
     let actions = action_attrs
         .iter()
-        .map(|a| {
-            st.actions
-                .iter()
-                .find(|(b, _)| b == a)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Any)
-        })
+        .map(|&a| latest(&st.actions, a).cloned().unwrap_or(Value::Any))
         .collect();
-    let _ = p;
     Entry::new(matches, actions)
 }
 

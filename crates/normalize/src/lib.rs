@@ -17,19 +17,23 @@
 //!   universal table (the transformation OVS's flow cache performs).
 //!
 //! Every transformation can be verified against the source program with
-//! `mapro-core`'s complete equivalence checker; the test suites do so
-//! throughout.
+//! `mapro-sym`'s complete equivalence checker; the test suites do so
+//! throughout. A verified split proves its own step instead:
+//! [`heath_lemma`] checks on the rows that the stages join back to the
+//! table, and falls back to the checker only where its premises fail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flatten;
 pub(crate) mod join;
+pub mod lemma;
 pub mod normalize;
 pub mod split;
 
 pub use flatten::{flatten, FlattenError};
 pub use join::JoinKind;
+pub use lemma::{heath_lemma, Lemma};
 pub use normalize::{
     normalize, pipeline_level, program_view, report, NormalizeOpts, Normalized, SkipRecord,
     StepRecord, Target,

@@ -11,6 +11,11 @@
 //! 1NF source check, the action-split validation, stage building with
 //! first-occurrence dedup, the stage-1NF check (which
 //! [`SplitOpts::allow_non_1nf`] waives), the splice and the `verify` hook.
+//! The hook proves the one step, not the whole program: Heath's lemma on
+//! the rows ([`crate::lemma`]) shows the stages equal the table in every
+//! context, and only where a premise of the lemma fails does the hook
+//! compile the input and the output into decision diagrams and compare
+//! them.
 //!
 //! An FD's attribute *kinds* select its stage layout:
 //!
@@ -30,15 +35,13 @@
 //! field of Fig. 5c. Chaining the components without tags is
 //! [`chain_components_naive`], the appendix's counter-example.
 
+use crate::flatten::RowHash;
 use crate::join::{fresh_goto_action, fresh_meta, fresh_table_name, fresh_tag_action, JoinKind};
+use crate::lemma::{heath_lemma, register_counters, verify_step};
 use mapro_core::{
-    ActionSem, AttrId, AttrKind, Catalog, Counterexample, Entry, EquivConfig, EquivOutcome,
-    MissPolicy, Pipeline, Table, Value,
+    ActionSem, AttrId, AttrKind, Catalog, Counterexample, Entry, MissPolicy, Pipeline, Table, Value,
 };
 use mapro_fd::{join_dependency_holds, mvd_holds};
-// Verification goes through the mode-dispatching front door: symbolic by
-// default, enumerative fallback outside the symbolic fragment.
-use mapro_sym::check_equivalent;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -95,9 +98,19 @@ pub enum FactorPlacement {
 /// Options for [`split`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SplitOpts {
-    /// Re-check semantic equivalence of the output against the input. A
-    /// split is equivalence-preserving by construction; this guards the
-    /// implementation, not the theory.
+    /// Prove the step equivalent before returning it. A split is
+    /// equivalence-preserving by construction; this guards the
+    /// implementation, not the theory. The proof is Heath's lemma on the
+    /// rows ([`heath_lemma`]): the stages, flattened with the table's
+    /// continuations as shared exit labels, give back exactly the table's
+    /// rows, so the stages equal the table in every context and no
+    /// diagram is built. Where one of the lemma's premises
+    /// fails (a miss policy other than drop, a stage that is not 1NF as
+    /// under `allow_non_1nf`, actions the stages reorder, …), or the rows
+    /// differ, the whole program is checked against the input with
+    /// `mapro_sym::check_equivalent`, which also finds the packet a
+    /// refusal carries. Every fallback is counted by cause
+    /// (`normalize.verify.fallback.*`).
     pub verify: bool,
     /// Permit stages that violate 1NF (the Fig. 3 demonstration; never
     /// the normalizer).
@@ -267,6 +280,9 @@ pub fn split(
 ) -> Result<Pipeline, SplitError> {
     mapro_obs::counter!("normalize.decompose.calls").inc();
     let _t_dec = mapro_obs::time!("normalize.decompose.decompose_ns");
+    if opts.verify {
+        register_counters();
+    }
     let t = p
         .table(table)
         .ok_or_else(|| SplitError::TableNotFound(table.to_owned()))?;
@@ -307,13 +323,12 @@ pub fn split(
             stage_1nf(st, &plan.catalog)?;
         }
     }
+    let lemma = opts
+        .verify
+        .then(|| heath_lemma(p, table, &plan.catalog, &plan.stages));
     let out = splice(p, t, plan.catalog, plan.stages);
-    if opts.verify {
-        match check_equivalent(p, &out, &EquivConfig::default()) {
-            Ok(EquivOutcome::Equivalent { .. }) => {}
-            Ok(EquivOutcome::Counterexample(cx)) => return Err(SplitError::NotEquivalent(cx)),
-            Err(e) => return Err(SplitError::VerifyFailed(e.to_string())),
-        }
+    if let Some(lemma) = lemma {
+        verify_step(p, &out, lemma)?;
     }
     Ok(out)
 }
@@ -413,7 +428,7 @@ fn project<'a>(
 /// Per row of `t`, the 1-based id of its tuple over `attrs`, numbered in
 /// first-occurrence order: the value of a class tag.
 fn class_ids(t: &Table, attrs: &[AttrId]) -> Vec<u64> {
-    let mut ids: HashMap<Vec<Value>, u64> = HashMap::new();
+    let mut ids: HashMap<Vec<Value>, u64, RowHash> = HashMap::default();
     (0..t.len())
         .map(|row| {
             let next = ids.len() as u64 + 1;
@@ -436,7 +451,7 @@ fn stage(
     let mut st = Table::new(name, match_attrs.to_vec(), action_attrs.to_vec());
     st.miss = t.miss.clone();
     st.next = next;
-    let mut seen = HashSet::new();
+    let mut seen: HashSet<_, RowHash> = HashSet::default();
     for (m, a) in rows {
         if seen.insert((m.clone(), a.clone())) {
             st.push(Entry::new(m, a));
@@ -450,7 +465,7 @@ fn stage_1nf(st: &Table, catalog: &Catalog) -> Result<(), SplitError> {
     let rows = match st.order_independence(catalog).first() {
         Some(ov) => (ov.first, ov.second),
         None => {
-            let mut seen = HashMap::new();
+            let mut seen: HashMap<_, _, RowHash> = HashMap::default();
             let dup = st.entries.iter().enumerate();
             match dup
                 .filter_map(|(i, e)| seen.insert(&e.matches, i).map(|j| (j, i)))
@@ -491,7 +506,7 @@ fn jumps(t: &Table, catalog: &Catalog, actions: &[AttrId]) -> bool {
 
 /// Do two action attributes write the same externally visible slot, so
 /// that their application order matters?
-fn writes_collide(catalog: &Catalog, a: AttrId, b: AttrId) -> bool {
+pub(crate) fn writes_collide(catalog: &Catalog, a: AttrId, b: AttrId) -> bool {
     use mapro_core::AttrKind::Action;
     match (&catalog.attr(a).kind, &catalog.attr(b).kind) {
         (Action(ActionSem::Output), Action(ActionSem::Output)) => true,
@@ -565,7 +580,7 @@ fn plan_fd(
     join: JoinKind,
 ) -> Result<Plan, SplitError> {
     // The dependency must hold in the instance; number the distinct X.
-    let mut first_of: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut first_of: HashMap<Vec<Value>, usize, RowHash> = HashMap::default();
     let mut xid: Vec<usize> = Vec::with_capacity(t.len()); // row → distinct-X ordinal
     let mut x_order: Vec<usize> = Vec::new(); // ordinal → representative row
     for row in 0..t.len() {
@@ -588,6 +603,24 @@ fn plan_fd(
     let (fx, ax) = by_kind(&p.catalog, x);
     let (fy, ay) = by_kind(&p.catalog, y);
     let (fz, az) = by_kind(&p.catalog, &rest(t, &[x, y]));
+    // X = ∅ (Y is constant): a one-row T_XY carries nothing to
+    // communicate, so the join degenerates into the Cartesian product of
+    // §3 / Fig. 2c — plain chaining, no tag or goto fan-out, and `Z`'s
+    // actions (a goto among them) run last whatever the shape. The
+    // shared check in `split` still refuses a jump in `Y`.
+    if x.is_empty() {
+        let s2_name = fresh_stage(p, t, "_r");
+        let rows = || 0..t.len();
+        let s1_rows = project(t, &fy, &ay, rows());
+        let s1 = stage(t, t.name.clone(), &fy, &ay, Some(s2_name.clone()), s1_rows);
+        let s2_rows = project(t, &fz, &az, rows());
+        let s2 = stage(t, s2_name, &fz, &az, t.next.clone(), s2_rows);
+        return Ok(Plan {
+            catalog: p.catalog.clone(),
+            levels: vec![(ay, fy), (az, fz)],
+            stages: vec![s1, s2],
+        });
+    }
     let in_table_order = |mut attrs: Vec<AttrId>| {
         attrs.sort_by_key(|a| t.action_attrs.iter().position(|b| b == a));
         attrs
@@ -621,22 +654,6 @@ fn plan_fd(
     }
 
     let s2_name = fresh_stage(p, t, "_r");
-
-    // X = ∅ (Y is constant): a one-row T_XY carries nothing to
-    // communicate, so the join degenerates into the Cartesian product of
-    // §3 / Fig. 2c — plain chaining, no tag or goto fan-out.
-    if x.is_empty() {
-        let rows = || 0..t.len();
-        let s1_rows = project(t, &fy, &ay, rows());
-        let s1 = stage(t, t.name.clone(), &fy, &ay, Some(s2_name.clone()), s1_rows);
-        let s2_rows = project(t, &fz, &az, rows());
-        let s2 = stage(t, s2_name, &fz, &az, t.next.clone(), s2_rows);
-        return Ok(Plan {
-            catalog: p.catalog.clone(),
-            levels: vec![(ay, fy), (az, fz)],
-            stages: vec![s1, s2],
-        });
-    }
 
     // Link plumbing: what stage 1 writes per distinct-X ordinal.
     let mut catalog = p.catalog.clone();
@@ -961,7 +978,8 @@ fn plan_constant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapro_core::{assert_equivalent, Catalog, SizeReport};
+    use mapro_core::{assert_equivalent, Catalog, EquivConfig, SizeReport};
+    use mapro_sym::check_equivalent;
 
     fn fd(x: &[AttrId], y: &[AttrId], join: JoinKind) -> Split {
         Split::Fd {
@@ -1444,6 +1462,40 @@ mod tests {
             run(&varied, "t", &constant(None, FactorPlacement::After)),
             Err(SplitError::GotoNotInLastStage)
         );
+    }
+
+    /// `∅ → Y` is a Cartesian product whatever `Y` holds: `Z`'s actions,
+    /// a goto among them, run in the last stage, so a goto in `Z` does
+    /// not refuse it (it once did, as `GotoNotInLastStage`, because the
+    /// shape check ran before the `X = ∅` branch).
+    #[test]
+    fn empty_determinant_splits_beside_a_goto() {
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let ttl = c.action("ttl", ActionSem::Opaque);
+        let jump = c.action("jump", ActionSem::Goto);
+        let mut t = Table::new("t", vec![f], vec![ttl, jump]);
+        for (v, to) in [(1u64, "w"), (2, "v"), (3, "w")] {
+            t.row(vec![Value::Int(v)], vec![Value::sym("dec"), Value::sym(to)]);
+        }
+        let mut w = Table::new("w", vec![f], vec![]);
+        w.row(vec![Value::Any], vec![]);
+        let mut v = w.clone();
+        v.name = "v".into();
+        let p = Pipeline::new(c, vec![t, w, v], "t");
+        let verify = SplitOpts {
+            verify: true,
+            ..Default::default()
+        };
+        let factored = run(&p, "t", &constant(Some(&[ttl]), FactorPlacement::Before)).unwrap();
+        for join in [JoinKind::Goto, JoinKind::Metadata, JoinKind::Rematch] {
+            let q = split(&p, "t", &fd(&[], &[ttl], join), &verify).unwrap();
+            assert_eq!(q.tables.len(), 4, "{join}");
+            assert_eq!(q.tables[0].action_attrs, vec![ttl]);
+            assert_eq!(q.tables[1].action_attrs, vec![jump]);
+            assert_equivalent(&p, &q);
+            assert_equivalent(&factored, &q);
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+pub mod spec;
+
 use mapro_control::RuleUpdate;
 use mapro_core::{
     ActionSem, AttrKind, Catalog, Counterexample, Entry, MissPolicy, Pipeline, Table, Value,

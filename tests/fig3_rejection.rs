@@ -38,6 +38,22 @@ fn forced_fig3b_pipeline_is_demonstrably_wrong() {
     assert!(!r.is_equivalent());
 }
 
+/// Verification refuses the forced split too: its stages flatten to the
+/// table's own rows, so the per-step lemma must not vouch for them (its
+/// stage-1NF premise fails and the whole-program check finds the packet).
+#[test]
+fn forced_fig3b_pipeline_is_refused_by_verify() {
+    let v = Vlan::fig3();
+    let opts = SplitOpts {
+        allow_non_1nf: true,
+        verify: true,
+    };
+    match split(&v.universal, "t0", &out_to_vlan(&v), &opts) {
+        Err(SplitError::NotEquivalent(_)) => {}
+        other => panic!("expected NotEquivalent, got {other:?}"),
+    }
+}
+
 #[test]
 fn match_to_action_direction_on_same_table_works() {
     // The dual direction — (in_port, vlan) → out — is the ordinary
